@@ -25,8 +25,6 @@ nonzero spectrum by folding the sign diagonal through the square root of the
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -116,29 +114,6 @@ class OperatorMatrix:
     @property
     def n(self) -> int:
         return self.entries.shape[0]
-
-    def content_hash(self) -> str:
-        h = hashlib.sha256()
-        h.update(self.entries.tobytes())
-        return h.hexdigest()[:16]
-
-    def save(self, path) -> None:
-        meta = dict(self.node_meta)
-        meta["n"] = self.n
-        meta["signed"] = self.signed_flag
-        meta["hash"] = self.content_hash()
-        np.savez_compressed(path, entries=self.entries,
-                            meta=json.dumps(meta, sort_keys=True))
-
-    @staticmethod
-    def load(path) -> "OperatorMatrix":
-        data = np.load(path, allow_pickle=False)
-        meta = json.loads(str(data["meta"]))
-        signed = bool(meta.pop("signed", False))
-        meta.pop("n", None)
-        meta.pop("hash", None)
-        return OperatorMatrix(entries=data["entries"], node_meta=meta,
-                              signed_flag=signed)
 
 
 def _mirror(upper: np.ndarray) -> np.ndarray:
@@ -271,9 +246,8 @@ def _polygon_effective_kernel(mesh: SurfaceMesh,
     return 0.5 * (ktil + ktil.T)
 
 
-def _point_effective_kernel(points: np.ndarray, weights: np.ndarray,
-                            kernel: KernelModel, cell_kind: str,
-                            cell_size) -> np.ndarray:
+def _point_effective_kernel(points: np.ndarray, kernel: KernelModel,
+                            cell_kind: str, cell_size) -> np.ndarray:
     """Pointwise kernel with the cell-averaged diagonal closure."""
     n = len(points)
     r = _pairwise_dist(points, points)
@@ -288,6 +262,20 @@ def _point_effective_kernel(points: np.ndarray, weights: np.ndarray,
     return k
 
 
+def _curve_effective_kernel(mesh: SurfaceMesh,
+                            kernel: KernelModel) -> np.ndarray:
+    """Smooth closed meshes get the spectrally accurate periodic log
+    quadrature; polygons get panel collocation with exact flat-panel log
+    integrals.  Meshes below the quadrature minimum fall back to pointwise
+    kernel values with the segment diagonal closure."""
+    if mesh.n_nodes < _MIN_QUADRATURE_NODES:
+        return _point_effective_kernel(mesh.nodes, kernel, "segment",
+                                       float(mesh.weights.max()))
+    if mesh.kind == "smooth-closed":
+        return _smooth_curve_effective_kernel(mesh, kernel)
+    return _polygon_effective_kernel(mesh, kernel)
+
+
 # ---------------------------------------------------------------------------
 # assembly entry points
 # ---------------------------------------------------------------------------
@@ -299,22 +287,11 @@ def _check_plane(kernel: KernelModel, ambient_dim: int) -> None:
 
 def assemble_curve_operator(mesh: SurfaceMesh, V: WeightFn,
                             kernel: KernelModel) -> OperatorMatrix:
-    """Symmetric matrix of the weighted kernel operator on a curve.
-
-    Smooth closed meshes get the spectrally accurate periodic log
-    quadrature; polygons get panel collocation with exact flat-panel log
-    integrals.  Meshes below the quadrature minimum fall back to pointwise
-    kernel values with the segment diagonal closure.
-    """
+    """Symmetric matrix of the weighted kernel operator on a curve, on the
+    quadrature that ``_curve_effective_kernel`` picks for the mesh."""
     _check_plane(kernel, mesh.ambient_dim)
     v_vals = V.values_on(mesh)
-    if mesh.n_nodes < _MIN_QUADRATURE_NODES:
-        ktil = _point_effective_kernel(mesh.nodes, mesh.weights, kernel,
-                                       "segment", float(mesh.weights.max()))
-    elif mesh.kind == "smooth-closed":
-        ktil = _smooth_curve_effective_kernel(mesh, kernel)
-    else:
-        ktil = _polygon_effective_kernel(mesh, kernel)
+    ktil = _curve_effective_kernel(mesh, kernel)
     meta = {"source": "curve", "kind": mesh.kind, "n": mesh.n_nodes,
             "kernel": kernel.description}
     return _finalize(ktil, v_vals, mesh.weights, meta)
@@ -330,8 +307,8 @@ def assemble_measure_operator(measure: SingularMeasure, V: WeightFn,
     if measure.cell_size <= 0.0:
         raise InvalidArgumentError("measure cell_size must be positive")
     v_vals = V.values_on(measure)
-    ktil = _point_effective_kernel(measure.atoms, measure.masses, kernel,
-                                   cell_kind, measure.cell_size)
+    ktil = _point_effective_kernel(measure.atoms, kernel, cell_kind,
+                                   measure.cell_size)
     meta = {"source": "measure", "n": measure.n_atoms,
             "cell_kind": cell_kind, "kernel": kernel.description}
     return _finalize(ktil, v_vals, measure.masses, meta)
@@ -418,7 +395,7 @@ def assemble_mixed(grid: CellGrid | None, curves, kernel: KernelModel,
     blocks_points = []
     blocks_weights = []
     blocks_vvals = []
-    kernel_blocks = {}
+    kernel_blocks = []
 
     if grid is not None and grid.n_cells:
         for mesh, _ in curves:
@@ -430,23 +407,15 @@ def assemble_mixed(grid: CellGrid | None, curves, kernel: KernelModel,
         blocks_points.append(grid.centers)
         blocks_weights.append(np.full(grid.n_cells, grid.delta ** 2))
         blocks_vvals.append(grid.v0)
-        kernel_blocks[0] = _point_effective_kernel(
-            grid.centers, None, kernel, "square", grid.delta)
+        kernel_blocks.append(_point_effective_kernel(
+            grid.centers, kernel, "square", grid.delta))
 
     for mesh, vfn in curves:
         _check_plane(kernel, mesh.ambient_dim)
-        idx = len(blocks_points)
         blocks_points.append(mesh.nodes)
         blocks_weights.append(mesh.weights)
         blocks_vvals.append(vfn.values_on(mesh))
-        if mesh.n_nodes < _MIN_QUADRATURE_NODES:
-            kernel_blocks[idx] = _point_effective_kernel(
-                mesh.nodes, mesh.weights, kernel, "segment",
-                float(mesh.weights.max()))
-        elif mesh.kind == "smooth-closed":
-            kernel_blocks[idx] = _smooth_curve_effective_kernel(mesh, kernel)
-        else:
-            kernel_blocks[idx] = _polygon_effective_kernel(mesh, kernel)
+        kernel_blocks.append(_curve_effective_kernel(mesh, kernel))
 
     sizes = [len(p) for p in blocks_points]
     offsets = np.concatenate([[0], np.cumsum(sizes)])

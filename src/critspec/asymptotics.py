@@ -21,7 +21,6 @@ normalization is the one validated by the circle diagonalization oracle
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from math import gamma, pi
 
@@ -169,20 +168,3 @@ def coefficient_total(parts) -> AsymCoeff:
         c_minus=float(sum(p.c_minus for p in parts)),
         breakdown=breakdown,
     )
-
-
-def coefficient_report(coeff: AsymCoeff) -> dict:
-    return {
-        "c_plus": coeff.c_plus,
-        "c_minus": coeff.c_minus,
-        "breakdown": [
-            {"label": lbl, "c_plus": cp, "c_minus": cm}
-            for lbl, cp, cm in coeff.breakdown
-        ],
-    }
-
-
-def write_coefficient_json(coeff: AsymCoeff, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(coefficient_report(coeff), fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -17,7 +17,8 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -27,13 +28,14 @@ from .assemble import (WeightFn, assemble_curve_operator,
                        assemble_measure_operator, assemble_mixed,
                        make_cell_grid)
 from .errors import (InsufficientDataError, InvalidArgumentError,
-                     ResourceLimitError)
+                     OutOfRangeError, ResourceLimitError)
 from .geometry import (Circle, make_cantor_measure, make_polygon_curve,
                        make_smooth_curve, make_uniform_square_measure)
 from .kernels import lower_order_kernel, reference_kernel
 
 DEFAULT_WINDOW = (20, 60)
 DEFAULT_MAX_MATRIX = 4200
+_UNIT_SQUARE = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
 
 
 @dataclass(frozen=True)
@@ -48,15 +50,11 @@ class ExperimentConfig:
     max_matrix_n: int = DEFAULT_MAX_MATRIX
 
     def to_dict(self) -> dict:
-        return {
-            "experiment": self.experiment,
-            "n": self.n,
-            "seed": self.seed,
-            "window": list(self.window),
-            "params": self.params,
-            "tolerances": self.tolerances,
-            "max_matrix_n": self.max_matrix_n,
-        }
+        # where the artifacts go is not part of what the report describes
+        out = {f.name: getattr(self, f.name) for f in fields(self)
+               if f.name != "out_dir"}
+        out["window"] = list(self.window)
+        return out
 
     def hash(self) -> str:
         blob = json.dumps(self.to_dict(), sort_keys=True).encode()
@@ -64,16 +62,18 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(data: dict) -> "ExperimentConfig":
-        return ExperimentConfig(
-            experiment=data["experiment"],
-            n=int(data.get("n", 512)),
-            seed=int(data.get("seed", 0)),
-            window=tuple(data.get("window", DEFAULT_WINDOW)),
-            params=dict(data.get("params", {})),
-            tolerances=dict(data.get("tolerances", {})),
-            out_dir=data.get("out_dir"),
-            max_matrix_n=int(data.get("max_matrix_n", DEFAULT_MAX_MATRIX)),
-        )
+        if not isinstance(data, dict):
+            raise InvalidArgumentError("a config must be a JSON object")
+        unknown = set(data) - {f.name for f in fields(ExperimentConfig)}
+        if unknown:
+            raise InvalidArgumentError(
+                "unknown config keys: %s" % ", ".join(sorted(unknown)))
+        if "experiment" not in data:
+            raise InvalidArgumentError('a config needs an "experiment" key')
+        c = ExperimentConfig(**data)
+        return replace(c, n=int(c.n), seed=int(c.seed), window=tuple(c.window),
+                       params=dict(c.params), tolerances=dict(c.tolerances),
+                       max_matrix_n=int(c.max_matrix_n))
 
 
 @dataclass(frozen=True)
@@ -114,9 +114,12 @@ class ExperimentReport:
             fh.write("\n")
 
 
-def _criterion(name: str, value: float, target: float, tolerance: float,
-               relative: bool = True) -> dict:
-    if relative:
+def _criterion(name: str, value: float | None, target: float,
+               tolerance: float, relative: bool = True) -> dict:
+    if value is None:
+        # a predicted side with too few eigenvalues in the window to fit
+        passed = False
+    elif relative:
         passed = abs(value - target) <= tolerance * abs(target)
     else:
         passed = abs(value - target) <= tolerance
@@ -149,84 +152,88 @@ def _weight_from_params(params: dict) -> WeightFn:
     raise InvalidArgumentError("unknown weight kind %r" % (kind,))
 
 
-def _artifacts(out_dir, spectrum, prefix="spectrum") -> None:
-    if out_dir is None or spectrum is None:
-        return
-    out = Path(out_dir)
+def _out_dir(path) -> Path:
+    out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
-    spectra.write_spectrum_csv(spectrum, out / ("%s.csv" % prefix))
-    pos = spectrum.side("+")
-    hi = min(spectrum.trusted_k_max, len(pos))
-    if hi >= 2:
-        grid = np.geomspace(pos[hi - 1], pos[0], 40)
-        spectra.write_counting_csv(spectrum, grid,
-                                   out / ("%s_counting.csv" % prefix))
+    return out
+
+
+def _trusted_grid(spectrum: spectra.Spectrum):
+    """40 log-spaced levels across the trusted positive eigenvalues, or None
+    when fewer than two of them are trusted."""
+    pos = spectrum.side("+")[:spectrum.trusted_k_max]
+    if len(pos) < 2:
+        return None
+    return np.geomspace(pos[-1], pos[0], 40)
+
+
+def _write_plotdata(spectrum: spectra.Spectrum, grid, out_dir,
+                    prefix: str = "spectrum") -> list[str]:
+    """Write <prefix>.csv and, unless ``grid`` is None, <prefix>_counting.csv
+    on that level grid; returns the paths."""
+    out = _out_dir(out_dir)
+    paths = [str(out / ("%s.csv" % prefix))]
+    spectra.write_spectrum_csv(spectrum, paths[0])
+    if grid is not None:
+        paths.append(str(out / ("%s_counting.csv" % prefix)))
+        spectra.write_counting_csv(spectrum, grid, paths[1])
+    return paths
 
 
 # ---------------------------------------------------------------------------
 # experiments
 # ---------------------------------------------------------------------------
 
-def _exp_circle_weyl(config: ExperimentConfig):
-    params = config.params
+def _weyl(config: ExperimentConfig, op, expected: asymptotics.AsymCoeff,
+          default_tol: float = 0.10, report_minus: bool = False, **extra):
+    """Eigensolve ``op``, fit it on the configured window and check the fit
+    against the prediction: c_plus always, c_minus whenever a negative side
+    is predicted.  ``extra`` joins the measured fields; ``report_minus``
+    reports the negative side even where none is predicted.  Returns the
+    experiment's (measured, expected, criteria, spectrum)."""
+    spectrum = spectra.eigensolve(op)
+    fit = spectra.weyl_fit(spectrum, config.window)
+    tol = float(config.tolerances.get("coefficient", default_tol))
+    criteria = [_criterion("c_plus", fit.c_plus, expected.c_plus, tol)]
+    if expected.c_minus:
+        criteria.append(
+            _criterion("c_minus", fit.c_minus, expected.c_minus, tol))
+    measured = {"c_plus": fit.c_plus, "dispersion": fit.dispersion, **extra}
+    predicted = {"c_plus": expected.c_plus}
+    if report_minus:
+        measured["c_minus"] = fit.c_minus
+        predicted["c_minus"] = expected.c_minus
+    return measured, predicted, criteria, spectrum
+
+
+def _exp_circle(default_weight: dict, default_tol: float,
+                config: ExperimentConfig):
+    """circle-weyl and signed-weight: one circle, both sides reported."""
+    params = {"weight": default_weight, **config.params}
     radius = float(params.get("radius", 1.0))
     _check_matrix_budget(config.n, config)
     mesh = make_smooth_curve(Circle(radius=radius), config.n)
     weight = _weight_from_params(params)
     op = assemble_curve_operator(mesh, weight, reference_kernel())
-    spectrum = spectra.eigensolve(op)
-    fit = spectra.weyl_fit(spectrum, config.window)
     expected = asymptotics.coefficient_surface(mesh, weight, label="circle")
-    tol = float(config.tolerances.get("coefficient", 0.05))
-    criteria = [_criterion("c_plus", fit.c_plus, expected.c_plus, tol)]
-    measured = {"c_plus": fit.c_plus, "c_minus": fit.c_minus,
-                "dispersion": fit.dispersion}
-    return measured, {"c_plus": expected.c_plus,
-                      "c_minus": expected.c_minus}, criteria, spectrum
+    return _weyl(config, op, expected, default_tol, report_minus=True)
+
+
+def _polygon_mesh(vertices, n: int, grading: float):
+    """Graded polygon with about n nodes: an even panel count per side."""
+    panels = max(2, n // len(vertices))
+    return make_polygon_curve(vertices, panels + panels % 2, grading)
 
 
 def _exp_polygon_weyl(config: ExperimentConfig):
     params = config.params
-    vertices = params.get("vertices",
-                          [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-    grading = float(params.get("grading_exponent", 3.0))
-    panels = max(2, config.n // len(vertices))
-    if panels % 2:
-        panels += 1
-    mesh = make_polygon_curve(vertices, panels, grading)
+    mesh = _polygon_mesh(params.get("vertices", _UNIT_SQUARE), config.n,
+                         float(params.get("grading_exponent", 3.0)))
     _check_matrix_budget(mesh.n_nodes, config)
     weight = _weight_from_params(params)
     op = assemble_curve_operator(mesh, weight, reference_kernel())
-    spectrum = spectra.eigensolve(op)
-    fit = spectra.weyl_fit(spectrum, config.window)
     expected = asymptotics.coefficient_surface(mesh, weight, label="polygon")
-    tol = float(config.tolerances.get("coefficient", 0.10))
-    criteria = [_criterion("c_plus", fit.c_plus, expected.c_plus, tol)]
-    measured = {"c_plus": fit.c_plus, "dispersion": fit.dispersion,
-                "n_nodes": mesh.n_nodes}
-    return measured, {"c_plus": expected.c_plus}, criteria, spectrum
-
-
-def _exp_signed_weight(config: ExperimentConfig):
-    params = dict(config.params)
-    params.setdefault("weight", {"kind": "angular"})
-    radius = float(params.get("radius", 1.0))
-    _check_matrix_budget(config.n, config)
-    mesh = make_smooth_curve(Circle(radius=radius), config.n)
-    weight = _weight_from_params(params)
-    op = assemble_curve_operator(mesh, weight, reference_kernel())
-    spectrum = spectra.eigensolve(op)
-    fit = spectra.weyl_fit(spectrum, config.window)
-    expected = asymptotics.coefficient_surface(mesh, weight, label="circle")
-    tol = float(config.tolerances.get("coefficient", 0.10))
-    criteria = [
-        _criterion("c_plus", fit.c_plus, expected.c_plus, tol),
-        _criterion("c_minus", fit.c_minus, expected.c_minus, tol),
-    ]
-    measured = {"c_plus": fit.c_plus, "c_minus": fit.c_minus,
-                "dispersion": fit.dispersion}
-    return measured, {"c_plus": expected.c_plus,
-                      "c_minus": expected.c_minus}, criteria, spectrum
+    return _weyl(config, op, expected, n_nodes=mesh.n_nodes)
 
 
 def _exp_two_surfaces(config: ExperimentConfig):
@@ -241,29 +248,22 @@ def _exp_two_surfaces(config: ExperimentConfig):
     mesh2 = make_smooth_curve(Circle(center=center_2, radius=r2), n2)
     weight = _weight_from_params(params)
     kern = reference_kernel()
-    combined = assemble_mixed(None, [(mesh1, weight), (mesh2, weight)], kern)
-    spectrum = spectra.eigensolve(combined)
-    fit = spectra.weyl_fit(spectrum, config.window)
+    op = assemble_mixed(None, [(mesh1, weight), (mesh2, weight)], kern)
     expected = asymptotics.coefficient_total([
         asymptotics.coefficient_surface(mesh1, weight, label="circle_1"),
         asymptotics.coefficient_surface(mesh2, weight, label="circle_2"),
     ])
-    tol = float(config.tolerances.get("coefficient", 0.10))
-    criteria = [_criterion("c_plus", fit.c_plus, expected.c_plus, tol)]
-    measured = {"c_plus": fit.c_plus, "dispersion": fit.dispersion}
-
+    result = _weyl(config, op, expected)
     if config.out_dir is not None:
-        out = Path(config.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        sp1 = spectra.eigensolve(assemble_curve_operator(mesh1, weight, kern))
-        sp2 = spectra.eigensolve(assemble_curve_operator(mesh2, weight, kern))
-        pos = spectrum.side("+")
-        hi = min(spectrum.trusted_k_max, len(pos))
-        grid = np.geomspace(pos[hi - 1], pos[0], 40)
-        for name, sp in (("combined", spectrum), ("surface_1", sp1),
-                         ("surface_2", sp2)):
+        out = _out_dir(config.out_dir)
+        parts = {"combined": result[3]}
+        for i, mesh in enumerate((mesh1, mesh2), start=1):
+            parts["surface_%d" % i] = spectra.eigensolve(
+                assemble_curve_operator(mesh, weight, kern))
+        grid = _trusted_grid(result[3])
+        for name, sp in parts.items():
             spectra.write_counting_csv(sp, grid, out / ("counting_%s.csv" % name))
-    return measured, {"c_plus": expected.c_plus}, criteria, spectrum
+    return result
 
 
 def _exp_mixed_ac_singular(config: ExperimentConfig):
@@ -279,27 +279,12 @@ def _exp_mixed_ac_singular(config: ExperimentConfig):
                           exclude_meshes=[mesh])
     _check_matrix_budget(grid.n_cells + n_curve, config)
     op = assemble_mixed(grid, [(mesh, weight)], reference_kernel())
-    spectrum = spectra.eigensolve(op)
-    fit = spectra.weyl_fit(spectrum, config.window)
     expected = asymptotics.coefficient_total([
         asymptotics.coefficient_ac(np.pi * disk_radius ** 2, v0, label="disk"),
         asymptotics.coefficient_surface(mesh, weight, label="circle"),
     ])
-    tol = float(config.tolerances.get("coefficient", 0.10))
-    criteria = [_criterion("c_plus", fit.c_plus, expected.c_plus, tol)]
-    measured = {"c_plus": fit.c_plus, "dispersion": fit.dispersion,
-                "n_cells": grid.n_cells,
-                "resolved_area": grid.n_cells * delta ** 2}
-    return measured, {"c_plus": expected.c_plus}, criteria, spectrum
-
-
-def _sharpness(measure_op, weight_obj, obj) -> float:
-    spectrum = spectra.eigensolve(measure_op)
-    norm = orlicz.surface_norm(weight_obj, obj)
-    pos = spectrum.side("+")
-    hi = min(spectrum.trusted_k_max, len(pos))
-    grid = pos[4:hi]
-    return covering.empirical_estimate_constant(spectrum, norm, grid)
+    return _weyl(config, op, expected, n_cells=grid.n_cells,
+                 resolved_area=grid.n_cells * delta ** 2)
 
 
 def _exp_cantor_estimate(config: ExperimentConfig):
@@ -311,8 +296,11 @@ def _exp_cantor_estimate(config: ExperimentConfig):
     sups = {}
     for d in (depth - 1, depth):
         measure = make_cantor_measure(d)
-        op = assemble_measure_operator(measure, weight, kern)
-        sups[d] = _sharpness(op, weight, measure)
+        spectrum = spectra.eigensolve(
+            assemble_measure_operator(measure, weight, kern))
+        norm = orlicz.surface_norm(weight, measure)
+        grid = spectrum.side("+")[4:spectrum.trusted_k_max]
+        sups[d] = covering.empirical_estimate_constant(spectrum, norm, grid)
     variation = abs(sups[depth] / sups[depth - 1] - 1.0)
     tol = float(config.tolerances.get("stability", 0.25))
     criteria = [
@@ -321,9 +309,7 @@ def _exp_cantor_estimate(config: ExperimentConfig):
     measured = {"sup_constant": sups[depth],
                 "sup_constant_coarse": sups[depth - 1],
                 "variation": variation}
-    measure = make_cantor_measure(depth)
-    spectrum = spectra.eigensolve(
-        assemble_measure_operator(measure, weight, kern))
+    # the loop ends on depth d: its spectrum is the one the report shows
     return measured, {"finite_constant": "bounded"}, criteria, spectrum
 
 
@@ -341,34 +327,31 @@ def _exp_covering_count(config: ExperimentConfig):
     }
     measured = {}
     criteria = []
+    ladders = {}
     for name, measure in measures.items():
         vals = weight.values_on(measure)
         rho_inf = orlicz.surface_norm(vals, measure)
         lams = kappa * rho_inf / 4.0 / (10.0 ** np.linspace(0.0, 1.0, decade_points))
-        products = []
-        for lam in lams:
-            rep = covering.build_covering(measure, vals, float(lam),
-                                          kappa_config=kappa)
-            products.append(rep.cube_count * lam)
+        ladders[name] = [covering.build_covering(measure, vals, float(lam),
+                                                 kappa_config=kappa)
+                         for lam in lams]
+        products = [rep.cube_count * lam
+                    for rep, lam in zip(ladders[name], lams)]
         ratio = float(max(products) / min(products))
         measured[name] = {"count_times_lambda": [float(p) for p in products],
                           "ratio": ratio}
         criteria.append(_bound_criterion("%s_count_law_ratio" % name, ratio,
                                          float(config.tolerances.get("ratio", 2.0))))
 
-    # dyadic quartering: constant weight splits the global functional in four
-    uni = measures["uniform_square"]
-    vals = weight.values_on(uni)
-    rho_inf = orlicz.surface_norm(vals, uni)
-    rep4 = covering.build_covering(uni, vals, kappa * rho_inf / 4.0,
-                                   kappa_config=kappa)
+    # dyadic quartering: at the top of the ladder, lambda = kappa rho / 4, a
+    # constant weight splits the global functional in four
+    rep4 = ladders["uniform_square"][0]
     measured["dyadic_cube_count"] = rep4.cube_count
     criteria.append(_criterion("dyadic_cube_count", rep4.cube_count, 4.0,
                                0.0, relative=False))
     if config.out_dir is not None:
-        out = Path(config.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "covering_dyadic.txt").write_text(rep4.to_text())
+        (_out_dir(config.out_dir) / "covering_dyadic.txt").write_text(
+            rep4.to_text())
     return measured, {"dyadic_cube_count": 4}, criteria, None
 
 
@@ -408,18 +391,18 @@ def _exp_coefficient_table(config: ExperimentConfig):
     criteria = [_bound_criterion("worst_disagreement", worst, tol)]
     measured = {"rows": rows, "worst_disagreement": worst}
     if config.out_dir is not None:
-        out = Path(config.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        with open(out / "coefficient_table.json", "w") as fh:
+        with open(_out_dir(config.out_dir) / "coefficient_table.json",
+                  "w") as fh:
             json.dump(rows, fh, indent=2, sort_keys=True)
             fh.write("\n")
     return measured, {"agreement_tol": tol}, criteria, None
 
 
 EXPERIMENTS = {
-    "circle-weyl": _exp_circle_weyl,
+    "circle-weyl": partial(_exp_circle, {"kind": "constant", "value": 1.0},
+                           0.05),
     "polygon-weyl": _exp_polygon_weyl,
-    "signed-weight": _exp_signed_weight,
+    "signed-weight": partial(_exp_circle, {"kind": "angular"}, 0.10),
     "two-surfaces": _exp_two_surfaces,
     "mixed-ac-singular": _exp_mixed_ac_singular,
     "cantor-estimate": _exp_cantor_estimate,
@@ -448,33 +431,19 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         runtime_seconds=runtime,
     )
     if config.out_dir is not None:
-        out = Path(config.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        report.write(out / "report.json")
-        _artifacts(config.out_dir, spectrum)
+        report.write(_out_dir(config.out_dir) / "report.json")
+        if spectrum is not None:
+            _write_plotdata(spectrum, _trusted_grid(spectrum), config.out_dir)
     return report
 
 
 def emit_plotdata(spectrum: spectra.Spectrum, out_dir,
                   prefix: str = "spectrum") -> list[str]:
-    """Write the plot-ready CSV pair for a spectrum; returns the paths."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    paths = [str(out / ("%s.csv" % prefix))]
-    spectra.write_spectrum_csv(spectrum, paths[0])
-    pos = spectrum.side("+")
-    neg = spectrum.side("-")
-    mags = np.concatenate([pos, neg])
-    if mags.size:
-        grid = np.geomspace(mags.min(), mags.max(), 40)
-        path = str(out / ("%s_counting.csv" % prefix))
-        spectra.write_counting_csv(spectrum, grid, path)
-        paths.append(path)
-    else:
-        path = str(out / ("%s_counting.csv" % prefix))
-        spectra.write_counting_csv(spectrum, [], path)
-        paths.append(path)
-    return paths
+    """Write the plot-ready CSV pair for a spectrum, counting on 40 levels
+    across all eigenvalue magnitudes; returns the paths."""
+    mags = np.concatenate([spectrum.side("+"), spectrum.side("-")])
+    grid = np.geomspace(mags.min(), mags.max(), 40) if mags.size else []
+    return _write_plotdata(spectrum, grid, out_dir, prefix)
 
 
 # ---------------------------------------------------------------------------
@@ -540,17 +509,13 @@ def _cmd_run(args) -> int:
     else:
         print("run needs --experiment or --config", file=sys.stderr)
         return 2
-    overrides = {}
-    if args.experiment:
-        overrides["experiment"] = args.experiment
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.n is not None:
-        overrides["n"] = args.n
-    data = config.to_dict()
-    data.update(overrides)
-    data["out_dir"] = args.out if args.out is not None else config.out_dir
-    config = ExperimentConfig.from_dict(data)
+    flags = {"experiment": args.experiment, "seed": args.seed, "n": args.n,
+             "out_dir": args.out}
+    return _run_and_print(
+        replace(config, **{k: v for k, v in flags.items() if v is not None}))
+
+
+def _run_and_print(config: ExperimentConfig) -> int:
     report = run_experiment(config)
     print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     return 0 if report.passed else 1
@@ -564,11 +529,7 @@ def _cmd_spectrum(args) -> int:
         mesh = make_smooth_curve(Circle(radius=args.radius), args.n)
         op = assemble_curve_operator(mesh, weight, kern)
     elif args.shape == "square":
-        panels = max(2, args.n // 4)
-        if panels % 2:
-            panels += 1
-        mesh = make_polygon_curve(
-            [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]], panels, 3.0)
+        mesh = _polygon_mesh(_UNIT_SQUARE, args.n, 3.0)
         op = assemble_curve_operator(mesh, weight, kern)
     else:
         measure = make_cantor_measure(args.depth)
@@ -601,8 +562,7 @@ def _cmd_covering(args) -> int:
                                   args.lam, kappa_config=args.kappa)
     text = rep.to_text()
     if args.out:
-        Path(args.out).mkdir(parents=True, exist_ok=True)
-        (Path(args.out) / "covering.txt").write_text(text)
+        (_out_dir(args.out) / "covering.txt").write_text(text)
     print(text, end="")
     return 0
 
@@ -617,12 +577,9 @@ def main(argv=None) -> int:
             print("\n".join(sorted(EXPERIMENTS)))
             return 0
         if args.command == "coeff":
-            config = ExperimentConfig(experiment="coefficient-table",
-                                      params={"max_dim": args.max_dim},
-                                      out_dir=args.out)
-            report = run_experiment(config)
-            print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
-            return 0 if report.passed else 1
+            return _run_and_print(ExperimentConfig(
+                experiment="coefficient-table",
+                params={"max_dim": args.max_dim}, out_dir=args.out))
         if args.command == "spectrum":
             return _cmd_spectrum(args)
         if args.command == "orlicz-norm":
@@ -631,7 +588,8 @@ def main(argv=None) -> int:
             return _cmd_covering(args)
         parser.print_help()
         return 2
-    except (InvalidArgumentError, InsufficientDataError, FileNotFoundError) as exc:
+    except (InvalidArgumentError, InsufficientDataError, OutOfRangeError,
+            json.JSONDecodeError, FileNotFoundError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except ResourceLimitError as exc:

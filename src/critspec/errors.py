@@ -9,10 +9,6 @@ class OutOfRangeError(ValueError):
     """A requested target lies outside the attainable range."""
 
 
-class SingularPointError(ValueError):
-    """A kernel was evaluated at a singular (coincident) point pair."""
-
-
 class ResourceLimitError(RuntimeError):
     """A configured resource cap (atom count, matrix size) would be exceeded."""
 

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.integrate import dblquad
 
 from .bessel import EULER_GAMMA, bessel_i, bessel_k
-from .errors import InvalidArgumentError, SingularPointError
+from .errors import InvalidArgumentError
 
 TWO_PI = 2.0 * np.pi
 
@@ -42,23 +42,12 @@ class KernelModel:
     log_coefficient: float
     remainder_at_zero: float
     description: str
-    lower_order_flag: bool = False
 
     def profile(self, r):
         raise NotImplementedError
 
     def log_factor(self, r):
         raise NotImplementedError
-
-    def smooth_remainder(self, r):
-        """profile(r) - log_factor(r) * log(r), continuous at r = 0."""
-        r = np.asarray(r, dtype=float)
-        out = np.full_like(r, self.remainder_at_zero)
-        pos = r > 0.0
-        if pos.any():
-            rp = r[pos]
-            out[pos] = self.profile(rp) - self.log_factor(rp) * np.log(rp)
-        return out
 
 
 class _ReferenceKernel(KernelModel):
@@ -114,29 +103,13 @@ def reference_kernel() -> KernelModel:
 
 def lower_order_kernel() -> KernelModel:
     """Order -3 companion kernel used by the decay-order experiment."""
-    kern = _LowerOrderKernel(
+    return _LowerOrderKernel(
         ambient_dim=2,
         order=-3,
         log_coefficient=0.0,
         remainder_at_zero=1.0 / TWO_PI,
         description="inverse (1 - Laplace)^{3/2}, plane",
-        lower_order_flag=True,
     )
-    return kern
-
-
-def eval_kernel(kernel: KernelModel, x, y) -> float:
-    """Kernel value at a pair of distinct points."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape or x.shape[-1] != kernel.ambient_dim:
-        raise InvalidArgumentError("points must match the kernel dimension")
-    r = float(np.linalg.norm(x - y))
-    if r == 0.0:
-        raise SingularPointError(
-            "kernel is singular at coincident points; use a diagonal rule"
-        )
-    return float(kernel.profile(r))
 
 
 @lru_cache(maxsize=1)
@@ -170,28 +143,3 @@ def self_cell_coefficient(kind: str, h: float) -> float:
     else:
         raise InvalidArgumentError("kind must be 'segment' or 'square'")
     return (-np.log(h) + c + np.log(2.0) - EULER_GAMMA) / TWO_PI
-
-
-@dataclass(frozen=True)
-class SymbolModel:
-    """Radial principal symbol |Xi|^{-l} of the reference operator."""
-
-    ambient_dim: int
-
-    @property
-    def order_l(self) -> float:
-        return self.ambient_dim / 2.0
-
-    def principal(self, xi) -> float:
-        mag = np.linalg.norm(np.asarray(xi, dtype=float))
-        if mag == 0.0:
-            raise InvalidArgumentError("symbol undefined at the zero covector")
-        return float(mag ** (-self.order_l))
-
-
-def eval_symbol_sq(symbol: SymbolModel, xi) -> float:
-    """|a_{-l}(Xi)|^2 = |Xi|^{-N} for the radial reference symbol."""
-    mag = np.linalg.norm(np.asarray(xi, dtype=float))
-    if mag == 0.0:
-        raise InvalidArgumentError("symbol undefined at the zero covector")
-    return float(mag ** (-symbol.ambient_dim))

@@ -42,15 +42,6 @@ def phi(t):
     return np.expm1(t) - t
 
 
-def eval_orlicz(which: str, t: float) -> float:
-    """Evaluate one of the pair at a nonnegative scalar."""
-    if which == "psi":
-        return float(psi(t))
-    if which == "phi":
-        return float(phi(t))
-    raise InvalidArgumentError("which must be 'psi' or 'phi'")
-
-
 @dataclass(frozen=True)
 class OrliczNormResult:
     value: float
@@ -88,11 +79,15 @@ def averaged_norm(V, weights, mass_E: float) -> OrliczNormResult:
     if vmax == 0.0:
         return OrliczNormResult(0.0, None, np.zeros_like(V), 0.0)
 
-    def budget(log_tau: float) -> float:
-        return float(np.sum(w * phi(np.log1p(absV / np.exp(log_tau)))))
+    # the root search runs on |V| / max|V| and scales tau back: exact by
+    # homogeneity, and the bracket stays finite at any scale of V
+    u = absV / vmax
 
-    lo = np.log(_TAU_BRACKET[0] * vmax)
-    hi = np.log(_TAU_BRACKET[1] * vmax)
+    def budget(log_tau: float) -> float:
+        return float(np.sum(w * phi(np.log1p(u / np.exp(log_tau)))))
+
+    lo = np.log(_TAU_BRACKET[0])
+    hi = np.log(_TAU_BRACKET[1])
     if budget(lo) < mass_E or budget(hi) > mass_E:
         raise OutOfRangeError(
             "duality multiplier outside bracket: degenerate scaling of V/mass")
@@ -102,11 +97,11 @@ def averaged_norm(V, weights, mass_E: float) -> OrliczNormResult:
             lo = mid
         else:
             hi = mid
-    tau = float(np.exp(0.5 * (lo + hi)))
-    g = np.sign(V) * np.log1p(absV / tau)
+    scaled_tau = float(np.exp(0.5 * (lo + hi)))
+    g = np.sign(V) * np.log1p(u / scaled_tau)
     value = float(np.sum(w * V * g))
     residual = float(np.sum(w * phi(np.abs(g))) - mass_E)
-    return OrliczNormResult(value, tau, g, residual)
+    return OrliczNormResult(value, vmax * scaled_tau, g, residual)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,6 @@ window are refused.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -182,18 +181,3 @@ def write_counting_csv(spectrum: Spectrum, lambda_grid, path) -> None:
             nneg = counting(spectrum, float(lam), "-")
             writer.writerow([repr(float(lam)), npos, nneg,
                              repr(float(lam) * (npos + nneg))])
-
-
-def fit_summary(fit: WeylFit) -> dict:
-    return {
-        "c_plus": fit.c_plus,
-        "c_minus": fit.c_minus,
-        "window": list(fit.window),
-        "dispersion": fit.dispersion,
-    }
-
-
-def write_fit_json(fit: WeylFit, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(fit_summary(fit), fh, indent=2, sort_keys=True)
-        fh.write("\n")

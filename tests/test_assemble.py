@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from critspec import spectra
-from critspec.assemble import (CellGrid, OperatorMatrix, WeightFn,
+from critspec.assemble import (CellGrid, WeightFn,
                                assemble_curve_operator,
                                assemble_measure_operator, assemble_mixed,
                                make_cell_grid)
@@ -217,18 +217,3 @@ def test_make_cell_grid_excludes_near_curve_cells(kernel):
     d = np.abs(np.linalg.norm(grid.centers, axis=1) - 0.5)
     assert np.all(d > 0.1 * np.sqrt(2.0) - 0.05)
     assert grid.n_cells > 0
-
-
-# ---------------------------------------------------------------------------
-# persistence
-# ---------------------------------------------------------------------------
-
-def test_operator_save_load_roundtrip(tmp_path, kernel, unit_weight):
-    mesh = make_smooth_curve(Circle(), 16)
-    op = assemble_curve_operator(mesh, unit_weight, kernel)
-    path = tmp_path / "op.npz"
-    op.save(path)
-    back = OperatorMatrix.load(path)
-    assert np.array_equal(back.entries, op.entries)
-    assert back.content_hash() == op.content_hash()
-    assert back.node_meta["kind"] == "smooth-closed"

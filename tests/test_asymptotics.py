@@ -4,7 +4,7 @@ import pytest
 from critspec.assemble import WeightFn, make_cell_grid
 from critspec.asymptotics import (AsymCoeff, coefficient_ac,
                                   coefficient_surface, coefficient_total,
-                                  coefficient_report, r_symbol,
+                                  r_symbol,
                                   r_symbol_closed_form, r_symbol_quadrature,
                                   sphere_surface)
 from critspec.errors import InvalidArgumentError
@@ -139,8 +139,7 @@ def test_total_additivity_disk_plus_circle():
     total = coefficient_total(parts)
     assert total.c_plus == pytest.approx(0.75, rel=1e-12)
     assert len(total.breakdown) == 2
-    report = coefficient_report(total)
-    assert {b["label"] for b in report["breakdown"]} == {"disk", "half-circle"}
+    assert {b[0] for b in total.breakdown} == {"disk", "half-circle"}
 
 
 def test_total_single_part_identity():

@@ -44,6 +44,46 @@ def test_resource_limit_exit_code(tmp_path):
     assert main(["run", "--config", str(cfg)]) == 3
 
 
+@pytest.mark.parametrize("text", [
+    '{"n": 128}',
+    '{"experiment": "circle-weyl", "tolerance": {"coefficient": 0.5}}',
+    '{"experiment": "circle-weyl", "n": 128',
+    '["circle-weyl"]',
+], ids=["no-experiment", "unknown-key", "malformed-json", "not-an-object"])
+def test_bad_config_is_usage_error(tmp_path, text):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    assert main(["run", "--config", str(cfg)]) == 2
+
+
+def test_signed_weight_with_one_signed_weight_checks_c_plus_only():
+    report = run_experiment(small_config(
+        "signed-weight", params={"weight": {"kind": "constant",
+                                            "value": 1.0}}))
+    assert [c["name"] for c in report.criteria] == ["c_plus"]
+    assert report.expected["c_minus"] == 0.0
+
+
+def test_circle_weyl_with_signed_weight_checks_both_sides():
+    report = run_experiment(small_config(
+        "circle-weyl", params={"weight": {"kind": "angular"}}))
+    assert [c["name"] for c in report.criteria] == ["c_plus", "c_minus"]
+    assert report.expected["c_minus"] > 0.0
+
+
+def test_predicted_side_without_a_fit_fails_its_criterion():
+    # one slightly negative node: c_minus is predicted but the window holds
+    # too few negative eigenvalues to fit it
+    values = np.ones(128)
+    values[0] = -1e-3
+    report = run_experiment(small_config(
+        "signed-weight", params={"weight": {"kind": "tabulated",
+                                            "values": values.tolist()}}))
+    minus = [c for c in report.criteria if c["name"] == "c_minus"]
+    assert minus and minus[0]["value"] is None and not minus[0]["passed"]
+    assert not report.passed
+
+
 def test_reports_are_deterministic():
     a = run_experiment(small_config("circle-weyl"))
     b = run_experiment(small_config("circle-weyl"))
@@ -120,11 +160,13 @@ def test_cli_run_with_config_file(tmp_path, capsys):
 
 
 def test_cli_orlicz_norm_command(capsys):
-    assert main(["orlicz-norm", "--shape", "cantor", "--depth", "4",
-                 "--value", "2.0"]) == 0
-    data = json.loads(capsys.readouterr().out)
-    # constant weight on unit mass: value = c * t*
-    assert data["value"] == pytest.approx(2.0 * 1.1461932206205825, rel=1e-9)
+    for value in (2.0, 1e300, 1e-300):
+        assert main(["orlicz-norm", "--shape", "cantor", "--depth", "4",
+                     "--value", repr(value)]) == 0
+        data = json.loads(capsys.readouterr().out)
+        # constant weight on unit mass: value = c * t*
+        assert data["value"] == pytest.approx(value * 1.1461932206205825,
+                                              rel=1e-9)
 
 
 def test_cli_covering_command(tmp_path, capsys):

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from critspec.bessel import EULER_GAMMA, bessel, bessel_i, bessel_k
-from critspec.errors import InvalidArgumentError, SingularPointError
-from critspec.kernels import (SymbolModel, eval_kernel, eval_symbol_sq,
-                              lower_order_kernel, reference_kernel,
+from critspec.errors import InvalidArgumentError
+from critspec.kernels import (lower_order_kernel, reference_kernel,
                               self_cell_coefficient)
 
 from _frozen_bessel import FROZEN_BESSEL
@@ -71,24 +70,10 @@ def test_bessel_k_underflow_returns_zero_with_flag():
 # ---------------------------------------------------------------------------
 
 def test_kernel_value_at_unit_distance():
-    kern = reference_kernel()
-    val = eval_kernel(kern, (0.0, 0.0), (1.0, 0.0))
+    val = float(reference_kernel().profile(1.0))
     assert val == pytest.approx(bessel_k(0, 1.0) / TWO_PI, rel=1e-14)
     # frozen from the K_0 oracle: 0.42102443824070834 / (2 pi)
     assert val == pytest.approx(0.06700812050849714, rel=1e-13)
-
-
-def test_kernel_symmetry():
-    kern = reference_kernel()
-    rng = np.random.default_rng(3)
-    for _ in range(10):
-        x, y = rng.normal(size=2), rng.normal(size=2)
-        assert eval_kernel(kern, x, y) == eval_kernel(kern, y, x)
-
-
-def test_kernel_singular_at_coincident_points():
-    with pytest.raises(SingularPointError):
-        eval_kernel(reference_kernel(), (0.5, 0.5), (0.5, 0.5))
 
 
 def test_kernel_log_split_limit():
@@ -162,33 +147,4 @@ def test_lower_order_kernel_matches_closed_form():
     r = np.array([0.05, 0.3, 1.0, 2.5, 6.0])
     expected = np.exp(-r) / TWO_PI
     assert np.max(np.abs(kern.profile(r) - expected) / expected) < 1e-8
-    assert kern.lower_order_flag
     assert kern.order == -3
-
-
-# ---------------------------------------------------------------------------
-# symbol
-# ---------------------------------------------------------------------------
-
-def test_symbol_square_values():
-    sym2 = SymbolModel(ambient_dim=2)
-    assert eval_symbol_sq(sym2, (1.0, 0.0)) == pytest.approx(1.0, rel=1e-15)
-    assert eval_symbol_sq(sym2, (0.0, 2.0)) == pytest.approx(0.25, rel=1e-15)
-    sym4 = SymbolModel(ambient_dim=4)
-    assert eval_symbol_sq(sym4, (2.0, 0.0, 0.0, 0.0)) == pytest.approx(
-        1.0 / 16.0, rel=1e-15)
-
-
-def test_symbol_homogeneity():
-    sym = SymbolModel(ambient_dim=2)
-    rng = np.random.default_rng(11)
-    for _ in range(20):
-        xi = rng.normal(size=2)
-        c = float(rng.uniform(0.1, 10.0))
-        assert sym.principal(c * xi) == pytest.approx(
-            c ** (-sym.order_l) * sym.principal(xi), rel=1e-12)
-
-
-def test_symbol_rejects_zero_covector():
-    with pytest.raises(InvalidArgumentError):
-        eval_symbol_sq(SymbolModel(ambient_dim=2), (0.0, 0.0))

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from critspec.errors import InvalidArgumentError
 from critspec.geometry import make_uniform_square_measure
 from critspec.orlicz import (Cube, OrliczNormResult, averaged_norm,
-                             eval_orlicz, j_functional, phi, psi,
-                             surface_norm)
+                             j_functional, phi, psi, surface_norm)
 
 from oracles import phi_inverse, t_star
 
@@ -18,11 +19,10 @@ PHI_INV_2 = phi_inverse(2.0)  # root of e^g - 1 - g = 2
 # ---------------------------------------------------------------------------
 
 def test_pair_values_at_reference_points():
-    assert eval_orlicz("psi", 0.0) == 0.0
-    assert eval_orlicz("phi", 0.0) == 0.0
-    assert eval_orlicz("psi", 1.0) == pytest.approx(2.0 * np.log(2.0) - 1.0,
-                                                    rel=1e-15)
-    assert eval_orlicz("phi", 1.0) == pytest.approx(np.e - 2.0, rel=1e-15)
+    assert psi(0.0) == 0.0
+    assert phi(0.0) == 0.0
+    assert psi(1.0) == pytest.approx(2.0 * np.log(2.0) - 1.0, rel=1e-15)
+    assert phi(1.0) == pytest.approx(np.e - 2.0, rel=1e-15)
 
 
 def test_pair_stable_for_small_arguments():
@@ -45,9 +45,9 @@ def test_pair_convex_increasing_and_young():
 
 def test_pair_rejects_negative_argument():
     with pytest.raises(InvalidArgumentError):
-        eval_orlicz("psi", -0.1)
+        psi(-0.1)
     with pytest.raises(InvalidArgumentError):
-        eval_orlicz("neither", 1.0)
+        phi(-0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -99,6 +99,26 @@ def test_homogeneity():
         v1 = averaged_norm(V, w, mass).value
         v2 = averaged_norm(c * V, w, mass).value
         assert v2 == pytest.approx(abs(c) * v1, rel=1e-12, abs=1e-300)
+
+
+# an atom: weight value (zero, or magnitude 1e-3..1e3 of either sign), mass
+_ATOM = st.tuples(st.sampled_from([-1.0, 0.0, 1.0]), st.floats(-3.0, 3.0),
+                  st.floats(1e-3, 1.0))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=200, deadline=None)
+@given(atoms=st.lists(_ATOM, min_size=1, max_size=20),
+       budget=st.floats(0.01, 1.0), exponent=st.floats(-300.0, 300.0),
+       sign=st.sampled_from([-1.0, 1.0]))
+def test_homogeneity_at_extreme_scales(atoms, budget, exponent, sign):
+    V = np.array([s * 10.0 ** e for s, e, _ in atoms])
+    w = np.array([m for _, _, m in atoms])
+    mass = budget * float(w.sum())
+    c = sign * 10.0 ** exponent
+    v1 = averaged_norm(V, w, mass).value
+    assert averaged_norm(c * V, w, mass).value == pytest.approx(
+        abs(c) * v1, rel=1e-12)
 
 
 def test_monotone_in_the_set():

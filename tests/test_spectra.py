@@ -176,13 +176,3 @@ def test_counting_csv_export(tmp_path, circle_spectrum_256):
     assert lines[0] == "lambda,n_plus,n_minus,lambda_times_n"
     n_plus = np.array([int(line.split(",")[1]) for line in lines[1:]])
     assert np.all(np.diff(n_plus) <= 0)  # nonincreasing in lambda
-
-
-def test_fit_json_export(tmp_path, circle_spectrum_512):
-    import json
-    fit = weyl_fit(circle_spectrum_512, (20, 60))
-    path = tmp_path / "fit.json"
-    spectra.write_fit_json(fit, path)
-    data = json.loads(path.read_text())
-    assert data["window"] == [20, 60]
-    assert data["c_plus"] == fit.c_plus
