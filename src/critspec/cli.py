@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import numbers
 import sys
 import time
 from dataclasses import dataclass, field, fields, replace
@@ -71,9 +72,42 @@ class ExperimentConfig:
         if "experiment" not in data:
             raise InvalidArgumentError('a config needs an "experiment" key')
         c = ExperimentConfig(**data)
-        return replace(c, n=int(c.n), seed=int(c.seed), window=tuple(c.window),
+        if not isinstance(c.experiment, str):
+            raise InvalidArgumentError('"experiment" must be a string')
+        if c.out_dir is not None and not isinstance(c.out_dir, str):
+            raise InvalidArgumentError('"out_dir" must be a string')
+        for key in ("params", "tolerances"):
+            if not isinstance(getattr(c, key), dict):
+                raise InvalidArgumentError('"%s" must be an object' % key)
+        if not isinstance(c.window, (list, tuple)) or len(c.window) != 2:
+            raise InvalidArgumentError('"window" must be a pair of integers')
+        return replace(c, n=_as_number(c.n, "n", int),
+                       seed=_as_number(c.seed, "seed", int),
+                       window=tuple(_as_number(k, "window", int)
+                                    for k in c.window),
                        params=dict(c.params), tolerances=dict(c.tolerances),
-                       max_matrix_n=int(c.max_matrix_n))
+                       max_matrix_n=_as_number(c.max_matrix_n, "max_matrix_n",
+                                               int))
+
+
+def _as_number(value, what: str, kind=float):
+    """A JSON number as ``kind``; an int must be integral (512 or 512.0).
+
+    Strings, booleans and fractional integers are usage errors, so a
+    mistyped value never reaches the numerics.
+    """
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        if kind is float:
+            return float(value)
+        if isinstance(value, numbers.Integral) or float(value).is_integer():
+            return int(value)
+    raise InvalidArgumentError("%s must be %s, got %r" % (
+        what, "an integer" if kind is int else "a number", value))
+
+
+def _param(mapping: dict, key: str, default, kind=float):
+    """A numeric entry of ``params`` or ``tolerances``, validated."""
+    return _as_number(mapping.get(key, default), '"%s"' % key, kind)
 
 
 @dataclass(frozen=True)
@@ -142,13 +176,20 @@ def _check_matrix_budget(n: int, config: ExperimentConfig) -> None:
 
 def _weight_from_params(params: dict) -> WeightFn:
     entry = params.get("weight", {"kind": "constant", "value": 1.0})
+    if not isinstance(entry, dict):
+        raise InvalidArgumentError('"weight" must be an object')
     kind = entry.get("kind", "constant")
     if kind == "constant":
-        return WeightFn.constant(float(entry.get("value", 1.0)))
+        return WeightFn.constant(_param(entry, "value", 1.0))
     if kind == "angular":
         return WeightFn.angular()
     if kind == "tabulated":
-        return WeightFn.tabulated(entry["values"])
+        values = entry.get("values")
+        if not isinstance(values, list):
+            raise InvalidArgumentError(
+                'a tabulated weight needs a list of numbers as "values"')
+        return WeightFn.tabulated([_as_number(v, "a tabulated weight value")
+                                   for v in values])
     raise InvalidArgumentError("unknown weight kind %r" % (kind,))
 
 
@@ -193,7 +234,7 @@ def _weyl(config: ExperimentConfig, op, expected: asymptotics.AsymCoeff,
     experiment's (measured, expected, criteria, spectrum)."""
     spectrum = spectra.eigensolve(op)
     fit = spectra.weyl_fit(spectrum, config.window)
-    tol = float(config.tolerances.get("coefficient", default_tol))
+    tol = _param(config.tolerances, "coefficient", default_tol)
     criteria = [_criterion("c_plus", fit.c_plus, expected.c_plus, tol)]
     if expected.c_minus:
         criteria.append(
@@ -210,7 +251,7 @@ def _exp_circle(default_weight: dict, default_tol: float,
                 config: ExperimentConfig):
     """circle-weyl and signed-weight: one circle, both sides reported."""
     params = {"weight": default_weight, **config.params}
-    radius = float(params.get("radius", 1.0))
+    radius = _param(params, "radius", 1.0)
     _check_matrix_budget(config.n, config)
     mesh = make_smooth_curve(Circle(radius=radius), config.n)
     weight = _weight_from_params(params)
@@ -228,7 +269,7 @@ def _polygon_mesh(vertices, n: int, grading: float):
 def _exp_polygon_weyl(config: ExperimentConfig):
     params = config.params
     mesh = _polygon_mesh(params.get("vertices", _UNIT_SQUARE), config.n,
-                         float(params.get("grading_exponent", 3.0)))
+                         _param(params, "grading_exponent", 3.0))
     _check_matrix_budget(mesh.n_nodes, config)
     weight = _weight_from_params(params)
     op = assemble_curve_operator(mesh, weight, reference_kernel())
@@ -238,8 +279,8 @@ def _exp_polygon_weyl(config: ExperimentConfig):
 
 def _exp_two_surfaces(config: ExperimentConfig):
     params = config.params
-    r1 = float(params.get("radius_1", 1.0))
-    r2 = float(params.get("radius_2", 2.0))
+    r1 = _param(params, "radius_1", 1.0)
+    r2 = _param(params, "radius_2", 2.0)
     center_2 = tuple(params.get("center_2", (5.0, 0.0)))
     n1 = max(8, (config.n // 3) & ~1)
     n2 = max(8, (config.n - n1) & ~1)
@@ -268,11 +309,11 @@ def _exp_two_surfaces(config: ExperimentConfig):
 
 def _exp_mixed_ac_singular(config: ExperimentConfig):
     params = config.params
-    disk_radius = float(params.get("disk_radius", 1.0))
-    circle_radius = float(params.get("circle_radius", 0.5))
-    delta = float(params.get("delta", 0.035))
-    n_curve = int(params.get("n_curve", 192))
-    v0 = float(params.get("v0", 1.0))
+    disk_radius = _param(params, "disk_radius", 1.0)
+    circle_radius = _param(params, "circle_radius", 0.5)
+    delta = _param(params, "delta", 0.035)
+    n_curve = _param(params, "n_curve", 192, int)
+    v0 = _param(params, "v0", 1.0)
     mesh = make_smooth_curve(Circle(radius=circle_radius), n_curve)
     weight = _weight_from_params(params)
     grid = make_cell_grid(("disk", (0.0, 0.0), disk_radius), delta, v0=v0,
@@ -289,7 +330,7 @@ def _exp_mixed_ac_singular(config: ExperimentConfig):
 
 def _exp_cantor_estimate(config: ExperimentConfig):
     params = config.params
-    depth = int(params.get("depth", 10))
+    depth = _param(params, "depth", 10, int)
     _check_matrix_budget(2 ** depth, config)
     weight = _weight_from_params(params)
     kern = reference_kernel()
@@ -302,7 +343,7 @@ def _exp_cantor_estimate(config: ExperimentConfig):
         grid = spectrum.side("+")[4:spectrum.trusted_k_max]
         sups[d] = covering.empirical_estimate_constant(spectrum, norm, grid)
     variation = abs(sups[depth] / sups[depth - 1] - 1.0)
-    tol = float(config.tolerances.get("stability", 0.25))
+    tol = _param(config.tolerances, "stability", 0.25)
     criteria = [
         _bound_criterion("sup_variation_on_refinement", variation, tol),
     ]
@@ -315,10 +356,10 @@ def _exp_cantor_estimate(config: ExperimentConfig):
 
 def _exp_covering_count(config: ExperimentConfig):
     params = config.params
-    grid_n = int(params.get("grid_n", 16))
-    depth = int(params.get("cantor_depth", 8))
-    kappa = int(params.get("kappa", 4))
-    decade_points = int(params.get("decade_points", 8))
+    grid_n = _param(params, "grid_n", 16, int)
+    depth = _param(params, "cantor_depth", 8, int)
+    kappa = _param(params, "kappa", 4, int)
+    decade_points = _param(params, "decade_points", 8, int)
     weight = WeightFn.constant(1.0)
 
     measures = {
@@ -328,6 +369,7 @@ def _exp_covering_count(config: ExperimentConfig):
     measured = {}
     criteria = []
     ladders = {}
+    ratio_tol = _param(config.tolerances, "ratio", 2.0)
     for name, measure in measures.items():
         vals = weight.values_on(measure)
         rho_inf = orlicz.surface_norm(vals, measure)
@@ -341,7 +383,7 @@ def _exp_covering_count(config: ExperimentConfig):
         measured[name] = {"count_times_lambda": [float(p) for p in products],
                           "ratio": ratio}
         criteria.append(_bound_criterion("%s_count_law_ratio" % name, ratio,
-                                         float(config.tolerances.get("ratio", 2.0))))
+                                         ratio_tol))
 
     # dyadic quartering: at the top of the ladder, lambda = kappa rho / 4, a
     # constant weight splits the global functional in four
@@ -357,8 +399,8 @@ def _exp_covering_count(config: ExperimentConfig):
 
 def _exp_lower_order_decay(config: ExperimentConfig):
     params = config.params
-    radius = float(params.get("radius", 1.0))
-    n = int(params.get("n", min(config.n, 256)))
+    radius = _param(params, "radius", 1.0)
+    n = _param(params, "n", min(config.n, 256), int)
     _check_matrix_budget(n, config)
     mesh = make_smooth_curve(Circle(radius=radius), n)
     weight = _weight_from_params(params)
@@ -368,7 +410,7 @@ def _exp_lower_order_decay(config: ExperimentConfig):
     k10 = 10 * pos[9]
     k40 = 40 * pos[39]
     ratio = float(k40 / k10)
-    tol = float(config.tolerances.get("decay_ratio", 0.5))
+    tol = _param(config.tolerances, "decay_ratio", 0.5)
     criteria = [_bound_criterion("k_lambda_k_decay_ratio", ratio, tol)]
     measured = {"k_lambda_10": float(k10), "k_lambda_40": float(k40),
                 "ratio": ratio}
@@ -376,8 +418,8 @@ def _exp_lower_order_decay(config: ExperimentConfig):
 
 
 def _exp_coefficient_table(config: ExperimentConfig):
-    max_dim = int(config.params.get("max_dim", 6))
-    tol = float(config.tolerances.get("agreement", 1e-8))
+    max_dim = _param(config.params, "max_dim", 6, int)
+    tol = _param(config.tolerances, "agreement", 1e-8)
     rows = []
     worst = 0.0
     for n_dim in range(2, max_dim + 1):

@@ -187,7 +187,7 @@ def _report(measure, V, lam, kappa_config, target, cubes, covered_per_cube,
         target=target,
         cubes=tuple(cubes),
         covered_per_cube=tuple(covered_per_cube),
-        family_count=_family_count(cubes),
+        family_count=int(_family_colors(cubes).max()) + 1,
         multiplicity_observed=int(membership.max()),
         cube_count=len(cubes),
         max_j=float(max(js)),
@@ -195,25 +195,25 @@ def _report(measure, V, lam, kappa_config, target, cubes, covered_per_cube,
     )
 
 
-def _family_count(cubes) -> int:
-    """Greedy coloring of the cube overlap graph into disjoint families."""
+def _family_colors(cubes) -> np.ndarray:
+    """Greedy coloring of the cube overlap graph into disjoint families.
+
+    Closed cubes overlap when they are within half their summed sides of
+    each other on every axis (touching counts); each cube in turn takes the
+    smallest color none of its earlier neighbours holds.
+    """
     n = len(cubes)
-    colors = np.full(n, -1, dtype=int)
-    for i in range(n):
-        taken = set()
-        for j in range(i):
-            if _cubes_overlap(cubes[i], cubes[j]):
-                taken.add(colors[j])
-        c = 0
-        while c in taken:
-            c += 1
-        colors[i] = c
-    return int(colors.max()) + 1 if n else 0
-
-
-def _cubes_overlap(a: Cube, b: Cube) -> bool:
-    gap = np.abs(a.center - b.center) - (a.side + b.side) / 2.0
-    return bool(np.all(gap <= 0.0))
+    colors = np.zeros(n, dtype=int)
+    centers = np.array([cube.center for cube in cubes])
+    sides = np.array([cube.side for cube in cubes])
+    gap = (np.abs(centers[:, None, :] - centers[None, :, :])
+           - (sides[:, None] + sides[None, :])[:, :, None] / 2.0)
+    overlap = np.all(gap <= 0.0, axis=2)
+    for i in range(1, n):
+        taken = np.zeros(i + 1, dtype=bool)
+        taken[colors[:i][overlap[i, :i]]] = True
+        colors[i] = int(np.argmin(taken))
+    return colors
 
 
 def empirical_estimate_constant(spectrum, v_norm: float, lambda_grid) -> float:

@@ -8,8 +8,10 @@ On an atomized measure the averaged norm of a weight V over a set E is
 
 computed exactly by convex duality: the optimizer is
 g_i = sign(V_i) log(1 + |V_i| / tau) with tau > 0 the unique root of the
-constraint, found by bisection in log tau.  Signs of V are absorbed into g,
-so only |V| enters the root-finding.
+constraint.  Since phi(log1p x) = x - log1p x, the constraint is a closed
+form in x_i = |V_i| / tau, convex and decreasing in s = log tau; its root is
+found by a safeguarded Newton iteration in s.  Signs of V are absorbed into
+g, so only |V| enters the root-finding.
 """
 
 from __future__ import annotations
@@ -23,7 +25,11 @@ from .geometry import support_atoms
 
 # bracket for the duality multiplier, relative to max|V|
 _TAU_BRACKET = (1e-12, 1e12)
-_BISECT_STEPS = 80
+# Newton stops after a step in log tau below this times max(1, |log tau|):
+# convergence is quadratic, so the last iterate is at rounding level
+_NEWTON_STEP_RTOL = 1e-9
+# safeguard only: bisection alone resolves the bracket in about 60 steps
+_MAX_STEPS = 100
 
 
 def psi(t):
@@ -52,6 +58,14 @@ class OrliczNormResult:
 
 def averaged_norm(V, weights, mass_E: float) -> OrliczNormResult:
     """Averaged norm of V on weighted atoms with budget ``mass_E``.
+
+    The multiplier tau solves sum w_i (x_i - log1p x_i) = mass_E with
+    x_i = |V_i| / tau.  The left side is convex and decreasing in
+    s = log tau, so Newton's method started right of the root (at
+    s = log(sum w |V| / mass_E), where the left side is below mass_E) lands
+    left of it after one step and then rises monotonically to it.  A
+    bracket kept from the sign of the constraint guards every step: a
+    Newton step that leaves it is replaced by a bisection step.
 
     Parameters
     ----------
@@ -83,21 +97,34 @@ def averaged_norm(V, weights, mass_E: float) -> OrliczNormResult:
     # homogeneity, and the bracket stays finite at any scale of V
     u = absV / vmax
 
-    def budget(log_tau: float) -> float:
-        return float(np.sum(w * phi(np.log1p(u / np.exp(log_tau)))))
+    def excess(log_tau: float) -> tuple[float, float]:
+        """Constraint minus budget at tau = exp(log_tau), and its slope."""
+        x = u * np.exp(-log_tau)
+        return (float(w @ (x - np.log1p(x))) - mass_E,
+                -float(w @ (x * x / (1.0 + x))))
 
     lo = np.log(_TAU_BRACKET[0])
     hi = np.log(_TAU_BRACKET[1])
-    if budget(lo) < mass_E or budget(hi) > mass_E:
+    if excess(lo)[0] < 0.0 or excess(hi)[0] > 0.0:
         raise OutOfRangeError(
             "duality multiplier outside bracket: degenerate scaling of V/mass")
-    for _ in range(_BISECT_STEPS):
-        mid = 0.5 * (lo + hi)
-        if budget(mid) > mass_E:
-            lo = mid
+    # x - log1p x < x: the constraint at sum(w u) / mass_E is below budget
+    s = min(max(float(np.log(float(w @ u) / mass_E)), lo), hi)
+    for _ in range(_MAX_STEPS):
+        f, slope = excess(s)
+        if f > 0.0:
+            lo = s
         else:
-            hi = mid
-    scaled_tau = float(np.exp(0.5 * (lo + hi)))
+            hi = s
+        # a slope lost to underflow (atoms of negligible mass) forces bisection
+        step = -f / slope if slope < 0.0 else np.inf
+        if lo <= s + step <= hi:
+            s += step
+            if abs(step) < _NEWTON_STEP_RTOL * max(1.0, abs(s)):
+                break
+        else:
+            s = 0.5 * (lo + hi)
+    scaled_tau = float(np.exp(s))
     g = np.sign(V) * np.log1p(u / scaled_tau)
     value = float(np.sum(w * V * g))
     residual = float(np.sum(w * phi(np.abs(g))) - mass_E)

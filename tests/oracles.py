@@ -6,6 +6,10 @@ cosh-integral representation for K_n, cross-verified against each other
 through the Wronskian identity.  Running this file as a script regenerates
 tests/_frozen_bessel.py with correctly rounded double values on the grid
 used by the acceptance suite.
+
+The averaged-norm oracle is the plain 80-step bisection in log tau that the
+package's Newton solve replaced, evaluating the constraint through phi; the
+family-coloring oracle tests every cube pair in a Python loop.
 """
 
 from __future__ import annotations
@@ -14,6 +18,10 @@ import math
 from pathlib import Path
 
 import mpmath as mp
+import numpy as np
+
+from critspec.errors import InvalidArgumentError, OutOfRangeError
+from critspec.orlicz import OrliczNormResult, phi
 
 mp.mp.dps = 30
 
@@ -79,6 +87,63 @@ def t_star() -> float:
 def phi_inverse(y: float) -> float:
     """Inverse of phi(t) = e^t - 1 - t on [0, inf)."""
     return bisect_increasing(lambda t: mp.e ** t - 1 - t - y, 0.0, 50.0)
+
+
+def averaged_norm_bisection(V, weights, mass_E: float) -> OrliczNormResult:
+    """Averaged norm by 80 bisection steps in log tau on [1e-12, 1e12]
+    (relative to max|V|), the constraint evaluated through phi."""
+    V = np.asarray(V, dtype=float)
+    w = np.asarray(weights, dtype=float)
+    if V.shape != w.shape or V.ndim != 1:
+        raise InvalidArgumentError("V and weights must be equal-length vectors")
+    if np.any(w <= 0.0):
+        raise InvalidArgumentError("weights must be positive")
+    if mass_E < 0.0:
+        raise InvalidArgumentError("mass_E must be nonnegative")
+    if mass_E == 0.0 or V.size == 0:
+        return OrliczNormResult(0.0, None, np.zeros_like(V), 0.0)
+    absV = np.abs(V)
+    vmax = absV.max()
+    if vmax == 0.0:
+        return OrliczNormResult(0.0, None, np.zeros_like(V), 0.0)
+    u = absV / vmax
+
+    def budget(log_tau: float) -> float:
+        return float(np.sum(w * phi(np.log1p(u / np.exp(log_tau)))))
+
+    lo, hi = np.log(1e-12), np.log(1e12)
+    if budget(lo) < mass_E or budget(hi) > mass_E:
+        raise OutOfRangeError(
+            "duality multiplier outside bracket: degenerate scaling of V/mass")
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if budget(mid) > mass_E:
+            lo = mid
+        else:
+            hi = mid
+    scaled_tau = float(np.exp(0.5 * (lo + hi)))
+    g = np.sign(V) * np.log1p(u / scaled_tau)
+    value = float(np.sum(w * V * g))
+    residual = float(np.sum(w * phi(np.abs(g))) - mass_E)
+    return OrliczNormResult(value, vmax * scaled_tau, g, residual)
+
+
+def family_colors_loop(cubes) -> np.ndarray:
+    """Greedy coloring of the cube overlap graph, one cube pair at a time."""
+    n = len(cubes)
+    colors = np.full(n, -1, dtype=int)
+    for i in range(n):
+        taken = set()
+        for j in range(i):
+            gap = (np.abs(cubes[i].center - cubes[j].center)
+                   - (cubes[i].side + cubes[j].side) / 2.0)
+            if np.all(gap <= 0.0):
+                taken.add(colors[j])
+        c = 0
+        while c in taken:
+            c += 1
+        colors[i] = c
+    return colors
 
 
 def log_energy_segment() -> float:

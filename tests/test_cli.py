@@ -49,7 +49,11 @@ def test_resource_limit_exit_code(tmp_path):
     '{"experiment": "circle-weyl", "tolerance": {"coefficient": 0.5}}',
     '{"experiment": "circle-weyl", "n": 128',
     '["circle-weyl"]',
-], ids=["no-experiment", "unknown-key", "malformed-json", "not-an-object"])
+    '{"experiment": "circle-weyl", "n": "abc"}',
+    '{"experiment": "signed-weight", "n": 64,'
+    ' "params": {"weight": {"kind": "tabulated"}}}',
+], ids=["no-experiment", "unknown-key", "malformed-json", "not-an-object",
+        "n-not-a-number", "tabulated-without-values"])
 def test_bad_config_is_usage_error(tmp_path, text):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(text)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from critspec import covering
 from critspec.covering import (build_covering, empirical_estimate_constant,
                                poly_space_dim, rho, solve_t)
 from critspec.errors import InvalidArgumentError, OutOfRangeError
@@ -9,7 +10,7 @@ from critspec.geometry import (make_cantor_measure,
 from critspec.orlicz import Cube, j_functional, surface_norm
 from critspec.spectra import Spectrum
 
-from oracles import t_star
+from oracles import averaged_norm_bisection, family_colors_loop, t_star
 
 T_STAR = t_star()
 
@@ -184,6 +185,45 @@ def test_covering_cantor_count_scaling():
         max_jump = T_STAR * measure.masses.max()
         assert rep.max_j <= rep.target + max_jump + 1e-9
     assert max(products) / min(products) <= 2.0
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_family_colors_match_pairwise_loop(seed):
+    # half-integer centers and integer sides on a coarse lattice: many pairs
+    # touch exactly (gap == 0), the rest overlap or are apart
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(1, 60))
+    lattice = [Cube(rng.integers(0, 12, 2) / 2.0, float(rng.integers(0, 4)))
+               for _ in range(m)]
+    loose = [Cube(rng.uniform(0.0, 6.0, 2), float(rng.uniform(0.0, 2.0)))
+             for _ in range(m)]
+    for cubes in (lattice, loose, lattice + loose):
+        np.testing.assert_array_equal(covering._family_colors(cubes),
+                                      family_colors_loop(cubes))
+
+
+def test_covering_identical_with_bisection_oracle(monkeypatch):
+    rng = np.random.default_rng(11)
+    cases = []
+    for measure in (make_uniform_square_measure(8), make_cantor_measure(6)):
+        V = rng.lognormal(0.0, 0.5, measure.n_atoms)
+        rho_inf = surface_norm(V, measure)
+        cases.append((measure, V, rho_inf / 10.0 ** np.linspace(0.0, 1.0, 3)))
+
+    def run():
+        out = []
+        for measure, V, lams in cases:
+            for lam in lams:
+                sides = [solve_t(measure, V, x, lam / 4.0)
+                         for x in measure.atoms]
+                rep = build_covering(measure, V, float(lam))
+                out.append((sides, rep.cube_count,
+                            [cube.center.tolist() for cube in rep.cubes]))
+        return out
+
+    newton = run()
+    monkeypatch.setattr(covering, "averaged_norm", averaged_norm_bisection)
+    assert run() == newton
 
 
 def test_multiplicity_above_cap_is_reported(uniform16, ones16):

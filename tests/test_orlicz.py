@@ -3,12 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from critspec.errors import InvalidArgumentError
+from critspec.errors import InvalidArgumentError, OutOfRangeError
 from critspec.geometry import make_uniform_square_measure
 from critspec.orlicz import (Cube, OrliczNormResult, averaged_norm,
                              j_functional, phi, psi, surface_norm)
 
-from oracles import phi_inverse, t_star
+from oracles import averaged_norm_bisection, phi_inverse, t_star
 
 T_STAR = t_star()             # root of e^t - t = 2
 PHI_INV_2 = phi_inverse(2.0)  # root of e^g - 1 - g = 2
@@ -119,6 +119,31 @@ def test_homogeneity_at_extreme_scales(atoms, budget, exponent, sign):
     v1 = averaged_norm(V, w, mass).value
     assert averaged_norm(c * V, w, mass).value == pytest.approx(
         abs(c) * v1, rel=1e-12)
+
+
+# an atom over the whole double range: zero, or magnitude 1e-300..1e300 of
+# either sign
+_WIDE_ATOM = st.tuples(st.sampled_from([-1.0, 0.0, 1.0]),
+                       st.floats(-300.0, 300.0), st.floats(1e-3, 1.0))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=200, deadline=None)
+@given(atoms=st.lists(_WIDE_ATOM, min_size=1, max_size=256),
+       budget=st.floats(0.01, 2.0))
+def test_newton_solve_matches_bisection_oracle(atoms, budget):
+    V = np.array([s * 10.0 ** e for s, e, _ in atoms])
+    w = np.array([m for _, _, m in atoms])
+    mass = budget * float(w.sum())
+    try:
+        expected = averaged_norm_bisection(V, w, mass)
+    except OutOfRangeError:
+        with pytest.raises(OutOfRangeError):
+            averaged_norm(V, w, mass)
+        return
+    res = averaged_norm(V, w, mass)
+    assert abs(res.value - expected.value) <= 1e-13 * expected.value
+    assert abs(res.constraint_residual) <= 1e-12 * mass
 
 
 def test_monotone_in_the_set():
