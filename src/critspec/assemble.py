@@ -126,6 +126,22 @@ def _pairwise_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)
 
 
+def _upper_pairs(points: np.ndarray):
+    """Index pairs i < j of the strict upper triangle and their distances."""
+    iu, ju = np.triu_indices(len(points), 1)
+    return iu, ju, np.linalg.norm(points[iu] - points[ju], axis=1)
+
+
+def _symmetric(n: int, iu: np.ndarray, ju: np.ndarray, upper: np.ndarray,
+               diagonal) -> np.ndarray:
+    """n x n symmetric matrix from its strict upper triangle and diagonal."""
+    out = np.empty((n, n))
+    out[iu, ju] = upper
+    out[ju, iu] = upper
+    np.fill_diagonal(out, diagonal)
+    return out
+
+
 def _signed_symmetric(base: np.ndarray, signs: np.ndarray) -> np.ndarray:
     """Symmetric matrix with the nonzero spectrum of diag(signs) @ base.
 
@@ -182,25 +198,21 @@ def _smooth_curve_effective_kernel(mesh: SurfaceMesh,
     n = mesh.n_nodes
     t = mesh.param_values
     speed = mesh.weights / (TWO_PI / n)
-    r = _pairwise_dist(mesh.nodes, mesh.nodes)
-    off = ~np.eye(n, dtype=bool)
+    iu, ju, r = _upper_pairs(mesh.nodes)
+    log_factor, smooth = kernel.split(r)
+    # the Kress weights integrate log_factor * log(4 sin^2((t-s)/2)) / 2;
+    # the rest of log_factor * log(r) joins the smooth remainder
+    half_sin = np.abs(np.sin((t[iu] - t[ju]) / 2.0))
+    smooth = smooth + log_factor * np.log(r / (2.0 * half_sin))
 
-    half_log_factor = np.empty_like(r)
-    half_log_factor[off] = 0.5 * kernel.log_factor(r[off])
-    half_log_factor[~off] = 0.5 * kernel.log_coefficient
-
-    dt = t[:, None] - t[None, :]
-    log4sin = np.zeros_like(r)
-    log4sin[off] = np.log(4.0 * np.sin(dt[off] / 2.0) ** 2)
-
-    smooth = np.empty_like(r)
-    smooth[off] = kernel.profile(r[off]) - half_log_factor[off] * log4sin[off]
-    smooth[~off] = (kernel.remainder_at_zero
-                    + kernel.log_coefficient * np.log(speed))
-
-    idx = np.arange(n)
-    rw = _kress_weight_vector(n)[(idx[:, None] - idx[None, :]) % n]
-    return (half_log_factor * rw + (TWO_PI / n) * smooth) * (n / TWO_PI)
+    rw = _kress_weight_vector(n)
+    upper = (0.5 * log_factor * rw[(iu - ju) % n]
+             + (TWO_PI / n) * smooth) * (n / TWO_PI)
+    diagonal = (0.5 * kernel.log_coefficient * rw[0]
+                + (TWO_PI / n) * (kernel.remainder_at_zero
+                                  + kernel.log_coefficient * np.log(speed))
+                ) * (n / TWO_PI)
+    return _symmetric(n, iu, ju, upper, diagonal)
 
 
 def _panel_log_integrals(targets: np.ndarray, centers: np.ndarray,
@@ -228,15 +240,10 @@ def _polygon_effective_kernel(mesh: SurfaceMesh,
                               kernel: KernelModel) -> np.ndarray:
     n = mesh.n_nodes
     w = mesh.weights
-    r = _pairwise_dist(mesh.nodes, mesh.nodes)
-    off = ~np.eye(n, dtype=bool)
-
-    log_factor = np.empty_like(r)
-    log_factor[off] = kernel.log_factor(r[off])
-    log_factor[~off] = kernel.log_coefficient
-    smooth = np.empty_like(r)
-    smooth[off] = kernel.profile(r[off]) - log_factor[off] * np.log(r[off])
-    smooth[~off] = kernel.remainder_at_zero
+    iu, ju, r = _upper_pairs(mesh.nodes)
+    upper_log, upper_smooth = kernel.split(r)
+    log_factor = _symmetric(n, iu, ju, upper_log, kernel.log_coefficient)
+    smooth = _symmetric(n, iu, ju, upper_smooth, kernel.remainder_at_zero)
 
     intlog = _panel_log_integrals(mesh.nodes, mesh.nodes, mesh.tangents, w)
     # self panel: integral of log|x_i - y| over the own panel, exactly
@@ -249,17 +256,12 @@ def _polygon_effective_kernel(mesh: SurfaceMesh,
 def _point_effective_kernel(points: np.ndarray, kernel: KernelModel,
                             cell_kind: str, cell_size) -> np.ndarray:
     """Pointwise kernel with the cell-averaged diagonal closure."""
-    n = len(points)
-    r = _pairwise_dist(points, points)
-    off = ~np.eye(n, dtype=bool)
-    k = np.empty_like(r)
-    k[off] = kernel.profile(r[off])
+    iu, ju, r = _upper_pairs(points)
     if kernel.log_coefficient != 0.0:
         diag = self_cell_coefficient(cell_kind, float(cell_size))
     else:
         diag = kernel.remainder_at_zero
-    np.fill_diagonal(k, diag)
-    return k
+    return _symmetric(len(points), iu, ju, kernel.profile(r), diag)
 
 
 def _curve_effective_kernel(mesh: SurfaceMesh,

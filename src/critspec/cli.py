@@ -110,6 +110,22 @@ def _param(mapping: dict, key: str, default, kind=float):
     return _as_number(mapping.get(key, default), '"%s"' % key, kind)
 
 
+def _point(value, what: str) -> tuple[float, float]:
+    """A plane point given as a pair of JSON numbers, validated."""
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise InvalidArgumentError(
+            "%s must be a pair of numbers, got %r" % (what, value))
+    return tuple(_as_number(c, what) for c in value)
+
+
+def _points(value, what: str, min_count: int) -> list[tuple[float, float]]:
+    """A list of at least ``min_count`` plane points, validated."""
+    if not isinstance(value, (list, tuple)) or len(value) < min_count:
+        raise InvalidArgumentError("%s must be a list of at least %d points"
+                                   % (what, min_count))
+    return [_point(v, what) for v in value]
+
+
 @dataclass(frozen=True)
 class ExperimentReport:
     config: dict
@@ -268,7 +284,8 @@ def _polygon_mesh(vertices, n: int, grading: float):
 
 def _exp_polygon_weyl(config: ExperimentConfig):
     params = config.params
-    mesh = _polygon_mesh(params.get("vertices", _UNIT_SQUARE), config.n,
+    vertices = _points(params.get("vertices", _UNIT_SQUARE), '"vertices"', 3)
+    mesh = _polygon_mesh(vertices, config.n,
                          _param(params, "grading_exponent", 3.0))
     _check_matrix_budget(mesh.n_nodes, config)
     weight = _weight_from_params(params)
@@ -281,7 +298,7 @@ def _exp_two_surfaces(config: ExperimentConfig):
     params = config.params
     r1 = _param(params, "radius_1", 1.0)
     r2 = _param(params, "radius_2", 2.0)
-    center_2 = tuple(params.get("center_2", (5.0, 0.0)))
+    center_2 = _point(params.get("center_2", (5.0, 0.0)), '"center_2"')
     n1 = max(8, (config.n // 3) & ~1)
     n2 = max(8, (config.n - n1) & ~1)
     _check_matrix_budget(n1 + n2, config)

@@ -66,11 +66,8 @@ class SurfaceMesh:
         norms = np.linalg.norm(tangents, axis=1)
         if np.any(np.abs(norms - 1.0) > 1e-12):
             raise InvalidArgumentError("tangents must be unit vectors")
-        # cyclic node sequence must not repeat points
-        d = nodes[:, None, :] - nodes[None, :, :]
-        dist = np.linalg.norm(d, axis=2)
-        np.fill_diagonal(dist, np.inf)
-        if np.any(dist == 0.0):
+        # cyclic node sequence must not repeat points (-0.0 equals 0.0)
+        if len(np.unique(nodes, axis=0)) != len(nodes):
             raise InvalidArgumentError("repeated nodes on the curve")
 
     @property

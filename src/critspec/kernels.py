@@ -6,6 +6,13 @@ with a logarithmic singularity at coincident points.  A lower-order companion
 kernel (order -3, i.e. one order smoother) is provided for decay experiments;
 it is evaluated by numerical quadrature of its radial Fourier integral rather
 than from a closed form.
+
+Every kernel offers two evaluations: ``profile(r)``, the plain value, and
+``split(r)``, the pair (log factor, smooth remainder) that the curve
+quadratures integrate separately.  For the reference kernel the split comes
+from one pass of the K_0 log series (DLMF 10.31.2):
+K_0(r) + I_0(r) log r = (log 2 - gamma) I_0(r) + s_0(r), with no cancelling
+subtraction.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ from math import gamma as _gamma
 import numpy as np
 from scipy.integrate import dblquad
 
-from .bessel import EULER_GAMMA, bessel_i, bessel_k
+from .bessel import EULER_GAMMA, bessel_i, bessel_k, grid_sum, k0_log_series
 from .errors import InvalidArgumentError
 
 TWO_PI = 2.0 * np.pi
@@ -27,14 +34,21 @@ TWO_PI = 2.0 * np.pi
 REFERENCE_DIAGONAL_LIMIT = (np.log(2.0) - EULER_GAMMA) / TWO_PI
 
 
+# the I_0 and s_0 series of the split stay accurate up to the switch of
+# bessel_i to its asymptotic expansion
+_SPLIT_SERIES_MAX = 30.0
+
+
 @dataclass(frozen=True)
 class KernelModel:
     """A radial kernel with an explicit logarithmic split.
 
-    ``profile(r)`` is the kernel value at distance r > 0.  The split writes
-    profile(r) = log_factor(r) * log(r) + smooth remainder, where the
-    remainder extends continuously to r = 0 with value ``remainder_at_zero``.
-    ``log_coefficient`` is log_factor(0), the leading log amplitude.
+    ``profile(r)`` is the kernel value at distance r > 0.  ``split(r)``
+    returns (log_factor, smooth) at r >= 0 with
+    profile(r) = log_factor * log(r) + smooth, where smooth extends
+    continuously to r = 0 with value ``remainder_at_zero``.
+    ``log_coefficient`` is log_factor(0), the leading log amplitude, and
+    ``log_factor(r)`` is the first half of ``split(r)``.
     """
 
     ambient_dim: int
@@ -46,8 +60,15 @@ class KernelModel:
     def profile(self, r):
         raise NotImplementedError
 
-    def log_factor(self, r):
+    def split(self, r):
         raise NotImplementedError
+
+
+def _distances(r) -> np.ndarray:
+    r = np.asarray(r, dtype=float)
+    if np.any(r < 0.0):
+        raise InvalidArgumentError("distances must be nonnegative")
+    return r
 
 
 class _ReferenceKernel(KernelModel):
@@ -56,10 +77,26 @@ class _ReferenceKernel(KernelModel):
     def profile(self, r):
         return bessel_k(0, np.asarray(r, dtype=float)) / TWO_PI
 
+    def split(self, r):
+        # K_0(r) = -I_0(r) log(r) + (log 2 - gamma) I_0(r) + s_0(r): the
+        # full log amplitude carries the I_0 factor, as a spectrally
+        # accurate split needs; both halves come from one series pass
+        r = _distances(r)
+        log_factor = np.empty_like(r)
+        smooth = np.empty_like(r)
+        near = r <= _SPLIT_SERIES_MAX
+        i0, s0 = k0_log_series(r[near])
+        log_factor[near] = -i0 / TWO_PI
+        smooth[near] = REFERENCE_DIAGONAL_LIMIT * i0 + s0 / TWO_PI
+        far = ~near
+        if far.any():
+            rf = r[far]
+            log_factor[far] = -bessel_i(0, rf) / TWO_PI
+            smooth[far] = self.profile(rf) - log_factor[far] * np.log(rf)
+        return log_factor, smooth
+
     def log_factor(self, r):
-        # K_0(r) = -I_0(r) log(r) + analytic, so the full log amplitude
-        # carries the I_0 factor; needed for spectrally accurate splits.
-        return -bessel_i(0, np.asarray(r, dtype=float)) / TWO_PI
+        return self.split(r)[0]
 
 
 # fixed trapezoid in log-time for the subordination integral; the
@@ -82,9 +119,13 @@ class _LowerOrderKernel(KernelModel):
     """
 
     def profile(self, r):
-        r = np.asarray(r, dtype=float)
-        vals = np.exp(-(r[..., None] ** 2) / (4.0 * _SUB_T)) @ _SUB_BASE
+        vals = grid_sum(r, lambda rc: np.exp(-(rc ** 2) / (4.0 * _SUB_T)),
+                        _SUB_BASE)
         return vals / (4.0 * np.pi * _gamma(1.5))
+
+    def split(self, r):
+        r = _distances(r)
+        return np.zeros_like(r), self.profile(r)
 
     def log_factor(self, r):
         return np.zeros_like(np.asarray(r, dtype=float))

@@ -10,6 +10,14 @@ used by the acceptance suite.
 The averaged-norm oracle is the plain 80-step bisection in log tau that the
 package's Newton solve replaced, evaluating the constraint through phi; the
 family-coloring oracle tests every cube pair in a Python loop.
+
+The curve-kernel oracles are the smooth-curve and polygon effective kernels
+as they were before the fused split: full n x n matrices built from two
+kernel calls (``profile`` and ``log_factor``) and a subtraction.  The
+``K_0`` oracle is ``bessel_k(0, .)`` of the same release, with its three
+branches (log series, cosh-integral trapezoid summed by a matrix-vector
+product, asymptotic expansion); it computed K_1 alongside, which does not
+change K_0.
 """
 
 from __future__ import annotations
@@ -20,6 +28,9 @@ from pathlib import Path
 import mpmath as mp
 import numpy as np
 
+from critspec.assemble import (_kress_weight_vector, _pairwise_dist,
+                               _panel_log_integrals)
+from critspec.bessel import EULER_GAMMA
 from critspec.errors import InvalidArgumentError, OutOfRangeError
 from critspec.orlicz import OrliczNormResult, phi
 
@@ -144,6 +155,110 @@ def family_colors_loop(cubes) -> np.ndarray:
             c += 1
         colors[i] = c
     return colors
+
+
+def smooth_curve_effective_kernel_two_calls(mesh, kernel) -> np.ndarray:
+    """Periodic log quadrature on a smooth closed curve, the kernel split by
+    ``profile - log_factor * log(4 sin^2)`` on every off-diagonal pair."""
+    TWO_PI = 2.0 * np.pi
+    n = mesh.n_nodes
+    t = mesh.param_values
+    speed = mesh.weights / (TWO_PI / n)
+    r = _pairwise_dist(mesh.nodes, mesh.nodes)
+    off = ~np.eye(n, dtype=bool)
+
+    half_log_factor = np.empty_like(r)
+    half_log_factor[off] = 0.5 * kernel.log_factor(r[off])
+    half_log_factor[~off] = 0.5 * kernel.log_coefficient
+
+    dt = t[:, None] - t[None, :]
+    log4sin = np.zeros_like(r)
+    log4sin[off] = np.log(4.0 * np.sin(dt[off] / 2.0) ** 2)
+
+    smooth = np.empty_like(r)
+    smooth[off] = kernel.profile(r[off]) - half_log_factor[off] * log4sin[off]
+    smooth[~off] = (kernel.remainder_at_zero
+                    + kernel.log_coefficient * np.log(speed))
+
+    idx = np.arange(n)
+    rw = _kress_weight_vector(n)[(idx[:, None] - idx[None, :]) % n]
+    return (half_log_factor * rw + (TWO_PI / n) * smooth) * (n / TWO_PI)
+
+
+def polygon_effective_kernel_two_calls(mesh, kernel) -> np.ndarray:
+    """Panel collocation on a polygon, the kernel split by
+    ``profile - log_factor * log r`` on every off-diagonal pair."""
+    n = mesh.n_nodes
+    w = mesh.weights
+    r = _pairwise_dist(mesh.nodes, mesh.nodes)
+    off = ~np.eye(n, dtype=bool)
+
+    log_factor = np.empty_like(r)
+    log_factor[off] = kernel.log_factor(r[off])
+    log_factor[~off] = kernel.log_coefficient
+    smooth = np.empty_like(r)
+    smooth[off] = kernel.profile(r[off]) - log_factor[off] * np.log(r[off])
+    smooth[~off] = kernel.remainder_at_zero
+
+    intlog = _panel_log_integrals(mesh.nodes, mesh.nodes, mesh.tangents, w)
+    # self panel: integral of log|x_i - y| over the own panel, exactly
+    np.fill_diagonal(intlog, w * (np.log(w / 2.0) - 1.0))
+    entries = log_factor * intlog + smooth * w[None, :]
+    ktil = entries / w[None, :]
+    return 0.5 * (ktil + ktil.T)
+
+
+def _k0_log_series(x: np.ndarray) -> np.ndarray:
+    """K_0 by the classical log series; accurate for x <= 2.2."""
+    q = x * x / 4.0
+    lg = -(np.log(x / 2.0) + EULER_GAMMA)
+
+    term = np.ones_like(x)
+    i0 = np.ones_like(x)
+    s0 = np.zeros_like(x)
+    hk = 0.0
+    for k in range(1, 80):
+        term = term * q / (k * k)
+        hk += 1.0 / k
+        i0 = i0 + term
+        s0 = s0 + term * hk
+        if np.all(term * (hk + 1.0) <= 1e-18 * i0):
+            break
+    return lg * i0 + s0
+
+
+def _k_band_matvec(n: int, x: np.ndarray) -> np.ndarray:
+    """Trapezoid on the cosh-integral representation; for the middle band."""
+    t = np.arange(0.0, 7.6 + 0.18 / 2, 0.18)
+    w = np.full_like(t, 0.18)
+    w[0] = 0.18 / 2.0
+    vals = np.exp(-x[..., None] * np.cosh(t)) * np.cosh(n * t)
+    return vals @ w
+
+
+def _k_asym(n: int, x: np.ndarray) -> np.ndarray:
+    mu = 4.0 * n * n
+    total = np.ones_like(x)
+    term = np.ones_like(x)
+    for k in range(1, 40):
+        term = term * (mu - (2 * k - 1) ** 2) / (8.0 * x * k)
+        total = total + term
+        if np.all(np.abs(term) <= 1e-18 * np.abs(total)):
+            break
+    return np.sqrt(np.pi / (2.0 * x)) * np.exp(-x) * total
+
+
+def bessel_k0_matvec(x) -> np.ndarray:
+    """K_0 on the series (x < 2.2), band (x < 15) and asymptotic branches,
+    the band trapezoid summed by a matrix-vector product."""
+    x = np.asarray(x, dtype=float)
+    out = np.empty_like(x)
+    series, asym = x < 2.2, x >= 15.0
+    band = ~series & ~asym
+    out[series] = _k0_log_series(x[series])
+    out[band] = _k_band_matvec(0, x[band])
+    out[asym] = _k_asym(0, x[asym])
+    return out
 
 
 def log_energy_segment() -> float:

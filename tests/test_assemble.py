@@ -2,18 +2,22 @@ import numpy as np
 import pytest
 
 from critspec import spectra
-from critspec.assemble import (CellGrid, WeightFn,
+from critspec.assemble import (CellGrid, WeightFn, _curve_effective_kernel,
                                assemble_curve_operator,
                                assemble_measure_operator, assemble_mixed,
                                make_cell_grid)
 from critspec.bessel import bessel_k
 from critspec.errors import InvalidArgumentError
-from critspec.geometry import (Circle, SurfaceMesh, make_cantor_measure,
+from critspec.geometry import (Circle, Ellipse, Star, SurfaceMesh,
+                               make_cantor_measure,
                                make_polygon_curve, make_smooth_curve,
                                rotation_matrix, transform)
-from critspec.kernels import reference_kernel, self_cell_coefficient
+from critspec.kernels import (lower_order_kernel, reference_kernel,
+                              self_cell_coefficient)
 
 from conftest import UNIT_SQUARE, circle_exact_eigenvalues
+from oracles import (polygon_effective_kernel_two_calls,
+                     smooth_curve_effective_kernel_two_calls)
 
 TWO_PI = 2.0 * np.pi
 
@@ -128,6 +132,39 @@ def test_sign_separation_on_signed_circle(signed_circle_spectrum_512):
         npos = spectra.counting(sp, float(lam), "+")
         nneg = spectra.counting(sp, float(lam), "-")
         assert abs(npos - nneg) <= 1
+
+
+_QUAD = [[0.0, 0.0], [2.0, 0.0], [1.5, 1.0], [0.0, 1.2]]
+
+
+_CURVES = {
+    "circle": lambda n: make_smooth_curve(Circle(radius=1.0), n),
+    "ellipse": lambda n: make_smooth_curve(Ellipse(a=1.5, b=0.6), n),
+    "star": lambda n: make_smooth_curve(Star(), n),
+    "graded-polygon": lambda n: make_polygon_curve(_QUAD, n // 4, 3.0),
+}
+
+
+def _agrees_with_two_call_oracle(mesh, kern) -> bool:
+    oracle = (smooth_curve_effective_kernel_two_calls
+              if mesh.kind == "smooth-closed"
+              else polygon_effective_kernel_two_calls)
+    got = _curve_effective_kernel(mesh, kern)
+    want = oracle(mesh, kern)
+    return (np.array_equal(got, got.T)
+            and np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("curve", sorted(_CURVES))
+@pytest.mark.parametrize("n", [128, 512])
+def test_fused_split_matches_two_call_oracle(curve, n, kernel):
+    assert _agrees_with_two_call_oracle(_CURVES[curve](n), kernel)
+
+
+@pytest.mark.parametrize("curve", ["circle", "graded-polygon"])
+def test_lower_order_split_matches_two_call_oracle(curve):
+    assert _agrees_with_two_call_oracle(_CURVES[curve](128),
+                                        lower_order_kernel())
 
 
 def test_kernel_mesh_dimension_mismatch():

@@ -52,8 +52,17 @@ def test_resource_limit_exit_code(tmp_path):
     '{"experiment": "circle-weyl", "n": "abc"}',
     '{"experiment": "signed-weight", "n": 64,'
     ' "params": {"weight": {"kind": "tabulated"}}}',
+    '{"experiment": "polygon-weyl", "n": 64, "params": {"vertices": "abc"}}',
+    '{"experiment": "polygon-weyl", "n": 64,'
+    ' "params": {"vertices": [[0, 0], [1, 0]]}}',
+    '{"experiment": "polygon-weyl", "n": 64,'
+    ' "params": {"vertices": [[0, 0], [1, 0], [1, "y"]]}}',
+    '{"experiment": "two-surfaces", "n": 64, "params": {"center_2": [1, "x"]}}',
+    '{"experiment": "two-surfaces", "n": 64, "params": {"center_2": 5}}',
 ], ids=["no-experiment", "unknown-key", "malformed-json", "not-an-object",
-        "n-not-a-number", "tabulated-without-values"])
+        "n-not-a-number", "tabulated-without-values", "vertices-not-a-list",
+        "vertices-too-few", "vertex-not-a-number", "center-not-a-number",
+        "center-not-a-pair"])
 def test_bad_config_is_usage_error(tmp_path, text):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(text)

@@ -3,7 +3,8 @@ import pytest
 
 from critspec.errors import (InvalidArgumentError, InternalError,
                              ResourceLimitError)
-from critspec.geometry import (Circle, Ellipse, Star, estimate_ahlfors,
+from critspec.geometry import (Circle, Ellipse, Star, SurfaceMesh,
+                               estimate_ahlfors,
                                generic_basis, make_cantor_measure,
                                make_polygon_curve, make_smooth_curve,
                                make_uniform_square_measure, rotation_matrix,
@@ -62,6 +63,29 @@ def test_smooth_curve_rejects_bad_node_counts():
 # ---------------------------------------------------------------------------
 # polygons
 # ---------------------------------------------------------------------------
+
+def _mesh_on(nodes):
+    n = len(nodes)
+    return SurfaceMesh(ambient_dim=2, nodes=np.asarray(nodes, dtype=float),
+                       weights=np.ones(n), tangents=np.tile([1.0, 0.0], (n, 1)),
+                       param_values=np.arange(n, dtype=float),
+                       kind="smooth-closed")
+
+
+def test_mesh_rejects_repeated_nodes():
+    distinct = [[0.0, 1.0], [1.0, 0.0], [0.0, -1.0], [-1.0, 0.0]]
+    assert _mesh_on(distinct).n_nodes == 4
+    # an exact repeat, not adjacent in the node order
+    with pytest.raises(InvalidArgumentError):
+        _mesh_on(distinct + [[1.0, 0.0]])
+    # -0.0 and 0.0 are the same coordinate
+    with pytest.raises(InvalidArgumentError):
+        _mesh_on(distinct + [[-0.0, 1.0]])
+    with pytest.raises(InvalidArgumentError):
+        _mesh_on([[0.0, -0.0], [1.0, 1.0], [-0.0, 0.0]])
+    # nearby but distinct nodes stay accepted
+    assert _mesh_on(distinct + [[np.nextafter(0.0, 1.0), 1.0]]).n_nodes == 5
+
 
 def test_square_perimeter_exact():
     mesh = make_polygon_curve(UNIT_SQUARE, 16, 3.0)

@@ -1,13 +1,19 @@
+import tracemalloc
+
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from critspec import bessel as bessel_module
 from critspec.bessel import EULER_GAMMA, bessel, bessel_i, bessel_k
 from critspec.errors import InvalidArgumentError
 from critspec.kernels import (lower_order_kernel, reference_kernel,
                               self_cell_coefficient)
 
 from _frozen_bessel import FROZEN_BESSEL
-from oracles import log_energy_segment, log_energy_square
+from oracles import bessel_k0_matvec, log_energy_segment, log_energy_square
 
 TWO_PI = 2.0 * np.pi
 
@@ -65,6 +71,40 @@ def test_bessel_k_underflow_returns_zero_with_flag():
     assert val == 0.0
 
 
+def test_bessel_k0_unchanged_on_all_branches():
+    # K_0 alone, with the band summed row by row, against the K_0 that was
+    # computed alongside K_1 with a matrix-vector band sum
+    x = np.concatenate([np.geomspace(1e-6, 2.2, 2000, endpoint=False),
+                        np.linspace(2.2, 15.0, 2000, endpoint=False),
+                        np.geomspace(15.0, 700.0, 2000)])
+    got = bessel_k(0, x)
+    want = bessel_k0_matvec(x)
+    assert np.max(np.abs(got - want) / np.spacing(want)) <= 4.0
+
+
+def test_fixed_grid_temporaries_are_bounded(monkeypatch):
+    # about 1M points: an unchunked band would hold a 344 MB (m, 43)
+    # temporary, the lower-order kernel a 4.3 GB (m, 508) one
+    rng = np.random.default_rng(7)
+    m = 1 << 20
+    cases = ((lambda a: bessel_k(0, a), rng.uniform(2.2, 15.0, m)),
+             (lower_order_kernel().profile, rng.uniform(0.0, 4.0, m)))
+    cap = 64 << 20
+    head = 20011
+    for fn, arg in cases:
+        tracemalloc.start()
+        try:
+            chunked = fn(arg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < cap
+        with monkeypatch.context() as mctx:
+            mctx.setattr(bessel_module, "_GRID_CHUNK_BYTES", 1 << 40)
+            unchunked = fn(arg[:head])
+        assert np.array_equal(chunked[:head], unchunked)
+
+
 # ---------------------------------------------------------------------------
 # reference kernel
 # ---------------------------------------------------------------------------
@@ -96,6 +136,40 @@ def test_kernel_log_split_remainder_smooth():
     vals = kern.profile(r) - kern.log_coefficient * np.log(r)
     second = np.diff(vals, 2) / h ** 2
     assert np.max(np.abs(second)) < 1.0
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.floats(min_value=1e-6, max_value=30.0))
+def test_split_matches_profile_and_mpmath(r):
+    kern = reference_kernel()
+    log_factor, smooth = (float(v[0]) for v in kern.split(np.array([r])))
+    # the two-call form: profile minus the log part, up to its cancellation
+    profile = float(kern.profile(r))
+    scale = abs(profile) + abs(log_factor * np.log(r))
+    assert abs(smooth - (profile - log_factor * np.log(r))) <= 1e-13 * scale
+    # mpmath: log_factor = -I_0 / 2 pi, smooth = (K_0 + I_0 log r) / 2 pi
+    x = mp.mpf(r)
+    i0 = mp.besseli(0, x)
+    want_log = float(-i0 / (2 * mp.pi))
+    want_smooth = float((mp.besselk(0, x) + i0 * mp.log(x)) / (2 * mp.pi))
+    assert log_factor == pytest.approx(want_log, rel=1e-14)
+    assert smooth == pytest.approx(want_smooth, rel=1e-13)
+
+
+def test_split_beyond_the_series_switch_and_at_zero():
+    kern = reference_kernel()
+    r = np.array([0.0, 29.0, 31.0, 40.0])
+    log_factor, smooth = kern.split(r)
+    assert log_factor[0] == kern.log_coefficient
+    assert smooth[0] == pytest.approx(kern.remainder_at_zero, rel=1e-15)
+    for x, lf, sm in zip(r[1:], log_factor[1:], smooth[1:]):
+        i0 = mp.besseli(0, mp.mpf(x))
+        want = (mp.besselk(0, mp.mpf(x)) + i0 * mp.log(x)) / (2 * mp.pi)
+        assert lf == pytest.approx(float(-i0 / (2 * mp.pi)), rel=1e-12)
+        assert sm == pytest.approx(float(want), rel=1e-12)
+    assert np.array_equal(kern.log_factor(r), log_factor)
+    with pytest.raises(InvalidArgumentError):
+        kern.split(np.array([1.0, -1e-3]))
 
 
 # ---------------------------------------------------------------------------
@@ -148,3 +222,12 @@ def test_lower_order_kernel_matches_closed_form():
     expected = np.exp(-r) / TWO_PI
     assert np.max(np.abs(kern.profile(r) - expected) / expected) < 1e-8
     assert kern.order == -3
+
+
+def test_lower_order_kernel_split_has_no_log_part():
+    kern = lower_order_kernel()
+    r = np.array([0.0, 0.05, 1.0, 6.0])
+    log_factor, smooth = kern.split(r)
+    assert np.all(log_factor == 0.0)
+    assert np.array_equal(smooth, kern.profile(r))
+    assert smooth[0] == pytest.approx(kern.remainder_at_zero, rel=1e-12)
