@@ -19,8 +19,13 @@ singularity:
 * mixed configurations: block matrices over area cells and curve nodes.
 
 Sign-changing V is reduced to a symmetric indefinite matrix with identical
-nonzero spectrum by folding the sign diagonal through the square root of the
-|V|-weighted matrix.
+nonzero spectrum.  The fold factors the effective-kernel matrix by Cholesky,
+K = L L^T, and takes  L^T diag(V w) L,  which shares the nonzero spectrum of
+K diag(V w) (Golub and Van Loan, Matrix Computations, 8.7).  When the
+discrete K is not positive definite (a large curve, for instance) the
+Cholesky fails and the fold goes through the square root of the
+|V|-weighted matrix instead, at the cost of a full eigendecomposition; the
+branch taken is recorded in ``node_meta["fold"]``.
 """
 
 from __future__ import annotations
@@ -106,7 +111,7 @@ class OperatorMatrix:
         m = np.ascontiguousarray(np.asarray(self.entries, dtype=float))
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise InvalidArgumentError("entries must be square")
-        if m.size and np.max(np.abs(m - m.T)) != 0.0:
+        if not np.array_equal(m, m.T):
             raise InvalidArgumentError("entries must be exactly symmetric")
         m.flags.writeable = False
         object.__setattr__(self, "entries", m)
@@ -116,10 +121,12 @@ class OperatorMatrix:
         return self.entries.shape[0]
 
 
-def _mirror(upper: np.ndarray) -> np.ndarray:
-    """Exactly symmetric matrix from an approximately symmetric one."""
-    u = np.triu(upper)
-    return u + np.triu(upper, 1).T
+def _mirror(m: np.ndarray) -> np.ndarray:
+    """Exactly symmetric matrix from an approximately symmetric one: the
+    upper triangle is copied onto the lower one, in place."""
+    for i in range(1, len(m)):
+        m[i, :i] = m[:i, i]
+    return m
 
 
 def _pairwise_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -145,9 +152,11 @@ def _symmetric(n: int, iu: np.ndarray, ju: np.ndarray, upper: np.ndarray,
 def _signed_symmetric(base: np.ndarray, signs: np.ndarray) -> np.ndarray:
     """Symmetric matrix with the nonzero spectrum of diag(signs) @ base.
 
-    base is the |V|-weighted symmetric positive semidefinite matrix; the
-    returned matrix is  B^{1/2} S B^{1/2}  computed through one symmetric
-    eigendecomposition (tiny negative rounding modes are clipped).
+    base is the |V|-weighted symmetric matrix; the returned matrix is
+    B^{1/2} S B^{1/2}  computed through one symmetric eigendecomposition,
+    with the negative modes of base clipped.  This is the fallback of the
+    Cholesky fold, so base here comes from a kernel matrix that is not
+    positive definite.
     """
     lam, u = np.linalg.eigh(base)
     lam = np.clip(lam, 0.0, None)
@@ -156,19 +165,48 @@ def _signed_symmetric(base: np.ndarray, signs: np.ndarray) -> np.ndarray:
     return _mirror(0.5 * (m + m.T))
 
 
+def _cholesky_fold(kernel_matrix: np.ndarray, vw: np.ndarray) -> np.ndarray:
+    """L^T diag(vw) L for the Cholesky factor K = L L^T of the kernel
+    matrix, mirrored; raises ``LinAlgError`` when K is not positive definite.
+
+    The kernel matrix is left intact until the factor exists, so a failed
+    factorization leaves it to the fallback; after that its storage holds
+    diag(vw) L.  NumPy's Cholesky keeps the work on NumPy's BLAS: SciPy's
+    runs on a second BLAS library whose buffers stay resident.
+    """
+    low = np.linalg.cholesky(kernel_matrix)
+    scaled = np.multiply(vw[:, None], low, out=kernel_matrix)
+    return _mirror(low.T @ scaled)
+
+
 def _finalize(kernel_matrix: np.ndarray, v_vals: np.ndarray,
               weights: np.ndarray, meta: dict) -> OperatorMatrix:
-    signs = np.sign(v_vals)
+    """The operator matrix for kernel matrix K, weight V and quadrature
+    weights w: diag(s) K diag(s) with s = sqrt(V w) for V >= 0, the fold of
+    the module docstring otherwise.  K is consumed (overwritten)."""
     signed = bool(np.any(v_vals < 0.0))
-    s = np.sqrt(np.abs(v_vals) * weights)
-    base = _mirror(s[:, None] * kernel_matrix * s[None, :])
-    if signed:
-        entries = _signed_symmetric(base, signs)
-    else:
-        entries = base
     meta = dict(meta)
     meta["signed"] = signed
+    if signed:
+        try:
+            entries = _cholesky_fold(kernel_matrix, v_vals * weights)
+            meta["fold"] = "cholesky"
+        except np.linalg.LinAlgError:
+            base = _scaled(kernel_matrix, v_vals, weights)
+            entries = _signed_symmetric(base, np.sign(v_vals))
+            meta["fold"] = "eigen"
+    else:
+        entries = _scaled(kernel_matrix, v_vals, weights)
     return OperatorMatrix(entries=entries, node_meta=meta, signed_flag=signed)
+
+
+def _scaled(kernel_matrix: np.ndarray, v_vals: np.ndarray,
+            weights: np.ndarray) -> np.ndarray:
+    """diag(s) K diag(s) with s = sqrt(|V| w), mirrored, in K's storage."""
+    s = np.sqrt(np.abs(v_vals) * weights)
+    kernel_matrix *= s[:, None]
+    kernel_matrix *= s[None, :]
+    return _mirror(kernel_matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +282,9 @@ def _polygon_effective_kernel(mesh: SurfaceMesh,
     upper_log, upper_smooth = kernel.split(r)
     log_factor = _symmetric(n, iu, ju, upper_log, kernel.log_coefficient)
     smooth = _symmetric(n, iu, ju, upper_smooth, kernel.remainder_at_zero)
+    # the pair arrays are dead: free them before the panel integrals, whose
+    # temporaries set the peak memory of the assembly
+    del iu, ju, r, upper_log, upper_smooth
 
     intlog = _panel_log_integrals(mesh.nodes, mesh.nodes, mesh.tangents, w)
     # self panel: integral of log|x_i - y| over the own panel, exactly

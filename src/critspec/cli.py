@@ -7,7 +7,8 @@ Reports are deterministic given configuration and seed: the report hash is
 taken over everything except the wall-clock runtime.
 
 Exit codes: 0 all criteria pass, 1 a criterion failed, 2 usage error,
-3 resource limit.
+3 resource limit, 4 an internal check failed (for instance computed
+eigenvalues that miss the trace or the Frobenius norm of their matrix).
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from . import asymptotics, covering, orlicz, spectra
 from .assemble import (WeightFn, assemble_curve_operator,
                        assemble_measure_operator, assemble_mixed,
                        make_cell_grid)
-from .errors import (InsufficientDataError, InvalidArgumentError,
-                     OutOfRangeError, ResourceLimitError)
+from .errors import (InsufficientDataError, InternalError,
+                     InvalidArgumentError, OutOfRangeError, ResourceLimitError)
 from .geometry import (Circle, make_cantor_measure, make_polygon_curve,
                        make_smooth_curve, make_uniform_square_measure)
 from .kernels import lower_order_kernel, reference_kernel
@@ -654,6 +655,9 @@ def main(argv=None) -> int:
     except ResourceLimitError as exc:
         print("resource limit: %s" % exc, file=sys.stderr)
         return 3
+    except InternalError as exc:
+        print("error: internal check failed: %s" % exc, file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from critspec import spectra
 from critspec.assemble import (CellGrid, WeightFn, _curve_effective_kernel,
+                               _point_effective_kernel,
                                assemble_curve_operator,
                                assemble_measure_operator, assemble_mixed,
                                make_cell_grid)
@@ -102,6 +105,71 @@ def test_similarity_invariance_vs_plain_nystrom(kernel):
         # compare the nonzero tails of both spectra
         assert np.max(np.abs(ref[-12:] - sym[-12:])) < 1e-10
         assert np.max(np.abs(ref[:12] - sym[:12])) < 1e-10
+
+
+def _fold_support(kind: str, n: int, rng):
+    if kind == "circle":
+        return make_smooth_curve(Circle(radius=rng.uniform(0.2, 2.0)), n)
+    if kind == "ellipse":
+        return make_smooth_curve(Ellipse(a=1.5, b=0.6), n)
+    if kind == "star":
+        return make_smooth_curve(Star(), n)
+    if kind == "graded-polygon":
+        return make_polygon_curve(_QUAD, 2 * max(1, n // 8), 3.0)
+    return make_cantor_measure(int(np.log2(n)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["circle", "ellipse", "star", "graded-polygon",
+                             "cantor"]),
+       half_n=st.integers(min_value=8, max_value=64),
+       seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_cholesky_fold_matches_plain_nystrom(kind, half_n, seed):
+    # random sign-changing tabulated weights: the folded matrix and plain
+    # K diag(V w) share their spectra
+    kern = reference_kernel()
+    rng = np.random.default_rng(seed)
+    support = _fold_support(kind, 2 * half_n, rng)
+    if kind == "cantor":
+        ktil = _point_effective_kernel(support.atoms, kern, "segment",
+                                       support.cell_size)
+        v = rng.normal(size=support.n_atoms)
+        v[:2] = -abs(v[0]), abs(v[1])
+        op = assemble_measure_operator(support, WeightFn.tabulated(v), kern)
+        w = support.masses
+    else:
+        ktil = _curve_effective_kernel(support, kern)
+        v = rng.normal(size=support.n_nodes)
+        v[:2] = -abs(v[0]), abs(v[1])
+        op = assemble_curve_operator(support, WeightFn.tabulated(v), kern)
+        w = support.weights
+    assert op.node_meta["fold"] == "cholesky" and op.signed_flag
+    assert np.array_equal(op.entries, op.entries.T)
+    ref = np.linalg.eigvals(ktil * (v * w)[None, :])
+    rho = np.max(np.abs(ref))
+    assert np.max(np.abs(ref.imag)) <= 1e-10 * rho
+    got = np.linalg.eigvalsh(op.entries)
+    assert np.max(np.abs(np.sort(ref.real) - got)) <= 1e-10 * rho
+
+
+def test_indefinite_kernel_matrix_falls_back_to_the_eigen_fold(kernel):
+    # a radius-5 circle at n = 512 has an indefinite discrete kernel matrix
+    # (least eigenvalue -0.108); the spectrum is pinned from the eigen fold
+    # as it was before the Cholesky fold existed
+    mesh = make_smooth_curve(Circle(radius=5.0), 512)
+    assert np.linalg.eigvalsh(_curve_effective_kernel(mesh, kernel))[0] < -0.1
+    op = assemble_curve_operator(mesh, WeightFn.angular(), kernel)
+    assert op.node_meta["fold"] == "eigen"
+    sp = spectra.eigensolve(op)
+    assert (len(sp.positives), len(sp.negatives)) == (254, 255)
+    np.testing.assert_allclose(
+        sp.positives[:4], [0.4557454889079948, 0.3790228293031252,
+                           0.32171791995172, 0.27757812744948096], rtol=1e-12)
+    np.testing.assert_allclose(
+        sp.negatives[:4], [-0.4557454889079926, -0.3790228293031302,
+                           -0.321717919951715, -0.277578127449482], rtol=1e-12)
+    assert np.sum(sp.positives) == pytest.approx(7.357471219010561, rel=1e-12)
+    assert np.sum(-sp.negatives) == pytest.approx(7.35747121901054, rel=1e-12)
 
 
 def test_mesh_refinement_convergence(kernel, unit_weight):
@@ -207,6 +275,34 @@ def test_nonnegative_weight_gives_semidefinite_matrix(kernel, unit_weight):
     ev = np.linalg.eigvalsh(op.entries)
     assert ev.min() >= -1e-10 * ev.max()
     assert not op.signed_flag
+
+
+@settings(max_examples=60, deadline=None)
+@given(support=st.one_of(
+           st.tuples(st.just("circle"),
+                     st.floats(min_value=0.1, max_value=2.0),
+                     st.integers(min_value=4, max_value=128)),
+           st.tuples(st.just("cantor"), st.just(0.0),
+                     st.integers(min_value=2, max_value=8))),
+       seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_unsigned_operators_are_symmetric_semidefinite(support, seed):
+    kind, radius, size = support
+    kern = reference_kernel()
+    if kind == "circle":
+        obj = make_smooth_curve(Circle(radius=radius), 2 * size)
+        count = obj.n_nodes
+    else:
+        obj = make_cantor_measure(size)
+        count = obj.n_atoms
+    # nonnegative weights, a quarter of them zero
+    v = np.random.default_rng(seed).uniform(-0.5, 2.0, count).clip(0.0)
+    assemble = (assemble_curve_operator if kind == "circle"
+                else assemble_measure_operator)
+    op = assemble(obj, WeightFn.tabulated(v), kern)
+    assert not op.signed_flag and "fold" not in op.node_meta
+    assert np.array_equal(op.entries, op.entries.T)
+    ev = np.linalg.eigvalsh(op.entries)
+    assert ev[0] >= -1e-12 * np.max(np.abs(ev))
 
 
 def test_cantor_refinement_consistency(cantor_spectra):

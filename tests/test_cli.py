@@ -197,5 +197,23 @@ def test_cli_spectrum_command(tmp_path):
     assert (tmp_path / "spectrum.csv").exists()
 
 
+def test_failed_internal_check_exits_4(tmp_path, capsys, monkeypatch):
+    true_eigvalsh = np.linalg.eigvalsh
+
+    def one_shifted(m):
+        vals = true_eigvalsh(m)
+        vals[0] += 1e-6 * np.max(np.abs(vals))
+        return vals
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", one_shifted)
+    code = main(["spectrum", "--shape", "circle", "--n", "64",
+                 "--out", str(tmp_path)])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: internal check failed: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not list(tmp_path.iterdir())
+
+
 def test_cli_usage_without_command(capsys):
     assert main([]) == 2

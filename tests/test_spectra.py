@@ -1,14 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from critspec import spectra
-from critspec.assemble import WeightFn, assemble_curve_operator
-from critspec.errors import InsufficientDataError, InvalidArgumentError
-from critspec.geometry import Circle, make_smooth_curve
-from critspec.kernels import lower_order_kernel
+from critspec.assemble import (WeightFn, assemble_curve_operator,
+                               assemble_measure_operator, assemble_mixed,
+                               make_cell_grid)
+from critspec.errors import (InsufficientDataError, InternalError,
+                             InvalidArgumentError)
+from critspec.geometry import (Circle, make_cantor_measure,
+                               make_polygon_curve, make_smooth_curve)
+from critspec.kernels import lower_order_kernel, reference_kernel
 from critspec.spectra import Spectrum, counting, eigensolve, weyl_fit
 
-from conftest import circle_exact_eigenvalues
+from conftest import UNIT_SQUARE, circle_exact_eigenvalues
 
 
 # ---------------------------------------------------------------------------
@@ -52,6 +58,78 @@ def test_orthogonal_similarity_invariance():
     sp_b = eigensolve(0.5 * ((q.T @ m @ q) + (q.T @ m @ q).T))
     assert np.max(np.abs(sp_a.positives - sp_b.positives)) < 1e-9
     assert np.max(np.abs(sp_a.negatives - sp_b.negatives)) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# the invariant check on the whole spectrum
+# ---------------------------------------------------------------------------
+
+def _operators(n: int) -> dict:
+    """Unsigned curve, polygon, Cantor and mixed operators and a signed
+    circle, each with about n unknowns."""
+    kern = reference_kernel()
+    circle = make_smooth_curve(Circle(radius=1.0), n)
+    small = make_smooth_curve(Circle(center=(0.5, 0.5), radius=0.25), 64)
+    grid = make_cell_grid(("box", (-0.5, -0.5), (1.5, 1.5)),
+                          2.0 / np.sqrt(n), exclude_meshes=[small])
+    one = WeightFn.constant(1.0)
+    return {
+        "circle": assemble_curve_operator(circle, one, kern),
+        "signed": assemble_curve_operator(circle, WeightFn.angular(), kern),
+        "polygon": assemble_curve_operator(
+            make_polygon_curve(UNIT_SQUARE, n // 4, 3.0), one, kern),
+        "cantor": assemble_measure_operator(
+            make_cantor_measure(int(np.log2(n))), one, kern),
+        "mixed": assemble_mixed(grid, [(small, one)], kern),
+    }
+
+
+@pytest.fixture(scope="module")
+def operators_512():
+    return _operators(512)
+
+
+@pytest.mark.parametrize("n", [64, 512])
+def test_clean_solves_pass_the_invariant_check_with_margin(n, operators_512):
+    ops = operators_512 if n == 512 else _operators(n)
+    for name, op in ops.items():
+        assert op.n >= n // 2, name
+        errors = spectra._invariant_errors(op.entries,
+                                           np.linalg.eigvalsh(op.entries))
+        # largest observed: 0.0035 of the tolerance
+        assert max(errors) <= 0.05, (name, errors)
+
+
+@pytest.fixture(scope="module")
+def spectra_512(operators_512):
+    return {name: np.linalg.eigvalsh(op.entries)
+            for name, op in operators_512.items()}
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(["circle", "signed", "polygon", "cantor",
+                             "mixed"]),
+       position=st.floats(min_value=0.0, max_value=1.0),
+       sign=st.sampled_from([-1.0, 1.0]))
+def test_one_shifted_eigenvalue_fails_the_check(operators_512, spectra_512,
+                                                name, position, sign):
+    op, vals = operators_512[name], spectra_512[name]
+    shifted = vals.copy()
+    shifted[int(position * (len(vals) - 1))] += (
+        sign * 1e-6 * np.max(np.abs(vals)))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np.linalg, "eigvalsh", lambda m: vals)
+        eigensolve(op)
+        patch.setattr(np.linalg, "eigvalsh", lambda m: shifted)
+        with pytest.raises(InternalError, match="trace error .* Frobenius"):
+            eigensolve(op)
+
+
+def test_invariant_check_rejects_nan_eigenvalues(monkeypatch):
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda m: np.array([1.0, np.nan]))
+    with pytest.raises(InternalError):
+        eigensolve(np.eye(2))
 
 
 # ---------------------------------------------------------------------------
