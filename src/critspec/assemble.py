@@ -19,13 +19,13 @@ singularity:
 * mixed configurations: block matrices over area cells and curve nodes.
 
 Sign-changing V is reduced to a symmetric indefinite matrix with identical
-nonzero spectrum.  The fold factors the effective-kernel matrix by Cholesky,
-K = L L^T, and takes  L^T diag(V w) L,  which shares the nonzero spectrum of
-K diag(V w) (Golub and Van Loan, Matrix Computations, 8.7).  When the
-discrete K is not positive definite (a large curve, for instance) the
-Cholesky fails and the fold goes through the square root of the
-|V|-weighted matrix instead, at the cost of a full eigendecomposition; the
-branch taken is recorded in ``node_meta["fold"]``.
+nonzero spectrum.  The one fold factors the effective-kernel matrix by
+Cholesky, K = L L^T, and takes  L^T diag(V w) L,  which shares the nonzero
+spectrum of K diag(V w) (Golub and Van Loan, Matrix Computations, 8.7); it
+is recorded as ``node_meta["fold"] = "cholesky"``.  The kernel is positive
+definite and, with the windowed split of ``kernels``, so is K on every
+resolved support.  A K that is not is an under-resolved mesh: the fold
+raises ``InvalidArgumentError`` (exit 2) naming the largest node spacing.
 """
 
 from __future__ import annotations
@@ -149,52 +149,36 @@ def _symmetric(n: int, iu: np.ndarray, ju: np.ndarray, upper: np.ndarray,
     return out
 
 
-def _signed_symmetric(base: np.ndarray, signs: np.ndarray) -> np.ndarray:
-    """Symmetric matrix with the nonzero spectrum of diag(signs) @ base.
-
-    base is the |V|-weighted symmetric matrix; the returned matrix is
-    B^{1/2} S B^{1/2}  computed through one symmetric eigendecomposition,
-    with the negative modes of base clipped.  This is the fallback of the
-    Cholesky fold, so base here comes from a kernel matrix that is not
-    positive definite.
+def _cholesky_fold(kernel_matrix: np.ndarray, v_vals: np.ndarray,
+                   weights: np.ndarray) -> np.ndarray:
+    """L^T diag(V w) L for the Cholesky factor K = L L^T of the kernel
+    matrix, mirrored; K's storage is reused for diag(V w) L.  A K that is
+    not positive definite raises ``InvalidArgumentError`` naming the node
+    spacing (the largest weight).  NumPy's Cholesky keeps the work on NumPy's BLAS: SciPy's runs
+    on a second BLAS library whose buffers stay resident.
     """
-    lam, u = np.linalg.eigh(base)
-    lam = np.clip(lam, 0.0, None)
-    core = u.T @ (signs[:, None] * u)
-    m = np.sqrt(lam)[:, None] * core * np.sqrt(lam)[None, :]
-    return _mirror(0.5 * (m + m.T))
-
-
-def _cholesky_fold(kernel_matrix: np.ndarray, vw: np.ndarray) -> np.ndarray:
-    """L^T diag(vw) L for the Cholesky factor K = L L^T of the kernel
-    matrix, mirrored; raises ``LinAlgError`` when K is not positive definite.
-
-    The kernel matrix is left intact until the factor exists, so a failed
-    factorization leaves it to the fallback; after that its storage holds
-    diag(vw) L.  NumPy's Cholesky keeps the work on NumPy's BLAS: SciPy's
-    runs on a second BLAS library whose buffers stay resident.
-    """
-    low = np.linalg.cholesky(kernel_matrix)
-    scaled = np.multiply(vw[:, None], low, out=kernel_matrix)
+    try:
+        low = np.linalg.cholesky(kernel_matrix)
+    except np.linalg.LinAlgError:
+        raise InvalidArgumentError(
+            "under-resolved mesh: the kernel matrix of this sign-changing "
+            "weight is not positive definite at node spacing %.4g; refine "
+            "the mesh" % float(weights.max())) from None
+    scaled = np.multiply((v_vals * weights)[:, None], low, out=kernel_matrix)
     return _mirror(low.T @ scaled)
 
 
 def _finalize(kernel_matrix: np.ndarray, v_vals: np.ndarray,
               weights: np.ndarray, meta: dict) -> OperatorMatrix:
     """The operator matrix for kernel matrix K, weight V and quadrature
-    weights w: diag(s) K diag(s) with s = sqrt(V w) for V >= 0, the fold of
-    the module docstring otherwise.  K is consumed (overwritten)."""
+    weights w: diag(s) K diag(s) with s = sqrt(V w) for V >= 0, the one
+    fold of the module docstring otherwise.  K is consumed (overwritten)."""
     signed = bool(np.any(v_vals < 0.0))
     meta = dict(meta)
     meta["signed"] = signed
     if signed:
-        try:
-            entries = _cholesky_fold(kernel_matrix, v_vals * weights)
-            meta["fold"] = "cholesky"
-        except np.linalg.LinAlgError:
-            base = _scaled(kernel_matrix, v_vals, weights)
-            entries = _signed_symmetric(base, np.sign(v_vals))
-            meta["fold"] = "eigen"
+        entries = _cholesky_fold(kernel_matrix, v_vals, weights)
+        meta["fold"] = "cholesky"
     else:
         entries = _scaled(kernel_matrix, v_vals, weights)
     return OperatorMatrix(entries=entries, node_meta=meta, signed_flag=signed)

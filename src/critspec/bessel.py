@@ -17,9 +17,8 @@ error below 1e-12 for orders up to 10 on x in [1e-6, 30].
 ``k0_log_series`` exposes the two halves of the small-argument series,
 :math:`K_0(x) = -(\\log(x/2) + \\gamma) I_0(x) + s_0(x)` (DLMF 10.31.2), so
 that the critical-order kernel can be split into its log factor and smooth
-remainder in one pass.  Fixed-grid quadratures (the cosh-integral band here,
-the subordination integral of the lower-order kernel) go through
-``grid_sum``, which bounds their temporaries.
+remainder in one pass.  The fixed-grid quadrature of the cosh-integral band
+goes through ``grid_sum``, which bounds its temporaries.
 
 All functions accept scalars or numpy arrays in ``x`` and broadcast.
 """

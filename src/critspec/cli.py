@@ -425,6 +425,10 @@ def _exp_lower_order_decay(config: ExperimentConfig):
     op = assemble_curve_operator(mesh, weight, lower_order_kernel())
     spectrum = spectra.eigensolve(op)
     pos = spectrum.side("+")
+    if len(pos) < 40:
+        raise InsufficientDataError(
+            "lower-order-decay needs 40 positive eigenvalues, got %d; "
+            "raise params.n" % len(pos))
     k10 = 10 * pos[9]
     k40 = 40 * pos[39]
     ratio = float(k40 / k10)

@@ -4,27 +4,29 @@ The reference smoothing operator is the inverse square root of (1 - Laplace),
 so its two-sided square has the closed-form kernel (2*pi)^{-1} K_0(|X-Y|)
 with a logarithmic singularity at coincident points.  A lower-order companion
 kernel (order -3, i.e. one order smoother) is provided for decay experiments;
-it is evaluated by numerical quadrature of its radial Fourier integral rather
-than from a closed form.
+it is the Bessel potential of order 3, e^{-r} / (2*pi), in closed form, not
+by quadrature.
 
 Every kernel offers two evaluations: ``profile(r)``, the plain value, and
 ``split(r)``, the pair (log factor, smooth remainder) that the curve
 quadratures integrate separately.  For the reference kernel the split comes
 from one pass of the K_0 log series (DLMF 10.31.2):
 K_0(r) + I_0(r) log r = (log 2 - gamma) I_0(r) + s_0(r), with no cancelling
-subtraction.
+subtraction.  A C-infinity cutoff, 1 up to r = 5 and 0 from r = 10 on,
+windows the log factor, so the e^r-sized halves of a large curve's split do
+not cancel; past the window the split is (0, profile(r)).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gamma as _gamma
 
 import numpy as np
 from scipy.integrate import dblquad
 
-from .bessel import EULER_GAMMA, bessel_i, bessel_k, grid_sum, k0_log_series
+# bessel_i is unused here: the benchmark tracer (perfbench/tracer.py) wraps it
+from .bessel import EULER_GAMMA, bessel_i, bessel_k, k0_log_series
 from .errors import InvalidArgumentError
 
 TWO_PI = 2.0 * np.pi
@@ -34,9 +36,11 @@ TWO_PI = 2.0 * np.pi
 REFERENCE_DIAGONAL_LIMIT = (np.log(2.0) - EULER_GAMMA) / TWO_PI
 
 
-# the I_0 and s_0 series of the split stay accurate up to the switch of
-# bessel_i to its asymptotic expansion
-_SPLIT_SERIES_MAX = 30.0
+# window of the reference log factor: a later end leaves more e^r
+# cancellation, so coarser meshes lose positive definiteness; an earlier one
+# steepens the cutoff and slows the convergence of the curve quadrature
+_WINDOW_START = 5.0
+_WINDOW_END = 10.0
 
 
 @dataclass(frozen=True)
@@ -80,53 +84,58 @@ class _ReferenceKernel(KernelModel):
     def split(self, r):
         # K_0(r) = -I_0(r) log(r) + (log 2 - gamma) I_0(r) + s_0(r): the
         # full log amplitude carries the I_0 factor, as a spectrally
-        # accurate split needs; both halves come from one series pass
+        # accurate split needs; both halves come from one series pass.  In
+        # the window, chi * (series split) + (1 - chi) * (0, profile)
         r = _distances(r)
         log_factor = np.empty_like(r)
         smooth = np.empty_like(r)
-        near = r <= _SPLIT_SERIES_MAX
+        near = r < _WINDOW_END
         i0, s0 = k0_log_series(r[near])
         log_factor[near] = -i0 / TWO_PI
         smooth[near] = REFERENCE_DIAGONAL_LIMIT * i0 + s0 / TWO_PI
-        far = ~near
-        if far.any():
-            rf = r[far]
-            log_factor[far] = -bessel_i(0, rf) / TWO_PI
-            smooth[far] = self.profile(rf) - log_factor[far] * np.log(rf)
+        blend = r > _WINDOW_START
+        if blend.any():
+            rb = r[blend]
+            chi = _log_window(rb)
+            # no series past the window, where chi = 0
+            lf, sm = log_factor[blend], smooth[blend]
+            past = rb >= _WINDOW_END
+            lf[past] = sm[past] = 0.0
+            log_factor[blend] = chi * lf
+            smooth[blend] = chi * sm + (1.0 - chi) * self.profile(rb)
         return log_factor, smooth
 
+    # kept as a view: the benchmark tracer wraps it by name
     def log_factor(self, r):
         return self.split(r)[0]
 
 
-# fixed trapezoid in log-time for the subordination integral; the
-# substituted integrand decays double-exponentially on the right and
-# exponentially on the left, so this grid is accurate to ~4e-14 uniformly
-_SUB_S = np.arange(-70.0, 6.0 + 0.075, 0.15)
-_SUB_T = np.exp(_SUB_S)
-_SUB_W = np.full_like(_SUB_S, 0.15)
-_SUB_W[0] = _SUB_W[-1] = 0.075
-_SUB_BASE = np.sqrt(_SUB_T) * np.exp(-_SUB_T) * _SUB_W
+def _log_window(r: np.ndarray) -> np.ndarray:
+    """f(1 - u) / (f(1 - u) + f(u)), f(x) = exp(-1/x), u in [0, 1] the
+    position of r in the window: 1 before it, 0 after it, C-infinity."""
+    u = np.clip((r - _WINDOW_START) / (_WINDOW_END - _WINDOW_START), 0.0, 1.0)
+    with np.errstate(divide="ignore"):
+        rise, fall = np.exp(-1.0 / u), np.exp(-1.0 / (1.0 - u))
+    return fall / (fall + rise)
 
 
 class _LowerOrderKernel(KernelModel):
     """Kernel of (1 - Laplace)^{-3/2} in the plane, one order below critical.
 
-    Evaluated through the subordination form of its radial Fourier integral,
-    (4 pi Gamma(3/2))^{-1} * Integral_0^inf t^{-1/2} e^{-t - r^2/(4t)} dt,
-    on a fixed log-time trapezoid grid; accuracy ~4e-14, far beyond what the
-    decay-order experiments need.  The kernel is bounded: no log split.
+    The Bessel potential of order 3: e^{-r} / (2 pi).  Its subordination
+    form (4 pi Gamma(3/2))^{-1} * Integral_0^inf t^{-1/2} e^{-t - r^2/(4t)} dt
+    reduces to it by DLMF 10.32.10 and 10.39.2; the test suite keeps that
+    integral as the oracle.  The kernel is bounded: no log split.
     """
 
     def profile(self, r):
-        vals = grid_sum(r, lambda rc: np.exp(-(rc ** 2) / (4.0 * _SUB_T)),
-                        _SUB_BASE)
-        return vals / (4.0 * np.pi * _gamma(1.5))
+        return np.exp(-np.asarray(r, dtype=float)) / TWO_PI
 
     def split(self, r):
         r = _distances(r)
         return np.zeros_like(r), self.profile(r)
 
+    # kept as a view: the benchmark tracer wraps it by name
     def log_factor(self, r):
         return np.zeros_like(np.asarray(r, dtype=float))
 

@@ -18,6 +18,10 @@ kernel calls (``profile`` and ``log_factor``) and a subtraction.  The
 branches (log series, cosh-integral trapezoid summed by a matrix-vector
 product, asymptotic expansion); it computed K_1 alongside, which does not
 change K_0.
+
+The lower-order kernel oracle is the subordination integral that the
+package evaluated before it took the closed form e^{-r} / (2 pi), on the
+same fixed log-time trapezoid grid.
 """
 
 from __future__ import annotations
@@ -259,6 +263,25 @@ def bessel_k0_matvec(x) -> np.ndarray:
     out[band] = _k_band_matvec(0, x[band])
     out[asym] = _k_asym(0, x[asym])
     return out
+
+
+# fixed trapezoid in log-time for the subordination integral; the
+# substituted integrand decays double-exponentially on the right and
+# exponentially on the left, so this grid is accurate to ~4e-14 uniformly
+_SUB_S = np.arange(-70.0, 6.0 + 0.075, 0.15)
+_SUB_T = np.exp(_SUB_S)
+_SUB_W = np.full_like(_SUB_S, 0.15)
+_SUB_W[0] = _SUB_W[-1] = 0.075
+_SUB_BASE = np.sqrt(_SUB_T) * np.exp(-_SUB_T) * _SUB_W
+
+
+def lower_order_kernel_subordination(r) -> np.ndarray:
+    """Kernel of (1 - Laplace)^{-3/2} in the plane by its subordination form,
+    (4 pi Gamma(3/2))^{-1} * Integral_0^inf t^{-1/2} e^{-t - r^2/(4t)} dt,
+    one row of grid exponentials per distance."""
+    r = np.asarray(r, dtype=float).reshape(-1, 1)
+    vals = (np.exp(-(r ** 2) / (4.0 * _SUB_T)) * _SUB_BASE).sum(axis=1)
+    return vals / (4.0 * np.pi * math.gamma(1.5))
 
 
 def log_energy_segment() -> float:

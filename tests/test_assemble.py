@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import ive, kve
 
 from critspec import spectra
 from critspec.assemble import (CellGrid, WeightFn, _curve_effective_kernel,
@@ -152,24 +153,46 @@ def test_cholesky_fold_matches_plain_nystrom(kind, half_n, seed):
     assert np.max(np.abs(np.sort(ref.real) - got)) <= 1e-10 * rho
 
 
-def test_indefinite_kernel_matrix_falls_back_to_the_eigen_fold(kernel):
-    # a radius-5 circle at n = 512 has an indefinite discrete kernel matrix
-    # (least eigenvalue -0.108); the spectrum is pinned from the eigen fold
-    # as it was before the Cholesky fold existed
+def test_radius_five_circle_takes_the_cholesky_fold(kernel):
+    # with the windowed split the discrete kernel matrix of a radius-5 circle
+    # at n = 512 is positive definite (unwindowed, its least eigenvalue was
+    # -0.108), so the angular weight takes the one fold
     mesh = make_smooth_curve(Circle(radius=5.0), 512)
-    assert np.linalg.eigvalsh(_curve_effective_kernel(mesh, kernel))[0] < -0.1
-    op = assemble_curve_operator(mesh, WeightFn.angular(), kernel)
-    assert op.node_meta["fold"] == "eigen"
-    sp = spectra.eigensolve(op)
-    assert (len(sp.positives), len(sp.negatives)) == (254, 255)
-    np.testing.assert_allclose(
-        sp.positives[:4], [0.4557454889079948, 0.3790228293031252,
-                           0.32171791995172, 0.27757812744948096], rtol=1e-12)
-    np.testing.assert_allclose(
-        sp.negatives[:4], [-0.4557454889079926, -0.3790228293031302,
-                           -0.321717919951715, -0.277578127449482], rtol=1e-12)
-    assert np.sum(sp.positives) == pytest.approx(7.357471219010561, rel=1e-12)
-    assert np.sum(-sp.negatives) == pytest.approx(7.35747121901054, rel=1e-12)
+    ktil = _curve_effective_kernel(mesh, kernel)
+    assert np.linalg.eigvalsh(ktil)[0] > 0.0
+    weight = WeightFn.angular()
+    op = assemble_curve_operator(mesh, weight, kernel)
+    assert op.node_meta["fold"] == "cholesky" and op.signed_flag
+    vw = weight.values_on(mesh) * mesh.weights
+    ref = np.linalg.eigvals(ktil * vw[None, :])
+    rho = np.max(np.abs(ref))
+    assert np.max(np.abs(ref.imag)) <= 1e-10 * rho
+    got = np.linalg.eigvalsh(op.entries)
+    assert np.max(np.abs(np.sort(ref.real) - got)) <= 1e-10 * rho
+
+
+def _circle_closed_form(radius: float, count: int) -> np.ndarray:
+    """R I_m(R) K_m(R), m = 0, 1, 1, 2, 2, ..., from SciPy's scaled Bessel
+    functions (the scalings cancel), descending."""
+    m = np.arange(count)
+    vals = radius * ive(m, radius) * kve(m, radius)
+    return np.sort(np.concatenate([vals, vals[1:]]))[::-1][:count]
+
+
+@settings(max_examples=10, deadline=None)
+@given(radius=st.floats(min_value=0.05, max_value=20.0))
+@example(radius=17.0).via("the worst radius of a 0.05-20 scan")
+@example(radius=20.0).via("the largest radius")
+def test_circle_spectrum_matches_closed_form_at_any_radius(radius):
+    # resolved circles of every size: node spacing at most 1/8, n >= 256
+    n = max(256, 2 * int(np.ceil(np.pi * radius / 0.125)))
+    mesh = make_smooth_curve(Circle(radius=radius), n)
+    assert mesh.weights.max() <= 0.125
+    op = assemble_curve_operator(mesh, WeightFn.constant(1.0),
+                                 reference_kernel())
+    got = spectra.eigensolve(op).positives[:60]
+    want = _circle_closed_form(radius, 60)
+    assert np.max(np.abs(got - want) / want) <= 1e-8
 
 
 def test_mesh_refinement_convergence(kernel, unit_weight):
@@ -277,27 +300,63 @@ def test_nonnegative_weight_gives_semidefinite_matrix(kernel, unit_weight):
     assert not op.signed_flag
 
 
+def _unsigned_support(kind: str, size, resolution):
+    """A circle of 2 * resolution nodes, a Cantor measure of depth
+    resolution, or a curve whose node spacing is at most resolution."""
+    if kind == "circle":
+        return make_smooth_curve(Circle(radius=size), 2 * resolution)
+    if kind == "cantor":
+        return make_cantor_measure(resolution)
+    if kind == "rectangle":
+        # graded panels: the largest one is below 3 L / panels_per_edge
+        width, height = size
+        m = 2 * int(np.ceil(1.5 * max(width, height) / resolution))
+        return make_polygon_curve([[0.0, 0.0], [width, 0.0],
+                                   [width, height], [0.0, height]], m, 3.0)
+    curve = Ellipse(a=size[0], b=size[1]) if kind == "ellipse" else Star(
+        radius=size)
+    probe = make_smooth_curve(curve, 64)
+    speed = 1.1 * probe.weights.max() * 64 / TWO_PI
+    return make_smooth_curve(curve, 2 * int(np.ceil(np.pi * speed
+                                                    / resolution)))
+
+
+_SPACING = st.floats(min_value=0.125, max_value=0.25)
+
+
 @settings(max_examples=60, deadline=None)
 @given(support=st.one_of(
            st.tuples(st.just("circle"),
                      st.floats(min_value=0.1, max_value=2.0),
                      st.integers(min_value=4, max_value=128)),
            st.tuples(st.just("cantor"), st.just(0.0),
-                     st.integers(min_value=2, max_value=8))),
+                     st.integers(min_value=2, max_value=8)),
+           st.tuples(st.just("ellipse"),
+                     st.tuples(st.floats(min_value=0.5, max_value=10.0),
+                               st.floats(min_value=0.2, max_value=4.0)),
+                     _SPACING),
+           st.tuples(st.just("star"),
+                     st.floats(min_value=0.5, max_value=7.0), _SPACING),
+           st.tuples(st.just("rectangle"),
+                     st.tuples(st.floats(min_value=1.0, max_value=20.0),
+                               st.floats(min_value=0.5, max_value=20.0)),
+                     _SPACING)),
        seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
 def test_unsigned_operators_are_symmetric_semidefinite(support, seed):
-    kind, radius, size = support
+    # small circles at any n, Cantor measures, and resolved curves up to
+    # size 20
+    kind, size, resolution = support
     kern = reference_kernel()
-    if kind == "circle":
-        obj = make_smooth_curve(Circle(radius=radius), 2 * size)
-        count = obj.n_nodes
-    else:
-        obj = make_cantor_measure(size)
+    obj = _unsigned_support(kind, size, resolution)
+    if kind == "cantor":
         count = obj.n_atoms
+    else:
+        count = obj.n_nodes
+        assert kind == "circle" or obj.weights.max() <= resolution
     # nonnegative weights, a quarter of them zero
     v = np.random.default_rng(seed).uniform(-0.5, 2.0, count).clip(0.0)
-    assemble = (assemble_curve_operator if kind == "circle"
-                else assemble_measure_operator)
+    assemble = (assemble_measure_operator if kind == "cantor"
+                else assemble_curve_operator)
     op = assemble(obj, WeightFn.tabulated(v), kern)
     assert not op.signed_flag and "fold" not in op.node_meta
     assert np.array_equal(op.entries, op.entries.T)

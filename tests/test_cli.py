@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy.special import ive, kve
 
 from critspec.cli import (EXPERIMENTS, ExperimentConfig, emit_plotdata, main,
                           run_experiment)
@@ -59,10 +60,11 @@ def test_resource_limit_exit_code(tmp_path):
     ' "params": {"vertices": [[0, 0], [1, 0], [1, "y"]]}}',
     '{"experiment": "two-surfaces", "n": 64, "params": {"center_2": [1, "x"]}}',
     '{"experiment": "two-surfaces", "n": 64, "params": {"center_2": 5}}',
+    '{"experiment": "lower-order-decay", "params": {"n": 32}}',
 ], ids=["no-experiment", "unknown-key", "malformed-json", "not-an-object",
         "n-not-a-number", "tabulated-without-values", "vertices-not-a-list",
         "vertices-too-few", "vertex-not-a-number", "center-not-a-number",
-        "center-not-a-pair"])
+        "center-not-a-pair", "lower-order-below-40-eigenvalues"])
 def test_bad_config_is_usage_error(tmp_path, text):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(text)
@@ -195,6 +197,29 @@ def test_cli_spectrum_command(tmp_path):
                  "--out", str(tmp_path)])
     assert code == 0
     assert (tmp_path / "spectrum.csv").exists()
+
+
+def test_cli_spectrum_of_a_large_circle_matches_closed_form(tmp_path):
+    code = main(["spectrum", "--shape", "circle", "--radius", "20",
+                 "--n", "1024", "--out", str(tmp_path)])
+    assert code == 0
+    rows = (tmp_path / "spectrum.csv").read_text().split("\n")
+    assert rows[0] == "k,lambda_k,k_lambda_k"
+    top = float(rows[1].split(",")[1])
+    want = 20.0 * ive(0, 20.0) * kve(0, 20.0)
+    assert abs(top - want) <= 1e-8 * want
+
+
+def test_under_resolved_signed_mesh_exits_2(tmp_path, capsys):
+    # node spacing 0.49 on a radius-5 circle: the kernel matrix is not
+    # positive definite, and the sign fold refuses it
+    code = main(["spectrum", "--shape", "circle", "--radius", "5", "--n",
+                 "64", "--weight", "angular", "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "node spacing 0.4909" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not list(tmp_path.iterdir())
 
 
 def test_failed_internal_check_exits_4(tmp_path, capsys, monkeypatch):

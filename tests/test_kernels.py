@@ -3,17 +3,20 @@ import tracemalloc
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from critspec import bessel as bessel_module
 from critspec.bessel import EULER_GAMMA, bessel, bessel_i, bessel_k
 from critspec.errors import InvalidArgumentError
+from critspec.kernels import _WINDOW_END as WINDOW_END
+from critspec.kernels import _WINDOW_START as WINDOW_START
 from critspec.kernels import (lower_order_kernel, reference_kernel,
                               self_cell_coefficient)
 
 from _frozen_bessel import FROZEN_BESSEL
-from oracles import bessel_k0_matvec, log_energy_segment, log_energy_square
+from oracles import (bessel_k0_matvec, log_energy_segment, log_energy_square,
+                     lower_order_kernel_subordination)
 
 TWO_PI = 2.0 * np.pi
 
@@ -84,7 +87,7 @@ def test_bessel_k0_unchanged_on_all_branches():
 
 def test_fixed_grid_temporaries_are_bounded(monkeypatch):
     # about 1M points: an unchunked band would hold a 344 MB (m, 43)
-    # temporary, the lower-order kernel a 4.3 GB (m, 508) one
+    # temporary; the closed-form lower-order kernel holds none
     rng = np.random.default_rng(7)
     m = 1 << 20
     cases = ((lambda a: bessel_k(0, a), rng.uniform(2.2, 15.0, m)),
@@ -140,33 +143,48 @@ def test_kernel_log_split_remainder_smooth():
 
 @settings(max_examples=150, deadline=None)
 @given(st.floats(min_value=1e-6, max_value=30.0))
+@example(4.9).via("the series side of the window")
+@example(7.5).via("inside the window")
+@example(12.0).via("past the window")
 def test_split_matches_profile_and_mpmath(r):
     kern = reference_kernel()
     log_factor, smooth = (float(v[0]) for v in kern.split(np.array([r])))
-    # the two-call form: profile minus the log part, up to its cancellation
+    # the two halves add up to the profile, up to their cancellation
     profile = float(kern.profile(r))
     scale = abs(profile) + abs(log_factor * np.log(r))
-    assert abs(smooth - (profile - log_factor * np.log(r))) <= 1e-13 * scale
-    # mpmath: log_factor = -I_0 / 2 pi, smooth = (K_0 + I_0 log r) / 2 pi
+    assert abs(log_factor * np.log(r) + smooth - profile) <= 1e-13 * scale
     x = mp.mpf(r)
     i0 = mp.besseli(0, x)
     want_log = float(-i0 / (2 * mp.pi))
-    want_smooth = float((mp.besselk(0, x) + i0 * mp.log(x)) / (2 * mp.pi))
-    assert log_factor == pytest.approx(want_log, rel=1e-14)
-    assert smooth == pytest.approx(want_smooth, rel=1e-13)
+    if r <= WINDOW_START:
+        # mpmath: log_factor = -I_0 / 2 pi, smooth = (K_0 + I_0 log r) / 2 pi
+        want_smooth = float((mp.besselk(0, x) + i0 * mp.log(x)) / (2 * mp.pi))
+        assert log_factor == pytest.approx(want_log, rel=1e-14)
+        assert smooth == pytest.approx(want_smooth, rel=1e-13)
+    elif r >= WINDOW_END:
+        assert (log_factor, smooth) == (0.0, profile)
+    else:
+        # the window keeps a fraction of the log amplitude
+        assert want_log * (1.0 + 1e-14) <= log_factor <= 0.0
 
 
 def test_split_beyond_the_series_switch_and_at_zero():
     kern = reference_kernel()
-    r = np.array([0.0, 29.0, 31.0, 40.0])
+    r = np.array([0.0, 1.0, 4.9, WINDOW_START, 7.5, WINDOW_END, 29.0, 31.0,
+                  40.0])
     log_factor, smooth = kern.split(r)
     assert log_factor[0] == kern.log_coefficient
     assert smooth[0] == pytest.approx(kern.remainder_at_zero, rel=1e-15)
-    for x, lf, sm in zip(r[1:], log_factor[1:], smooth[1:]):
+    inside = (r > 0.0) & (r <= WINDOW_START)
+    for x, lf, sm in zip(r[inside], log_factor[inside], smooth[inside]):
         i0 = mp.besseli(0, mp.mpf(x))
         want = (mp.besselk(0, mp.mpf(x)) + i0 * mp.log(x)) / (2 * mp.pi)
         assert lf == pytest.approx(float(-i0 / (2 * mp.pi)), rel=1e-12)
         assert sm == pytest.approx(float(want), rel=1e-12)
+    # past the window the split is (0, profile), with no cancellation
+    outside = r >= WINDOW_END
+    assert np.all(log_factor[outside] == 0.0)
+    assert np.array_equal(smooth[outside], kern.profile(r[outside]))
     assert np.array_equal(kern.log_factor(r), log_factor)
     with pytest.raises(InvalidArgumentError):
         kern.split(np.array([1.0, -1e-3]))
@@ -215,12 +233,12 @@ def test_self_cell_rejects_bad_input():
 # ---------------------------------------------------------------------------
 
 def test_lower_order_kernel_matches_closed_form():
-    # the subordination quadrature must reproduce e^{-r} / (2 pi); the
-    # implementation never assumes this form
+    # the closed form e^{-r} / (2 pi) against the subordination integral it
+    # replaced
     kern = lower_order_kernel()
-    r = np.array([0.05, 0.3, 1.0, 2.5, 6.0])
-    expected = np.exp(-r) / TWO_PI
-    assert np.max(np.abs(kern.profile(r) - expected) / expected) < 1e-8
+    r = np.linspace(0.0, 30.0, 3001)
+    want = lower_order_kernel_subordination(r)
+    assert np.max(np.abs(kern.profile(r) - want) / want) < 1e-13
     assert kern.order == -3
 
 
