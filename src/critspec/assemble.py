@@ -18,6 +18,16 @@ singularity:
   cell-averaged self coefficient closing the diagonal;
 * mixed configurations: block matrices over area cells and curve nodes.
 
+Each effective-kernel matrix is built in one blocked pass over its upper
+triangle.  A block is a slice of rows [i0, i1) against the columns j >= i0,
+about ``_BLOCK_BYTES`` of doubles: its distances come from a broadcast of
+two node slices, its kernel evaluations and panel integrals run on
+cache-resident temporaries, and it is written straight into the one n x n
+output, whose lower triangle is then mirrored from the upper one in place.
+No pair-index array and no n^2 temporary exists.  The elementwise
+expressions are those of an all-pairs evaluation, so the matrices agree
+with one bit for bit.
+
 Sign-changing V is reduced to a symmetric indefinite matrix with identical
 nonzero spectrum.  The one fold factors the effective-kernel matrix by
 Cholesky, K = L L^T, and takes  L^T diag(V w) L,  which shares the nonzero
@@ -43,6 +53,9 @@ TWO_PI = 2.0 * np.pi
 # meshes below this size cannot carry the periodic quadrature and fall back
 # to pointwise kernel values (degenerate, for small closed-form checks)
 _MIN_QUADRATURE_NODES = 8
+# byte size of one (rows, n) block of the upper-triangle pass: the kernel
+# and panel-integral temporaries of a block stay cache-resident
+_BLOCK_BYTES = 1 << 19
 
 
 # ---------------------------------------------------------------------------
@@ -122,8 +135,8 @@ class OperatorMatrix:
 
 
 def _mirror(m: np.ndarray) -> np.ndarray:
-    """Exactly symmetric matrix from an approximately symmetric one: the
-    upper triangle is copied onto the lower one, in place."""
+    """Exactly symmetric matrix from its upper triangle, which is copied
+    onto the lower one in place."""
     for i in range(1, len(m)):
         m[i, :i] = m[:i, i]
     return m
@@ -131,22 +144,6 @@ def _mirror(m: np.ndarray) -> np.ndarray:
 
 def _pairwise_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)
-
-
-def _upper_pairs(points: np.ndarray):
-    """Index pairs i < j of the strict upper triangle and their distances."""
-    iu, ju = np.triu_indices(len(points), 1)
-    return iu, ju, np.linalg.norm(points[iu] - points[ju], axis=1)
-
-
-def _symmetric(n: int, iu: np.ndarray, ju: np.ndarray, upper: np.ndarray,
-               diagonal) -> np.ndarray:
-    """n x n symmetric matrix from its strict upper triangle and diagonal."""
-    out = np.empty((n, n))
-    out[iu, ju] = upper
-    out[ju, iu] = upper
-    np.fill_diagonal(out, diagonal)
-    return out
 
 
 def _cholesky_fold(kernel_matrix: np.ndarray, v_vals: np.ndarray,
@@ -215,26 +212,42 @@ def _kress_weight_vector(n: int) -> np.ndarray:
     return -(TWO_PI / m) * series - (np.pi / m ** 2) * np.cos(m * t)
 
 
+def _row_blocks(n: int):
+    """Row slices [i0, i1) of the blocked upper-triangle pass.  Block i0
+    covers the columns j >= i0, so its leading square holds the self pairs
+    (i, i); a (rows, n) array of doubles is about ``_BLOCK_BYTES``."""
+    rows = max(1, _BLOCK_BYTES // (8 * n))
+    for i0 in range(0, n, rows):
+        yield i0, min(n, i0 + rows)
+
+
 def _smooth_curve_effective_kernel(mesh: SurfaceMesh,
                                    kernel: KernelModel) -> np.ndarray:
     n = mesh.n_nodes
     t = mesh.param_values
     speed = mesh.weights / (TWO_PI / n)
-    iu, ju, r = _upper_pairs(mesh.nodes)
-    log_factor, smooth = kernel.split(r)
-    # the Kress weights integrate log_factor * log(4 sin^2((t-s)/2)) / 2;
-    # the rest of log_factor * log(r) joins the smooth remainder
-    half_sin = np.abs(np.sin((t[iu] - t[ju]) / 2.0))
-    smooth = smooth + log_factor * np.log(r / (2.0 * half_sin))
-
     rw = _kress_weight_vector(n)
-    upper = (0.5 * log_factor * rw[(iu - ju) % n]
-             + (TWO_PI / n) * smooth) * (n / TWO_PI)
+    idx = np.arange(n)
+    out = np.empty((n, n))
+    for i0, i1 in _row_blocks(n):
+        r = _pairwise_dist(mesh.nodes[i0:i1], mesh.nodes[i0:])
+        half_sin = np.abs(np.sin((t[i0:i1, None] - t[None, i0:]) / 2.0))
+        # placeholders on the self pairs, whose entries the closure replaces
+        np.fill_diagonal(r, 1.0)
+        np.fill_diagonal(half_sin, 1.0)
+        log_factor, smooth = kernel.split(r)
+        # the Kress weights integrate log_factor * log(4 sin^2((t-s)/2)) / 2;
+        # the rest of log_factor * log(r) joins the smooth remainder
+        smooth = smooth + log_factor * np.log(r / (2.0 * half_sin))
+        out[i0:i1, i0:] = (
+            0.5 * log_factor * rw[(idx[i0:i1, None] - idx[None, i0:]) % n]
+            + (TWO_PI / n) * smooth) * (n / TWO_PI)
     diagonal = (0.5 * kernel.log_coefficient * rw[0]
                 + (TWO_PI / n) * (kernel.remainder_at_zero
                                   + kernel.log_coefficient * np.log(speed))
                 ) * (n / TWO_PI)
-    return _symmetric(n, iu, ju, upper, diagonal)
+    np.fill_diagonal(out, diagonal)
+    return _mirror(out)
 
 
 def _panel_log_integrals(targets: np.ndarray, centers: np.ndarray,
@@ -245,48 +258,65 @@ def _panel_log_integrals(targets: np.ndarray, centers: np.ndarray,
     perp = np.linalg.norm(p - along[:, :, None] * tangents[None, :, :], axis=2)
     v1 = -lengths[None, :] / 2.0 - along
     v2 = lengths[None, :] / 2.0 - along
+    # the pieces both panel ends share
+    flat = perp <= 1e-14
+    safe_b = np.where(flat, 1.0, perp)
+    b2 = perp * perp
 
-    def antiderivative(v, b):
-        flat = b <= 1e-14
-        safe_b = np.where(flat, 1.0, b)
-        general = (v * np.log(v * v + b * b) - 2.0 * v
-                   + 2.0 * b * np.arctan(v / safe_b))
+    def antiderivative(v):
+        general = (v * np.log(v * v + b2) - 2.0 * v
+                   + 2.0 * perp * np.arctan(v / safe_b))
         vabs = np.maximum(np.abs(v), 1e-300)
         online = 2.0 * (v * np.log(vabs) - v)
         return np.where(flat, online, general)
 
-    return 0.5 * (antiderivative(v2, perp) - antiderivative(v1, perp))
+    return 0.5 * (antiderivative(v2) - antiderivative(v1))
 
 
 def _polygon_effective_kernel(mesh: SurfaceMesh,
                               kernel: KernelModel) -> np.ndarray:
+    """Panel collocation symmetrized, (K + K^T) / 2: a row block's entries
+    combine its rows collocated on the column panels with the column nodes
+    collocated on its row panels."""
     n = mesh.n_nodes
     w = mesh.weights
-    iu, ju, r = _upper_pairs(mesh.nodes)
-    upper_log, upper_smooth = kernel.split(r)
-    log_factor = _symmetric(n, iu, ju, upper_log, kernel.log_coefficient)
-    smooth = _symmetric(n, iu, ju, upper_smooth, kernel.remainder_at_zero)
-    # the pair arrays are dead: free them before the panel integrals, whose
-    # temporaries set the peak memory of the assembly
-    del iu, ju, r, upper_log, upper_smooth
-
-    intlog = _panel_log_integrals(mesh.nodes, mesh.nodes, mesh.tangents, w)
+    nodes, tangents = mesh.nodes, mesh.tangents
+    out = np.empty((n, n))
+    for i0, i1 in _row_blocks(n):
+        rows, cols = slice(i0, i1), slice(i0, None)
+        log_factor, smooth = kernel.split(
+            _pairwise_dist(nodes[rows], nodes[cols]))
+        intlog = _panel_log_integrals(nodes[rows], nodes[cols],
+                                      tangents[cols], w[cols])
+        ktil = (log_factor * intlog + smooth * w[None, cols]) / w[None, cols]
+        intlog_t = _panel_log_integrals(nodes[cols], nodes[rows],
+                                        tangents[rows], w[rows]).T
+        ktil_t = ((log_factor * intlog_t + smooth * w[rows, None])
+                  / w[rows, None])
+        out[rows, cols] = 0.5 * (ktil + ktil_t)
     # self panel: integral of log|x_i - y| over the own panel, exactly
-    np.fill_diagonal(intlog, w * (np.log(w / 2.0) - 1.0))
-    entries = log_factor * intlog + smooth * w[None, :]
-    ktil = entries / w[None, :]
-    return 0.5 * (ktil + ktil.T)
+    intlog_self = w * (np.log(w / 2.0) - 1.0)
+    np.fill_diagonal(out, (kernel.log_coefficient * intlog_self
+                           + kernel.remainder_at_zero * w) / w)
+    return _mirror(out)
 
 
 def _point_effective_kernel(points: np.ndarray, kernel: KernelModel,
                             cell_kind: str, cell_size) -> np.ndarray:
     """Pointwise kernel with the cell-averaged diagonal closure."""
-    iu, ju, r = _upper_pairs(points)
+    n = len(points)
+    out = np.empty((n, n))
+    for i0, i1 in _row_blocks(n):
+        r = _pairwise_dist(points[i0:i1], points[i0:])
+        # a placeholder distance on the self pairs, closed below
+        np.fill_diagonal(r, 1.0)
+        out[i0:i1, i0:] = kernel.profile(r)
     if kernel.log_coefficient != 0.0:
         diag = self_cell_coefficient(cell_kind, float(cell_size))
     else:
         diag = kernel.remainder_at_zero
-    return _symmetric(len(points), iu, ju, kernel.profile(r), diag)
+    np.fill_diagonal(out, diag)
+    return _mirror(out)
 
 
 def _curve_effective_kernel(mesh: SurfaceMesh,

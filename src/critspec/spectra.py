@@ -4,7 +4,10 @@ The counting coefficient is read off eigenvalues alone, so ``eigensolve``
 computes no eigenvectors.  It checks the whole computed spectrum against two
 invariants of the matrix that cost O(n^2): the sum of the eigenvalues is the
 trace, and the sum of their squares is the squared Frobenius norm.  Either
-error above its tolerance raises ``InternalError``.
+error above its tolerance raises ``InternalError``.  An operator of a
+nonnegative weight must also come out positive semidefinite in the same
+tolerance unit; one that does not is an under-resolved mesh, refused with
+``InvalidArgumentError``.
 
 The mid-spectrum estimator for the constant C in n(lambda) ~ C / lambda is
 the median of k |lambda_k| over a window of indices: multiplicity-2 families
@@ -98,6 +101,9 @@ def eigensolve(matrix) -> Spectrum:
     times the spectral radius and the squared norm; a violation raises
     ``InternalError`` naming both errors.  An ``OperatorMatrix`` is exactly
     symmetric by construction; a plain array is checked for symmetry first.
+    An unsigned ``OperatorMatrix`` (nonnegative weight) is positive
+    semidefinite on a resolved mesh: a least eigenvalue below -64 n eps
+    times the spectral radius raises ``InvalidArgumentError`` (exit 2).
     Eigenvalues below 1e-14 of the spectral radius are dropped as numerical
     zeros; the trusted index range is n/8.
     """
@@ -120,11 +126,23 @@ def eigensolve(matrix) -> Spectrum:
             "eigenvalues violate the matrix invariants: trace error %.3g, "
             "Frobenius error %.3g (tolerance units)"
             % (trace_err, frobenius_err))
+    if (isinstance(matrix, OperatorMatrix) and not matrix.signed_flag
+            and vals.size and vals[0] < -_tolerance_unit(len(vals)) * norm):
+        raise InvalidArgumentError(
+            "under-resolved mesh: the operator of this nonnegative weight is "
+            "indefinite, least eigenvalue %.3g of the spectral radius; refine "
+            "the mesh" % (vals[0] / norm))
 
     keep = np.abs(vals) > _ZERO_RTOL * norm
     return Spectrum.from_eigenvalues(
         vals[keep], resolution_n=m.shape[0],
         trusted_k_max=max(1, m.shape[0] // _TRUSTED_FRACTION))
+
+
+def _tolerance_unit(n: int) -> float:
+    """n eps times ``_INVARIANT_ULPS``: the relative tolerance unit of an
+    order-n eigensolve."""
+    return _INVARIANT_ULPS * n * np.finfo(float).eps
 
 
 def _invariant_errors(m: np.ndarray, vals: np.ndarray) -> tuple[float, float]:
@@ -137,7 +155,7 @@ def _invariant_errors(m: np.ndarray, vals: np.ndarray) -> tuple[float, float]:
     """
     flat = np.ascontiguousarray(m).reshape(-1)
     frobenius_sq = float(flat @ flat)
-    unit = _INVARIANT_ULPS * len(vals) * np.finfo(float).eps
+    unit = _tolerance_unit(len(vals))
     radius = float(np.max(np.abs(vals))) if vals.size else 0.0
     errors = (abs(float(np.sum(vals)) - float(np.trace(m))),
               abs(float(vals @ vals) - frobenius_sq))

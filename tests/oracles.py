@@ -22,6 +22,13 @@ change K_0.
 The lower-order kernel oracle is the subordination integral that the
 package evaluated before it took the closed form e^{-r} / (2 pi), on the
 same fixed log-time trapezoid grid.
+
+The ``*_pairs`` oracles are the smooth-curve, polygon and point effective
+kernels as they were before the blocked upper-triangle pass: one gather of
+all n (n - 1) / 2 pair distances through ``triu_indices``, one kernel call
+on them, and a scatter into the symmetric matrix; the polygon panel
+integrals are full n x n arrays.  The blocked pass evaluates the same
+elementwise expressions, so the two agree bit for bit.
 """
 
 from __future__ import annotations
@@ -35,6 +42,7 @@ import numpy as np
 from critspec.assemble import (_kress_weight_vector, _pairwise_dist,
                                _panel_log_integrals)
 from critspec.bessel import EULER_GAMMA
+from critspec.kernels import self_cell_coefficient
 from critspec.errors import InvalidArgumentError, OutOfRangeError
 from critspec.orlicz import OrliczNormResult, phi
 
@@ -210,6 +218,97 @@ def polygon_effective_kernel_two_calls(mesh, kernel) -> np.ndarray:
     entries = log_factor * intlog + smooth * w[None, :]
     ktil = entries / w[None, :]
     return 0.5 * (ktil + ktil.T)
+
+
+def _upper_pairs(points: np.ndarray):
+    """Index pairs i < j of the strict upper triangle and their distances."""
+    iu, ju = np.triu_indices(len(points), 1)
+    return iu, ju, np.linalg.norm(points[iu] - points[ju], axis=1)
+
+
+def _symmetric(n: int, iu: np.ndarray, ju: np.ndarray, upper: np.ndarray,
+               diagonal) -> np.ndarray:
+    """n x n symmetric matrix from its strict upper triangle and diagonal."""
+    out = np.empty((n, n))
+    out[iu, ju] = upper
+    out[ju, iu] = upper
+    np.fill_diagonal(out, diagonal)
+    return out
+
+
+def smooth_curve_effective_kernel_pairs(mesh, kernel) -> np.ndarray:
+    TWO_PI = 2.0 * np.pi
+    n = mesh.n_nodes
+    t = mesh.param_values
+    speed = mesh.weights / (TWO_PI / n)
+    iu, ju, r = _upper_pairs(mesh.nodes)
+    log_factor, smooth = kernel.split(r)
+    # the Kress weights integrate log_factor * log(4 sin^2((t-s)/2)) / 2;
+    # the rest of log_factor * log(r) joins the smooth remainder
+    half_sin = np.abs(np.sin((t[iu] - t[ju]) / 2.0))
+    smooth = smooth + log_factor * np.log(r / (2.0 * half_sin))
+
+    rw = _kress_weight_vector(n)
+    upper = (0.5 * log_factor * rw[(iu - ju) % n]
+             + (TWO_PI / n) * smooth) * (n / TWO_PI)
+    diagonal = (0.5 * kernel.log_coefficient * rw[0]
+                + (TWO_PI / n) * (kernel.remainder_at_zero
+                                  + kernel.log_coefficient * np.log(speed))
+                ) * (n / TWO_PI)
+    return _symmetric(n, iu, ju, upper, diagonal)
+
+
+def _panel_log_integrals_pairs(targets: np.ndarray, centers: np.ndarray,
+                               tangents: np.ndarray,
+                               lengths: np.ndarray) -> np.ndarray:
+    """Exact integral of log|x - y| over flat panels, all target/panel pairs."""
+    p = targets[:, None, :] - centers[None, :, :]
+    along = np.einsum("ijk,jk->ij", p, tangents)
+    perp = np.linalg.norm(p - along[:, :, None] * tangents[None, :, :], axis=2)
+    v1 = -lengths[None, :] / 2.0 - along
+    v2 = lengths[None, :] / 2.0 - along
+
+    def antiderivative(v, b):
+        flat = b <= 1e-14
+        safe_b = np.where(flat, 1.0, b)
+        general = (v * np.log(v * v + b * b) - 2.0 * v
+                   + 2.0 * b * np.arctan(v / safe_b))
+        vabs = np.maximum(np.abs(v), 1e-300)
+        online = 2.0 * (v * np.log(vabs) - v)
+        return np.where(flat, online, general)
+
+    return 0.5 * (antiderivative(v2, perp) - antiderivative(v1, perp))
+
+
+def polygon_effective_kernel_pairs(mesh, kernel) -> np.ndarray:
+    n = mesh.n_nodes
+    w = mesh.weights
+    iu, ju, r = _upper_pairs(mesh.nodes)
+    upper_log, upper_smooth = kernel.split(r)
+    log_factor = _symmetric(n, iu, ju, upper_log, kernel.log_coefficient)
+    smooth = _symmetric(n, iu, ju, upper_smooth, kernel.remainder_at_zero)
+    # the pair arrays are dead: free them before the panel integrals, whose
+    # temporaries set the peak memory of the assembly
+    del iu, ju, r, upper_log, upper_smooth
+
+    intlog = _panel_log_integrals_pairs(mesh.nodes, mesh.nodes,
+                                        mesh.tangents, w)
+    # self panel: integral of log|x_i - y| over the own panel, exactly
+    np.fill_diagonal(intlog, w * (np.log(w / 2.0) - 1.0))
+    entries = log_factor * intlog + smooth * w[None, :]
+    ktil = entries / w[None, :]
+    return 0.5 * (ktil + ktil.T)
+
+
+def point_effective_kernel_pairs(points, kernel, cell_kind: str,
+                                 cell_size) -> np.ndarray:
+    """Pointwise kernel with the cell-averaged diagonal closure."""
+    iu, ju, r = _upper_pairs(points)
+    if kernel.log_coefficient != 0.0:
+        diag = self_cell_coefficient(cell_kind, float(cell_size))
+    else:
+        diag = kernel.remainder_at_zero
+    return _symmetric(len(points), iu, ju, kernel.profile(r), diag)
 
 
 def _k0_log_series(x: np.ndarray) -> np.ndarray:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -20,7 +22,10 @@ from critspec.kernels import (lower_order_kernel, reference_kernel,
                               self_cell_coefficient)
 
 from conftest import UNIT_SQUARE, circle_exact_eigenvalues
-from oracles import (polygon_effective_kernel_two_calls,
+from oracles import (point_effective_kernel_pairs,
+                     polygon_effective_kernel_pairs,
+                     polygon_effective_kernel_two_calls,
+                     smooth_curve_effective_kernel_pairs,
                      smooth_curve_effective_kernel_two_calls)
 
 TWO_PI = 2.0 * np.pi
@@ -256,6 +261,110 @@ def test_fused_split_matches_two_call_oracle(curve, n, kernel):
 def test_lower_order_split_matches_two_call_oracle(curve):
     assert _agrees_with_two_call_oracle(_CURVES[curve](128),
                                         lower_order_kernel())
+
+
+# ---------------------------------------------------------------------------
+# the blocked upper-triangle pass against the all-pairs oracles
+# ---------------------------------------------------------------------------
+
+_SMOOTH = {
+    "circle": Circle(radius=1.0),
+    "ellipse": Ellipse(a=1.5, b=0.6),
+    "star": Star(),
+}
+
+
+# 1030 nodes: several row blocks, the last one partial
+@pytest.mark.parametrize("curve", sorted(_SMOOTH))
+@pytest.mark.parametrize("n", [8, 10, 1030, 2048])
+def test_blocked_smooth_curve_kernel_matches_pairs_oracle(curve, n, kernel):
+    mesh = make_smooth_curve(_SMOOTH[curve], n)
+    assert np.array_equal(_curve_effective_kernel(mesh, kernel),
+                          smooth_curve_effective_kernel_pairs(mesh, kernel))
+
+
+_POLYGONS = {
+    3: [[0.0, 0.0], [2.0, 0.0], [0.5, 1.5]],
+    4: _QUAD,
+    5: [[0.0, 0.0], [2.0, 0.0], [2.5, 1.0], [1.0, 2.0], [-0.5, 1.0]],
+    6: [[0.0, 0.0], [1.0, -0.5], [2.0, 0.0], [2.0, 1.0], [1.0, 1.5],
+        [0.0, 1.0]],
+}
+
+
+@pytest.mark.parametrize("vertices", sorted(_POLYGONS))
+@pytest.mark.parametrize("grading", [1.0, 3.0])
+def test_blocked_polygon_kernel_matches_pairs_oracle(vertices, grading,
+                                                     kernel):
+    mesh = make_polygon_curve(_POLYGONS[vertices], 66, grading)
+    assert np.array_equal(_curve_effective_kernel(mesh, kernel),
+                          polygon_effective_kernel_pairs(mesh, kernel))
+
+
+def _point_cases():
+    kern = reference_kernel()
+    for depth in range(2, 11):
+        measure = make_cantor_measure(depth)
+        yield ("cantor-%d" % depth, measure.atoms, kern, "segment",
+               measure.cell_size)
+    grid = make_cell_grid(("disk", (0.0, 0.0), 1.0), 0.035)
+    yield "cell-grid", grid.centers, kern, "square", grid.delta
+    yield ("lower-order", make_smooth_curve(Circle(), 300).nodes,
+           lower_order_kernel(), "segment", 0.02)
+
+
+@pytest.mark.parametrize("case", list(_point_cases()),
+                         ids=lambda case: case[0])
+def test_blocked_point_kernel_matches_pairs_oracle(case):
+    _, points, kern, cell_kind, cell_size = case
+    assert np.array_equal(
+        _point_effective_kernel(points, kern, cell_kind, cell_size),
+        point_effective_kernel_pairs(points, kern, cell_kind, cell_size))
+
+
+@pytest.mark.parametrize("kern", [reference_kernel(), lower_order_kernel()],
+                         ids=["reference", "lower-order"])
+def test_blocked_curves_and_fallback_match_pairs_oracles(kern):
+    circle = make_smooth_curve(Circle(), 256)
+    polygon = make_polygon_curve(_QUAD, 32, 3.0)
+    assert np.array_equal(_curve_effective_kernel(circle, kern),
+                          smooth_curve_effective_kernel_pairs(circle, kern))
+    assert np.array_equal(_curve_effective_kernel(polygon, kern),
+                          polygon_effective_kernel_pairs(polygon, kern))
+    # below the quadrature minimum: pointwise values, segment closure
+    for tiny in (_two_node_mesh(), make_polygon_curve(_POLYGONS[3], 2, 3.0)):
+        assert tiny.n_nodes < 8
+        assert np.array_equal(
+            _curve_effective_kernel(tiny, kern),
+            point_effective_kernel_pairs(tiny.nodes, kern, "segment",
+                                         float(tiny.weights.max())))
+
+
+def _traced_peak(fn, *args) -> int:
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_kernel_assembly_temporaries_are_bounded(kernel):
+    # the all-pairs assembly peaked at 205 MB, 474 MB and 304 MB on these
+    # inputs: up to 14 n^2 doubles for one n^2 result
+    circle = make_smooth_curve(Circle(), 2048)
+    square = make_polygon_curve(UNIT_SQUARE, 512, 3.0)
+    grid = make_cell_grid(("disk", (0.0, 0.0), 1.0), 0.035)
+    peaks = [
+        (circle.n_nodes, _traced_peak(_curve_effective_kernel, circle,
+                                      kernel)),
+        (square.n_nodes, _traced_peak(_curve_effective_kernel, square,
+                                      kernel)),
+        (grid.n_cells, _traced_peak(_point_effective_kernel, grid.centers,
+                                    kernel, "square", grid.delta)),
+    ]
+    for n, peak in peaks:
+        assert peak < 2 * 8 * n * n
 
 
 def test_kernel_mesh_dimension_mismatch():

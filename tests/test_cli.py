@@ -222,6 +222,19 @@ def test_under_resolved_signed_mesh_exits_2(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+def test_under_resolved_unsigned_mesh_exits_2(tmp_path, capsys):
+    # node spacing 0.98 on a radius-10 circle with a constant weight: the
+    # operator is indefinite, and the eigensolve refuses it
+    code = main(["spectrum", "--shape", "circle", "--radius", "10", "--n",
+                 "64", "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: under-resolved mesh: ")
+    assert "least eigenvalue -" in err and "refine the mesh" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not list(tmp_path.iterdir())
+
+
 def test_failed_internal_check_exits_4(tmp_path, capsys, monkeypatch):
     true_eigvalsh = np.linalg.eigvalsh
 

@@ -9,7 +9,7 @@ from critspec.assemble import (WeightFn, assemble_curve_operator,
                                make_cell_grid)
 from critspec.errors import (InsufficientDataError, InternalError,
                              InvalidArgumentError)
-from critspec.geometry import (Circle, make_cantor_measure,
+from critspec.geometry import (Circle, Ellipse, make_cantor_measure,
                                make_polygon_curve, make_smooth_curve)
 from critspec.kernels import lower_order_kernel, reference_kernel
 from critspec.spectra import Spectrum, counting, eigensolve, weyl_fit
@@ -130,6 +130,18 @@ def test_invariant_check_rejects_nan_eigenvalues(monkeypatch):
                         lambda m: np.array([1.0, np.nan]))
     with pytest.raises(InternalError):
         eigensolve(np.eye(2))
+
+
+def test_indefinite_unsigned_operator_is_refused():
+    # a 15 x 6 ellipse at n = 128, node spacing up to 0.74: under-resolved,
+    # the operator of a constant weight has negative eigenvalues
+    mesh = make_smooth_curve(Ellipse(a=15.0, b=6.0), 128)
+    op = assemble_curve_operator(mesh, WeightFn.constant(1.0),
+                                 reference_kernel())
+    assert not op.signed_flag
+    with pytest.raises(InvalidArgumentError,
+                       match="least eigenvalue -.* refine the mesh"):
+        eigensolve(op)
 
 
 # ---------------------------------------------------------------------------
