@@ -19,14 +19,27 @@ singularity:
 * mixed configurations: block matrices over area cells and curve nodes.
 
 Each effective-kernel matrix is built in one blocked pass over its upper
-triangle.  A block is a slice of rows [i0, i1) against the columns j >= i0,
-about ``_BLOCK_BYTES`` of doubles: its distances come from a broadcast of
-two node slices, its kernel evaluations and panel integrals run on
-cache-resident temporaries, and it is written straight into the one n x n
-output, whose lower triangle is then mirrored from the upper one in place.
-No pair-index array and no n^2 temporary exists.  The elementwise
+triangle.  A block is a slice of rows [i0, i1) against the columns j >= i0:
+its distances come from a broadcast of two node slices, its kernel
+evaluations and panel integrals run on cache-resident temporaries, and it
+is written straight into the one n x n output, whose lower triangle is then
+mirrored from the upper one by a blocked transpose copy over the same row
+blocks.  No pair-index array and no n^2 temporary exists.  The elementwise
 expressions are those of an all-pairs evaluation, so the matrices agree
 with one bit for bit.
+
+The pass runs on every core in the process's CPU affinity: the calling
+thread and up to ``_WORKERS - 1`` pool threads take the row blocks one at a
+time, largest first.  NumPy releases the GIL inside its ufuncs, and each
+block writes a disjoint slice of the output, so the result does not depend
+on the worker count.  Each worker's block is ``_BLOCK_BYTES // _WORKERS``,
+which keeps the bytes in flight at one serial block.  The first exception
+raised in a block stops the blocks not yet started and reaches the caller
+once every running block has ended; warnings raised in a block reach the
+caller's filters as usual.  The same pass scales the upper triangle by
+diag(s) before its one mirror and fills the cross blocks of mixed
+configurations; their diagonal blocks are built in place, in views of the
+one operator matrix.
 
 Sign-changing V is reduced to a symmetric indefinite matrix with identical
 nonzero spectrum.  The one fold factors the effective-kernel matrix by
@@ -40,6 +53,8 @@ raises ``InvalidArgumentError`` (exit 2) naming the largest node spacing.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,9 +68,13 @@ TWO_PI = 2.0 * np.pi
 # meshes below this size cannot carry the periodic quadrature and fall back
 # to pointwise kernel values (degenerate, for small closed-form checks)
 _MIN_QUADRATURE_NODES = 8
-# byte size of one (rows, n) block of the upper-triangle pass: the kernel
-# and panel-integral temporaries of a block stay cache-resident
+# byte size of the (rows, n) blocks in flight at once in the upper-triangle
+# pass, split evenly over the workers: the kernel and panel-integral
+# temporaries of a block stay cache-resident
 _BLOCK_BYTES = 1 << 19
+# threads that run the row blocks: the cores this process may run on
+_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
 
 
 # ---------------------------------------------------------------------------
@@ -136,14 +155,25 @@ class OperatorMatrix:
 
 def _mirror(m: np.ndarray) -> np.ndarray:
     """Exactly symmetric matrix from its upper triangle, which is copied
-    onto the lower one in place."""
-    for i in range(1, len(m)):
-        m[i, :i] = m[:i, i]
+    onto the lower one in place, one row block at a time."""
+    def fill(i0, i1):
+        m[i0:i1, :i0] = m[:i0, i0:i1].T
+        square = m[i0:i1, i0:i1]
+        np.copyto(square, square.T,
+                  where=np.tri(i1 - i0, k=-1, dtype=bool))
+
+    _each_block(len(m), len(m), fill)
     return m
 
 
 def _pairwise_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)
+    """Distances |a_i - b_j| between two sets of plane points."""
+    dx = a[:, 0, None] - b[None, :, 0]
+    dy = a[:, 1, None] - b[None, :, 1]
+    dx *= dx
+    dy *= dy
+    dx += dy
+    return np.sqrt(dx, out=dx)
 
 
 def _cholesky_fold(kernel_matrix: np.ndarray, v_vals: np.ndarray,
@@ -183,10 +213,17 @@ def _finalize(kernel_matrix: np.ndarray, v_vals: np.ndarray,
 
 def _scaled(kernel_matrix: np.ndarray, v_vals: np.ndarray,
             weights: np.ndarray) -> np.ndarray:
-    """diag(s) K diag(s) with s = sqrt(|V| w), mirrored, in K's storage."""
+    """diag(s) K diag(s) with s = sqrt(|V| w): the upper triangle scaled
+    one row block at a time, (K_ij s_i) s_j, then mirrored, in K's
+    storage."""
     s = np.sqrt(np.abs(v_vals) * weights)
-    kernel_matrix *= s[:, None]
-    kernel_matrix *= s[None, :]
+
+    def fill(i0, i1):
+        block = kernel_matrix[i0:i1, i0:]
+        block *= s[i0:i1, None]
+        block *= s[None, i0:]
+
+    _each_block(len(s), len(s), fill)
     return _mirror(kernel_matrix)
 
 
@@ -212,36 +249,68 @@ def _kress_weight_vector(n: int) -> np.ndarray:
     return -(TWO_PI / m) * series - (np.pi / m ** 2) * np.cos(m * t)
 
 
-def _row_blocks(n: int):
-    """Row slices [i0, i1) of the blocked upper-triangle pass.  Block i0
-    covers the columns j >= i0, so its leading square holds the self pairs
-    (i, i); a (rows, n) array of doubles is about ``_BLOCK_BYTES``."""
-    rows = max(1, _BLOCK_BYTES // (8 * n))
-    for i0 in range(0, n, rows):
-        yield i0, min(n, i0 + rows)
+def _each_block(n_rows: int, width: int, fill) -> None:
+    """Call ``fill(i0, i1)`` on every row slice [i0, i1) of ``n_rows`` rows,
+    each (rows, width) slice of doubles about ``_BLOCK_BYTES / _WORKERS``,
+    on the calling thread and up to ``_WORKERS - 1`` pool threads.
+
+    The slices are taken in order, so the widest blocks of an upper
+    triangle go first.  ``fill`` must write disjoint output per slice.  A
+    slice that raises stops the slices not yet taken; the error reaches the
+    caller after every running slice has ended.
+    """
+    rows = max(1, _BLOCK_BYTES // _WORKERS // (8 * max(1, width)))
+    pending = [(i0, min(n_rows, i0 + rows))
+               for i0 in reversed(range(0, n_rows, rows))]
+
+    def drain():
+        # list.pop and list.clear are atomic: no lock is needed
+        while True:
+            try:
+                i0, i1 = pending.pop()
+            except IndexError:
+                return
+            try:
+                fill(i0, i1)
+            except BaseException:
+                pending.clear()
+                raise
+
+    helpers = min(_WORKERS, len(pending)) - 1
+    with ThreadPoolExecutor(max_workers=max(1, helpers)) as pool:
+        futures = [pool.submit(drain) for _ in range(helpers)]
+        drain()
+        for future in futures:
+            future.result()
 
 
-def _smooth_curve_effective_kernel(mesh: SurfaceMesh,
-                                   kernel: KernelModel) -> np.ndarray:
+def _smooth_curve_effective_kernel(mesh: SurfaceMesh, kernel: KernelModel,
+                                   out: np.ndarray | None = None
+                                   ) -> np.ndarray:
     n = mesh.n_nodes
     t = mesh.param_values
     speed = mesh.weights / (TWO_PI / n)
     rw = _kress_weight_vector(n)
     idx = np.arange(n)
-    out = np.empty((n, n))
-    for i0, i1 in _row_blocks(n):
+    out = np.empty((n, n)) if out is None else out
+
+    def fill(i0, i1):
         r = _pairwise_dist(mesh.nodes[i0:i1], mesh.nodes[i0:])
-        half_sin = np.abs(np.sin((t[i0:i1, None] - t[None, i0:]) / 2.0))
         # placeholders on the self pairs, whose entries the closure replaces
         np.fill_diagonal(r, 1.0)
-        np.fill_diagonal(half_sin, 1.0)
         log_factor, smooth = kernel.split(r)
+        # taken after the split, whose temporaries it would join otherwise
+        half_sin = np.abs(np.sin((t[i0:i1, None] - t[None, i0:]) / 2.0))
+        np.fill_diagonal(half_sin, 1.0)
         # the Kress weights integrate log_factor * log(4 sin^2((t-s)/2)) / 2;
         # the rest of log_factor * log(r) joins the smooth remainder
         smooth = smooth + log_factor * np.log(r / (2.0 * half_sin))
+        del r, half_sin
         out[i0:i1, i0:] = (
             0.5 * log_factor * rw[(idx[i0:i1, None] - idx[None, i0:]) % n]
             + (TWO_PI / n) * smooth) * (n / TWO_PI)
+
+    _each_block(n, n, fill)
     diagonal = (0.5 * kernel.log_coefficient * rw[0]
                 + (TWO_PI / n) * (kernel.remainder_at_zero
                                   + kernel.log_coefficient * np.log(speed))
@@ -253,11 +322,21 @@ def _smooth_curve_effective_kernel(mesh: SurfaceMesh,
 def _panel_log_integrals(targets: np.ndarray, centers: np.ndarray,
                          tangents: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """Exact integral of log|x - y| over flat panels, all target/panel pairs."""
-    p = targets[:, None, :] - centers[None, :, :]
-    along = np.einsum("ijk,jk->ij", p, tangents)
-    perp = np.linalg.norm(p - along[:, :, None] * tangents[None, :, :], axis=2)
+    px = targets[:, 0, None] - centers[None, :, 0]
+    py = targets[:, 1, None] - centers[None, :, 1]
+    tx, ty = tangents[None, :, 0], tangents[None, :, 1]
+    along = px * tx + py * ty
+    # the offsets turn into the perpendicular distance in place
+    px -= along * tx
+    py -= along * ty
+    px *= px
+    py *= py
+    px += py
+    perp = np.sqrt(px, out=px)
+    del py
     v1 = -lengths[None, :] / 2.0 - along
     v2 = lengths[None, :] / 2.0 - along
+    del along
     # the pieces both panel ends share
     flat = perp <= 1e-14
     safe_b = np.where(flat, 1.0, perp)
@@ -273,27 +352,31 @@ def _panel_log_integrals(targets: np.ndarray, centers: np.ndarray,
     return 0.5 * (antiderivative(v2) - antiderivative(v1))
 
 
-def _polygon_effective_kernel(mesh: SurfaceMesh,
-                              kernel: KernelModel) -> np.ndarray:
+def _polygon_effective_kernel(mesh: SurfaceMesh, kernel: KernelModel,
+                              out: np.ndarray | None = None) -> np.ndarray:
     """Panel collocation symmetrized, (K + K^T) / 2: a row block's entries
     combine its rows collocated on the column panels with the column nodes
     collocated on its row panels."""
     n = mesh.n_nodes
     w = mesh.weights
     nodes, tangents = mesh.nodes, mesh.tangents
-    out = np.empty((n, n))
-    for i0, i1 in _row_blocks(n):
+    out = np.empty((n, n)) if out is None else out
+
+    def fill(i0, i1):
         rows, cols = slice(i0, i1), slice(i0, None)
         log_factor, smooth = kernel.split(
             _pairwise_dist(nodes[rows], nodes[cols]))
         intlog = _panel_log_integrals(nodes[rows], nodes[cols],
                                       tangents[cols], w[cols])
         ktil = (log_factor * intlog + smooth * w[None, cols]) / w[None, cols]
+        del intlog
         intlog_t = _panel_log_integrals(nodes[cols], nodes[rows],
                                         tangents[rows], w[rows]).T
         ktil_t = ((log_factor * intlog_t + smooth * w[rows, None])
                   / w[rows, None])
         out[rows, cols] = 0.5 * (ktil + ktil_t)
+
+    _each_block(n, n, fill)
     # self panel: integral of log|x_i - y| over the own panel, exactly
     intlog_self = w * (np.log(w / 2.0) - 1.0)
     np.fill_diagonal(out, (kernel.log_coefficient * intlog_self
@@ -302,15 +385,19 @@ def _polygon_effective_kernel(mesh: SurfaceMesh,
 
 
 def _point_effective_kernel(points: np.ndarray, kernel: KernelModel,
-                            cell_kind: str, cell_size) -> np.ndarray:
+                            cell_kind: str, cell_size,
+                            out: np.ndarray | None = None) -> np.ndarray:
     """Pointwise kernel with the cell-averaged diagonal closure."""
     n = len(points)
-    out = np.empty((n, n))
-    for i0, i1 in _row_blocks(n):
+    out = np.empty((n, n)) if out is None else out
+
+    def fill(i0, i1):
         r = _pairwise_dist(points[i0:i1], points[i0:])
         # a placeholder distance on the self pairs, closed below
         np.fill_diagonal(r, 1.0)
         out[i0:i1, i0:] = kernel.profile(r)
+
+    _each_block(n, n, fill)
     if kernel.log_coefficient != 0.0:
         diag = self_cell_coefficient(cell_kind, float(cell_size))
     else:
@@ -319,18 +406,19 @@ def _point_effective_kernel(points: np.ndarray, kernel: KernelModel,
     return _mirror(out)
 
 
-def _curve_effective_kernel(mesh: SurfaceMesh,
-                            kernel: KernelModel) -> np.ndarray:
+def _curve_effective_kernel(mesh: SurfaceMesh, kernel: KernelModel,
+                            out: np.ndarray | None = None) -> np.ndarray:
     """Smooth closed meshes get the spectrally accurate periodic log
     quadrature; polygons get panel collocation with exact flat-panel log
     integrals.  Meshes below the quadrature minimum fall back to pointwise
-    kernel values with the segment diagonal closure."""
+    kernel values with the segment diagonal closure.  The matrix is written
+    into ``out`` when given (an (n, n) view, as of a larger matrix)."""
     if mesh.n_nodes < _MIN_QUADRATURE_NODES:
         return _point_effective_kernel(mesh.nodes, kernel, "segment",
-                                       float(mesh.weights.max()))
+                                       float(mesh.weights.max()), out)
     if mesh.kind == "smooth-closed":
-        return _smooth_curve_effective_kernel(mesh, kernel)
-    return _polygon_effective_kernel(mesh, kernel)
+        return _smooth_curve_effective_kernel(mesh, kernel, out)
+    return _polygon_effective_kernel(mesh, kernel, out)
 
 
 # ---------------------------------------------------------------------------
@@ -437,6 +525,15 @@ def make_cell_grid(domain, delta: float, v0=1.0,
     return CellGrid(centers=centers, delta=delta, v0=dens)
 
 
+def _cross_block(points_a: np.ndarray, points_b: np.ndarray,
+                 kernel: KernelModel, out: np.ndarray) -> None:
+    """Plain kernel values between two point sets, written into ``out``."""
+    def fill(i0, i1):
+        out[i0:i1] = kernel.profile(_pairwise_dist(points_a[i0:i1], points_b))
+
+    _each_block(len(points_a), len(points_b), fill)
+
+
 def assemble_mixed(grid: CellGrid | None, curves, kernel: KernelModel,
                    ) -> OperatorMatrix:
     """Block operator over area cells and a list of (mesh, weight) curves.
@@ -452,9 +549,9 @@ def assemble_mixed(grid: CellGrid | None, curves, kernel: KernelModel,
     blocks_points = []
     blocks_weights = []
     blocks_vvals = []
-    kernel_blocks = []
 
-    if grid is not None and grid.n_cells:
+    with_grid = grid is not None and grid.n_cells > 0
+    if with_grid:
         for mesh, _ in curves:
             d = _pairwise_dist(grid.centers, mesh.nodes).min()
             if d <= grid.delta * np.sqrt(2.0):
@@ -464,29 +561,30 @@ def assemble_mixed(grid: CellGrid | None, curves, kernel: KernelModel,
         blocks_points.append(grid.centers)
         blocks_weights.append(np.full(grid.n_cells, grid.delta ** 2))
         blocks_vvals.append(grid.v0)
-        kernel_blocks.append(_point_effective_kernel(
-            grid.centers, kernel, "square", grid.delta))
 
     for mesh, vfn in curves:
         _check_plane(kernel, mesh.ambient_dim)
         blocks_points.append(mesh.nodes)
         blocks_weights.append(mesh.weights)
         blocks_vvals.append(vfn.values_on(mesh))
-        kernel_blocks.append(_curve_effective_kernel(mesh, kernel))
 
     sizes = [len(p) for p in blocks_points]
     offsets = np.concatenate([[0], np.cumsum(sizes)])
     total = int(offsets[-1])
+    spans = [slice(offsets[i], offsets[i + 1]) for i in range(len(sizes))]
+    # every block is written in place: the diagonal ones by their builders
     ktil = np.empty((total, total))
-    for i in range(len(blocks_points)):
-        si = slice(offsets[i], offsets[i + 1])
-        ktil[si, si] = kernel_blocks[i]
-        for j in range(i + 1, len(blocks_points)):
-            sj = slice(offsets[j], offsets[j + 1])
-            r = _pairwise_dist(blocks_points[i], blocks_points[j])
-            cross = kernel.profile(r)
-            ktil[si, sj] = cross
-            ktil[sj, si] = cross.T
+    if with_grid:
+        _point_effective_kernel(grid.centers, kernel, "square", grid.delta,
+                                ktil[spans[0], spans[0]])
+    for (mesh, _), si in zip(curves, spans[len(spans) - len(curves):]):
+        _curve_effective_kernel(mesh, kernel, ktil[si, si])
+    for i, si in enumerate(spans):
+        for j in range(i + 1, len(spans)):
+            sj = spans[j]
+            _cross_block(blocks_points[i], blocks_points[j], kernel,
+                         ktil[si, sj])
+            ktil[sj, si] = ktil[si, sj].T
     v_all = np.concatenate(blocks_vvals)
     w_all = np.concatenate(blocks_weights)
     meta = {"source": "mixed", "blocks": sizes, "kernel": kernel.description}

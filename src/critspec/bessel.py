@@ -44,8 +44,10 @@ _BAND_T = np.arange(0.0, _BAND_TMAX + _BAND_STEP / 2, _BAND_STEP)
 _BAND_COSH_T = np.cosh(_BAND_T)
 _BAND_W = np.full_like(_BAND_T, _BAND_STEP)
 _BAND_W[0] = _BAND_STEP / 2.0
-# byte size of the (points, grid nodes) temporary of one grid_sum chunk
-_GRID_CHUNK_BYTES = 1 << 22
+# byte size of the (points, grid nodes) temporary of one grid_sum chunk:
+# cache-resident, and small, since every assembly worker runs chunks of its
+# own at the same time
+_GRID_CHUNK_BYTES = 1 << 19
 # I_n switches to the asymptotic expansion late; the series is stable
 # (all terms positive) but slow for very large arguments
 _I_SERIES_MAX = 30.0

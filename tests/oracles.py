@@ -29,6 +29,12 @@ all n (n - 1) / 2 pair distances through ``triu_indices``, one kernel call
 on them, and a scatter into the symmetric matrix; the polygon panel
 integrals are full n x n arrays.  The blocked pass evaluates the same
 elementwise expressions, so the two agree bit for bit.
+
+``assemble_mixed_pairs`` is ``assemble_mixed`` as it was before the
+threaded pass: every diagonal kernel block built on its own and copied into
+a second matrix, each cross block one ``profile`` call on all its pairs,
+and the scaling of all n^2 entries followed by a row-by-row mirror.  Its
+diagonal blocks come from the ``*_pairs`` oracles above.
 """
 
 from __future__ import annotations
@@ -39,7 +45,8 @@ from pathlib import Path
 import mpmath as mp
 import numpy as np
 
-from critspec.assemble import (_kress_weight_vector, _pairwise_dist,
+from critspec.assemble import (OperatorMatrix, _cholesky_fold,
+                               _kress_weight_vector, _pairwise_dist,
                                _panel_log_integrals)
 from critspec.bessel import EULER_GAMMA
 from critspec.kernels import self_cell_coefficient
@@ -309,6 +316,82 @@ def point_effective_kernel_pairs(points, kernel, cell_kind: str,
     else:
         diag = kernel.remainder_at_zero
     return _symmetric(len(points), iu, ju, kernel.profile(r), diag)
+
+
+def _dist_norm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)
+
+
+def _mirror_rows(m: np.ndarray) -> np.ndarray:
+    for i in range(1, len(m)):
+        m[i, :i] = m[:i, i]
+    return m
+
+
+def _curve_effective_kernel_pairs(mesh, kernel) -> np.ndarray:
+    if mesh.n_nodes < 8:
+        return point_effective_kernel_pairs(mesh.nodes, kernel, "segment",
+                                            float(mesh.weights.max()))
+    if mesh.kind == "smooth-closed":
+        return smooth_curve_effective_kernel_pairs(mesh, kernel)
+    return polygon_effective_kernel_pairs(mesh, kernel)
+
+
+def assemble_mixed_pairs(grid, curves, kernel) -> OperatorMatrix:
+    curves = list(curves)
+    if grid is None and not curves:
+        raise InvalidArgumentError("nothing to assemble")
+    blocks_points = []
+    blocks_weights = []
+    blocks_vvals = []
+    kernel_blocks = []
+
+    if grid is not None and grid.n_cells:
+        for mesh, _ in curves:
+            d = _dist_norm(grid.centers, mesh.nodes).min()
+            if d <= grid.delta * np.sqrt(2.0):
+                raise InvalidArgumentError(
+                    "grid cells violate the one-cell-diagonal separation "
+                    "from curve nodes")
+        blocks_points.append(grid.centers)
+        blocks_weights.append(np.full(grid.n_cells, grid.delta ** 2))
+        blocks_vvals.append(grid.v0)
+        kernel_blocks.append(point_effective_kernel_pairs(
+            grid.centers, kernel, "square", grid.delta))
+
+    for mesh, vfn in curves:
+        blocks_points.append(mesh.nodes)
+        blocks_weights.append(mesh.weights)
+        blocks_vvals.append(vfn.values_on(mesh))
+        kernel_blocks.append(_curve_effective_kernel_pairs(mesh, kernel))
+
+    sizes = [len(p) for p in blocks_points]
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    total = int(offsets[-1])
+    ktil = np.empty((total, total))
+    for i in range(len(blocks_points)):
+        si = slice(offsets[i], offsets[i + 1])
+        ktil[si, si] = kernel_blocks[i]
+        for j in range(i + 1, len(blocks_points)):
+            sj = slice(offsets[j], offsets[j + 1])
+            r = _dist_norm(blocks_points[i], blocks_points[j])
+            cross = kernel.profile(r)
+            ktil[si, sj] = cross
+            ktil[sj, si] = cross.T
+    v_all = np.concatenate(blocks_vvals)
+    w_all = np.concatenate(blocks_weights)
+    meta = {"source": "mixed", "blocks": sizes, "kernel": kernel.description}
+    signed = bool(np.any(v_all < 0.0))
+    meta["signed"] = signed
+    if signed:
+        entries = _cholesky_fold(ktil, v_all, w_all)
+        meta["fold"] = "cholesky"
+    else:
+        s = np.sqrt(np.abs(v_all) * w_all)
+        ktil *= s[:, None]
+        ktil *= s[None, :]
+        entries = _mirror_rows(ktil)
+    return OperatorMatrix(entries=entries, node_meta=meta, signed_flag=signed)
 
 
 def _k0_log_series(x: np.ndarray) -> np.ndarray:

@@ -1,3 +1,6 @@
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -6,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import ive, kve
 
-from critspec import spectra
+from critspec import assemble, spectra
 from critspec.assemble import (CellGrid, WeightFn, _curve_effective_kernel,
                                _point_effective_kernel,
                                assemble_curve_operator,
@@ -22,7 +25,7 @@ from critspec.kernels import (lower_order_kernel, reference_kernel,
                               self_cell_coefficient)
 
 from conftest import UNIT_SQUARE, circle_exact_eigenvalues
-from oracles import (point_effective_kernel_pairs,
+from oracles import (assemble_mixed_pairs, point_effective_kernel_pairs,
                      polygon_effective_kernel_pairs,
                      polygon_effective_kernel_two_calls,
                      smooth_curve_effective_kernel_pairs,
@@ -349,7 +352,7 @@ def _traced_peak(fn, *args) -> int:
         tracemalloc.stop()
 
 
-def test_kernel_assembly_temporaries_are_bounded(kernel):
+def _assert_assembly_temporaries_bounded(kernel):
     # the all-pairs assembly peaked at 205 MB, 474 MB and 304 MB on these
     # inputs: up to 14 n^2 doubles for one n^2 result
     circle = make_smooth_curve(Circle(), 2048)
@@ -365,6 +368,141 @@ def test_kernel_assembly_temporaries_are_bounded(kernel):
     ]
     for n, peak in peaks:
         assert peak < 2 * 8 * n * n
+
+
+def test_kernel_assembly_temporaries_are_bounded(kernel):
+    _assert_assembly_temporaries_bounded(kernel)
+
+
+def test_kernel_assembly_temporaries_are_bounded_on_four_workers(
+        kernel, monkeypatch):
+    # the workers share one block budget: more of them hold no more bytes
+    monkeypatch.setattr(assemble, "_WORKERS", 4)
+    _assert_assembly_temporaries_bounded(kernel)
+
+
+# ---------------------------------------------------------------------------
+# the threaded pass: any worker count, errors and warnings from the workers
+# ---------------------------------------------------------------------------
+
+def _builder_case(name: str):
+    """(blocked builder, all-pairs oracle) thunks of one kernel matrix."""
+    kern = reference_kernel()
+    if name == "circle":
+        mesh = make_smooth_curve(Circle(), 1030)
+        return (lambda: _curve_effective_kernel(mesh, kern),
+                lambda: smooth_curve_effective_kernel_pairs(mesh, kern))
+    if name == "graded-polygon":
+        mesh = make_polygon_curve(_POLYGONS[6], 66, 3.0)
+        return (lambda: _curve_effective_kernel(mesh, kern),
+                lambda: polygon_effective_kernel_pairs(mesh, kern))
+    if name == "cantor":
+        measure = make_cantor_measure(9)
+        args = (measure.atoms, kern, "segment", measure.cell_size)
+    else:
+        grid = make_cell_grid(("disk", (0.0, 0.0), 1.0), 0.05)
+        args = (grid.centers, kern, "square", grid.delta)
+    return (lambda: _point_effective_kernel(*args),
+            lambda: point_effective_kernel_pairs(*args))
+
+
+@pytest.mark.parametrize("case", ["circle", "graded-polygon", "cantor",
+                                  "cell-grid"])
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_every_worker_count_matches_pairs_oracle(case, workers, monkeypatch):
+    built, oracle = _builder_case(case)
+    monkeypatch.setattr(assemble, "_WORKERS", workers)
+    assert np.array_equal(built(), oracle())
+
+
+@pytest.mark.parametrize("weight", ["unsigned", "signed"])
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_mixed_matches_pairs_oracle(weight, workers, kernel, monkeypatch):
+    # cross blocks at distances 2-4 take the cosh-integral band of K_0
+    grid = make_cell_grid(("disk", (0.0, 0.0), 1.0), 0.05)
+    near = make_smooth_curve(Circle(center=(3.0, 0.0), radius=0.5), 256)
+    far = make_smooth_curve(Circle(center=(0.0, -3.0), radius=0.8), 300)
+    second = WeightFn.angular() if weight == "signed" else WeightFn.constant(2.0)
+    curves = [(near, WeightFn.constant(1.0)), (far, second)]
+    monkeypatch.setattr(assemble, "_WORKERS", workers)
+    op = assemble_mixed(grid, curves, kernel)
+    expected = assemble_mixed_pairs(grid, curves, kernel)
+    assert np.array_equal(op.entries, expected.entries)
+    assert op.node_meta == expected.node_meta
+    assert op.signed_flag == (weight == "signed")
+
+
+def test_every_block_runs_exactly_once_under_contention(monkeypatch):
+    # more workers than cores and a short switch interval: a block taken
+    # twice or lost between the workers breaks the count
+    monkeypatch.setattr(assemble, "_WORKERS", 8)
+    # one row per block at width 1
+    monkeypatch.setattr(assemble, "_BLOCK_BYTES", 8 * 8)
+    counts = np.zeros(5000, dtype=int)
+
+    def fill(i0, i1):
+        counts[i0:i1] += 1
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assemble._each_block(len(counts), 1, fill)
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(counts, np.ones_like(counts))
+
+
+@pytest.mark.parametrize("thread", ["caller", "pool"])
+def test_block_error_reaches_caller_after_every_block_ends(thread,
+                                                          monkeypatch):
+    monkeypatch.setattr(assemble, "_WORKERS", 3)
+    # one row per block at width 10
+    monkeypatch.setattr(assemble, "_BLOCK_BYTES", 3 * 8 * 10)
+    written = np.zeros(200)
+    running = set()
+    raised = []
+
+    def fill(i0, i1):
+        running.add(i0)
+        time.sleep(0.001)
+        on_caller = threading.current_thread() is threading.main_thread()
+        if not raised and on_caller == (thread == "caller"):
+            raised.append(i0)
+            raise ValueError("block %d" % i0)
+        written[i0:i1] += 1.0
+        running.discard(i0)
+
+    threads = set(threading.enumerate())
+    with pytest.raises(ValueError, match="block"):
+        assemble._each_block(200, 10, fill)
+    # the failed block is the only one left unfinished, the pool is gone
+    assert running == set(raised)
+    assert set(threading.enumerate()) == threads
+    snapshot = written.copy()
+    time.sleep(0.05)
+    assert np.array_equal(written, snapshot)
+    # no block ran twice, and the blocks after the error never started
+    assert written.max() <= 1.0
+    assert written.sum() < 190
+
+
+def test_underflow_warning_in_a_pool_block_reaches_the_caller(monkeypatch):
+    monkeypatch.setattr(assemble, "_WORKERS", 2)
+    # one row per block at width 4: two blocks, one on each thread
+    monkeypatch.setattr(assemble, "_BLOCK_BYTES", 2 * 8 * 4)
+    both_started = threading.Barrier(2, timeout=10)
+    kern = reference_kernel()
+    pool_calls = []
+
+    def fill(i0, i1):
+        both_started.wait()
+        if threading.current_thread() is not threading.main_thread():
+            pool_calls.append(i0)
+            kern.profile(np.full(4, 800.0))
+
+    with pytest.warns(RuntimeWarning, match="underflow"):
+        assemble._each_block(2, 4, fill)
+    assert len(pool_calls) == 1
 
 
 def test_kernel_mesh_dimension_mismatch():
