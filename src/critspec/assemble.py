@@ -72,6 +72,11 @@ _MIN_QUADRATURE_NODES = 8
 # pass, split evenly over the workers: the kernel and panel-integral
 # temporaries of a block stay cache-resident
 _BLOCK_BYTES = 1 << 19
+# columns per block of the Cholesky fold's upper-triangle product: wide
+# enough for BLAS to run near its GEMM rate, narrow enough that the lower
+# half of each block's diagonal square, computed and then mirrored over,
+# stays a small share of the work
+_FOLD_COLUMNS = 256
 # threads that run the row blocks: the cores this process may run on
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
@@ -143,14 +148,23 @@ class OperatorMatrix:
         m = np.ascontiguousarray(np.asarray(self.entries, dtype=float))
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise InvalidArgumentError("entries must be square")
-        if not np.array_equal(m, m.T):
-            raise InvalidArgumentError("entries must be exactly symmetric")
+        _check_symmetric(m)
         m.flags.writeable = False
         object.__setattr__(self, "entries", m)
 
     @property
     def n(self) -> int:
         return self.entries.shape[0]
+
+
+def _check_symmetric(m: np.ndarray) -> None:
+    """Raise unless m equals its transpose exactly: each row block's strip
+    left of its square, and the square, against their mirror images."""
+    def check(i0, i1):
+        if not np.array_equal(m[i0:i1, :i1], m[:i1, i0:i1].T):
+            raise InvalidArgumentError("entries must be exactly symmetric")
+
+    _each_block(len(m), len(m), check)
 
 
 def _mirror(m: np.ndarray) -> np.ndarray:
@@ -179,10 +193,16 @@ def _pairwise_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _cholesky_fold(kernel_matrix: np.ndarray, v_vals: np.ndarray,
                    weights: np.ndarray) -> np.ndarray:
     """L^T diag(V w) L for the Cholesky factor K = L L^T of the kernel
-    matrix, mirrored; K's storage is reused for diag(V w) L.  A K that is
-    not positive definite raises ``InvalidArgumentError`` naming the node
-    spacing (the largest weight).  NumPy's Cholesky keeps the work on NumPy's BLAS: SciPy's runs
-    on a second BLAS library whose buffers stay resident.
+    matrix, written over K's storage and mirrored.  A K that is not positive
+    definite raises ``InvalidArgumentError`` naming the node spacing (the
+    largest weight).  NumPy's Cholesky keeps the work on NumPy's BLAS:
+    SciPy's runs on a second BLAS library whose buffers stay resident.
+
+    Only the upper triangle is computed, one block of columns [c0, c1) at a
+    time: L is lower triangular, so entry (i, j) with i <= j sums over the
+    rows k >= j of L alone, and the block is
+    L[c0:, :c1]^T (diag(V w) L)[c0:, c0:c1].  That is n^3 / 3 flops where
+    the full product takes 2 n^3.
     """
     try:
         low = np.linalg.cholesky(kernel_matrix)
@@ -191,8 +211,12 @@ def _cholesky_fold(kernel_matrix: np.ndarray, v_vals: np.ndarray,
             "under-resolved mesh: the kernel matrix of this sign-changing "
             "weight is not positive definite at node spacing %.4g; refine "
             "the mesh" % float(weights.max())) from None
-    scaled = np.multiply((v_vals * weights)[:, None], low, out=kernel_matrix)
-    return _mirror(low.T @ scaled)
+    vw = v_vals * weights
+    for c0 in range(0, len(vw), _FOLD_COLUMNS):
+        c1 = c0 + _FOLD_COLUMNS
+        kernel_matrix[:c1, c0:c1] = (low[c0:, :c1].T
+                                     @ (vw[c0:, None] * low[c0:, c0:c1]))
+    return _mirror(kernel_matrix)
 
 
 def _finalize(kernel_matrix: np.ndarray, v_vals: np.ndarray,

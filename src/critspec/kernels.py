@@ -15,15 +15,18 @@ K_0(r) + I_0(r) log r = (log 2 - gamma) I_0(r) + s_0(r), with no cancelling
 subtraction.  A C-infinity cutoff, 1 up to r = 5 and 0 from r = 10 on,
 windows the log factor, so the e^r-sized halves of a large curve's split do
 not cancel; past the window the split is (0, profile(r)).
+
+``self_cell_coefficient`` closes the diagonal of atomized measures with the
+exact cell average of the log singularity: 3/2 on a segment, and on a
+square Maxwell's closed form 25/12 - (pi + log 2)/3 for minus the log of its
+geometric mean distance.  No quadrature runs at import or at call time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import dblquad
 
 # bessel_i is unused here: the benchmark tracer (perfbench/tracer.py) wraps it
 from .bessel import EULER_GAMMA, bessel_i, bessel_k, k0_log_series
@@ -162,18 +165,13 @@ def lower_order_kernel() -> KernelModel:
     )
 
 
-@lru_cache(maxsize=1)
-def _unit_square_log_energy() -> float:
-    """-avg log distance between two uniform points of the unit square.
-
-    The 4-D integral collapses to 2-D with hat weights over the coordinate
-    differences; adaptive quadrature once, then cached.
-    """
-    val, _ = dblquad(
-        lambda v, u: (1.0 - u) * (1.0 - v) * (-0.5) * np.log(u * u + v * v),
-        0.0, 1.0, 0.0, 1.0, epsabs=1e-13, epsrel=1e-13,
-    )
-    return 4.0 * val
+# -avg log distance between two uniform points of the unit square, in closed
+# form: minus the log of the square's geometric mean distance (Maxwell,
+# Treatise on Electricity and Magnetism, vol. 2, sec. 692).  In this order
+# of operations it rounds to 0x1.9c3453aa705e6p-1, one ulp above the
+# correctly rounded value; the report hashes of square-cell runs rest on
+# this double
+_UNIT_SQUARE_LOG_ENERGY = 25.0 / 12.0 - (np.pi + np.log(2.0)) / 3.0
 
 
 def self_cell_coefficient(kind: str, h: float) -> float:
@@ -182,14 +180,15 @@ def self_cell_coefficient(kind: str, h: float) -> float:
     ``kind`` is "segment" (1-D cell of length h) or "square" (side h).  This
     closes the log singularity on the diagonal of atomized-measure operators:
     the exact cell average of -log|x-y| is  -log h + 3/2  on a segment and
-    -log h + c_sq  on a square, with c_sq computed once by quadrature.
+    -log h + c_sq  on a square, with c_sq = 25/12 - (pi + log 2)/3 in
+    closed form.
     """
     if h <= 0.0:
         raise InvalidArgumentError("cell scale h must be positive")
     if kind == "segment":
         c = 1.5
     elif kind == "square":
-        c = _unit_square_log_energy()
+        c = _UNIT_SQUARE_LOG_ENERGY
     else:
         raise InvalidArgumentError("kind must be 'segment' or 'square'")
     return (-np.log(h) + c + np.log(2.0) - EULER_GAMMA) / TWO_PI

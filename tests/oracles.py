@@ -35,6 +35,15 @@ threaded pass: every diagonal kernel block built on its own and copied into
 a second matrix, each cross block one ``profile`` call on all its pairs,
 and the scaling of all n^2 entries followed by a row-by-row mirror.  Its
 diagonal blocks come from the ``*_pairs`` oracles above.
+
+``cholesky_fold_full`` is the sign fold as it was before its column-blocked
+upper-triangle product: the full product L^T (diag(V w) L), then a
+row-by-row mirror.
+
+``unit_square_log_energy_dblquad`` and ``r_symbol_quadrature_quad`` are the
+SciPy quadratures the package used before it took the closed form of the
+square's log energy and the Gauss-Legendre rule of the ``r_symbol``
+cross-check; the package itself imports nothing from SciPy.
 """
 
 from __future__ import annotations
@@ -44,10 +53,12 @@ from pathlib import Path
 
 import mpmath as mp
 import numpy as np
+from scipy.integrate import dblquad, quad
 
 from critspec.assemble import (OperatorMatrix, _cholesky_fold,
                                _kress_weight_vector, _pairwise_dist,
                                _panel_log_integrals)
+from critspec.asymptotics import sphere_surface
 from critspec.bessel import EULER_GAMMA
 from critspec.kernels import self_cell_coefficient
 from critspec.errors import InvalidArgumentError, OutOfRangeError
@@ -394,6 +405,13 @@ def assemble_mixed_pairs(grid, curves, kernel) -> OperatorMatrix:
     return OperatorMatrix(entries=entries, node_meta=meta, signed_flag=signed)
 
 
+def cholesky_fold_full(kernel_matrix: np.ndarray, v_vals: np.ndarray,
+                       weights: np.ndarray) -> np.ndarray:
+    low = np.linalg.cholesky(kernel_matrix)
+    scaled = np.multiply((v_vals * weights)[:, None], low, out=kernel_matrix)
+    return _mirror_rows(low.T @ scaled)
+
+
 def _k0_log_series(x: np.ndarray) -> np.ndarray:
     """K_0 by the classical log series; accurate for x <= 2.2."""
     q = x * x / 4.0
@@ -483,6 +501,28 @@ def log_energy_square() -> float:
             lambda r: (1 - r * c) * (1 - r * s) * (-mp.log(r)) * r,
             [0, rmax])
     return float(4 * mp.quad(inner, [0, mp.pi / 4, mp.pi / 2]))
+
+
+def unit_square_log_energy_dblquad() -> float:
+    """-avg log distance between two uniform points of the unit square.
+
+    The 4-D integral collapses to 2-D with hat weights over the coordinate
+    differences, integrated by adaptive quadrature.
+    """
+    val, _ = dblquad(
+        lambda v, u: (1.0 - u) * (1.0 - v) * (-0.5) * np.log(u * u + v * v),
+        0.0, 1.0, 0.0, 1.0, epsabs=1e-13, epsrel=1e-13,
+    )
+    return 4.0 * val
+
+
+def r_symbol_quadrature_quad(ambient_dim: int, surface_dim: int) -> float:
+    """(2 pi)^{-codim} integral over R^codim of (1 + |s|^2)^{-N/2}, reduced
+    to one radial dimension."""
+    codim = ambient_dim - surface_dim
+    integrand = lambda r: r ** (codim - 1) * (1.0 + r * r) ** (-ambient_dim / 2.0)
+    val, _ = quad(integrand, 0.0, np.inf, epsabs=1e-12, epsrel=1e-12)
+    return (2.0 * math.pi) ** (-codim) * sphere_surface(codim - 1) * val
 
 
 def cantor_ball_mass(mids, masses, center, radius) -> float:

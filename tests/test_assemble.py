@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from scipy.special import ive, kve
 
 from critspec import assemble, spectra
-from critspec.assemble import (CellGrid, WeightFn, _curve_effective_kernel,
+from critspec.assemble import (CellGrid, OperatorMatrix, WeightFn,
+                               _cholesky_fold, _curve_effective_kernel,
                                _point_effective_kernel,
                                assemble_curve_operator,
                                assemble_measure_operator, assemble_mixed,
@@ -25,7 +26,8 @@ from critspec.kernels import (lower_order_kernel, reference_kernel,
                               self_cell_coefficient)
 
 from conftest import UNIT_SQUARE, circle_exact_eigenvalues
-from oracles import (assemble_mixed_pairs, point_effective_kernel_pairs,
+from oracles import (assemble_mixed_pairs, cholesky_fold_full,
+                     point_effective_kernel_pairs,
                      polygon_effective_kernel_pairs,
                      polygon_effective_kernel_two_calls,
                      smooth_curve_effective_kernel_pairs,
@@ -264,6 +266,54 @@ def test_fused_split_matches_two_call_oracle(curve, n, kernel):
 def test_lower_order_split_matches_two_call_oracle(curve):
     assert _agrees_with_two_call_oracle(_CURVES[curve](128),
                                         lower_order_kernel())
+
+
+# ---------------------------------------------------------------------------
+# the column-blocked sign fold against the full-product oracle
+# ---------------------------------------------------------------------------
+
+def _fold_kernel(support: str, kernel):
+    """(kernel matrix, quadrature weights) of a support with a positive
+    definite kernel matrix; 600 and 1024 unknowns span several column
+    blocks of the fold."""
+    if support == "cantor":
+        measure = make_cantor_measure(10)
+        return (_point_effective_kernel(measure.atoms, kernel, "segment",
+                                        measure.cell_size), measure.masses)
+    mesh = _CURVES[support](600)
+    return _curve_effective_kernel(mesh, kernel), mesh.weights
+
+
+@pytest.mark.parametrize("support", ["circle", "ellipse", "graded-polygon",
+                                     "cantor"])
+@pytest.mark.parametrize("columns", [256, 97])
+def test_blocked_fold_matches_full_product_oracle(support, columns, kernel,
+                                                  monkeypatch):
+    # 97 columns leave a partial last block on every support
+    monkeypatch.setattr(assemble, "_FOLD_COLUMNS", columns)
+    ktil, w = _fold_kernel(support, kernel)
+    v = np.random.default_rng(11).normal(size=len(w))
+    got = _cholesky_fold(ktil.copy(), v, w)
+    want = cholesky_fold_full(ktil.copy(), v, w)
+    rho = np.max(np.abs(np.linalg.eigvalsh(want)))
+    assert np.array_equal(got, got.T)
+    assert np.max(np.abs(got - want)) <= 1e-13 * rho
+
+
+@pytest.mark.parametrize("column", ["strip", "square"])
+def test_one_ulp_asymmetry_in_the_last_row_block_is_refused(column,
+                                                            monkeypatch):
+    # 8 row blocks of 64 rows: entry (511, 0) lies in the last block's
+    # strip, (511, 510) in its diagonal square
+    monkeypatch.setattr(assemble, "_WORKERS", 2)
+    n = 512
+    m = np.random.default_rng(5).normal(size=(n, n))
+    m += m.T
+    OperatorMatrix(entries=m.copy())
+    j = 0 if column == "strip" else n - 2
+    m[n - 1, j] = np.nextafter(m[n - 1, j], np.inf)
+    with pytest.raises(InvalidArgumentError, match="exactly symmetric"):
+        OperatorMatrix(entries=m)
 
 
 # ---------------------------------------------------------------------------

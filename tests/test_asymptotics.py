@@ -10,6 +10,8 @@ from critspec.asymptotics import (AsymCoeff, coefficient_ac,
 from critspec.errors import InvalidArgumentError
 from critspec.geometry import Circle, make_smooth_curve, transform
 
+from oracles import r_symbol_quadrature_quad
+
 
 # ---------------------------------------------------------------------------
 # normal-fiber symbol average
@@ -28,6 +30,15 @@ def test_r_symbol_closed_form_vs_quadrature_all_dims():
             closed = r_symbol_closed_form(n_dim, d)
             quad_val = r_symbol_quadrature(n_dim, d)
             assert abs(closed - quad_val) <= 1e-8 * max(1.0, closed)
+
+
+def test_r_symbol_gauss_legendre_vs_scipy_quad():
+    # the in-repo rule against the adaptive SciPy quadrature it replaced
+    for n_dim in range(2, 7):
+        for d in range(1, n_dim):
+            got = r_symbol_quadrature(n_dim, d)
+            want = r_symbol_quadrature_quad(n_dim, d)
+            assert abs(got - want) <= 1e-13 * want
 
 
 def test_r_symbol_rejects_bad_dims():

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import ive, kve
 
+import critspec
 from critspec.cli import (EXPERIMENTS, ExperimentConfig, emit_plotdata, main,
                           run_experiment)
 from critspec.errors import InvalidArgumentError, ResourceLimitError
@@ -255,3 +260,27 @@ def test_failed_internal_check_exits_4(tmp_path, capsys, monkeypatch):
 
 def test_cli_usage_without_command(capsys):
     assert main([]) == 2
+
+
+_NO_SCIPY_SCRIPT = """
+import sys
+from critspec.cli import ExperimentConfig, run_experiment
+for experiment, params in (("circle-weyl", {}),
+                           ("mixed-ac-singular", {"delta": 0.2})):
+    run_experiment(ExperimentConfig.from_dict(dict(
+        experiment=experiment, n=128, window=(2, 14), params=params)))
+print(sorted(m for m in sys.modules
+             if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_runtime_loads_no_scipy():
+    # a fresh process: circle-weyl reaches the r_symbol cross-check and
+    # mixed-ac-singular the square self-cell constant, on NumPy alone
+    src = str(Path(critspec.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -11,12 +11,15 @@ from critspec.bessel import EULER_GAMMA, bessel, bessel_i, bessel_k
 from critspec.errors import InvalidArgumentError
 from critspec.kernels import _WINDOW_END as WINDOW_END
 from critspec.kernels import _WINDOW_START as WINDOW_START
+from critspec.kernels import (
+    _UNIT_SQUARE_LOG_ENERGY as UNIT_SQUARE_LOG_ENERGY)
 from critspec.kernels import (lower_order_kernel, reference_kernel,
                               self_cell_coefficient)
 
 from _frozen_bessel import FROZEN_BESSEL
 from oracles import (bessel_k0_matvec, log_energy_segment, log_energy_square,
-                     lower_order_kernel_subordination)
+                     lower_order_kernel_subordination,
+                     unit_square_log_energy_dblquad)
 
 TWO_PI = 2.0 * np.pi
 
@@ -214,11 +217,18 @@ def test_self_cell_log_scaling_law():
 
 
 def test_self_cell_square_constant_vs_adaptive_oracle():
-    # implementation caches a scipy quadrature; oracle is mpmath tanh-sinh
+    # implementation takes Maxwell's closed form; oracle is mpmath tanh-sinh
     expected = (log_energy_square() + np.log(2.0) - EULER_GAMMA) / TWO_PI
     first = self_cell_coefficient("square", 1.0)
     assert first == pytest.approx(expected, abs=1e-8)
     assert self_cell_coefficient("square", 1.0) == first  # reproducible
+
+
+def test_square_log_energy_closed_form_vs_quadratures():
+    # 25/12 - (pi + log 2)/3 is the double the package's former SciPy
+    # dblquad gave, bit for bit, and the mpmath value to 1e-15
+    assert UNIT_SQUARE_LOG_ENERGY == unit_square_log_energy_dblquad()
+    assert abs(UNIT_SQUARE_LOG_ENERGY - log_energy_square()) <= 1e-15
 
 
 def test_self_cell_rejects_bad_input():
