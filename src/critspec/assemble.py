@@ -145,7 +145,9 @@ class OperatorMatrix:
     signed_flag: bool = False
 
     def __post_init__(self):
-        m = np.ascontiguousarray(np.asarray(self.entries, dtype=float))
+        # a view: freezing it leaves the caller's array writeable, and no
+        # n x n copy is made
+        m = np.ascontiguousarray(np.asarray(self.entries, dtype=float)).view()
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise InvalidArgumentError("entries must be square")
         _check_symmetric(m)

@@ -10,8 +10,9 @@ computed exactly by convex duality: the optimizer is
 g_i = sign(V_i) log(1 + |V_i| / tau) with tau > 0 the unique root of the
 constraint.  Since phi(log1p x) = x - log1p x, the constraint is a closed
 form in x_i = |V_i| / tau, convex and decreasing in s = log tau; its root is
-found by a safeguarded Newton iteration in s.  Signs of V are absorbed into
-g, so only |V| enters the root-finding.
+found by a safeguarded Newton iteration in s, run on many sets in lockstep
+when the cube coverings need them.  Signs of V are absorbed into g, so only
+|V| enters the root-finding.
 """
 
 from __future__ import annotations
@@ -56,16 +57,86 @@ class OrliczNormResult:
     constraint_residual: float
 
 
+def _dual_rows(absv: np.ndarray, w: np.ndarray, mass: np.ndarray):
+    """Duality multipliers of many averaged norms at once, one per row.
+
+    Row r holds |V| on its atoms and 0 off them; with u_r = |V| / max|V|
+    its multiplier solves sum_j w_j (x_j - log1p x_j) = mass[r] for
+    x = u_r e^-s, s = log(tau / max|V|).  The left side is convex and
+    decreasing in s, so Newton's method started right of the root (at
+    s = log(sum w u / mass), where the left side is below mass) lands left
+    of it after one step and then rises monotonically to it.  A bracket
+    kept from the sign of the constraint guards every step: a Newton step
+    that leaves it is replaced by a bisection step.  The rows run in
+    lockstep; a row whose Newton step falls below the tolerance is frozen
+    and leaves the working set.
+
+    Parameters
+    ----------
+    absv : ndarray, shape (m, n)
+        Nonnegative rows with a positive maximum; a zero entry is an atom
+        outside the row's set (it adds nothing to either sum).
+    w : ndarray, shape (n,)
+        Positive atom masses, shared by the rows.
+    mass : ndarray, shape (m,)
+        Positive budget of each row.
+
+    Returns
+    -------
+    u : ndarray, shape (m, n)
+        The rows scaled to ``absv / max(absv)``.
+    s : ndarray, shape (m,)
+        log(tau / max(absv)) of each row.
+    """
+    # the root search runs on |V| / max|V| and scales tau back: exact by
+    # homogeneity, and the bracket stays finite at any scale of V
+    u = absv / absv.max(axis=1)[:, None]
+
+    def excess(u, s, mass):
+        """Constraint minus budget at tau = exp(s), and its slope."""
+        x = u * np.exp(-s)[:, None]
+        return (x - np.log1p(x)) @ w - mass, -((x * x / (1.0 + x)) @ w)
+
+    lo = np.full(len(u), np.log(_TAU_BRACKET[0]))
+    hi = np.full(len(u), np.log(_TAU_BRACKET[1]))
+    if (np.any(excess(u, lo, mass)[0] < 0.0)
+            or np.any(excess(u, hi, mass)[0] > 0.0)):
+        raise OutOfRangeError(
+            "duality multiplier outside bracket: degenerate scaling of V/mass")
+    # x - log1p x < x: the constraint at sum(w u) / mass is below budget
+    s = np.minimum(np.maximum(np.log((u @ w) / mass), lo), hi)
+    out = s.copy()
+    # the rows still iterating: their indices and working copies
+    rows, u_live = np.arange(len(u)), u
+    for _ in range(_MAX_STEPS):
+        f, slope = excess(u_live, s, mass)
+        above = f > 0.0
+        lo = np.where(above, s, lo)
+        hi = np.where(above, hi, s)
+        # a slope lost to underflow (atoms of negligible mass) forces bisection
+        step = np.full(len(s), np.inf)
+        np.divide(-f, slope, out=step, where=slope < 0.0)
+        trial = s + step
+        newton = (lo <= trial) & (trial <= hi)
+        s = np.where(newton, trial, 0.5 * (lo + hi))
+        out[rows] = s
+        live = ~(newton & (np.abs(step)
+                           < _NEWTON_STEP_RTOL * np.maximum(1.0, np.abs(s))))
+        if not live.any():
+            break
+        if not live.all():
+            rows, s, lo, hi, u_live, mass = (
+                rows[live], s[live], lo[live], hi[live], u_live[live],
+                mass[live])
+    return u, out
+
+
 def averaged_norm(V, weights, mass_E: float) -> OrliczNormResult:
     """Averaged norm of V on weighted atoms with budget ``mass_E``.
 
     The multiplier tau solves sum w_i (x_i - log1p x_i) = mass_E with
-    x_i = |V_i| / tau.  The left side is convex and decreasing in
-    s = log tau, so Newton's method started right of the root (at
-    s = log(sum w |V| / mass_E), where the left side is below mass_E) lands
-    left of it after one step and then rises monotonically to it.  A
-    bracket kept from the sign of the constraint guards every step: a
-    Newton step that leaves it is replaced by a bisection step.
+    x_i = |V_i| / tau: the one-row case of ``_dual_rows``, which
+    describes the safeguarded Newton iteration.
 
     Parameters
     ----------
@@ -93,42 +164,32 @@ def averaged_norm(V, weights, mass_E: float) -> OrliczNormResult:
     if vmax == 0.0:
         return OrliczNormResult(0.0, None, np.zeros_like(V), 0.0)
 
-    # the root search runs on |V| / max|V| and scales tau back: exact by
-    # homogeneity, and the bracket stays finite at any scale of V
-    u = absV / vmax
-
-    def excess(log_tau: float) -> tuple[float, float]:
-        """Constraint minus budget at tau = exp(log_tau), and its slope."""
-        x = u * np.exp(-log_tau)
-        return (float(w @ (x - np.log1p(x))) - mass_E,
-                -float(w @ (x * x / (1.0 + x))))
-
-    lo = np.log(_TAU_BRACKET[0])
-    hi = np.log(_TAU_BRACKET[1])
-    if excess(lo)[0] < 0.0 or excess(hi)[0] > 0.0:
-        raise OutOfRangeError(
-            "duality multiplier outside bracket: degenerate scaling of V/mass")
-    # x - log1p x < x: the constraint at sum(w u) / mass_E is below budget
-    s = min(max(float(np.log(float(w @ u) / mass_E)), lo), hi)
-    for _ in range(_MAX_STEPS):
-        f, slope = excess(s)
-        if f > 0.0:
-            lo = s
-        else:
-            hi = s
-        # a slope lost to underflow (atoms of negligible mass) forces bisection
-        step = -f / slope if slope < 0.0 else np.inf
-        if lo <= s + step <= hi:
-            s += step
-            if abs(step) < _NEWTON_STEP_RTOL * max(1.0, abs(s)):
-                break
-        else:
-            s = 0.5 * (lo + hi)
-    scaled_tau = float(np.exp(s))
-    g = np.sign(V) * np.log1p(u / scaled_tau)
+    u, s = _dual_rows(absV[None, :], w, np.array([mass_E], dtype=float))
+    scaled_tau = float(np.exp(s[0]))
+    g = np.sign(V) * np.log1p(u[0] / scaled_tau)
     value = float(np.sum(w * V * g))
     residual = float(np.sum(w * phi(np.abs(g))) - mass_E)
     return OrliczNormResult(value, vmax * scaled_tau, g, residual)
+
+
+def _norms_on_sets(absv: np.ndarray, w: np.ndarray,
+                   inside: np.ndarray) -> np.ndarray:
+    """Averaged norms of V on many atom sets at once.
+
+    Row r of the boolean ``inside`` (m, n) selects a set E_r; the result
+    is ``averaged_norm(V[E_r], w[E_r], w[E_r].sum()).value`` for every row,
+    up to the order of the floating-point sums, with ``absv`` = |V| (n,).
+    A row whose set is empty or carries V = 0 gives 0.
+    """
+    rows = np.where(inside, absv, 0.0)
+    out = np.zeros(len(rows))
+    live = rows.max(axis=1, initial=0.0) > 0.0
+    if live.any():
+        rows = rows[live]
+        mass = np.where(inside[live], w, 0.0).sum(axis=1)
+        u, s = _dual_rows(rows, w, mass)
+        out[live] = (rows * np.log1p(u / np.exp(s)[:, None])) @ w
+    return out
 
 
 @dataclass(frozen=True)

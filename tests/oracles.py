@@ -11,6 +11,14 @@ The averaged-norm oracle is the plain 80-step bisection in log tau that the
 package's Newton solve replaced, evaluating the constraint through phi; the
 family-coloring oracle tests every cube pair in a Python loop.
 
+``solve_t_prefix`` is the first-crossing search as it was before the
+lockstep search over many centers: one center at a time, its distinct
+Chebyshev distances from ``np.unique``, and one ``averaged_norm`` call on
+the compacted atoms of every prefix the binary search visits (the norm
+function is a parameter, so the bisection oracle can stand in for the
+Newton solve).  ``rho`` is the cube functional of one cube, the quantity
+the search crosses.
+
 The curve-kernel oracles are the smooth-curve and polygon effective kernels
 as they were before the fused split: full n x n matrices built from two
 kernel calls (``profile`` and ``log_factor``) and a subtraction.  The
@@ -62,7 +70,9 @@ from critspec.asymptotics import sphere_surface
 from critspec.bessel import EULER_GAMMA
 from critspec.kernels import self_cell_coefficient
 from critspec.errors import InvalidArgumentError, OutOfRangeError
-from critspec.orlicz import OrliczNormResult, phi
+from critspec.geometry import support_atoms
+from critspec.orlicz import (Cube, OrliczNormResult, _weight_values,
+                             averaged_norm, j_functional, phi)
 
 mp.mp.dps = 30
 
@@ -167,6 +177,48 @@ def averaged_norm_bisection(V, weights, mass_E: float) -> OrliczNormResult:
     value = float(np.sum(w * V * g))
     residual = float(np.sum(w * phi(np.abs(g))) - mass_E)
     return OrliczNormResult(value, vmax * scaled_tau, g, residual)
+
+
+def rho(measure, V, center, side: float, a2: float = 1.0) -> float:
+    """Cube functional of the side-``side`` cube centered at ``center``."""
+    if side <= 0.0:
+        raise InvalidArgumentError("cube side must be positive")
+    return j_functional(V, measure, Cube(np.asarray(center, float), side),
+                        a2=a2)
+
+
+def solve_t_prefix(measure, V, center, target: float, a2: float = 1.0,
+                   norm=averaged_norm) -> float:
+    """First-crossing cube side at one center by binary search over the
+    sorted distinct Chebyshev distances, one ``norm`` call per prefix."""
+    if target <= 0.0:
+        raise InvalidArgumentError("target must be positive")
+    points, masses = support_atoms(measure)
+    vals = _weight_values(V, measure, points)
+    dist = np.max(np.abs(points - np.asarray(center, float)[None, :]), axis=1)
+    order = np.argsort(dist, kind="stable")
+    dist_sorted = dist[order]
+    uniq = np.unique(dist_sorted)
+
+    def j_of_prefix(i: int) -> float:
+        sel = order[dist_sorted <= uniq[i]]
+        return a2 * norm(vals[sel], masses[sel],
+                         float(masses[sel].sum())).value
+
+    slack = target * (1.0 - 1e-12)
+    if j_of_prefix(len(uniq) - 1) < slack:
+        raise OutOfRangeError(
+            "target %g exceeds the stabilized cube functional" % target)
+    lo, hi = -1, len(uniq) - 1
+    if j_of_prefix(0) >= slack:
+        hi = 0
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if j_of_prefix(mid) >= slack:
+            hi = mid
+        else:
+            lo = mid
+    return float(2.0 * uniq[hi]) if uniq[hi] > 0.0 else 0.0
 
 
 def family_colors_loop(cubes) -> np.ndarray:

@@ -300,6 +300,15 @@ def test_blocked_fold_matches_full_product_oracle(support, columns, kernel,
     assert np.max(np.abs(got - want)) <= 1e-13 * rho
 
 
+def test_operator_freezes_a_view_not_the_callers_array():
+    m = np.eye(4)
+    op = OperatorMatrix(entries=m)
+    assert m.flags.writeable
+    assert not op.entries.flags.writeable
+    assert np.shares_memory(op.entries, m)
+    m[0, 1] = 1.0   # the caller may go on editing its own array
+
+
 @pytest.mark.parametrize("column", ["strip", "square"])
 def test_one_ulp_asymmetry_in_the_last_row_block_is_refused(column,
                                                             monkeypatch):

@@ -1,16 +1,21 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from critspec import covering
 from critspec.covering import (build_covering, empirical_estimate_constant,
-                               poly_space_dim, rho, solve_t)
+                               poly_space_dim, solve_t)
 from critspec.errors import InvalidArgumentError, OutOfRangeError
-from critspec.geometry import (make_cantor_measure,
+from critspec.geometry import (SingularMeasure, make_cantor_measure,
                                make_uniform_square_measure)
 from critspec.orlicz import Cube, j_functional, surface_norm
 from critspec.spectra import Spectrum
 
-from oracles import averaged_norm_bisection, family_colors_loop, t_star
+from oracles import (averaged_norm_bisection, family_colors_loop, rho,
+                     solve_t_prefix, t_star)
 
 T_STAR = t_star()
 
@@ -100,6 +105,79 @@ def test_solve_t_out_of_range(uniform16, ones16):
     total = surface_norm(ones16, uniform16)
     with pytest.raises(OutOfRangeError):
         solve_t(uniform16, ones16, (0.5, 0.5), 2.0 * total)
+    with pytest.raises(OutOfRangeError):
+        solve_t(uniform16, ones16, uniform16.atoms, 2.0 * total)
+
+
+def test_solve_t_one_center_or_many(uniform16):
+    V = np.random.default_rng(3).lognormal(0.0, 0.5, uniform16.n_atoms)
+    target = 0.1 * surface_norm(V, uniform16)
+    centers = np.array([[0.5, 0.5], [0.0, 1.0], uniform16.atoms[17]])
+    one = [solve_t(uniform16, V, tuple(c), target) for c in centers]
+    assert all(type(t) is float for t in one)
+    many = solve_t(uniform16, V, centers, target)
+    assert many.shape == (3,)
+    assert many.tolist() == one
+    with pytest.raises(InvalidArgumentError):
+        solve_t(uniform16, V, (0.5, 0.5, 0.5), target)
+
+
+# grid measures put many atoms at one Chebyshev distance (ties), Cantor
+# measures none; centers on a 1/16 lattice tie with grid atoms too
+_MEASURES = st.one_of(st.integers(1, 8).map(make_uniform_square_measure),
+                      st.integers(1, 6).map(make_cantor_measure))
+_LATTICE = st.integers(-4, 20).map(lambda i: i / 16.0)
+_OFF_ATOM = st.one_of(st.tuples(_LATTICE, _LATTICE),
+                      st.tuples(st.floats(-0.5, 1.5), st.floats(-0.5, 1.5)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), measure=_MEASURES, frac=st.floats(1e-3, 1.0))
+def test_batched_sides_equal_prefix_oracle(data, measure, frac):
+    n = measure.n_atoms
+    exponents = data.draw(st.lists(st.floats(-150.0, 150.0), min_size=n,
+                                   max_size=n))
+    V = 10.0 ** np.array(exponents)
+    off = data.draw(st.lists(_OFF_ATOM, max_size=6))
+    centers = np.concatenate([measure.atoms, np.array(off).reshape(-1, 2)])
+    target = frac * surface_norm(V, measure)
+    oracle = [solve_t_prefix(measure, V, c, target) for c in centers]
+    assert solve_t(measure, V, centers, target).tolist() == oracle
+
+
+def test_bracket_failure_in_one_row_raises():
+    # the light atom at 0 carries the largest |V|: a cube holding it and
+    # the heavy small-|V| atom at 1 but not the heavy large-|V| atom at 10
+    # leaves the multiplier bracket; the searches from 0 and 1 meet such a
+    # cube, the one from 10 and the whole support do not
+    measure = SingularMeasure(
+        ambient_dim=2, atoms=np.array([[0.0, 0.0], [1.0, 0.0], [10.0, 0.0]]),
+        masses=np.array([1e-20, 1.0, 1.0]), cell_size=1.0,
+        alpha_nominal=1.0)
+    V = np.array([1.0, 1e-30, 1.0])
+    target = 0.5 * surface_norm(V, measure)
+    assert solve_t(measure, V, measure.atoms[2], target) == solve_t_prefix(
+        measure, V, measure.atoms[2], target)
+    with pytest.raises(OutOfRangeError, match="bracket"):
+        solve_t_prefix(measure, V, measure.atoms[0], target)
+    with pytest.raises(OutOfRangeError, match="bracket"):
+        solve_t(measure, V, measure.atoms, target)
+
+
+def test_crossing_search_temporaries_are_bounded():
+    # 64 centers on 4096 atoms: one (centers, atoms) float array of the
+    # whole search would be 2 MB; the row blocks hold 64 KB each
+    measure = make_uniform_square_measure(64)
+    V = np.random.default_rng(2).lognormal(0.0, 0.5, measure.n_atoms)
+    target = 0.05 * surface_norm(V, measure)
+    centers = measure.atoms[::64]
+    tracemalloc.start()
+    try:
+        solve_t(measure, V, centers, target)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * len(centers) * measure.n_atoms / 2
 
 
 # ---------------------------------------------------------------------------
@@ -202,28 +280,36 @@ def test_family_colors_match_pairwise_loop(seed):
                                       family_colors_loop(cubes))
 
 
-def test_covering_identical_with_bisection_oracle(monkeypatch):
+def test_covering_sides_match_bisection_oracle():
+    # the sides the prefix oracle finds with the bisection norm, at every
+    # atom, and every cube of the covering has its center atom's side
     rng = np.random.default_rng(11)
-    cases = []
     for measure in (make_uniform_square_measure(8), make_cantor_measure(6)):
         V = rng.lognormal(0.0, 0.5, measure.n_atoms)
         rho_inf = surface_norm(V, measure)
-        cases.append((measure, V, rho_inf / 10.0 ** np.linspace(0.0, 1.0, 3)))
+        index = {tuple(x): i for i, x in enumerate(measure.atoms.tolist())}
+        for lam in rho_inf / 10.0 ** np.linspace(0.0, 1.0, 3):
+            oracle = [solve_t_prefix(measure, V, x, lam / 4.0,
+                                     norm=averaged_norm_bisection)
+                      for x in measure.atoms]
+            assert solve_t(measure, V, measure.atoms,
+                           lam / 4.0).tolist() == oracle
+            rep = build_covering(measure, V, float(lam))
+            assert rep.cube_count > 1
+            for cube in rep.cubes:
+                assert cube.side == oracle[index[tuple(cube.center.tolist())]]
 
-    def run():
-        out = []
-        for measure, V, lams in cases:
-            for lam in lams:
-                sides = [solve_t(measure, V, x, lam / 4.0)
-                         for x in measure.atoms]
-                rep = build_covering(measure, V, float(lam))
-                out.append((sides, rep.cube_count,
-                            [cube.center.tolist() for cube in rep.cubes]))
-        return out
 
-    newton = run()
-    monkeypatch.setattr(covering, "averaged_norm", averaged_norm_bisection)
-    assert run() == newton
+@pytest.mark.parametrize("measure", [make_uniform_square_measure(16),
+                                     make_cantor_measure(8)],
+                         ids=["uniform", "cantor"])
+def test_report_max_j_is_the_largest_cube_functional(measure):
+    V = np.random.default_rng(4).lognormal(0.0, 0.5, measure.n_atoms)
+    total = surface_norm(V, measure)
+    for lam in 4 * total / 4.0 / 10.0 ** np.linspace(0.0, 1.0, 4):
+        rep = build_covering(measure, V, float(lam))
+        js = [j_functional(V, measure, cube) for cube in rep.cubes]
+        assert rep.max_j == pytest.approx(max(js), rel=1e-13)
 
 
 def test_multiplicity_above_cap_is_reported(uniform16, ones16):
