@@ -21,12 +21,14 @@ singularity:
 Each effective-kernel matrix is built in one blocked pass over its upper
 triangle.  A block is a slice of rows [i0, i1) against the columns j >= i0:
 its distances come from a broadcast of two node slices, its kernel
-evaluations and panel integrals run on cache-resident temporaries, and it
-is written straight into the one n x n output, whose lower triangle is then
-mirrored from the upper one by a blocked transpose copy over the same row
-blocks.  No pair-index array and no n^2 temporary exists.  The elementwise
+evaluations and panel integrals run on cache-resident temporaries, and its
+part on and above the diagonal is written straight into the one n x n
+output.  No pair-index array and no n^2 temporary exists.  The elementwise
 expressions are those of an all-pairs evaluation, so the matrices agree
-with one bit for bit.
+with one bit for bit.  The builders, the cross blocks of mixed
+configurations, the scaling and the sign fold all read and write the upper
+triangle only: ``_finalize`` alone fills the lower one, by one blocked
+transpose copy of the finished operator.
 
 The pass runs on every core in the process's CPU affinity: the calling
 thread and up to ``_WORKERS - 1`` pool threads take the row blocks one at a
@@ -37,18 +39,18 @@ which keeps the bytes in flight at one serial block.  The first exception
 raised in a block stops the blocks not yet started and reaches the caller
 once every running block has ended; warnings raised in a block reach the
 caller's filters as usual.  The same pass scales the upper triangle by
-diag(s) before its one mirror and fills the cross blocks of mixed
-configurations; their diagonal blocks are built in place, in views of the
-one operator matrix.
+diag(s) and fills the cross blocks of mixed configurations; their diagonal
+blocks are built in place, in views of the one operator matrix.
 
 Sign-changing V is reduced to a symmetric indefinite matrix with identical
 nonzero spectrum.  The one fold factors the effective-kernel matrix by
-Cholesky, K = L L^T, and takes  L^T diag(V w) L,  which shares the nonzero
-spectrum of K diag(V w) (Golub and Van Loan, Matrix Computations, 8.7); it
-is recorded as ``node_meta["fold"] = "cholesky"``.  The kernel is positive
-definite and, with the windowed split of ``kernels``, so is K on every
-resolved support.  A K that is not is an under-resolved mesh: the fold
-raises ``InvalidArgumentError`` (exit 2) naming the largest node spacing.
+Cholesky, K = L L^T, read from K's upper triangle, and takes
+L^T diag(V w) L,  which shares the nonzero spectrum of K diag(V w) (Golub
+and Van Loan, Matrix Computations, 8.7); it is recorded as
+``node_meta["fold"] = "cholesky"``.  The kernel is positive definite and,
+with the windowed split of ``kernels``, so is K on every resolved support.
+A K that is not is an under-resolved mesh: the fold raises
+``InvalidArgumentError`` (exit 2) naming the largest node spacing.
 """
 
 from __future__ import annotations
@@ -59,8 +61,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidArgumentError
-from .geometry import SingularMeasure, SurfaceMesh, support_atoms
+from .errors import InvalidArgumentError, ResourceLimitError
+from .geometry import (DEFAULT_ATOM_CAP, SingularMeasure, SurfaceMesh,
+                       support_atoms)
 from .kernels import KernelModel, self_cell_coefficient
 
 TWO_PI = 2.0 * np.pi
@@ -74,7 +77,7 @@ _MIN_QUADRATURE_NODES = 8
 _BLOCK_BYTES = 1 << 19
 # columns per block of the Cholesky fold's upper-triangle product: wide
 # enough for BLAS to run near its GEMM rate, narrow enough that the lower
-# half of each block's diagonal square, computed and then mirrored over,
+# half of each block's diagonal square, computed and then dropped,
 # stays a small share of the work
 _FOLD_COLUMNS = 256
 # threads that run the row blocks: the cores this process may run on
@@ -175,11 +178,23 @@ def _mirror(m: np.ndarray) -> np.ndarray:
     def fill(i0, i1):
         m[i0:i1, :i0] = m[:i0, i0:i1].T
         square = m[i0:i1, i0:i1]
-        np.copyto(square, square.T,
-                  where=np.tri(i1 - i0, k=-1, dtype=bool))
+        np.copyto(square, square.T, where=~_upper(i1 - i0))
 
     _each_block(len(m), len(m), fill)
     return m
+
+
+def _upper(k: int) -> np.ndarray:
+    """Mask of the upper triangle of a k x k square, diagonal included."""
+    return ~np.tri(k, k=-1, dtype=bool)
+
+
+def _put_upper(out: np.ndarray, i0: int, i1: int, block: np.ndarray) -> None:
+    """Write the part of ``block`` (rows [i0, i1) against the columns
+    j >= i0) on and above the diagonal of ``out``."""
+    k = i1 - i0
+    out[i0:i1, i1:] = block[:, k:]
+    np.copyto(out[i0:i1, i0:i1], block[:, :k], where=_upper(k))
 
 
 def _pairwise_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -194,20 +209,21 @@ def _pairwise_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _cholesky_fold(kernel_matrix: np.ndarray, v_vals: np.ndarray,
                    weights: np.ndarray) -> np.ndarray:
-    """L^T diag(V w) L for the Cholesky factor K = L L^T of the kernel
-    matrix, written over K's storage and mirrored.  A K that is not positive
-    definite raises ``InvalidArgumentError`` naming the node spacing (the
-    largest weight).  NumPy's Cholesky keeps the work on NumPy's BLAS:
-    SciPy's runs on a second BLAS library whose buffers stay resident.
+    """Upper triangle of L^T diag(V w) L for the Cholesky factor K = L L^T
+    of the kernel matrix, written over K's storage.  K is factored as K^T,
+    whose lower triangle, the one LAPACK reads, is K's upper one.  A K that
+    is not positive definite raises ``InvalidArgumentError`` naming the
+    node spacing (the largest weight).  NumPy's Cholesky keeps the work on
+    NumPy's BLAS: SciPy's runs on a second BLAS library whose buffers stay
+    resident.
 
-    Only the upper triangle is computed, one block of columns [c0, c1) at a
-    time: L is lower triangular, so entry (i, j) with i <= j sums over the
-    rows k >= j of L alone, and the block is
-    L[c0:, :c1]^T (diag(V w) L)[c0:, c0:c1].  That is n^3 / 3 flops where
-    the full product takes 2 n^3.
+    The product is computed one block of columns [c0, c1) at a time: L is
+    lower triangular, so entry (i, j) with i <= j sums over the rows k >= j
+    of L alone, and the block is L[c0:, :c1]^T (diag(V w) L)[c0:, c0:c1].
+    That is n^3 / 3 flops where the full product takes 2 n^3.
     """
     try:
-        low = np.linalg.cholesky(kernel_matrix)
+        low = np.linalg.cholesky(kernel_matrix.T)
     except np.linalg.LinAlgError:
         raise InvalidArgumentError(
             "under-resolved mesh: the kernel matrix of this sign-changing "
@@ -215,42 +231,49 @@ def _cholesky_fold(kernel_matrix: np.ndarray, v_vals: np.ndarray,
             "the mesh" % float(weights.max())) from None
     vw = v_vals * weights
     for c0 in range(0, len(vw), _FOLD_COLUMNS):
-        c1 = c0 + _FOLD_COLUMNS
-        kernel_matrix[:c1, c0:c1] = (low[c0:, :c1].T
-                                     @ (vw[c0:, None] * low[c0:, c0:c1]))
-    return _mirror(kernel_matrix)
+        c1 = min(c0 + _FOLD_COLUMNS, len(vw))
+        block = low[c0:, :c1].T @ (vw[c0:, None] * low[c0:, c0:c1])
+        kernel_matrix[:c0, c0:c1] = block[:c0]
+        np.copyto(kernel_matrix[c0:c1, c0:c1], block[c0:],
+                  where=_upper(c1 - c0))
+    return kernel_matrix
 
 
 def _finalize(kernel_matrix: np.ndarray, v_vals: np.ndarray,
               weights: np.ndarray, meta: dict) -> OperatorMatrix:
     """The operator matrix for kernel matrix K, weight V and quadrature
     weights w: diag(s) K diag(s) with s = sqrt(V w) for V >= 0, the one
-    fold of the module docstring otherwise.  K is consumed (overwritten)."""
+    fold of the module docstring otherwise.  K is read from its upper
+    triangle and overwritten; the one mirror makes the result symmetric."""
     signed = bool(np.any(v_vals < 0.0))
     meta = dict(meta)
     meta["signed"] = signed
     if signed:
-        entries = _cholesky_fold(kernel_matrix, v_vals, weights)
+        upper = _cholesky_fold(kernel_matrix, v_vals, weights)
         meta["fold"] = "cholesky"
     else:
-        entries = _scaled(kernel_matrix, v_vals, weights)
-    return OperatorMatrix(entries=entries, node_meta=meta, signed_flag=signed)
+        upper = _scaled(kernel_matrix, v_vals, weights)
+    return OperatorMatrix(entries=_mirror(upper), node_meta=meta,
+                          signed_flag=signed)
 
 
 def _scaled(kernel_matrix: np.ndarray, v_vals: np.ndarray,
             weights: np.ndarray) -> np.ndarray:
-    """diag(s) K diag(s) with s = sqrt(|V| w): the upper triangle scaled
-    one row block at a time, (K_ij s_i) s_j, then mirrored, in K's
-    storage."""
+    """Upper triangle of diag(s) K diag(s) with s = sqrt(|V| w), scaled
+    one row block at a time, (K_ij s_i) s_j, in K's storage."""
     s = np.sqrt(np.abs(v_vals) * weights)
 
     def fill(i0, i1):
-        block = kernel_matrix[i0:i1, i0:]
-        block *= s[i0:i1, None]
-        block *= s[None, i0:]
+        strip = kernel_matrix[i0:i1, i1:]
+        strip *= s[i0:i1, None]
+        strip *= s[None, i1:]
+        square = kernel_matrix[i0:i1, i0:i1]
+        upper = _upper(i1 - i0)
+        np.multiply(square, s[i0:i1, None], out=square, where=upper)
+        np.multiply(square, s[None, i0:i1], out=square, where=upper)
 
     _each_block(len(s), len(s), fill)
-    return _mirror(kernel_matrix)
+    return kernel_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -332,9 +355,9 @@ def _smooth_curve_effective_kernel(mesh: SurfaceMesh, kernel: KernelModel,
         # the rest of log_factor * log(r) joins the smooth remainder
         smooth = smooth + log_factor * np.log(r / (2.0 * half_sin))
         del r, half_sin
-        out[i0:i1, i0:] = (
+        _put_upper(out, i0, i1, (
             0.5 * log_factor * rw[(idx[i0:i1, None] - idx[None, i0:]) % n]
-            + (TWO_PI / n) * smooth) * (n / TWO_PI)
+            + (TWO_PI / n) * smooth) * (n / TWO_PI))
 
     _each_block(n, n, fill)
     diagonal = (0.5 * kernel.log_coefficient * rw[0]
@@ -342,7 +365,7 @@ def _smooth_curve_effective_kernel(mesh: SurfaceMesh, kernel: KernelModel,
                                   + kernel.log_coefficient * np.log(speed))
                 ) * (n / TWO_PI)
     np.fill_diagonal(out, diagonal)
-    return _mirror(out)
+    return out
 
 
 def _panel_log_integrals(targets: np.ndarray, centers: np.ndarray,
@@ -400,14 +423,14 @@ def _polygon_effective_kernel(mesh: SurfaceMesh, kernel: KernelModel,
                                         tangents[rows], w[rows]).T
         ktil_t = ((log_factor * intlog_t + smooth * w[rows, None])
                   / w[rows, None])
-        out[rows, cols] = 0.5 * (ktil + ktil_t)
+        _put_upper(out, i0, i1, 0.5 * (ktil + ktil_t))
 
     _each_block(n, n, fill)
     # self panel: integral of log|x_i - y| over the own panel, exactly
     intlog_self = w * (np.log(w / 2.0) - 1.0)
     np.fill_diagonal(out, (kernel.log_coefficient * intlog_self
                            + kernel.remainder_at_zero * w) / w)
-    return _mirror(out)
+    return out
 
 
 def _point_effective_kernel(points: np.ndarray, kernel: KernelModel,
@@ -421,7 +444,7 @@ def _point_effective_kernel(points: np.ndarray, kernel: KernelModel,
         r = _pairwise_dist(points[i0:i1], points[i0:])
         # a placeholder distance on the self pairs, closed below
         np.fill_diagonal(r, 1.0)
-        out[i0:i1, i0:] = kernel.profile(r)
+        _put_upper(out, i0, i1, kernel.profile(r))
 
     _each_block(n, n, fill)
     if kernel.log_coefficient != 0.0:
@@ -429,7 +452,7 @@ def _point_effective_kernel(points: np.ndarray, kernel: KernelModel,
     else:
         diag = kernel.remainder_at_zero
     np.fill_diagonal(out, diag)
-    return _mirror(out)
+    return out
 
 
 def _curve_effective_kernel(mesh: SurfaceMesh, kernel: KernelModel,
@@ -469,19 +492,18 @@ def assemble_curve_operator(mesh: SurfaceMesh, V: WeightFn,
 
 
 def assemble_measure_operator(measure: SingularMeasure, V: WeightFn,
-                              kernel: KernelModel,
-                              cell_kind: str = "segment") -> OperatorMatrix:
+                              kernel: KernelModel) -> OperatorMatrix:
     """Symmetric matrix of the weighted kernel operator on an atomized
     measure; the diagonal is closed by the cell-averaged self coefficient
-    at the measure's cell size."""
+    of a segment cell at the measure's cell size."""
     _check_plane(kernel, measure.ambient_dim)
     if measure.cell_size <= 0.0:
         raise InvalidArgumentError("measure cell_size must be positive")
     v_vals = V.values_on(measure)
-    ktil = _point_effective_kernel(measure.atoms, kernel, cell_kind,
+    ktil = _point_effective_kernel(measure.atoms, kernel, "segment",
                                    measure.cell_size)
     meta = {"source": "measure", "n": measure.n_atoms,
-            "cell_kind": cell_kind, "kernel": kernel.description}
+            "cell_kind": "segment", "kernel": kernel.description}
     return _finalize(ktil, v_vals, measure.masses, meta)
 
 
@@ -518,7 +540,10 @@ def make_cell_grid(domain, delta: float, v0=1.0,
                    exclude_meshes=()) -> CellGrid:
     """Uniform grid of cells covering ``domain`` (("disk", center, R) or
     ("box", lo, hi)), keeping cells whose centers lie inside and at least one
-    cell diagonal away from every excluded curve node."""
+    cell diagonal away from every excluded curve node.  A bounding grid above
+    ``DEFAULT_ATOM_CAP`` cells raises ``ResourceLimitError`` unbuilt."""
+    if not delta > 0.0:
+        raise InvalidArgumentError("cell size must be positive")
     kind = domain[0]
     if kind == "disk":
         center = np.asarray(domain[1], dtype=float)
@@ -532,6 +557,10 @@ def make_cell_grid(domain, delta: float, v0=1.0,
         raise InvalidArgumentError("domain must be ('disk', c, R) or ('box', lo, hi)")
     nx = int(np.ceil((hi[0] - lo[0]) / delta))
     ny = int(np.ceil((hi[1] - lo[1]) / delta))
+    if nx * ny > DEFAULT_ATOM_CAP:
+        raise ResourceLimitError(
+            "cell grid of %d x %d cells exceeds the atom cap %d"
+            % (nx, ny, DEFAULT_ATOM_CAP))
     gx = lo[0] + delta * (np.arange(nx) + 0.5)
     gy = lo[1] + delta * (np.arange(ny) + 0.5)
     xx, yy = np.meshgrid(gx, gy, indexing="ij")
@@ -542,13 +571,25 @@ def make_cell_grid(domain, delta: float, v0=1.0,
         keep = np.all((centers >= lo) & (centers <= hi), axis=1)
     centers = centers[keep]
     for mesh in exclude_meshes:
-        d = _pairwise_dist(centers, mesh.nodes).min(axis=1)
-        centers = centers[d > delta * np.sqrt(2.0)]
+        centers = centers[_nearest_dist(centers, mesh.nodes)
+                          > delta * np.sqrt(2.0)]
     if callable(v0):
         dens = np.asarray([v0(c) for c in centers], dtype=float)
     else:
         dens = np.full(len(centers), float(v0))
     return CellGrid(centers=centers, delta=delta, v0=dens)
+
+
+def _nearest_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Distance from each point of ``a`` to the nearest point of ``b``,
+    over row blocks of ``a``: no (len(a), len(b)) temporary exists."""
+    out = np.empty(len(a))
+
+    def fill(i0, i1):
+        out[i0:i1] = _pairwise_dist(a[i0:i1], b).min(axis=1)
+
+    _each_block(len(a), len(b), fill)
+    return out
 
 
 def _cross_block(points_a: np.ndarray, points_b: np.ndarray,
@@ -579,7 +620,7 @@ def assemble_mixed(grid: CellGrid | None, curves, kernel: KernelModel,
     with_grid = grid is not None and grid.n_cells > 0
     if with_grid:
         for mesh, _ in curves:
-            d = _pairwise_dist(grid.centers, mesh.nodes).min()
+            d = _nearest_dist(grid.centers, mesh.nodes).min()
             if d <= grid.delta * np.sqrt(2.0):
                 raise InvalidArgumentError(
                     "grid cells violate the one-cell-diagonal separation "
@@ -610,7 +651,6 @@ def assemble_mixed(grid: CellGrid | None, curves, kernel: KernelModel,
             sj = spans[j]
             _cross_block(blocks_points[i], blocks_points[j], kernel,
                          ktil[si, sj])
-            ktil[sj, si] = ktil[si, sj].T
     v_all = np.concatenate(blocks_vvals)
     w_all = np.concatenate(blocks_weights)
     meta = {"source": "mixed", "blocks": sizes, "kernel": kernel.description}

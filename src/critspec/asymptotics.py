@@ -29,7 +29,7 @@ from math import gamma, pi
 
 import numpy as np
 
-from .assemble import CellGrid, WeightFn
+from .assemble import WeightFn
 from .errors import InternalError, InvalidArgumentError
 from .geometry import SurfaceMesh
 
@@ -86,55 +86,32 @@ def r_symbol_quadrature(ambient_dim: int, surface_dim: int) -> float:
     return (2.0 * pi) ** (-codim) * sphere_surface(codim - 1) * val
 
 
-def r_symbol(ambient_dim: int, surface_dim: int,
-             cross_check: bool = True) -> float:
+def r_symbol(ambient_dim: int, surface_dim: int) -> float:
     """Coefficient rho(N, d) of the normal-fiber symbol average.
 
-    Computed in closed form and, by default, cross-checked against the
-    radial quadrature to 1e-8.
+    Computed in closed form and cross-checked against the radial quadrature
+    to 1e-8.
     """
     if not (1 <= surface_dim < ambient_dim):
         raise InvalidArgumentError("need 1 <= d < N")
     closed = r_symbol_closed_form(ambient_dim, surface_dim)
-    if cross_check:
-        quad_val = r_symbol_quadrature(ambient_dim, surface_dim)
-        if abs(closed - quad_val) > _CROSS_CHECK_TOL * max(1.0, abs(closed)):
-            raise InternalError(
-                "closed form and quadrature disagree: %r vs %r"
-                % (closed, quad_val))
+    quad_val = r_symbol_quadrature(ambient_dim, surface_dim)
+    if abs(closed - quad_val) > _CROSS_CHECK_TOL * max(1.0, abs(closed)):
+        raise InternalError(
+            "closed form and quadrature disagree: %r vs %r"
+            % (closed, quad_val))
     return closed
 
 
-def _signed_integrals(surface, V) -> tuple[float, float]:
-    """(integral V_+, integral V_-) over a mesh, or from (total, const V)."""
-    if isinstance(surface, SurfaceMesh):
-        vfn = V if isinstance(V, WeightFn) else WeightFn.constant(float(V))
-        wplus = float(np.sum(vfn.positive_part(surface) * surface.weights))
-        wminus = float(np.sum(vfn.negative_part(surface) * surface.weights))
-        return wplus, wminus
-    total = float(surface)
-    if isinstance(V, WeightFn):
-        if V.kind != "constant":
-            raise InvalidArgumentError(
-                "analytic surfaces support constant weights only")
-        v = V.value
-    else:
-        v = float(V)
-    return max(v, 0.0) * total, max(-v, 0.0) * total
-
-
-def coefficient_surface(surface, V, ambient_dim: int = 2,
-                        surface_dim: int = 1,
+def coefficient_surface(mesh: SurfaceMesh, V: WeightFn,
                         label: str = "surface") -> AsymCoeff:
-    """Contribution of one surface: meshes integrate V by their quadrature;
-    an analytic surface is passed as its total measure with constant V."""
-    if isinstance(surface, SurfaceMesh):
-        if surface.ambient_dim != ambient_dim or surface_dim != 1:
-            raise InvalidArgumentError("meshes are curves in the plane")
-    rho = r_symbol(ambient_dim, surface_dim)
-    factor = (1.0 / surface_dim) * (2.0 * pi) ** (-surface_dim) \
-        * sphere_surface(surface_dim - 1) * rho
-    wplus, wminus = _signed_integrals(surface, V)
+    """Contribution of one curve in the plane (d = 1, N = 2): the mesh's
+    quadrature integrates V_+ and V_-."""
+    if mesh.ambient_dim != 2:
+        raise InvalidArgumentError("meshes are curves in the plane")
+    factor = (2.0 * pi) ** -1 * sphere_surface(0) * r_symbol(2, 1)
+    wplus = float(np.sum(V.positive_part(mesh) * mesh.weights))
+    wminus = float(np.sum(V.negative_part(mesh) * mesh.weights))
     return AsymCoeff(
         c_plus=factor * wplus,
         c_minus=factor * wminus,
@@ -142,23 +119,13 @@ def coefficient_surface(surface, V, ambient_dim: int = 2,
     )
 
 
-def coefficient_ac(domain, V0, ambient_dim: int = 2,
-                   label: str = "ac") -> AsymCoeff:
-    """Contribution of an absolutely continuous part.
-
-    ``domain`` is either the domain volume (with constant V0) or a CellGrid
-    whose cells integrate the tabulated density.
-    """
-    factor = (1.0 / ambient_dim) * (2.0 * pi) ** (-ambient_dim) \
-        * sphere_surface(ambient_dim - 1)
-    if isinstance(domain, CellGrid):
-        cellarea = domain.delta ** 2
-        wplus = float(np.clip(domain.v0, 0.0, None).sum() * cellarea)
-        wminus = float(np.clip(-domain.v0, 0.0, None).sum() * cellarea)
-    else:
-        vol = float(domain)
-        v = V0.value if isinstance(V0, WeightFn) else float(V0)
-        wplus, wminus = max(v, 0.0) * vol, max(-v, 0.0) * vol
+def coefficient_ac(volume: float, v0: float, label: str = "ac") -> AsymCoeff:
+    """Contribution of a constant density ``v0`` on a plane domain of area
+    ``volume`` (N = 2)."""
+    factor = 0.5 * (2.0 * pi) ** -2 * sphere_surface(1)
+    vol = float(volume)
+    v = float(v0)
+    wplus, wminus = max(v, 0.0) * vol, max(-v, 0.0) * vol
     return AsymCoeff(
         c_plus=factor * wplus,
         c_minus=factor * wminus,

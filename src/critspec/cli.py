@@ -185,10 +185,9 @@ def _bound_criterion(name: str, value: float, bound: float) -> dict:
             "passed": bool(value <= bound)}
 
 
-def _check_matrix_budget(n: int, config: ExperimentConfig) -> None:
-    if n > config.max_matrix_n:
-        raise ResourceLimitError(
-            "matrix size %d exceeds the cap %d" % (n, config.max_matrix_n))
+def _check_matrix_budget(n: int, cap: int) -> None:
+    if n > cap:
+        raise ResourceLimitError("matrix size %d exceeds the cap %d" % (n, cap))
 
 
 def _weight_from_params(params: dict) -> WeightFn:
@@ -225,15 +224,14 @@ def _trusted_grid(spectrum: spectra.Spectrum):
     return np.geomspace(pos[-1], pos[0], 40)
 
 
-def _write_plotdata(spectrum: spectra.Spectrum, grid, out_dir,
-                    prefix: str = "spectrum") -> list[str]:
-    """Write <prefix>.csv and, unless ``grid`` is None, <prefix>_counting.csv
+def _write_plotdata(spectrum: spectra.Spectrum, grid, out_dir) -> list[str]:
+    """Write spectrum.csv and, unless ``grid`` is None, spectrum_counting.csv
     on that level grid; returns the paths."""
     out = _out_dir(out_dir)
-    paths = [str(out / ("%s.csv" % prefix))]
+    paths = [str(out / "spectrum.csv")]
     spectra.write_spectrum_csv(spectrum, paths[0])
     if grid is not None:
-        paths.append(str(out / ("%s_counting.csv" % prefix)))
+        paths.append(str(out / "spectrum_counting.csv"))
         spectra.write_counting_csv(spectrum, grid, paths[1])
     return paths
 
@@ -269,7 +267,7 @@ def _exp_circle(default_weight: dict, default_tol: float,
     """circle-weyl and signed-weight: one circle, both sides reported."""
     params = {"weight": default_weight, **config.params}
     radius = _param(params, "radius", 1.0)
-    _check_matrix_budget(config.n, config)
+    _check_matrix_budget(config.n, config.max_matrix_n)
     mesh = make_smooth_curve(Circle(radius=radius), config.n)
     weight = _weight_from_params(params)
     op = assemble_curve_operator(mesh, weight, reference_kernel())
@@ -277,18 +275,20 @@ def _exp_circle(default_weight: dict, default_tol: float,
     return _weyl(config, op, expected, default_tol, report_minus=True)
 
 
-def _polygon_mesh(vertices, n: int, grading: float):
+def _polygon_mesh(vertices, n: int, grading: float, cap: int):
     """Graded polygon with about n nodes: an even panel count per side."""
     panels = max(2, n // len(vertices))
-    return make_polygon_curve(vertices, panels + panels % 2, grading)
+    panels += panels % 2
+    _check_matrix_budget(panels * len(vertices), cap)
+    return make_polygon_curve(vertices, panels, grading)
 
 
 def _exp_polygon_weyl(config: ExperimentConfig):
     params = config.params
     vertices = _points(params.get("vertices", _UNIT_SQUARE), '"vertices"', 3)
     mesh = _polygon_mesh(vertices, config.n,
-                         _param(params, "grading_exponent", 3.0))
-    _check_matrix_budget(mesh.n_nodes, config)
+                         _param(params, "grading_exponent", 3.0),
+                         config.max_matrix_n)
     weight = _weight_from_params(params)
     op = assemble_curve_operator(mesh, weight, reference_kernel())
     expected = asymptotics.coefficient_surface(mesh, weight, label="polygon")
@@ -302,7 +302,7 @@ def _exp_two_surfaces(config: ExperimentConfig):
     center_2 = _point(params.get("center_2", (5.0, 0.0)), '"center_2"')
     n1 = max(8, (config.n // 3) & ~1)
     n2 = max(8, (config.n - n1) & ~1)
-    _check_matrix_budget(n1 + n2, config)
+    _check_matrix_budget(n1 + n2, config.max_matrix_n)
     mesh1 = make_smooth_curve(Circle(radius=r1), n1)
     mesh2 = make_smooth_curve(Circle(center=center_2, radius=r2), n2)
     weight = _weight_from_params(params)
@@ -332,11 +332,12 @@ def _exp_mixed_ac_singular(config: ExperimentConfig):
     delta = _param(params, "delta", 0.035)
     n_curve = _param(params, "n_curve", 192, int)
     v0 = _param(params, "v0", 1.0)
+    _check_matrix_budget(n_curve, config.max_matrix_n)
     mesh = make_smooth_curve(Circle(radius=circle_radius), n_curve)
     weight = _weight_from_params(params)
     grid = make_cell_grid(("disk", (0.0, 0.0), disk_radius), delta, v0=v0,
                           exclude_meshes=[mesh])
-    _check_matrix_budget(grid.n_cells + n_curve, config)
+    _check_matrix_budget(grid.n_cells + n_curve, config.max_matrix_n)
     op = assemble_mixed(grid, [(mesh, weight)], reference_kernel())
     expected = asymptotics.coefficient_total([
         asymptotics.coefficient_ac(np.pi * disk_radius ** 2, v0, label="disk"),
@@ -349,7 +350,7 @@ def _exp_mixed_ac_singular(config: ExperimentConfig):
 def _exp_cantor_estimate(config: ExperimentConfig):
     params = config.params
     depth = _param(params, "depth", 10, int)
-    _check_matrix_budget(2 ** depth, config)
+    _check_matrix_budget(2 ** depth, config.max_matrix_n)
     weight = _weight_from_params(params)
     kern = reference_kernel()
     sups = {}
@@ -419,7 +420,7 @@ def _exp_lower_order_decay(config: ExperimentConfig):
     params = config.params
     radius = _param(params, "radius", 1.0)
     n = _param(params, "n", min(config.n, 256), int)
-    _check_matrix_budget(n, config)
+    _check_matrix_budget(n, config.max_matrix_n)
     mesh = make_smooth_curve(Circle(radius=radius), n)
     weight = _weight_from_params(params)
     op = assemble_curve_operator(mesh, weight, lower_order_kernel())
@@ -501,13 +502,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     return report
 
 
-def emit_plotdata(spectrum: spectra.Spectrum, out_dir,
-                  prefix: str = "spectrum") -> list[str]:
+def emit_plotdata(spectrum: spectra.Spectrum, out_dir) -> list[str]:
     """Write the plot-ready CSV pair for a spectrum, counting on 40 levels
     across all eigenvalue magnitudes; returns the paths."""
     mags = np.concatenate([spectrum.side("+"), spectrum.side("-")])
     grid = np.geomspace(mags.min(), mags.max(), 40) if mags.size else []
-    return _write_plotdata(spectrum, grid, out_dir, prefix)
+    return _write_plotdata(spectrum, grid, out_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -590,12 +590,14 @@ def _cmd_spectrum(args) -> int:
               else WeightFn.angular())
     kern = reference_kernel()
     if args.shape == "circle":
+        _check_matrix_budget(args.n, DEFAULT_MAX_MATRIX)
         mesh = make_smooth_curve(Circle(radius=args.radius), args.n)
         op = assemble_curve_operator(mesh, weight, kern)
     elif args.shape == "square":
-        mesh = _polygon_mesh(_UNIT_SQUARE, args.n, 3.0)
+        mesh = _polygon_mesh(_UNIT_SQUARE, args.n, 3.0, DEFAULT_MAX_MATRIX)
         op = assemble_curve_operator(mesh, weight, kern)
     else:
+        _check_matrix_budget(2 ** args.depth, DEFAULT_MAX_MATRIX)
         measure = make_cantor_measure(args.depth)
         op = assemble_measure_operator(measure, weight, kern)
     spectrum = spectra.eigensolve(op)

@@ -36,6 +36,9 @@ from .orlicz import (Cube, averaged_norm, j_functional, _norms_on_sets,
 _CROSSING_RTOL = 1e-12
 # budget of one (centers, atoms) float temporary of the batched search
 _BLOCK_BYTES = 64 * 1024
+# observed covering multiplicity above which a warning is raised: the
+# geometric expectation for cube coverings in the plane
+_MULTIPLICITY_CAP = 16
 
 
 def poly_space_dim(ambient_dim: int, order_l: float) -> int:
@@ -87,7 +90,7 @@ def _chebyshev(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return dist
 
 
-def _crossing_sides(points, absv, masses, centers, target, a2):
+def _crossing_sides(points, absv, masses, centers, target):
     """First-crossing sides of the rows ``centers``, found in lockstep.
 
     Each row sorts its Chebyshev distances; a candidate cube ends at the
@@ -109,7 +112,7 @@ def _crossing_sides(points, absv, masses, centers, target, a2):
 
     def reaches(rows, index):
         inside = dist[rows] <= uniq[start[rows] + index][:, None]
-        return a2 * _norms_on_sets(absv, masses, inside) >= slack
+        return _norms_on_sets(absv, masses, inside) >= slack
 
     everyone = np.arange(len(centers))
     if not reaches(everyone, count - 1).all():
@@ -129,7 +132,7 @@ def _crossing_sides(points, absv, masses, centers, target, a2):
     return np.where(side > 0.0, 2.0 * side, 0.0)
 
 
-def solve_t(measure, V, center, target: float, a2: float = 1.0):
+def solve_t(measure, V, center, target: float):
     """Smallest cube side t with rho_X(t) >= target (first crossing).
 
     The crossing is located exactly: atoms enter the cube in order of their
@@ -152,13 +155,12 @@ def solve_t(measure, V, center, target: float, a2: float = 1.0):
     sides = np.empty(len(rows))
     for block in _row_blocks(len(rows), len(points)):
         sides[block] = _crossing_sides(points, absv, masses, rows[block],
-                                       target, a2)
+                                       target)
     return float(sides[0]) if centers.ndim == 1 else sides
 
 
-def build_covering(measure, V, lam: float, kappa_config: int = 4,
-                   a2: float = 1.0,
-                   multiplicity_cap: int = 16) -> CoveringReport:
+def build_covering(measure, V, lam: float,
+                   kappa_config: int = 4) -> CoveringReport:
     """Greedy finite sub-covering at level ``lam``.
 
     Each atom gets its first-crossing cube for the target lam / kappa; the
@@ -166,7 +168,7 @@ def build_covering(measure, V, lam: float, kappa_config: int = 4,
     cube, then the most extremal atom) and retires every atom inside its
     cube.  When the target is unattainable even globally, a single cube
     covering the whole support is returned.  An observed multiplicity above
-    ``multiplicity_cap`` (the geometric expectation in the plane) is
+    ``_MULTIPLICITY_CAP`` (the geometric expectation in the plane) is
     reported through a warning, never hidden.
     """
     if lam <= 0.0:
@@ -183,14 +185,13 @@ def build_covering(measure, V, lam: float, kappa_config: int = 4,
     center_global = 0.5 * (lo_corner + hi_corner)
     # inflate so boundary atoms stay inside under rounding
     side_global = float(np.max(hi_corner - lo_corner)) * (1.0 + 1e-12) + 1e-300
-    rho_inf = a2 * averaged_norm(vals, masses, float(masses.sum())).value
+    rho_inf = averaged_norm(vals, masses, float(masses.sum())).value
 
     if target >= rho_inf * (1.0 - _CROSSING_RTOL):
         cube = Cube(center_global, side_global)
-        return _report(measure, V, lam, kappa_config, target,
-                       [cube], [n], a2, multiplicity_cap)
+        return _report(measure, V, lam, kappa_config, target, [cube], [n])
 
-    sides = solve_t(measure, V, points, target, a2=a2)
+    sides = solve_t(measure, V, points, target)
     # selection order: heaviest atom first; ties broken by the larger cube,
     # then by distance from the barycenter (extremal points first), which
     # keeps symmetric configurations on their clean dyadic splits
@@ -209,11 +210,11 @@ def build_covering(measure, V, lam: float, kappa_config: int = 4,
         covered_per_cube.append(int(inside.sum()))
         covered |= inside
     return _report(measure, V, lam, kappa_config, target, cubes,
-                   covered_per_cube, a2, multiplicity_cap)
+                   covered_per_cube)
 
 
-def _report(measure, V, lam, kappa_config, target, cubes, covered_per_cube,
-            a2, multiplicity_cap) -> CoveringReport:
+def _report(measure, V, lam, kappa_config, target, cubes,
+            covered_per_cube) -> CoveringReport:
     points, masses = support_atoms(measure)
     absv = np.abs(_weight_values(V, measure, points))
     centers = np.array([cube.center for cube in cubes])
@@ -223,11 +224,11 @@ def _report(measure, V, lam, kappa_config, target, cubes, covered_per_cube,
     for block in _row_blocks(len(cubes), len(points)):
         inside = _chebyshev(points, centers[block]) <= half[block, None]
         membership += inside.sum(axis=0)
-        js[block] = a2 * _norms_on_sets(absv, masses, inside)
-    if membership.max() > multiplicity_cap:
+        js[block] = _norms_on_sets(absv, masses, inside)
+    if membership.max() > _MULTIPLICITY_CAP:
         warnings.warn(
             "observed covering multiplicity %d exceeds the cap %d"
-            % (int(membership.max()), multiplicity_cap), RuntimeWarning)
+            % (int(membership.max()), _MULTIPLICITY_CAP), RuntimeWarning)
     return CoveringReport(
         lam=lam,
         kappa_config=kappa_config,

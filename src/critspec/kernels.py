@@ -59,7 +59,6 @@ class KernelModel:
     """
 
     ambient_dim: int
-    order: int
     log_coefficient: float
     remainder_at_zero: float
     description: str
@@ -147,7 +146,6 @@ def reference_kernel() -> KernelModel:
     """The critical-order kernel (2*pi)^{-1} K_0(|X-Y|) in the plane."""
     return _ReferenceKernel(
         ambient_dim=2,
-        order=-2,
         log_coefficient=-1.0 / TWO_PI,
         remainder_at_zero=REFERENCE_DIAGONAL_LIMIT,
         description="inverse (1 - Laplace), plane",
@@ -158,7 +156,6 @@ def lower_order_kernel() -> KernelModel:
     """Order -3 companion kernel used by the decay-order experiment."""
     return _LowerOrderKernel(
         ambient_dim=2,
-        order=-3,
         log_coefficient=0.0,
         remainder_at_zero=1.0 / TWO_PI,
         description="inverse (1 - Laplace)^{3/2}, plane",

@@ -222,12 +222,13 @@ def _weight_values(V, obj, points):
     return V
 
 
-def j_functional(V, measure, cube: Cube, a2: float = 1.0) -> float:
-    """Cube functional A2 * averaged norm of V restricted to the cube.
+def j_functional(V, measure, cube: Cube) -> float:
+    """Cube functional: the averaged norm of V restricted to the cube.
 
     The mass budget is the restricted mass; an empty intersection gives 0 by
-    the zero-measure convention.  A2 is a configured constant (default 1):
-    the bound experiments report empirical constants against it.
+    the zero-measure convention.  The paper's constant A2 in front of the
+    norm is taken as 1: the bound experiments report empirical constants
+    against that normalisation.
     """
     points, masses = support_atoms(measure)
     vals = _weight_values(V, measure, points)
@@ -236,7 +237,7 @@ def j_functional(V, measure, cube: Cube, a2: float = 1.0) -> float:
         return 0.0
     res = averaged_norm(vals[inside], masses[inside],
                         float(masses[inside].sum()))
-    return a2 * res.value
+    return res.value
 
 
 def surface_norm(V, obj) -> float:

@@ -1,13 +1,14 @@
 """Symmetric eigenvalues, counting functions, and coefficient fits.
 
 The counting coefficient is read off eigenvalues alone, so ``eigensolve``
-computes no eigenvectors.  It checks the whole computed spectrum against two
-invariants of the matrix that cost O(n^2): the sum of the eigenvalues is the
-trace, and the sum of their squares is the squared Frobenius norm.  Either
-error above its tolerance raises ``InternalError``.  An operator of a
-nonnegative weight must also come out positive semidefinite in the same
-tolerance unit; one that does not is an under-resolved mesh, refused with
-``InvalidArgumentError``.
+computes no eigenvectors.  It takes an ``OperatorMatrix`` only, which is
+exactly symmetric by construction, so no symmetry test runs here.  It checks
+the whole computed spectrum against two invariants of the matrix that cost
+O(n^2): the sum of the eigenvalues is the trace, and the sum of their
+squares is the squared Frobenius norm.  Either error above its tolerance
+raises ``InternalError``.  An operator of a nonnegative weight must also
+come out positive semidefinite in the same tolerance unit; one that does
+not is an under-resolved mesh, refused with ``InvalidArgumentError``.
 
 The mid-spectrum estimator for the constant C in n(lambda) ~ C / lambda is
 the median of k |lambda_k| over a window of indices: multiplicity-2 families
@@ -28,7 +29,6 @@ from .errors import InsufficientDataError, InvalidArgumentError, InternalError
 
 # relative scale below which an eigenvalue counts as a numerical zero
 _ZERO_RTOL = 1e-14
-_SYMMETRY_ATOL = 1e-12
 # invariant tolerances, in units of n * eps * scale (scale = spectral radius
 # for the trace, squared Frobenius norm for the sum of squares); measured
 # clean solves stay below 0.25 of these units on curve, polygon, Cantor,
@@ -93,31 +93,20 @@ class WeylFit:
     dispersion: float
 
 
-def eigensolve(matrix) -> Spectrum:
-    """Eigenvalues of a symmetric matrix, checked against its invariants.
+def eigensolve(op: OperatorMatrix) -> Spectrum:
+    """Eigenvalues of an operator matrix, checked against its invariants.
 
     No eigenvectors are computed.  The computed spectrum must reproduce the
     trace and the squared Frobenius norm of the matrix to within 64 n eps
     times the spectral radius and the squared norm; a violation raises
-    ``InternalError`` naming both errors.  An ``OperatorMatrix`` is exactly
-    symmetric by construction; a plain array is checked for symmetry first.
-    An unsigned ``OperatorMatrix`` (nonnegative weight) is positive
-    semidefinite on a resolved mesh: a least eigenvalue below -64 n eps
-    times the spectral radius raises ``InvalidArgumentError`` (exit 2).
-    Eigenvalues below 1e-14 of the spectral radius are dropped as numerical
-    zeros; the trusted index range is n/8.
+    ``InternalError`` naming both errors.  An unsigned operator (nonnegative
+    weight) is positive semidefinite on a resolved mesh: a least eigenvalue
+    below -64 n eps times the spectral radius raises
+    ``InvalidArgumentError`` (exit 2).  Eigenvalues below 1e-14 of the
+    spectral radius are dropped as numerical zeros; the trusted index range
+    is n/8.
     """
-    if isinstance(matrix, OperatorMatrix):
-        m = matrix.entries
-    else:
-        m = np.asarray(matrix, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise InvalidArgumentError("matrix must be square")
-        if m.size and np.max(np.abs(m - m.T)) > _SYMMETRY_ATOL * max(
-                1.0, float(np.max(np.abs(m)))):
-            raise InvalidArgumentError(
-                "matrix is not symmetric within tolerance")
-
+    m = op.entries
     vals = np.linalg.eigvalsh(m)
     norm = float(np.max(np.abs(vals))) if vals.size else 0.0
     trace_err, frobenius_err = _invariant_errors(m, vals)
@@ -126,8 +115,8 @@ def eigensolve(matrix) -> Spectrum:
             "eigenvalues violate the matrix invariants: trace error %.3g, "
             "Frobenius error %.3g (tolerance units)"
             % (trace_err, frobenius_err))
-    if (isinstance(matrix, OperatorMatrix) and not matrix.signed_flag
-            and vals.size and vals[0] < -_tolerance_unit(len(vals)) * norm):
+    if (not op.signed_flag and vals.size
+            and vals[0] < -_tolerance_unit(len(vals)) * norm):
         raise InvalidArgumentError(
             "under-resolved mesh: the operator of this nonnegative weight is "
             "indefinite, least eigenvalue %.3g of the spectral radius; refine "

@@ -41,8 +41,9 @@ elementwise expressions, so the two agree bit for bit.
 ``assemble_mixed_pairs`` is ``assemble_mixed`` as it was before the
 threaded pass: every diagonal kernel block built on its own and copied into
 a second matrix, each cross block one ``profile`` call on all its pairs,
-and the scaling of all n^2 entries followed by a row-by-row mirror.  Its
-diagonal blocks come from the ``*_pairs`` oracles above.
+and the scaling of all n^2 entries followed by a row-by-row mirror (the
+package's fold, which returns an upper triangle, is mirrored the same
+way).  Its diagonal blocks come from the ``*_pairs`` oracles above.
 
 ``cholesky_fold_full`` is the sign fold as it was before its column-blocked
 upper-triangle product: the full product L^T (diag(V w) L), then a
@@ -179,15 +180,14 @@ def averaged_norm_bisection(V, weights, mass_E: float) -> OrliczNormResult:
     return OrliczNormResult(value, vmax * scaled_tau, g, residual)
 
 
-def rho(measure, V, center, side: float, a2: float = 1.0) -> float:
+def rho(measure, V, center, side: float) -> float:
     """Cube functional of the side-``side`` cube centered at ``center``."""
     if side <= 0.0:
         raise InvalidArgumentError("cube side must be positive")
-    return j_functional(V, measure, Cube(np.asarray(center, float), side),
-                        a2=a2)
+    return j_functional(V, measure, Cube(np.asarray(center, float), side))
 
 
-def solve_t_prefix(measure, V, center, target: float, a2: float = 1.0,
+def solve_t_prefix(measure, V, center, target: float,
                    norm=averaged_norm) -> float:
     """First-crossing cube side at one center by binary search over the
     sorted distinct Chebyshev distances, one ``norm`` call per prefix."""
@@ -202,8 +202,7 @@ def solve_t_prefix(measure, V, center, target: float, a2: float = 1.0,
 
     def j_of_prefix(i: int) -> float:
         sel = order[dist_sorted <= uniq[i]]
-        return a2 * norm(vals[sel], masses[sel],
-                         float(masses[sel].sum())).value
+        return norm(vals[sel], masses[sel], float(masses[sel].sum())).value
 
     slack = target * (1.0 - 1e-12)
     if j_of_prefix(len(uniq) - 1) < slack:
@@ -447,7 +446,7 @@ def assemble_mixed_pairs(grid, curves, kernel) -> OperatorMatrix:
     signed = bool(np.any(v_all < 0.0))
     meta["signed"] = signed
     if signed:
-        entries = _cholesky_fold(ktil, v_all, w_all)
+        entries = _mirror_rows(_cholesky_fold(ktil, v_all, w_all))
         meta["fold"] = "cholesky"
     else:
         s = np.sqrt(np.abs(v_all) * w_all)

@@ -17,7 +17,7 @@ from critspec.assemble import (CellGrid, OperatorMatrix, WeightFn,
                                assemble_measure_operator, assemble_mixed,
                                make_cell_grid)
 from critspec.bessel import bessel_k
-from critspec.errors import InvalidArgumentError
+from critspec.errors import InvalidArgumentError, ResourceLimitError
 from critspec.geometry import (Circle, Ellipse, Star, SurfaceMesh,
                                make_cantor_measure,
                                make_polygon_curve, make_smooth_curve,
@@ -34,6 +34,17 @@ from oracles import (assemble_mixed_pairs, cholesky_fold_full,
                      smooth_curve_effective_kernel_two_calls)
 
 TWO_PI = 2.0 * np.pi
+
+
+def _symmetric(upper: np.ndarray) -> np.ndarray:
+    """The symmetric matrix whose upper triangle is that of ``upper``: the
+    builders write only that triangle."""
+    return np.triu(upper) + np.triu(upper, 1).T
+
+
+def _same_upper(got: np.ndarray, want: np.ndarray) -> bool:
+    """Whether the upper triangles, diagonal included, agree bit for bit."""
+    return np.array_equal(np.triu(got), np.triu(want))
 
 
 def _two_node_mesh():
@@ -106,7 +117,7 @@ def test_similarity_invariance_vs_plain_nystrom(kernel):
     mesh = make_smooth_curve(Circle(radius=1.0), 48)
     for weight in (WeightFn.constant(1.0), WeightFn.angular()):
         vvals = weight.values_on(mesh)
-        ktil = _smooth_curve_effective_kernel(mesh, kernel)
+        ktil = _symmetric(_smooth_curve_effective_kernel(mesh, kernel))
         plain = ktil * (vvals * mesh.weights)[None, :]
         ref = np.linalg.eigvals(plain)
         assert np.max(np.abs(ref.imag)) < 1e-10
@@ -142,14 +153,14 @@ def test_cholesky_fold_matches_plain_nystrom(kind, half_n, seed):
     rng = np.random.default_rng(seed)
     support = _fold_support(kind, 2 * half_n, rng)
     if kind == "cantor":
-        ktil = _point_effective_kernel(support.atoms, kern, "segment",
-                                       support.cell_size)
+        ktil = _symmetric(_point_effective_kernel(
+            support.atoms, kern, "segment", support.cell_size))
         v = rng.normal(size=support.n_atoms)
         v[:2] = -abs(v[0]), abs(v[1])
         op = assemble_measure_operator(support, WeightFn.tabulated(v), kern)
         w = support.masses
     else:
-        ktil = _curve_effective_kernel(support, kern)
+        ktil = _symmetric(_curve_effective_kernel(support, kern))
         v = rng.normal(size=support.n_nodes)
         v[:2] = -abs(v[0]), abs(v[1])
         op = assemble_curve_operator(support, WeightFn.tabulated(v), kern)
@@ -168,7 +179,7 @@ def test_radius_five_circle_takes_the_cholesky_fold(kernel):
     # at n = 512 is positive definite (unwindowed, its least eigenvalue was
     # -0.108), so the angular weight takes the one fold
     mesh = make_smooth_curve(Circle(radius=5.0), 512)
-    ktil = _curve_effective_kernel(mesh, kernel)
+    ktil = _symmetric(_curve_effective_kernel(mesh, kernel))
     assert np.linalg.eigvalsh(ktil)[0] > 0.0
     weight = WeightFn.angular()
     op = assemble_curve_operator(mesh, weight, kernel)
@@ -250,10 +261,9 @@ def _agrees_with_two_call_oracle(mesh, kern) -> bool:
     oracle = (smooth_curve_effective_kernel_two_calls
               if mesh.kind == "smooth-closed"
               else polygon_effective_kernel_two_calls)
-    got = _curve_effective_kernel(mesh, kern)
+    got = _symmetric(_curve_effective_kernel(mesh, kern))
     want = oracle(mesh, kern)
-    return (np.array_equal(got, got.T)
-            and np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)))
+    return np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("curve", sorted(_CURVES))
@@ -278,10 +288,11 @@ def _fold_kernel(support: str, kernel):
     blocks of the fold."""
     if support == "cantor":
         measure = make_cantor_measure(10)
-        return (_point_effective_kernel(measure.atoms, kernel, "segment",
-                                        measure.cell_size), measure.masses)
+        return (_symmetric(_point_effective_kernel(
+            measure.atoms, kernel, "segment", measure.cell_size)),
+            measure.masses)
     mesh = _CURVES[support](600)
-    return _curve_effective_kernel(mesh, kernel), mesh.weights
+    return _symmetric(_curve_effective_kernel(mesh, kernel)), mesh.weights
 
 
 @pytest.mark.parametrize("support", ["circle", "ellipse", "graded-polygon",
@@ -293,10 +304,9 @@ def test_blocked_fold_matches_full_product_oracle(support, columns, kernel,
     monkeypatch.setattr(assemble, "_FOLD_COLUMNS", columns)
     ktil, w = _fold_kernel(support, kernel)
     v = np.random.default_rng(11).normal(size=len(w))
-    got = _cholesky_fold(ktil.copy(), v, w)
+    got = _symmetric(_cholesky_fold(ktil.copy(), v, w))
     want = cholesky_fold_full(ktil.copy(), v, w)
     rho = np.max(np.abs(np.linalg.eigvalsh(want)))
-    assert np.array_equal(got, got.T)
     assert np.max(np.abs(got - want)) <= 1e-13 * rho
 
 
@@ -341,8 +351,8 @@ _SMOOTH = {
 @pytest.mark.parametrize("n", [8, 10, 1030, 2048])
 def test_blocked_smooth_curve_kernel_matches_pairs_oracle(curve, n, kernel):
     mesh = make_smooth_curve(_SMOOTH[curve], n)
-    assert np.array_equal(_curve_effective_kernel(mesh, kernel),
-                          smooth_curve_effective_kernel_pairs(mesh, kernel))
+    assert _same_upper(_curve_effective_kernel(mesh, kernel),
+                       smooth_curve_effective_kernel_pairs(mesh, kernel))
 
 
 _POLYGONS = {
@@ -359,8 +369,8 @@ _POLYGONS = {
 def test_blocked_polygon_kernel_matches_pairs_oracle(vertices, grading,
                                                      kernel):
     mesh = make_polygon_curve(_POLYGONS[vertices], 66, grading)
-    assert np.array_equal(_curve_effective_kernel(mesh, kernel),
-                          polygon_effective_kernel_pairs(mesh, kernel))
+    assert _same_upper(_curve_effective_kernel(mesh, kernel),
+                       polygon_effective_kernel_pairs(mesh, kernel))
 
 
 def _point_cases():
@@ -379,7 +389,7 @@ def _point_cases():
                          ids=lambda case: case[0])
 def test_blocked_point_kernel_matches_pairs_oracle(case):
     _, points, kern, cell_kind, cell_size = case
-    assert np.array_equal(
+    assert _same_upper(
         _point_effective_kernel(points, kern, cell_kind, cell_size),
         point_effective_kernel_pairs(points, kern, cell_kind, cell_size))
 
@@ -389,14 +399,14 @@ def test_blocked_point_kernel_matches_pairs_oracle(case):
 def test_blocked_curves_and_fallback_match_pairs_oracles(kern):
     circle = make_smooth_curve(Circle(), 256)
     polygon = make_polygon_curve(_QUAD, 32, 3.0)
-    assert np.array_equal(_curve_effective_kernel(circle, kern),
-                          smooth_curve_effective_kernel_pairs(circle, kern))
-    assert np.array_equal(_curve_effective_kernel(polygon, kern),
-                          polygon_effective_kernel_pairs(polygon, kern))
+    assert _same_upper(_curve_effective_kernel(circle, kern),
+                       smooth_curve_effective_kernel_pairs(circle, kern))
+    assert _same_upper(_curve_effective_kernel(polygon, kern),
+                       polygon_effective_kernel_pairs(polygon, kern))
     # below the quadrature minimum: pointwise values, segment closure
     for tiny in (_two_node_mesh(), make_polygon_curve(_POLYGONS[3], 2, 3.0)):
         assert tiny.n_nodes < 8
-        assert np.array_equal(
+        assert _same_upper(
             _curve_effective_kernel(tiny, kern),
             point_effective_kernel_pairs(tiny.nodes, kern, "segment",
                                          float(tiny.weights.max())))
@@ -471,7 +481,7 @@ def _builder_case(name: str):
 def test_every_worker_count_matches_pairs_oracle(case, workers, monkeypatch):
     built, oracle = _builder_case(case)
     monkeypatch.setattr(assemble, "_WORKERS", workers)
-    assert np.array_equal(built(), oracle())
+    assert _same_upper(built(), oracle())
 
 
 @pytest.mark.parametrize("weight", ["unsigned", "signed"])
@@ -562,6 +572,121 @@ def test_underflow_warning_in_a_pool_block_reaches_the_caller(monkeypatch):
     with pytest.warns(RuntimeWarning, match="underflow"):
         assemble._each_block(2, 4, fill)
     assert len(pool_calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# the upper-triangle contract: only _finalize writes the lower triangle
+# ---------------------------------------------------------------------------
+
+def _upper_builder(name: str):
+    """(size, builder writing into a given out) of one kernel matrix."""
+    kern = reference_kernel()
+    if name == "points":
+        measure = make_cantor_measure(8)
+        return measure.n_atoms, lambda out: _point_effective_kernel(
+            measure.atoms, kern, "segment", measure.cell_size, out)
+    mesh = {"circle": make_smooth_curve(Circle(), 300),
+            "polygon": make_polygon_curve(_QUAD, 64, 3.0),
+            "fallback": make_polygon_curve(_POLYGONS[3], 2, 3.0)}[name]
+    return mesh.n_nodes, lambda out: _curve_effective_kernel(mesh, kern, out)
+
+
+# a 1 GB block budget puts every matrix in one block; 64 bytes give one row
+# per block
+@pytest.mark.parametrize("name", ["circle", "polygon", "fallback", "points"])
+@pytest.mark.parametrize("block_bytes", [1 << 30, 64],
+                         ids=["one-block", "row-blocks"])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_builders_leave_the_strict_lower_triangle_untouched(
+        name, block_bytes, workers, monkeypatch):
+    monkeypatch.setattr(assemble, "_WORKERS", workers)
+    monkeypatch.setattr(assemble, "_BLOCK_BYTES", block_bytes)
+    n, build = _upper_builder(name)
+    assert name != "fallback" or n < 8
+    out = np.full((n, n), np.nan)
+    build(out)
+    lower = np.tri(n, k=-1, dtype=bool)
+    assert np.isnan(out[lower]).all()
+    assert not np.isnan(out[~lower]).any()
+
+
+class _NanEmptyNumpy:
+    """NumPy as ``assemble`` sees it, except that ``empty`` fills with NaN:
+    an entry that no step writes stays NaN."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def empty(shape, *args, **kwargs):
+        return np.full(shape, np.nan)
+
+
+def _nan_lower_operator(case: str, signed: bool, monkeypatch):
+    """(kernel matrix handed to _finalize, finished operator) of one
+    assembly whose fresh matrices start as NaN."""
+    kern = reference_kernel()
+    weight = WeightFn.angular() if signed else WeightFn.constant(1.0)
+    handed = []
+    finalize = assemble._finalize
+
+    def spy(kernel_matrix, v_vals, weights, meta):
+        handed.append(kernel_matrix.copy())
+        return finalize(kernel_matrix, v_vals, weights, meta)
+
+    monkeypatch.setattr(assemble, "np", _NanEmptyNumpy())
+    monkeypatch.setattr(assemble, "_finalize", spy)
+    if case == "cantor":
+        measure = make_cantor_measure(7)
+        v = np.cos(np.arange(measure.n_atoms)) if signed else np.ones(
+            measure.n_atoms)
+        op = assemble_measure_operator(measure, WeightFn.tabulated(v), kern)
+    else:
+        # a cell grid, a circle, a polygon and a curve below the quadrature
+        # minimum: four kinds of diagonal block and six cross blocks
+        grid = make_cell_grid(("box", (0.0, 0.0), (1.0, 1.0)), 0.1)
+        curves = [
+            (make_smooth_curve(Circle(center=(3.0, 0.5), radius=0.5), 64),
+             weight),
+            (make_polygon_curve([[0.0, 2.0], [1.0, 2.0], [1.0, 3.0],
+                                 [0.0, 3.0]], 8, 3.0), weight),
+            (make_polygon_curve([[3.0, 3.0], [4.0, 3.0], [3.5, 4.0]], 2,
+                                3.0), weight),
+        ]
+        op = assemble_mixed(grid, curves, kern)
+    return handed[0], op
+
+
+@pytest.mark.parametrize("case", ["cantor", "mixed"])
+@pytest.mark.parametrize("signed", [False, True], ids=["unsigned", "signed"])
+@pytest.mark.parametrize("workers,block_bytes", [(1, 1 << 30), (2, 64)],
+                         ids=["one-block", "row-blocks"])
+def test_only_the_finished_operator_has_a_lower_triangle(
+        case, signed, workers, block_bytes, monkeypatch):
+    monkeypatch.setattr(assemble, "_WORKERS", workers)
+    monkeypatch.setattr(assemble, "_BLOCK_BYTES", block_bytes)
+    kernel_matrix, op = _nan_lower_operator(case, signed, monkeypatch)
+    lower = np.tri(op.n, k=-1, dtype=bool)
+    # the diagonal and cross blocks fill the upper triangle and nothing else
+    assert np.isnan(kernel_matrix[lower]).all()
+    assert not np.isnan(kernel_matrix[~lower]).any()
+    assert op.signed_flag == signed
+    assert not np.isnan(op.entries).any()
+    assert np.array_equal(op.entries, op.entries.T)
+
+
+@pytest.mark.parametrize("support", ["circle", "graded-polygon", "cantor"])
+def test_fold_reads_only_the_upper_triangle(support, kernel):
+    ktil, w = _fold_kernel(support, kernel)
+    v = np.random.default_rng(3).normal(size=len(w))
+    lower = np.tri(len(w), k=-1, dtype=bool)
+    nan_lower = ktil.copy()
+    nan_lower[lower] = np.nan
+    got = _cholesky_fold(nan_lower, v, w)
+    want = _cholesky_fold(ktil.copy(), v, w)
+    assert _same_upper(got, want)
+    # the fold leaves the lower triangle to the one mirror
+    assert np.isnan(got[lower]).all()
 
 
 def test_kernel_mesh_dimension_mismatch():
@@ -706,6 +831,15 @@ def test_mixed_rejects_separation_violation(kernel, unit_weight):
     grid = make_cell_grid(("box", (0.0, 0.0), (1.0, 1.0)), 0.25)
     with pytest.raises(InvalidArgumentError):
         assemble_mixed(grid, [(mesh, unit_weight)], kernel)
+
+
+def test_make_cell_grid_refuses_bad_sizes_before_building():
+    # a 250 x 250 bounding grid is above the atom cap of 2^15 cells
+    with pytest.raises(ResourceLimitError, match="atom cap"):
+        make_cell_grid(("disk", (0.0, 0.0), 1.0), 0.008)
+    for delta in (0.0, -0.1, float("nan")):
+        with pytest.raises(InvalidArgumentError, match="cell size"):
+            make_cell_grid(("disk", (0.0, 0.0), 1.0), delta)
 
 
 def test_make_cell_grid_excludes_near_curve_cells(kernel):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from critspec.assemble import WeightFn, make_cell_grid
+from critspec.assemble import WeightFn
 from critspec.asymptotics import (AsymCoeff, coefficient_ac,
                                   coefficient_surface, coefficient_total,
                                   r_symbol,
@@ -80,14 +80,10 @@ def test_nonpositive_weight_kills_plus_side():
 
 
 def test_analytic_surface_by_total_measure():
-    # a circle passed as its total arclength with a constant weight
-    coeff = coefficient_surface(2.0 * np.pi * 3.0, 1.0)
+    # C = R for a circle of radius R with a constant unit weight
+    mesh = make_smooth_curve(Circle(radius=3.0), 128)
+    coeff = coefficient_surface(mesh, WeightFn.constant(1.0))
     assert coeff.c_plus == pytest.approx(3.0, rel=1e-12)
-    # d = 2 surface in R^4 with unit area
-    coeff4 = coefficient_surface(1.0, 1.0, ambient_dim=4, surface_dim=2)
-    expected = 0.5 * (2 * np.pi) ** -2 * sphere_surface(1) \
-        * r_symbol_closed_form(4, 2)
-    assert coeff4.c_plus == pytest.approx(expected, rel=1e-12)
 
 
 def test_scaling_homogeneity_of_curve_contribution():
@@ -130,22 +126,15 @@ def test_ac_zero_density_and_linearity():
         2.0 * coefficient_ac(np.pi, 1.0).c_plus, rel=1e-14)
 
 
-def test_ac_from_cell_grid_matches_area():
-    grid = make_cell_grid(("box", (0.0, 0.0), (1.0, 1.0)), 0.05)
-    coeff = coefficient_ac(grid, None)
-    resolved_area = grid.n_cells * 0.05 ** 2
-    assert coeff.c_plus == pytest.approx(resolved_area / (4.0 * np.pi),
-                                         rel=1e-12)
-
-
 # ---------------------------------------------------------------------------
 # totals
 # ---------------------------------------------------------------------------
 
 def test_total_additivity_disk_plus_circle():
+    half = make_smooth_curve(Circle(radius=0.5), 64)
     parts = [
         coefficient_ac(np.pi, 1.0, label="disk"),
-        coefficient_surface(np.pi, 1.0, label="half-circle"),  # R=1/2 length
+        coefficient_surface(half, WeightFn.constant(1.0), label="half-circle"),
     ]
     total = coefficient_total(parts)
     assert total.c_plus == pytest.approx(0.75, rel=1e-12)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +49,32 @@ def test_resource_limit_exit_code(tmp_path):
     cfg.write_text(json.dumps({"experiment": "circle-weyl", "n": 4096,
                                "max_matrix_n": 512}))
     assert main(["run", "--config", str(cfg)]) == 3
+
+
+@pytest.mark.parametrize("config", [
+    # 48248 unknowns; the grid's bounding box alone has 62500 cells
+    {"experiment": "mixed-ac-singular", "params": {"delta": 0.008}},
+    {"experiment": "polygon-weyl", "n": 400000},
+], ids=["fine-cell-grid", "large-polygon"])
+def test_size_caps_are_checked_before_allocating(config, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    tracemalloc.start()
+    try:
+        code = main(["run", "--config", str(cfg)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert capsys.readouterr().err.startswith("resource limit: ")
+    assert peak < 2 * 2 ** 20
+
+
+def test_spectrum_command_applies_the_matrix_cap(tmp_path, capsys):
+    code = main(["spectrum", "--n", "4202", "--out", str(tmp_path)])
+    assert code == 3
+    assert "exceeds the cap 4200" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("text", [
@@ -155,7 +182,7 @@ def test_emit_plotdata_columns(tmp_path):
 
 def test_emit_plotdata_empty_spectrum(tmp_path):
     sp = Spectrum.from_eigenvalues([])
-    paths = emit_plotdata(sp, tmp_path, prefix="empty")
+    paths = emit_plotdata(sp, tmp_path)
     for p in paths:
         lines = open(p).read().strip().split("\n")
         assert len(lines) == 1  # header only

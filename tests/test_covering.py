@@ -312,12 +312,14 @@ def test_report_max_j_is_the_largest_cube_functional(measure):
         assert rep.max_j == pytest.approx(max(js), rel=1e-13)
 
 
-def test_multiplicity_above_cap_is_reported(uniform16, ones16):
+def test_multiplicity_above_cap_is_reported(uniform16, ones16,
+                                            monkeypatch):
     total = surface_norm(ones16, uniform16)
     # overlapping regime; a cap of 1 must trigger the report
+    monkeypatch.setattr(covering, "_MULTIPLICITY_CAP", 1)
     with pytest.warns(RuntimeWarning):
         rep = build_covering(uniform16, ones16, 4 * total / 8.0,
-                             kappa_config=4, multiplicity_cap=1)
+                             kappa_config=4)
     assert rep.multiplicity_observed > 1
 
 

@@ -249,7 +249,6 @@ def test_lower_order_kernel_matches_closed_form():
     r = np.linspace(0.0, 30.0, 3001)
     want = lower_order_kernel_subordination(r)
     assert np.max(np.abs(kern.profile(r) - want) / want) < 1e-13
-    assert kern.order == -3
 
 
 def test_lower_order_kernel_split_has_no_log_part():

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from critspec import spectra
-from critspec.assemble import (WeightFn, assemble_curve_operator,
+from critspec.assemble import (OperatorMatrix, WeightFn,
+                               assemble_curve_operator,
                                assemble_measure_operator, assemble_mixed,
                                make_cell_grid)
 from critspec.errors import (InsufficientDataError, InternalError,
@@ -17,30 +18,37 @@ from critspec.spectra import Spectrum, counting, eigensolve, weyl_fit
 from conftest import UNIT_SQUARE, circle_exact_eigenvalues
 
 
+def _signed(m) -> OperatorMatrix:
+    """An operator matrix that may have eigenvalues of either sign."""
+    return OperatorMatrix(entries=m, signed_flag=True)
+
+
 # ---------------------------------------------------------------------------
 # eigensolve
 # ---------------------------------------------------------------------------
 
 def test_diagonal_matrix():
-    sp = eigensolve(np.diag([3.0, -1.0]))
+    sp = eigensolve(_signed(np.diag([3.0, -1.0])))
     assert np.array_equal(sp.positives, [3.0])
     assert np.array_equal(sp.negatives, [-1.0])
 
 
 def test_zero_matrix_empty_spectrum():
-    sp = eigensolve(np.zeros((4, 4)))
+    sp = eigensolve(OperatorMatrix(entries=np.zeros((4, 4))))
     assert len(sp.positives) == 0 and len(sp.negatives) == 0
 
 
 def test_numerical_zeros_dropped():
-    sp = eigensolve(np.diag([1.0, 1e-16, -1e-16]))
+    sp = eigensolve(_signed(np.diag([1.0, 1e-16, -1e-16])))
     assert len(sp.positives) == 1 and len(sp.negatives) == 0
 
 
 def test_asymmetric_matrix_rejected():
+    # an asymmetric matrix never becomes an operator, the only input of
+    # eigensolve
     m = np.array([[0.0, 1.0], [0.5, 0.0]])
-    with pytest.raises(InvalidArgumentError):
-        eigensolve(m)
+    with pytest.raises(InvalidArgumentError, match="exactly symmetric"):
+        OperatorMatrix(entries=m, signed_flag=True)
 
 
 def test_circle_eigenvalues_multiplicity_two(circle_spectrum_256):
@@ -54,8 +62,8 @@ def test_orthogonal_similarity_invariance():
     m = rng.normal(size=(40, 40))
     m = 0.5 * (m + m.T)
     q, _ = np.linalg.qr(rng.normal(size=(40, 40)))
-    sp_a = eigensolve(m)
-    sp_b = eigensolve(0.5 * ((q.T @ m @ q) + (q.T @ m @ q).T))
+    sp_a = eigensolve(_signed(m))
+    sp_b = eigensolve(_signed(0.5 * ((q.T @ m @ q) + (q.T @ m @ q).T)))
     assert np.max(np.abs(sp_a.positives - sp_b.positives)) < 1e-9
     assert np.max(np.abs(sp_a.negatives - sp_b.negatives)) < 1e-9
 
@@ -129,7 +137,7 @@ def test_invariant_check_rejects_nan_eigenvalues(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh",
                         lambda m: np.array([1.0, np.nan]))
     with pytest.raises(InternalError):
-        eigensolve(np.eye(2))
+        eigensolve(OperatorMatrix(entries=np.eye(2)))
 
 
 def test_indefinite_unsigned_operator_is_refused():
