@@ -14,9 +14,14 @@ singularity:
   with the trapezoid rule;
 * polygon curves: panel midpoint collocation with the log part integrated
   exactly over flat panels;
-* atomized measures: pointwise kernel values off the diagonal, with the
-  cell-averaged self coefficient closing the diagonal;
-* mixed configurations: block matrices over area cells and curve nodes.
+* atomized measures (Cantor dust, uniform grids, the area cells of an
+  absolutely continuous density): pointwise kernel values off the
+  diagonal, with the cell-averaged self coefficient closing the diagonal.
+
+Every operator is laid out by ``assemble_mixed`` as a list of (support,
+weight) blocks: each support's effective kernel on its diagonal block and
+plain kernel values in the cross blocks between supports.  The curve and
+measure operators are its one-block calls.
 
 Each effective-kernel matrix is built in one blocked pass over its upper
 triangle.  A block is a slice of rows [i0, i1) against the columns j >= i0:
@@ -39,8 +44,8 @@ which keeps the bytes in flight at one serial block.  The first exception
 raised in a block stops the blocks not yet started and reaches the caller
 once every running block has ended; warnings raised in a block reach the
 caller's filters as usual.  The same pass scales the upper triangle by
-diag(s) and fills the cross blocks of mixed configurations; their diagonal
-blocks are built in place, in views of the one operator matrix.
+diag(s) and fills the cross blocks; the diagonal blocks are built in place,
+in views of the one operator matrix.
 
 Sign-changing V is reduced to a symmetric indefinite matrix with identical
 nonzero spectrum.  The one fold factors the effective-kernel matrix by
@@ -471,7 +476,7 @@ def _curve_effective_kernel(mesh: SurfaceMesh, kernel: KernelModel,
 
 
 # ---------------------------------------------------------------------------
-# assembly entry points
+# assembly
 # ---------------------------------------------------------------------------
 
 def _check_plane(kernel: KernelModel, ambient_dim: int) -> None:
@@ -483,71 +488,36 @@ def assemble_curve_operator(mesh: SurfaceMesh, V: WeightFn,
                             kernel: KernelModel) -> OperatorMatrix:
     """Symmetric matrix of the weighted kernel operator on a curve, on the
     quadrature that ``_curve_effective_kernel`` picks for the mesh."""
-    _check_plane(kernel, mesh.ambient_dim)
-    v_vals = V.values_on(mesh)
-    ktil = _curve_effective_kernel(mesh, kernel)
-    meta = {"source": "curve", "kind": mesh.kind, "n": mesh.n_nodes,
-            "kernel": kernel.description}
-    return _finalize(ktil, v_vals, mesh.weights, meta)
+    return assemble_mixed([(mesh, V)], kernel)
 
 
 def assemble_measure_operator(measure: SingularMeasure, V: WeightFn,
                               kernel: KernelModel) -> OperatorMatrix:
     """Symmetric matrix of the weighted kernel operator on an atomized
     measure; the diagonal is closed by the cell-averaged self coefficient
-    of a segment cell at the measure's cell size."""
-    _check_plane(kernel, measure.ambient_dim)
-    if measure.cell_size <= 0.0:
-        raise InvalidArgumentError("measure cell_size must be positive")
-    v_vals = V.values_on(measure)
-    ktil = _point_effective_kernel(measure.atoms, kernel, "segment",
-                                   measure.cell_size)
-    meta = {"source": "measure", "n": measure.n_atoms,
-            "cell_kind": "segment", "kernel": kernel.description}
-    return _finalize(ktil, v_vals, measure.masses, meta)
+    of the cell each atom stands for (``_cell_shape``)."""
+    return assemble_mixed([(measure, V)], kernel)
 
 
-# ---------------------------------------------------------------------------
-# mixed area + curve configurations
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CellGrid:
-    """Uniform square cells carrying an absolutely continuous density."""
-
-    centers: np.ndarray
-    delta: float
-    v0: np.ndarray
-
-    def __post_init__(self):
-        c = np.ascontiguousarray(np.asarray(self.centers, dtype=float))
-        v = np.ascontiguousarray(np.asarray(self.v0, dtype=float))
-        if c.ndim != 2 or c.shape[1] != 2 or len(v) != len(c):
-            raise InvalidArgumentError("grid centers/density mismatch")
-        if self.delta <= 0.0:
-            raise InvalidArgumentError("cell size must be positive")
-        c.flags.writeable = False
-        v.flags.writeable = False
-        object.__setattr__(self, "centers", c)
-        object.__setattr__(self, "v0", v)
-
-    @property
-    def n_cells(self) -> int:
-        return len(self.centers)
-
-
-def make_cell_grid(domain, delta: float, v0=1.0,
-                   exclude_meshes=()) -> CellGrid:
-    """Uniform grid of cells covering ``domain`` (("disk", center, R) or
-    ("box", lo, hi)), keeping cells whose centers lie inside and at least one
-    cell diagonal away from every excluded curve node.  A bounding grid above
-    ``DEFAULT_ATOM_CAP`` cells raises ``ResourceLimitError`` unbuilt."""
-    if not delta > 0.0:
-        raise InvalidArgumentError("cell size must be positive")
+def make_cell_grid(domain, delta: float,
+                   exclude_meshes=()) -> SingularMeasure:
+    """Uniform square cells of side ``delta`` covering ``domain`` (("disk",
+    center, R) or ("box", lo, hi)) as an area measure: one atom of mass
+    delta^2 at each kept cell center.  A cell is kept when its center lies
+    inside the domain and more than one cell diagonal away from every node
+    of the excluded curves.  A bounding grid above ``DEFAULT_ATOM_CAP``
+    cells raises ``ResourceLimitError`` unbuilt; a grid with no cell left
+    is refused."""
+    if not 0.0 < delta < np.inf:
+        raise InvalidArgumentError(
+            "cell size must be positive and finite, got %r" % (delta,))
     kind = domain[0]
     if kind == "disk":
         center = np.asarray(domain[1], dtype=float)
         radius = float(domain[2])
+        if not 0.0 < radius < np.inf:
+            raise InvalidArgumentError(
+                "disk radius must be positive and finite, got %r" % (radius,))
         lo = center - radius
         hi = center + radius
     elif kind == "box":
@@ -555,14 +525,18 @@ def make_cell_grid(domain, delta: float, v0=1.0,
         hi = np.asarray(domain[2], dtype=float)
     else:
         raise InvalidArgumentError("domain must be ('disk', c, R) or ('box', lo, hi)")
-    nx = int(np.ceil((hi[0] - lo[0]) / delta))
-    ny = int(np.ceil((hi[1] - lo[1]) / delta))
+    if not np.isfinite([lo, hi]).all():
+        raise InvalidArgumentError(
+            "domain bounds must be finite, got %r" % (domain,))
+    # counted in floats: a subnormal delta makes them infinite
+    with np.errstate(over="ignore"):
+        nx, ny = np.ceil((hi - lo) / delta)
     if nx * ny > DEFAULT_ATOM_CAP:
         raise ResourceLimitError(
-            "cell grid of %d x %d cells exceeds the atom cap %d"
+            "cell grid of %.0f x %.0f cells exceeds the atom cap %d"
             % (nx, ny, DEFAULT_ATOM_CAP))
-    gx = lo[0] + delta * (np.arange(nx) + 0.5)
-    gy = lo[1] + delta * (np.arange(ny) + 0.5)
+    gx = lo[0] + delta * (np.arange(int(nx)) + 0.5)
+    gy = lo[1] + delta * (np.arange(int(ny)) + 0.5)
     xx, yy = np.meshgrid(gx, gy, indexing="ij")
     centers = np.stack([xx.ravel(), yy.ravel()], axis=1)
     if kind == "disk":
@@ -573,11 +547,12 @@ def make_cell_grid(domain, delta: float, v0=1.0,
     for mesh in exclude_meshes:
         centers = centers[_nearest_dist(centers, mesh.nodes)
                           > delta * np.sqrt(2.0)]
-    if callable(v0):
-        dens = np.asarray([v0(c) for c in centers], dtype=float)
-    else:
-        dens = np.full(len(centers), float(v0))
-    return CellGrid(centers=centers, delta=delta, v0=dens)
+    if not len(centers):
+        raise InvalidArgumentError(
+            "no cell of size %r is left in the domain %r" % (delta, domain))
+    return SingularMeasure(ambient_dim=2, atoms=centers,
+                           masses=np.full(len(centers), delta ** 2),
+                           cell_size=delta, alpha_nominal=2.0)
 
 
 def _nearest_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -592,6 +567,26 @@ def _nearest_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def _cell_shape(measure: SingularMeasure) -> str:
+    """The cell each atom of a measure stands for: a square on an area
+    measure (cell grids, uniform square grids), a segment otherwise."""
+    return "square" if measure.alpha_nominal == 2 else "segment"
+
+
+def _check_separation(supports) -> None:
+    """Refuse a measure with an atom within one cell diagonal of a curve
+    node: the near-singular cross entries there are unresolved."""
+    meshes = [s for s, _ in supports if isinstance(s, SurfaceMesh)]
+    measures = [s for s, _ in supports if isinstance(s, SingularMeasure)]
+    for measure in measures:
+        for mesh in meshes:
+            d = _nearest_dist(measure.atoms, mesh.nodes).min(initial=np.inf)
+            if d <= measure.cell_size * np.sqrt(2.0):
+                raise InvalidArgumentError(
+                    "measure atoms violate the one-cell-diagonal separation "
+                    "from curve nodes")
+
+
 def _cross_block(points_a: np.ndarray, points_b: np.ndarray,
                  kernel: KernelModel, out: np.ndarray) -> None:
     """Plain kernel values between two point sets, written into ``out``."""
@@ -601,57 +596,38 @@ def _cross_block(points_a: np.ndarray, points_b: np.ndarray,
     _each_block(len(points_a), len(points_b), fill)
 
 
-def assemble_mixed(grid: CellGrid | None, curves, kernel: KernelModel,
-                   ) -> OperatorMatrix:
-    """Block operator over area cells and a list of (mesh, weight) curves.
+def assemble_mixed(supports, kernel: KernelModel) -> OperatorMatrix:
+    """Block operator over a list of (support, weight) pairs, each support
+    a ``SurfaceMesh`` or a ``SingularMeasure``.
 
-    Area-area entries are cell-center kernel values with the square
-    self-cell diagonal; curve blocks reuse the curve quadrature; all cross
-    blocks are plain kernel values.  Cells closer than one cell diagonal to
-    a curve node are rejected: such near-singular blocks are unresolved.
+    A curve's diagonal block takes the curve quadrature of
+    ``_curve_effective_kernel``; a measure's takes pointwise kernel values
+    closed by its cell's self coefficient; every cross block is plain
+    kernel values.  A measure atom within one cell diagonal of a curve node
+    is refused: such near-singular blocks are unresolved.
     """
-    curves = list(curves)
-    if grid is None and not curves:
+    supports = list(supports)
+    if not supports:
         raise InvalidArgumentError("nothing to assemble")
-    blocks_points = []
-    blocks_weights = []
-    blocks_vvals = []
-
-    with_grid = grid is not None and grid.n_cells > 0
-    if with_grid:
-        for mesh, _ in curves:
-            d = _nearest_dist(grid.centers, mesh.nodes).min()
-            if d <= grid.delta * np.sqrt(2.0):
-                raise InvalidArgumentError(
-                    "grid cells violate the one-cell-diagonal separation "
-                    "from curve nodes")
-        blocks_points.append(grid.centers)
-        blocks_weights.append(np.full(grid.n_cells, grid.delta ** 2))
-        blocks_vvals.append(grid.v0)
-
-    for mesh, vfn in curves:
-        _check_plane(kernel, mesh.ambient_dim)
-        blocks_points.append(mesh.nodes)
-        blocks_weights.append(mesh.weights)
-        blocks_vvals.append(vfn.values_on(mesh))
-
-    sizes = [len(p) for p in blocks_points]
+    points, weights = zip(*(support_atoms(s) for s, _ in supports))
+    for support, _ in supports:
+        _check_plane(kernel, support.ambient_dim)
+    _check_separation(supports)
+    v_all = np.concatenate([vfn.values_on(s) for s, vfn in supports])
+    sizes = [len(p) for p in points]
     offsets = np.concatenate([[0], np.cumsum(sizes)])
-    total = int(offsets[-1])
     spans = [slice(offsets[i], offsets[i + 1]) for i in range(len(sizes))]
     # every block is written in place: the diagonal ones by their builders
-    ktil = np.empty((total, total))
-    if with_grid:
-        _point_effective_kernel(grid.centers, kernel, "square", grid.delta,
-                                ktil[spans[0], spans[0]])
-    for (mesh, _), si in zip(curves, spans[len(spans) - len(curves):]):
-        _curve_effective_kernel(mesh, kernel, ktil[si, si])
+    ktil = np.empty((int(offsets[-1]),) * 2)
+    for (support, _), si in zip(supports, spans):
+        if isinstance(support, SurfaceMesh):
+            _curve_effective_kernel(support, kernel, ktil[si, si])
+        else:
+            _point_effective_kernel(support.atoms, kernel,
+                                    _cell_shape(support), support.cell_size,
+                                    ktil[si, si])
     for i, si in enumerate(spans):
         for j in range(i + 1, len(spans)):
-            sj = spans[j]
-            _cross_block(blocks_points[i], blocks_points[j], kernel,
-                         ktil[si, sj])
-    v_all = np.concatenate(blocks_vvals)
-    w_all = np.concatenate(blocks_weights)
-    meta = {"source": "mixed", "blocks": sizes, "kernel": kernel.description}
-    return _finalize(ktil, v_all, w_all, meta)
+            _cross_block(points[i], points[j], kernel, ktil[si, spans[j]])
+    meta = {"blocks": sizes, "kernel": kernel.description}
+    return _finalize(ktil, v_all, np.concatenate(weights), meta)

@@ -190,6 +190,26 @@ def _check_matrix_budget(n: int, cap: int) -> None:
         raise ResourceLimitError("matrix size %d exceeds the cap %d" % (n, cap))
 
 
+def _check_cantor_budget(depth: int, cap: int) -> None:
+    """``_check_matrix_budget`` for the 2^depth atoms of a Cantor measure,
+    without building that integer: 2^depth > cap exactly when depth is at
+    least the bit length of cap."""
+    if depth >= max(cap, 0).bit_length():
+        raise ResourceLimitError(
+            "matrix size 2^%d exceeds the cap %d" % (depth, cap))
+
+
+def _param_in(mapping: dict, key: str, default, lo, hi=None, kind=float):
+    """``_param`` restricted to [lo, hi], or to values >= lo without hi."""
+    value = _param(mapping, key, default, kind)
+    if value < lo or (hi is not None and value > hi):
+        span = ("at least %s" % lo if hi is None
+                else "in the range [%s, %s]" % (lo, hi))
+        raise InvalidArgumentError('"%s" must be %s, got %r'
+                                   % (key, span, value))
+    return value
+
+
 def _weight_from_params(params: dict) -> WeightFn:
     entry = params.get("weight", {"kind": "constant", "value": 1.0})
     if not isinstance(entry, dict):
@@ -307,7 +327,7 @@ def _exp_two_surfaces(config: ExperimentConfig):
     mesh2 = make_smooth_curve(Circle(center=center_2, radius=r2), n2)
     weight = _weight_from_params(params)
     kern = reference_kernel()
-    op = assemble_mixed(None, [(mesh1, weight), (mesh2, weight)], kern)
+    op = assemble_mixed([(mesh1, weight), (mesh2, weight)], kern)
     expected = asymptotics.coefficient_total([
         asymptotics.coefficient_surface(mesh1, weight, label="circle_1"),
         asymptotics.coefficient_surface(mesh2, weight, label="circle_2"),
@@ -335,22 +355,23 @@ def _exp_mixed_ac_singular(config: ExperimentConfig):
     _check_matrix_budget(n_curve, config.max_matrix_n)
     mesh = make_smooth_curve(Circle(radius=circle_radius), n_curve)
     weight = _weight_from_params(params)
-    grid = make_cell_grid(("disk", (0.0, 0.0), disk_radius), delta, v0=v0,
+    grid = make_cell_grid(("disk", (0.0, 0.0), disk_radius), delta,
                           exclude_meshes=[mesh])
-    _check_matrix_budget(grid.n_cells + n_curve, config.max_matrix_n)
-    op = assemble_mixed(grid, [(mesh, weight)], reference_kernel())
+    _check_matrix_budget(grid.n_atoms + n_curve, config.max_matrix_n)
+    op = assemble_mixed([(grid, WeightFn.constant(v0)), (mesh, weight)],
+                        reference_kernel())
     expected = asymptotics.coefficient_total([
         asymptotics.coefficient_ac(np.pi * disk_radius ** 2, v0, label="disk"),
         asymptotics.coefficient_surface(mesh, weight, label="circle"),
     ])
-    return _weyl(config, op, expected, n_cells=grid.n_cells,
-                 resolved_area=grid.n_cells * delta ** 2)
+    return _weyl(config, op, expected, n_cells=grid.n_atoms,
+                 resolved_area=grid.n_atoms * delta ** 2)
 
 
 def _exp_cantor_estimate(config: ExperimentConfig):
     params = config.params
     depth = _param(params, "depth", 10, int)
-    _check_matrix_budget(2 ** depth, config.max_matrix_n)
+    _check_cantor_budget(depth, config.max_matrix_n)
     weight = _weight_from_params(params)
     kern = reference_kernel()
     sups = {}
@@ -378,7 +399,8 @@ def _exp_covering_count(config: ExperimentConfig):
     grid_n = _param(params, "grid_n", 16, int)
     depth = _param(params, "cantor_depth", 8, int)
     kappa = _param(params, "kappa", 4, int)
-    decade_points = _param(params, "decade_points", 8, int)
+    # a count law needs at least two rungs on the ladder
+    decade_points = _param_in(params, "decade_points", 8, 2, kind=int)
     weight = WeightFn.constant(1.0)
 
     measures = {
@@ -441,7 +463,8 @@ def _exp_lower_order_decay(config: ExperimentConfig):
 
 
 def _exp_coefficient_table(config: ExperimentConfig):
-    max_dim = _param(config.params, "max_dim", 6, int)
+    # Gamma(N / 2) overflows a double from N = 344 on
+    max_dim = _param_in(config.params, "max_dim", 6, 2, 343, int)
     tol = _param(config.tolerances, "agreement", 1e-8)
     rows = []
     worst = 0.0
@@ -597,7 +620,7 @@ def _cmd_spectrum(args) -> int:
         mesh = _polygon_mesh(_UNIT_SQUARE, args.n, 3.0, DEFAULT_MAX_MATRIX)
         op = assemble_curve_operator(mesh, weight, kern)
     else:
-        _check_matrix_budget(2 ** args.depth, DEFAULT_MAX_MATRIX)
+        _check_cantor_budget(args.depth, DEFAULT_MAX_MATRIX)
         measure = make_cantor_measure(args.depth)
         op = assemble_measure_operator(measure, weight, kern)
     spectrum = spectra.eigensolve(op)

@@ -74,21 +74,6 @@ class SurfaceMesh:
     def n_nodes(self) -> int:
         return len(self.nodes)
 
-    def total_measure(self) -> float:
-        return float(self.weights.sum())
-
-    def to_text(self) -> str:
-        lines = [
-            "# surface-mesh ambient_dim=%d kind=%s n=%d corners=%s"
-            % (self.ambient_dim, self.kind, self.n_nodes,
-               ",".join(map(str, self.corner_indices)) or "-")
-        ]
-        for p, w, t in zip(self.nodes, self.weights, self.tangents):
-            coords = " ".join("%.17g" % c for c in p)
-            tang = " ".join("%.17g" % c for c in t)
-            lines.append("%s %.17g %s" % (coords, w, tang))
-        return "\n".join(lines) + "\n"
-
 
 @dataclass(frozen=True)
 class SingularMeasure:
@@ -112,26 +97,16 @@ class SingularMeasure:
             raise InvalidArgumentError("masses must be positive and finite")
         if not (0.0 < self.alpha_nominal <= self.ambient_dim):
             raise InvalidArgumentError("alpha_nominal must lie in (0, N]")
-        if self.cell_size <= 0.0:
-            raise InvalidArgumentError("cell_size must be positive")
+        if not 0.0 < self.cell_size < np.inf:
+            raise InvalidArgumentError(
+                "cell_size must be positive and finite, got %r"
+                % (self.cell_size,))
         if len(np.unique(atoms, axis=0)) != len(atoms):
             raise InvalidArgumentError("atoms must be pairwise distinct")
 
     @property
     def n_atoms(self) -> int:
         return len(self.atoms)
-
-    def total_mass(self) -> float:
-        return float(self.masses.sum())
-
-    def to_text(self) -> str:
-        lines = [
-            "# singular-measure ambient_dim=%d n=%d cell_size=%.17g alpha=%.17g"
-            % (self.ambient_dim, self.n_atoms, self.cell_size, self.alpha_nominal)
-        ]
-        for p, m in zip(self.atoms, self.masses):
-            lines.append("%s %.17g" % (" ".join("%.17g" % c for c in p), m))
-        return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)
@@ -220,16 +195,27 @@ class Star:
             axis=-1)
 
 
+# the size fields of each smooth shape
+_SHAPE_SIZES = {Circle: ("radius",), Ellipse: ("a", "b"), Star: ("radius",)}
+
+
 def make_smooth_curve(shape, n_nodes: int) -> SurfaceMesh:
     """Equispaced-in-parameter mesh of a smooth closed shape.
 
     ``n_nodes`` must be even and at least 8: the periodic log-kernel
-    quadrature pairs nodes across half-periods.
+    quadrature pairs nodes across half-periods.  The shape's sizes (circle
+    and star radius, ellipse axes) must be positive and finite.
     """
     if n_nodes < 8 or n_nodes % 2 != 0:
         raise InvalidArgumentError("n_nodes must be even and >= 8")
     if isinstance(shape, Star) and not (0.0 <= shape.amplitude < 1.0):
         raise InvalidArgumentError("star amplitude must lie in [0, 1)")
+    for name in _SHAPE_SIZES.get(type(shape), ()):
+        size = getattr(shape, name)
+        if not 0.0 < size < np.inf:
+            raise InvalidArgumentError(
+                "%s %s must be positive and finite, got %r"
+                % (type(shape).__name__.lower(), name, size))
     t = TWO_PI * np.arange(n_nodes) / n_nodes
     nodes = shape.point(t)
     vel = shape.velocity(t)
@@ -323,7 +309,8 @@ def make_cantor_measure(depth: int, segment=((0.0, 0.0), (1.0, 0.0)),
     """
     if depth < 1:
         raise InvalidArgumentError("depth must be >= 1")
-    if 2 ** depth > atom_cap:
+    # 2^depth > atom_cap, without building the integer 2^depth
+    if depth >= max(atom_cap, 0).bit_length():
         raise ResourceLimitError(
             "2^%d atoms exceed the cap of %d" % (depth, atom_cap))
     start = np.asarray(segment[0], dtype=float)

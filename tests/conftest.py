@@ -82,8 +82,7 @@ def two_circle_meshes():
 @pytest.fixture(scope="session")
 def two_circle_spectra(two_circle_meshes, unit_weight, kernel):
     m1, m2 = two_circle_meshes
-    combined = assemble_mixed(None, [(m1, unit_weight), (m2, unit_weight)],
-                              kernel)
+    combined = assemble_mixed([(m1, unit_weight), (m2, unit_weight)], kernel)
     sp1 = spectra.eigensolve(assemble_curve_operator(m1, unit_weight, kernel))
     sp2 = spectra.eigensolve(assemble_curve_operator(m2, unit_weight, kernel))
     return spectra.eigensolve(combined), sp1, sp2

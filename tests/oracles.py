@@ -39,11 +39,12 @@ integrals are full n x n arrays.  The blocked pass evaluates the same
 elementwise expressions, so the two agree bit for bit.
 
 ``assemble_mixed_pairs`` is ``assemble_mixed`` as it was before the
-threaded pass: every diagonal kernel block built on its own and copied into
-a second matrix, each cross block one ``profile`` call on all its pairs,
-and the scaling of all n^2 entries followed by a row-by-row mirror (the
-package's fold, which returns an upper triangle, is mirrored the same
-way).  Its diagonal blocks come from the ``*_pairs`` oracles above.
+threaded pass, on its list of (support, weight) blocks: every diagonal
+kernel block built on its own and copied into a second matrix, each cross
+block one ``profile`` call on all its pairs, and the scaling of all n^2
+entries followed by a row-by-row mirror (the package's fold, which returns
+an upper triangle, is mirrored the same way).  Its diagonal blocks come
+from the ``*_pairs`` oracles above.
 
 ``cholesky_fold_full`` is the sign fold as it was before its column-blocked
 upper-triangle product: the full product L^T (diag(V w) L), then a
@@ -71,7 +72,7 @@ from critspec.asymptotics import sphere_surface
 from critspec.bessel import EULER_GAMMA
 from critspec.kernels import self_cell_coefficient
 from critspec.errors import InvalidArgumentError, OutOfRangeError
-from critspec.geometry import support_atoms
+from critspec.geometry import SurfaceMesh, support_atoms
 from critspec.orlicz import (Cube, OrliczNormResult, _weight_values,
                              averaged_norm, j_functional, phi)
 
@@ -399,33 +400,35 @@ def _curve_effective_kernel_pairs(mesh, kernel) -> np.ndarray:
     return polygon_effective_kernel_pairs(mesh, kernel)
 
 
-def assemble_mixed_pairs(grid, curves, kernel) -> OperatorMatrix:
-    curves = list(curves)
-    if grid is None and not curves:
+def assemble_mixed_pairs(supports, kernel) -> OperatorMatrix:
+    supports = list(supports)
+    if not supports:
         raise InvalidArgumentError("nothing to assemble")
     blocks_points = []
     blocks_weights = []
     blocks_vvals = []
     kernel_blocks = []
 
-    if grid is not None and grid.n_cells:
-        for mesh, _ in curves:
-            d = _dist_norm(grid.centers, mesh.nodes).min()
-            if d <= grid.delta * np.sqrt(2.0):
-                raise InvalidArgumentError(
-                    "grid cells violate the one-cell-diagonal separation "
-                    "from curve nodes")
-        blocks_points.append(grid.centers)
-        blocks_weights.append(np.full(grid.n_cells, grid.delta ** 2))
-        blocks_vvals.append(grid.v0)
-        kernel_blocks.append(point_effective_kernel_pairs(
-            grid.centers, kernel, "square", grid.delta))
-
-    for mesh, vfn in curves:
-        blocks_points.append(mesh.nodes)
-        blocks_weights.append(mesh.weights)
-        blocks_vvals.append(vfn.values_on(mesh))
-        kernel_blocks.append(_curve_effective_kernel_pairs(mesh, kernel))
+    meshes = [s for s, _ in supports if isinstance(s, SurfaceMesh)]
+    for support, vfn in supports:
+        if isinstance(support, SurfaceMesh):
+            points, weights = support.nodes, support.weights
+            kernel_blocks.append(_curve_effective_kernel_pairs(support,
+                                                               kernel))
+        else:
+            for mesh in meshes:
+                d = _dist_norm(support.atoms, mesh.nodes).min()
+                if d <= support.cell_size * np.sqrt(2.0):
+                    raise InvalidArgumentError(
+                        "measure atoms violate the one-cell-diagonal "
+                        "separation from curve nodes")
+            points, weights = support.atoms, support.masses
+            shape = "square" if support.alpha_nominal == 2 else "segment"
+            kernel_blocks.append(point_effective_kernel_pairs(
+                points, kernel, shape, support.cell_size))
+        blocks_points.append(points)
+        blocks_weights.append(weights)
+        blocks_vvals.append(vfn.values_on(support))
 
     sizes = [len(p) for p in blocks_points]
     offsets = np.concatenate([[0], np.cumsum(sizes)])
@@ -442,7 +445,7 @@ def assemble_mixed_pairs(grid, curves, kernel) -> OperatorMatrix:
             ktil[sj, si] = cross.T
     v_all = np.concatenate(blocks_vvals)
     w_all = np.concatenate(blocks_weights)
-    meta = {"source": "mixed", "blocks": sizes, "kernel": kernel.description}
+    meta = {"blocks": sizes, "kernel": kernel.description}
     signed = bool(np.any(v_all < 0.0))
     meta["signed"] = signed
     if signed:

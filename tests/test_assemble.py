@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.special import ive, kve
 
 from critspec import assemble, spectra
-from critspec.assemble import (CellGrid, OperatorMatrix, WeightFn,
+from critspec.assemble import (OperatorMatrix, WeightFn,
                                _cholesky_fold, _curve_effective_kernel,
                                _point_effective_kernel,
                                assemble_curve_operator,
@@ -21,6 +21,7 @@ from critspec.errors import InvalidArgumentError, ResourceLimitError
 from critspec.geometry import (Circle, Ellipse, Star, SurfaceMesh,
                                make_cantor_measure,
                                make_polygon_curve, make_smooth_curve,
+                               make_uniform_square_measure,
                                rotation_matrix, transform)
 from critspec.kernels import (lower_order_kernel, reference_kernel,
                               self_cell_coefficient)
@@ -380,7 +381,7 @@ def _point_cases():
         yield ("cantor-%d" % depth, measure.atoms, kern, "segment",
                measure.cell_size)
     grid = make_cell_grid(("disk", (0.0, 0.0), 1.0), 0.035)
-    yield "cell-grid", grid.centers, kern, "square", grid.delta
+    yield "cell-grid", grid.atoms, kern, "square", grid.cell_size
     yield ("lower-order", make_smooth_curve(Circle(), 300).nodes,
            lower_order_kernel(), "segment", 0.02)
 
@@ -432,8 +433,8 @@ def _assert_assembly_temporaries_bounded(kernel):
                                       kernel)),
         (square.n_nodes, _traced_peak(_curve_effective_kernel, square,
                                       kernel)),
-        (grid.n_cells, _traced_peak(_point_effective_kernel, grid.centers,
-                                    kernel, "square", grid.delta)),
+        (grid.n_atoms, _traced_peak(_point_effective_kernel, grid.atoms,
+                                    kernel, "square", grid.cell_size)),
     ]
     for n, peak in peaks:
         assert peak < 2 * 8 * n * n
@@ -470,7 +471,7 @@ def _builder_case(name: str):
         args = (measure.atoms, kern, "segment", measure.cell_size)
     else:
         grid = make_cell_grid(("disk", (0.0, 0.0), 1.0), 0.05)
-        args = (grid.centers, kern, "square", grid.delta)
+        args = (grid.atoms, kern, "square", grid.cell_size)
     return (lambda: _point_effective_kernel(*args),
             lambda: point_effective_kernel_pairs(*args))
 
@@ -492,10 +493,11 @@ def test_mixed_matches_pairs_oracle(weight, workers, kernel, monkeypatch):
     near = make_smooth_curve(Circle(center=(3.0, 0.0), radius=0.5), 256)
     far = make_smooth_curve(Circle(center=(0.0, -3.0), radius=0.8), 300)
     second = WeightFn.angular() if weight == "signed" else WeightFn.constant(2.0)
-    curves = [(near, WeightFn.constant(1.0)), (far, second)]
+    supports = [(grid, WeightFn.constant(1.0)),
+                (near, WeightFn.constant(1.0)), (far, second)]
     monkeypatch.setattr(assemble, "_WORKERS", workers)
-    op = assemble_mixed(grid, curves, kernel)
-    expected = assemble_mixed_pairs(grid, curves, kernel)
+    op = assemble_mixed(supports, kernel)
+    expected = assemble_mixed_pairs(supports, kernel)
     assert np.array_equal(op.entries, expected.entries)
     assert op.node_meta == expected.node_meta
     assert op.signed_flag == (weight == "signed")
@@ -645,7 +647,8 @@ def _nan_lower_operator(case: str, signed: bool, monkeypatch):
         # a cell grid, a circle, a polygon and a curve below the quadrature
         # minimum: four kinds of diagonal block and six cross blocks
         grid = make_cell_grid(("box", (0.0, 0.0), (1.0, 1.0)), 0.1)
-        curves = [
+        supports = [
+            (grid, WeightFn.constant(1.0)),
             (make_smooth_curve(Circle(center=(3.0, 0.5), radius=0.5), 64),
              weight),
             (make_polygon_curve([[0.0, 2.0], [1.0, 2.0], [1.0, 3.0],
@@ -653,7 +656,7 @@ def _nan_lower_operator(case: str, signed: bool, monkeypatch):
             (make_polygon_curve([[3.0, 3.0], [4.0, 3.0], [3.5, 4.0]], 2,
                                 3.0), weight),
         ]
-        op = assemble_mixed(grid, curves, kern)
+        op = assemble_mixed(supports, kern)
     return handed[0], op
 
 
@@ -809,16 +812,17 @@ def test_cantor_refinement_consistency(cantor_spectra):
 
 def test_mixed_empty_curves_is_pure_area(kernel):
     grid = make_cell_grid(("box", (0.0, 0.0), (1.0, 1.0)), 0.25)
-    op = assemble_mixed(grid, [], kernel)
-    assert op.n == grid.n_cells
+    op = assemble_mixed([(grid, WeightFn.constant(1.0))], kernel)
+    assert op.n == grid.n_atoms
     diag = self_cell_coefficient("square", 0.25) * 0.25 ** 2
     assert op.entries[0, 0] == pytest.approx(diag, rel=1e-13)
 
 
 def test_mixed_zero_density_decouples(kernel, unit_weight):
     mesh = make_smooth_curve(Circle(center=(2.0, 2.0), radius=0.5), 32)
-    grid = make_cell_grid(("box", (0.0, 0.0), (1.0, 1.0)), 0.25, v0=0.0)
-    mixed = assemble_mixed(grid, [(mesh, unit_weight)], kernel)
+    grid = make_cell_grid(("box", (0.0, 0.0), (1.0, 1.0)), 0.25)
+    mixed = assemble_mixed([(grid, WeightFn.constant(0.0)),
+                            (mesh, unit_weight)], kernel)
     curve_only = assemble_curve_operator(mesh, unit_weight, kernel)
     ev_mixed = np.linalg.eigvalsh(mixed.entries)
     ev_curve = np.linalg.eigvalsh(curve_only.entries)
@@ -830,7 +834,7 @@ def test_mixed_rejects_separation_violation(kernel, unit_weight):
     mesh = make_smooth_curve(Circle(center=(0.5, 0.5), radius=0.3), 32)
     grid = make_cell_grid(("box", (0.0, 0.0), (1.0, 1.0)), 0.25)
     with pytest.raises(InvalidArgumentError):
-        assemble_mixed(grid, [(mesh, unit_weight)], kernel)
+        assemble_mixed([(grid, unit_weight), (mesh, unit_weight)], kernel)
 
 
 def test_make_cell_grid_refuses_bad_sizes_before_building():
@@ -842,10 +846,43 @@ def test_make_cell_grid_refuses_bad_sizes_before_building():
             make_cell_grid(("disk", (0.0, 0.0), 1.0), delta)
 
 
+@pytest.mark.parametrize("domain,delta,named", [
+    (("disk", (0.0, 0.0), 1.0), float("inf"), "cell size must be positive "
+     "and finite, got inf"),
+    (("disk", (0.0, 0.0), -1.0), 0.1, "disk radius must be positive and "
+     "finite, got -1.0"),
+    (("disk", (0.0, 0.0), float("nan")), 0.1, "disk radius"),
+    (("box", (1.0, 1.0), (0.0, 0.0)), 0.1, "no cell of size 0.1 is left"),
+    (("box", (0.0, float("nan")), (1.0, 1.0)), 0.1, "domain bounds must be "
+     "finite"),
+    (("disk", (float("inf"), 0.0), 1.0), 0.1, "domain bounds must be finite"),
+])
+def test_make_cell_grid_refuses_a_domain_that_leaves_no_cell(domain, delta,
+                                                              named):
+    with pytest.raises(InvalidArgumentError) as info:
+        make_cell_grid(domain, delta)
+    assert named in str(info.value)
+
+
+def test_make_cell_grid_is_an_area_measure():
+    grid = make_cell_grid(("box", (0.0, 0.0), (1.0, 1.0)), 0.25)
+    assert grid.n_atoms == 16 and grid.cell_size == 0.25
+    assert grid.alpha_nominal == 2.0 and np.all(grid.masses == 0.25 ** 2)
+
+
 def test_make_cell_grid_excludes_near_curve_cells(kernel):
     mesh = make_smooth_curve(Circle(radius=0.5), 64)
     grid = make_cell_grid(("disk", (0.0, 0.0), 1.0), 0.1,
                           exclude_meshes=[mesh])
-    d = np.abs(np.linalg.norm(grid.centers, axis=1) - 0.5)
+    d = np.abs(np.linalg.norm(grid.atoms, axis=1) - 0.5)
     assert np.all(d > 0.1 * np.sqrt(2.0) - 0.05)
-    assert grid.n_cells > 0
+    assert grid.n_atoms > 0
+
+
+def test_uniform_square_measure_closes_its_diagonal_with_square_cells(
+        kernel):
+    # an area measure's atoms stand for square cells, as a cell grid's do
+    measure = make_uniform_square_measure(4)
+    op = assemble_measure_operator(measure, WeightFn.constant(1.0), kernel)
+    assert np.all(np.diag(op.entries)
+                  == self_cell_coefficient("square", 0.25) / 16)

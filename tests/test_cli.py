@@ -311,3 +311,99 @@ def test_runtime_loads_no_scipy():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# each bad input as a config (run --config) or as a command line, the exit
+# code it must give and the text that names the value
+_BAD_INPUTS = {
+    "decade-points-0": (
+        {"experiment": "covering-count", "params": {"decade_points": 0}},
+        2, '"decade_points" must be at least 2, got 0'),
+    "decade-points-1": (
+        {"experiment": "covering-count", "params": {"decade_points": 1}},
+        2, '"decade_points" must be at least 2, got 1'),
+    "max-dim-344": (
+        {"experiment": "coefficient-table", "params": {"max_dim": 344}},
+        2, '"max_dim" must be in the range [2, 343], got 344'),
+    "max-dim-1": (
+        {"experiment": "coefficient-table", "params": {"max_dim": 1}},
+        2, "got 1"),
+    "coeff-max-dim-400": (["coeff", "--max-dim", "400"], 2, "got 400"),
+    "cantor-estimate-depth-20000": (
+        {"experiment": "cantor-estimate", "params": {"depth": 20000}},
+        3, "matrix size 2^20000 exceeds the cap 4200"),
+    "spectrum-cantor-depth-20000": (
+        ["spectrum", "--shape", "cantor", "--depth", "20000"],
+        3, "matrix size 2^20000 exceeds the cap 4200"),
+    "orlicz-norm-cantor-depth-20000": (
+        ["orlicz-norm", "--shape", "cantor", "--depth", "20000"],
+        3, "2^20000 atoms exceed the cap"),
+    "circle-radius-negative": (
+        {"experiment": "circle-weyl", "params": {"radius": -2.5}},
+        2, "circle radius must be positive and finite, got -2.5"),
+    "circle-radius-zero": (
+        {"experiment": "circle-weyl", "params": {"radius": 0}},
+        2, "circle radius must be positive and finite, got 0.0"),
+    "circle-radius-nan": (
+        {"experiment": "circle-weyl", "params": {"radius": float("nan")}},
+        2, "circle radius must be positive and finite, got nan"),
+    "spectrum-radius-negative": (
+        ["spectrum", "--radius", "-1"],
+        2, "circle radius must be positive and finite, got -1.0"),
+    "disk-radius-negative": (
+        {"experiment": "mixed-ac-singular", "n": 640,
+         "params": {"disk_radius": -1, "n_curve": 640}},
+        2, "disk radius must be positive and finite, got -1.0"),
+    "cell-size-infinite": (
+        {"experiment": "mixed-ac-singular", "params": {"delta": float("inf")}},
+        2, "cell size must be positive and finite, got inf"),
+    "cell-size-subnormal": (
+        {"experiment": "mixed-ac-singular", "params": {"delta": 1e-310}},
+        3, "cell grid of inf x inf cells exceeds the atom cap"),
+    "no-cell-left": (
+        {"experiment": "mixed-ac-singular",
+         "params": {"disk_radius": 0.01, "circle_radius": 0.5}},
+        2, "no cell of size 0.035 is left"),
+}
+
+
+@pytest.mark.parametrize("name", list(_BAD_INPUTS))
+def test_bad_inputs_exit_without_traceback_and_name_the_value(
+        name, tmp_path, capsys):
+    args, code, named = _BAD_INPUTS[name]
+    if isinstance(args, dict):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(args))
+        args = ["run", "--config", str(cfg)]
+    elif args[0] == "spectrum":
+        args = args + ["--out", str(tmp_path / "out")]
+    assert main(args) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and err.count("\n") == 1
+    assert named in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["run", "--config", "CONFIG"],
+    ["spectrum", "--shape", "cantor", "--depth", str(10 ** 8)],
+    ["orlicz-norm", "--shape", "cantor", "--depth", str(10 ** 8)],
+], ids=["cantor-estimate", "spectrum", "orlicz-norm"])
+def test_huge_cantor_depth_is_refused_without_building_2_to_the_depth(
+        args, tmp_path, capsys):
+    # 2 ** 10**8 alone is a 12.5 MB integer
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": "cantor-estimate",
+                               "params": {"depth": 10 ** 8}}))
+    args = [str(cfg) if a == "CONFIG" else a for a in args]
+    if args[0] == "spectrum":
+        args += ["--out", str(tmp_path / "out")]
+    tracemalloc.start()
+    try:
+        code = main(args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert "2^100000000" in capsys.readouterr().err
+    assert peak < 2 ** 20

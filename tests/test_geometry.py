@@ -3,8 +3,8 @@ import pytest
 
 from critspec.errors import (InvalidArgumentError, InternalError,
                              ResourceLimitError)
-from critspec.geometry import (Circle, Ellipse, Star, SurfaceMesh,
-                               estimate_ahlfors,
+from critspec.geometry import (DEFAULT_ATOM_CAP, Circle, Ellipse, Star,
+                               SingularMeasure, SurfaceMesh, estimate_ahlfors,
                                generic_basis, make_cantor_measure,
                                make_polygon_curve, make_smooth_curve,
                                make_uniform_square_measure, rotation_matrix,
@@ -19,9 +19,9 @@ UNIT_SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
 
 def test_circle_weights_sum_to_circumference():
     mesh = make_smooth_curve(Circle(radius=1.0), 64)
-    assert mesh.total_measure() == pytest.approx(2.0 * np.pi, abs=1e-12)
+    assert mesh.weights.sum() == pytest.approx(2.0 * np.pi, abs=1e-12)
     mesh2 = make_smooth_curve(Circle(radius=2.0), 64)
-    assert mesh2.total_measure() == pytest.approx(4.0 * np.pi, abs=1e-12)
+    assert mesh2.weights.sum() == pytest.approx(4.0 * np.pi, abs=1e-12)
 
 
 def test_degenerate_ellipse_equals_circle():
@@ -40,7 +40,7 @@ def test_ellipse_perimeter_spectrally_accurate():
         lambda t: mp.sqrt(a ** 2 * mp.sin(t) ** 2 + b ** 2 * mp.cos(t) ** 2),
         [0, 2 * mp.pi]))
     mesh = make_smooth_curve(Ellipse(a=a, b=b), 64)
-    assert mesh.total_measure() == pytest.approx(exact, rel=1e-12)
+    assert mesh.weights.sum() == pytest.approx(exact, rel=1e-12)
 
 
 def test_star_speed_matches_finite_differences():
@@ -89,7 +89,7 @@ def test_mesh_rejects_repeated_nodes():
 
 def test_square_perimeter_exact():
     mesh = make_polygon_curve(UNIT_SQUARE, 16, 3.0)
-    assert mesh.total_measure() == pytest.approx(4.0, abs=1e-12)
+    assert mesh.weights.sum() == pytest.approx(4.0, abs=1e-12)
     assert mesh.kind == "polygon"
     assert len(mesh.corner_indices) == 8
 
@@ -143,7 +143,7 @@ def test_cantor_first_level_atoms():
 @pytest.mark.parametrize("depth", [1, 4, 9])
 def test_cantor_total_mass_is_one(depth):
     measure = make_cantor_measure(depth)
-    assert measure.total_mass() == pytest.approx(1.0, rel=1e-14)
+    assert measure.masses.sum() == pytest.approx(1.0, rel=1e-14)
     assert measure.n_atoms == 2 ** depth
     assert measure.cell_size == pytest.approx(3.0 ** (-depth), rel=1e-15)
 
@@ -270,21 +270,6 @@ def test_transform_rejects_non_orthogonal_matrix():
         transform(mesh, np.array([[1.0, 0.0], [0.0, 2.0]]))
 
 
-def test_text_exports_are_line_oriented():
-    mesh = make_smooth_curve(Circle(), 16)
-    lines = mesh.to_text().strip().split("\n")
-    assert lines[0].startswith("# surface-mesh")
-    assert len(lines) == 17
-    fields = lines[1].split()
-    assert len(fields) == 5  # x y weight tx ty
-
-    measure = make_cantor_measure(3)
-    mlines = measure.to_text().strip().split("\n")
-    assert mlines[0].startswith("# singular-measure")
-    assert len(mlines) == 9
-    assert len(mlines[1].split()) == 3  # x y mass
-
-
 def test_support_atoms_view():
     mesh = make_smooth_curve(Circle(), 16)
     pts, w = support_atoms(mesh)
@@ -297,3 +282,34 @@ def test_mesh_arrays_immutable():
     mesh = make_smooth_curve(Circle(), 16)
     with pytest.raises(ValueError):
         mesh.nodes[0, 0] = 99.0
+
+
+@pytest.mark.parametrize("shape,named", [
+    (Circle(radius=-2.5), "circle radius must be positive and finite, got -2.5"),
+    (Circle(radius=0.0), "circle radius must be positive and finite, got 0.0"),
+    (Circle(radius=float("nan")), "circle radius"),
+    (Ellipse(a=1.0, b=0.0), "ellipse b must be positive and finite, got 0.0"),
+    (Ellipse(a=float("inf"), b=1.0), "ellipse a must be positive and finite"),
+    (Star(radius=-1.0), "star radius must be positive and finite, got -1.0"),
+])
+def test_smooth_curve_refuses_shape_sizes_that_are_not_positive(shape, named):
+    with pytest.raises(InvalidArgumentError) as info:
+        make_smooth_curve(shape, 16)
+    assert named in str(info.value)
+
+
+def test_cantor_cap_is_checked_without_building_2_to_the_depth():
+    # 2^15 atoms are the cap itself; one more level is over it
+    assert make_cantor_measure(15).n_atoms == DEFAULT_ATOM_CAP
+    for depth in (16, 10 ** 8):
+        with pytest.raises(ResourceLimitError, match=r"2\^%d atoms" % depth):
+            make_cantor_measure(depth)
+
+
+@pytest.mark.parametrize("cell_size", [0.0, -1.0, float("nan"), float("inf")])
+def test_singular_measure_refuses_a_cell_size_that_is_not_positive(cell_size):
+    with pytest.raises(InvalidArgumentError, match="cell_size must be "
+                       "positive and finite, got"):
+        SingularMeasure(ambient_dim=2, atoms=np.zeros((1, 2)),
+                        masses=np.ones(1), cell_size=cell_size,
+                        alpha_nominal=1.0)

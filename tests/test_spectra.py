@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from critspec import spectra
+from critspec import asymptotics, spectra
 from critspec.assemble import (OperatorMatrix, WeightFn,
                                assemble_curve_operator,
                                assemble_measure_operator, assemble_mixed,
@@ -88,7 +88,7 @@ def _operators(n: int) -> dict:
             make_polygon_curve(UNIT_SQUARE, n // 4, 3.0), one, kern),
         "cantor": assemble_measure_operator(
             make_cantor_measure(int(np.log2(n))), one, kern),
-        "mixed": assemble_mixed(grid, [(small, one)], kern),
+        "mixed": assemble_mixed([(grid, one), (small, one)], kern),
     }
 
 
@@ -274,3 +274,27 @@ def test_counting_csv_export(tmp_path, circle_spectrum_256):
     assert lines[0] == "lambda,n_plus,n_minus,lambda_times_n"
     n_plus = np.array([int(line.split(",")[1]) for line in lines[1:]])
     assert np.all(np.diff(n_plus) <= 0)  # nonincreasing in lambda
+
+
+# ---------------------------------------------------------------------------
+# additivity of the counting coefficient over components
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=25, deadline=None)
+@given(r1=st.floats(min_value=0.25, max_value=2.0),
+       r2=st.floats(min_value=0.25, max_value=2.0),
+       gap=st.floats(min_value=0.5, max_value=4.0))
+def test_coefficient_is_additive_over_separated_circles(r1, r2, gap):
+    # the two-surfaces layout at n = 768: a third of the nodes on the first
+    # circle, the rest on the second
+    kern = reference_kernel()
+    one = WeightFn.constant(1.0)
+    first = make_smooth_curve(Circle(radius=r1), 256)
+    second = make_smooth_curve(Circle(center=(r1 + gap + r2, 0.0),
+                                      radius=r2), 512)
+    fit = weyl_fit(eigensolve(assemble_mixed([(first, one), (second, one)],
+                                             kern)), (20, 60))
+    parts = (asymptotics.coefficient_surface(first, one).c_plus
+             + asymptotics.coefficient_surface(second, one).c_plus)
+    assert parts == pytest.approx(r1 + r2, rel=1e-12)
+    assert abs(fit.c_plus - parts) <= 0.10 * parts
