@@ -31,9 +31,10 @@ part on and above the diagonal is written straight into the one n x n
 output.  No pair-index array and no n^2 temporary exists.  The elementwise
 expressions are those of an all-pairs evaluation, so the matrices agree
 with one bit for bit.  The builders, the cross blocks of mixed
-configurations, the scaling and the sign fold all read and write the upper
-triangle only: ``_finalize`` alone fills the lower one, by one blocked
-transpose copy of the finished operator.
+configurations, the scaling and the sign fold all read the upper triangle
+only, and all but the fold write it only: the fold keeps its Cholesky
+factor in the lower one as scratch.  ``_finalize`` alone fills the lower
+triangle, by one blocked transpose copy of the finished operator.
 
 The pass runs on every core in the process's CPU affinity: the calling
 thread and up to ``_WORKERS - 1`` pool threads take the row blocks one at a
@@ -52,7 +53,12 @@ nonzero spectrum.  The one fold factors the effective-kernel matrix by
 Cholesky, K = L L^T, read from K's upper triangle, and takes
 L^T diag(V w) L,  which shares the nonzero spectrum of K diag(V w) (Golub
 and Van Loan, Matrix Computations, 8.7); it is recorded as
-``node_meta["fold"] = "cholesky"``.  The kernel is positive definite and,
+``node_meta["fold"] = "cholesky"``.  Both steps run in K's own storage: a
+blocked right-looking factorisation (ibid., 4.2) writes L into K's lower
+triangle, and the product, one block of columns at a time, overwrites the
+upper one, so the fold allocates O(n ``_FOLD_COLUMNS``) doubles beside K.
+Its BLAS work is NumPy's: SciPy's LAPACK would run on a second BLAS
+library whose buffers stay resident.  The kernel is positive definite and,
 with the windowed split of ``kernels``, so is K on every resolved support.
 A K that is not is an under-resolved mesh: the fold raises
 ``InvalidArgumentError`` (exit 2) naming the largest node spacing.
@@ -80,9 +86,9 @@ _MIN_QUADRATURE_NODES = 8
 # pass, split evenly over the workers: the kernel and panel-integral
 # temporaries of a block stay cache-resident
 _BLOCK_BYTES = 1 << 19
-# columns per block of the Cholesky fold's upper-triangle product: wide
-# enough for BLAS to run near its GEMM rate, narrow enough that the lower
-# half of each block's diagonal square, computed and then dropped,
+# columns per panel of the Cholesky fold's factorisation and per block of
+# its product: wide enough for BLAS to run near its GEMM rate, narrow
+# enough that the half of each diagonal square computed and then dropped
 # stays a small share of the work
 _FOLD_COLUMNS = 256
 # threads that run the row blocks: the cores this process may run on
@@ -215,33 +221,77 @@ def _pairwise_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _cholesky_fold(kernel_matrix: np.ndarray, v_vals: np.ndarray,
                    weights: np.ndarray) -> np.ndarray:
     """Upper triangle of L^T diag(V w) L for the Cholesky factor K = L L^T
-    of the kernel matrix, written over K's storage.  K is factored as K^T,
-    whose lower triangle, the one LAPACK reads, is K's upper one.  A K that
-    is not positive definite raises ``InvalidArgumentError`` naming the
-    node spacing (the largest weight).  NumPy's Cholesky keeps the work on
-    NumPy's BLAS: SciPy's runs on a second BLAS library whose buffers stay
-    resident.
+    of the kernel matrix, computed in K's own storage: K is read from its
+    upper triangle, L is left in the strict lower triangle and on the
+    diagonal, and the product overwrites the upper triangle, diagonal
+    included.  Beside K
+    only O(n ``_FOLD_COLUMNS``) doubles are allocated.  A K that is not
+    positive definite raises ``InvalidArgumentError`` naming the node
+    spacing (the largest weight).
 
     The product is computed one block of columns [c0, c1) at a time: L is
     lower triangular, so entry (i, j) with i <= j sums over the rows k >= j
     of L alone, and the block is L[c0:, :c1]^T (diag(V w) L)[c0:, c0:c1].
-    That is n^3 / 3 flops where the full product takes 2 n^3.
+    That is n^3 / 3 flops where the full product takes 2 n^3.  The block
+    reads rows >= c0 of L and writes rows < c1 on and above the diagonal,
+    so only its own diagonal square is both read and written: its rows of
+    L are copied first, with the upper half of the square zeroed.
     """
     try:
-        low = np.linalg.cholesky(kernel_matrix.T)
+        _cholesky_in_place(kernel_matrix)
     except np.linalg.LinAlgError:
         raise InvalidArgumentError(
             "under-resolved mesh: the kernel matrix of this sign-changing "
             "weight is not positive definite at node spacing %.4g; refine "
             "the mesh" % float(weights.max())) from None
     vw = v_vals * weights
-    for c0 in range(0, len(vw), _FOLD_COLUMNS):
-        c1 = min(c0 + _FOLD_COLUMNS, len(vw))
-        block = low[c0:, :c1].T @ (vw[c0:, None] * low[c0:, c0:c1])
+    n = len(vw)
+    upper = _upper(min(n, _FOLD_COLUMNS))
+    for c0 in range(0, n, _FOLD_COLUMNS):
+        c1 = min(c0 + _FOLD_COLUMNS, n)
+        k = c1 - c0
+        head = kernel_matrix[c0:c1, :c1].copy()
+        np.copyto(head[:, c0:], 0.0, where=~upper[:k, :k].T)
+        block = head.T @ (vw[c0:c1, None] * head[:, c0:])
+        # the rows below the square: a strided view, no copy
+        tail = kernel_matrix[c1:, :c1]
+        block += tail.T @ (vw[c1:, None] * tail[:, c0:])
         kernel_matrix[:c0, c0:c1] = block[:c0]
         np.copyto(kernel_matrix[c0:c1, c0:c1], block[c0:],
-                  where=_upper(c1 - c0))
+                  where=upper[:k, :k])
     return kernel_matrix
+
+
+def _cholesky_in_place(m: np.ndarray) -> None:
+    """Right-looking blocked Cholesky factorisation M = L L^T (Golub and
+    Van Loan, Matrix Computations, 4.2) read from M's upper triangle, with
+    L written into the lower triangle, diagonal included.  The upper
+    triangle off the diagonal is left as scratch.  Panels are
+    ``_FOLD_COLUMNS`` wide: NumPy's Cholesky factors each diagonal block
+    (the transposed square, whose lower triangle is M's upper one), the
+    panel below is that block's inverse applied in one product, and the
+    trailing upper triangle is updated one column block at a time: NumPy
+    exposes no in-place or triangular-solve LAPACK call.  A diagonal block
+    that is not positive definite raises ``np.linalg.LinAlgError``."""
+    n = len(m)
+    upper = _upper(min(n, _FOLD_COLUMNS))
+    for k0 in range(0, n, _FOLD_COLUMNS):
+        k1 = min(k0 + _FOLD_COLUMNS, n)
+        square = m[k0:k1, k0:k1]
+        factor = np.linalg.cholesky(square.T)
+        np.copyto(square, factor, where=upper[:k1 - k0, :k1 - k0].T)
+        if k1 == n:
+            return
+        # L21 = A21 L11^-T, with A21 the transposed upper strip
+        panel = m[k1:, k0:k1]
+        panel[...] = m[k0:k1, k1:].T @ np.linalg.inv(factor).T
+        for c0 in range(k1, n, _FOLD_COLUMNS):
+            c1 = min(c0 + _FOLD_COLUMNS, n)
+            update = panel[:c1 - k1] @ panel[c0 - k1:c1 - k1].T
+            m[k1:c0, c0:c1] -= update[:c0 - k1]
+            diagonal = m[c0:c1, c0:c1]
+            np.subtract(diagonal, update[c0 - k1:], out=diagonal,
+                        where=upper[:c1 - c0, :c1 - c0])
 
 
 def _finalize(kernel_matrix: np.ndarray, v_vals: np.ndarray,
@@ -249,7 +299,8 @@ def _finalize(kernel_matrix: np.ndarray, v_vals: np.ndarray,
     """The operator matrix for kernel matrix K, weight V and quadrature
     weights w: diag(s) K diag(s) with s = sqrt(V w) for V >= 0, the one
     fold of the module docstring otherwise.  K is read from its upper
-    triangle and overwritten; the one mirror makes the result symmetric."""
+    triangle and overwritten; the one mirror makes the result symmetric,
+    over the fold's factor where the fold left one."""
     signed = bool(np.any(v_vals < 0.0))
     meta = dict(meta)
     meta["signed"] = signed
@@ -291,15 +342,19 @@ def _kress_weight_vector(n: int) -> np.ndarray:
     For n = 2m equispaced nodes, weight of node j at collocation point i
     depends only on d = (i - j) mod n:
         R_d = -(2 pi / m) sum_{k=1}^{m-1} cos(k t_d)/k - (pi/m^2) cos(m t_d).
-    Exact for trigonometric polynomials of degree below m.
+    Exact for trigonometric polynomials of degree below m.  The series is
+    summed over 32-row blocks of the (n, m - 1) cosine table, so no n^2
+    temporary exists.  The blocks are serial and fixed, not the workers'
+    row blocks: a matrix-vector product's row sums can depend on how many
+    rows it takes, and these stay those of one product over the whole table.
     """
     m = n // 2
     t = TWO_PI * np.arange(n) / n
     ks = np.arange(1, m)
-    if len(ks):
-        series = np.cos(np.outer(t, ks)) @ (1.0 / ks)
-    else:
-        series = np.zeros(n)
+    inverse = 1.0 / ks
+    series = np.empty(n)
+    for i0 in range(0, n, 32):
+        series[i0:i0 + 32] = np.cos(np.outer(t[i0:i0 + 32], ks)) @ inverse
     return -(TWO_PI / m) * series - (np.pi / m ** 2) * np.cos(m * t)
 
 

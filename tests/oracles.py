@@ -50,6 +50,11 @@ from the ``*_pairs`` oracles above.
 upper-triangle product: the full product L^T (diag(V w) L), then a
 row-by-row mirror.
 
+``kress_weight_vector_outer`` is the Kress weight vector as it was before
+its series was summed over row blocks: one (n, n/2 - 1) outer product of
+nodes and frequencies, its cosine, and one matrix-vector product.  The
+row sums are the same, so the two agree bit for bit.
+
 ``unit_square_log_energy_dblquad`` and ``r_symbol_quadrature_quad`` are the
 SciPy quadratures the package used before it took the closed form of the
 square's log energy and the Gauss-Legendre rule of the ``r_symbol``
@@ -383,6 +388,17 @@ def point_effective_kernel_pairs(points, kernel, cell_kind: str,
 
 def _dist_norm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)
+
+
+def kress_weight_vector_outer(n: int) -> np.ndarray:
+    m = n // 2
+    t = 2.0 * np.pi * np.arange(n) / n
+    ks = np.arange(1, m)
+    if len(ks):
+        series = np.cos(np.outer(t, ks)) @ (1.0 / ks)
+    else:
+        series = np.zeros(n)
+    return -(2.0 * np.pi / m) * series - (np.pi / m ** 2) * np.cos(m * t)
 
 
 def _mirror_rows(m: np.ndarray) -> np.ndarray:

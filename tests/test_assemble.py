@@ -1,3 +1,4 @@
+import re
 import sys
 import threading
 import time
@@ -12,7 +13,7 @@ from scipy.special import ive, kve
 from critspec import assemble, spectra
 from critspec.assemble import (OperatorMatrix, WeightFn,
                                _cholesky_fold, _curve_effective_kernel,
-                               _point_effective_kernel,
+                               _kress_weight_vector, _point_effective_kernel,
                                assemble_curve_operator,
                                assemble_measure_operator, assemble_mixed,
                                make_cell_grid)
@@ -28,7 +29,7 @@ from critspec.kernels import (lower_order_kernel, reference_kernel,
 
 from conftest import UNIT_SQUARE, circle_exact_eigenvalues
 from oracles import (assemble_mixed_pairs, cholesky_fold_full,
-                     point_effective_kernel_pairs,
+                     kress_weight_vector_outer, point_effective_kernel_pairs,
                      polygon_effective_kernel_pairs,
                      polygon_effective_kernel_two_calls,
                      smooth_curve_effective_kernel_pairs,
@@ -283,17 +284,21 @@ def test_lower_order_split_matches_two_call_oracle(curve):
 # the column-blocked sign fold against the full-product oracle
 # ---------------------------------------------------------------------------
 
-def _fold_kernel(support: str, kernel):
-    """(kernel matrix, quadrature weights) of a support with a positive
-    definite kernel matrix; 600 and 1024 unknowns span several column
-    blocks of the fold."""
+def _fold_case(support: str):
+    """A support with a positive definite kernel matrix; 600 and 1024
+    unknowns span several column blocks of the fold."""
     if support == "cantor":
-        measure = make_cantor_measure(10)
+        return make_cantor_measure(10)
+    return _CURVES[support](600)
+
+
+def _fold_kernel(support: str, kernel):
+    """(kernel matrix, quadrature weights) of ``_fold_case(support)``."""
+    case = _fold_case(support)
+    if support == "cantor":
         return (_symmetric(_point_effective_kernel(
-            measure.atoms, kernel, "segment", measure.cell_size)),
-            measure.masses)
-    mesh = _CURVES[support](600)
-    return _symmetric(_curve_effective_kernel(mesh, kernel)), mesh.weights
+            case.atoms, kernel, "segment", case.cell_size)), case.masses)
+    return _symmetric(_curve_effective_kernel(case, kernel)), case.weights
 
 
 @pytest.mark.parametrize("support", ["circle", "ellipse", "graded-polygon",
@@ -309,6 +314,39 @@ def test_blocked_fold_matches_full_product_oracle(support, columns, kernel,
     want = cholesky_fold_full(ktil.copy(), v, w)
     rho = np.max(np.abs(np.linalg.eigvalsh(want)))
     assert np.max(np.abs(got - want)) <= 1e-13 * rho
+
+
+def test_fold_temporaries_are_bounded(kernel):
+    # the fold on np.linalg.cholesky traced 1.25 n^2 doubles here: the
+    # returned factor alone is n^2
+    mesh = make_smooth_curve(Circle(radius=0.95), 2048)
+    ktil = _curve_effective_kernel(mesh, kernel)
+    v = np.cos(mesh.param_values - 1.0)
+    peak = _traced_peak(_cholesky_fold, ktil, v, mesh.weights)
+    assert peak < 8 * 8 * mesh.n_nodes * assemble._FOLD_COLUMNS
+
+
+def test_fold_refuses_a_kernel_matrix_that_fails_in_its_last_panel(
+        kernel, monkeypatch):
+    ktil, w = _fold_kernel("circle", kernel)
+    n = len(w)
+    assert n > 2 * assemble._FOLD_COLUMNS
+    assert np.linalg.eigvalsh(ktil)[0] > 0.0
+    # the leading block of the first two panels stays positive definite, so
+    # the first pivot to fail lies in the last panel
+    ktil[np.arange(n - 8, n), np.arange(n - 8, n)] = -1.0
+    panels = []
+    cholesky = np.linalg.cholesky
+
+    def counted(a):
+        panels.append(len(a))
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    spacing = re.escape("node spacing %.4g" % float(w.max()))
+    with pytest.raises(InvalidArgumentError, match=spacing):
+        _cholesky_fold(ktil, np.cos(np.arange(n)), w)
+    assert len(panels) == -(-n // assemble._FOLD_COLUMNS)
 
 
 def test_operator_freezes_a_view_not_the_callers_array():
@@ -449,6 +487,17 @@ def test_kernel_assembly_temporaries_are_bounded_on_four_workers(
     # the workers share one block budget: more of them hold no more bytes
     monkeypatch.setattr(assemble, "_WORKERS", 4)
     _assert_assembly_temporaries_bounded(kernel)
+
+
+@pytest.mark.parametrize("n", [8, 64, 2048, 4096])
+def test_kress_weights_match_the_whole_table_oracle(n):
+    assert np.array_equal(_kress_weight_vector(n),
+                          kress_weight_vector_outer(n))
+
+
+def test_kress_weights_hold_no_n2_temporary():
+    # the whole (n, n/2 - 1) table and its cosine are 134 MB at n = 4096
+    assert _traced_peak(_kress_weight_vector, 4096) < 2e6
 
 
 # ---------------------------------------------------------------------------
@@ -685,11 +734,17 @@ def test_fold_reads_only_the_upper_triangle(support, kernel):
     lower = np.tri(len(w), k=-1, dtype=bool)
     nan_lower = ktil.copy()
     nan_lower[lower] = np.nan
-    got = _cholesky_fold(nan_lower, v, w)
+    got = _cholesky_fold(nan_lower.copy(), v, w)
     want = _cholesky_fold(ktil.copy(), v, w)
     assert _same_upper(got, want)
-    # the fold leaves the lower triangle to the one mirror
-    assert np.isnan(got[lower]).all()
+    # the fold keeps its factor in the lower triangle, which the one mirror
+    # of _finalize overwrites
+    op = assemble._finalize(nan_lower, v, w, {})
+    assert not np.isnan(op.entries).any()
+    expected = assemble_mixed_pairs(
+        [(_fold_case(support), WeightFn.tabulated(v))], kernel).entries
+    rho = np.max(np.abs(np.linalg.eigvalsh(expected)))
+    assert np.max(np.abs(op.entries - expected)) <= 1e-13 * rho
 
 
 def test_kernel_mesh_dimension_mismatch():
