@@ -72,8 +72,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidArgumentError, ResourceLimitError
-from .geometry import (DEFAULT_ATOM_CAP, SingularMeasure, SurfaceMesh,
+from .errors import InvalidArgumentError
+from .geometry import (SingularMeasure, SurfaceMesh, _check_atom_count,
                        support_atoms)
 from .kernels import KernelModel, self_cell_coefficient
 
@@ -103,11 +103,19 @@ _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
 @dataclass(frozen=True)
 class WeightFn:
     """Weight V on a support: constant, angular (cos of the curve parameter),
-    or tabulated per node."""
+    or tabulated per node.  A constant or tabulated value that is not finite
+    is refused, naming it."""
 
     kind: str
     value: float = 1.0
     table: np.ndarray | None = None
+
+    def __post_init__(self):
+        values = [self.value] if self.table is None else self.table
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            raise InvalidArgumentError(
+                "weight values must be finite, got %r" % float(values[bad[0]]))
 
     @staticmethod
     def constant(c: float) -> "WeightFn":
@@ -586,10 +594,8 @@ def make_cell_grid(domain, delta: float,
     # counted in floats: a subnormal delta makes them infinite
     with np.errstate(over="ignore"):
         nx, ny = np.ceil((hi - lo) / delta)
-    if nx * ny > DEFAULT_ATOM_CAP:
-        raise ResourceLimitError(
-            "cell grid of %.0f x %.0f cells exceeds the atom cap %d"
-            % (nx, ny, DEFAULT_ATOM_CAP))
+    _check_atom_count(nx * ny, "cell grid of %.0f x %.0f cells exceeds the "
+                      "atom cap" % (nx, ny))
     gx = lo[0] + delta * (np.arange(int(nx)) + 0.5)
     gy = lo[1] + delta * (np.arange(int(ny)) + 0.5)
     xx, yy = np.meshgrid(gx, gy, indexing="ij")

@@ -1,13 +1,16 @@
 """Experiment runner and command-line interface.
 
-Each experiment builds a configuration of supports and weights, assembles
-the operator, solves the spectrum, and compares measured quantities (fit
-coefficients, counts, covering statistics) against the predicted values.
-Reports are deterministic given configuration and seed: the report hash is
-taken over everything except the wall-clock runtime.
+Each experiment builds a configuration of supports and weights, solves
+the spectrum of its operator in one step (``_spectrum_of``, which refuses
+a matrix above the cap before assembling it), and compares measured
+quantities (fit coefficients, counts, covering statistics) against the
+predicted values.  Reports are deterministic given configuration and
+seed: the report hash is taken over everything except the wall-clock
+runtime.
 
 Exit codes: 0 all criteria pass, 1 a criterion failed, 2 usage error,
-3 resource limit, 4 an internal check failed (for instance computed
+3 resource limit (a support above the atom cap, an operator above the
+matrix cap), 4 an internal check failed (for instance computed
 eigenvalues that miss the trace or the Frobenius norm of their matrix).
 """
 
@@ -26,13 +29,16 @@ from pathlib import Path
 import numpy as np
 
 from . import asymptotics, covering, orlicz, spectra
+# assemble_curve_operator and assemble_measure_operator are not called here;
+# perfbench/tracer.py wraps them by name in this module
 from .assemble import (WeightFn, assemble_curve_operator,
                        assemble_measure_operator, assemble_mixed,
                        make_cell_grid)
 from .errors import (InsufficientDataError, InternalError,
                      InvalidArgumentError, OutOfRangeError, ResourceLimitError)
 from .geometry import (Circle, make_cantor_measure, make_polygon_curve,
-                       make_smooth_curve, make_uniform_square_measure)
+                       make_smooth_curve, make_uniform_square_measure,
+                       support_atoms)
 from .kernels import lower_order_kernel, reference_kernel
 
 DEFAULT_WINDOW = (20, 60)
@@ -185,20 +191,6 @@ def _bound_criterion(name: str, value: float, bound: float) -> dict:
             "passed": bool(value <= bound)}
 
 
-def _check_matrix_budget(n: int, cap: int) -> None:
-    if n > cap:
-        raise ResourceLimitError("matrix size %d exceeds the cap %d" % (n, cap))
-
-
-def _check_cantor_budget(depth: int, cap: int) -> None:
-    """``_check_matrix_budget`` for the 2^depth atoms of a Cantor measure,
-    without building that integer: 2^depth > cap exactly when depth is at
-    least the bit length of cap."""
-    if depth >= max(cap, 0).bit_length():
-        raise ResourceLimitError(
-            "matrix size 2^%d exceeds the cap %d" % (depth, cap))
-
-
 def _param_in(mapping: dict, key: str, default, lo, hi=None, kind=float):
     """``_param`` restricted to [lo, hi], or to values >= lo without hi."""
     value = _param(mapping, key, default, kind)
@@ -260,14 +252,25 @@ def _write_plotdata(spectrum: spectra.Spectrum, grid, out_dir) -> list[str]:
 # experiments
 # ---------------------------------------------------------------------------
 
-def _weyl(config: ExperimentConfig, op, expected: asymptotics.AsymCoeff,
-          default_tol: float = 0.10, report_minus: bool = False, **extra):
-    """Eigensolve ``op``, fit it on the configured window and check the fit
-    against the prediction: c_plus always, c_minus whenever a negative side
-    is predicted.  ``extra`` joins the measured fields; ``report_minus``
-    reports the negative side even where none is predicted.  Returns the
-    experiment's (measured, expected, criteria, spectrum)."""
-    spectrum = spectra.eigensolve(op)
+def _spectrum_of(supports, kernel, cap: int) -> spectra.Spectrum:
+    """Spectrum of the operator over the (support, weight) blocks; an
+    operator of more than ``cap`` unknowns is refused before assembly."""
+    n = sum(len(support_atoms(support)[0]) for support, _ in supports)
+    if n > cap:
+        raise ResourceLimitError("matrix size %d exceeds the cap %d" % (n, cap))
+    return spectra.eigensolve(assemble_mixed(supports, kernel))
+
+
+def _weyl(config: ExperimentConfig, supports,
+          expected: asymptotics.AsymCoeff, default_tol: float = 0.10,
+          report_minus: bool = False, **extra):
+    """Eigensolve ``supports`` on the reference kernel, fit on the configured
+    window and check the fit against the prediction: c_plus always, c_minus
+    whenever a negative side is predicted.  ``extra`` joins the measured
+    fields; ``report_minus`` reports the negative side even where none is
+    predicted.  Returns the experiment's (measured, expected, criteria,
+    spectrum)."""
+    spectrum = _spectrum_of(supports, reference_kernel(), config.max_matrix_n)
     fit = spectra.weyl_fit(spectrum, config.window)
     tol = _param(config.tolerances, "coefficient", default_tol)
     criteria = [_criterion("c_plus", fit.c_plus, expected.c_plus, tol)]
@@ -287,19 +290,17 @@ def _exp_circle(default_weight: dict, default_tol: float,
     """circle-weyl and signed-weight: one circle, both sides reported."""
     params = {"weight": default_weight, **config.params}
     radius = _param(params, "radius", 1.0)
-    _check_matrix_budget(config.n, config.max_matrix_n)
     mesh = make_smooth_curve(Circle(radius=radius), config.n)
     weight = _weight_from_params(params)
-    op = assemble_curve_operator(mesh, weight, reference_kernel())
     expected = asymptotics.coefficient_surface(mesh, weight, label="circle")
-    return _weyl(config, op, expected, default_tol, report_minus=True)
+    return _weyl(config, [(mesh, weight)], expected, default_tol,
+                 report_minus=True)
 
 
-def _polygon_mesh(vertices, n: int, grading: float, cap: int):
+def _polygon_mesh(vertices, n: int, grading: float):
     """Graded polygon with about n nodes: an even panel count per side."""
     panels = max(2, n // len(vertices))
     panels += panels % 2
-    _check_matrix_budget(panels * len(vertices), cap)
     return make_polygon_curve(vertices, panels, grading)
 
 
@@ -307,12 +308,10 @@ def _exp_polygon_weyl(config: ExperimentConfig):
     params = config.params
     vertices = _points(params.get("vertices", _UNIT_SQUARE), '"vertices"', 3)
     mesh = _polygon_mesh(vertices, config.n,
-                         _param(params, "grading_exponent", 3.0),
-                         config.max_matrix_n)
+                         _param(params, "grading_exponent", 3.0))
     weight = _weight_from_params(params)
-    op = assemble_curve_operator(mesh, weight, reference_kernel())
     expected = asymptotics.coefficient_surface(mesh, weight, label="polygon")
-    return _weyl(config, op, expected, n_nodes=mesh.n_nodes)
+    return _weyl(config, [(mesh, weight)], expected, n_nodes=mesh.n_nodes)
 
 
 def _exp_two_surfaces(config: ExperimentConfig):
@@ -322,23 +321,20 @@ def _exp_two_surfaces(config: ExperimentConfig):
     center_2 = _point(params.get("center_2", (5.0, 0.0)), '"center_2"')
     n1 = max(8, (config.n // 3) & ~1)
     n2 = max(8, (config.n - n1) & ~1)
-    _check_matrix_budget(n1 + n2, config.max_matrix_n)
     mesh1 = make_smooth_curve(Circle(radius=r1), n1)
     mesh2 = make_smooth_curve(Circle(center=center_2, radius=r2), n2)
     weight = _weight_from_params(params)
-    kern = reference_kernel()
-    op = assemble_mixed([(mesh1, weight), (mesh2, weight)], kern)
     expected = asymptotics.coefficient_total([
         asymptotics.coefficient_surface(mesh1, weight, label="circle_1"),
         asymptotics.coefficient_surface(mesh2, weight, label="circle_2"),
     ])
-    result = _weyl(config, op, expected)
+    result = _weyl(config, [(mesh1, weight), (mesh2, weight)], expected)
     if config.out_dir is not None:
         out = _out_dir(config.out_dir)
         parts = {"combined": result[3]}
         for i, mesh in enumerate((mesh1, mesh2), start=1):
-            parts["surface_%d" % i] = spectra.eigensolve(
-                assemble_curve_operator(mesh, weight, kern))
+            parts["surface_%d" % i] = _spectrum_of(
+                [(mesh, weight)], reference_kernel(), config.max_matrix_n)
         grid = _trusted_grid(result[3])
         for name, sp in parts.items():
             spectra.write_counting_csv(sp, grid, out / ("counting_%s.csv" % name))
@@ -352,33 +348,31 @@ def _exp_mixed_ac_singular(config: ExperimentConfig):
     delta = _param(params, "delta", 0.035)
     n_curve = _param(params, "n_curve", 192, int)
     v0 = _param(params, "v0", 1.0)
-    _check_matrix_budget(n_curve, config.max_matrix_n)
     mesh = make_smooth_curve(Circle(radius=circle_radius), n_curve)
     weight = _weight_from_params(params)
     grid = make_cell_grid(("disk", (0.0, 0.0), disk_radius), delta,
                           exclude_meshes=[mesh])
-    _check_matrix_budget(grid.n_atoms + n_curve, config.max_matrix_n)
-    op = assemble_mixed([(grid, WeightFn.constant(v0)), (mesh, weight)],
-                        reference_kernel())
     expected = asymptotics.coefficient_total([
         asymptotics.coefficient_ac(np.pi * disk_radius ** 2, v0, label="disk"),
         asymptotics.coefficient_surface(mesh, weight, label="circle"),
     ])
-    return _weyl(config, op, expected, n_cells=grid.n_atoms,
+    return _weyl(config, [(grid, WeightFn.constant(v0)), (mesh, weight)],
+                 expected, n_cells=grid.n_atoms,
                  resolved_area=grid.n_atoms * delta ** 2)
 
 
 def _exp_cantor_estimate(config: ExperimentConfig):
     params = config.params
     depth = _param(params, "depth", 10, int)
-    _check_cantor_budget(depth, config.max_matrix_n)
     weight = _weight_from_params(params)
-    kern = reference_kernel()
     sups = {}
-    for d in (depth - 1, depth):
+    # finer depth first: a matrix over the cap is refused before any eigensolve
+    for d in (depth, depth - 1):
         measure = make_cantor_measure(d)
-        spectrum = spectra.eigensolve(
-            assemble_measure_operator(measure, weight, kern))
+        spectrum = _spectrum_of([(measure, weight)], reference_kernel(),
+                                config.max_matrix_n)
+        if d == depth:
+            shown = spectrum
         norm = orlicz.surface_norm(weight, measure)
         grid = spectrum.side("+")[4:spectrum.trusted_k_max]
         sups[d] = covering.empirical_estimate_constant(spectrum, norm, grid)
@@ -390,8 +384,8 @@ def _exp_cantor_estimate(config: ExperimentConfig):
     measured = {"sup_constant": sups[depth],
                 "sup_constant_coarse": sups[depth - 1],
                 "variation": variation}
-    # the loop ends on depth d: its spectrum is the one the report shows
-    return measured, {"finite_constant": "bounded"}, criteria, spectrum
+    # the report shows the spectrum at depth
+    return measured, {"finite_constant": "bounded"}, criteria, shown
 
 
 def _exp_covering_count(config: ExperimentConfig):
@@ -442,11 +436,9 @@ def _exp_lower_order_decay(config: ExperimentConfig):
     params = config.params
     radius = _param(params, "radius", 1.0)
     n = _param(params, "n", min(config.n, 256), int)
-    _check_matrix_budget(n, config.max_matrix_n)
     mesh = make_smooth_curve(Circle(radius=radius), n)
-    weight = _weight_from_params(params)
-    op = assemble_curve_operator(mesh, weight, lower_order_kernel())
-    spectrum = spectra.eigensolve(op)
+    spectrum = _spectrum_of([(mesh, _weight_from_params(params))],
+                            lower_order_kernel(), config.max_matrix_n)
     pos = spectrum.side("+")
     if len(pos) < 40:
         raise InsufficientDataError(
@@ -611,19 +603,14 @@ def _run_and_print(config: ExperimentConfig) -> int:
 def _cmd_spectrum(args) -> int:
     weight = (WeightFn.constant(args.value) if args.weight == "constant"
               else WeightFn.angular())
-    kern = reference_kernel()
     if args.shape == "circle":
-        _check_matrix_budget(args.n, DEFAULT_MAX_MATRIX)
-        mesh = make_smooth_curve(Circle(radius=args.radius), args.n)
-        op = assemble_curve_operator(mesh, weight, kern)
+        support = make_smooth_curve(Circle(radius=args.radius), args.n)
     elif args.shape == "square":
-        mesh = _polygon_mesh(_UNIT_SQUARE, args.n, 3.0, DEFAULT_MAX_MATRIX)
-        op = assemble_curve_operator(mesh, weight, kern)
+        support = _polygon_mesh(_UNIT_SQUARE, args.n, 3.0)
     else:
-        _check_cantor_budget(args.depth, DEFAULT_MAX_MATRIX)
-        measure = make_cantor_measure(args.depth)
-        op = assemble_measure_operator(measure, weight, kern)
-    spectrum = spectra.eigensolve(op)
+        support = make_cantor_measure(args.depth)
+    spectrum = _spectrum_of([(support, weight)], reference_kernel(),
+                            DEFAULT_MAX_MATRIX)
     paths = emit_plotdata(spectrum, args.out)
     print("\n".join(paths))
     return 0

@@ -16,8 +16,14 @@ from .errors import InvalidArgumentError, InternalError, ResourceLimitError
 
 TWO_PI = 2.0 * np.pi
 
-# hard cap on atoms a measure constructor may produce
+# hard cap on the atoms (curve nodes, measure atoms, cells) of one support
 DEFAULT_ATOM_CAP = 1 << 15
+
+
+def _check_atom_count(n_atoms, text: str) -> None:
+    """Refuse more atoms than the cap, unbuilt; the cap ends ``text``."""
+    if n_atoms > DEFAULT_ATOM_CAP:
+        raise ResourceLimitError("%s %d" % (text, DEFAULT_ATOM_CAP))
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -203,11 +209,13 @@ def make_smooth_curve(shape, n_nodes: int) -> SurfaceMesh:
     """Equispaced-in-parameter mesh of a smooth closed shape.
 
     ``n_nodes`` must be even and at least 8: the periodic log-kernel
-    quadrature pairs nodes across half-periods.  The shape's sizes (circle
-    and star radius, ellipse axes) must be positive and finite.
+    quadrature pairs nodes across half-periods; above ``DEFAULT_ATOM_CAP``
+    it is refused unbuilt.  The shape's sizes (circle and star radius,
+    ellipse axes) must be positive and finite.
     """
     if n_nodes < 8 or n_nodes % 2 != 0:
         raise InvalidArgumentError("n_nodes must be even and >= 8")
+    _check_atom_count(n_nodes, "%d nodes exceed the cap of" % n_nodes)
     if isinstance(shape, Star) and not (0.0 <= shape.amplitude < 1.0):
         raise InvalidArgumentError("star amplitude must lie in [0, 1)")
     for name in _SHAPE_SIZES.get(type(shape), ()):
@@ -237,7 +245,8 @@ def make_polygon_curve(vertices, panels_per_edge: int,
     Each edge receives ``panels_per_edge`` panels (even, >= 2); on each
     half-edge the breakpoints follow the power map s = (L/2) (2k/m)^q, so
     q = 1 is the uniform mesh and larger q concentrates panels at the
-    corners.  Nodes are panel midpoints, weights are panel lengths.
+    corners.  Nodes are panel midpoints, weights are panel lengths.  More
+    than ``DEFAULT_ATOM_CAP`` panels in all are refused unbuilt.
     """
     verts = np.asarray(vertices, dtype=float)
     if verts.ndim != 2 or verts.shape[1] != 2 or len(verts) < 3:
@@ -248,6 +257,8 @@ def make_polygon_curve(vertices, panels_per_edge: int,
         raise InvalidArgumentError("grading exponent must be >= 1")
     if panels_per_edge < 2 or panels_per_edge % 2 != 0:
         raise InvalidArgumentError("panels_per_edge must be even and >= 2")
+    _check_atom_count(panels_per_edge * len(verts), "%d x %d panels exceed "
+                      "the cap of" % (len(verts), panels_per_edge))
     # reject collinear consecutive triples: corners must be genuine
     nv = len(verts)
     for i in range(nv):
@@ -299,20 +310,20 @@ def make_polygon_curve(vertices, panels_per_edge: int,
 # singular measures
 # ---------------------------------------------------------------------------
 
-def make_cantor_measure(depth: int, segment=((0.0, 0.0), (1.0, 0.0)),
-                        atom_cap: int = DEFAULT_ATOM_CAP) -> SingularMeasure:
+def make_cantor_measure(depth: int,
+                        segment=((0.0, 0.0), (1.0, 0.0))) -> SingularMeasure:
     """Level-``depth`` middle-thirds Cantor approximation on a segment.
 
     2^depth atoms sit at the midpoints of the level-depth intervals, each of
     mass 2^{-depth}; the cell size is the interval length L 3^{-depth} and
-    the nominal regularity exponent is log 2 / log 3.
+    the nominal regularity exponent is log 2 / log 3.  More than
+    ``DEFAULT_ATOM_CAP`` atoms are refused unbuilt, 2^depth included.
     """
     if depth < 1:
         raise InvalidArgumentError("depth must be >= 1")
-    # 2^depth > atom_cap, without building the integer 2^depth
-    if depth >= max(atom_cap, 0).bit_length():
-        raise ResourceLimitError(
-            "2^%d atoms exceed the cap of %d" % (depth, atom_cap))
+    # 2^depth > cap exactly when depth reaches the cap's bit length
+    _check_atom_count(1 << min(depth, DEFAULT_ATOM_CAP.bit_length()),
+                      "2^%d atoms exceed the cap of" % depth)
     start = np.asarray(segment[0], dtype=float)
     end = np.asarray(segment[1], dtype=float)
     length = float(np.linalg.norm(end - start))
@@ -335,13 +346,13 @@ def make_cantor_measure(depth: int, segment=((0.0, 0.0), (1.0, 0.0)),
 
 
 def make_uniform_square_measure(n_per_side: int, corner=(0.0, 0.0),
-                                side: float = 1.0,
-                                atom_cap: int = DEFAULT_ATOM_CAP) -> SingularMeasure:
-    """Unit-mass uniform grid measure on a square (cell centers)."""
+                                side: float = 1.0) -> SingularMeasure:
+    """Unit-mass uniform grid measure on a square (cell centers), refused
+    unbuilt above ``DEFAULT_ATOM_CAP`` atoms."""
     if n_per_side < 1:
         raise InvalidArgumentError("n_per_side must be >= 1")
-    if n_per_side ** 2 > atom_cap:
-        raise ResourceLimitError("grid exceeds the atom cap")
+    _check_atom_count(n_per_side ** 2, "%d x %d atoms exceed the cap of"
+                      % (n_per_side, n_per_side))
     if side <= 0.0:
         raise InvalidArgumentError("side must be positive")
     g = corner[0] + side * (np.arange(n_per_side) + 0.5) / n_per_side

@@ -141,7 +141,7 @@ def averaged_norm(V, weights, mass_E: float) -> OrliczNormResult:
     Parameters
     ----------
     V : array_like
-        Weight values on the atoms; may change sign.
+        Weight values on the atoms; may change sign, and must be finite.
     weights : array_like
         Positive atom masses.
     mass_E : float
@@ -152,6 +152,10 @@ def averaged_norm(V, weights, mass_E: float) -> OrliczNormResult:
     w = np.asarray(weights, dtype=float)
     if V.shape != w.shape or V.ndim != 1:
         raise InvalidArgumentError("V and weights must be equal-length vectors")
+    bad = np.flatnonzero(~np.isfinite(V))
+    if bad.size:
+        raise InvalidArgumentError(
+            "V must be finite, got %r" % float(V[bad[0]]))
     if np.any(w <= 0.0):
         raise InvalidArgumentError("weights must be positive")
     if mass_E < 0.0:

@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import subprocess
@@ -10,6 +11,7 @@ import pytest
 from scipy.special import ive, kve
 
 import critspec
+from critspec import assemble, cli, spectra
 from critspec.cli import (EXPERIMENTS, ExperimentConfig, emit_plotdata, main,
                           run_experiment)
 from critspec.errors import InvalidArgumentError, ResourceLimitError
@@ -331,10 +333,10 @@ _BAD_INPUTS = {
     "coeff-max-dim-400": (["coeff", "--max-dim", "400"], 2, "got 400"),
     "cantor-estimate-depth-20000": (
         {"experiment": "cantor-estimate", "params": {"depth": 20000}},
-        3, "matrix size 2^20000 exceeds the cap 4200"),
+        3, "2^20000 atoms exceed the cap of 32768"),
     "spectrum-cantor-depth-20000": (
         ["spectrum", "--shape", "cantor", "--depth", "20000"],
-        3, "matrix size 2^20000 exceeds the cap 4200"),
+        3, "2^20000 atoms exceed the cap of 32768"),
     "orlicz-norm-cantor-depth-20000": (
         ["orlicz-norm", "--shape", "cantor", "--depth", "20000"],
         3, "2^20000 atoms exceed the cap"),
@@ -364,6 +366,25 @@ _BAD_INPUTS = {
         {"experiment": "mixed-ac-singular",
          "params": {"disk_radius": 0.01, "circle_radius": 0.5}},
         2, "no cell of size 0.035 is left"),
+    "spectrum-value-inf": (
+        ["spectrum", "--value", "inf"],
+        2, "weight values must be finite, got inf"),
+    "spectrum-value-nan": (
+        ["spectrum", "--value", "nan"],
+        2, "weight values must be finite, got nan"),
+    "circle-weight-value-nan": (
+        {"experiment": "circle-weyl",
+         "params": {"weight": {"kind": "constant", "value": float("nan")}}},
+        2, "weight values must be finite, got nan"),
+    "orlicz-norm-value-nan": (
+        ["orlicz-norm", "--value", "nan"],
+        2, "weight values must be finite, got nan"),
+    "orlicz-norm-value-inf": (
+        ["orlicz-norm", "--value", "inf"],
+        2, "weight values must be finite, got inf"),
+    "orlicz-norm-circle-n-1e14": (
+        ["orlicz-norm", "--shape", "circle", "--n", "100000000000000"],
+        3, "100000000000000 nodes exceed the cap of 32768"),
 }
 
 
@@ -407,3 +428,28 @@ def test_huge_cantor_depth_is_refused_without_building_2_to_the_depth(
     assert code == 3
     assert "2^100000000" in capsys.readouterr().err
     assert peak < 2 ** 20
+
+
+def test_cantor_estimate_over_the_matrix_cap_is_refused_before_any_eigensolve(
+        tmp_path, capsys, monkeypatch):
+    # depth 13 has 8192 atoms: under the atom cap, over the matrix cap
+    calls = []
+    monkeypatch.setattr(spectra, "eigensolve",
+                        lambda *args: calls.append(args))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": "cantor-estimate",
+                               "params": {"depth": 13}}))
+    assert main(["run", "--config", str(cfg)]) == 3
+    assert "matrix size 8192 exceeds the cap 4200" in capsys.readouterr().err
+    assert calls == []
+
+
+def test_benchmark_tracer_finds_every_name_it_wraps(monkeypatch):
+    # the tracer looks each name up with vars(module)[name]: a name it wraps
+    # that the package no longer has raises KeyError here
+    perfbench = Path(__file__).resolve().parent.parent / "perfbench"
+    monkeypatch.syspath_prepend(str(perfbench))
+    tracer = importlib.import_module("tracer")
+    restore = tracer.instrument(tracer.Tracer())
+    restore()
+    assert cli.assemble_mixed is assemble.assemble_mixed

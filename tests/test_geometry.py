@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from critspec.assemble import make_cell_grid
 from critspec.errors import (InvalidArgumentError, InternalError,
                              ResourceLimitError)
 from critspec.geometry import (DEFAULT_ATOM_CAP, Circle, Ellipse, Star,
@@ -151,8 +154,6 @@ def test_cantor_total_mass_is_one(depth):
 def test_cantor_respects_atom_cap():
     with pytest.raises(ResourceLimitError):
         make_cantor_measure(20)
-    with pytest.raises(ResourceLimitError):
-        make_cantor_measure(6, atom_cap=32)
 
 
 def test_cantor_on_a_rotated_segment():
@@ -304,6 +305,41 @@ def test_cantor_cap_is_checked_without_building_2_to_the_depth():
     for depth in (16, 10 ** 8):
         with pytest.raises(ResourceLimitError, match=r"2\^%d atoms" % depth):
             make_cantor_measure(depth)
+
+
+# one size just over the cap for each support constructor, and the text
+# that names it
+_OVER_THE_ATOM_CAP = {
+    "smooth-curve": (lambda: make_smooth_curve(Circle(), DEFAULT_ATOM_CAP + 2),
+                     "32770 nodes exceed the cap of 32768"),
+    "polygon-curve": (lambda: make_polygon_curve(UNIT_SQUARE, 8194),
+                      "4 x 8194 panels exceed the cap of 32768"),
+    "cantor": (lambda: make_cantor_measure(16),
+               "2^16 atoms exceed the cap of 32768"),
+    "uniform-square": (lambda: make_uniform_square_measure(182),
+                       "182 x 182 atoms exceed the cap of 32768"),
+    "cell-grid": (lambda: make_cell_grid(("box", (0.0, 0.0), (1.0, 1.0)),
+                                         1.0 / 181.5),
+                  "cell grid of 182 x 182 cells exceeds the atom cap 32768"),
+}
+
+
+@pytest.mark.parametrize("name", list(_OVER_THE_ATOM_CAP))
+def test_every_support_constructor_refuses_the_atom_cap_unbuilt(name):
+    build, named = _OVER_THE_ATOM_CAP[name]
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError) as info:
+            build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert named in str(info.value)
+    assert peak < 2 ** 20
+
+
+def test_smooth_curve_accepts_exactly_the_atom_cap():
+    assert make_smooth_curve(Circle(), DEFAULT_ATOM_CAP).n_nodes == 2 ** 15
 
 
 @pytest.mark.parametrize("cell_size", [0.0, -1.0, float("nan"), float("inf")])

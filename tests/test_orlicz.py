@@ -60,6 +60,13 @@ def test_zero_weight_gives_zero():
     assert res.multiplier_tau is None
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_weight_is_refused_naming_the_value(bad):
+    with pytest.raises(InvalidArgumentError,
+                       match="V must be finite, got %r" % bad):
+        averaged_norm(np.array([1.0, bad]), np.ones(2), 2.0)
+
+
 def test_constant_weight_closed_form():
     rng = np.random.default_rng(1)
     w = rng.uniform(0.1, 2.0, 50)
