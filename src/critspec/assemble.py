@@ -79,9 +79,6 @@ from .kernels import KernelModel, self_cell_coefficient
 
 TWO_PI = 2.0 * np.pi
 
-# meshes below this size cannot carry the periodic quadrature and fall back
-# to pointwise kernel values (degenerate, for small closed-form checks)
-_MIN_QUADRATURE_NODES = 8
 # byte size of the (rows, n) blocks in flight at once in the upper-triangle
 # pass, split evenly over the workers: the kernel and panel-integral
 # temporaries of a block stay cache-resident
@@ -525,14 +522,11 @@ def _point_effective_kernel(points: np.ndarray, kernel: KernelModel,
 
 def _curve_effective_kernel(mesh: SurfaceMesh, kernel: KernelModel,
                             out: np.ndarray | None = None) -> np.ndarray:
-    """Smooth closed meshes get the spectrally accurate periodic log
-    quadrature; polygons get panel collocation with exact flat-panel log
-    integrals.  Meshes below the quadrature minimum fall back to pointwise
-    kernel values with the segment diagonal closure.  The matrix is written
-    into ``out`` when given (an (n, n) view, as of a larger matrix)."""
-    if mesh.n_nodes < _MIN_QUADRATURE_NODES:
-        return _point_effective_kernel(mesh.nodes, kernel, "segment",
-                                       float(mesh.weights.max()), out)
+    """Smooth closed meshes (even, at least 8 nodes, as ``SurfaceMesh``
+    enforces) get the spectrally accurate periodic log quadrature; polygons,
+    of any size, get panel collocation with exact flat-panel log integrals.
+    The matrix is written into ``out`` when given (an (n, n) view, as of a
+    larger matrix)."""
     if mesh.kind == "smooth-closed":
         return _smooth_curve_effective_kernel(mesh, kernel, out)
     return _polygon_effective_kernel(mesh, kernel, out)
@@ -541,11 +535,6 @@ def _curve_effective_kernel(mesh: SurfaceMesh, kernel: KernelModel,
 # ---------------------------------------------------------------------------
 # assembly
 # ---------------------------------------------------------------------------
-
-def _check_plane(kernel: KernelModel, ambient_dim: int) -> None:
-    if kernel.ambient_dim != ambient_dim or ambient_dim != 2:
-        raise InvalidArgumentError("kernel/support dimension mismatch")
-
 
 def assemble_curve_operator(mesh: SurfaceMesh, V: WeightFn,
                             kernel: KernelModel) -> OperatorMatrix:
@@ -562,35 +551,29 @@ def assemble_measure_operator(measure: SingularMeasure, V: WeightFn,
     return assemble_mixed([(measure, V)], kernel)
 
 
-def make_cell_grid(domain, delta: float,
+def make_cell_grid(center, radius: float, delta: float,
                    exclude_meshes=()) -> SingularMeasure:
-    """Uniform square cells of side ``delta`` covering ``domain`` (("disk",
-    center, R) or ("box", lo, hi)) as an area measure: one atom of mass
-    delta^2 at each kept cell center.  A cell is kept when its center lies
-    inside the domain and more than one cell diagonal away from every node
-    of the excluded curves.  A bounding grid above ``DEFAULT_ATOM_CAP``
-    cells raises ``ResourceLimitError`` unbuilt; a grid with no cell left
-    is refused."""
+    """Uniform square cells of side ``delta`` covering the disk of
+    ``radius`` about ``center`` as an area measure: one atom of mass
+    delta^2 at each kept cell center.  The cells tile the disk's bounding
+    square from its lower corner; a cell is kept when its center lies in
+    the disk and more than one cell diagonal away from every node of the
+    excluded curves.  A bounding grid above ``DEFAULT_ATOM_CAP`` cells
+    raises ``ResourceLimitError`` unbuilt; a grid with no cell left is
+    refused."""
     if not 0.0 < delta < np.inf:
         raise InvalidArgumentError(
             "cell size must be positive and finite, got %r" % (delta,))
-    kind = domain[0]
-    if kind == "disk":
-        center = np.asarray(domain[1], dtype=float)
-        radius = float(domain[2])
-        if not 0.0 < radius < np.inf:
-            raise InvalidArgumentError(
-                "disk radius must be positive and finite, got %r" % (radius,))
-        lo = center - radius
-        hi = center + radius
-    elif kind == "box":
-        lo = np.asarray(domain[1], dtype=float)
-        hi = np.asarray(domain[2], dtype=float)
-    else:
-        raise InvalidArgumentError("domain must be ('disk', c, R) or ('box', lo, hi)")
+    if not 0.0 < radius < np.inf:
+        raise InvalidArgumentError(
+            "disk radius must be positive and finite, got %r" % (radius,))
+    center = np.asarray(center, dtype=float)
+    lo = center - radius
+    hi = center + radius
     if not np.isfinite([lo, hi]).all():
         raise InvalidArgumentError(
-            "domain bounds must be finite, got %r" % (domain,))
+            "domain bounds must be finite, got center %r and radius %r"
+            % (tuple(center.tolist()), radius))
     # counted in floats: a subnormal delta makes them infinite
     with np.errstate(over="ignore"):
         nx, ny = np.ceil((hi - lo) / delta)
@@ -600,18 +583,16 @@ def make_cell_grid(domain, delta: float,
     gy = lo[1] + delta * (np.arange(int(ny)) + 0.5)
     xx, yy = np.meshgrid(gx, gy, indexing="ij")
     centers = np.stack([xx.ravel(), yy.ravel()], axis=1)
-    if kind == "disk":
-        keep = np.linalg.norm(centers - center[None, :], axis=1) <= radius
-    else:
-        keep = np.all((centers >= lo) & (centers <= hi), axis=1)
-    centers = centers[keep]
+    centers = centers[np.linalg.norm(centers - center[None, :], axis=1)
+                      <= radius]
     for mesh in exclude_meshes:
         centers = centers[_nearest_dist(centers, mesh.nodes)
                           > delta * np.sqrt(2.0)]
     if not len(centers):
         raise InvalidArgumentError(
-            "no cell of size %r is left in the domain %r" % (delta, domain))
-    return SingularMeasure(ambient_dim=2, atoms=centers,
+            "no cell of size %r is left in the disk of radius %r"
+            % (delta, radius))
+    return SingularMeasure(atoms=centers,
                            masses=np.full(len(centers), delta ** 2),
                            cell_size=delta, alpha_nominal=2.0)
 
@@ -671,8 +652,6 @@ def assemble_mixed(supports, kernel: KernelModel) -> OperatorMatrix:
     if not supports:
         raise InvalidArgumentError("nothing to assemble")
     points, weights = zip(*(support_atoms(s) for s, _ in supports))
-    for support, _ in supports:
-        _check_plane(kernel, support.ambient_dim)
     _check_separation(supports)
     v_all = np.concatenate([vfn.values_on(s) for s, vfn in supports])
     sizes = [len(p) for p in points]

@@ -107,8 +107,6 @@ def coefficient_surface(mesh: SurfaceMesh, V: WeightFn,
                         label: str = "surface") -> AsymCoeff:
     """Contribution of one curve in the plane (d = 1, N = 2): the mesh's
     quadrature integrates V_+ and V_-."""
-    if mesh.ambient_dim != 2:
-        raise InvalidArgumentError("meshes are curves in the plane")
     factor = (2.0 * pi) ** -1 * sphere_surface(0) * r_symbol(2, 1)
     wplus = float(np.sum(V.positive_part(mesh) * mesh.weights))
     wminus = float(np.sum(V.negative_part(mesh) * mesh.weights))

@@ -350,7 +350,7 @@ def _exp_mixed_ac_singular(config: ExperimentConfig):
     v0 = _param(params, "v0", 1.0)
     mesh = make_smooth_curve(Circle(radius=circle_radius), n_curve)
     weight = _weight_from_params(params)
-    grid = make_cell_grid(("disk", (0.0, 0.0), disk_radius), delta,
+    grid = make_cell_grid((0.0, 0.0), disk_radius, delta,
                           exclude_meshes=[mesh])
     expected = asymptotics.coefficient_total([
         asymptotics.coefficient_ac(np.pi * disk_radius ** 2, v0, label="disk"),

@@ -143,8 +143,9 @@ def solve_t(measure, V, center, target: float):
     sides are returned as an array; the rows are searched in lockstep, in
     serial blocks whose (rows, atoms) temporaries hold about _BLOCK_BYTES.
     """
-    if target <= 0.0:
-        raise InvalidArgumentError("target must be positive")
+    if not target > 0.0:
+        raise InvalidArgumentError("target must be positive, got %r"
+                                   % (target,))
     points, masses = support_atoms(measure)
     absv = np.abs(_weight_values(V, measure, points))
     centers = np.asarray(center, dtype=float)
@@ -171,8 +172,8 @@ def build_covering(measure, V, lam: float,
     ``_MULTIPLICITY_CAP`` (the geometric expectation in the plane) is
     reported through a warning, never hidden.
     """
-    if lam <= 0.0:
-        raise InvalidArgumentError("lambda must be positive")
+    if not lam > 0.0:
+        raise InvalidArgumentError("lambda must be positive, got %r" % (lam,))
     if kappa_config < 1:
         raise InvalidArgumentError("kappa_config must be >= 1")
     points, masses = support_atoms(measure)
@@ -248,18 +249,18 @@ def _family_colors(cubes) -> np.ndarray:
 
     Closed cubes overlap when they are within half their summed sides of
     each other on every axis (touching counts); each cube in turn takes the
-    smallest color none of its earlier neighbours holds.
+    smallest color none of its earlier neighbours holds.  The overlaps are
+    tested one row at a time, so memory stays linear in the cube count.
     """
     n = len(cubes)
     colors = np.zeros(n, dtype=int)
     centers = np.array([cube.center for cube in cubes])
     sides = np.array([cube.side for cube in cubes])
-    gap = (np.abs(centers[:, None, :] - centers[None, :, :])
-           - (sides[:, None] + sides[None, :])[:, :, None] / 2.0)
-    overlap = np.all(gap <= 0.0, axis=2)
     for i in range(1, n):
+        gap = (np.abs(centers[i] - centers[:i])
+               - (sides[i] + sides[:i])[:, None] / 2.0)
         taken = np.zeros(i + 1, dtype=bool)
-        taken[colors[:i][overlap[i, :i]]] = True
+        taken[colors[:i][np.all(gap <= 0.0, axis=1)]] = True
         colors[i] = int(np.argmin(taken))
     return colors
 

@@ -1,9 +1,12 @@
 """Curves, atomized singular measures, regularity estimation, generic bases.
 
-Surfaces are plane curves: smooth closed ones (circle, ellipse, star) sampled
-at equispaced parameters, and polygons meshed with panels graded toward the
-corners.  Singular measures are finite atom sets (Cantor-type constructions,
-uniform grids) carrying masses and a cell scale.
+Every support lives in the plane, the one ambient space of the kernels:
+``SurfaceMesh`` and ``SingularMeasure`` refuse nodes and atoms that are not
+(n, 2) arrays.  Surfaces are plane curves: smooth closed ones (circle,
+ellipse, star) sampled at an even number of equispaced parameters, at least
+8, and polygons meshed with panels graded toward the corners.  Singular
+measures are finite atom sets (the Cantor set on the unit segment, the unit
+square's grid) carrying masses and a cell scale.
 """
 
 from __future__ import annotations
@@ -43,13 +46,14 @@ class SurfaceMesh:
     ``weights`` are the arclength quadrature weights (units of length), so
     their sum approximates the total curve measure.  ``param_values`` are the
     curve parameters of the nodes: angles in [0, 2*pi) for smooth closed
-    curves, cumulative arclength of panel midpoints for polygons.
+    curves, cumulative arclength of panel midpoints for polygons.  A smooth
+    closed mesh has an even number of nodes, at least 8: its periodic
+    log-kernel quadrature pairs nodes across half-periods.
     """
 
-    ambient_dim: int
-    nodes: np.ndarray          # (n, N)
+    nodes: np.ndarray          # (n, 2)
     weights: np.ndarray        # (n,)
-    tangents: np.ndarray       # (n, N), unit vectors
+    tangents: np.ndarray       # (n, 2), unit vectors
     param_values: np.ndarray   # (n,)
     kind: str                  # "smooth-closed" | "polygon"
     corner_indices: tuple[int, ...] = ()
@@ -65,8 +69,11 @@ class SurfaceMesh:
         object.__setattr__(self, "param_values", params)
         if self.kind not in ("smooth-closed", "polygon"):
             raise InvalidArgumentError("unknown mesh kind %r" % (self.kind,))
-        if nodes.ndim != 2 or nodes.shape[1] != self.ambient_dim:
-            raise InvalidArgumentError("nodes must be (n, %d)" % self.ambient_dim)
+        if nodes.ndim != 2 or nodes.shape[1] != 2:
+            raise InvalidArgumentError("nodes must be (n, 2)")
+        if self.kind == "smooth-closed" and (len(nodes) < 8
+                                             or len(nodes) % 2 != 0):
+            raise InvalidArgumentError("n_nodes must be even and >= 8")
         if np.any(weights <= 0.0):
             raise InvalidArgumentError("all quadrature weights must be positive")
         norms = np.linalg.norm(tangents, axis=1)
@@ -84,10 +91,9 @@ class SurfaceMesh:
 @dataclass(frozen=True)
 class SingularMeasure:
     """Atomized measure: points, masses, and the diameter of the cell each
-    atom stands in for."""
+    atom stands in for.  ``alpha_nominal`` lies in (0, 2]."""
 
-    ambient_dim: int
-    atoms: np.ndarray       # (n, N)
+    atoms: np.ndarray       # (n, 2)
     masses: np.ndarray      # (n,)
     cell_size: float
     alpha_nominal: float
@@ -97,12 +103,12 @@ class SingularMeasure:
         masses = _frozen(np.asarray(self.masses, dtype=float))
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "masses", masses)
-        if atoms.ndim != 2 or atoms.shape[1] != self.ambient_dim:
-            raise InvalidArgumentError("atoms must be (n, %d)" % self.ambient_dim)
+        if atoms.ndim != 2 or atoms.shape[1] != 2:
+            raise InvalidArgumentError("atoms must be (n, 2)")
         if np.any(masses <= 0.0) or not np.all(np.isfinite(masses)):
             raise InvalidArgumentError("masses must be positive and finite")
-        if not (0.0 < self.alpha_nominal <= self.ambient_dim):
-            raise InvalidArgumentError("alpha_nominal must lie in (0, N]")
+        if not (0.0 < self.alpha_nominal <= 2.0):
+            raise InvalidArgumentError("alpha_nominal must lie in (0, 2]")
         if not 0.0 < self.cell_size < np.inf:
             raise InvalidArgumentError(
                 "cell_size must be positive and finite, got %r"
@@ -208,13 +214,10 @@ _SHAPE_SIZES = {Circle: ("radius",), Ellipse: ("a", "b"), Star: ("radius",)}
 def make_smooth_curve(shape, n_nodes: int) -> SurfaceMesh:
     """Equispaced-in-parameter mesh of a smooth closed shape.
 
-    ``n_nodes`` must be even and at least 8: the periodic log-kernel
-    quadrature pairs nodes across half-periods; above ``DEFAULT_ATOM_CAP``
-    it is refused unbuilt.  The shape's sizes (circle and star radius,
-    ellipse axes) must be positive and finite.
+    ``n_nodes`` must be even and at least 8, which ``SurfaceMesh`` enforces;
+    above ``DEFAULT_ATOM_CAP`` it is refused unbuilt.  The shape's sizes
+    (circle and star radius, ellipse axes) must be positive and finite.
     """
-    if n_nodes < 8 or n_nodes % 2 != 0:
-        raise InvalidArgumentError("n_nodes must be even and >= 8")
     _check_atom_count(n_nodes, "%d nodes exceed the cap of" % n_nodes)
     if isinstance(shape, Star) and not (0.0 <= shape.amplitude < 1.0):
         raise InvalidArgumentError("star amplitude must lie in [0, 1)")
@@ -229,9 +232,9 @@ def make_smooth_curve(shape, n_nodes: int) -> SurfaceMesh:
     vel = shape.velocity(t)
     speed = np.linalg.norm(vel, axis=1)
     return SurfaceMesh(
-        ambient_dim=2,
         nodes=nodes,
-        weights=speed * (TWO_PI / n_nodes),
+        # max: n_nodes = 0 must reach SurfaceMesh's refusal, not divide by 0
+        weights=speed * (TWO_PI / max(n_nodes, 1)),
         tangents=vel / speed[:, None],
         param_values=t,
         kind="smooth-closed",
@@ -296,7 +299,6 @@ def make_polygon_curve(vertices, panels_per_edge: int,
         corner_idx.append((i * m - 1) % (nv * m))
         corner_idx.append(i * m)
     return SurfaceMesh(
-        ambient_dim=2,
         nodes=nodes,
         weights=weights,
         tangents=tangents,
@@ -310,12 +312,12 @@ def make_polygon_curve(vertices, panels_per_edge: int,
 # singular measures
 # ---------------------------------------------------------------------------
 
-def make_cantor_measure(depth: int,
-                        segment=((0.0, 0.0), (1.0, 0.0))) -> SingularMeasure:
-    """Level-``depth`` middle-thirds Cantor approximation on a segment.
+def make_cantor_measure(depth: int) -> SingularMeasure:
+    """Level-``depth`` middle-thirds Cantor approximation on the unit
+    segment [0, 1] x {0}.
 
     2^depth atoms sit at the midpoints of the level-depth intervals, each of
-    mass 2^{-depth}; the cell size is the interval length L 3^{-depth} and
+    mass 2^{-depth}; the cell size is the interval length 3^{-depth} and
     the nominal regularity exponent is log 2 / log 3.  More than
     ``DEFAULT_ATOM_CAP`` atoms are refused unbuilt, 2^depth included.
     """
@@ -324,46 +326,33 @@ def make_cantor_measure(depth: int,
     # 2^depth > cap exactly when depth reaches the cap's bit length
     _check_atom_count(1 << min(depth, DEFAULT_ATOM_CAP.bit_length()),
                       "2^%d atoms exceed the cap of" % depth)
-    start = np.asarray(segment[0], dtype=float)
-    end = np.asarray(segment[1], dtype=float)
-    length = float(np.linalg.norm(end - start))
-    if length == 0.0:
-        raise InvalidArgumentError("degenerate segment")
-    direction = (end - start) / length
-
     mids = np.array([0.5])
     for _ in range(depth):
         mids = np.concatenate([mids / 3.0, (mids + 2.0) / 3.0])
     mids.sort()
-    atoms = start[None, :] + (length * mids)[:, None] * direction[None, :]
     return SingularMeasure(
-        ambient_dim=2,
-        atoms=atoms,
+        atoms=np.stack([mids, np.zeros_like(mids)], axis=1),
         masses=np.full(len(mids), 2.0 ** (-depth)),
-        cell_size=length * 3.0 ** (-depth),
+        cell_size=3.0 ** (-depth),
         alpha_nominal=np.log(2.0) / np.log(3.0),
     )
 
 
-def make_uniform_square_measure(n_per_side: int, corner=(0.0, 0.0),
-                                side: float = 1.0) -> SingularMeasure:
-    """Unit-mass uniform grid measure on a square (cell centers), refused
-    unbuilt above ``DEFAULT_ATOM_CAP`` atoms."""
+def make_uniform_square_measure(n_per_side: int) -> SingularMeasure:
+    """Unit-mass uniform grid measure on the unit square [0, 1]^2: one atom
+    at each cell center (k + 0.5) / n_per_side, refused unbuilt above
+    ``DEFAULT_ATOM_CAP`` atoms."""
     if n_per_side < 1:
         raise InvalidArgumentError("n_per_side must be >= 1")
     _check_atom_count(n_per_side ** 2, "%d x %d atoms exceed the cap of"
                       % (n_per_side, n_per_side))
-    if side <= 0.0:
-        raise InvalidArgumentError("side must be positive")
-    g = corner[0] + side * (np.arange(n_per_side) + 0.5) / n_per_side
-    gy = corner[1] + side * (np.arange(n_per_side) + 0.5) / n_per_side
-    xx, yy = np.meshgrid(g, gy, indexing="ij")
+    g = (np.arange(n_per_side) + 0.5) / n_per_side
+    xx, yy = np.meshgrid(g, g, indexing="ij")
     atoms = np.stack([xx.ravel(), yy.ravel()], axis=1)
     return SingularMeasure(
-        ambient_dim=2,
         atoms=atoms,
         masses=np.full(len(atoms), 1.0 / len(atoms)),
-        cell_size=side / n_per_side,
+        cell_size=1.0 / n_per_side,
         alpha_nominal=2.0,
     )
 
@@ -484,12 +473,11 @@ def standard_basis(dim: int) -> np.ndarray:
 
 def transform(mesh: SurfaceMesh, rotation=None, shift=None) -> SurfaceMesh:
     """Apply a rotation and/or translation to a mesh (weights untouched)."""
-    rot = np.eye(mesh.ambient_dim) if rotation is None else np.asarray(rotation, float)
-    if not np.allclose(rot @ rot.T, np.eye(mesh.ambient_dim), atol=1e-12):
+    rot = np.eye(2) if rotation is None else np.asarray(rotation, float)
+    if not np.allclose(rot @ rot.T, np.eye(2), atol=1e-12):
         raise InvalidArgumentError("rotation must be orthogonal")
-    off = np.zeros(mesh.ambient_dim) if shift is None else np.asarray(shift, float)
+    off = np.zeros(2) if shift is None else np.asarray(shift, float)
     return SurfaceMesh(
-        ambient_dim=mesh.ambient_dim,
         nodes=mesh.nodes @ rot.T + off,
         weights=mesh.weights,
         tangents=mesh.tangents @ rot.T,

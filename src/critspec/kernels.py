@@ -48,7 +48,7 @@ _WINDOW_END = 10.0
 
 @dataclass(frozen=True)
 class KernelModel:
-    """A radial kernel with an explicit logarithmic split.
+    """A radial kernel on the plane with an explicit logarithmic split.
 
     ``profile(r)`` is the kernel value at distance r > 0.  ``split(r)``
     returns (log_factor, smooth) at r >= 0 with
@@ -58,7 +58,6 @@ class KernelModel:
     ``log_factor(r)`` is the first half of ``split(r)``.
     """
 
-    ambient_dim: int
     log_coefficient: float
     remainder_at_zero: float
     description: str
@@ -145,7 +144,6 @@ class _LowerOrderKernel(KernelModel):
 def reference_kernel() -> KernelModel:
     """The critical-order kernel (2*pi)^{-1} K_0(|X-Y|) in the plane."""
     return _ReferenceKernel(
-        ambient_dim=2,
         log_coefficient=-1.0 / TWO_PI,
         remainder_at_zero=REFERENCE_DIAGONAL_LIMIT,
         description="inverse (1 - Laplace), plane",
@@ -155,7 +153,6 @@ def reference_kernel() -> KernelModel:
 def lower_order_kernel() -> KernelModel:
     """Order -3 companion kernel used by the decay-order experiment."""
     return _LowerOrderKernel(
-        ambient_dim=2,
         log_coefficient=0.0,
         remainder_at_zero=1.0 / TWO_PI,
         description="inverse (1 - Laplace)^{3/2}, plane",

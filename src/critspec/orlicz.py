@@ -170,8 +170,11 @@ def averaged_norm(V, weights, mass_E: float) -> OrliczNormResult:
 
     u, s = _dual_rows(absV[None, :], w, np.array([mass_E], dtype=float))
     scaled_tau = float(np.exp(s[0]))
-    g = np.sign(V) * np.log1p(u[0] / scaled_tau)
-    value = float(np.sum(w * V * g))
+    gain = np.log1p(u[0] / scaled_tau)
+    g = np.sign(V) * gain
+    # V g = max|V| u log1p(u / tau'), summed in the units of u: a
+    # subnormal V loses no digits to the products
+    value = float(vmax * np.sum(w * u[0] * gain))
     residual = float(np.sum(w * phi(np.abs(g))) - mass_E)
     return OrliczNormResult(value, vmax * scaled_tau, g, residual)
 
@@ -187,12 +190,14 @@ def _norms_on_sets(absv: np.ndarray, w: np.ndarray,
     """
     rows = np.where(inside, absv, 0.0)
     out = np.zeros(len(rows))
-    live = rows.max(axis=1, initial=0.0) > 0.0
+    vmax = rows.max(axis=1, initial=0.0)
+    live = vmax > 0.0
     if live.any():
         rows = rows[live]
         mass = np.where(inside[live], w, 0.0).sum(axis=1)
         u, s = _dual_rows(rows, w, mass)
-        out[live] = (rows * np.log1p(u / np.exp(s)[:, None])) @ w
+        # in the units of u, as in averaged_norm
+        out[live] = vmax[live] * ((u * np.log1p(u / np.exp(s)[:, None])) @ w)
     return out
 
 
@@ -216,11 +221,10 @@ class Cube:
 
 
 def _weight_values(V, obj, points):
+    """V on the atoms: a ``WeightFn``, or one tabulated value per atom."""
     if hasattr(V, "values_on"):
         return V.values_on(obj)
     V = np.asarray(V, dtype=float)
-    if V.ndim == 0:
-        return np.full(len(points), float(V))
     if V.shape != (len(points),):
         raise InvalidArgumentError("tabulated V must match the atom count")
     return V

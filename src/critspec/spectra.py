@@ -155,8 +155,8 @@ def _invariant_errors(m: np.ndarray, vals: np.ndarray) -> tuple[float, float]:
 
 def counting(spectrum: Spectrum, lam: float, sign: str = "+") -> int:
     """Number of eigenvalues of the given sign with magnitude > lambda."""
-    if lam <= 0.0:
-        raise InvalidArgumentError("lambda must be positive")
+    if not lam > 0.0:
+        raise InvalidArgumentError("lambda must be positive, got %r" % (lam,))
     mags = spectrum.side(sign)
     return int(np.sum(mags > lam))
 

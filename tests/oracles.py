@@ -8,8 +8,10 @@ tests/_frozen_bessel.py with correctly rounded double values on the grid
 used by the acceptance suite.
 
 The averaged-norm oracle is the plain 80-step bisection in log tau that the
-package's Newton solve replaced, evaluating the constraint through phi; the
-family-coloring oracle tests every cube pair in a Python loop.
+package's Newton solve replaced, evaluating the constraint through phi.  Of
+the two family-coloring oracles, one tests every cube pair in a Python loop
+and the other is the package's coloring as it was before it tested the
+overlaps one row at a time: all pairs at once, in (cubes, cubes, N) arrays.
 
 ``solve_t_prefix`` is the first-crossing search as it was before the
 lockstep search over many centers: one center at a time, its distinct
@@ -244,6 +246,22 @@ def family_colors_loop(cubes) -> np.ndarray:
     return colors
 
 
+def family_colors_all_pairs(cubes) -> np.ndarray:
+    """Greedy coloring of the cube overlap graph from one all-pairs test."""
+    n = len(cubes)
+    colors = np.zeros(n, dtype=int)
+    centers = np.array([cube.center for cube in cubes])
+    sides = np.array([cube.side for cube in cubes])
+    gap = (np.abs(centers[:, None, :] - centers[None, :, :])
+           - (sides[:, None] + sides[None, :])[:, :, None] / 2.0)
+    overlap = np.all(gap <= 0.0, axis=2)
+    for i in range(1, n):
+        taken = np.zeros(i + 1, dtype=bool)
+        taken[colors[:i][overlap[i, :i]]] = True
+        colors[i] = int(np.argmin(taken))
+    return colors
+
+
 def smooth_curve_effective_kernel_two_calls(mesh, kernel) -> np.ndarray:
     """Periodic log quadrature on a smooth closed curve, the kernel split by
     ``profile - log_factor * log(4 sin^2)`` on every off-diagonal pair."""
@@ -408,9 +426,6 @@ def _mirror_rows(m: np.ndarray) -> np.ndarray:
 
 
 def _curve_effective_kernel_pairs(mesh, kernel) -> np.ndarray:
-    if mesh.n_nodes < 8:
-        return point_effective_kernel_pairs(mesh.nodes, kernel, "segment",
-                                            float(mesh.weights.max()))
     if mesh.kind == "smooth-closed":
         return smooth_curve_effective_kernel_pairs(mesh, kernel)
     return polygon_effective_kernel_pairs(mesh, kernel)

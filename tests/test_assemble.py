@@ -19,8 +19,8 @@ from critspec.assemble import (OperatorMatrix, WeightFn,
                                make_cell_grid)
 from critspec.bessel import bessel_k
 from critspec.errors import InvalidArgumentError, ResourceLimitError
-from critspec.geometry import (Circle, Ellipse, Star, SurfaceMesh,
-                               make_cantor_measure,
+from critspec.geometry import (Circle, Ellipse, SingularMeasure, Star,
+                               SurfaceMesh, make_cantor_measure,
                                make_polygon_curve, make_smooth_curve,
                                make_uniform_square_measure,
                                rotation_matrix, transform)
@@ -49,18 +49,6 @@ def _same_upper(got: np.ndarray, want: np.ndarray) -> bool:
     return np.array_equal(np.triu(got), np.triu(want))
 
 
-def _two_node_mesh():
-    # degenerate two-point mesh: unit-distance nodes, unit weights
-    return SurfaceMesh(
-        ambient_dim=2,
-        nodes=np.array([[0.0, 0.0], [1.0, 0.0]]),
-        weights=np.array([1.0, 1.0]),
-        tangents=np.array([[1.0, 0.0], [1.0, 0.0]]),
-        param_values=np.array([0.0, np.pi]),
-        kind="smooth-closed",
-    )
-
-
 # ---------------------------------------------------------------------------
 # weights
 # ---------------------------------------------------------------------------
@@ -84,13 +72,6 @@ def test_weightfn_kinds_and_sign_split():
 # ---------------------------------------------------------------------------
 # curve operators
 # ---------------------------------------------------------------------------
-
-def test_two_node_mesh_off_diagonal_is_kernel_value(kernel, unit_weight):
-    op = assemble_curve_operator(_two_node_mesh(), unit_weight, kernel)
-    assert op.entries[0, 1] == pytest.approx(bessel_k(0, 1.0) / TWO_PI,
-                                             rel=1e-13)
-    assert op.entries[0, 1] == op.entries[1, 0]
-
 
 def test_circle_top_eigenvalue_n64(kernel, unit_weight):
     mesh = make_smooth_curve(Circle(radius=1.0), 64)
@@ -418,7 +399,7 @@ def _point_cases():
         measure = make_cantor_measure(depth)
         yield ("cantor-%d" % depth, measure.atoms, kern, "segment",
                measure.cell_size)
-    grid = make_cell_grid(("disk", (0.0, 0.0), 1.0), 0.035)
+    grid = make_cell_grid((0.0, 0.0), 1.0, 0.035)
     yield "cell-grid", grid.atoms, kern, "square", grid.cell_size
     yield ("lower-order", make_smooth_curve(Circle(), 300).nodes,
            lower_order_kernel(), "segment", 0.02)
@@ -442,13 +423,12 @@ def test_blocked_curves_and_fallback_match_pairs_oracles(kern):
                        smooth_curve_effective_kernel_pairs(circle, kern))
     assert _same_upper(_curve_effective_kernel(polygon, kern),
                        polygon_effective_kernel_pairs(polygon, kern))
-    # below the quadrature minimum: pointwise values, segment closure
-    for tiny in (_two_node_mesh(), make_polygon_curve(_POLYGONS[3], 2, 3.0)):
-        assert tiny.n_nodes < 8
-        assert _same_upper(
-            _curve_effective_kernel(tiny, kern),
-            point_effective_kernel_pairs(tiny.nodes, kern, "segment",
-                                         float(tiny.weights.max())))
+    # a polygon of fewer nodes than a smooth mesh may have takes panel
+    # collocation all the same
+    triangle = make_polygon_curve(_POLYGONS[3], 2, 3.0)
+    assert triangle.n_nodes == 6
+    assert _same_upper(_curve_effective_kernel(triangle, kern),
+                       polygon_effective_kernel_pairs(triangle, kern))
 
 
 def _traced_peak(fn, *args) -> int:
@@ -465,7 +445,7 @@ def _assert_assembly_temporaries_bounded(kernel):
     # inputs: up to 14 n^2 doubles for one n^2 result
     circle = make_smooth_curve(Circle(), 2048)
     square = make_polygon_curve(UNIT_SQUARE, 512, 3.0)
-    grid = make_cell_grid(("disk", (0.0, 0.0), 1.0), 0.035)
+    grid = make_cell_grid((0.0, 0.0), 1.0, 0.035)
     peaks = [
         (circle.n_nodes, _traced_peak(_curve_effective_kernel, circle,
                                       kernel)),
@@ -519,7 +499,7 @@ def _builder_case(name: str):
         measure = make_cantor_measure(9)
         args = (measure.atoms, kern, "segment", measure.cell_size)
     else:
-        grid = make_cell_grid(("disk", (0.0, 0.0), 1.0), 0.05)
+        grid = make_cell_grid((0.0, 0.0), 1.0, 0.05)
         args = (grid.atoms, kern, "square", grid.cell_size)
     return (lambda: _point_effective_kernel(*args),
             lambda: point_effective_kernel_pairs(*args))
@@ -538,7 +518,7 @@ def test_every_worker_count_matches_pairs_oracle(case, workers, monkeypatch):
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_mixed_matches_pairs_oracle(weight, workers, kernel, monkeypatch):
     # cross blocks at distances 2-4 take the cosh-integral band of K_0
-    grid = make_cell_grid(("disk", (0.0, 0.0), 1.0), 0.05)
+    grid = make_cell_grid((0.0, 0.0), 1.0, 0.05)
     near = make_smooth_curve(Circle(center=(3.0, 0.0), radius=0.5), 256)
     far = make_smooth_curve(Circle(center=(0.0, -3.0), radius=0.8), 300)
     second = WeightFn.angular() if weight == "signed" else WeightFn.constant(2.0)
@@ -693,9 +673,9 @@ def _nan_lower_operator(case: str, signed: bool, monkeypatch):
             measure.n_atoms)
         op = assemble_measure_operator(measure, WeightFn.tabulated(v), kern)
     else:
-        # a cell grid, a circle, a polygon and a curve below the quadrature
-        # minimum: four kinds of diagonal block and six cross blocks
-        grid = make_cell_grid(("box", (0.0, 0.0), (1.0, 1.0)), 0.1)
+        # a cell grid, a circle, a square and a six-node triangle: four
+        # kinds of diagonal block and six cross blocks
+        grid = make_cell_grid((0.5, 0.5), 0.5, 0.1)
         supports = [
             (grid, WeightFn.constant(1.0)),
             (make_smooth_curve(Circle(center=(3.0, 0.5), radius=0.5), 64),
@@ -748,11 +728,17 @@ def test_fold_reads_only_the_upper_triangle(support, kernel):
 
 
 def test_kernel_mesh_dimension_mismatch():
+    # the kernels are planar: a support off the plane is a usage error
+    # (exit 2), refused where it is built
     mesh = make_smooth_curve(Circle(), 16)
-    bad = reference_kernel()
-    object.__setattr__(bad, "ambient_dim", 3)
-    with pytest.raises(InvalidArgumentError):
-        assemble_curve_operator(mesh, WeightFn.constant(1.0), bad)
+    with pytest.raises(InvalidArgumentError, match=r"nodes must be \(n, 2\)"):
+        SurfaceMesh(nodes=np.column_stack([mesh.nodes, np.zeros(16)]),
+                    weights=mesh.weights,
+                    tangents=np.column_stack([mesh.tangents, np.zeros(16)]),
+                    param_values=mesh.param_values, kind="smooth-closed")
+    with pytest.raises(InvalidArgumentError, match=r"atoms must be \(n, 2\)"):
+        SingularMeasure(atoms=np.eye(3), masses=np.ones(3), cell_size=0.1,
+                        alpha_nominal=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -762,7 +748,7 @@ def test_kernel_mesh_dimension_mismatch():
 def test_single_atom_matrix_is_self_cell(kernel):
     from critspec.geometry import SingularMeasure
     measure = SingularMeasure(
-        ambient_dim=2, atoms=np.array([[0.2, 0.3]]),
+        atoms=np.array([[0.2, 0.3]]),
         masses=np.array([1.0]), cell_size=0.05, alpha_nominal=1.0)
     v = 3.0
     op = assemble_measure_operator(measure, WeightFn.constant(v), kernel)
@@ -773,7 +759,7 @@ def test_single_atom_matrix_is_self_cell(kernel):
 def test_two_atoms_off_diagonal(kernel, unit_weight):
     from critspec.geometry import SingularMeasure
     measure = SingularMeasure(
-        ambient_dim=2, atoms=np.array([[0.0, 0.0], [1.0, 0.0]]),
+        atoms=np.array([[0.0, 0.0], [1.0, 0.0]]),
         masses=np.array([1.0, 1.0]), cell_size=0.1, alpha_nominal=1.0)
     op = assemble_measure_operator(measure, unit_weight, kernel)
     assert op.entries[0, 1] == pytest.approx(bessel_k(0, 1.0) / TWO_PI,
@@ -866,7 +852,7 @@ def test_cantor_refinement_consistency(cantor_spectra):
 # ---------------------------------------------------------------------------
 
 def test_mixed_empty_curves_is_pure_area(kernel):
-    grid = make_cell_grid(("box", (0.0, 0.0), (1.0, 1.0)), 0.25)
+    grid = make_cell_grid((0.5, 0.5), 0.5, 0.25)
     op = assemble_mixed([(grid, WeightFn.constant(1.0))], kernel)
     assert op.n == grid.n_atoms
     diag = self_cell_coefficient("square", 0.25) * 0.25 ** 2
@@ -875,7 +861,7 @@ def test_mixed_empty_curves_is_pure_area(kernel):
 
 def test_mixed_zero_density_decouples(kernel, unit_weight):
     mesh = make_smooth_curve(Circle(center=(2.0, 2.0), radius=0.5), 32)
-    grid = make_cell_grid(("box", (0.0, 0.0), (1.0, 1.0)), 0.25)
+    grid = make_cell_grid((0.5, 0.5), 0.5, 0.25)
     mixed = assemble_mixed([(grid, WeightFn.constant(0.0)),
                             (mesh, unit_weight)], kernel)
     curve_only = assemble_curve_operator(mesh, unit_weight, kernel)
@@ -887,7 +873,7 @@ def test_mixed_zero_density_decouples(kernel, unit_weight):
 
 def test_mixed_rejects_separation_violation(kernel, unit_weight):
     mesh = make_smooth_curve(Circle(center=(0.5, 0.5), radius=0.3), 32)
-    grid = make_cell_grid(("box", (0.0, 0.0), (1.0, 1.0)), 0.25)
+    grid = make_cell_grid((0.5, 0.5), 0.5, 0.25)
     with pytest.raises(InvalidArgumentError):
         assemble_mixed([(grid, unit_weight), (mesh, unit_weight)], kernel)
 
@@ -895,40 +881,43 @@ def test_mixed_rejects_separation_violation(kernel, unit_weight):
 def test_make_cell_grid_refuses_bad_sizes_before_building():
     # a 250 x 250 bounding grid is above the atom cap of 2^15 cells
     with pytest.raises(ResourceLimitError, match="atom cap"):
-        make_cell_grid(("disk", (0.0, 0.0), 1.0), 0.008)
+        make_cell_grid((0.0, 0.0), 1.0, 0.008)
     for delta in (0.0, -0.1, float("nan")):
         with pytest.raises(InvalidArgumentError, match="cell size"):
-            make_cell_grid(("disk", (0.0, 0.0), 1.0), delta)
+            make_cell_grid((0.0, 0.0), 1.0, delta)
 
 
+# each domain is a disk's (center, radius); a cell wider than four radii
+# leaves the disk without a cell center in it
 @pytest.mark.parametrize("domain,delta,named", [
-    (("disk", (0.0, 0.0), 1.0), float("inf"), "cell size must be positive "
+    (((0.0, 0.0), 1.0), float("inf"), "cell size must be positive "
      "and finite, got inf"),
-    (("disk", (0.0, 0.0), -1.0), 0.1, "disk radius must be positive and "
+    (((0.0, 0.0), -1.0), 0.1, "disk radius must be positive and "
      "finite, got -1.0"),
-    (("disk", (0.0, 0.0), float("nan")), 0.1, "disk radius"),
-    (("box", (1.0, 1.0), (0.0, 0.0)), 0.1, "no cell of size 0.1 is left"),
-    (("box", (0.0, float("nan")), (1.0, 1.0)), 0.1, "domain bounds must be "
+    (((0.0, 0.0), float("nan")), 0.1, "disk radius"),
+    (((0.0, 0.0), 0.02), 0.1, "no cell of size 0.1 is left in the disk of "
+     "radius 0.02"),
+    (((0.0, float("nan")), 1.0), 0.1, "domain bounds must be "
      "finite"),
-    (("disk", (float("inf"), 0.0), 1.0), 0.1, "domain bounds must be finite"),
+    (((float("inf"), 0.0), 1.0), 0.1, "domain bounds must be finite"),
 ])
 def test_make_cell_grid_refuses_a_domain_that_leaves_no_cell(domain, delta,
                                                               named):
     with pytest.raises(InvalidArgumentError) as info:
-        make_cell_grid(domain, delta)
+        make_cell_grid(*domain, delta)
     assert named in str(info.value)
 
 
 def test_make_cell_grid_is_an_area_measure():
-    grid = make_cell_grid(("box", (0.0, 0.0), (1.0, 1.0)), 0.25)
-    assert grid.n_atoms == 16 and grid.cell_size == 0.25
+    grid = make_cell_grid((0.5, 0.5), 0.5, 0.25)
+    # the 4 x 4 cells of the bounding square less its 4 corner cells
+    assert grid.n_atoms == 12 and grid.cell_size == 0.25
     assert grid.alpha_nominal == 2.0 and np.all(grid.masses == 0.25 ** 2)
 
 
 def test_make_cell_grid_excludes_near_curve_cells(kernel):
     mesh = make_smooth_curve(Circle(radius=0.5), 64)
-    grid = make_cell_grid(("disk", (0.0, 0.0), 1.0), 0.1,
-                          exclude_meshes=[mesh])
+    grid = make_cell_grid((0.0, 0.0), 1.0, 0.1, exclude_meshes=[mesh])
     d = np.abs(np.linalg.norm(grid.atoms, axis=1) - 0.5)
     assert np.all(d > 0.1 * np.sqrt(2.0) - 0.05)
     assert grid.n_atoms > 0

@@ -382,6 +382,8 @@ _BAD_INPUTS = {
     "orlicz-norm-value-inf": (
         ["orlicz-norm", "--value", "inf"],
         2, "weight values must be finite, got inf"),
+    "covering-lam-nan": (
+        ["covering", "--lam", "nan"], 2, "lambda must be positive, got nan"),
     "orlicz-norm-circle-n-1e14": (
         ["orlicz-norm", "--shape", "circle", "--n", "100000000000000"],
         3, "100000000000000 nodes exceed the cap of 32768"),

@@ -14,8 +14,8 @@ from critspec.geometry import (SingularMeasure, make_cantor_measure,
 from critspec.orlicz import Cube, j_functional, surface_norm
 from critspec.spectra import Spectrum
 
-from oracles import (averaged_norm_bisection, family_colors_loop, rho,
-                     solve_t_prefix, t_star)
+from oracles import (averaged_norm_bisection, family_colors_all_pairs,
+                     family_colors_loop, rho, solve_t_prefix, t_star)
 
 T_STAR = t_star()
 
@@ -52,7 +52,7 @@ def test_rho_half_mass_cube():
     n = 64
     atoms = np.stack([(np.arange(n) + 0.5) / n, np.zeros(n)], axis=1)
     from critspec.geometry import SingularMeasure
-    seg = SingularMeasure(ambient_dim=2, atoms=atoms,
+    seg = SingularMeasure(atoms=atoms,
                           masses=np.full(n, 1.0 / n), cell_size=1.0 / n,
                           alpha_nominal=1.0)
     val = rho(seg, np.ones(n), (0.25, 0.0), 0.51)
@@ -73,7 +73,7 @@ def test_solve_t_linear_scaling_on_uniform_segment():
     n = 64
     atoms = np.stack([(np.arange(n) + 0.5) / n, np.zeros(n)], axis=1)
     from critspec.geometry import SingularMeasure
-    seg = SingularMeasure(ambient_dim=2, atoms=atoms,
+    seg = SingularMeasure(atoms=atoms,
                           masses=np.full(n, 1.0 / n), cell_size=1.0 / n,
                           alpha_nominal=1.0)
     ones = np.ones(n)
@@ -120,6 +120,9 @@ def test_solve_t_one_center_or_many(uniform16):
     assert many.tolist() == one
     with pytest.raises(InvalidArgumentError):
         solve_t(uniform16, V, (0.5, 0.5, 0.5), target)
+    with pytest.raises(InvalidArgumentError,
+                       match="target must be positive, got nan"):
+        solve_t(uniform16, V, centers, float("nan"))
 
 
 # grid measures put many atoms at one Chebyshev distance (ties), Cantor
@@ -151,7 +154,7 @@ def test_bracket_failure_in_one_row_raises():
     # leaves the multiplier bracket; the searches from 0 and 1 meet such a
     # cube, the one from 10 and the whole support do not
     measure = SingularMeasure(
-        ambient_dim=2, atoms=np.array([[0.0, 0.0], [1.0, 0.0], [10.0, 0.0]]),
+        atoms=np.array([[0.0, 0.0], [1.0, 0.0], [10.0, 0.0]]),
         masses=np.array([1e-20, 1.0, 1.0]), cell_size=1.0,
         alpha_nominal=1.0)
     V = np.array([1.0, 1e-30, 1.0])
@@ -225,7 +228,7 @@ def test_cube_count_law_under_halving_uniform_segment():
     n = 128
     atoms = np.stack([(np.arange(n) + 0.5) / n, np.zeros(n)], axis=1)
     from critspec.geometry import SingularMeasure
-    seg = SingularMeasure(ambient_dim=2, atoms=atoms,
+    seg = SingularMeasure(atoms=atoms,
                           masses=np.full(n, 1.0 / n), cell_size=1.0 / n,
                           alpha_nominal=1.0)
     ones = np.ones(n)
@@ -276,8 +279,25 @@ def test_family_colors_match_pairwise_loop(seed):
     loose = [Cube(rng.uniform(0.0, 6.0, 2), float(rng.uniform(0.0, 2.0)))
              for _ in range(m)]
     for cubes in (lattice, loose, lattice + loose):
-        np.testing.assert_array_equal(covering._family_colors(cubes),
-                                      family_colors_loop(cubes))
+        colors = covering._family_colors(cubes)
+        np.testing.assert_array_equal(colors, family_colors_loop(cubes))
+        np.testing.assert_array_equal(colors, family_colors_all_pairs(cubes))
+
+
+def test_family_colors_memory_is_linear_in_the_cube_count():
+    # the cubes of a 48 x 48 grid at twice its spacing: the all-pairs
+    # overlap test held three (2304, 2304, 2) float arrays, 212 MB at peak
+    h = 1.0 / 48
+    cubes = [Cube(((i + 0.5) * h, (j + 0.5) * h), 2.0 * h)
+             for i in range(48) for j in range(48)]
+    tracemalloc.start()
+    try:
+        colors = covering._family_colors(cubes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert colors.max() >= 1
+    assert peak < 2 ** 20
 
 
 def test_covering_sides_match_bisection_oracle():

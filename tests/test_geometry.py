@@ -61,6 +61,22 @@ def test_smooth_curve_rejects_bad_node_counts():
         make_smooth_curve(Circle(), 33)
     with pytest.raises(InvalidArgumentError):
         make_smooth_curve(Circle(), 6)
+    for n in (0, -4):
+        with pytest.raises(InvalidArgumentError,
+                           match="n_nodes must be even and >= 8"):
+            make_smooth_curve(Circle(), n)
+
+
+@pytest.mark.parametrize("n", [6, 9])
+def test_smooth_closed_mesh_needs_an_even_count_of_at_least_8(n):
+    # the type refuses it, however the nodes were made
+    t = 2.0 * np.pi * np.arange(n) / n
+    with pytest.raises(InvalidArgumentError,
+                       match="n_nodes must be even and >= 8"):
+        SurfaceMesh(nodes=np.column_stack([np.cos(t), np.sin(t)]),
+                    weights=np.full(n, 2.0 * np.pi / n),
+                    tangents=np.column_stack([-np.sin(t), np.cos(t)]),
+                    param_values=t, kind="smooth-closed")
 
 
 # ---------------------------------------------------------------------------
@@ -69,10 +85,10 @@ def test_smooth_curve_rejects_bad_node_counts():
 
 def _mesh_on(nodes):
     n = len(nodes)
-    return SurfaceMesh(ambient_dim=2, nodes=np.asarray(nodes, dtype=float),
+    return SurfaceMesh(nodes=np.asarray(nodes, dtype=float),
                        weights=np.ones(n), tangents=np.tile([1.0, 0.0], (n, 1)),
                        param_values=np.arange(n, dtype=float),
-                       kind="smooth-closed")
+                       kind="polygon")
 
 
 def test_mesh_rejects_repeated_nodes():
@@ -154,12 +170,6 @@ def test_cantor_total_mass_is_one(depth):
 def test_cantor_respects_atom_cap():
     with pytest.raises(ResourceLimitError):
         make_cantor_measure(20)
-
-
-def test_cantor_on_a_rotated_segment():
-    measure = make_cantor_measure(3, segment=((1.0, 1.0), (1.0, 3.0)))
-    assert measure.atoms[:, 0] == pytest.approx(np.ones(8), rel=1e-15)
-    assert measure.cell_size == pytest.approx(2.0 * 3.0 ** (-3), rel=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -318,8 +328,7 @@ _OVER_THE_ATOM_CAP = {
                "2^16 atoms exceed the cap of 32768"),
     "uniform-square": (lambda: make_uniform_square_measure(182),
                        "182 x 182 atoms exceed the cap of 32768"),
-    "cell-grid": (lambda: make_cell_grid(("box", (0.0, 0.0), (1.0, 1.0)),
-                                         1.0 / 181.5),
+    "cell-grid": (lambda: make_cell_grid((0.0, 0.0), 0.5, 1.0 / 181.5),
                   "cell grid of 182 x 182 cells exceeds the atom cap 32768"),
 }
 
@@ -346,6 +355,6 @@ def test_smooth_curve_accepts_exactly_the_atom_cap():
 def test_singular_measure_refuses_a_cell_size_that_is_not_positive(cell_size):
     with pytest.raises(InvalidArgumentError, match="cell_size must be "
                        "positive and finite, got"):
-        SingularMeasure(ambient_dim=2, atoms=np.zeros((1, 2)),
+        SingularMeasure(atoms=np.zeros((1, 2)),
                         masses=np.ones(1), cell_size=cell_size,
                         alpha_nominal=1.0)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from critspec.errors import InvalidArgumentError, OutOfRangeError
@@ -113,19 +113,28 @@ _ATOM = st.tuples(st.sampled_from([-1.0, 0.0, 1.0]), st.floats(-3.0, 3.0),
                   st.floats(1e-3, 1.0))
 
 
+# scales down to the least subnormal, 10^-323.3; the example is
+# ``critspec orlicz-norm --value 1e-320`` on the depth-8 Cantor measure
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=200, deadline=None)
 @given(atoms=st.lists(_ATOM, min_size=1, max_size=20),
-       budget=st.floats(0.01, 1.0), exponent=st.floats(-300.0, 300.0),
+       budget=st.floats(0.01, 1.0), exponent=st.floats(-323.3, 300.0),
        sign=st.sampled_from([-1.0, 1.0]))
+@example(atoms=[(1.0, 0.0, 2.0 ** -8)] * 256, budget=1.0, exponent=-320.0,
+         sign=1.0)
 def test_homogeneity_at_extreme_scales(atoms, budget, exponent, sign):
     V = np.array([s * 10.0 ** e for s, e, _ in atoms])
     w = np.array([m for _, _, m in atoms])
     mass = budget * float(w.sum())
     c = sign * 10.0 ** exponent
     v1 = averaged_norm(V, w, mass).value
+    # a subnormal c V_i is off by half an ulp at most, which moves the norm
+    # (monotone in |V|) by at most half an ulp times the norm of 1; the two
+    # products rounded to subnormals add an ulp
+    ulp = np.nextafter(0.0, 1.0)
+    slack = ulp * (2.0 + averaged_norm(np.ones_like(w), w, mass).value)
     assert averaged_norm(c * V, w, mass).value == pytest.approx(
-        abs(c) * v1, rel=1e-12)
+        abs(c) * v1, rel=1e-12, abs=slack)
 
 
 # an atom over the whole double range: zero, or magnitude 1e-300..1e300 of

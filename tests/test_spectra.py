@@ -78,8 +78,8 @@ def _operators(n: int) -> dict:
     kern = reference_kernel()
     circle = make_smooth_curve(Circle(radius=1.0), n)
     small = make_smooth_curve(Circle(center=(0.5, 0.5), radius=0.25), 64)
-    grid = make_cell_grid(("box", (-0.5, -0.5), (1.5, 1.5)),
-                          2.0 / np.sqrt(n), exclude_meshes=[small])
+    grid = make_cell_grid((0.5, 0.5), 1.0, 2.0 / np.sqrt(n),
+                          exclude_meshes=[small])
     one = WeightFn.constant(1.0)
     return {
         "circle": assemble_curve_operator(circle, one, kern),
@@ -182,6 +182,9 @@ def test_counting_eigenvalue_duality(circle_spectrum_256):
 def test_counting_rejects_nonpositive_lambda(circle_spectrum_256):
     with pytest.raises(InvalidArgumentError):
         counting(circle_spectrum_256, 0.0)
+    with pytest.raises(InvalidArgumentError,
+                       match="lambda must be positive, got nan"):
+        counting(circle_spectrum_256, float("nan"))
 
 
 # ---------------------------------------------------------------------------
