@@ -33,8 +33,9 @@ expressions are those of an all-pairs evaluation, so the matrices agree
 with one bit for bit.  The builders, the cross blocks of mixed
 configurations, the scaling and the sign fold all read the upper triangle
 only, and all but the fold write it only: the fold keeps its Cholesky
-factor in the lower one as scratch.  ``_finalize`` alone fills the lower
-triangle, by one blocked transpose copy of the finished operator.
+factor in the lower one as scratch.  The finished operator is its upper
+triangle, diagonal included; no step fills the lower one, and the
+eigensolve of ``spectra`` reads the upper one alone, in place.
 
 The pass runs on every core in the process's CPU affinity: the calling
 thread and up to ``_WORKERS - 1`` pool threads take the row blocks one at a
@@ -157,19 +158,33 @@ class WeightFn:
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """Dense real symmetric discretization with provenance metadata."""
+    """Dense real symmetric discretization with provenance metadata.
+
+    The matrix is the upper triangle of ``entries``, diagonal included; the
+    strict lower triangle is scratch and is never read, so an asymmetric
+    array stands for the symmetric matrix of its upper triangle.  A
+    C-contiguous writeable float64 array is kept as a read-only view of the
+    caller's own memory, and any other is copied.  ``spectra.eigensolve``
+    consumes the operator: it overwrites that storage, and a second solve
+    is refused.
+    """
 
     entries: np.ndarray
     node_meta: dict = field(default_factory=dict)
     signed_flag: bool = False
+    _consumed: bool = field(default=False, init=False, repr=False,
+                            compare=False)
 
     def __post_init__(self):
+        m = np.ascontiguousarray(np.asarray(self.entries, dtype=float))
+        if not m.flags.writeable:
+            # the eigensolve writes into the storage
+            m = m.copy()
         # a view: freezing it leaves the caller's array writeable, and no
         # n x n copy is made
-        m = np.ascontiguousarray(np.asarray(self.entries, dtype=float)).view()
+        m = m.view()
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise InvalidArgumentError("entries must be square")
-        _check_symmetric(m)
         m.flags.writeable = False
         object.__setattr__(self, "entries", m)
 
@@ -177,27 +192,15 @@ class OperatorMatrix:
     def n(self) -> int:
         return self.entries.shape[0]
 
-
-def _check_symmetric(m: np.ndarray) -> None:
-    """Raise unless m equals its transpose exactly: each row block's strip
-    left of its square, and the square, against their mirror images."""
-    def check(i0, i1):
-        if not np.array_equal(m[i0:i1, :i1], m[:i1, i0:i1].T):
-            raise InvalidArgumentError("entries must be exactly symmetric")
-
-    _each_block(len(m), len(m), check)
-
-
-def _mirror(m: np.ndarray) -> np.ndarray:
-    """Exactly symmetric matrix from its upper triangle, which is copied
-    onto the lower one in place, one row block at a time."""
-    def fill(i0, i1):
-        m[i0:i1, :i0] = m[:i0, i0:i1].T
-        square = m[i0:i1, i0:i1]
-        np.copyto(square, square.T, where=~_upper(i1 - i0))
-
-    _each_block(len(m), len(m), fill)
-    return m
+    def consume(self) -> np.ndarray:
+        """The storage, handed once to the solve that overwrites it; a
+        second call raises ``InvalidArgumentError``."""
+        if self._consumed:
+            raise InvalidArgumentError(
+                "operator matrix already eigensolved: the solve overwrote its "
+                "storage; assemble the operator again")
+        object.__setattr__(self, "_consumed", True)
+        return self.entries
 
 
 def _upper(k: int) -> np.ndarray:
@@ -304,8 +307,8 @@ def _finalize(kernel_matrix: np.ndarray, v_vals: np.ndarray,
     """The operator matrix for kernel matrix K, weight V and quadrature
     weights w: diag(s) K diag(s) with s = sqrt(V w) for V >= 0, the one
     fold of the module docstring otherwise.  K is read from its upper
-    triangle and overwritten; the one mirror makes the result symmetric,
-    over the fold's factor where the fold left one."""
+    triangle and overwritten, and the operator is that triangle: below it
+    lies whatever K's storage held, or the fold's factor."""
     signed = bool(np.any(v_vals < 0.0))
     meta = dict(meta)
     meta["signed"] = signed
@@ -314,7 +317,7 @@ def _finalize(kernel_matrix: np.ndarray, v_vals: np.ndarray,
         meta["fold"] = "cholesky"
     else:
         upper = _scaled(kernel_matrix, v_vals, weights)
-    return OperatorMatrix(entries=_mirror(upper), node_meta=meta,
+    return OperatorMatrix(entries=upper, node_meta=meta,
                           signed_flag=signed)
 
 

@@ -254,7 +254,8 @@ def _write_plotdata(spectrum: spectra.Spectrum, grid, out_dir) -> list[str]:
 
 def _spectrum_of(supports, kernel, cap: int) -> spectra.Spectrum:
     """Spectrum of the operator over the (support, weight) blocks; an
-    operator of more than ``cap`` unknowns is refused before assembly."""
+    operator of more than ``cap`` unknowns is refused before assembly.  The
+    operator is assembled here and dropped: its solve consumes it."""
     n = sum(len(support_atoms(support)[0]) for support, _ in supports)
     if n > cap:
         raise ResourceLimitError("matrix size %d exceeds the cap %d" % (n, cap))

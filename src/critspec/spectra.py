@@ -1,14 +1,20 @@
 """Symmetric eigenvalues, counting functions, and coefficient fits.
 
 The counting coefficient is read off eigenvalues alone, so ``eigensolve``
-computes no eigenvectors.  It takes an ``OperatorMatrix`` only, which is
-exactly symmetric by construction, so no symmetry test runs here.  It checks
-the whole computed spectrum against two invariants of the matrix that cost
-O(n^2): the sum of the eigenvalues is the trace, and the sum of their
-squares is the squared Frobenius norm.  Either error above its tolerance
-raises ``InternalError``.  An operator of a nonnegative weight must also
-come out positive semidefinite in the same tolerance unit; one that does
-not is an under-resolved mesh, refused with ``InvalidArgumentError``.
+computes no eigenvectors.  It takes an ``OperatorMatrix``, which is its
+upper triangle, diagonal included: the strict lower triangle is scratch and
+is never read, so no symmetry test runs here.  The solve consumes the
+operator.  LAPACK's divide-and-conquer ``dsyevd``, from the OpenBLAS that
+NumPy has already loaded, reduces the triangle in the operator's own
+storage, so no n x n copy is made; a second solve of the same operator is
+refused.  The two invariants that check the whole computed spectrum are
+taken from the triangle before the solve overwrites it, in O(n^2) with no
+n^2 temporary: the sum of the eigenvalues is the trace, and the sum of
+their squares is the squared Frobenius norm.  Either error above its
+tolerance raises ``InternalError``, as does a solve that LAPACK reports
+failed.  An operator of a nonnegative weight must also come out positive
+semidefinite in the same tolerance unit; one that does not is an
+under-resolved mesh, refused with ``InvalidArgumentError``.
 
 The mid-spectrum estimator for the constant C in n(lambda) ~ C / lambda is
 the median of k |lambda_k| over a window of indices: multiplicity-2 families
@@ -20,6 +26,8 @@ window are refused.
 from __future__ import annotations
 
 import csv
+import ctypes
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,20 +104,27 @@ class WeylFit:
 def eigensolve(op: OperatorMatrix) -> Spectrum:
     """Eigenvalues of an operator matrix, checked against its invariants.
 
+    The solve consumes the operator: it overwrites the operator's storage,
+    which is the caller's own array where the operator was built on a
+    C-contiguous float64 one, and a second ``eigensolve`` of the same
+    operator raises ``InvalidArgumentError``.  ``op.n`` stays valid.  Only
+    the upper triangle, diagonal included, is read.
+
     No eigenvectors are computed.  The computed spectrum must reproduce the
     trace and the squared Frobenius norm of the matrix to within 64 n eps
     times the spectral radius and the squared norm; a violation raises
-    ``InternalError`` naming both errors.  An unsigned operator (nonnegative
-    weight) is positive semidefinite on a resolved mesh: a least eigenvalue
-    below -64 n eps times the spectral radius raises
-    ``InvalidArgumentError`` (exit 2).  Eigenvalues below 1e-14 of the
-    spectral radius are dropped as numerical zeros; the trusted index range
-    is n/8.
+    ``InternalError`` naming both errors, and so does a solve that LAPACK
+    reports failed.  An unsigned operator (nonnegative weight) is positive
+    semidefinite on a resolved mesh: a least eigenvalue below -64 n eps
+    times the spectral radius raises ``InvalidArgumentError`` (exit 2).
+    Eigenvalues below 1e-14 of the spectral radius are dropped as numerical
+    zeros; the trusted index range is n/8.
     """
-    m = op.entries
-    vals = np.linalg.eigvalsh(m)
+    m = op.consume()
+    invariants = _upper_invariants(m)
+    vals = _eigvalsh_upper(m)
     norm = float(np.max(np.abs(vals))) if vals.size else 0.0
-    trace_err, frobenius_err = _invariant_errors(m, vals)
+    trace_err, frobenius_err = _invariant_errors(invariants, vals)
     if not (trace_err <= 1.0 and frobenius_err <= 1.0):
         raise InternalError(
             "eigenvalues violate the matrix invariants: trace error %.3g, "
@@ -128,25 +143,104 @@ def eigensolve(op: OperatorMatrix) -> Spectrum:
         trusted_k_max=max(1, m.shape[0] // _TRUSTED_FRACTION))
 
 
+@functools.cache
+def _lapack_dsyevd():
+    """LAPACK's ``dsyevd`` from the scipy-openblas64 library NumPy has
+    already loaded (64-bit integers, gfortran's hidden character lengths),
+    or None where NumPy's build does not export it.  Resolved once, on the
+    first solve; no second library is mapped."""
+    try:
+        from numpy.linalg import _umath_linalg
+        routine = ctypes.CDLL(_umath_linalg.__file__).scipy_dsyevd_64_
+    except (ImportError, OSError, AttributeError):
+        return None
+    integer = ctypes.POINTER(ctypes.c_int64)
+    routine.argtypes = [
+        ctypes.c_char_p, ctypes.c_char_p, integer,      # jobz, uplo, n
+        ctypes.c_void_p, integer, ctypes.c_void_p,      # a, lda, w
+        ctypes.c_void_p, integer, ctypes.c_void_p,      # work, lwork, iwork
+        integer, integer,                               # liwork, info
+        ctypes.c_size_t, ctypes.c_size_t]               # len(jobz), len(uplo)
+    routine.restype = None
+    return routine
+
+
+def _eigvalsh_upper(m: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the symmetric matrix whose upper triangle,
+    diagonal included, is that of the C-contiguous float64 ``m``.  ``m`` is
+    overwritten.
+
+    Fortran reads the C storage transposed, so LAPACK's lower triangle is
+    the upper one here: ``dsyevd`` with uplo 'L' is handed the very values,
+    in the very layout, that NumPy's ``eigvalsh`` copies out of the full
+    symmetric matrix for the same routine, and returns its eigenvalues bit
+    for bit.  The workspace is the size LAPACK's query asks for: the
+    minimal one runs slower.  Without the routine, NumPy's ``eigvalsh``
+    solves a copy of the upper triangle.  A failed solve raises
+    ``InternalError`` naming LAPACK's info.
+    """
+    dsyevd = _lapack_dsyevd()
+    if dsyevd is None:
+        try:
+            return np.linalg.eigvalsh(m, UPLO="U")
+        except np.linalg.LinAlgError as exc:
+            raise InternalError(
+                "symmetric eigensolve failed: %s" % exc) from None
+    n = len(m)
+    vals = np.empty(n)
+    info = ctypes.c_int64(0)
+
+    def call(work: np.ndarray, lwork: int, iwork: np.ndarray, liwork: int):
+        dsyevd(b"N", b"L", ctypes.pointer(ctypes.c_int64(n)), m.ctypes.data,
+               ctypes.pointer(ctypes.c_int64(max(1, n))), vals.ctypes.data,
+               work.ctypes.data, ctypes.pointer(ctypes.c_int64(lwork)),
+               iwork.ctypes.data, ctypes.pointer(ctypes.c_int64(liwork)),
+               ctypes.pointer(info), 1, 1)
+        if info.value != 0:
+            raise InternalError(
+                "symmetric eigensolve failed: LAPACK dsyevd info = %d"
+                % info.value)
+
+    work = np.empty(1)
+    iwork = np.empty(1, dtype=np.int64)
+    call(work, -1, iwork, -1)
+    lwork, liwork = int(work[0]), int(iwork[0])
+    call(np.empty(lwork), lwork, np.empty(liwork, dtype=np.int64), liwork)
+    return vals
+
+
+def _upper_invariants(m: np.ndarray) -> tuple[float, float]:
+    """Trace and squared Frobenius norm of the symmetric matrix whose upper
+    triangle, diagonal included, is that of ``m``: the diagonal, plus twice
+    the strict upper part, summed one row at a time with no n^2
+    temporary."""
+    diagonal = np.diagonal(m)
+    off = 0.0
+    for i in range(len(m) - 1):
+        row = m[i, i + 1:]
+        off += float(row @ row)
+    return float(np.sum(diagonal)), float(diagonal @ diagonal) + 2.0 * off
+
+
 def _tolerance_unit(n: int) -> float:
     """n eps times ``_INVARIANT_ULPS``: the relative tolerance unit of an
     order-n eigensolve."""
     return _INVARIANT_ULPS * n * np.finfo(float).eps
 
 
-def _invariant_errors(m: np.ndarray, vals: np.ndarray) -> tuple[float, float]:
-    """Errors of sum(vals) against tr m and of sum(vals^2) against
-    ||m||_F^2, in units of their tolerances (``eigensolve`` accepts up to 1).
+def _invariant_errors(invariants: tuple[float, float],
+                      vals: np.ndarray) -> tuple[float, float]:
+    """Errors of sum(vals) against the trace and of sum(vals^2) against the
+    squared Frobenius norm, ``invariants`` as ``_upper_invariants`` gives
+    them, in units of their tolerances (``eigensolve`` accepts up to 1).
 
-    The squared Frobenius norm is one dot product over a flat view of the
-    contiguous matrix, with no n^2 temporary.  A zero tolerance (the zero
-    matrix) accepts only an exact zero; a NaN error stays NaN.
+    A zero tolerance (the zero matrix) accepts only an exact zero; a NaN
+    error stays NaN.
     """
-    flat = np.ascontiguousarray(m).reshape(-1)
-    frobenius_sq = float(flat @ flat)
+    trace, frobenius_sq = invariants
     unit = _tolerance_unit(len(vals))
     radius = float(np.max(np.abs(vals))) if vals.size else 0.0
-    errors = (abs(float(np.sum(vals)) - float(np.trace(m))),
+    errors = (abs(float(np.sum(vals)) - trace),
               abs(float(vals @ vals) - frobenius_sq))
     tols = (unit * radius, unit * frobenius_sq)
     return tuple(err / tol if tol > 0.0 else (0.0 if err == 0.0 else np.inf)

@@ -270,19 +270,50 @@ def test_under_resolved_unsigned_mesh_exits_2(tmp_path, capsys):
 
 
 def test_failed_internal_check_exits_4(tmp_path, capsys, monkeypatch):
-    true_eigvalsh = np.linalg.eigvalsh
+    true_eigvalsh = spectra._eigvalsh_upper
 
     def one_shifted(m):
         vals = true_eigvalsh(m)
         vals[0] += 1e-6 * np.max(np.abs(vals))
         return vals
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", one_shifted)
+    monkeypatch.setattr(spectra, "_eigvalsh_upper", one_shifted)
     code = main(["spectrum", "--shape", "circle", "--n", "64",
                  "--out", str(tmp_path)])
     assert code == 4
     err = capsys.readouterr().err
     assert err.startswith("error: internal check failed: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not list(tmp_path.iterdir())
+
+
+def _reports_info_1(*args):
+    # dsyevd's arguments: jobz, uplo, n, a, lda, w, work, lwork, iwork,
+    # liwork, info, and the two character lengths
+    args[10].contents.value = 1
+
+
+def _no_convergence(m, UPLO):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+@pytest.mark.parametrize("path", ["dsyevd", "fallback"])
+def test_failed_eigensolve_exits_4(path, tmp_path, capsys, monkeypatch):
+    if path == "dsyevd":
+        monkeypatch.setattr(spectra, "_lapack_dsyevd",
+                            lambda: _reports_info_1)
+        named = "LAPACK dsyevd info = 1"
+    else:
+        monkeypatch.setattr(spectra, "_lapack_dsyevd", lambda: None)
+        monkeypatch.setattr(np.linalg, "eigvalsh", _no_convergence)
+        named = "Eigenvalues did not converge"
+    code = main(["spectrum", "--shape", "circle", "--n", "64",
+                 "--out", str(tmp_path)])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: internal check failed: symmetric "
+                          "eigensolve failed: ")
+    assert named in err
     assert err.count("\n") == 1 and "Traceback" not in err
     assert not list(tmp_path.iterdir())
 

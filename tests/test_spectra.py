@@ -1,8 +1,15 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import critspec
 from critspec import asymptotics, spectra
 from critspec.assemble import (OperatorMatrix, WeightFn,
                                assemble_curve_operator,
@@ -43,14 +50,6 @@ def test_numerical_zeros_dropped():
     assert len(sp.positives) == 1 and len(sp.negatives) == 0
 
 
-def test_asymmetric_matrix_rejected():
-    # an asymmetric matrix never becomes an operator, the only input of
-    # eigensolve
-    m = np.array([[0.0, 1.0], [0.5, 0.0]])
-    with pytest.raises(InvalidArgumentError, match="exactly symmetric"):
-        OperatorMatrix(entries=m, signed_flag=True)
-
-
 def test_circle_eigenvalues_multiplicity_two(circle_spectrum_256):
     exact = circle_exact_eigenvalues(1.0, 20)
     got = circle_spectrum_256.positives[:20]
@@ -62,10 +61,164 @@ def test_orthogonal_similarity_invariance():
     m = rng.normal(size=(40, 40))
     m = 0.5 * (m + m.T)
     q, _ = np.linalg.qr(rng.normal(size=(40, 40)))
-    sp_a = eigensolve(_signed(m))
+    # the solve overwrites the caller's array, which is used again below
+    sp_a = eigensolve(_signed(m.copy()))
     sp_b = eigensolve(_signed(0.5 * ((q.T @ m @ q) + (q.T @ m @ q).T)))
     assert np.max(np.abs(sp_a.positives - sp_b.positives)) < 1e-9
     assert np.max(np.abs(sp_a.negatives - sp_b.negatives)) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# the one-triangle contract and the in-place solve
+# ---------------------------------------------------------------------------
+
+def _symmetric_sample(n: int, exponent: float, seed: int) -> np.ndarray:
+    """A random symmetric n x n matrix of entries about 10^exponent."""
+    m = np.random.default_rng(seed).normal(size=(n, n))
+    return 10.0 ** exponent * (m + m.T)
+
+
+def _nan_lower(m: np.ndarray) -> np.ndarray:
+    out = m.copy()
+    out[np.tri(len(m), k=-1, dtype=bool)] = np.nan
+    return out
+
+
+_SIZES = st.integers(min_value=1, max_value=48)
+_EXPONENTS = st.floats(min_value=-150.0, max_value=150.0)
+_SEEDS = st.integers(min_value=0, max_value=2 ** 32 - 1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=_SIZES, exponent=_EXPONENTS, seed=_SEEDS)
+def test_upper_invariants_are_those_of_the_symmetric_matrix(n, exponent,
+                                                            seed):
+    full = _symmetric_sample(n, exponent, seed)
+    trace, frobenius_sq = spectra._upper_invariants(_nan_lower(full))
+    diagonal = np.diagonal(full)
+    eps = np.finfo(float).eps
+    assert abs(trace - np.trace(full)) <= 2 * n * eps * np.sum(
+        np.abs(diagonal))
+    assert frobenius_sq == pytest.approx(np.sum(full * full), rel=4 * n * eps)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=_SIZES, exponent=_EXPONENTS, seed=_SEEDS)
+def test_a_nan_lower_triangle_leaves_the_spectrum_bit_identical(n, exponent,
+                                                                seed):
+    full = _symmetric_sample(n, exponent, seed)
+    want = eigensolve(_signed(full.copy()))
+    got = eigensolve(_signed(_nan_lower(full)))
+    assert np.array_equal(got.positives, want.positives)
+    assert np.array_equal(got.negatives, want.negatives)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=_SIZES, exponent=_EXPONENTS, seed=_SEEDS)
+def test_the_fallback_agrees_with_the_in_place_solve(n, exponent, seed):
+    full = _symmetric_sample(n, exponent, seed)
+    in_place = spectra._eigvalsh_upper(_nan_lower(full))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spectra, "_lapack_dsyevd", lambda: None)
+        fallback = spectra._eigvalsh_upper(_nan_lower(full))
+        # the whole solve, checks included, runs on the fallback too
+        sp = eigensolve(_signed(_nan_lower(full)))
+    radius = np.max(np.abs(in_place))
+    assert np.max(np.abs(fallback - in_place)) <= (
+        spectra._tolerance_unit(n) * radius)
+    keep = np.abs(fallback) > spectra._ZERO_RTOL * radius
+    assert np.array_equal(np.concatenate([sp.negatives, sp.positives[::-1]]),
+                          fallback[keep])
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=_SIZES, seed=_SEEDS, signed=st.booleans())
+def test_a_second_solve_of_one_operator_is_refused(n, seed, signed):
+    m = _symmetric_sample(n, 0.0, seed)
+    if not signed:
+        m = m @ m
+    op = OperatorMatrix(entries=m, signed_flag=signed)
+    eigensolve(op)
+    with pytest.raises(InvalidArgumentError, match="already eigensolved"):
+        eigensolve(op)
+    assert op.n == n
+
+
+def test_a_failed_solve_consumes_the_operator_too(monkeypatch):
+    op = _signed(np.eye(3))
+    monkeypatch.setattr(spectra, "_eigvalsh_upper",
+                        lambda m: np.array([1.0, 1.0, np.nan]))
+    with pytest.raises(InternalError):
+        eigensolve(op)
+    monkeypatch.undo()
+    with pytest.raises(InvalidArgumentError, match="already eigensolved"):
+        eigensolve(op)
+
+
+@pytest.mark.skipif(spectra._lapack_dsyevd() is None,
+                    reason="NumPy's LAPACK exports no dsyevd")
+def test_in_place_solve_matches_numpy_bit_for_bit(operators_512):
+    # the spectra, and so the report hashes, are those of NumPy's eigvalsh
+    # on the full symmetric matrix
+    for name, op in operators_512.items():
+        upper = op.entries.copy()
+        full = np.triu(upper) + np.triu(upper, 1).T
+        assert np.array_equal(spectra._eigvalsh_upper(upper),
+                              np.linalg.eigvalsh(full)), name
+
+
+_SOLVE_MEMORY_SCRIPT = """
+import json
+import sys
+
+from critspec import spectra
+from critspec.assemble import WeightFn, assemble_curve_operator
+from critspec.geometry import Circle, make_smooth_curve
+from critspec.kernels import reference_kernel
+
+
+def openblas_files():
+    with open("/proc/self/maps") as fh:
+        return sorted({line.split()[-1] for line in fh
+                       if "openblas" in line.lower()})
+
+
+def peak_bytes():
+    # VmHWM, the peak resident set of this process image; ru_maxrss would
+    # start from the resident set of the process that spawned this one
+    with open("/proc/self/status") as fh:
+        for line in fh:
+            if line.startswith("VmHWM:"):
+                return int(line.split()[1]) * 1024
+
+
+op = assemble_curve_operator(make_smooth_curve(Circle(), 2048),
+                             WeightFn.constant(1.0), reference_kernel())
+files, peak = openblas_files(), peak_bytes()
+spectra.eigensolve(op)
+print(json.dumps({"rise": peak_bytes() - peak, "n": op.n,
+                  "before": files, "after": openblas_files(),
+                  "scipy": "scipy" in sys.modules}))
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/maps").exists(),
+                    reason="needs /proc/self/maps and /proc/self/status")
+def test_eigensolve_makes_no_matrix_copy():
+    # a fresh process, so that the peak before the solve is this
+    # operator's; NumPy's eigvalsh raised it by a whole matrix, 33 MB
+    src = str(Path(critspec.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    proc = subprocess.run([sys.executable, "-c", _SOLVE_MEMORY_SCRIPT],
+                          env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    n = out["n"]
+    assert out["rise"] < n * n * 8 / 4, out
+    assert len(out["before"]) == 1 and out["after"] == out["before"], out
+    assert not out["scipy"]
 
 
 # ---------------------------------------------------------------------------
@@ -102,16 +255,23 @@ def test_clean_solves_pass_the_invariant_check_with_margin(n, operators_512):
     ops = operators_512 if n == 512 else _operators(n)
     for name, op in ops.items():
         assert op.n >= n // 2, name
-        errors = spectra._invariant_errors(op.entries,
-                                           np.linalg.eigvalsh(op.entries))
+        errors = spectra._invariant_errors(
+            spectra._upper_invariants(op.entries),
+            np.linalg.eigvalsh(op.entries, UPLO="U"))
         # largest observed: 0.0035 of the tolerance
         assert max(errors) <= 0.05, (name, errors)
 
 
 @pytest.fixture(scope="module")
 def spectra_512(operators_512):
-    return {name: np.linalg.eigvalsh(op.entries)
+    return {name: np.linalg.eigvalsh(op.entries, UPLO="U")
             for name, op in operators_512.items()}
+
+
+def _fresh(op: OperatorMatrix) -> OperatorMatrix:
+    """An unsolved operator over a copy of ``op``'s storage."""
+    return OperatorMatrix(entries=op.entries.copy(),
+                          signed_flag=op.signed_flag)
 
 
 @settings(max_examples=60, deadline=None)
@@ -126,15 +286,15 @@ def test_one_shifted_eigenvalue_fails_the_check(operators_512, spectra_512,
     shifted[int(position * (len(vals) - 1))] += (
         sign * 1e-6 * np.max(np.abs(vals)))
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(np.linalg, "eigvalsh", lambda m: vals)
-        eigensolve(op)
-        patch.setattr(np.linalg, "eigvalsh", lambda m: shifted)
+        patch.setattr(spectra, "_eigvalsh_upper", lambda m: vals)
+        eigensolve(_fresh(op))
+        patch.setattr(spectra, "_eigvalsh_upper", lambda m: shifted)
         with pytest.raises(InternalError, match="trace error .* Frobenius"):
-            eigensolve(op)
+            eigensolve(_fresh(op))
 
 
 def test_invariant_check_rejects_nan_eigenvalues(monkeypatch):
-    monkeypatch.setattr(np.linalg, "eigvalsh",
+    monkeypatch.setattr(spectra, "_eigvalsh_upper",
                         lambda m: np.array([1.0, np.nan]))
     with pytest.raises(InternalError):
         eigensolve(OperatorMatrix(entries=np.eye(2)))
