@@ -8,12 +8,17 @@ cube count and the induced eigenvalue-count bound.
 
 On atomized measures rho_X is a step function of t, so the exact-level
 equation is relaxed to the first crossing; the crossing sides are found
-exactly by binary search over the sorted Chebyshev distances.  All support
+exactly by binary search over the sorted Chebyshev distances.  A point's
+candidate cubes are prefixes of its atoms sorted by distance, so each point
+sorts once and gathers |V| and the masses into its own order.  All support
 points are searched together: the binary searches run in lockstep, and each
-of their steps evaluates J on every point's candidate cube in one
-row-batched duality solve (``orlicz._norms_on_sets``), in serial blocks of
-points whose (points, atoms) temporaries hold about _BLOCK_BYTES.  The
-report's largest cube functional comes from one such solve over all cubes.
+of their steps evaluates J on every point's candidate prefix in one
+row-batched duality solve (``orlicz._norms_on_sets`` with per-row masses),
+as wide as the longest prefix probed, in serial blocks of points whose
+(points, atoms) temporaries hold about _BLOCK_BYTES.  The largest candidate
+of every point is the whole support, checked once per search.  The report's
+largest cube functional comes from one masked full-width solve over all
+cubes.
 """
 
 from __future__ import annotations
@@ -93,31 +98,41 @@ def _chebyshev(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
 def _crossing_sides(points, absv, masses, centers, target):
     """First-crossing sides of the rows ``centers``, found in lockstep.
 
-    Each row sorts its Chebyshev distances; a candidate cube ends at the
-    last atom of a run of tied distances, so the candidates of row r are
-    its distinct distances d_r[0] < d_r[1] < ...  Every row runs the same
-    binary search over its candidate index: its whole support first (the
-    range check), then its nearest run, then halving [lo, hi] until the
-    crossing is pinned.  One ``_norms_on_sets`` call evaluates J for all
-    rows still searching at each halving.
+    Each row sorts its atoms by Chebyshev distance (a stable sort, so tied
+    atoms keep their order) and gathers |V| and the masses into that
+    order.  A candidate cube ends at the last atom of a run of tied
+    distances, so the candidates of row r are the prefixes of its sorted
+    atoms that end a run, at distances d_r[0] < d_r[1] < ...  Every row
+    runs the same binary search over its candidate index: its nearest run
+    first, then halving [lo, hi] until the crossing is pinned; the whole
+    support, every row's last candidate, reaches the target (``solve_t``
+    checks it once for all rows).  One ``_norms_on_sets`` call evaluates J
+    for all rows still searching at each halving, on the first ``width``
+    sorted atoms of each, ``width`` the longest probed prefix, with the
+    atoms past a row's own prefix masked out.
     """
     slack = target * (1.0 - _CROSSING_RTOL)
     dist = _chebyshev(points, centers)
-    ordered = np.sort(dist, axis=1)
+    order = np.argsort(dist, axis=1, kind="stable")
+    ordered = np.take_along_axis(dist, order, axis=1)
     ends = np.ones(ordered.shape, dtype=bool)
     ends[:, :-1] = ordered[:, 1:] != ordered[:, :-1]
-    uniq = ordered[ends]                      # every row's runs, row after row
+    # every row's runs, row after row: distance and prefix length
+    uniq = ordered[ends]
+    length = np.flatnonzero(ends) % ordered.shape[1] + 1
     count = ends.sum(axis=1)
     start = np.cumsum(count) - count
+    # from here on, row r's atoms in its own sorted order
+    absv, masses = absv[order], masses[order]
 
     def reaches(rows, index):
-        inside = dist[rows] <= uniq[start[rows] + index][:, None]
-        return _norms_on_sets(absv, masses, inside) >= slack
+        prefix = length[start[rows] + index]
+        width = prefix.max()
+        inside = np.arange(width) < prefix[:, None]
+        return _norms_on_sets(absv[rows, :width], masses[rows, :width],
+                              inside) >= slack
 
     everyone = np.arange(len(centers))
-    if not reaches(everyone, count - 1).all():
-        raise OutOfRangeError(
-            "target %g exceeds the stabilized cube functional" % target)
     lo = np.full(len(centers), -1)
     hi = np.where(reaches(everyone, np.zeros_like(count)), 0, count - 1)
     while True:
@@ -142,17 +157,27 @@ def solve_t(measure, V, center, target: float):
     returned as a float, or an (m, N) array of points, for which the m
     sides are returned as an array; the rows are searched in lockstep, in
     serial blocks whose (rows, atoms) temporaries hold about _BLOCK_BYTES.
+    Every center's largest cube holds the whole support, so the range
+    check (the target is reached at all) is one averaged norm per call.
     """
     if not target > 0.0:
         raise InvalidArgumentError("target must be positive, got %r"
                                    % (target,))
     points, masses = support_atoms(measure)
-    absv = np.abs(_weight_values(V, measure, points))
+    vals = _weight_values(V, measure, points)
     centers = np.asarray(center, dtype=float)
     rows = np.atleast_2d(centers)
     if centers.ndim > 2 or rows.shape[1] != points.shape[1]:
         raise InvalidArgumentError(
             "centers must be points of the measure's dimension")
+    if not np.isfinite(rows).all():
+        raise InvalidArgumentError("centers must be finite")
+    # raises on a non-finite V
+    whole = averaged_norm(vals, masses, float(masses.sum())).value
+    if whole < target * (1.0 - _CROSSING_RTOL):
+        raise OutOfRangeError(
+            "target %g exceeds the stabilized cube functional" % target)
+    absv = np.abs(vals)
     sides = np.empty(len(rows))
     for block in _row_blocks(len(rows), len(points)):
         sides[block] = _crossing_sides(points, absv, masses, rows[block],
@@ -270,12 +295,19 @@ def empirical_estimate_constant(spectrum, v_norm: float, lambda_grid) -> float:
 
     Counting here is inclusive (eigenvalues of magnitude >= lambda), the
     convention under which a grid through the eigenvalues attains the sup.
+    ``v_norm`` and every grid value must be positive and finite.
     """
-    if v_norm <= 0.0:
-        raise InvalidArgumentError("v_norm must be positive")
+    if not 0.0 < v_norm < np.inf:
+        raise InvalidArgumentError(
+            "v_norm must be positive and finite, got %r" % (v_norm,))
     grid = np.asarray(lambda_grid, dtype=float)
     if grid.size == 0:
         raise InvalidArgumentError("empty lambda grid")
+    bad = np.flatnonzero(~((grid > 0.0) & (grid < np.inf)))
+    if bad.size:
+        raise InvalidArgumentError(
+            "lambda grid values must be positive and finite, got %r"
+            % float(grid.flat[bad[0]]))
     mags = np.concatenate([np.asarray(spectrum.positives),
                            -np.asarray(spectrum.negatives)])
     if mags.size == 0:

@@ -57,6 +57,11 @@ class OrliczNormResult:
     constraint_residual: float
 
 
+def _weighted_sums(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sum_j w_j a[r, j] for every row r, with w shared (n,) or per row."""
+    return a @ w if w.ndim == 1 else np.vecdot(a, w)
+
+
 def _dual_rows(absv: np.ndarray, w: np.ndarray, mass: np.ndarray):
     """Duality multipliers of many averaged norms at once, one per row.
 
@@ -76,8 +81,11 @@ def _dual_rows(absv: np.ndarray, w: np.ndarray, mass: np.ndarray):
     absv : ndarray, shape (m, n)
         Nonnegative rows with a positive maximum; a zero entry is an atom
         outside the row's set (it adds nothing to either sum).
-    w : ndarray, shape (n,)
-        Positive atom masses, shared by the rows.
+    w : ndarray, shape (n,) or (m, n)
+        Positive atom masses: one vector shared by the rows, or one row of
+        masses per row of ``absv`` when each row holds its own atoms (the
+        crossing search gathers every row's atoms in its own order).  The
+        shared vector enters the sums as matrix-vector products.
     mass : ndarray, shape (m,)
         Positive budget of each row.
 
@@ -92,24 +100,25 @@ def _dual_rows(absv: np.ndarray, w: np.ndarray, mass: np.ndarray):
     # homogeneity, and the bracket stays finite at any scale of V
     u = absv / absv.max(axis=1)[:, None]
 
-    def excess(u, s, mass):
+    def excess(u, s, w, mass):
         """Constraint minus budget at tau = exp(s), and its slope."""
         x = u * np.exp(-s)[:, None]
-        return (x - np.log1p(x)) @ w - mass, -((x * x / (1.0 + x)) @ w)
+        return (_weighted_sums(x - np.log1p(x), w) - mass,
+                -_weighted_sums(x * x / (1.0 + x), w))
 
     lo = np.full(len(u), np.log(_TAU_BRACKET[0]))
     hi = np.full(len(u), np.log(_TAU_BRACKET[1]))
-    if (np.any(excess(u, lo, mass)[0] < 0.0)
-            or np.any(excess(u, hi, mass)[0] > 0.0)):
+    if (np.any(excess(u, lo, w, mass)[0] < 0.0)
+            or np.any(excess(u, hi, w, mass)[0] > 0.0)):
         raise OutOfRangeError(
             "duality multiplier outside bracket: degenerate scaling of V/mass")
     # x - log1p x < x: the constraint at sum(w u) / mass is below budget
-    s = np.minimum(np.maximum(np.log((u @ w) / mass), lo), hi)
+    s = np.minimum(np.maximum(np.log(_weighted_sums(u, w) / mass), lo), hi)
     out = s.copy()
     # the rows still iterating: their indices and working copies
-    rows, u_live = np.arange(len(u)), u
+    rows, u_live, w_live = np.arange(len(u)), u, w
     for _ in range(_MAX_STEPS):
-        f, slope = excess(u_live, s, mass)
+        f, slope = excess(u_live, s, w_live, mass)
         above = f > 0.0
         lo = np.where(above, s, lo)
         hi = np.where(above, hi, s)
@@ -128,6 +137,8 @@ def _dual_rows(absv: np.ndarray, w: np.ndarray, mass: np.ndarray):
             rows, s, lo, hi, u_live, mass = (
                 rows[live], s[live], lo[live], hi[live], u_live[live],
                 mass[live])
+            if w.ndim == 2:
+                w_live = w_live[live]
     return u, out
 
 
@@ -185,7 +196,11 @@ def _norms_on_sets(absv: np.ndarray, w: np.ndarray,
 
     Row r of the boolean ``inside`` (m, n) selects a set E_r; the result
     is ``averaged_norm(V[E_r], w[E_r], w[E_r].sum()).value`` for every row,
-    up to the order of the floating-point sums, with ``absv`` = |V| (n,).
+    up to the order of the floating-point sums.  ``absv`` = |V| and the
+    masses ``w`` are either one (n,) vector of the atoms, shared by the
+    rows, or (m, n) with row r holding the atoms that ``inside[r]`` refers
+    to, in that row's own order (the crossing search passes each row's
+    atoms sorted by distance, cut to the width of its longest prefix).
     A row whose set is empty or carries V = 0 gives 0.
     """
     rows = np.where(inside, absv, 0.0)
@@ -194,10 +209,13 @@ def _norms_on_sets(absv: np.ndarray, w: np.ndarray,
     live = vmax > 0.0
     if live.any():
         rows = rows[live]
+        if w.ndim == 2:
+            w = w[live]
         mass = np.where(inside[live], w, 0.0).sum(axis=1)
         u, s = _dual_rows(rows, w, mass)
         # in the units of u, as in averaged_norm
-        out[live] = vmax[live] * ((u * np.log1p(u / np.exp(s)[:, None])) @ w)
+        out[live] = vmax[live] * _weighted_sums(
+            u * np.log1p(u / np.exp(s)[:, None]), w)
     return out
 
 

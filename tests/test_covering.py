@@ -9,10 +9,11 @@ from critspec import covering
 from critspec.covering import (build_covering, empirical_estimate_constant,
                                poly_space_dim, solve_t)
 from critspec.errors import InvalidArgumentError, OutOfRangeError
-from critspec.geometry import (SingularMeasure, make_cantor_measure,
-                               make_uniform_square_measure)
+from critspec.assemble import WeightFn, assemble_curve_operator
+from critspec.geometry import (Circle, SingularMeasure, make_cantor_measure,
+                               make_smooth_curve, make_uniform_square_measure)
 from critspec.orlicz import Cube, j_functional, surface_norm
-from critspec.spectra import Spectrum
+from critspec.spectra import Spectrum, eigensolve
 
 from oracles import (averaged_norm_bisection, family_colors_all_pairs,
                      family_colors_loop, rho, solve_t_prefix, t_star)
@@ -107,6 +108,62 @@ def test_solve_t_out_of_range(uniform16, ones16):
         solve_t(uniform16, ones16, (0.5, 0.5), 2.0 * total)
     with pytest.raises(OutOfRangeError):
         solve_t(uniform16, ones16, uniform16.atoms, 2.0 * total)
+
+
+def test_solve_t_refuses_non_finite_input_by_name(uniform16, ones16):
+    target = 0.1 * surface_norm(ones16, uniform16)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(InvalidArgumentError,
+                           match="centers must be finite"):
+            solve_t(uniform16, ones16, (0.5, bad), target)
+        centers = uniform16.atoms.copy()
+        centers[200, 0] = bad
+        with pytest.raises(InvalidArgumentError,
+                           match="centers must be finite"):
+            solve_t(uniform16, ones16, centers, target)
+    for bad in ("nan", "inf", "-inf"):
+        V = ones16.copy()
+        V[7] = float(bad)
+        with pytest.raises(InvalidArgumentError,
+                           match="V must be finite, got %s" % bad):
+            solve_t(uniform16, V, (0.5, 0.5), target)
+
+
+def test_solve_t_on_no_centers(uniform16, ones16):
+    # the range check runs before any center is searched
+    total = surface_norm(ones16, uniform16)
+    none = np.empty((0, 2))
+    assert solve_t(uniform16, ones16, none, 0.5 * total).shape == (0,)
+    with pytest.raises(OutOfRangeError):
+        solve_t(uniform16, ones16, none, 2.0 * total)
+
+
+def test_solve_t_checks_the_whole_support_once(uniform16, monkeypatch):
+    # every center's largest cube is the whole support: one averaged norm
+    # per call decides the range, and no probe of the search holds every
+    # atom (256 centers on 256 atoms run in 8 row blocks)
+    V = np.random.default_rng(5).lognormal(0.0, 0.5, uniform16.n_atoms)
+    target = 0.1 * surface_norm(V, uniform16)
+    calls, whole_rows = [], []
+    averaged_norm = covering.averaged_norm
+    norms_on_sets = covering._norms_on_sets
+
+    def counted_norm(*args):
+        calls.append(len(args[0]))
+        return averaged_norm(*args)
+
+    def counted_sets(absv, w, inside):
+        whole_rows.append(int(
+            (inside.sum(axis=1) == uniform16.n_atoms).sum()))
+        return norms_on_sets(absv, w, inside)
+
+    monkeypatch.setattr(covering, "averaged_norm", counted_norm)
+    monkeypatch.setattr(covering, "_norms_on_sets", counted_sets)
+    sides = solve_t(uniform16, V, uniform16.atoms, target)
+    assert calls == [uniform16.n_atoms]
+    assert sum(whole_rows) == 0
+    assert sides.tolist() == [solve_t_prefix(uniform16, V, x, target)
+                              for x in uniform16.atoms]
 
 
 def test_solve_t_one_center_or_many(uniform16):
@@ -378,6 +435,23 @@ def test_estimate_constant_rejects_bad_input():
         empirical_estimate_constant(sp, 1.0, [])
 
 
+@pytest.mark.parametrize("v_norm", [float("nan"), float("inf"), -1.0])
+def test_estimate_constant_refuses_a_bad_norm(v_norm):
+    # the parent returned nan for a NaN norm and 0.0 for an infinite one
+    sp = Spectrum.from_eigenvalues([1.0, 0.5])
+    with pytest.raises(InvalidArgumentError, match="v_norm must be positive"):
+        empirical_estimate_constant(sp, v_norm, [0.5])
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0, 0.0])
+def test_estimate_constant_refuses_a_bad_grid_value(bad):
+    # the parent returned nan for a NaN or infinite lambda and -2.0 for -1
+    sp = Spectrum.from_eigenvalues([1.0, 0.5])
+    with pytest.raises(InvalidArgumentError,
+                       match="lambda grid values must be positive and finite"):
+        empirical_estimate_constant(sp, 1.0, [0.5, bad, 1.0])
+
+
 def test_estimate_constant_circle_window(circle_spectrum_256):
     # true n_+(lambda) ~ 1/lambda on the unit circle, so the measured
     # constant times the norm lands near 1
@@ -410,3 +484,29 @@ def test_estimate_constant_stable_under_weight_doubling(circle_spectrum_256):
     pos2 = doubled.side("+")
     c2 = empirical_estimate_constant(doubled, norm2, pos2[4:hi])
     assert abs(c2 / c1 - 1.0) <= 0.10
+
+
+def test_critical_case_needs_the_averaged_norm(kernel):
+    # V = 1/eps on an arc of length eps of the unit circle (n = 2048, so the
+    # shortest arc holds 9 nodes) and 1e-12 elsewhere: ||V||_1 stays near 1
+    # while lambda_1 grows like log(1/eps) / (2 pi).  Measured sup constants
+    # over the trusted eigenvalues, eps = 1, 0.3, 0.1, 0.03:
+    #   against ||V||_1            0.273  0.454  0.624  0.831  (x3.04)
+    #   against the averaged norm  0.121  0.140  0.148  0.152  (x1.26)
+    mesh = make_smooth_curve(Circle(radius=1.0), 2048)
+    against_l1, against_averaged = [], []
+    for eps in (1.0, 0.3, 0.1, 0.03):
+        arc = np.abs(mesh.param_values - np.pi) < eps / 2.0
+        V = np.where(arc, 1.0 / eps, 1e-12)
+        sp = eigensolve(assemble_curve_operator(mesh, WeightFn.tabulated(V),
+                                                kernel))
+        pos = sp.side("+")
+        grid = pos[:min(sp.trusted_k_max, len(pos))]
+        l1 = float(np.sum(mesh.weights * V))
+        against_l1.append(empirical_estimate_constant(sp, l1, grid))
+        against_averaged.append(
+            empirical_estimate_constant(sp, surface_norm(V, mesh), grid))
+    assert np.all(np.diff(against_l1) > 0.0)
+    assert against_l1[-1] / against_l1[0] >= 2.0
+    assert all(0.10 <= c <= 0.18 for c in against_averaged)
+    assert max(against_averaged) / min(against_averaged) <= 1.5

@@ -5,8 +5,9 @@ from hypothesis import strategies as st
 
 from critspec.errors import InvalidArgumentError, OutOfRangeError
 from critspec.geometry import make_uniform_square_measure
-from critspec.orlicz import (Cube, OrliczNormResult, averaged_norm,
-                             j_functional, phi, psi, surface_norm)
+from critspec.orlicz import (Cube, OrliczNormResult, _norms_on_sets,
+                             averaged_norm, j_functional, phi, psi,
+                             surface_norm)
 
 from oracles import averaged_norm_bisection, phi_inverse, t_star
 
@@ -160,6 +161,44 @@ def test_newton_solve_matches_bisection_oracle(atoms, budget):
     res = averaged_norm(V, w, mass)
     assert abs(res.value - expected.value) <= 1e-13 * expected.value
     assert abs(res.constraint_residual) <= 1e-12 * mass
+
+
+# an atom of a crossing-search prefix: |V| zero or 1e-150..1e150, and mass
+_PREFIX_ATOM = st.tuples(st.sampled_from([0.0, 1.0]),
+                         st.floats(-150.0, 150.0), st.floats(1e-3, 1.0))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), atoms=st.lists(_PREFIX_ATOM, min_size=1, max_size=40))
+def test_per_row_masses_on_sorted_prefixes(data, atoms):
+    # the crossing search's call: every row's atoms sorted by distance (few
+    # distinct distances, so many ties), |V| and masses gathered into that
+    # order, cut to the longest prefix and masked past each row's own; one
+    # more row carries |V| = 0 throughout
+    absv = np.array([s * 10.0 ** e for s, e, _ in atoms])
+    w = np.array([m for _, _, m in atoms])
+    n = len(atoms)
+    m = data.draw(st.integers(1, 6))
+    dist = np.array(data.draw(st.lists(
+        st.lists(st.integers(0, 4), min_size=n, max_size=n),
+        min_size=m, max_size=m)), dtype=float)
+    reach = np.array(data.draw(st.lists(st.integers(0, 4), min_size=m,
+                                        max_size=m)))
+    order = np.argsort(dist, axis=1, kind="stable")
+    prefix = (dist <= reach[:, None]).sum(axis=1)
+    width = prefix.max()
+    inside = np.arange(width) < np.append(prefix, width)[:, None]
+    rows_v = np.vstack([absv[order][:, :width], np.zeros(width)])
+    rows_w = np.vstack([w[order][:, :width], w[:width]])
+    got = _norms_on_sets(rows_v, rows_w, inside)
+    shared = _norms_on_sets(absv, w, dist <= reach[:, None])
+    assert got[-1] == 0.0
+    for r in range(m):
+        sel = order[r, :prefix[r]]
+        want = averaged_norm(absv[sel], w[sel], float(w[sel].sum())).value
+        assert abs(got[r] - want) <= 1e-13 * want
+        assert abs(shared[r] - want) <= 1e-13 * want
 
 
 def test_monotone_in_the_set():
