@@ -54,10 +54,11 @@ nonzero spectrum.  The one fold factors the effective-kernel matrix by
 Cholesky, K = L L^T, read from K's upper triangle, and takes
 L^T diag(V w) L,  which shares the nonzero spectrum of K diag(V w) (Golub
 and Van Loan, Matrix Computations, 8.7); it is recorded as
-``node_meta["fold"] = "cholesky"``.  Both steps run in K's own storage: a
-blocked right-looking factorisation (ibid., 4.2) writes L into K's lower
-triangle, and the product, one block of columns at a time, overwrites the
-upper one, so the fold allocates O(n ``_FOLD_COLUMNS``) doubles beside K.
+``node_meta["fold"] = "cholesky"``.  Both steps run in K's own storage, one
+square tile of ``_FOLD_COLUMNS`` at a time: a blocked right-looking
+factorisation (ibid., 4.2) writes L into K's lower triangle, and the
+product, one column of tiles at a time, overwrites the upper one, so the
+fold allocates a few ``_FOLD_COLUMNS``^2 tiles beside K, whatever n is.
 Its BLAS work is NumPy's: SciPy's LAPACK would run on a second BLAS
 library whose buffers stay resident.  The kernel is positive definite and,
 with the windowed split of ``kernels``, so is K on every resolved support.
@@ -84,10 +85,10 @@ TWO_PI = 2.0 * np.pi
 # pass, split evenly over the workers: the kernel and panel-integral
 # temporaries of a block stay cache-resident
 _BLOCK_BYTES = 1 << 19
-# columns per panel of the Cholesky fold's factorisation and per block of
-# its product: wide enough for BLAS to run near its GEMM rate, narrow
-# enough that the half of each diagonal square computed and then dropped
-# stays a small share of the work
+# side of the square tiles of the Cholesky fold, in its factorisation and
+# its product alike, and so of every temporary it allocates: wide enough
+# for BLAS to run near its GEMM rate, narrow enough that the half of each
+# diagonal tile computed and then dropped stays a small share of the work
 _FOLD_COLUMNS = 256
 # threads that run the row blocks: the cores this process may run on
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
@@ -226,24 +227,33 @@ def _pairwise_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.sqrt(dx, out=dx)
 
 
+def _fold_tiles(n: int) -> list[tuple[int, int]]:
+    """Index ranges [t0, t1) of the fold's tiles along an n x n matrix:
+    ``_FOLD_COLUMNS`` wide, the last one what is left."""
+    return [(t0, min(t0 + _FOLD_COLUMNS, n))
+            for t0 in range(0, n, _FOLD_COLUMNS)]
+
+
 def _cholesky_fold(kernel_matrix: np.ndarray, v_vals: np.ndarray,
                    weights: np.ndarray) -> np.ndarray:
     """Upper triangle of L^T diag(V w) L for the Cholesky factor K = L L^T
     of the kernel matrix, computed in K's own storage: K is read from its
     upper triangle, L is left in the strict lower triangle and on the
     diagonal, and the product overwrites the upper triangle, diagonal
-    included.  Beside K
-    only O(n ``_FOLD_COLUMNS``) doubles are allocated.  A K that is not
-    positive definite raises ``InvalidArgumentError`` naming the node
-    spacing (the largest weight).
+    included.  Every temporary is a ``_FOLD_COLUMNS`` square tile, a few
+    at a time, whatever n is.  A K that is not positive definite raises
+    ``InvalidArgumentError`` naming the node spacing (the largest weight).
 
-    The product is computed one block of columns [c0, c1) at a time: L is
-    lower triangular, so entry (i, j) with i <= j sums over the rows k >= j
-    of L alone, and the block is L[c0:, :c1]^T (diag(V w) L)[c0:, c0:c1].
-    That is n^3 / 3 flops where the full product takes 2 n^3.  The block
-    reads rows >= c0 of L and writes rows < c1 on and above the diagonal,
-    so only its own diagonal square is both read and written: its rows of
-    L are copied first, with the upper half of the square zeroed.
+    The product is computed one column tile c at a time: L is lower
+    triangular, so the tile (r, c) with r <= c sums L[k, r]^T (diag(V w)
+    L)[k, c] over the row tiles k >= c alone (indices here are tiles).
+    That is n^3 / 3 flops where the full product takes 2 n^3.  The loop
+    over k is the outer one, so each L[k, c] is scaled once and then read
+    by every tile (r, c) above the diagonal, which accumulates in place.
+    Only L's diagonal tile (c, c) is both read and overwritten, by the
+    diagonal tile of the result: it is copied first, its upper half
+    zeroed, and the result's diagonal tile is summed apart and written
+    last.
     """
     try:
         _cholesky_in_place(kernel_matrix)
@@ -255,18 +265,24 @@ def _cholesky_fold(kernel_matrix: np.ndarray, v_vals: np.ndarray,
     vw = v_vals * weights
     n = len(vw)
     upper = _upper(min(n, _FOLD_COLUMNS))
-    for c0 in range(0, n, _FOLD_COLUMNS):
-        c1 = min(c0 + _FOLD_COLUMNS, n)
-        k = c1 - c0
-        head = kernel_matrix[c0:c1, :c1].copy()
-        np.copyto(head[:, c0:], 0.0, where=~upper[:k, :k].T)
-        block = head.T @ (vw[c0:c1, None] * head[:, c0:])
-        # the rows below the square: a strided view, no copy
-        tail = kernel_matrix[c1:, :c1]
-        block += tail.T @ (vw[c1:, None] * tail[:, c0:])
-        kernel_matrix[:c0, c0:c1] = block[:c0]
-        np.copyto(kernel_matrix[c0:c1, c0:c1], block[c0:],
-                  where=upper[:k, :k])
+    tiles = _fold_tiles(n)
+    for c, (c0, c1) in enumerate(tiles):
+        # the row tile k = c starts every sum, on the copy of L's diagonal tile
+        head = np.tril(kernel_matrix[c0:c1, c0:c1])
+        scaled = vw[c0:c1, None] * head
+        diagonal = head.T @ scaled
+        for r0, r1 in tiles[:c]:
+            kernel_matrix[r0:r1, c0:c1] = (
+                kernel_matrix[c0:c1, r0:r1].T @ scaled)
+        for k0, k1 in tiles[c + 1:]:
+            below = kernel_matrix[k0:k1, c0:c1]
+            scaled = vw[k0:k1, None] * below
+            diagonal += below.T @ scaled
+            for r0, r1 in tiles[:c]:
+                kernel_matrix[r0:r1, c0:c1] += (
+                    kernel_matrix[k0:k1, r0:r1].T @ scaled)
+        np.copyto(kernel_matrix[c0:c1, c0:c1], diagonal,
+                  where=upper[:c1 - c0, :c1 - c0])
     return kernel_matrix
 
 
@@ -274,31 +290,35 @@ def _cholesky_in_place(m: np.ndarray) -> None:
     """Right-looking blocked Cholesky factorisation M = L L^T (Golub and
     Van Loan, Matrix Computations, 4.2) read from M's upper triangle, with
     L written into the lower triangle, diagonal included.  The upper
-    triangle off the diagonal is left as scratch.  Panels are
-    ``_FOLD_COLUMNS`` wide: NumPy's Cholesky factors each diagonal block
-    (the transposed square, whose lower triangle is M's upper one), the
-    panel below is that block's inverse applied in one product, and the
-    trailing upper triangle is updated one column block at a time: NumPy
-    exposes no in-place or triangular-solve LAPACK call.  A diagonal block
-    that is not positive definite raises ``np.linalg.LinAlgError``."""
+    triangle off the diagonal is left as scratch.  The matrix is cut into
+    ``_FOLD_COLUMNS`` square tiles, and every step reads and writes one
+    tile: NumPy's Cholesky factors each diagonal tile (the transposed
+    square, whose lower triangle is M's upper one), each tile of the panel
+    below it is the transposed tile above the diagonal times the factor's
+    inverse, and the trailing update subtracts one product of two panel
+    tiles from each tile of the trailing upper triangle, the diagonal tiles
+    through the upper mask.  NumPy exposes no in-place or triangular-solve
+    LAPACK call.  A diagonal tile that is not positive definite raises
+    ``np.linalg.LinAlgError``."""
     n = len(m)
     upper = _upper(min(n, _FOLD_COLUMNS))
-    for k0 in range(0, n, _FOLD_COLUMNS):
-        k1 = min(k0 + _FOLD_COLUMNS, n)
+    tiles = _fold_tiles(n)
+    for k, (k0, k1) in enumerate(tiles):
         square = m[k0:k1, k0:k1]
         factor = np.linalg.cholesky(square.T)
         np.copyto(square, factor, where=upper[:k1 - k0, :k1 - k0].T)
         if k1 == n:
             return
-        # L21 = A21 L11^-T, with A21 the transposed upper strip
-        panel = m[k1:, k0:k1]
-        panel[...] = m[k0:k1, k1:].T @ np.linalg.inv(factor).T
-        for c0 in range(k1, n, _FOLD_COLUMNS):
-            c1 = min(c0 + _FOLD_COLUMNS, n)
-            update = panel[:c1 - k1] @ panel[c0 - k1:c1 - k1].T
-            m[k1:c0, c0:c1] -= update[:c0 - k1]
+        # L21 = A21 L11^-T, with A21 the transposed tiles right of the square
+        inverse = np.linalg.inv(factor).T
+        for r0, r1 in tiles[k + 1:]:
+            m[r0:r1, k0:k1] = m[k0:k1, r0:r1].T @ inverse
+        for c, (c0, c1) in enumerate(tiles[k + 1:], start=k + 1):
+            right = m[c0:c1, k0:k1].T
+            for r0, r1 in tiles[k + 1:c]:
+                m[r0:r1, c0:c1] -= m[r0:r1, k0:k1] @ right
             diagonal = m[c0:c1, c0:c1]
-            np.subtract(diagonal, update[c0 - k1:], out=diagonal,
+            np.subtract(diagonal, m[c0:c1, k0:k1] @ right, out=diagonal,
                         where=upper[:c1 - c0, :c1 - c0])
 
 

@@ -106,10 +106,11 @@ def _crossing_sides(points, absv, masses, centers, target):
     runs the same binary search over its candidate index: its nearest run
     first, then halving [lo, hi] until the crossing is pinned; the whole
     support, every row's last candidate, reaches the target (``solve_t``
-    checks it once for all rows).  One ``_norms_on_sets`` call evaluates J
-    for all rows still searching at each halving, on the first ``width``
-    sorted atoms of each, ``width`` the longest probed prefix, with the
-    atoms past a row's own prefix masked out.
+    and ``build_covering`` check it once for all rows).  One
+    ``_norms_on_sets`` call evaluates J for all rows still searching at
+    each halving, on the first ``width`` sorted atoms of each, ``width``
+    the longest probed prefix, with the atoms past a row's own prefix
+    masked out.
     """
     slack = target * (1.0 - _CROSSING_RTOL)
     dist = _chebyshev(points, centers)
@@ -177,12 +178,21 @@ def solve_t(measure, V, center, target: float):
     if whole < target * (1.0 - _CROSSING_RTOL):
         raise OutOfRangeError(
             "target %g exceeds the stabilized cube functional" % target)
-    absv = np.abs(vals)
-    sides = np.empty(len(rows))
-    for block in _row_blocks(len(rows), len(points)):
-        sides[block] = _crossing_sides(points, absv, masses, rows[block],
-                                       target)
+    sides = _first_crossings(points, vals, masses, rows, target)
     return float(sides[0]) if centers.ndim == 1 else sides
+
+
+def _first_crossings(points, vals, masses, centers, target):
+    """First-crossing sides of every row of ``centers``, searched in
+    serial blocks of rows whose (rows, atoms) temporaries hold about
+    _BLOCK_BYTES.  The caller has checked that the whole support reaches
+    the target."""
+    absv = np.abs(vals)
+    sides = np.empty(len(centers))
+    for block in _row_blocks(len(centers), len(points)):
+        sides[block] = _crossing_sides(points, absv, masses, centers[block],
+                                       target)
+    return sides
 
 
 def build_covering(measure, V, lam: float,
@@ -217,7 +227,8 @@ def build_covering(measure, V, lam: float,
         cube = Cube(center_global, side_global)
         return _report(measure, V, lam, kappa_config, target, [cube], [n])
 
-    sides = solve_t(measure, V, points, target)
+    # the whole support reaches the target, which is solve_t's range check
+    sides = _first_crossings(points, vals, masses, points, target)
     # selection order: heaviest atom first; ties broken by the larger cube,
     # then by distance from the barycenter (extremal points first), which
     # keeps symmetric configurations on their clean dyadic splits

@@ -302,14 +302,53 @@ def test_blocked_fold_matches_full_product_oracle(support, columns, kernel,
     assert np.max(np.abs(got - want)) <= 1e-13 * rho
 
 
-def test_fold_temporaries_are_bounded(kernel):
-    # the fold on np.linalg.cholesky traced 1.25 n^2 doubles here: the
-    # returned factor alone is n^2
-    mesh = make_smooth_curve(Circle(radius=0.95), 2048)
-    ktil = _curve_effective_kernel(mesh, kernel)
-    v = np.cos(mesh.param_values - 1.0)
-    peak = _traced_peak(_cholesky_fold, ktil, v, mesh.weights)
-    assert peak < 8 * 8 * mesh.n_nodes * assemble._FOLD_COLUMNS
+def _synthetic_spd(n: int) -> np.ndarray:
+    """exp(-|x_i - x_j|) on n equispaced points of [0, 4]: the Laplace
+    kernel, positive definite on distinct points, condition number below
+    n^2 / 4."""
+    x = np.linspace(0.0, 4.0, n)
+    return np.exp(-np.abs(x[:, None] - x[None, :]))
+
+
+def test_fold_temporaries_are_bounded():
+    # every temporary of the fold is a _FOLD_COLUMNS square tile, a few at a
+    # time: fewer than 8 tiles (4.2 MB) at any n.  The fold on n x 256
+    # strips traced 12.7 MB at n = 2048, and on np.linalg.cholesky 1.25 n^2
+    # doubles
+    bound = 8 * 8 * assemble._FOLD_COLUMNS ** 2
+    for n in (2048, 3072):
+        ktil = _synthetic_spd(n)
+        v = np.cos(np.linspace(0.0, 2.0 * np.pi, n) - 1.0)
+        w = np.full(n, 1.0 / n)
+        assert _traced_peak(assemble._cholesky_in_place, ktil.copy()) < bound
+        assert _traced_peak(_cholesky_fold, ktil, v, w) < bound
+
+
+def _edge_weights(kind: str, n: int) -> np.ndarray:
+    v = np.random.default_rng(n).normal(size=n)
+    if kind == "zeros":
+        v[::3] = 0.0
+    elif kind == "negative":
+        v = -np.abs(v) - 0.1
+    return v
+
+
+@pytest.mark.parametrize("n", [1, 2, 255, 256, 257, 513])
+@pytest.mark.parametrize("columns", [256, 97])
+@pytest.mark.parametrize("weights", ["zeros", "negative"])
+def test_fold_edge_sizes_match_full_product_oracle(n, columns, weights,
+                                                   monkeypatch):
+    # a single entry, fewer rows than a tile, a tile exactly, one row past
+    # it and a partial last tile, on weights with exact zeros (a singular
+    # diag(V w)) and weights of one sign
+    monkeypatch.setattr(assemble, "_FOLD_COLUMNS", columns)
+    ktil = _synthetic_spd(n)
+    v = _edge_weights(weights, n)
+    w = np.random.default_rng(2).uniform(0.5, 1.5, n) / n
+    got = _symmetric(_cholesky_fold(ktil.copy(), v, w))
+    want = cholesky_fold_full(ktil.copy(), v, w)
+    rho = np.max(np.abs(np.linalg.eigvalsh(want)))
+    assert np.max(np.abs(got - want)) <= 1e-13 * rho
 
 
 def test_fold_refuses_a_kernel_matrix_that_fails_in_its_last_panel(

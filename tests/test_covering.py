@@ -9,7 +9,8 @@ from critspec import covering
 from critspec.covering import (build_covering, empirical_estimate_constant,
                                poly_space_dim, solve_t)
 from critspec.errors import InvalidArgumentError, OutOfRangeError
-from critspec.assemble import WeightFn, assemble_curve_operator
+from critspec.assemble import (WeightFn, assemble_curve_operator,
+                               assemble_measure_operator)
 from critspec.geometry import (Circle, SingularMeasure, make_cantor_measure,
                                make_smooth_curve, make_uniform_square_measure)
 from critspec.orlicz import Cube, j_functional, surface_norm
@@ -164,6 +165,29 @@ def test_solve_t_checks_the_whole_support_once(uniform16, monkeypatch):
     assert sum(whole_rows) == 0
     assert sides.tolist() == [solve_t_prefix(uniform16, V, x, target)
                               for x in uniform16.atoms]
+
+
+def test_one_whole_support_norm_per_covering_and_per_solve(uniform16,
+                                                           monkeypatch):
+    # build_covering's global test already is the range check of the search,
+    # so a covering solves the whole-support norm once, as solve_t does
+    V = np.random.default_rng(7).lognormal(0.0, 0.5, uniform16.n_atoms)
+    total = surface_norm(V, uniform16)
+    calls = []
+    averaged_norm = covering.averaged_norm
+
+    def counted_norm(*args):
+        calls.append(len(args[0]))
+        return averaged_norm(*args)
+
+    monkeypatch.setattr(covering, "averaged_norm", counted_norm)
+    # a search (several cubes) and a target only the whole support reaches
+    searched = build_covering(uniform16, V, 0.4 * total)
+    assert searched.cube_count > 1 and calls == [uniform16.n_atoms]
+    single = build_covering(uniform16, V, 8.0 * total)
+    assert single.cube_count == 1 and len(calls) == 2
+    solve_t(uniform16, V, uniform16.atoms[:5], 0.1 * total)
+    assert calls == [uniform16.n_atoms] * 3
 
 
 def test_solve_t_one_center_or_many(uniform16):
@@ -510,3 +534,31 @@ def test_critical_case_needs_the_averaged_norm(kernel):
     assert against_l1[-1] / against_l1[0] >= 2.0
     assert all(0.10 <= c <= 0.18 for c in against_averaged)
     assert max(against_averaged) / min(against_averaged) <= 1.5
+
+
+def test_critical_case_needs_the_averaged_norm_on_a_cantor_measure(kernel):
+    # the measure analogue: V = 1/mu(S) on the leftmost 256, 64, 16 and 4
+    # atoms S of the depth-8 Cantor measure (the whole support, then its
+    # level-2, 4 and 6 intervals, of length 3^-2, 3^-4 and 3^-6) and 1e-12
+    # elsewhere, so ||V||_1 is 1 while lambda_1 gains about log(3) / pi per
+    # quartering of mu(S): 0.280, 0.614, 0.962, 1.309.  Measured sup
+    # constants over the trusted eigenvalues:
+    #   against ||V||_1            0.334  0.614  0.962  1.309  (x3.92)
+    #   against the averaged norm  0.291  0.317  0.321  0.309  (x1.10)
+    measure = make_cantor_measure(8)
+    against_l1, against_averaged = [], []
+    for atoms in (256, 64, 16, 4):
+        spike = np.arange(measure.n_atoms) < atoms
+        V = np.where(spike, 1.0 / measure.masses[spike].sum(), 1e-12)
+        sp = eigensolve(assemble_measure_operator(
+            measure, WeightFn.tabulated(V), kernel))
+        pos = sp.side("+")
+        grid = pos[:min(sp.trusted_k_max, len(pos))]
+        l1 = float(np.sum(measure.masses * V))
+        against_l1.append(empirical_estimate_constant(sp, l1, grid))
+        against_averaged.append(
+            empirical_estimate_constant(sp, surface_norm(V, measure), grid))
+    assert np.all(np.diff(against_l1) > 0.0)
+    assert against_l1[-1] / against_l1[0] >= 3.0
+    assert all(0.25 <= c <= 0.37 for c in against_averaged)
+    assert max(against_averaged) / min(against_averaged) <= 1.25
