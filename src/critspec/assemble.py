@@ -90,6 +90,13 @@ _BLOCK_BYTES = 1 << 19
 # for BLAS to run near its GEMM rate, narrow enough that the half of each
 # diagonal tile computed and then dropped stays a small share of the work
 _FOLD_COLUMNS = 256
+# relative spread, in units of n eps, within which a smooth closed mesh
+# counts as a regular n-gon: the eigensolve's own tolerance unit
+# (spectra._INVARIANT_ULPS).  Circles of radius 0.05-20 centred within 10
+# of the origin spread by at most 0.52 of it for n <= 4096; an ellipse or a
+# star that spreads by s moves its eigenvalues off the circulant ones by
+# about 0.7 s of the spectral radius, inside the solve's check
+_CIRCULANT_ULPS = 64.0
 # threads that run the row blocks: the cores this process may run on
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
@@ -421,38 +428,53 @@ def _each_block(n_rows: int, width: int, fill) -> None:
             future.result()
 
 
+def _smooth_curve_block(mesh: SurfaceMesh, kernel: KernelModel,
+                        rw: np.ndarray, i0: int, i1: int) -> np.ndarray:
+    """Effective-kernel entries of the rows [i0, i1) of a smooth closed
+    mesh against the columns j >= i0, with the Kress weights ``rw``; the
+    entries of the self pairs are placeholders that
+    ``_smooth_curve_diagonal`` replaces."""
+    n = mesh.n_nodes
+    t = mesh.param_values
+    r = _pairwise_dist(mesh.nodes[i0:i1], mesh.nodes[i0:])
+    # placeholders on the self pairs, whose entries the closure replaces
+    np.fill_diagonal(r, 1.0)
+    log_factor, smooth = kernel.split(r)
+    # taken after the split, whose temporaries it would join otherwise
+    half_sin = np.abs(np.sin((t[i0:i1, None] - t[None, i0:]) / 2.0))
+    np.fill_diagonal(half_sin, 1.0)
+    # the Kress weights integrate log_factor * log(4 sin^2((t-s)/2)) / 2;
+    # the rest of log_factor * log(r) joins the smooth remainder
+    smooth = smooth + log_factor * np.log(r / (2.0 * half_sin))
+    del r, half_sin
+    offsets = np.arange(i0, i1)[:, None] - np.arange(i0, n)[None, :]
+    return (0.5 * log_factor * rw[offsets % n]
+            + (TWO_PI / n) * smooth) * (n / TWO_PI)
+
+
+def _smooth_curve_diagonal(mesh: SurfaceMesh, kernel: KernelModel,
+                           rw: np.ndarray) -> np.ndarray:
+    """The diagonal closure of a smooth closed mesh's effective kernel."""
+    n = mesh.n_nodes
+    speed = mesh.weights / (TWO_PI / n)
+    return (0.5 * kernel.log_coefficient * rw[0]
+            + (TWO_PI / n) * (kernel.remainder_at_zero
+                              + kernel.log_coefficient * np.log(speed))
+            ) * (n / TWO_PI)
+
+
 def _smooth_curve_effective_kernel(mesh: SurfaceMesh, kernel: KernelModel,
                                    out: np.ndarray | None = None
                                    ) -> np.ndarray:
     n = mesh.n_nodes
-    t = mesh.param_values
-    speed = mesh.weights / (TWO_PI / n)
     rw = _kress_weight_vector(n)
-    idx = np.arange(n)
     out = np.empty((n, n)) if out is None else out
 
     def fill(i0, i1):
-        r = _pairwise_dist(mesh.nodes[i0:i1], mesh.nodes[i0:])
-        # placeholders on the self pairs, whose entries the closure replaces
-        np.fill_diagonal(r, 1.0)
-        log_factor, smooth = kernel.split(r)
-        # taken after the split, whose temporaries it would join otherwise
-        half_sin = np.abs(np.sin((t[i0:i1, None] - t[None, i0:]) / 2.0))
-        np.fill_diagonal(half_sin, 1.0)
-        # the Kress weights integrate log_factor * log(4 sin^2((t-s)/2)) / 2;
-        # the rest of log_factor * log(r) joins the smooth remainder
-        smooth = smooth + log_factor * np.log(r / (2.0 * half_sin))
-        del r, half_sin
-        _put_upper(out, i0, i1, (
-            0.5 * log_factor * rw[(idx[i0:i1, None] - idx[None, i0:]) % n]
-            + (TWO_PI / n) * smooth) * (n / TWO_PI))
+        _put_upper(out, i0, i1, _smooth_curve_block(mesh, kernel, rw, i0, i1))
 
     _each_block(n, n, fill)
-    diagonal = (0.5 * kernel.log_coefficient * rw[0]
-                + (TWO_PI / n) * (kernel.remainder_at_zero
-                                  + kernel.log_coefficient * np.log(speed))
-                ) * (n / TWO_PI)
-    np.fill_diagonal(out, diagonal)
+    np.fill_diagonal(out, _smooth_curve_diagonal(mesh, kernel, rw))
     return out
 
 
@@ -659,6 +681,49 @@ def _cross_block(points_a: np.ndarray, points_b: np.ndarray,
         out[i0:i1] = kernel.profile(_pairwise_dist(points_a[i0:i1], points_b))
 
     _each_block(len(points_a), len(points_b), fill)
+
+
+def circulant_row(supports, kernel: KernelModel) -> np.ndarray | None:
+    """First row of the operator ``assemble_mixed`` builds over
+    ``supports`` where that operator is circulant, else None.
+
+    It is circulant when the supports are one smooth closed mesh that is a
+    regular n-gon in index order (``_regular_polygon``) with weight values
+    that are all equal and nonnegative.  The row takes the dense builder's
+    expressions on row 0, its diagonal closure, and the scaling by V w,
+    and is then made exactly symmetric, c_j <- (c_j + c_{n-j}) / 2.  A
+    weight that does not fit the mesh raises as in ``assemble_mixed``.
+    """
+    supports = list(supports)
+    if len(supports) != 1:
+        return None
+    mesh, weight = supports[0]
+    if not (isinstance(mesh, SurfaceMesh) and mesh.kind == "smooth-closed"):
+        return None
+    v = weight.values_on(mesh)
+    if not (v[0] >= 0.0 and np.all(v == v[0]) and _regular_polygon(mesh)):
+        return None
+    rw = _kress_weight_vector(mesh.n_nodes)
+    row = _smooth_curve_block(mesh, kernel, rw, 0, 1)[0]
+    row[0] = _smooth_curve_diagonal(mesh, kernel, rw)[0]
+    row *= v[0] * mesh.weights[0]
+    return 0.5 * (row + np.roll(row[::-1], 1))
+
+
+def _regular_polygon(mesh: SurfaceMesh) -> bool:
+    """Whether the nodes are a regular n-gon in index order, on which the
+    smooth-curve effective kernel is circulant: equal distances to the
+    node centroid, equal chords between consecutive nodes (the closing one
+    included), equal quadrature weights and equal parameter steps, each
+    within ``_CIRCULANT_ULPS`` n eps of its mean."""
+    nodes, t = mesh.nodes, mesh.param_values
+    rtol = _CIRCULANT_ULPS * mesh.n_nodes * np.finfo(float).eps
+    spreads = (np.hypot(*(nodes - nodes.mean(axis=0)).T),
+               np.hypot(*(np.roll(nodes, -1, axis=0) - nodes).T),
+               mesh.weights,
+               np.diff(t, append=t[0] + TWO_PI))
+    return all(np.max(np.abs(x - x.mean())) <= rtol * abs(x.mean())
+               for x in spreads)
 
 
 def assemble_mixed(supports, kernel: KernelModel) -> OperatorMatrix:

@@ -33,7 +33,7 @@ from . import asymptotics, covering, orlicz, spectra
 # perfbench/tracer.py wraps them by name in this module
 from .assemble import (WeightFn, assemble_curve_operator,
                        assemble_measure_operator, assemble_mixed,
-                       make_cell_grid)
+                       circulant_row, make_cell_grid)
 from .errors import (InsufficientDataError, InternalError,
                      InvalidArgumentError, OutOfRangeError, ResourceLimitError)
 from .geometry import (Circle, make_cantor_measure, make_polygon_curve,
@@ -254,11 +254,18 @@ def _write_plotdata(spectrum: spectra.Spectrum, grid, out_dir) -> list[str]:
 
 def _spectrum_of(supports, kernel, cap: int) -> spectra.Spectrum:
     """Spectrum of the operator over the (support, weight) blocks; an
-    operator of more than ``cap`` unknowns is refused before assembly.  The
-    operator is assembled here and dropped: its solve consumes it."""
+    operator of more than ``cap`` unknowns is refused before assembly.
+
+    A circulant operator (a constant nonnegative weight on an equispaced
+    circle, ``circulant_row``) is solved from its first row by one real
+    FFT, with no matrix.  Any other is assembled here and dropped: its
+    solve consumes it.  Both solves go through the same checks."""
     n = sum(len(support_atoms(support)[0]) for support, _ in supports)
     if n > cap:
         raise ResourceLimitError("matrix size %d exceeds the cap %d" % (n, cap))
+    row = circulant_row(supports, kernel)
+    if row is not None:
+        return spectra.circulant_eigensolve(row)
     return spectra.eigensolve(assemble_mixed(supports, kernel))
 
 

@@ -10,11 +10,20 @@ storage, so no n x n copy is made; a second solve of the same operator is
 refused.  The two invariants that check the whole computed spectrum are
 taken from the triangle before the solve overwrites it, in O(n^2) with no
 n^2 temporary: the sum of the eigenvalues is the trace, and the sum of
-their squares is the squared Frobenius norm.  Either error above its
-tolerance raises ``InternalError``, as does a solve that LAPACK reports
-failed.  An operator of a nonnegative weight must also come out positive
-semidefinite in the same tolerance unit; one that does not is an
-under-resolved mesh, refused with ``InvalidArgumentError``.
+their squares is the squared Frobenius norm.  Both sides are summed in
+units of a power of two of the largest |entry|, so the check holds at any
+scale of the weight.  Either
+error above its tolerance raises ``InternalError``, as does a solve that
+LAPACK reports failed.  An operator of a nonnegative weight must also come
+out positive semidefinite in the same tolerance unit; one that does not is
+an under-resolved mesh, refused with ``InvalidArgumentError``, as is an
+operator whose largest entry is subnormal.
+
+A symmetric circulant operator (a constant weight on an equispaced
+circle, ``assemble.circulant_row``) needs no matrix: ``circulant_eigensolve``
+takes its eigenvalues from one real FFT of its first row, in O(n log n),
+and runs them through the same checks, with the trace and the Frobenius
+norm of the circulant.
 
 The mid-spectrum estimator for the constant C in n(lambda) ~ C / lambda is
 the median of k |lambda_k| over a window of indices: multiplicity-2 families
@@ -43,6 +52,11 @@ _ZERO_RTOL = 1e-14
 # mixed and signed operators and below 2 on random symmetric matrices
 _INVARIANT_ULPS = 64.0
 _TRUSTED_FRACTION = 8
+# the exponent of the smallest normal double: an operator whose largest
+# entry lies below it has lost digits in every entry
+_MIN_EXPONENT = int(np.frexp(np.finfo(float).tiny)[1])
+# byte size of the row blocks the invariants are summed over
+_INVARIANT_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -116,22 +130,55 @@ def eigensolve(op: OperatorMatrix) -> Spectrum:
     ``InternalError`` naming both errors, and so does a solve that LAPACK
     reports failed.  An unsigned operator (nonnegative weight) is positive
     semidefinite on a resolved mesh: a least eigenvalue below -64 n eps
-    times the spectral radius raises ``InvalidArgumentError`` (exit 2).
-    Eigenvalues below 1e-14 of the spectral radius are dropped as numerical
-    zeros; the trusted index range is n/8.
+    times the spectral radius raises ``InvalidArgumentError`` (exit 2), and
+    so does an operator whose largest entry is subnormal.  Eigenvalues
+    below 1e-14 of the spectral radius are dropped as numerical zeros; the
+    trusted index range is n/8.
     """
     m = op.consume()
     invariants = _upper_invariants(m)
-    vals = _eigvalsh_upper(m)
-    norm = float(np.max(np.abs(vals))) if vals.size else 0.0
+    return _checked_spectrum(_eigvalsh_upper(m), invariants, op.signed_flag)
+
+
+def circulant_eigensolve(row) -> Spectrum:
+    """Eigenvalues of the symmetric circulant matrix whose first row is
+    ``row`` (c_j = c_{n-j}), the operator of a nonnegative weight, checked
+    as ``eigensolve`` checks them.
+
+    They are the real DFT of the row, lambda_m = sum_j c_j cos(2 pi j m /
+    n), one real FFT: each 0 < m < n/2 is an eigenvalue twice.  The
+    invariants are the trace n c_0 and the squared Frobenius norm
+    n sum_j c_j^2.
+    """
+    c = np.asarray(row, dtype=float)
+    n = len(c)
+    half = np.fft.rfft(c).real
+    vals = np.sort(np.concatenate([half, half[1:(n + 1) // 2]]))
+    exponent = int(np.frexp(np.max(np.abs(c), initial=0.0))[1])
+    scaled = np.ldexp(c, -exponent)
+    invariants = (n * float(scaled[0]), n * float(scaled @ scaled), exponent)
+    return _checked_spectrum(vals, invariants, signed=False)
+
+
+def _checked_spectrum(vals: np.ndarray, invariants: tuple[float, float, int],
+                      signed: bool) -> Spectrum:
+    """The spectrum of the ascending eigenvalues ``vals`` of an operator
+    with ``invariants`` as ``_upper_invariants`` gives them, after the
+    checks ``eigensolve`` documents: the underflow and the invariant
+    checks, and for an unsigned operator the semidefinite one."""
+    if invariants[2] < _MIN_EXPONENT:
+        raise InvalidArgumentError(
+            "operator entries underflow: the largest |entry| is subnormal "
+            "(below %.3g); scale the weight up" % np.ldexp(1.0, invariants[2]))
     trace_err, frobenius_err = _invariant_errors(invariants, vals)
     if not (trace_err <= 1.0 and frobenius_err <= 1.0):
         raise InternalError(
             "eigenvalues violate the matrix invariants: trace error %.3g, "
             "Frobenius error %.3g (tolerance units)"
             % (trace_err, frobenius_err))
-    if (not op.signed_flag and vals.size
-            and vals[0] < -_tolerance_unit(len(vals)) * norm):
+    n = len(vals)
+    norm = float(np.max(np.abs(vals))) if n else 0.0
+    if not signed and n and vals[0] < -_tolerance_unit(n) * norm:
         raise InvalidArgumentError(
             "under-resolved mesh: the operator of this nonnegative weight is "
             "indefinite, least eigenvalue %.3g of the spectral radius; refine "
@@ -139,8 +186,8 @@ def eigensolve(op: OperatorMatrix) -> Spectrum:
 
     keep = np.abs(vals) > _ZERO_RTOL * norm
     return Spectrum.from_eigenvalues(
-        vals[keep], resolution_n=m.shape[0],
-        trusted_k_max=max(1, m.shape[0] // _TRUSTED_FRACTION))
+        vals[keep], resolution_n=n,
+        trusted_k_max=max(1, n // _TRUSTED_FRACTION))
 
 
 @functools.cache
@@ -209,17 +256,37 @@ def _eigvalsh_upper(m: np.ndarray) -> np.ndarray:
     return vals
 
 
-def _upper_invariants(m: np.ndarray) -> tuple[float, float]:
+def _upper_invariants(m: np.ndarray) -> tuple[float, float, int]:
     """Trace and squared Frobenius norm of the symmetric matrix whose upper
-    triangle, diagonal included, is that of ``m``: the diagonal, plus twice
-    the strict upper part, summed one row at a time with no n^2
-    temporary."""
+    triangle, diagonal included, is that of ``m``, in units of 2^e and
+    2^2e, and e, the binary exponent of the largest |entry| (0 for a zero
+    or non-finite one).  Scaling by a power of two is exact, so the sums
+    neither overflow nor lose their digits to underflow at any scale.
+
+    The strict upper triangle is taken over row blocks of about
+    ``_INVARIANT_BLOCK_BYTES``, each as its square's strict upper corner
+    and the strip right of it.  One pass over them finds the largest
+    |entry|; a second scales each into one block-sized buffer and sums its
+    squares.  No n^2 temporary exists.
+    """
+    n = len(m)
+    rows = max(1, min(n, _INVARIANT_BLOCK_BYTES // (8 * max(1, n))))
+    pieces = [x for i0 in range(0, n, rows)
+              for x in (np.triu(m[i0:i0 + rows, i0:i0 + rows], 1),
+                        m[i0:i0 + rows, i0 + rows:])]
     diagonal = np.diagonal(m)
+    largest = max(max(x.max(initial=0.0), -x.min(initial=0.0))
+                  for x in [diagonal, *pieces])
+    exponent = int(np.frexp(largest)[1])
+    buffer = np.empty(rows * n)
     off = 0.0
-    for i in range(len(m) - 1):
-        row = m[i, i + 1:]
-        off += float(row @ row)
-    return float(np.sum(diagonal)), float(diagonal @ diagonal) + 2.0 * off
+    for x in pieces:
+        scaled = np.ldexp(x, -exponent,
+                          out=buffer[:x.size].reshape(x.shape)).ravel()
+        off += scaled @ scaled
+    diagonal = np.ldexp(diagonal, -exponent)
+    return (float(np.sum(diagonal)), float(diagonal @ diagonal + 2.0 * off),
+            exponent)
 
 
 def _tolerance_unit(n: int) -> float:
@@ -228,16 +295,18 @@ def _tolerance_unit(n: int) -> float:
     return _INVARIANT_ULPS * n * np.finfo(float).eps
 
 
-def _invariant_errors(invariants: tuple[float, float],
+def _invariant_errors(invariants: tuple[float, float, int],
                       vals: np.ndarray) -> tuple[float, float]:
     """Errors of sum(vals) against the trace and of sum(vals^2) against the
     squared Frobenius norm, ``invariants`` as ``_upper_invariants`` gives
     them, in units of their tolerances (``eigensolve`` accepts up to 1).
+    The eigenvalues are summed in the invariants' units of 2^e.
 
     A zero tolerance (the zero matrix) accepts only an exact zero; a NaN
     error stays NaN.
     """
-    trace, frobenius_sq = invariants
+    trace, frobenius_sq, exponent = invariants
+    vals = np.ldexp(vals, -exponent)
     unit = _tolerance_unit(len(vals))
     radius = float(np.max(np.abs(vals))) if vals.size else 0.0
     errors = (abs(float(np.sum(vals)) - trace),

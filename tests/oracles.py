@@ -648,3 +648,15 @@ if __name__ == "__main__":
     print("phi^{-1}(2) = %r" % phi_inverse(2.0))
     print("segment log energy = %r" % log_energy_segment())
     print("square log energy = %r" % log_energy_square())
+
+
+def upper_invariants_rows(m: np.ndarray) -> tuple[float, float]:
+    """Trace and squared Frobenius norm of the symmetric matrix whose upper
+    triangle, diagonal included, is that of ``m``, one row at a time and
+    unscaled: the invariant sums ``spectra`` took before its row blocks."""
+    diagonal = np.diagonal(m)
+    off = 0.0
+    for i in range(len(m) - 1):
+        row = m[i, i + 1:]
+        off += float(row @ row)
+    return float(np.sum(diagonal)), float(diagonal @ diagonal) + 2.0 * off

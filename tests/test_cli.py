@@ -12,9 +12,13 @@ from scipy.special import ive, kve
 
 import critspec
 from critspec import assemble, cli, spectra
+from critspec.assemble import WeightFn
 from critspec.cli import (EXPERIMENTS, ExperimentConfig, emit_plotdata, main,
                           run_experiment)
 from critspec.errors import InvalidArgumentError, ResourceLimitError
+from critspec.geometry import (Circle, Ellipse, Star, make_cantor_measure,
+                               make_smooth_curve)
+from critspec.kernels import reference_kernel
 from critspec.spectra import Spectrum
 
 
@@ -278,13 +282,137 @@ def test_failed_internal_check_exits_4(tmp_path, capsys, monkeypatch):
         return vals
 
     monkeypatch.setattr(spectra, "_eigvalsh_upper", one_shifted)
-    code = main(["spectrum", "--shape", "circle", "--n", "64",
+    # a square, since a constant weight on a circle takes the circulant solve
+    code = main(["spectrum", "--shape", "square", "--n", "64",
                  "--out", str(tmp_path)])
     assert code == 4
     err = capsys.readouterr().err
     assert err.startswith("error: internal check failed: ")
     assert err.count("\n") == 1 and "Traceback" not in err
     assert not list(tmp_path.iterdir())
+
+
+def test_failed_circulant_check_exits_4(tmp_path, capsys, monkeypatch):
+    true_rfft = np.fft.rfft
+
+    def one_shifted(row):
+        half = true_rfft(row)
+        half[1] += 1e-6 * np.max(np.abs(half))
+        return half
+
+    monkeypatch.setattr(np.fft, "rfft", one_shifted)
+    code = main(["spectrum", "--shape", "circle", "--n", "64",
+                 "--out", str(tmp_path)])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: internal check failed: eigenvalues "
+                          "violate the matrix invariants: trace error ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not list(tmp_path.iterdir())
+
+
+def _eigenvalues(out_dir) -> np.ndarray:
+    return np.loadtxt(out_dir / "spectrum.csv", delimiter=",",
+                      skiprows=1)[:, 1]
+
+
+@pytest.mark.parametrize("shape", ["circle", "square", "cantor"])
+def test_spectrum_scales_with_a_huge_weight(shape, tmp_path):
+    # the squares of the invariant check overflowed at 1e156 (Frobenius
+    # error nan, exit 4); they are summed in units of the largest entry
+    args = ["spectrum", "--shape", shape, "--n", "64", "--out"]
+    assert main(args + [str(tmp_path / "one")]) == 0
+    base = _eigenvalues(tmp_path / "one")
+    for value in ("1e156", "1e300"):
+        assert main(args + [str(tmp_path / value), "--value", value]) == 0
+        got = _eigenvalues(tmp_path / value) / float(value)
+        assert len(got) == len(base)
+        assert np.max(np.abs(got - base) / np.abs(base)) <= 1e-12, value
+
+
+@pytest.mark.parametrize("shape", ["circle", "square", "cantor"])
+def test_a_subnormal_operator_exits_2_naming_the_underflow(shape, tmp_path,
+                                                          capsys):
+    # at 1e-315 every entry is subnormal: the tolerance underflowed to 0
+    # (trace error inf, exit 4)
+    code = main(["spectrum", "--shape", shape, "--n", "64", "--value",
+                 "1e-315", "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: operator entries underflow: the largest "
+                          "|entry| is subnormal")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("shape", ["circle", "square", "cantor"])
+def test_tiny_weights_keep_the_scaling_law_or_name_the_underflow(shape):
+    # between the normal and the subnormal range: either the eigenvalues
+    # scale with the weight, or the operator is refused by name
+    if shape == "circle":
+        support = make_smooth_curve(Circle(), 64)
+    elif shape == "square":
+        support = cli._polygon_mesh(cli._UNIT_SQUARE, 64, 3.0)
+    else:
+        support = make_cantor_measure(8)
+    kern = reference_kernel()
+    base = cli._spectrum_of([(support, WeightFn.constant(1.0))], kern,
+                            4200).positives
+    refused = 0
+    for value in np.geomspace(1e-312, 1e-300, 25):
+        try:
+            got = cli._spectrum_of([(support, WeightFn.constant(value))],
+                                   kern, 4200).positives
+        except InvalidArgumentError as exc:
+            assert str(exc).startswith("operator entries underflow")
+            refused += 1
+            continue
+        assert len(got) == len(base)
+        assert np.max(np.abs(got / value - base) / base) <= 1e-12, value
+    assert 0 < refused < 25
+
+
+def test_only_an_equispaced_circle_skips_the_dense_solve(monkeypatch):
+    solves = []
+    true_eigvalsh = spectra._eigvalsh_upper
+
+    def counted(m):
+        solves.append(len(m))
+        return true_eigvalsh(m)
+
+    monkeypatch.setattr(spectra, "_eigvalsh_upper", counted)
+    one = WeightFn.constant(1.0)
+    circle = make_smooth_curve(Circle(), 64)
+    small = make_smooth_curve(Circle(center=(0.3, 0.0), radius=0.25), 32)
+    cases = {
+        "circle": ([(circle, one)], 0),
+        "equal tabulated values": (
+            [(circle, WeightFn.tabulated(np.full(64, 2.0)))], 0),
+        "circle off the origin": (
+            [(make_smooth_curve(Circle(center=(7.0, -3.0)), 64), one)], 0),
+        "nearly a circle, ellipse": (
+            [(make_smooth_curve(Ellipse(a=1.0, b=1.0 + 1e-9), 64), one)], 1),
+        "nearly a circle, star": (
+            [(make_smooth_curve(Star(amplitude=1e-9), 64), one)], 1),
+        "tabulated weight": (
+            [(circle, WeightFn.tabulated(1.5 + np.cos(circle.param_values)))],
+            1),
+        "negative constant": ([(circle, WeightFn.constant(-1.0))], 1),
+        "two circles": ([(circle, one), (make_smooth_curve(
+            Circle(center=(4.0, 0.0)), 64), one)], 1),
+        "cell grid and circle": ([(assemble.make_cell_grid(
+            (0.0, 0.0), 1.0, 0.2, exclude_meshes=[small]), one),
+            (small, one)], 1),
+    }
+    for name, (supports, want) in cases.items():
+        solves.clear()
+        cli._spectrum_of(supports, reference_kernel(), 4200)
+        assert len(solves) == want, name
+    # a negative constant weight keeps the fold and its refusal
+    with pytest.raises(InvalidArgumentError, match="node spacing"):
+        cli._spectrum_of([(make_smooth_curve(Circle(radius=5.0), 64),
+                           WeightFn.constant(-1.0))], reference_kernel(),
+                         4200)
 
 
 def _reports_info_1(*args):
@@ -307,7 +435,7 @@ def test_failed_eigensolve_exits_4(path, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(spectra, "_lapack_dsyevd", lambda: None)
         monkeypatch.setattr(np.linalg, "eigvalsh", _no_convergence)
         named = "Eigenvalues did not converge"
-    code = main(["spectrum", "--shape", "circle", "--n", "64",
+    code = main(["spectrum", "--shape", "square", "--n", "64",
                  "--out", str(tmp_path)])
     assert code == 4
     err = capsys.readouterr().err

@@ -10,19 +10,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import critspec
-from critspec import asymptotics, spectra
+from critspec import assemble, asymptotics, spectra
 from critspec.assemble import (OperatorMatrix, WeightFn,
                                assemble_curve_operator,
                                assemble_measure_operator, assemble_mixed,
-                               make_cell_grid)
+                               circulant_row, make_cell_grid)
 from critspec.errors import (InsufficientDataError, InternalError,
                              InvalidArgumentError)
-from critspec.geometry import (Circle, Ellipse, make_cantor_measure,
+from critspec.geometry import (Circle, Ellipse, Star, make_cantor_measure,
                                make_polygon_curve, make_smooth_curve)
 from critspec.kernels import lower_order_kernel, reference_kernel
 from critspec.spectra import Spectrum, counting, eigensolve, weyl_fit
 
 from conftest import UNIT_SQUARE, circle_exact_eigenvalues
+from oracles import upper_invariants_rows
 
 
 def _signed(m) -> OperatorMatrix:
@@ -85,7 +86,7 @@ def _nan_lower(m: np.ndarray) -> np.ndarray:
 
 
 _SIZES = st.integers(min_value=1, max_value=48)
-_EXPONENTS = st.floats(min_value=-150.0, max_value=150.0)
+_EXPONENTS = st.floats(min_value=-300.0, max_value=300.0)
 _SEEDS = st.integers(min_value=0, max_value=2 ** 32 - 1)
 
 
@@ -94,12 +95,31 @@ _SEEDS = st.integers(min_value=0, max_value=2 ** 32 - 1)
 def test_upper_invariants_are_those_of_the_symmetric_matrix(n, exponent,
                                                             seed):
     full = _symmetric_sample(n, exponent, seed)
-    trace, frobenius_sq = spectra._upper_invariants(_nan_lower(full))
+    trace, frobenius_sq, unit = spectra._upper_invariants(_nan_lower(full))
+    # in units of 2^unit, the binary exponent of the largest |entry|
+    assert unit == np.frexp(np.max(np.abs(full)))[1]
+    full = np.ldexp(full, -unit)
     diagonal = np.diagonal(full)
     eps = np.finfo(float).eps
     assert abs(trace - np.trace(full)) <= 2 * n * eps * np.sum(
         np.abs(diagonal))
     assert frobenius_sq == pytest.approx(np.sum(full * full), rel=4 * n * eps)
+
+
+@pytest.mark.parametrize("n", [300, 1030, 2503])
+@pytest.mark.parametrize("exponent", [0.0, 200.0, -200.0])
+def test_row_block_invariants_match_the_row_loop(n, exponent):
+    # many row blocks and a ragged last one; at 1e+-200 the plain squares
+    # would leave the normal range, the ones in units of the largest entry
+    # do not
+    full = _symmetric_sample(n, exponent, n)
+    trace, frobenius_sq, unit = spectra._upper_invariants(_nan_lower(full))
+    assert unit == np.frexp(np.max(np.abs(full)))[1]
+    want = upper_invariants_rows(_nan_lower(np.ldexp(full, -unit)))
+    eps = np.finfo(float).eps
+    assert abs(trace - want[0]) <= 2 * n * eps * np.sum(
+        np.abs(np.diagonal(np.ldexp(full, -unit))))
+    assert frobenius_sq == pytest.approx(want[1], rel=4 * n * eps)
 
 
 @settings(max_examples=40, deadline=None)
@@ -310,6 +330,101 @@ def test_indefinite_unsigned_operator_is_refused():
     with pytest.raises(InvalidArgumentError,
                        match="least eigenvalue -.* refine the mesh"):
         eigensolve(op)
+
+
+# ---------------------------------------------------------------------------
+# the circulant solve
+# ---------------------------------------------------------------------------
+
+def _outcome(solve):
+    """The spectrum a solve returns, as n sorted eigenvalues with the
+    dropped numerical zeros put back as zeros, or the kind of error it
+    raises: its type and the text before the first colon."""
+    try:
+        sp = solve()
+    except (InvalidArgumentError, InternalError) as exc:
+        return type(exc), str(exc).split(":")[0]
+    vals = np.zeros(sp.resolution_n)
+    kept = np.concatenate([sp.negatives, sp.positives])
+    vals[:len(kept)] = kept
+    return np.sort(vals)
+
+
+@settings(max_examples=60, deadline=None)
+@given(radius=st.floats(min_value=0.05, max_value=20.0),
+       center=st.tuples(st.floats(min_value=-10.0, max_value=10.0),
+                        st.floats(min_value=-10.0, max_value=10.0)),
+       half_n=st.integers(min_value=4, max_value=256),
+       value=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1e3)),
+       lower_order=st.booleans())
+def test_circulant_solve_matches_the_dense_solve(radius, center, half_n,
+                                                 value, lower_order):
+    n = 2 * half_n
+    kern = lower_order_kernel() if lower_order else reference_kernel()
+    mesh = make_smooth_curve(Circle(center=center, radius=radius), n)
+    supports = [(mesh, WeightFn.constant(value))]
+    row = circulant_row(supports, kern)
+    assert row is not None
+    assert np.array_equal(row, np.roll(row[::-1], 1))
+    op = assemble_mixed(supports, kern)
+    # the row is the dense operator's first row, made symmetric, up to the
+    # rounding of the scaling
+    first = op.entries[0]
+    assert np.max(np.abs(row - 0.5 * (first + np.roll(first[::-1], 1)))) <= (
+        1e-15 * np.max(np.abs(row)))
+    circulant = _outcome(lambda: spectra.circulant_eigensolve(row))
+    dense = _outcome(lambda: eigensolve(op))
+    if isinstance(dense, tuple) or isinstance(circulant, tuple):
+        assert circulant == dense
+        return
+    radius_of = max(np.max(np.abs(dense)), np.max(np.abs(circulant)))
+    assert np.max(np.abs(circulant - dense)) <= (
+        spectra._tolerance_unit(n) * radius_of)
+
+
+@pytest.mark.parametrize("shape, inside", [
+    (Ellipse(a=1.0, b=1.0 + 1e-11), True),
+    (Star(amplitude=4e-12), True),
+    (Ellipse(a=1.0, b=1.0 + 4e-11), False),
+    (Star(amplitude=2e-11), False),
+])
+def test_a_near_circle_takes_the_circulant_solve_only_inside_the_check(
+        shape, inside):
+    # at n = 512 the tolerance unit is 64 n eps = 7.3e-12: the first two
+    # spread by 0.69 and 0.56 of it, the last two by 2.8 and 2.8
+    n = 512
+    supports = [(make_smooth_curve(shape, n), WeightFn.constant(1.0))]
+    row = circulant_row(supports, reference_kernel())
+    assert (row is not None) == inside
+    if not inside:
+        return
+    got = _outcome(lambda: spectra.circulant_eigensolve(row))
+    dense = np.linalg.eigvalsh(assemble_mixed(supports,
+                                              reference_kernel()).entries,
+                               UPLO="U")
+    rho = np.max(np.abs(dense))
+    # measured: 0.49 and 0.28 of the unit
+    assert np.max(np.abs(got - dense)) <= 0.6 * spectra._tolerance_unit(n) * rho
+
+
+def test_the_circulant_tolerance_is_the_solve_tolerance():
+    assert assemble._CIRCULANT_ULPS == spectra._INVARIANT_ULPS
+
+
+def test_a_perturbed_circulant_eigenvalue_fails_the_check(monkeypatch):
+    mesh = make_smooth_curve(Circle(radius=1.0), 512)
+    row = circulant_row([(mesh, WeightFn.constant(1.0))], reference_kernel())
+    spectra.circulant_eigensolve(row)
+    true_rfft = np.fft.rfft
+
+    def one_shifted(c):
+        half = true_rfft(c)
+        half[7] += 1e-6 * np.max(np.abs(half))
+        return half
+
+    monkeypatch.setattr(np.fft, "rfft", one_shifted)
+    with pytest.raises(InternalError, match="trace error .* Frobenius"):
+        spectra.circulant_eigensolve(row)
 
 
 # ---------------------------------------------------------------------------
