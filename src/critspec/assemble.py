@@ -53,8 +53,8 @@ Sign-changing V is reduced to a symmetric indefinite matrix with identical
 nonzero spectrum.  The one fold factors the effective-kernel matrix by
 Cholesky, K = L L^T, read from K's upper triangle, and takes
 L^T diag(V w) L,  which shares the nonzero spectrum of K diag(V w) (Golub
-and Van Loan, Matrix Computations, 8.7); it is recorded as
-``node_meta["fold"] = "cholesky"``.  Both steps run in K's own storage, one
+and Van Loan, Matrix Computations, 8.7); ``OperatorMatrix.signed_flag``
+records that it ran.  Both steps run in K's own storage, one
 square tile of ``_FOLD_COLUMNS`` at a time: a blocked right-looking
 factorisation (ibid., 4.2) writes L into K's lower triangle, and the
 product, one column of tiles at a time, overwrites the upper one, so the
@@ -166,7 +166,8 @@ class WeightFn:
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """Dense real symmetric discretization with provenance metadata.
+    """Dense real symmetric discretization; ``signed_flag`` records that
+    the sign fold ran.
 
     The matrix is the upper triangle of ``entries``, diagonal included; the
     strict lower triangle is scratch and is never read, so an asymmetric
@@ -178,7 +179,6 @@ class OperatorMatrix:
     """
 
     entries: np.ndarray
-    node_meta: dict = field(default_factory=dict)
     signed_flag: bool = False
     _consumed: bool = field(default=False, init=False, repr=False,
                             compare=False)
@@ -330,22 +330,18 @@ def _cholesky_in_place(m: np.ndarray) -> None:
 
 
 def _finalize(kernel_matrix: np.ndarray, v_vals: np.ndarray,
-              weights: np.ndarray, meta: dict) -> OperatorMatrix:
+              weights: np.ndarray) -> OperatorMatrix:
     """The operator matrix for kernel matrix K, weight V and quadrature
     weights w: diag(s) K diag(s) with s = sqrt(V w) for V >= 0, the one
     fold of the module docstring otherwise.  K is read from its upper
     triangle and overwritten, and the operator is that triangle: below it
     lies whatever K's storage held, or the fold's factor."""
     signed = bool(np.any(v_vals < 0.0))
-    meta = dict(meta)
-    meta["signed"] = signed
     if signed:
         upper = _cholesky_fold(kernel_matrix, v_vals, weights)
-        meta["fold"] = "cholesky"
     else:
         upper = _scaled(kernel_matrix, v_vals, weights)
-    return OperatorMatrix(entries=upper, node_meta=meta,
-                          signed_flag=signed)
+    return OperatorMatrix(entries=upper, signed_flag=signed)
 
 
 def _scaled(kernel_matrix: np.ndarray, v_vals: np.ndarray,
@@ -757,5 +753,4 @@ def assemble_mixed(supports, kernel: KernelModel) -> OperatorMatrix:
     for i, si in enumerate(spans):
         for j in range(i + 1, len(spans)):
             _cross_block(points[i], points[j], kernel, ktil[si, spans[j]])
-    meta = {"blocks": sizes, "kernel": kernel.description}
-    return _finalize(ktil, v_all, np.concatenate(weights), meta)
+    return _finalize(ktil, v_all, np.concatenate(weights))

@@ -45,20 +45,14 @@ _GL_WEIGHTS = _GL_WEIGHTS * (pi / 4.0)
 
 @dataclass(frozen=True)
 class AsymCoeff:
-    """Counting coefficients with a per-component breakdown."""
+    """Counting coefficients of the positive and the negative side."""
 
     c_plus: float
     c_minus: float
-    breakdown: tuple[tuple[str, float, float], ...]
 
     def __post_init__(self):
         if self.c_plus < 0.0 or self.c_minus < 0.0:
             raise InvalidArgumentError("coefficients must be nonnegative")
-        tp = sum(b[1] for b in self.breakdown)
-        tm = sum(b[2] for b in self.breakdown)
-        if (abs(tp - self.c_plus) > 1e-12 * max(1.0, self.c_plus)
-                or abs(tm - self.c_minus) > 1e-12 * max(1.0, self.c_minus)):
-            raise InternalError("breakdown does not sum to the totals")
 
 
 def sphere_surface(dim_minus_1: int) -> float:
@@ -103,42 +97,29 @@ def r_symbol(ambient_dim: int, surface_dim: int) -> float:
     return closed
 
 
-def coefficient_surface(mesh: SurfaceMesh, V: WeightFn,
-                        label: str = "surface") -> AsymCoeff:
+def coefficient_surface(mesh: SurfaceMesh, V: WeightFn) -> AsymCoeff:
     """Contribution of one curve in the plane (d = 1, N = 2): the mesh's
     quadrature integrates V_+ and V_-."""
     factor = (2.0 * pi) ** -1 * sphere_surface(0) * r_symbol(2, 1)
     wplus = float(np.sum(V.positive_part(mesh) * mesh.weights))
     wminus = float(np.sum(V.negative_part(mesh) * mesh.weights))
-    return AsymCoeff(
-        c_plus=factor * wplus,
-        c_minus=factor * wminus,
-        breakdown=((label, factor * wplus, factor * wminus),),
-    )
+    return AsymCoeff(c_plus=factor * wplus, c_minus=factor * wminus)
 
 
-def coefficient_ac(volume: float, v0: float, label: str = "ac") -> AsymCoeff:
+def coefficient_ac(volume: float, v0: float) -> AsymCoeff:
     """Contribution of a constant density ``v0`` on a plane domain of area
     ``volume`` (N = 2)."""
     factor = 0.5 * (2.0 * pi) ** -2 * sphere_surface(1)
     vol = float(volume)
     v = float(v0)
     wplus, wminus = max(v, 0.0) * vol, max(-v, 0.0) * vol
-    return AsymCoeff(
-        c_plus=factor * wplus,
-        c_minus=factor * wminus,
-        breakdown=((label, factor * wplus, factor * wminus),),
-    )
+    return AsymCoeff(c_plus=factor * wplus, c_minus=factor * wminus)
 
 
 def coefficient_total(parts) -> AsymCoeff:
-    """Componentwise sum of contributions, breakdown retained."""
+    """Componentwise sum of contributions."""
     parts = list(parts)
     if not parts:
         raise InvalidArgumentError("need at least one contribution")
-    breakdown = tuple(b for p in parts for b in p.breakdown)
-    return AsymCoeff(
-        c_plus=float(sum(p.c_plus for p in parts)),
-        c_minus=float(sum(p.c_minus for p in parts)),
-        breakdown=breakdown,
-    )
+    return AsymCoeff(c_plus=float(sum(p.c_plus for p in parts)),
+                     c_minus=float(sum(p.c_minus for p in parts)))

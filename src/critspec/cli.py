@@ -4,9 +4,8 @@ Each experiment builds a configuration of supports and weights, solves
 the spectrum of its operator in one step (``_spectrum_of``, which refuses
 a matrix above the cap before assembling it), and compares measured
 quantities (fit coefficients, counts, covering statistics) against the
-predicted values.  Reports are deterministic given configuration and
-seed: the report hash is taken over everything except the wall-clock
-runtime.
+predicted values.  Reports are deterministic given configuration: the
+report hash is taken over everything except the wall-clock runtime.
 
 Exit codes: 0 all criteria pass, 1 a criterion failed, 2 usage error,
 3 resource limit (a support above the atom cap, an operator above the
@@ -50,7 +49,6 @@ _UNIT_SQUARE = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
 class ExperimentConfig:
     experiment: str
     n: int = 512
-    seed: int = 0
     window: tuple[int, int] = DEFAULT_WINDOW
     params: dict = field(default_factory=dict)
     tolerances: dict = field(default_factory=dict)
@@ -89,7 +87,6 @@ class ExperimentConfig:
         if not isinstance(c.window, (list, tuple)) or len(c.window) != 2:
             raise InvalidArgumentError('"window" must be a pair of integers')
         return replace(c, n=_as_number(c.n, "n", int),
-                       seed=_as_number(c.seed, "seed", int),
                        window=tuple(_as_number(k, "window", int)
                                     for k in c.window),
                        params=dict(c.params), tolerances=dict(c.tolerances),
@@ -227,24 +224,22 @@ def _out_dir(path) -> Path:
     return out
 
 
-def _trusted_grid(spectrum: spectra.Spectrum):
-    """40 log-spaced levels across the trusted positive eigenvalues, or None
-    when fewer than two of them are trusted."""
+def _trusted_grid(spectrum: spectra.Spectrum) -> np.ndarray:
+    """40 log-spaced levels across the trusted positive eigenvalues; no
+    level when fewer than two of them are trusted."""
     pos = spectrum.side("+")[:spectrum.trusted_k_max]
     if len(pos) < 2:
-        return None
+        return np.empty(0)
     return np.geomspace(pos[-1], pos[0], 40)
 
 
 def _write_plotdata(spectrum: spectra.Spectrum, grid, out_dir) -> list[str]:
-    """Write spectrum.csv and, unless ``grid`` is None, spectrum_counting.csv
-    on that level grid; returns the paths."""
+    """Write spectrum.csv and spectrum_counting.csv on the level grid (a
+    header only without levels); returns the paths."""
     out = _out_dir(out_dir)
-    paths = [str(out / "spectrum.csv")]
+    paths = [str(out / "spectrum.csv"), str(out / "spectrum_counting.csv")]
     spectra.write_spectrum_csv(spectrum, paths[0])
-    if grid is not None:
-        paths.append(str(out / "spectrum_counting.csv"))
-        spectra.write_counting_csv(spectrum, grid, paths[1])
+    spectra.write_counting_csv(spectrum, grid, paths[1])
     return paths
 
 
@@ -300,7 +295,7 @@ def _exp_circle(default_weight: dict, default_tol: float,
     radius = _param(params, "radius", 1.0)
     mesh = make_smooth_curve(Circle(radius=radius), config.n)
     weight = _weight_from_params(params)
-    expected = asymptotics.coefficient_surface(mesh, weight, label="circle")
+    expected = asymptotics.coefficient_surface(mesh, weight)
     return _weyl(config, [(mesh, weight)], expected, default_tol,
                  report_minus=True)
 
@@ -318,7 +313,7 @@ def _exp_polygon_weyl(config: ExperimentConfig):
     mesh = _polygon_mesh(vertices, config.n,
                          _param(params, "grading_exponent", 3.0))
     weight = _weight_from_params(params)
-    expected = asymptotics.coefficient_surface(mesh, weight, label="polygon")
+    expected = asymptotics.coefficient_surface(mesh, weight)
     return _weyl(config, [(mesh, weight)], expected, n_nodes=mesh.n_nodes)
 
 
@@ -333,8 +328,8 @@ def _exp_two_surfaces(config: ExperimentConfig):
     mesh2 = make_smooth_curve(Circle(center=center_2, radius=r2), n2)
     weight = _weight_from_params(params)
     expected = asymptotics.coefficient_total([
-        asymptotics.coefficient_surface(mesh1, weight, label="circle_1"),
-        asymptotics.coefficient_surface(mesh2, weight, label="circle_2"),
+        asymptotics.coefficient_surface(mesh1, weight),
+        asymptotics.coefficient_surface(mesh2, weight),
     ])
     result = _weyl(config, [(mesh1, weight), (mesh2, weight)], expected)
     if config.out_dir is not None:
@@ -361,8 +356,8 @@ def _exp_mixed_ac_singular(config: ExperimentConfig):
     grid = make_cell_grid((0.0, 0.0), disk_radius, delta,
                           exclude_meshes=[mesh])
     expected = asymptotics.coefficient_total([
-        asymptotics.coefficient_ac(np.pi * disk_radius ** 2, v0, label="disk"),
-        asymptotics.coefficient_surface(mesh, weight, label="circle"),
+        asymptotics.coefficient_ac(np.pi * disk_radius ** 2, v0),
+        asymptotics.coefficient_surface(mesh, weight),
     ])
     return _weyl(config, [(grid, WeightFn.constant(v0)), (mesh, weight)],
                  expected, n_cells=grid.n_atoms,
@@ -548,7 +543,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--config", type=str, default=None,
                      help="JSON config file (overridden by flags)")
     run.add_argument("--out", type=str, default=None)
-    run.add_argument("--seed", type=int, default=None)
     run.add_argument("--n", type=int, default=None)
 
     sub.add_parser("list-experiments", help="list experiment names")
@@ -589,15 +583,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(args) -> int:
     if args.config:
-        with open(args.config) as fh:
-            config = ExperimentConfig.from_dict(json.load(fh))
+        with open(args.config, encoding="utf-8") as fh:
+            try:
+                data = json.load(fh)
+            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+                # neither error names the file
+                raise InvalidArgumentError(
+                    "%s: %s" % (args.config, exc)) from None
+        config = ExperimentConfig.from_dict(data)
     elif args.experiment:
         config = ExperimentConfig(experiment=args.experiment)
     else:
         print("run needs --experiment or --config", file=sys.stderr)
         return 2
-    flags = {"experiment": args.experiment, "seed": args.seed, "n": args.n,
-             "out_dir": args.out}
+    flags = {"experiment": args.experiment, "n": args.n, "out_dir": args.out}
     return _run_and_print(
         replace(config, **{k: v for k, v in flags.items() if v is not None}))
 
@@ -673,7 +672,7 @@ def main(argv=None) -> int:
         parser.print_help()
         return 2
     except (InvalidArgumentError, InsufficientDataError, OutOfRangeError,
-            json.JSONDecodeError, FileNotFoundError) as exc:
+            OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except ResourceLimitError as exc:

@@ -56,7 +56,6 @@ class SurfaceMesh:
     tangents: np.ndarray       # (n, 2), unit vectors
     param_values: np.ndarray   # (n,)
     kind: str                  # "smooth-closed" | "polygon"
-    corner_indices: tuple[int, ...] = ()
 
     def __post_init__(self):
         nodes = _frozen(np.asarray(self.nodes, dtype=float))
@@ -293,18 +292,12 @@ def make_polygon_curve(vertices, panels_per_edge: int,
     weights = np.concatenate(weights)
     tangents = np.concatenate(tangents)
     params = np.concatenate(params)
-    # nodes flanking each vertex: last panel of edge i-1, first of edge i
-    corner_idx = []
-    for i in range(nv):
-        corner_idx.append((i * m - 1) % (nv * m))
-        corner_idx.append(i * m)
     return SurfaceMesh(
         nodes=nodes,
         weights=weights,
         tangents=tangents,
         param_values=params,
         kind="polygon",
-        corner_indices=tuple(sorted(corner_idx)),
     )
 
 
@@ -435,7 +428,7 @@ def generic_basis(subspaces, seed: int = 0, dim: int | None = None,
         if dim is None:
             raise InvalidArgumentError(
                 "empty family: pass dim to fix the ambient dimension")
-        return standard_basis(dim)
+        return np.eye(dim)
     dim = subspaces[0].shape[1]
     bases = []
     for s in subspaces:
@@ -462,11 +455,6 @@ def generic_basis(subspaces, seed: int = 0, dim: int | None = None,
     raise InternalError("rejection sampling failed; family too rigid")
 
 
-def standard_basis(dim: int) -> np.ndarray:
-    """Standard basis, the generic choice for an empty avoidance family."""
-    return np.eye(dim)
-
-
 # ---------------------------------------------------------------------------
 # rigid motions
 # ---------------------------------------------------------------------------
@@ -483,7 +471,6 @@ def transform(mesh: SurfaceMesh, rotation=None, shift=None) -> SurfaceMesh:
         tangents=mesh.tangents @ rot.T,
         param_values=mesh.param_values,
         kind=mesh.kind,
-        corner_indices=mesh.corner_indices,
     )
 
 

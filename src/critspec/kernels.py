@@ -60,7 +60,6 @@ class KernelModel:
 
     log_coefficient: float
     remainder_at_zero: float
-    description: str
 
     def profile(self, r):
         raise NotImplementedError
@@ -143,20 +142,14 @@ class _LowerOrderKernel(KernelModel):
 
 def reference_kernel() -> KernelModel:
     """The critical-order kernel (2*pi)^{-1} K_0(|X-Y|) in the plane."""
-    return _ReferenceKernel(
-        log_coefficient=-1.0 / TWO_PI,
-        remainder_at_zero=REFERENCE_DIAGONAL_LIMIT,
-        description="inverse (1 - Laplace), plane",
-    )
+    return _ReferenceKernel(log_coefficient=-1.0 / TWO_PI,
+                            remainder_at_zero=REFERENCE_DIAGONAL_LIMIT)
 
 
 def lower_order_kernel() -> KernelModel:
     """Order -3 companion kernel used by the decay-order experiment."""
-    return _LowerOrderKernel(
-        log_coefficient=0.0,
-        remainder_at_zero=1.0 / TWO_PI,
-        description="inverse (1 - Laplace)^{3/2}, plane",
-    )
+    return _LowerOrderKernel(log_coefficient=0.0,
+                             remainder_at_zero=1.0 / TWO_PI)
 
 
 # -avg log distance between two uniform points of the unit square, in closed

@@ -66,7 +66,6 @@ class Spectrum:
 
     positives: np.ndarray
     negatives: np.ndarray
-    resolution_n: int
     trusted_k_max: int
 
     def __post_init__(self):
@@ -81,21 +80,16 @@ class Spectrum:
         if np.any(neg >= 0.0) or np.any(np.diff(-neg) > 0.0):
             raise InvalidArgumentError(
                 "negatives must be negative with descending magnitude")
-        if len(pos) + len(neg) > self.resolution_n:
-            raise InvalidArgumentError("more eigenvalues than matrix rows")
 
     @staticmethod
-    def from_eigenvalues(values, resolution_n: int | None = None,
+    def from_eigenvalues(values,
                          trusted_k_max: int | None = None) -> "Spectrum":
         values = np.asarray(values, dtype=float)
-        if resolution_n is None:
-            resolution_n = len(values)
         if trusted_k_max is None:
             trusted_k_max = len(values)
         pos = np.sort(values[values > 0.0])[::-1]
         neg = np.sort(values[values < 0.0])
         return Spectrum(positives=pos, negatives=neg,
-                        resolution_n=resolution_n,
                         trusted_k_max=trusted_k_max)
 
     def side(self, sign: str) -> np.ndarray:
@@ -186,8 +180,7 @@ def _checked_spectrum(vals: np.ndarray, invariants: tuple[float, float, int],
 
     keep = np.abs(vals) > _ZERO_RTOL * norm
     return Spectrum.from_eigenvalues(
-        vals[keep], resolution_n=n,
-        trusted_k_max=max(1, n // _TRUSTED_FRACTION))
+        vals[keep], trusted_k_max=max(1, n // _TRUSTED_FRACTION))
 
 
 @functools.cache

@@ -476,18 +476,15 @@ def assemble_mixed_pairs(supports, kernel) -> OperatorMatrix:
             ktil[sj, si] = cross.T
     v_all = np.concatenate(blocks_vvals)
     w_all = np.concatenate(blocks_weights)
-    meta = {"blocks": sizes, "kernel": kernel.description}
     signed = bool(np.any(v_all < 0.0))
-    meta["signed"] = signed
     if signed:
         entries = _mirror_rows(_cholesky_fold(ktil, v_all, w_all))
-        meta["fold"] = "cholesky"
     else:
         s = np.sqrt(np.abs(v_all) * w_all)
         ktil *= s[:, None]
         ktil *= s[None, :]
         entries = _mirror_rows(ktil)
-    return OperatorMatrix(entries=entries, node_meta=meta, signed_flag=signed)
+    return OperatorMatrix(entries=entries, signed_flag=signed)
 
 
 def cholesky_fold_full(kernel_matrix: np.ndarray, v_vals: np.ndarray,

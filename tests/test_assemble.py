@@ -154,7 +154,7 @@ def test_cholesky_fold_matches_plain_nystrom(kind, half_n, seed):
         v[:2] = -abs(v[0]), abs(v[1])
         op = assemble_curve_operator(support, WeightFn.tabulated(v), kern)
         w = support.weights
-    assert op.node_meta["fold"] == "cholesky" and op.signed_flag
+    assert op.signed_flag
     ref = np.linalg.eigvals(ktil * (v * w)[None, :])
     rho = np.max(np.abs(ref))
     assert np.max(np.abs(ref.imag)) <= 1e-10 * rho
@@ -171,7 +171,7 @@ def test_radius_five_circle_takes_the_cholesky_fold(kernel):
     assert np.linalg.eigvalsh(ktil)[0] > 0.0
     weight = WeightFn.angular()
     op = assemble_curve_operator(mesh, weight, kernel)
-    assert op.node_meta["fold"] == "cholesky" and op.signed_flag
+    assert op.signed_flag
     vw = weight.values_on(mesh) * mesh.weights
     ref = np.linalg.eigvals(ktil * vw[None, :])
     rho = np.max(np.abs(ref))
@@ -567,7 +567,7 @@ def test_mixed_matches_pairs_oracle(weight, workers, kernel, monkeypatch):
     op = assemble_mixed(supports, kernel)
     expected = assemble_mixed_pairs(supports, kernel)
     assert _same_upper(op.entries, expected.entries)
-    assert op.node_meta == expected.node_meta
+    assert op.signed_flag == expected.signed_flag
     assert op.signed_flag == (weight == "signed")
 
 
@@ -700,9 +700,9 @@ def _nan_lower_operator(case: str, signed: bool, monkeypatch):
     handed = []
     finalize = assemble._finalize
 
-    def spy(kernel_matrix, v_vals, weights, meta):
+    def spy(kernel_matrix, v_vals, weights):
         handed.append(kernel_matrix.copy())
-        return finalize(kernel_matrix, v_vals, weights, meta)
+        return finalize(kernel_matrix, v_vals, weights)
 
     monkeypatch.setattr(assemble, "np", _NanEmptyNumpy())
     monkeypatch.setattr(assemble, "_finalize", spy)
@@ -761,7 +761,7 @@ def test_fold_reads_only_the_upper_triangle(support, kernel):
     want = _cholesky_fold(ktil.copy(), v, w)
     assert _same_upper(got, want)
     # the fold keeps its factor in the lower triangle, below the operator
-    op = assemble._finalize(nan_lower, v, w, {})
+    op = assemble._finalize(nan_lower, v, w)
     assert not np.isnan(op.entries).any()
     expected = assemble_mixed_pairs(
         [(_fold_case(support), WeightFn.tabulated(v))], kernel).entries
@@ -875,7 +875,7 @@ def test_unsigned_operators_are_symmetric_semidefinite(support, seed):
     assemble = (assemble_measure_operator if kind == "cantor"
                 else assemble_curve_operator)
     op = assemble(obj, WeightFn.tabulated(v), kern)
-    assert not op.signed_flag and "fold" not in op.node_meta
+    assert not op.signed_flag
     ev = np.linalg.eigvalsh(op.entries, UPLO="U")
     assert ev[0] >= -1e-12 * np.max(np.abs(ev))
 

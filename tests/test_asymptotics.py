@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from critspec.assemble import WeightFn
-from critspec.asymptotics import (AsymCoeff, coefficient_ac,
-                                  coefficient_surface, coefficient_total,
-                                  r_symbol,
+from critspec.asymptotics import (coefficient_ac, coefficient_surface,
+                                  coefficient_total, r_symbol,
                                   r_symbol_closed_form, r_symbol_quadrature,
                                   sphere_surface)
 from critspec.errors import InvalidArgumentError
@@ -133,20 +132,19 @@ def test_ac_zero_density_and_linearity():
 def test_total_additivity_disk_plus_circle():
     half = make_smooth_curve(Circle(radius=0.5), 64)
     parts = [
-        coefficient_ac(np.pi, 1.0, label="disk"),
-        coefficient_surface(half, WeightFn.constant(1.0), label="half-circle"),
+        coefficient_ac(np.pi, 1.0),
+        coefficient_surface(half, WeightFn.constant(1.0)),
     ]
     total = coefficient_total(parts)
     assert total.c_plus == pytest.approx(0.75, rel=1e-12)
-    assert len(total.breakdown) == 2
-    assert {b[0] for b in total.breakdown} == {"disk", "half-circle"}
+    assert total.c_minus == 0.0
 
 
 def test_total_single_part_identity():
     part = coefficient_ac(np.pi, 1.0)
     total = coefficient_total([part])
     assert total.c_plus == part.c_plus
-    assert total.breakdown == part.breakdown
+    assert total.c_minus == part.c_minus
 
 
 def test_total_two_circles():
@@ -162,9 +160,3 @@ def test_total_two_circles():
 def test_total_rejects_empty():
     with pytest.raises(InvalidArgumentError):
         coefficient_total([])
-
-
-def test_breakdown_consistency_enforced():
-    with pytest.raises(Exception):
-        AsymCoeff(c_plus=1.0, c_minus=0.0,
-                  breakdown=(("part", 0.5, 0.0),))

@@ -23,7 +23,7 @@ from critspec.spectra import Spectrum
 
 
 def small_config(experiment, **kw):
-    base = dict(experiment=experiment, n=128, window=(2, 14), seed=1)
+    base = dict(experiment=experiment, n=128, window=(2, 14))
     base.update(kw)
     return ExperimentConfig.from_dict(base)
 
@@ -142,7 +142,7 @@ def test_reports_are_deterministic():
     b = run_experiment(small_config("circle-weyl"))
     assert a.hash() == b.hash()
     assert a.runtime_seconds != b.runtime_seconds or True  # runtime excluded
-    c = run_experiment(small_config("circle-weyl", seed=2))
+    c = run_experiment(small_config("circle-weyl", n=136))
     assert c.config_hash != a.config_hash
 
 
@@ -166,12 +166,31 @@ def test_lower_order_decay_experiment():
 
 def test_two_surfaces_writes_three_counting_tables(tmp_path):
     config = ExperimentConfig.from_dict(
-        dict(experiment="two-surfaces", n=144, window=(2, 14), seed=0,
+        dict(experiment="two-surfaces", n=144, window=(2, 14),
              out_dir=str(tmp_path)))
     run_experiment(config)
     names = {p.name for p in tmp_path.iterdir()}
     assert {"counting_combined.csv", "counting_surface_1.csv",
             "counting_surface_2.csv"} <= names
+
+
+def test_two_surfaces_without_trusted_positives_writes_header_only_tables(
+        tmp_path, capsys):
+    # a negative weight leaves no positive eigenvalue to lay levels on
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "experiment": "two-surfaces", "n": 144, "window": [2, 14],
+        "params": {"weight": {"kind": "constant", "value": -1.0}}}))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    report = json.loads((out / "report.json").read_text())
+    c_plus = report["criteria"][0]
+    assert c_plus["name"] == "c_plus" and c_plus["value"] is None
+    assert not c_plus["passed"]
+    for name in ("combined", "surface_1", "surface_2"):
+        text = (out / ("counting_%s.csv" % name)).read_text()
+        assert text.split() == ["lambda,n_plus,n_minus,lambda_times_n"]
 
 
 def test_emit_plotdata_columns(tmp_path):
@@ -201,8 +220,7 @@ def test_cli_list_experiments(capsys):
 
 
 def test_cli_run_with_config_file(tmp_path, capsys):
-    cfg = {"experiment": "circle-weyl", "n": 128, "window": [2, 14],
-           "seed": 0}
+    cfg = {"experiment": "circle-weyl", "n": 128, "window": [2, 14]}
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     code = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
@@ -546,6 +564,9 @@ _BAD_INPUTS = {
     "orlicz-norm-circle-n-1e14": (
         ["orlicz-norm", "--shape", "circle", "--n", "100000000000000"],
         3, "100000000000000 nodes exceed the cap of 32768"),
+    "config-seed": (
+        {"experiment": "circle-weyl", "seed": 0},
+        2, "unknown config keys: seed"),
 }
 
 
@@ -564,6 +585,37 @@ def test_bad_inputs_exit_without_traceback_and_name_the_value(
     assert "Traceback" not in err and err.count("\n") == 1
     assert named in err
     assert not (tmp_path / "out").exists()
+
+
+# each path that cannot be used as given: what sits at PATH (a directory, or
+# a file of these bytes) and the command line that names it
+_BAD_PATHS = {
+    "config-is-a-directory": (None, ["run", "--config", "PATH"]),
+    "config-is-not-utf-8": (b'{"experiment": "circle-weyl\xff"}',
+                            ["run", "--config", "PATH"]),
+    "spectrum-out-is-a-file": (b"", ["spectrum", "--n", "64",
+                                     "--out", "PATH"]),
+    "covering-out-is-a-file": (b"", ["covering", "--grid-n", "4", "--lam",
+                                     "0.9", "--out", "PATH"]),
+    "coeff-out-is-a-file": (b"", ["coeff", "--max-dim", "3",
+                                  "--out", "PATH"]),
+}
+
+
+@pytest.mark.parametrize("name", list(_BAD_PATHS))
+def test_unusable_paths_exit_2_naming_the_path(name, tmp_path, capsys):
+    content, args = _BAD_PATHS[name]
+    path = tmp_path / "taken"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    assert main([str(path) if a == "PATH" else a for a in args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err
+    assert "Traceback" not in err and err.count("\n") == 1
+    assert (list(path.iterdir()) == [] if content is None
+            else path.read_bytes() == content)
 
 
 @pytest.mark.parametrize("args", [

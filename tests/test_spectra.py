@@ -336,15 +336,16 @@ def test_indefinite_unsigned_operator_is_refused():
 # the circulant solve
 # ---------------------------------------------------------------------------
 
-def _outcome(solve):
-    """The spectrum a solve returns, as n sorted eigenvalues with the
-    dropped numerical zeros put back as zeros, or the kind of error it
-    raises: its type and the text before the first colon."""
+def _outcome(solve, n: int):
+    """The spectrum a solve of an n x n operator returns, as n sorted
+    eigenvalues with the dropped numerical zeros put back as zeros, or the
+    kind of error it raises: its type and the text before the first
+    colon."""
     try:
         sp = solve()
     except (InvalidArgumentError, InternalError) as exc:
         return type(exc), str(exc).split(":")[0]
-    vals = np.zeros(sp.resolution_n)
+    vals = np.zeros(n)
     kept = np.concatenate([sp.negatives, sp.positives])
     vals[:len(kept)] = kept
     return np.sort(vals)
@@ -372,8 +373,8 @@ def test_circulant_solve_matches_the_dense_solve(radius, center, half_n,
     first = op.entries[0]
     assert np.max(np.abs(row - 0.5 * (first + np.roll(first[::-1], 1)))) <= (
         1e-15 * np.max(np.abs(row)))
-    circulant = _outcome(lambda: spectra.circulant_eigensolve(row))
-    dense = _outcome(lambda: eigensolve(op))
+    circulant = _outcome(lambda: spectra.circulant_eigensolve(row), n)
+    dense = _outcome(lambda: eigensolve(op), n)
     if isinstance(dense, tuple) or isinstance(circulant, tuple):
         assert circulant == dense
         return
@@ -398,7 +399,7 @@ def test_a_near_circle_takes_the_circulant_solve_only_inside_the_check(
     assert (row is not None) == inside
     if not inside:
         return
-    got = _outcome(lambda: spectra.circulant_eigensolve(row))
+    got = _outcome(lambda: spectra.circulant_eigensolve(row), n)
     dense = np.linalg.eigvalsh(assemble_mixed(supports,
                                               reference_kernel()).entries,
                                UPLO="U")
