@@ -23,6 +23,19 @@ weight) blocks: each support's effective kernel on its diagonal block and
 plain kernel values in the cross blocks between supports.  The curve and
 measure operators are its one-block calls.
 
+A support with a symmetry has a second, smaller form.  Where a group G of
+plane isometries maps the atoms, their quadrature weights and their weight
+values onto themselves (C_m rotations, or one or two reflections), the
+operator commutes with G, and ``assemble_symmetric`` builds it in a
+symmetry-adapted basis as one block per character of G, each about n/|G|
+(Fassler and Stiefel, Group Theoretical Methods and Their Applications,
+1992; Allgower, Georg and Miranda, SIAM J. Numer. Anal. 29, 1992).  It
+assembles the rows of one representative per orbit, n^2/|G| entries, and
+takes the blocks from one DFT over the group axes; an equispaced circle of
+a constant weight is the case G = C_n, whose n blocks are 1 x 1, the real
+DFT of its first row.  ``_symmetry_table`` is the one place that decides
+which operators are reduced; all others are dense.
+
 Each effective-kernel matrix is built in one blocked pass over its upper
 triangle.  A block is a slice of rows [i0, i1) against the columns j >= i0:
 its distances come from a broadcast of two node slices, its kernel
@@ -68,6 +81,7 @@ A K that is not is an under-resolved mesh: the fold raises
 
 from __future__ import annotations
 
+import functools
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -90,13 +104,13 @@ _BLOCK_BYTES = 1 << 19
 # for BLAS to run near its GEMM rate, narrow enough that the half of each
 # diagonal tile computed and then dropped stays a small share of the work
 _FOLD_COLUMNS = 256
-# relative spread, in units of n eps, within which a smooth closed mesh
-# counts as a regular n-gon: the eigensolve's own tolerance unit
-# (spectra._INVARIANT_ULPS).  Circles of radius 0.05-20 centred within 10
-# of the origin spread by at most 0.52 of it for n <= 4096; an ellipse or a
-# star that spreads by s moves its eigenvalues off the circulant ones by
-# about 0.7 s of the spectral radius, inside the solve's check
-_CIRCULANT_ULPS = 64.0
+# tolerance, in units of n eps, within which a plane isometry counts as a
+# symmetry of the atoms, their quadrature weights and their weight values
+# (``_symmetry_table``): the eigensolve's own tolerance unit
+# (spectra._INVARIANT_ULPS).  A support that misses a symmetry by s of it
+# moves its eigenvalues off the reduced ones by about s of the spectral
+# radius, inside the solve's check
+_SYMMETRY_ULPS = 64.0
 # threads that run the row blocks: the cores this process may run on
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
@@ -265,10 +279,7 @@ def _cholesky_fold(kernel_matrix: np.ndarray, v_vals: np.ndarray,
     try:
         _cholesky_in_place(kernel_matrix)
     except np.linalg.LinAlgError:
-        raise InvalidArgumentError(
-            "under-resolved mesh: the kernel matrix of this sign-changing "
-            "weight is not positive definite at node spacing %.4g; refine "
-            "the mesh" % float(weights.max())) from None
+        raise _not_positive_definite(weights) from None
     vw = v_vals * weights
     n = len(vw)
     upper = _upper(min(n, _FOLD_COLUMNS))
@@ -291,6 +302,15 @@ def _cholesky_fold(kernel_matrix: np.ndarray, v_vals: np.ndarray,
         np.copyto(kernel_matrix[c0:c1, c0:c1], diagonal,
                   where=upper[:c1 - c0, :c1 - c0])
     return kernel_matrix
+
+
+def _not_positive_definite(weights: np.ndarray) -> InvalidArgumentError:
+    """The fold's refusal of a kernel matrix that is not positive
+    definite, naming the node spacing (the largest quadrature weight)."""
+    return InvalidArgumentError(
+        "under-resolved mesh: the kernel matrix of this sign-changing "
+        "weight is not positive definite at node spacing %.4g; refine "
+        "the mesh" % float(weights.max()))
 
 
 def _cholesky_in_place(m: np.ndarray) -> None:
@@ -374,19 +394,17 @@ def _kress_weight_vector(n: int) -> np.ndarray:
     depends only on d = (i - j) mod n:
         R_d = -(2 pi / m) sum_{k=1}^{m-1} cos(k t_d)/k - (pi/m^2) cos(m t_d).
     Exact for trigonometric polynomials of degree below m.  The series is
-    summed over 32-row blocks of the (n, m - 1) cosine table, so no n^2
-    temporary exists.  The blocks are serial and fixed, not the workers'
-    row blocks: a matrix-vector product's row sums can depend on how many
-    rows it takes, and these stay those of one product over the whole table.
+    one inverse real DFT: with a = (0, 1, 1/2, ..., 1/(m-1), 1/m), whose
+    last entry is the Nyquist term (-1)^d, R = -2 pi irfft(a), in
+    O(n log n) and O(n) memory.  R_d = R_{n-d} is made exact, so every
+    matrix built on it is exactly invariant under the index reflections.
     """
     m = n // 2
-    t = TWO_PI * np.arange(n) / n
-    ks = np.arange(1, m)
-    inverse = 1.0 / ks
-    series = np.empty(n)
-    for i0 in range(0, n, 32):
-        series[i0:i0 + 32] = np.cos(np.outer(t[i0:i0 + 32], ks)) @ inverse
-    return -(TWO_PI / m) * series - (np.pi / m ** 2) * np.cos(m * t)
+    series = np.zeros(m + 1)
+    series[1:] = 1.0 / np.arange(1, m + 1)
+    weights = -TWO_PI * np.fft.irfft(series, n)
+    weights[1:] = 0.5 * (weights[1:] + weights[:0:-1])
+    return weights
 
 
 def _each_block(n_rows: int, width: int, fill) -> None:
@@ -424,54 +442,44 @@ def _each_block(n_rows: int, width: int, fill) -> None:
             future.result()
 
 
-def _smooth_curve_block(mesh: SurfaceMesh, kernel: KernelModel,
-                        rw: np.ndarray, i0: int, i1: int) -> np.ndarray:
-    """Effective-kernel entries of the rows [i0, i1) of a smooth closed
-    mesh against the columns j >= i0, with the Kress weights ``rw``; the
-    entries of the self pairs are placeholders that
-    ``_smooth_curve_diagonal`` replaces."""
+def _set_self(block: np.ndarray, rows: np.ndarray, c0: int, value) -> None:
+    """Write ``value`` into the self pairs of a block of the rows ``rows``
+    (each at least c0) against the columns [c0, n)."""
+    block[np.arange(len(rows)), rows - c0] = value
+
+
+def _smooth_curve_rows(mesh: SurfaceMesh, kernel: KernelModel):
+    """The effective-kernel rows of a smooth closed mesh: the Kress weights
+    integrate the log(4 sin^2((t-s)/2)) part, the trapezoid rule the rest,
+    and the self pairs take the diagonal closure."""
     n = mesh.n_nodes
-    t = mesh.param_values
-    r = _pairwise_dist(mesh.nodes[i0:i1], mesh.nodes[i0:])
-    # placeholders on the self pairs, whose entries the closure replaces
-    np.fill_diagonal(r, 1.0)
-    log_factor, smooth = kernel.split(r)
-    # taken after the split, whose temporaries it would join otherwise
-    half_sin = np.abs(np.sin((t[i0:i1, None] - t[None, i0:]) / 2.0))
-    np.fill_diagonal(half_sin, 1.0)
-    # the Kress weights integrate log_factor * log(4 sin^2((t-s)/2)) / 2;
-    # the rest of log_factor * log(r) joins the smooth remainder
-    smooth = smooth + log_factor * np.log(r / (2.0 * half_sin))
-    del r, half_sin
-    offsets = np.arange(i0, i1)[:, None] - np.arange(i0, n)[None, :]
-    return (0.5 * log_factor * rw[offsets % n]
-            + (TWO_PI / n) * smooth) * (n / TWO_PI)
-
-
-def _smooth_curve_diagonal(mesh: SurfaceMesh, kernel: KernelModel,
-                           rw: np.ndarray) -> np.ndarray:
-    """The diagonal closure of a smooth closed mesh's effective kernel."""
-    n = mesh.n_nodes
-    speed = mesh.weights / (TWO_PI / n)
-    return (0.5 * kernel.log_coefficient * rw[0]
-            + (TWO_PI / n) * (kernel.remainder_at_zero
-                              + kernel.log_coefficient * np.log(speed))
-            ) * (n / TWO_PI)
-
-
-def _smooth_curve_effective_kernel(mesh: SurfaceMesh, kernel: KernelModel,
-                                   out: np.ndarray | None = None
-                                   ) -> np.ndarray:
-    n = mesh.n_nodes
+    nodes, t = mesh.nodes, mesh.param_values
     rw = _kress_weight_vector(n)
-    out = np.empty((n, n)) if out is None else out
+    speed = mesh.weights / (TWO_PI / n)
+    closure = (0.5 * kernel.log_coefficient * rw[0]
+               + (TWO_PI / n) * (kernel.remainder_at_zero
+                                 + kernel.log_coefficient * np.log(speed))
+               ) * (n / TWO_PI)
 
-    def fill(i0, i1):
-        _put_upper(out, i0, i1, _smooth_curve_block(mesh, kernel, rw, i0, i1))
+    def block(rows, c0):
+        r = _pairwise_dist(nodes[rows], nodes[c0:])
+        # placeholders on the self pairs, whose entries the closure replaces
+        _set_self(r, rows, c0, 1.0)
+        log_factor, smooth = kernel.split(r)
+        # taken after the split, whose temporaries it would join otherwise
+        half_sin = np.abs(np.sin((t[rows, None] - t[None, c0:]) / 2.0))
+        _set_self(half_sin, rows, c0, 1.0)
+        # the Kress weights integrate log_factor * log(4 sin^2((t-s)/2)) / 2;
+        # the rest of log_factor * log(r) joins the smooth remainder
+        smooth = smooth + log_factor * np.log(r / (2.0 * half_sin))
+        del r, half_sin
+        offsets = rows[:, None] - np.arange(c0, n)[None, :]
+        out = (0.5 * log_factor * rw[offsets % n]
+               + (TWO_PI / n) * smooth) * (n / TWO_PI)
+        _set_self(out, rows, c0, closure[rows])
+        return out
 
-    _each_block(n, n, fill)
-    np.fill_diagonal(out, _smooth_curve_diagonal(mesh, kernel, rw))
-    return out
+    return block
 
 
 def _panel_log_integrals(targets: np.ndarray, centers: np.ndarray,
@@ -507,18 +515,19 @@ def _panel_log_integrals(targets: np.ndarray, centers: np.ndarray,
     return 0.5 * (antiderivative(v2) - antiderivative(v1))
 
 
-def _polygon_effective_kernel(mesh: SurfaceMesh, kernel: KernelModel,
-                              out: np.ndarray | None = None) -> np.ndarray:
-    """Panel collocation symmetrized, (K + K^T) / 2: a row block's entries
-    combine its rows collocated on the column panels with the column nodes
-    collocated on its row panels."""
-    n = mesh.n_nodes
+def _polygon_rows(mesh: SurfaceMesh, kernel: KernelModel):
+    """The effective-kernel rows of a polygon: panel collocation
+    symmetrized, (K + K^T) / 2, each entry combining its row node
+    collocated on the column panel with the column node collocated on the
+    row panel; the self panel takes its log integral exactly."""
     w = mesh.weights
     nodes, tangents = mesh.nodes, mesh.tangents
-    out = np.empty((n, n)) if out is None else out
+    intlog_self = w * (np.log(w / 2.0) - 1.0)
+    closure = (kernel.log_coefficient * intlog_self
+               + kernel.remainder_at_zero * w) / w
 
-    def fill(i0, i1):
-        rows, cols = slice(i0, i1), slice(i0, None)
+    def block(rows, c0):
+        cols = slice(c0, None)
         log_factor, smooth = kernel.split(
             _pairwise_dist(nodes[rows], nodes[cols]))
         intlog = _panel_log_integrals(nodes[rows], nodes[cols],
@@ -529,13 +538,59 @@ def _polygon_effective_kernel(mesh: SurfaceMesh, kernel: KernelModel,
                                         tangents[rows], w[rows]).T
         ktil_t = ((log_factor * intlog_t + smooth * w[rows, None])
                   / w[rows, None])
-        _put_upper(out, i0, i1, 0.5 * (ktil + ktil_t))
+        out = 0.5 * (ktil + ktil_t)
+        _set_self(out, rows, c0, closure[rows])
+        return out
+
+    return block
+
+
+def _point_rows(points: np.ndarray, kernel: KernelModel, cell_kind: str,
+                cell_size):
+    """The effective-kernel rows of an atomized measure: pointwise kernel
+    values, the self pairs closed by the cell average."""
+    if kernel.log_coefficient != 0.0:
+        closure = self_cell_coefficient(cell_kind, float(cell_size))
+    else:
+        closure = kernel.remainder_at_zero
+
+    def block(rows, c0):
+        r = _pairwise_dist(points[rows], points[c0:])
+        # a placeholder distance on the self pairs, closed below
+        _set_self(r, rows, c0, 1.0)
+        out = kernel.profile(r)
+        _set_self(out, rows, c0, closure)
+        return out
+
+    return block
+
+
+def _support_rows(support, kernel: KernelModel):
+    """The effective-kernel rows of one support, as a function of (rows,
+    c0): the entries of the rows ``rows`` (an index array, each at least
+    c0) against the columns [c0, n), the self pairs closed.  Smooth closed
+    meshes (even, at least 8 nodes, as ``SurfaceMesh`` enforces) get the
+    spectrally accurate periodic log quadrature; polygons, of any size,
+    panel collocation with exact flat-panel log integrals; measures the
+    pointwise kernel closed by the cell average of ``_cell_shape``."""
+    if isinstance(support, SingularMeasure):
+        return _point_rows(support.atoms, kernel, _cell_shape(support),
+                           support.cell_size)
+    if support.kind == "smooth-closed":
+        return _smooth_curve_rows(support, kernel)
+    return _polygon_rows(support, kernel)
+
+
+def _upper_pass(block, n: int, out: np.ndarray | None) -> np.ndarray:
+    """The upper triangle, diagonal included, of the n x n matrix whose
+    rows ``block`` gives, written in one blocked pass into ``out`` (an
+    (n, n) view, as of a larger matrix) when given."""
+    out = np.empty((n, n)) if out is None else out
+
+    def fill(i0, i1):
+        _put_upper(out, i0, i1, block(np.arange(i0, i1), i0))
 
     _each_block(n, n, fill)
-    # self panel: integral of log|x_i - y| over the own panel, exactly
-    intlog_self = w * (np.log(w / 2.0) - 1.0)
-    np.fill_diagonal(out, (kernel.log_coefficient * intlog_self
-                           + kernel.remainder_at_zero * w) / w)
     return out
 
 
@@ -543,34 +598,15 @@ def _point_effective_kernel(points: np.ndarray, kernel: KernelModel,
                             cell_kind: str, cell_size,
                             out: np.ndarray | None = None) -> np.ndarray:
     """Pointwise kernel with the cell-averaged diagonal closure."""
-    n = len(points)
-    out = np.empty((n, n)) if out is None else out
-
-    def fill(i0, i1):
-        r = _pairwise_dist(points[i0:i1], points[i0:])
-        # a placeholder distance on the self pairs, closed below
-        np.fill_diagonal(r, 1.0)
-        _put_upper(out, i0, i1, kernel.profile(r))
-
-    _each_block(n, n, fill)
-    if kernel.log_coefficient != 0.0:
-        diag = self_cell_coefficient(cell_kind, float(cell_size))
-    else:
-        diag = kernel.remainder_at_zero
-    np.fill_diagonal(out, diag)
-    return out
+    return _upper_pass(_point_rows(points, kernel, cell_kind, cell_size),
+                       len(points), out)
 
 
 def _curve_effective_kernel(mesh: SurfaceMesh, kernel: KernelModel,
                             out: np.ndarray | None = None) -> np.ndarray:
-    """Smooth closed meshes (even, at least 8 nodes, as ``SurfaceMesh``
-    enforces) get the spectrally accurate periodic log quadrature; polygons,
-    of any size, get panel collocation with exact flat-panel log integrals.
-    The matrix is written into ``out`` when given (an (n, n) view, as of a
-    larger matrix)."""
-    if mesh.kind == "smooth-closed":
-        return _smooth_curve_effective_kernel(mesh, kernel, out)
-    return _polygon_effective_kernel(mesh, kernel, out)
+    """The curve's effective-kernel matrix on the quadrature that
+    ``_support_rows`` picks for it."""
+    return _upper_pass(_support_rows(mesh, kernel), mesh.n_nodes, out)
 
 
 # ---------------------------------------------------------------------------
@@ -679,47 +715,17 @@ def _cross_block(points_a: np.ndarray, points_b: np.ndarray,
     _each_block(len(points_a), len(points_b), fill)
 
 
-def circulant_row(supports, kernel: KernelModel) -> np.ndarray | None:
-    """First row of the operator ``assemble_mixed`` builds over
-    ``supports`` where that operator is circulant, else None.
-
-    It is circulant when the supports are one smooth closed mesh that is a
-    regular n-gon in index order (``_regular_polygon``) with weight values
-    that are all equal and nonnegative.  The row takes the dense builder's
-    expressions on row 0, its diagonal closure, and the scaling by V w,
-    and is then made exactly symmetric, c_j <- (c_j + c_{n-j}) / 2.  A
-    weight that does not fit the mesh raises as in ``assemble_mixed``.
-    """
-    supports = list(supports)
-    if len(supports) != 1:
-        return None
-    mesh, weight = supports[0]
-    if not (isinstance(mesh, SurfaceMesh) and mesh.kind == "smooth-closed"):
-        return None
-    v = weight.values_on(mesh)
-    if not (v[0] >= 0.0 and np.all(v == v[0]) and _regular_polygon(mesh)):
-        return None
-    rw = _kress_weight_vector(mesh.n_nodes)
-    row = _smooth_curve_block(mesh, kernel, rw, 0, 1)[0]
-    row[0] = _smooth_curve_diagonal(mesh, kernel, rw)[0]
-    row *= v[0] * mesh.weights[0]
-    return 0.5 * (row + np.roll(row[::-1], 1))
-
-
-def _regular_polygon(mesh: SurfaceMesh) -> bool:
-    """Whether the nodes are a regular n-gon in index order, on which the
-    smooth-curve effective kernel is circulant: equal distances to the
-    node centroid, equal chords between consecutive nodes (the closing one
-    included), equal quadrature weights and equal parameter steps, each
-    within ``_CIRCULANT_ULPS`` n eps of its mean."""
-    nodes, t = mesh.nodes, mesh.param_values
-    rtol = _CIRCULANT_ULPS * mesh.n_nodes * np.finfo(float).eps
-    spreads = (np.hypot(*(nodes - nodes.mean(axis=0)).T),
-               np.hypot(*(np.roll(nodes, -1, axis=0) - nodes).T),
-               mesh.weights,
-               np.diff(t, append=t[0] + TWO_PI))
-    return all(np.max(np.abs(x - x.mean())) <= rtol * abs(x.mean())
-               for x in spreads)
+def _layout(supports):
+    """The supports laid end to end: (atoms, quadrature weights, weight
+    values, offsets), support k spanning [offsets[k], offsets[k + 1]).  A
+    weight that does not fit its support raises here."""
+    if not supports:
+        raise InvalidArgumentError("nothing to assemble")
+    points, weights = zip(*(support_atoms(s) for s, _ in supports))
+    values = np.concatenate([vfn.values_on(s) for s, vfn in supports])
+    offsets = np.concatenate([[0], np.cumsum([len(p) for p in points])])
+    return (np.concatenate(points), np.concatenate(weights), values,
+            offsets.astype(int))
 
 
 def assemble_mixed(supports, kernel: KernelModel) -> OperatorMatrix:
@@ -727,30 +733,470 @@ def assemble_mixed(supports, kernel: KernelModel) -> OperatorMatrix:
     a ``SurfaceMesh`` or a ``SingularMeasure``.
 
     A curve's diagonal block takes the curve quadrature of
-    ``_curve_effective_kernel``; a measure's takes pointwise kernel values
-    closed by its cell's self coefficient; every cross block is plain
-    kernel values.  A measure atom within one cell diagonal of a curve node
-    is refused: such near-singular blocks are unresolved.
+    ``_support_rows``; a measure's takes pointwise kernel values closed by
+    its cell's self coefficient; every cross block is plain kernel values.
+    A measure atom within one cell diagonal of a curve node is refused:
+    such near-singular blocks are unresolved.
     """
     supports = list(supports)
-    if not supports:
-        raise InvalidArgumentError("nothing to assemble")
-    points, weights = zip(*(support_atoms(s) for s, _ in supports))
+    points, weights, v_all, offsets = _layout(supports)
     _check_separation(supports)
-    v_all = np.concatenate([vfn.values_on(s) for s, vfn in supports])
-    sizes = [len(p) for p in points]
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    spans = [slice(offsets[i], offsets[i + 1]) for i in range(len(sizes))]
+    spans = [slice(offsets[i], offsets[i + 1]) for i in range(len(supports))]
     # every block is written in place: the diagonal ones by their builders
-    ktil = np.empty((int(offsets[-1]),) * 2)
+    ktil = np.empty((len(points),) * 2)
     for (support, _), si in zip(supports, spans):
-        if isinstance(support, SurfaceMesh):
-            _curve_effective_kernel(support, kernel, ktil[si, si])
-        else:
-            _point_effective_kernel(support.atoms, kernel,
-                                    _cell_shape(support), support.cell_size,
-                                    ktil[si, si])
+        _upper_pass(_support_rows(support, kernel), si.stop - si.start,
+                    ktil[si, si])
     for i, si in enumerate(spans):
-        for j in range(i + 1, len(spans)):
-            _cross_block(points[i], points[j], kernel, ktil[si, spans[j]])
-    return _finalize(ktil, v_all, np.concatenate(weights))
+        for sj in spans[i + 1:]:
+            _cross_block(points[si], points[sj], kernel, ktil[si, sj])
+    return _finalize(ktil, v_all, weights)
+
+
+# ---------------------------------------------------------------------------
+# symmetry reduction
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class BlockOperator:
+    """The operator of a symmetric support in a symmetry-adapted basis, as
+    ``assemble_symmetric`` builds it: one block per character of its
+    symmetry group.  Its eigenvalues are those of ``blocks``, real
+    symmetric ``OperatorMatrix`` blocks of order 2 or more (a complex
+    conjugate pair as the real form of one of its pair, whose eigenvalues
+    come out twice), together with ``singles``, the eigenvalues of the
+    1 x 1 blocks, each listed as often as it counts.  ``invariants`` are
+    the trace and the squared Frobenius norm of the whole operator in units
+    of 2^e and 2^2e, and e, the binary exponent of its largest |entry|, as
+    ``spectra`` checks them; ``n`` is its order.  ``spectra.eigensolve``
+    consumes the blocks."""
+
+    blocks: tuple
+    singles: np.ndarray
+    invariants: tuple[float, float, int]
+    n: int
+    signed_flag: bool
+
+
+# a generic direction: the atoms are matched to the images of a map by
+# their projections on it, sorted once
+_KEY = np.array([np.cos(1.0), np.sin(1.0)])
+# the reflections tried: across the lines through the centroid at these
+# angles to the x axis, the perpendicular pairs of which make Z2 x Z2
+_AXES = (0.0, 0.5 * np.pi, 0.25 * np.pi, 0.75 * np.pi)
+
+
+def _rotation(angle) -> np.ndarray:
+    """Rotation matrices by ``angle`` (any shape), shape (..., 2, 2)."""
+    c, s = np.cos(angle), np.sin(angle)
+    return np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2)
+
+
+def _reflection(angle: float) -> np.ndarray:
+    """The reflection across the line through 0 at ``angle``."""
+    c, s = np.cos(2.0 * angle), np.sin(2.0 * angle)
+    return np.array([[c, s], [s, -c]])
+
+
+def _primes(k: int) -> list[int]:
+    """The prime factors of k, each once, ascending."""
+    out, p = [], 2
+    while p * p <= k:
+        if k % p == 0:
+            out.append(p)
+            while k % p == 0:
+                k //= p
+        p += 1
+    return out + ([k] if k > 1 else [])
+
+
+def _powers(perm: np.ndarray, count: int, start: np.ndarray) -> np.ndarray:
+    """perm^a(start) for a in [0, count), shape (count, len(start)), by
+    doubling: log2(count) gathers."""
+    out = np.empty((count, len(start)), dtype=np.intp)
+    out[0] = start
+    done, step = 1, perm
+    while done < count:
+        take = min(done, count - done)
+        out[done:done + take] = step[out[:take]]
+        done += take
+        step = step[step]
+    return out
+
+
+def _symmetry_table(supports, points, weights, values, offsets):
+    """The orbits of the largest abelian group of plane isometries that
+    maps the supports onto themselves, as an (N1, N2, r) table: entry
+    [a, b, o] is the atom that g1^a g2^b maps orbit o's representative
+    to, the representatives (the least index of each orbit) in row
+    [0, 0].  None where no such group is found: the operator takes the
+    dense path.
+
+    This is the one place that decides which operators are reduced.  The
+    maps tried are the rotations about the centroid of the atoms by
+    2 pi / m, m dividing each support's count of atoms off the centroid (the
+    largest m, found one prime power at a time), and the reflections across
+    the lines through the centroid parallel to the axes and to the
+    diagonals.  The group is C_m, two perpendicular reflections (Z2 x Z2),
+    or one reflection (Z2): the largest order wins, reflections at a tie,
+    whose blocks are real.  A map is accepted when it maps every support
+    onto itself, each atom within ``_SYMMETRY_ULPS`` n eps of the largest
+    |coordinate| of an atom, with its quadrature weight within that many
+    n eps of itself and its weight value within that many n eps of the
+    largest |value|; on a smooth closed mesh it must also shift or reverse
+    the node indices and the parameters with them (the Kress weights read
+    index offsets), and on a polygon carry each panel's tangent to one of
+    the image panel's.  The whole group is then checked the same way: every
+    atom of an orbit must lie at the exact isometry's image of its
+    representative, so a near-symmetry cannot pass by small steps.  Any
+    support kind and any weight is reduced when this holds.
+    """
+    n = len(points)
+    if n < 2:
+        return None
+    unit = _SYMMETRY_ULPS * n * np.finfo(float).eps
+    center = points.mean(axis=0)
+    rel = points - center
+    reach = unit * np.max(np.abs(points))
+    v_reach = unit * np.max(np.abs(values))
+    owner = np.repeat(np.arange(len(supports)), np.diff(offsets))
+    key = rel @ _KEY
+    order = np.argsort(key)
+    sorted_key = key[order]
+    everyone = np.arange(n)
+
+    def match(isometry):
+        """The permutation of the atoms that ``isometry`` (about the
+        centroid) induces, or None where it is not a symmetry."""
+        image = rel @ isometry.T
+        j = np.clip(np.searchsorted(sorted_key, image @ _KEY), 1, n - 1)
+        near = order[np.stack([j - 1, j])]
+        gap = np.linalg.norm(rel[near] - image, axis=2)
+        pick = np.argmin(gap, axis=0)
+        perm = near[pick, everyone]
+        if (gap[pick, everyone].max() > reach
+                or np.array_equal(perm, everyone)
+                or np.any(np.bincount(perm, minlength=n) != 1)
+                or np.any(owner[perm] != owner)
+                or np.any(np.abs(weights[perm] - weights) > unit * weights)
+                or np.any(np.abs(values[perm] - values) > v_reach)):
+            return None
+        for k, (support, _) in enumerate(supports):
+            if isinstance(support, SurfaceMesh) and not _keeps_mesh(
+                    support, perm[offsets[k]:offsets[k + 1]] - offsets[k],
+                    isometry, unit):
+                return None
+        return perm
+
+    @functools.cache
+    def turn(m):
+        return match(_rotation(TWO_PI / m))
+
+    # every atom off the centroid has an orbit of m under C_m, and C_m
+    # holds for each divisor of an m that holds: per prime p, a bisection
+    # over the powers of p that divide every such count, p itself first
+    off = np.linalg.norm(rel, axis=1) > reach
+    common = int(np.gcd.reduce(np.bincount(owner[off],
+                                           minlength=len(supports))))
+    m = 1
+    for p in _primes(common):
+        low, high = 0, 0
+        while common % p ** (high + 1) == 0:
+            high += 1
+        while low < high:
+            mid = 1 if low == 0 else (low + high + 1) // 2
+            if turn(p ** mid) is None:
+                high = mid - 1
+            else:
+                low = mid
+        m *= p ** low
+    args = (rel, weights, values, reach, unit, v_reach)
+    rotations = None
+    if m > 1 and turn(m) is not None:
+        rotations = _orbit_table([(turn(m), _rotation(
+            TWO_PI * np.arange(m) / m))], *args)
+        # no reflection group, of order 4 at most, beats it
+        if rotations is not None and m > 4:
+            return rotations
+    mirrors = [(match(_reflection(a)), np.stack([np.eye(2), _reflection(a)]))
+               for a in _AXES]
+    # the largest order first, and at a tie the reflections, whose blocks
+    # are real: two of them before C_4 and C_3, C_3 before one, one before
+    # C_2
+    groups = [[first, second] for first, second in (mirrors[:2], mirrors[2:])
+              if first[0] is not None and second[0] is not None
+              and not np.array_equal(first[0], second[0])]
+    for generators in groups:
+        table = _orbit_table(generators, *args)
+        if table is not None:
+            return table
+    if rotations is not None and m > 2:
+        return rotations
+    for mirror in mirrors:
+        table = None if mirror[0] is None else _orbit_table([mirror], *args)
+        if table is not None:
+            return table
+    return rotations
+
+
+def _keeps_mesh(mesh: SurfaceMesh, local: np.ndarray, isometry: np.ndarray,
+                unit: float) -> bool:
+    """Whether the node permutation ``local`` that ``isometry`` induces on
+    a mesh keeps its effective kernel: on a smooth closed mesh it shifts
+    or reverses the indices, j -> j0 + s j mod n with s = +-1, and the
+    parameters with them; on a polygon it carries each tangent to plus or
+    minus the image panel's."""
+    if mesh.kind == "polygon":
+        turned = mesh.tangents @ isometry.T
+        target = mesh.tangents[local]
+        return bool(np.max(np.minimum(
+            np.linalg.norm(turned - target, axis=1),
+            np.linalg.norm(turned + target, axis=1))) <= unit)
+    n = len(local)
+    sign = {1: 1, n - 1: -1}.get(int(local[1] - local[0]) % n)
+    if sign is None or np.any((local - local[0] - sign * np.arange(n)) % n):
+        return False
+    t = mesh.param_values
+    shift = t[local] - sign * t
+    shift = (shift - shift[0] + np.pi) % TWO_PI - np.pi
+    return bool(np.max(np.abs(shift)) <= unit * TWO_PI)
+
+
+def _orbit_table(generators, rel, weights, values, reach, unit, v_reach):
+    """The (N1, N2, r) orbit table of ``_symmetry_table`` for one or two
+    commuting generators, each (permutation, the exact isometries of its
+    powers), or None where the group they generate is not a symmetry of
+    the atoms within the tolerances."""
+    n = len(rel)
+    label = np.arange(n)
+    for perm, maps in generators:
+        # after k doublings each label is the least of 2^k cycle steps
+        step = perm
+        for _ in range(int(len(maps) - 1).bit_length()):
+            label = np.minimum(label, label[step])
+            step = step[step]
+    table = np.unique(label)
+    for perm, maps in reversed(generators):
+        table = _powers(perm, len(maps) + 1, table.ravel()).reshape(
+            (len(maps) + 1,) + table.shape)
+        if not np.array_equal(table[-1], table[0]):
+            return None
+        table = table[:-1]
+    if len(generators) == 1:
+        table = table[None]
+    maps = (generators[0][1][None] if len(generators) == 1 else
+            np.einsum("aij,bjk->abik", generators[0][1], generators[1][1]))
+    reps = table[0, 0]
+    orbit_sizes = table.shape[0] * table.shape[1] // (table == reps).sum(
+        axis=(0, 1))
+    expected = np.einsum("abij,oj->aboi", maps, rel[reps])
+    if (orbit_sizes.sum() != n
+            or np.max(np.linalg.norm(rel[table] - expected, axis=-1)) > reach
+            or np.any(np.abs(weights[table] - weights[reps])
+                      > unit * weights[reps])
+            or np.any(np.abs(values[table] - values[reps]) > v_reach)):
+        return None
+    return table
+
+
+def _orbit_rows(supports, kernel: KernelModel, points: np.ndarray,
+                offsets: np.ndarray, table: np.ndarray, vw: np.ndarray):
+    """The rows of the orbit representatives of the kernel matrix that
+    ``assemble_mixed`` builds over ``supports``, gathered in group order:
+    an (N1, N2, r, r) array R with R[a, b, o, p] = K[i_o, g_ab(i_p)], and
+    the operator's invariants (``_row_invariants``).  Each support's rows
+    take its effective kernel, and plain kernel values across supports,
+    one row block at a time in the pass of ``_each_block``; no full row
+    array is kept.
+
+    R lives in an array of n^2 doubles or more, the dense operator's
+    storage, of which it touches about n^2/|G|: the allocator maps and
+    releases it as it does the dense operator, and so keeps no more memory
+    resident after the solve than the dense path does."""
+    reps = table[0, 0]
+    sizes = table.shape[0] * table.shape[1] / (table == reps).sum(axis=(0, 1))
+    shape = table.shape[:2] + (len(reps), len(reps))
+    out = np.empty(max(len(points) ** 2, int(np.prod(shape))))
+    out = out[:int(np.prod(shape))].reshape(shape)
+    sums = []
+    bounds = np.searchsorted(reps, offsets)
+    for k, (support, _) in enumerate(supports):
+        block = _support_rows(support, kernel)
+        lo, hi = offsets[k], offsets[k + 1]
+        first = bounds[k]
+
+        def fill(i0, i1, block=block, lo=lo, hi=hi, first=first):
+            rows = slice(first + i0, first + i1)
+            full = np.empty((i1 - i0, len(points)))
+            full[:, lo:hi] = block(reps[rows] - lo, 0)
+            for c0, c1 in zip(offsets[:-1], offsets[1:]):
+                if c0 != lo:
+                    full[:, c0:c1] = kernel.profile(
+                        _pairwise_dist(points[reps[rows]], points[c0:c1]))
+            out[:, :, rows] = np.moveaxis(full[:, table], 0, 2)
+            sums.append(_row_invariants(full, reps[rows], sizes[rows], vw))
+
+        _each_block(bounds[k + 1] - first, len(points), fill)
+    exponent = max(e for _, _, e in sums)
+    return out, (sum(np.ldexp(t, e - exponent) for t, _, e in sums),
+                 sum(np.ldexp(f, 2 * (e - exponent)) for _, f, e in sums),
+                 exponent)
+
+
+def _row_invariants(rows: np.ndarray, reps: np.ndarray, sizes: np.ndarray,
+                    vw: np.ndarray) -> tuple[float, float, int]:
+    """The part of the trace and of the squared Frobenius norm of the
+    operator that the kernel rows ``rows`` of the orbit representatives
+    ``reps`` carry, weight V w = ``vw``, in units of 2^e and 2^2e, and e,
+    the exponent of their largest |entry|, as ``spectra._upper_invariants``
+    gives them.  They hold for the scaled operator and for the fold alike:
+    the trace is sum_i vw_i K_ii and the squared norm sum_ij vw_i vw_j
+    K_ij^2, each orbit's row counted as often as the orbit has atoms.
+    They are taken before the transform, so the check covers the transform
+    as well as the solves."""
+    s = np.sqrt(np.abs(vw))
+    sign = np.sign(vw)
+    m = rows * s[None, :]
+    m *= s[reps, None]
+    exponent = int(np.frexp(np.max(np.abs(m), initial=0.0))[1])
+    np.ldexp(m, -exponent, out=m)
+    weight = sizes * sign[reps]
+    return (float(weight @ m[np.arange(len(reps)), reps]),
+            float(weight @ np.einsum("ol,ol,l->o", m, m, sign)), exponent)
+
+
+def assemble_symmetric(supports, kernel: KernelModel) -> BlockOperator | None:
+    """The operator ``assemble_mixed`` builds over ``supports``, reduced by
+    its symmetry group G (``_symmetry_table``) to one block per character
+    of G, or None where no symmetry is found.
+
+    Only the rows of one representative per orbit are assembled, n^2/|G|
+    entries.  With R[g, o, p] = K[i_o, g(i_p)] those rows gathered in group
+    order, the block of the character chi is
+        B[o, p] = sqrt(|O_o| |O_p|) / |G| sum_g conj(chi(g)) R[g, o, p],
+    the DFT over the group axes (``_character_sums``), over the orbits
+    whose stabiliser chi is trivial on; each block is then made exactly
+    Hermitian, (B + B^H) / 2 (on a circle, C_n, that is (c_j + c_{n-j}) / 2
+    of its first row).  V w is constant on an orbit, so each block is
+    scaled, or folded, as ``_finalize`` does the whole matrix, in the
+    storage of the transform where it has every orbit.  A real character's
+    block is real; a complex one stands for its conjugate pair as the real
+    form [[Re B, -Im B], [Im B, Re B]], whose eigenvalues are B's, each
+    twice.  The measure and curve refusals of ``assemble_mixed`` hold here
+    too.
+    """
+    supports = list(supports)
+    points, weights, values, offsets = _layout(supports)
+    table = _symmetry_table(supports, points, weights, values, offsets)
+    if table is None:
+        return None
+    _check_separation(supports)
+    _, n2, r = table.shape
+    reps = table[0, 0]
+    fixed = (table == reps).astype(float)
+    norm = np.sqrt(1.0 / fixed.sum(axis=(0, 1)))
+    gathered, invariants = _orbit_rows(supports, kernel, points, offsets,
+                                       table, values * weights)
+    characters = _character_sums(gathered)
+    del gathered
+    n_last = characters.shape[1]
+    characters = characters.reshape(-1, r, r)
+    # the orbits in each character's block: those whose stabiliser it is
+    # trivial on; the characters that share them are taken together
+    member = np.abs(_character_sums(fixed)).reshape(-1, r) > 0.5
+    patterns, which = np.unique(member, axis=0, return_inverse=True)
+    v_reps, w_reps = values[reps], weights[reps]
+    blocks, singles = [], []
+    for pattern, mask in enumerate(patterns):
+        keep = np.flatnonzero(mask)
+        chars = np.flatnonzero(which.ravel() == pattern)
+        # a character off the real axis of the halved last FFT axis stands
+        # for its conjugate pair
+        pairs = 2 * (chars % n_last) % n2 != 0
+        v, w = v_reps[keep], w_reps[keep]
+        if len(keep) == 1:
+            singles.append(np.repeat(_single_eigenvalues(
+                characters[chars, keep[0], keep[0]].real * norm[keep[0]] ** 2,
+                v, w), 1 + pairs))
+            continue
+        for c, pair in zip(chars, pairs):
+            b = _compacted(characters[c], keep)
+            _hermitian_upper(b, norm[keep])
+            if pair:
+                b = np.where(_upper(len(b)), b, b.conj().T)
+                b = np.block([[b.real, -b.imag], [b.imag, b.real]])
+                blocks.append(_finalize(b, np.tile(v, 2), np.tile(w, 2)))
+            else:
+                blocks.append(_finalize(np.ascontiguousarray(b.real), v, w))
+    return BlockOperator(blocks=tuple(blocks),
+                         singles=np.concatenate(singles or [np.empty(0)]),
+                         invariants=invariants, n=len(points),
+                         signed_flag=bool(np.any(values < 0.0)))
+
+
+def _compacted(square: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """square[keep][:, keep] as a C-contiguous view of the leading entries
+    of the C-contiguous ``square``'s own storage, ``keep`` ascending.  Row
+    i lands in entries [i k, (i + 1) k), before row keep[i + 1] >= i + 1
+    starts, so no row is overwritten before it has moved."""
+    k = len(keep)
+    if k == len(square):
+        return square
+    flat = square.reshape(-1)
+    for i, row in enumerate(keep):
+        flat[i * k:(i + 1) * k] = square[row, keep]
+    return flat[:k * k].reshape(k, k)
+
+
+def _hermitian_upper(b: np.ndarray, norm: np.ndarray) -> None:
+    """Scale the character sums ``b`` to the block, b_op norm_o norm_p, and
+    write (b + b^H) / 2 on and above its diagonal, in place, one row block
+    at a time; the strict lower triangle is left as scratch."""
+    b *= norm[:, None]
+    b *= norm[None, :]
+    k = len(b)
+    rows = max(1, _BLOCK_BYTES // (8 * k))
+    for i0 in range(0, k, rows):
+        i1 = min(k, i0 + rows)
+        b[i0:i1, i1:] += b[i1:, i0:i1].conj().T
+        b[i0:i1, i1:] *= 0.5
+        square = b[i0:i1, i0:i1]
+        np.copyto(square, 0.5 * (square + square.conj().T),
+                  where=_upper(i1 - i0))
+
+
+def _butterfly(first: np.ndarray, second: np.ndarray) -> None:
+    """first, second <- first + second, first - second, in place, on two
+    C-contiguous arrays, a ``_BLOCK_BYTES`` slice at a time."""
+    first, second = first.reshape(-1), second.reshape(-1)
+    step = _BLOCK_BYTES // 8
+    for i0 in range(0, first.size, step):
+        a, b = first[i0:i0 + step], second[i0:i0 + step]
+        difference = a - b
+        a += b
+        b[...] = difference
+
+
+def _character_sums(x: np.ndarray) -> np.ndarray:
+    """The DFT of the real, C-contiguous ``x`` over its axes 0 and 1, the
+    group axes, the second one halved as a real FFT halves it: a butterfly
+    in place on an axis of 2, whose characters are real, and one real FFT
+    on a longer cyclic axis."""
+    if x.shape[0] == 2:
+        _butterfly(x[0], x[1])
+    if x.shape[1] == 2:
+        for half in x:
+            _butterfly(half[0], half[1])
+    return np.fft.rfft(x, axis=1) if x.shape[1] > 2 else x
+
+
+def _single_eigenvalues(k: np.ndarray, v: np.ndarray,
+                        w: np.ndarray) -> np.ndarray:
+    """The eigenvalues of 1 x 1 kernel blocks ``k`` of an orbit with weight
+    value v and quadrature weight w, scaled as ``_finalize`` scales, with
+    the fold's refusal of a kernel that is not positive definite where
+    V < 0: the fold of a 1 x 1 block is its scaling."""
+    if v[0] < 0.0 and not np.all(k > 0.0):
+        raise _not_positive_definite(w)
+    s = np.sqrt(np.abs(v[0]) * w[0])
+    return np.sign(v[0]) * (k * s) * s

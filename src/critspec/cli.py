@@ -16,9 +16,11 @@ eigenvalues that miss the trace or the Frobenius norm of their matrix).
 from __future__ import annotations
 
 import argparse
+import errno
 import hashlib
 import json
 import numbers
+import os
 import sys
 import time
 from dataclasses import dataclass, field, fields, replace
@@ -32,7 +34,7 @@ from . import asymptotics, covering, orlicz, spectra
 # perfbench/tracer.py wraps them by name in this module
 from .assemble import (WeightFn, assemble_curve_operator,
                        assemble_measure_operator, assemble_mixed,
-                       circulant_row, make_cell_grid)
+                       assemble_symmetric, make_cell_grid)
 from .errors import (InsufficientDataError, InternalError,
                      InvalidArgumentError, OutOfRangeError, ResourceLimitError)
 from .geometry import (Circle, make_cantor_measure, make_polygon_curve,
@@ -169,8 +171,15 @@ class ExperimentReport:
 
 
 def _criterion(name: str, value: float | None, target: float,
-               tolerance: float, relative: bool = True) -> dict:
-    if value is None:
+               tolerance: float, relative: bool = True,
+               held: int | None = None) -> dict:
+    """``value`` against ``target``; ``held``, for a fitted side, counts
+    that side's eigenvalues in the fit window.  A side predicted empty
+    (target 0) passes when the window holds none of them and fails when it
+    holds any; any other side without a fit fails."""
+    if held is not None and target == 0.0:
+        passed = held == 0
+    elif value is None:
         # a predicted side with too few eigenvalues in the window to fit
         passed = False
     elif relative:
@@ -224,6 +233,17 @@ def _out_dir(path) -> Path:
     return out
 
 
+def _check_out(path) -> None:
+    """Refuse, before any work, an output path that ``_out_dir`` could not
+    make a directory: an existing file, or a path below one.  Nothing is
+    created, so a run refused later for a bad value leaves nothing
+    behind."""
+    out = Path(path)
+    if not next(p for p in (out, *out.parents) if p.exists()).is_dir():
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR),
+                                 str(out))
+
+
 def _trusted_grid(spectrum: spectra.Spectrum) -> np.ndarray:
     """40 log-spaced levels across the trusted positive eigenvalues; no
     level when fewer than two of them are trusted."""
@@ -251,17 +271,16 @@ def _spectrum_of(supports, kernel, cap: int) -> spectra.Spectrum:
     """Spectrum of the operator over the (support, weight) blocks; an
     operator of more than ``cap`` unknowns is refused before assembly.
 
-    A circulant operator (a constant nonnegative weight on an equispaced
-    circle, ``circulant_row``) is solved from its first row by one real
-    FFT, with no matrix.  Any other is assembled here and dropped: its
-    solve consumes it.  Both solves go through the same checks."""
+    An operator with a symmetry group is assembled and solved as one block
+    per character of the group (``assemble_symmetric``); any other as one
+    dense matrix.  Either is dropped after its solve, which consumes it,
+    and both go through the same checks."""
     n = sum(len(support_atoms(support)[0]) for support, _ in supports)
     if n > cap:
         raise ResourceLimitError("matrix size %d exceeds the cap %d" % (n, cap))
-    row = circulant_row(supports, kernel)
-    if row is not None:
-        return spectra.circulant_eigensolve(row)
-    return spectra.eigensolve(assemble_mixed(supports, kernel))
+    op = assemble_symmetric(supports, kernel)
+    return spectra.eigensolve(assemble_mixed(supports, kernel) if op is None
+                              else op)
 
 
 def _weyl(config: ExperimentConfig, supports,
@@ -276,10 +295,14 @@ def _weyl(config: ExperimentConfig, supports,
     spectrum = _spectrum_of(supports, reference_kernel(), config.max_matrix_n)
     fit = spectra.weyl_fit(spectrum, config.window)
     tol = _param(config.tolerances, "coefficient", default_tol)
-    criteria = [_criterion("c_plus", fit.c_plus, expected.c_plus, tol)]
+    k_min, k_max = fit.window
+    held = {sign: max(0, min(k_max, len(spectrum.side(sign))) - k_min + 1)
+            for sign in "+-"}
+    criteria = [_criterion("c_plus", fit.c_plus, expected.c_plus, tol,
+                           held=held["+"])]
     if expected.c_minus:
-        criteria.append(
-            _criterion("c_minus", fit.c_minus, expected.c_minus, tol))
+        criteria.append(_criterion("c_minus", fit.c_minus, expected.c_minus,
+                                   tol, held=held["-"]))
     measured = {"c_plus": fit.c_plus, "dispersion": fit.dispersion, **extra}
     predicted = {"c_plus": expected.c_plus}
     if report_minus:
@@ -501,6 +524,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     if config.experiment not in EXPERIMENTS:
         raise InvalidArgumentError(
             "unknown experiment %r; see list-experiments" % (config.experiment,))
+    if config.out_dir is not None:
+        _check_out(config.out_dir)
     start = time.perf_counter()
     measured, expected, criteria, spectrum = EXPERIMENTS[config.experiment](config)
     runtime = time.perf_counter() - start
@@ -608,6 +633,7 @@ def _run_and_print(config: ExperimentConfig) -> int:
 
 
 def _cmd_spectrum(args) -> int:
+    _check_out(args.out)
     weight = (WeightFn.constant(args.value) if args.weight == "constant"
               else WeightFn.angular())
     if args.shape == "circle":
@@ -636,6 +662,8 @@ def _cmd_orlicz_norm(args) -> int:
 
 
 def _cmd_covering(args) -> int:
+    if args.out:
+        _check_out(args.out)
     if args.measure == "uniform":
         measure = make_uniform_square_measure(args.grid_n)
     else:

@@ -19,11 +19,16 @@ out positive semidefinite in the same tolerance unit; one that does not is
 an under-resolved mesh, refused with ``InvalidArgumentError``, as is an
 operator whose largest entry is subnormal.
 
-A symmetric circulant operator (a constant weight on an equispaced
-circle, ``assemble.circulant_row``) needs no matrix: ``circulant_eigensolve``
-takes its eigenvalues from one real FFT of its first row, in O(n log n),
-and runs them through the same checks, with the trace and the Frobenius
-norm of the circulant.
+The operator of a symmetric support comes as a ``BlockOperator``, one
+block per character of its symmetry group (``assemble.assemble_symmetric``).
+Each block of order 2 or more is solved as a dense operator is, by the same
+``dsyevd`` in its own storage; a complex conjugate pair is one real block
+whose eigenvalues come out twice, and the 1 x 1 blocks (on an equispaced
+circle, the real DFT of its first row) need no solve.  The union of their
+eigenvalues runs through the same checks once, against the trace and the
+squared Frobenius norm of the whole operator, which the block operator
+carries from its kernel rows: the check covers the transform to the blocks
+as well as each solve.
 
 The mid-spectrum estimator for the constant C in n(lambda) ~ C / lambda is
 the median of k |lambda_k| over a window of indices: multiplicity-2 families
@@ -41,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assemble import OperatorMatrix
+from .assemble import BlockOperator, OperatorMatrix
 from .errors import InsufficientDataError, InvalidArgumentError, InternalError
 
 # relative scale below which an eigenvalue counts as a numerical zero
@@ -109,7 +114,7 @@ class WeylFit:
     dispersion: float
 
 
-def eigensolve(op: OperatorMatrix) -> Spectrum:
+def eigensolve(op: OperatorMatrix | BlockOperator) -> Spectrum:
     """Eigenvalues of an operator matrix, checked against its invariants.
 
     The solve consumes the operator: it overwrites the operator's storage,
@@ -128,30 +133,19 @@ def eigensolve(op: OperatorMatrix) -> Spectrum:
     so does an operator whose largest entry is subnormal.  Eigenvalues
     below 1e-14 of the spectral radius are dropped as numerical zeros; the
     trusted index range is n/8.
+
+    A ``BlockOperator`` is solved block by block, each block as a dense
+    operator is but with no check of its own; the union of the blocks'
+    eigenvalues and its 1 x 1 blocks' is checked once, against the
+    invariants of the whole operator that the block operator carries.
     """
+    if isinstance(op, BlockOperator):
+        vals = [op.singles] + [_eigvalsh_upper(b.consume()) for b in op.blocks]
+        return _checked_spectrum(np.sort(np.concatenate(vals)), op.invariants,
+                                 op.signed_flag)
     m = op.consume()
     invariants = _upper_invariants(m)
     return _checked_spectrum(_eigvalsh_upper(m), invariants, op.signed_flag)
-
-
-def circulant_eigensolve(row) -> Spectrum:
-    """Eigenvalues of the symmetric circulant matrix whose first row is
-    ``row`` (c_j = c_{n-j}), the operator of a nonnegative weight, checked
-    as ``eigensolve`` checks them.
-
-    They are the real DFT of the row, lambda_m = sum_j c_j cos(2 pi j m /
-    n), one real FFT: each 0 < m < n/2 is an eigenvalue twice.  The
-    invariants are the trace n c_0 and the squared Frobenius norm
-    n sum_j c_j^2.
-    """
-    c = np.asarray(row, dtype=float)
-    n = len(c)
-    half = np.fft.rfft(c).real
-    vals = np.sort(np.concatenate([half, half[1:(n + 1) // 2]]))
-    exponent = int(np.frexp(np.max(np.abs(c), initial=0.0))[1])
-    scaled = np.ldexp(c, -exponent)
-    invariants = (n * float(scaled[0]), n * float(scaled @ scaled), exponent)
-    return _checked_spectrum(vals, invariants, signed=False)
 
 
 def _checked_spectrum(vals: np.ndarray, invariants: tuple[float, float, int],

@@ -52,10 +52,14 @@ from the ``*_pairs`` oracles above.
 upper-triangle product: the full product L^T (diag(V w) L), then a
 row-by-row mirror.
 
-``kress_weight_vector_outer`` is the Kress weight vector as it was before
-its series was summed over row blocks: one (n, n/2 - 1) outer product of
-nodes and frequencies, its cosine, and one matrix-vector product.  The
-row sums are the same, so the two agree bit for bit.
+``kress_weight_vector_table`` is the Kress weight vector as the package
+summed it before it took one inverse real FFT: the (n, n/2 - 1) cosine
+table of nodes and frequencies over 32-row blocks, each block one
+matrix-vector product, except that each argument 2 pi k d / n has its k d
+reduced mod n in integers.  The package took the cosine of the unreduced
+product, whose rounding grew with k d: it was off the exact weights by up
+to 4.8e-14 of max |R_d| at n = 2048, where the FFT and this table both
+stay within 1e-15.
 
 ``unit_square_log_energy_dblquad`` and ``r_symbol_quadrature_quad`` are the
 SciPy quadratures the package used before it took the closed form of the
@@ -408,15 +412,16 @@ def _dist_norm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)
 
 
-def kress_weight_vector_outer(n: int) -> np.ndarray:
+def kress_weight_vector_table(n: int) -> np.ndarray:
     m = n // 2
-    t = 2.0 * np.pi * np.arange(n) / n
+    d = np.arange(n)
     ks = np.arange(1, m)
-    if len(ks):
-        series = np.cos(np.outer(t, ks)) @ (1.0 / ks)
-    else:
-        series = np.zeros(n)
-    return -(2.0 * np.pi / m) * series - (np.pi / m ** 2) * np.cos(m * t)
+    series = np.empty(n)
+    for i0 in range(0, n, 32):
+        phases = np.outer(d[i0:i0 + 32], ks) % n
+        series[i0:i0 + 32] = np.cos(2.0 * np.pi * phases / n) @ (1.0 / ks)
+    nyquist = 1.0 - 2.0 * (d % 2)
+    return -(2.0 * np.pi / m) * series - (np.pi / m ** 2) * nyquist
 
 
 def _mirror_rows(m: np.ndarray) -> np.ndarray:

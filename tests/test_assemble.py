@@ -29,7 +29,7 @@ from critspec.kernels import (lower_order_kernel, reference_kernel,
 
 from conftest import UNIT_SQUARE, circle_exact_eigenvalues
 from oracles import (assemble_mixed_pairs, cholesky_fold_full,
-                     kress_weight_vector_outer, point_effective_kernel_pairs,
+                     kress_weight_vector_table, point_effective_kernel_pairs,
                      polygon_effective_kernel_pairs,
                      polygon_effective_kernel_two_calls,
                      smooth_curve_effective_kernel_pairs,
@@ -102,11 +102,10 @@ def test_matrix_exactly_symmetric(kernel):
 
 def test_similarity_invariance_vs_plain_nystrom(kernel):
     # the symmetrized matrix and plain K diag(V w) share nonzero spectra
-    from critspec.assemble import _smooth_curve_effective_kernel
     mesh = make_smooth_curve(Circle(radius=1.0), 48)
     for weight in (WeightFn.constant(1.0), WeightFn.angular()):
         vvals = weight.values_on(mesh)
-        ktil = _symmetric(_smooth_curve_effective_kernel(mesh, kernel))
+        ktil = _symmetric(_curve_effective_kernel(mesh, kernel))
         plain = ktil * (vvals * mesh.weights)[None, :]
         ref = np.linalg.eigvals(plain)
         assert np.max(np.abs(ref.imag)) < 1e-10
@@ -510,8 +509,20 @@ def test_kernel_assembly_temporaries_are_bounded_on_four_workers(
 
 @pytest.mark.parametrize("n", [8, 64, 2048, 4096])
 def test_kress_weights_match_the_whole_table_oracle(n):
-    assert np.array_equal(_kress_weight_vector(n),
-                          kress_weight_vector_outer(n))
+    want = kress_weight_vector_table(n)
+    assert np.max(np.abs(_kress_weight_vector(n) - want)) <= (
+        1e-14 * np.max(np.abs(want)))
+
+
+def test_kress_weights_by_fft_match_the_cosine_table_from_8_to_4096():
+    # every even n to 256, then a spread of sizes up to 4096, the odd
+    # half-sizes m among them; measured at most 1.3e-15 of max |R_d|
+    sizes = list(range(8, 257, 2)) + [258, 510, 998, 1030, 2046, 2050, 4094,
+                                      4096]
+    for n in sizes:
+        got, want = _kress_weight_vector(n), kress_weight_vector_table(n)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), n
+        assert np.array_equal(got[1:], got[:0:-1]), n
 
 
 def test_kress_weights_hold_no_n2_temporary():

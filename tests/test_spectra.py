@@ -14,11 +14,12 @@ from critspec import assemble, asymptotics, spectra
 from critspec.assemble import (OperatorMatrix, WeightFn,
                                assemble_curve_operator,
                                assemble_measure_operator, assemble_mixed,
-                               circulant_row, make_cell_grid)
+                               assemble_symmetric, make_cell_grid)
 from critspec.errors import (InsufficientDataError, InternalError,
                              InvalidArgumentError)
-from critspec.geometry import (Circle, Ellipse, Star, make_cantor_measure,
-                               make_polygon_curve, make_smooth_curve)
+from critspec.geometry import (Circle, Ellipse, SingularMeasure, Star,
+                               make_cantor_measure, make_polygon_curve,
+                               make_smooth_curve)
 from critspec.kernels import lower_order_kernel, reference_kernel
 from critspec.spectra import Spectrum, counting, eigensolve, weyl_fit
 
@@ -333,7 +334,7 @@ def test_indefinite_unsigned_operator_is_refused():
 
 
 # ---------------------------------------------------------------------------
-# the circulant solve
+# the block solve of a symmetric support
 # ---------------------------------------------------------------------------
 
 def _outcome(solve, n: int):
@@ -351,6 +352,23 @@ def _outcome(solve, n: int):
     return np.sort(vals)
 
 
+def _assert_reduced_matches_dense(supports, kern):
+    """The block solve of ``supports`` gives the dense solve's spectrum
+    within 64 n eps of the spectral radius, or the same kind of error."""
+    op = assemble_symmetric(supports, kern)
+    assert op is not None
+    n = op.n
+    reduced = _outcome(lambda: eigensolve(op), n)
+    dense = _outcome(lambda: eigensolve(assemble_mixed(supports, kern)), n)
+    if isinstance(dense, tuple) or isinstance(reduced, tuple):
+        assert reduced == dense
+        return op
+    radius = max(np.max(np.abs(dense)), np.max(np.abs(reduced)))
+    assert np.max(np.abs(reduced - dense)) <= (
+        spectra._tolerance_unit(n) * radius)
+    return op
+
+
 @settings(max_examples=60, deadline=None)
 @given(radius=st.floats(min_value=0.05, max_value=20.0),
        center=st.tuples(st.floats(min_value=-10.0, max_value=10.0),
@@ -360,72 +378,186 @@ def _outcome(solve, n: int):
        lower_order=st.booleans())
 def test_circulant_solve_matches_the_dense_solve(radius, center, half_n,
                                                  value, lower_order):
+    # an equispaced circle of a constant weight: the group C_n, whose n
+    # blocks are 1 x 1, the real DFT of the first row
     n = 2 * half_n
     kern = lower_order_kernel() if lower_order else reference_kernel()
     mesh = make_smooth_curve(Circle(center=center, radius=radius), n)
-    supports = [(mesh, WeightFn.constant(value))]
-    row = circulant_row(supports, kern)
-    assert row is not None
-    assert np.array_equal(row, np.roll(row[::-1], 1))
-    op = assemble_mixed(supports, kern)
-    # the row is the dense operator's first row, made symmetric, up to the
-    # rounding of the scaling
-    first = op.entries[0]
-    assert np.max(np.abs(row - 0.5 * (first + np.roll(first[::-1], 1)))) <= (
-        1e-15 * np.max(np.abs(row)))
-    circulant = _outcome(lambda: spectra.circulant_eigensolve(row), n)
-    dense = _outcome(lambda: eigensolve(op), n)
-    if isinstance(dense, tuple) or isinstance(circulant, tuple):
-        assert circulant == dense
-        return
-    radius_of = max(np.max(np.abs(dense)), np.max(np.abs(circulant)))
-    assert np.max(np.abs(circulant - dense)) <= (
-        spectra._tolerance_unit(n) * radius_of)
+    op = _assert_reduced_matches_dense([(mesh, WeightFn.constant(value))],
+                                       kern)
+    assert op.blocks == () and len(op.singles) == n
+
+
+def _symmetric_weight(values, n: int) -> np.ndarray:
+    """A table on an equispaced circle of n nodes invariant under the
+    reflection t -> -t, node j -> node -j."""
+    values = np.resize(np.asarray(values, dtype=float), n // 2 + 1)
+    return np.concatenate([values, values[1:n // 2][::-1]])
+
+
+@st.composite
+def _symmetric_supports(draw):
+    kind = draw(st.sampled_from(["circle", "tabulated circle", "square",
+                                 "rectangle", "cantor", "two circles"]))
+    values = st.floats(min_value=-2.0, max_value=2.0)
+    if kind in ("circle", "tabulated circle"):
+        n = 2 * draw(st.integers(min_value=4, max_value=96))
+        mesh = make_smooth_curve(Circle(
+            center=(draw(st.floats(-3.0, 3.0)), draw(st.floats(-3.0, 3.0))),
+            radius=draw(st.floats(min_value=0.1, max_value=2.0))), n)
+        if kind == "circle":
+            return [(mesh, WeightFn.constant(draw(values)))]
+        return [(mesh, WeightFn.tabulated(_symmetric_weight(
+            draw(st.lists(values, min_size=1, max_size=n)), n)))]
+    if kind in ("square", "rectangle"):
+        side = draw(st.floats(min_value=0.2, max_value=2.0))
+        aspect = 1.0 if kind == "square" else draw(st.floats(1.1, 3.0))
+        x0, y0 = draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0))
+        a, b = side * aspect, side
+        mesh = make_polygon_curve(
+            [[x0, y0], [x0 + a, y0], [x0 + a, y0 + b], [x0, y0 + b]],
+            2 * draw(st.integers(min_value=1, max_value=24)),
+            draw(st.sampled_from([1.0, 2.0, 3.0])))
+        return [(mesh, WeightFn.constant(draw(st.floats(0.0, 5.0))))]
+    if kind == "cantor":
+        return [(make_cantor_measure(draw(st.integers(1, 8))),
+                 WeightFn.constant(draw(values)))]
+    n1, n2 = (2 * draw(st.integers(4, 48)) for _ in range(2))
+    r1, r2 = (draw(st.floats(0.2, 1.5)) for _ in range(2))
+    gap = draw(st.floats(0.5, 4.0))
+    weight = WeightFn.constant(draw(st.floats(0.0, 5.0)))
+    return [(make_smooth_curve(Circle(radius=r1), n1), weight),
+            (make_smooth_curve(Circle(center=(r1 + gap + r2, 0.0),
+                                      radius=r2), n2), weight)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(supports=_symmetric_supports())
+def test_symmetric_supports_are_reduced_to_the_dense_spectrum(supports):
+    _assert_reduced_matches_dense(supports, reference_kernel())
+
+
+def _moved_rectangle():
+    return make_polygon_curve([[0.0, 0.0], [1.3, 0.0], [1.3 + 1e-9, 0.7],
+                               [0.0, 0.7]], 32, 3.0)
+
+
+def _moved_cantor():
+    measure = make_cantor_measure(7)
+    atoms = measure.atoms.copy()
+    atoms[5, 0] += 1e-9
+    return SingularMeasure(atoms=atoms, masses=measure.masses,
+                           cell_size=measure.cell_size,
+                           alpha_nominal=measure.alpha_nominal)
+
+
+@pytest.mark.parametrize("support, group", [
+    (make_smooth_curve(Ellipse(a=1.0, b=1.0 + 1e-9), 256), (2, 2)),
+    (make_smooth_curve(Star(amplitude=1e-9), 256), (1, 2)),
+    (_moved_rectangle(), None),
+    (_moved_cantor(), None),
+], ids=["ellipse", "star", "rectangle", "cantor"])
+def test_a_near_symmetry_is_refused(support, group):
+    # the ellipse and the star miss the rotations of the circle by 1e-9:
+    # only their exact reflections reduce them (Z2 x Z2 and Z2); one moved
+    # vertex or atom leaves no symmetry, and the operator is dense
+    supports = [(support, WeightFn.constant(1.0))]
+    points, weights, values, offsets = assemble._layout(supports)
+    table = assemble._symmetry_table(supports, points, weights, values,
+                                     offsets)
+    assert (None if table is None else table.shape[:2]) == group
+    if group is None:
+        assert assemble_symmetric(supports, reference_kernel()) is None
+    else:
+        _assert_reduced_matches_dense(supports, reference_kernel())
 
 
 @pytest.mark.parametrize("shape, inside", [
-    (Ellipse(a=1.0, b=1.0 + 1e-11), True),
-    (Star(amplitude=4e-12), True),
+    (Ellipse(a=1.0, b=1.0 + 4e-12), True),
+    (Star(amplitude=2e-12), True),
     (Ellipse(a=1.0, b=1.0 + 4e-11), False),
     (Star(amplitude=2e-11), False),
 ])
 def test_a_near_circle_takes_the_circulant_solve_only_inside_the_check(
         shape, inside):
     # at n = 512 the tolerance unit is 64 n eps = 7.3e-12: the first two
-    # spread by 0.69 and 0.56 of it, the last two by 2.8 and 2.8
+    # miss the rotations of the circle by 0.55 and 0.55 of it, the last two
+    # by 5.5 and 5.5, and are reduced by their exact reflections instead
     n = 512
     supports = [(make_smooth_curve(shape, n), WeightFn.constant(1.0))]
-    row = circulant_row(supports, reference_kernel())
-    assert (row is not None) == inside
-    if not inside:
-        return
-    got = _outcome(lambda: spectra.circulant_eigensolve(row), n)
+    op = assemble_symmetric(supports, reference_kernel())
+    assert (op.blocks == ()) == inside
+    got = _outcome(lambda: eigensolve(op), n)
     dense = np.linalg.eigvalsh(assemble_mixed(supports,
                                               reference_kernel()).entries,
                                UPLO="U")
     rho = np.max(np.abs(dense))
-    # measured: 0.49 and 0.28 of the unit
-    assert np.max(np.abs(got - dense)) <= 0.6 * spectra._tolerance_unit(n) * rho
+    # measured: 0.19 and 0.14 of the unit inside, below 0.001 outside
+    assert np.max(np.abs(got - dense)) <= (
+        (0.3 if inside else 0.01) * spectra._tolerance_unit(n) * rho)
 
 
 def test_the_circulant_tolerance_is_the_solve_tolerance():
-    assert assemble._CIRCULANT_ULPS == spectra._INVARIANT_ULPS
+    assert assemble._SYMMETRY_ULPS == spectra._INVARIANT_ULPS
 
 
 def test_a_perturbed_circulant_eigenvalue_fails_the_check(monkeypatch):
+    # the invariants come from the kernel rows before the transform, so a
+    # wrong character sum fails the check like a wrong eigenvalue
     mesh = make_smooth_curve(Circle(radius=1.0), 512)
-    row = circulant_row([(mesh, WeightFn.constant(1.0))], reference_kernel())
-    spectra.circulant_eigensolve(row)
+    supports = [(mesh, WeightFn.constant(1.0))]
+    eigensolve(assemble_symmetric(supports, reference_kernel()))
     true_rfft = np.fft.rfft
 
-    def one_shifted(c):
-        half = true_rfft(c)
-        half[7] += 1e-6 * np.max(np.abs(half))
+    def one_shifted(*args, **kwargs):
+        half = true_rfft(*args, **kwargs)
+        half[:, 7] += 1e-6 * np.max(np.abs(half))
         return half
 
     monkeypatch.setattr(np.fft, "rfft", one_shifted)
+    op = assemble_symmetric(supports, reference_kernel())
     with pytest.raises(InternalError, match="trace error .* Frobenius"):
-        spectra.circulant_eigensolve(row)
+        eigensolve(op)
+
+
+def test_a_perturbed_block_eigenvalue_fails_the_check(monkeypatch):
+    # the square's four real blocks, one of them solved wrong
+    mesh = make_polygon_curve(UNIT_SQUARE, 16, 3.0)
+    supports = [(mesh, WeightFn.constant(1.0))]
+    op = assemble_symmetric(supports, reference_kernel())
+    assert [b.n for b in op.blocks] == [16, 16, 16, 16]
+    true_eigvalsh = spectra._eigvalsh_upper
+    solved = []
+
+    def third_shifted(m):
+        vals = true_eigvalsh(m)
+        solved.append(len(m))
+        if len(solved) == 3:
+            vals[-1] *= 1.0 + 1e-6
+        return vals
+
+    monkeypatch.setattr(spectra, "_eigvalsh_upper", third_shifted)
+    with pytest.raises(InternalError, match="trace error .* Frobenius"):
+        eigensolve(op)
+
+
+def test_a_second_solve_of_a_block_operator_is_refused():
+    mesh = make_polygon_curve(UNIT_SQUARE, 16, 3.0)
+    op = assemble_symmetric([(mesh, WeightFn.constant(1.0))],
+                            reference_kernel())
+    eigensolve(op)
+    with pytest.raises(InvalidArgumentError, match="already eigensolved"):
+        eigensolve(op)
+
+
+def test_a_complex_pair_counts_its_eigenvalues_twice():
+    # a regular hexagon: C_6, the characters 1 and 2 complex, each block
+    # the real form of one of its conjugate pair
+    vertices = [[np.cos(a), np.sin(a)] for a in np.arange(6) * np.pi / 3]
+    mesh = make_polygon_curve(vertices, 8, 3.0)
+    op = _assert_reduced_matches_dense([(mesh, WeightFn.constant(1.0))],
+                                       reference_kernel())
+    assert [b.n for b in op.blocks] == [8, 16, 16, 8]
 
 
 # ---------------------------------------------------------------------------
