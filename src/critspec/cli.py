@@ -4,8 +4,10 @@ Each experiment builds a configuration of supports and weights, solves
 the spectrum of its operator in one step (``_spectrum_of``, which refuses
 a matrix above the cap before assembling it), and compares measured
 quantities (fit coefficients, counts, covering statistics) against the
-predicted values.  Reports are deterministic given configuration: the
-report hash is taken over everything except the wall-clock runtime.
+predicted values.  Reports are deterministic given the configuration and
+the BLAS thread count: the report hash is taken over everything except
+the wall-clock runtime.  Each experiment declares its params and
+tolerances in one table (``EXPERIMENTS``), checked before any work.
 
 Exit codes: 0 all criteria pass, 1 a criterion failed, 2 usage error,
 3 resource limit (a support above the atom cap, an operator above the
@@ -24,7 +26,6 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field, fields, replace
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -88,9 +89,10 @@ class ExperimentConfig:
                 raise InvalidArgumentError('"%s" must be an object' % key)
         if not isinstance(c.window, (list, tuple)) or len(c.window) != 2:
             raise InvalidArgumentError('"window" must be a pair of integers')
-        return replace(c, n=_as_number(c.n, "n", int),
-                       window=tuple(_as_number(k, "window", int)
-                                    for k in c.window),
+        window = tuple(_as_number(k, "window", int) for k in c.window)
+        if not 1 <= window[0] < window[1]:
+            raise InvalidArgumentError("window must satisfy 1 <= k_min < k_max")
+        return replace(c, n=_as_number(c.n, "n", int), window=window,
                        params=dict(c.params), tolerances=dict(c.tolerances),
                        max_matrix_n=_as_number(c.max_matrix_n, "max_matrix_n",
                                                int))
@@ -111,25 +113,75 @@ def _as_number(value, what: str, kind=float):
         what, "an integer" if kind is int else "a number", value))
 
 
-def _param(mapping: dict, key: str, default, kind=float):
-    """A numeric entry of ``params`` or ``tolerances``, validated."""
-    return _as_number(mapping.get(key, default), '"%s"' % key, kind)
+# the keys a weight object takes besides its "kind", in the form of an
+# experiment's table
+_WEIGHT_KEYS = {
+    "constant": {"value": (float, 1.0)},
+    "angular": {},
+    "tabulated": {"values": ("numbers", None)},
+}
 
 
-def _point(value, what: str) -> tuple[float, float]:
-    """A plane point given as a pair of JSON numbers, validated."""
-    if not isinstance(value, (list, tuple)) or len(value) != 2:
-        raise InvalidArgumentError(
-            "%s must be a pair of numbers, got %r" % (what, value))
-    return tuple(_as_number(c, what) for c in value)
+def _validated(table: dict, given: dict, what: str, config=None) -> dict:
+    """Each key ``table`` declares as (kind, default), given or defaulted,
+    read as its kind; a given key it does not declare is a usage error
+    naming the key.  A default that is a function is one of ``config``."""
+    unknown = sorted(set(given) - set(table))
+    if unknown:
+        raise InvalidArgumentError("unknown %s: %s" % (what, ", ".join(unknown)))
+    resolved = {}
+    for key, (kind, default) in table.items():
+        value = (given[key] if key in given
+                 else default(config) if callable(default) else default)
+        resolved[key] = _checked(value, kind, '"%s"' % key)
+    return resolved
 
 
-def _points(value, what: str, min_count: int) -> list[tuple[float, float]]:
-    """A list of at least ``min_count`` plane points, validated."""
-    if not isinstance(value, (list, tuple)) or len(value) < min_count:
-        raise InvalidArgumentError("%s must be a list of at least %d points"
-                                   % (what, min_count))
-    return [_point(v, what) for v in value]
+def _checked(value, kind, what: str):
+    """``value`` read as ``kind``, or a usage error naming ``what``: float,
+    int, a range of integers (lo, hi) (hi None for no upper end), "point"
+    (a pair of numbers), "points" (at least three), "numbers" (a list) or
+    "weight", an object of a "kind" ("constant" by default) and the keys
+    ``_WEIGHT_KEYS`` declares for it, read as a ``WeightFn``."""
+    if kind is float or kind is int:
+        return _as_number(value, what, kind)
+    if isinstance(kind, tuple):
+        lo, hi = kind
+        value = _as_number(value, what, int)
+        if value < lo or (hi is not None and value > hi):
+            span = ("at least %s" % lo if hi is None
+                    else "in the range [%s, %s]" % (lo, hi))
+            raise InvalidArgumentError("%s must be %s, got %r"
+                                       % (what, span, value))
+        return value
+    if kind == "point":
+        if not isinstance(value, (list, tuple)) or len(value) != 2:
+            raise InvalidArgumentError(
+                "%s must be a pair of numbers, got %r" % (what, value))
+        return tuple(_as_number(c, what) for c in value)
+    if kind == "points":
+        if not isinstance(value, (list, tuple)) or len(value) < 3:
+            raise InvalidArgumentError(
+                "%s must be a list of at least 3 points" % what)
+        return [_checked(v, "point", what) for v in value]
+    if kind == "numbers":
+        if not isinstance(value, list):
+            raise InvalidArgumentError("%s must be a list of numbers" % what)
+        return [_as_number(v, what) for v in value]
+    # a weight
+    if not isinstance(value, dict):
+        raise InvalidArgumentError("%s must be an object" % what)
+    shape = value.get("kind", "constant")
+    if not isinstance(shape, str) or shape not in _WEIGHT_KEYS:
+        raise InvalidArgumentError("unknown weight kind %r" % (shape,))
+    args = _validated(_WEIGHT_KEYS[shape],
+                      {k: v for k, v in value.items() if k != "kind"},
+                      "%s weight keys" % shape)
+    if shape == "constant":
+        return WeightFn.constant(args["value"])
+    if shape == "tabulated":
+        return WeightFn.tabulated(args["values"])
+    return WeightFn.angular()
 
 
 @dataclass(frozen=True)
@@ -197,36 +249,6 @@ def _bound_criterion(name: str, value: float, bound: float) -> dict:
             "passed": bool(value <= bound)}
 
 
-def _param_in(mapping: dict, key: str, default, lo, hi=None, kind=float):
-    """``_param`` restricted to [lo, hi], or to values >= lo without hi."""
-    value = _param(mapping, key, default, kind)
-    if value < lo or (hi is not None and value > hi):
-        span = ("at least %s" % lo if hi is None
-                else "in the range [%s, %s]" % (lo, hi))
-        raise InvalidArgumentError('"%s" must be %s, got %r'
-                                   % (key, span, value))
-    return value
-
-
-def _weight_from_params(params: dict) -> WeightFn:
-    entry = params.get("weight", {"kind": "constant", "value": 1.0})
-    if not isinstance(entry, dict):
-        raise InvalidArgumentError('"weight" must be an object')
-    kind = entry.get("kind", "constant")
-    if kind == "constant":
-        return WeightFn.constant(_param(entry, "value", 1.0))
-    if kind == "angular":
-        return WeightFn.angular()
-    if kind == "tabulated":
-        values = entry.get("values")
-        if not isinstance(values, list):
-            raise InvalidArgumentError(
-                'a tabulated weight needs a list of numbers as "values"')
-        return WeightFn.tabulated([_as_number(v, "a tabulated weight value")
-                                   for v in values])
-    raise InvalidArgumentError("unknown weight kind %r" % (kind,))
-
-
 def _out_dir(path) -> Path:
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
@@ -284,17 +306,16 @@ def _spectrum_of(supports, kernel, cap: int) -> spectra.Spectrum:
 
 
 def _weyl(config: ExperimentConfig, supports,
-          expected: asymptotics.AsymCoeff, default_tol: float = 0.10,
+          expected: asymptotics.AsymCoeff, tol: float,
           report_minus: bool = False, **extra):
     """Eigensolve ``supports`` on the reference kernel, fit on the configured
-    window and check the fit against the prediction: c_plus always, c_minus
-    whenever a negative side is predicted.  ``extra`` joins the measured
-    fields; ``report_minus`` reports the negative side even where none is
-    predicted.  Returns the experiment's (measured, expected, criteria,
-    spectrum)."""
+    window and check the fit against the prediction within ``tol``: c_plus
+    always, c_minus whenever a negative side is predicted.  ``extra`` joins
+    the measured fields; ``report_minus`` reports the negative side even
+    where none is predicted.  Returns the experiment's (measured, expected,
+    criteria, spectrum)."""
     spectrum = _spectrum_of(supports, reference_kernel(), config.max_matrix_n)
     fit = spectra.weyl_fit(spectrum, config.window)
-    tol = _param(config.tolerances, "coefficient", default_tol)
     k_min, k_max = fit.window
     held = {sign: max(0, min(k_max, len(spectrum.side(sign))) - k_min + 1)
             for sign in "+-"}
@@ -311,15 +332,12 @@ def _weyl(config: ExperimentConfig, supports,
     return measured, predicted, criteria, spectrum
 
 
-def _exp_circle(default_weight: dict, default_tol: float,
-                config: ExperimentConfig):
+def _exp_circle(config: ExperimentConfig, params, tols):
     """circle-weyl and signed-weight: one circle, both sides reported."""
-    params = {"weight": default_weight, **config.params}
-    radius = _param(params, "radius", 1.0)
-    mesh = make_smooth_curve(Circle(radius=radius), config.n)
-    weight = _weight_from_params(params)
+    mesh = make_smooth_curve(Circle(radius=params["radius"]), config.n)
+    weight = params["weight"]
     expected = asymptotics.coefficient_surface(mesh, weight)
-    return _weyl(config, [(mesh, weight)], expected, default_tol,
+    return _weyl(config, [(mesh, weight)], expected, tols["coefficient"],
                  report_minus=True)
 
 
@@ -330,31 +348,28 @@ def _polygon_mesh(vertices, n: int, grading: float):
     return make_polygon_curve(vertices, panels, grading)
 
 
-def _exp_polygon_weyl(config: ExperimentConfig):
-    params = config.params
-    vertices = _points(params.get("vertices", _UNIT_SQUARE), '"vertices"', 3)
-    mesh = _polygon_mesh(vertices, config.n,
-                         _param(params, "grading_exponent", 3.0))
-    weight = _weight_from_params(params)
+def _exp_polygon_weyl(config: ExperimentConfig, params, tols):
+    mesh = _polygon_mesh(params["vertices"], config.n,
+                         params["grading_exponent"])
+    weight = params["weight"]
     expected = asymptotics.coefficient_surface(mesh, weight)
-    return _weyl(config, [(mesh, weight)], expected, n_nodes=mesh.n_nodes)
+    return _weyl(config, [(mesh, weight)], expected, tols["coefficient"],
+                 n_nodes=mesh.n_nodes)
 
 
-def _exp_two_surfaces(config: ExperimentConfig):
-    params = config.params
-    r1 = _param(params, "radius_1", 1.0)
-    r2 = _param(params, "radius_2", 2.0)
-    center_2 = _point(params.get("center_2", (5.0, 0.0)), '"center_2"')
+def _exp_two_surfaces(config: ExperimentConfig, params, tols):
     n1 = max(8, (config.n // 3) & ~1)
     n2 = max(8, (config.n - n1) & ~1)
-    mesh1 = make_smooth_curve(Circle(radius=r1), n1)
-    mesh2 = make_smooth_curve(Circle(center=center_2, radius=r2), n2)
-    weight = _weight_from_params(params)
+    mesh1 = make_smooth_curve(Circle(radius=params["radius_1"]), n1)
+    mesh2 = make_smooth_curve(Circle(center=params["center_2"],
+                                     radius=params["radius_2"]), n2)
+    weight = params["weight"]
     expected = asymptotics.coefficient_total([
         asymptotics.coefficient_surface(mesh1, weight),
         asymptotics.coefficient_surface(mesh2, weight),
     ])
-    result = _weyl(config, [(mesh1, weight), (mesh2, weight)], expected)
+    result = _weyl(config, [(mesh1, weight), (mesh2, weight)], expected,
+                   tols["coefficient"])
     if config.out_dir is not None:
         out = _out_dir(config.out_dir)
         parts = {"combined": result[3]}
@@ -367,15 +382,12 @@ def _exp_two_surfaces(config: ExperimentConfig):
     return result
 
 
-def _exp_mixed_ac_singular(config: ExperimentConfig):
-    params = config.params
-    disk_radius = _param(params, "disk_radius", 1.0)
-    circle_radius = _param(params, "circle_radius", 0.5)
-    delta = _param(params, "delta", 0.035)
-    n_curve = _param(params, "n_curve", 192, int)
-    v0 = _param(params, "v0", 1.0)
-    mesh = make_smooth_curve(Circle(radius=circle_radius), n_curve)
-    weight = _weight_from_params(params)
+def _exp_mixed_ac_singular(config: ExperimentConfig, params, tols):
+    disk_radius, delta, v0 = (params["disk_radius"], params["delta"],
+                              params["v0"])
+    mesh = make_smooth_curve(Circle(radius=params["circle_radius"]),
+                             params["n_curve"])
+    weight = params["weight"]
     grid = make_cell_grid((0.0, 0.0), disk_radius, delta,
                           exclude_meshes=[mesh])
     expected = asymptotics.coefficient_total([
@@ -383,14 +395,12 @@ def _exp_mixed_ac_singular(config: ExperimentConfig):
         asymptotics.coefficient_surface(mesh, weight),
     ])
     return _weyl(config, [(grid, WeightFn.constant(v0)), (mesh, weight)],
-                 expected, n_cells=grid.n_atoms,
+                 expected, tols["coefficient"], n_cells=grid.n_atoms,
                  resolved_area=grid.n_atoms * delta ** 2)
 
 
-def _exp_cantor_estimate(config: ExperimentConfig):
-    params = config.params
-    depth = _param(params, "depth", 10, int)
-    weight = _weight_from_params(params)
+def _exp_cantor_estimate(config: ExperimentConfig, params, tols):
+    depth, weight = params["depth"], params["weight"]
     sups = {}
     # finer depth first: a matrix over the cap is refused before any eigensolve
     for d in (depth, depth - 1):
@@ -403,9 +413,9 @@ def _exp_cantor_estimate(config: ExperimentConfig):
         grid = spectrum.side("+")[4:spectrum.trusted_k_max]
         sups[d] = covering.empirical_estimate_constant(spectrum, norm, grid)
     variation = abs(sups[depth] / sups[depth - 1] - 1.0)
-    tol = _param(config.tolerances, "stability", 0.25)
     criteria = [
-        _bound_criterion("sup_variation_on_refinement", variation, tol),
+        _bound_criterion("sup_variation_on_refinement", variation,
+                         tols["stability"]),
     ]
     measured = {"sup_constant": sups[depth],
                 "sup_constant_coarse": sups[depth - 1],
@@ -414,27 +424,22 @@ def _exp_cantor_estimate(config: ExperimentConfig):
     return measured, {"finite_constant": "bounded"}, criteria, shown
 
 
-def _exp_covering_count(config: ExperimentConfig):
-    params = config.params
-    grid_n = _param(params, "grid_n", 16, int)
-    depth = _param(params, "cantor_depth", 8, int)
-    kappa = _param(params, "kappa", 4, int)
-    # a count law needs at least two rungs on the ladder
-    decade_points = _param_in(params, "decade_points", 8, 2, kind=int)
+def _exp_covering_count(config: ExperimentConfig, params, tols):
+    kappa = params["kappa"]
     weight = WeightFn.constant(1.0)
 
     measures = {
-        "uniform_square": make_uniform_square_measure(grid_n),
-        "cantor": make_cantor_measure(depth),
+        "uniform_square": make_uniform_square_measure(params["grid_n"]),
+        "cantor": make_cantor_measure(params["cantor_depth"]),
     }
     measured = {}
     criteria = []
     ladders = {}
-    ratio_tol = _param(config.tolerances, "ratio", 2.0)
     for name, measure in measures.items():
         vals = weight.values_on(measure)
         rho_inf = orlicz.surface_norm(vals, measure)
-        lams = kappa * rho_inf / 4.0 / (10.0 ** np.linspace(0.0, 1.0, decade_points))
+        lams = kappa * rho_inf / 4.0 / (10.0 ** np.linspace(
+            0.0, 1.0, params["decade_points"]))
         ladders[name] = [covering.build_covering(measure, vals, float(lam),
                                                  kappa_config=kappa)
                          for lam in lams]
@@ -444,7 +449,7 @@ def _exp_covering_count(config: ExperimentConfig):
         measured[name] = {"count_times_lambda": [float(p) for p in products],
                           "ratio": ratio}
         criteria.append(_bound_criterion("%s_count_law_ratio" % name, ratio,
-                                         ratio_tol))
+                                         tols["ratio"]))
 
     # dyadic quartering: at the top of the ladder, lambda = kappa rho / 4, a
     # constant weight splits the global functional in four
@@ -458,12 +463,9 @@ def _exp_covering_count(config: ExperimentConfig):
     return measured, {"dyadic_cube_count": 4}, criteria, None
 
 
-def _exp_lower_order_decay(config: ExperimentConfig):
-    params = config.params
-    radius = _param(params, "radius", 1.0)
-    n = _param(params, "n", min(config.n, 256), int)
-    mesh = make_smooth_curve(Circle(radius=radius), n)
-    spectrum = _spectrum_of([(mesh, _weight_from_params(params))],
+def _exp_lower_order_decay(config: ExperimentConfig, params, tols):
+    mesh = make_smooth_curve(Circle(radius=params["radius"]), params["n"])
+    spectrum = _spectrum_of([(mesh, params["weight"])],
                             lower_order_kernel(), config.max_matrix_n)
     pos = spectrum.side("+")
     if len(pos) < 40:
@@ -473,20 +475,18 @@ def _exp_lower_order_decay(config: ExperimentConfig):
     k10 = 10 * pos[9]
     k40 = 40 * pos[39]
     ratio = float(k40 / k10)
-    tol = _param(config.tolerances, "decay_ratio", 0.5)
-    criteria = [_bound_criterion("k_lambda_k_decay_ratio", ratio, tol)]
+    criteria = [_bound_criterion("k_lambda_k_decay_ratio", ratio,
+                                 tols["decay_ratio"])]
     measured = {"k_lambda_10": float(k10), "k_lambda_40": float(k40),
                 "ratio": ratio}
     return measured, {"decay": "k lambda_k -> 0"}, criteria, spectrum
 
 
-def _exp_coefficient_table(config: ExperimentConfig):
-    # Gamma(N / 2) overflows a double from N = 344 on
-    max_dim = _param_in(config.params, "max_dim", 6, 2, 343, int)
-    tol = _param(config.tolerances, "agreement", 1e-8)
+def _exp_coefficient_table(config: ExperimentConfig, params, tols):
+    tol = tols["agreement"]
     rows = []
     worst = 0.0
-    for n_dim in range(2, max_dim + 1):
+    for n_dim in range(2, params["max_dim"] + 1):
         for d in range(1, n_dim):
             closed = asymptotics.r_symbol_closed_form(n_dim, d)
             quad_val = asymptotics.r_symbol_quadrature(n_dim, d)
@@ -504,30 +504,85 @@ def _exp_coefficient_table(config: ExperimentConfig):
     return measured, {"agreement_tol": tol}, criteria, None
 
 
+@dataclass(frozen=True)
+class _Experiment:
+    """An experiment's one table: each key of its params and of its
+    tolerances as (kind, default), the kinds of ``_checked``, and the body
+    ``run(config, params, tolerances)`` that reads them resolved.  Ranges
+    a support constructor checks (radii, cell size, node counts, depths)
+    are left to it."""
+    run: object
+    params: dict
+    tolerances: dict
+
+
+_COEFFICIENT = {"coefficient": (float, 0.10)}
+
 EXPERIMENTS = {
-    "circle-weyl": partial(_exp_circle, {"kind": "constant", "value": 1.0},
-                           0.05),
-    "polygon-weyl": _exp_polygon_weyl,
-    "signed-weight": partial(_exp_circle, {"kind": "angular"}, 0.10),
-    "two-surfaces": _exp_two_surfaces,
-    "mixed-ac-singular": _exp_mixed_ac_singular,
-    "cantor-estimate": _exp_cantor_estimate,
-    "covering-count": _exp_covering_count,
-    "lower-order-decay": _exp_lower_order_decay,
-    "coefficient-table": _exp_coefficient_table,
+    "circle-weyl": _Experiment(
+        _exp_circle, {"radius": (float, 1.0), "weight": ("weight", {})},
+        {"coefficient": (float, 0.05)}),
+    "polygon-weyl": _Experiment(
+        _exp_polygon_weyl,
+        {"vertices": ("points", _UNIT_SQUARE),
+         "grading_exponent": (float, 3.0), "weight": ("weight", {})},
+        _COEFFICIENT),
+    "signed-weight": _Experiment(
+        _exp_circle,
+        {"radius": (float, 1.0), "weight": ("weight", {"kind": "angular"})},
+        _COEFFICIENT),
+    "two-surfaces": _Experiment(
+        _exp_two_surfaces,
+        {"radius_1": (float, 1.0), "radius_2": (float, 2.0),
+         "center_2": ("point", (5.0, 0.0)), "weight": ("weight", {})},
+        _COEFFICIENT),
+    "mixed-ac-singular": _Experiment(
+        _exp_mixed_ac_singular,
+        {"disk_radius": (float, 1.0), "circle_radius": (float, 0.5),
+         "delta": (float, 0.035), "n_curve": (int, 192), "v0": (float, 1.0),
+         "weight": ("weight", {})},
+        _COEFFICIENT),
+    "cantor-estimate": _Experiment(
+        _exp_cantor_estimate, {"depth": (int, 10), "weight": ("weight", {})},
+        {"stability": (float, 0.25)}),
+    "covering-count": _Experiment(
+        _exp_covering_count,
+        {"grid_n": (int, 16), "cantor_depth": (int, 8),
+         "kappa": ((1, None), 4),
+         # a count law needs at least two rungs on the ladder
+         "decade_points": ((2, None), 8)},
+        {"ratio": (float, 2.0)}),
+    "lower-order-decay": _Experiment(
+        _exp_lower_order_decay,
+        {"radius": (float, 1.0),
+         "n": (int, lambda config: min(config.n, 256)),
+         "weight": ("weight", {})},
+        {"decay_ratio": (float, 0.5)}),
+    "coefficient-table": _Experiment(
+        _exp_coefficient_table,
+        # Gamma(N / 2) overflows a double from N = 344 on
+        {"max_dim": ((2, 343), 6)},
+        {"agreement": (float, 1e-8)}),
 }
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Execute one experiment and return its report (writing artifacts
-    when an output directory is configured)."""
+    when an output directory is configured).  Its params and tolerances
+    are checked against its table before any work."""
     if config.experiment not in EXPERIMENTS:
         raise InvalidArgumentError(
             "unknown experiment %r; see list-experiments" % (config.experiment,))
+    experiment = EXPERIMENTS[config.experiment]
+    params = _validated(experiment.params, config.params,
+                        "params keys for %s" % config.experiment, config)
+    tols = _validated(experiment.tolerances, config.tolerances,
+                      "tolerances keys for %s" % config.experiment)
     if config.out_dir is not None:
         _check_out(config.out_dir)
     start = time.perf_counter()
-    measured, expected, criteria, spectrum = EXPERIMENTS[config.experiment](config)
+    measured, expected, criteria, spectrum = experiment.run(config, params,
+                                                            tols)
     runtime = time.perf_counter() - start
     report = ExperimentReport(
         config=config.to_dict(),

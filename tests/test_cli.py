@@ -553,6 +553,9 @@ _BAD_INPUTS = {
     "decade-points-1": (
         {"experiment": "covering-count", "params": {"decade_points": 1}},
         2, '"decade_points" must be at least 2, got 1'),
+    "kappa-0": (
+        {"experiment": "covering-count", "params": {"kappa": 0}},
+        2, '"kappa" must be at least 1, got 0'),
     "max-dim-344": (
         {"experiment": "coefficient-table", "params": {"max_dim": 344}},
         2, '"max_dim" must be in the range [2, 343], got 344'),
@@ -619,6 +622,24 @@ _BAD_INPUTS = {
     "config-seed": (
         {"experiment": "circle-weyl", "seed": 0},
         2, "unknown config keys: seed"),
+    "params-and-tolerances-misspelled": (
+        {"experiment": "circle-weyl", "params": {"raduis": 3.0},
+         "tolerances": {"coeficient": 1e-9}},
+        2, "unknown params keys for circle-weyl: raduis"),
+    "constant-weight-key-misspelled": (
+        {"experiment": "circle-weyl",
+         "params": {"weight": {"kind": "constant", "vlaue": -1.0}}},
+        2, "unknown constant weight keys: vlaue"),
+    "angular-weight-with-a-value": (
+        {"experiment": "signed-weight",
+         "params": {"weight": {"kind": "angular", "value": 5.0}}},
+        2, "unknown angular weight keys: value"),
+    "window-reversed": (
+        {"experiment": "circle-weyl", "window": [60, 20]},
+        2, "window must satisfy 1 <= k_min < k_max"),
+    "window-from-0": (
+        {"experiment": "circle-weyl", "window": [0, 20]},
+        2, "window must satisfy 1 <= k_min < k_max"),
 }
 
 
@@ -670,6 +691,26 @@ def test_unusable_paths_exit_2_naming_the_path(name, tmp_path, capsys):
             else path.read_bytes() == content)
 
 
+@pytest.fixture
+def built(monkeypatch):
+    """The names of the support builders, quadratures and eigensolves
+    called, each replaced by a stub that records its name."""
+    calls = []
+    for module in (cli, geometry, assemble):
+        for name in ("make_smooth_curve", "make_polygon_curve",
+                     "make_cantor_measure", "make_uniform_square_measure",
+                     "make_cell_grid"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name,
+                                    lambda *a, name=name, **k: calls.append(
+                                        name))
+    monkeypatch.setattr(asymptotics, "r_symbol_quadrature",
+                        lambda *a, **k: calls.append("quadrature"))
+    monkeypatch.setattr(spectra, "eigensolve",
+                        lambda *a, **k: calls.append("eigensolve"))
+    return calls
+
+
 @pytest.mark.parametrize("args", [
     ["run", "--experiment", "polygon-weyl", "--n", "2048", "--out", "PATH"],
     ["run", "--experiment", "mixed-ac-singular", "--out", "PATH/below"],
@@ -678,26 +719,98 @@ def test_unusable_paths_exit_2_naming_the_path(name, tmp_path, capsys):
     ["covering", "--grid-n", "64", "--lam", "0.01", "--out", "PATH"],
 ], ids=["run", "run-below-a-file", "spectrum", "coeff", "covering"])
 def test_an_out_path_that_is_a_file_exits_before_any_support(
-        args, tmp_path, capsys, monkeypatch):
+        args, tmp_path, capsys, built):
     path = tmp_path / "taken"
     path.write_bytes(b"")
-    built = []
-    for module in (cli, geometry, assemble):
-        for name in ("make_smooth_curve", "make_polygon_curve",
-                     "make_cantor_measure", "make_uniform_square_measure",
-                     "make_cell_grid"):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name,
-                                    lambda *a, name=name, **k: built.append(
-                                        name))
-    monkeypatch.setattr(asymptotics, "r_symbol_quadrature",
-                        lambda *a, **k: built.append("quadrature"))
     assert main([a.replace("PATH", str(path)) for a in args]) == 2
     assert built == []
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(path) in err
     assert "Traceback" not in err and err.count("\n") == 1
     assert path.read_bytes() == b""
+
+
+def _refused_before_any_work(config, tmp_path, capsys, built, *flags):
+    """The stderr line of ``run --config`` on ``config``, which must exit
+    2 without a traceback before any support is built."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["run", "--config", str(cfg), *flags]) == 2
+    assert built == []
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    return err
+
+
+# every key each experiment's table declares, so that a key added later is
+# covered too
+_DECLARED = [(name, section, key) for name, experiment in EXPERIMENTS.items()
+             for section in ("params", "tolerances")
+             for key in getattr(experiment, section)]
+
+
+@pytest.mark.parametrize("name", list(EXPERIMENTS))
+@pytest.mark.parametrize("section", ["params", "tolerances"])
+def test_an_undeclared_key_exits_2_before_any_support(
+        name, section, tmp_path, capsys, built):
+    err = _refused_before_any_work(
+        {"experiment": name, section: {"undeclared_key": 1.0}},
+        tmp_path, capsys, built)
+    assert "unknown %s keys for %s: undeclared_key" % (section, name) in err
+
+
+@pytest.mark.parametrize("name,section,key", _DECLARED,
+                         ids=["-".join(case) for case in _DECLARED])
+def test_a_declared_key_given_a_string_exits_2_naming_it(
+        name, section, key, tmp_path, capsys, built):
+    err = _refused_before_any_work({"experiment": name, section: {key: "x"}},
+                                   tmp_path, capsys, built)
+    assert '"%s"' % key in err
+
+
+_WEIGHT_CASES = [(kind, key) for kind, keys in cli._WEIGHT_KEYS.items()
+                 for key in [*keys, "undeclared_key"]]
+
+
+@pytest.mark.parametrize("kind,key", _WEIGHT_CASES,
+                         ids=["-".join(case) for case in _WEIGHT_CASES])
+def test_a_weight_key_exits_2_naming_it_when_undeclared_or_a_string(
+        kind, key, tmp_path, capsys, built):
+    err = _refused_before_any_work(
+        {"experiment": "circle-weyl",
+         "params": {"weight": {"kind": kind, key: "x"}}},
+        tmp_path, capsys, built)
+    if key in cli._WEIGHT_KEYS[kind]:
+        assert '"%s"' % key in err
+    else:
+        assert "unknown %s weight keys: %s" % (kind, key) in err
+
+
+def test_a_flag_that_changes_the_experiment_validates_the_merged_config(
+        tmp_path, capsys, built):
+    err = _refused_before_any_work(
+        {"experiment": "circle-weyl", "params": {"radius": 2.0}},
+        tmp_path, capsys, built, "--experiment", "coefficient-table")
+    assert "unknown params keys for coefficient-table: radius" in err
+
+
+def test_readme_lists_every_declared_key_with_its_default():
+    readme = (Path(__file__).resolve().parent.parent
+              / "README.md").read_text()
+    rows = {line.split("|")[1].strip(" `"): line
+            for line in readme.splitlines() if line.startswith("| `")}
+    for name, section, key in _DECLARED:
+        kind, default = getattr(EXPERIMENTS[name], section)[key]
+        row = rows[name]
+        assert "`%s`" % key in row, (name, key)
+        if isinstance(default, (int, float)):
+            assert "`%s` %r" % (key, default) in row, (name, key)
+    weights = readme[readme.index("A weight is an object"):].split("\n\n")[0]
+    for kind, keys in cli._WEIGHT_KEYS.items():
+        assert '`"%s"`' % kind in weights
+        for key in keys:
+            assert '`"%s"`' % key in weights
 
 
 @pytest.mark.parametrize("args", [

@@ -562,3 +562,52 @@ def test_critical_case_needs_the_averaged_norm_on_a_cantor_measure(kernel):
     assert against_l1[-1] / against_l1[0] >= 3.0
     assert all(0.25 <= c <= 0.37 for c in against_averaged)
     assert max(against_averaged) / min(against_averaged) <= 1.25
+
+
+# n(lambda) against the covering bound at the same lambda, just below
+# lambda_k for k = 2, 8 and 32 within the trusted window, kappa = 4.  On a
+# plane support bound_value is the cube count (poly_space_dim(2, 1) = 1).
+# A saturated covering, one cube per atom, bounds only by the atom count
+# and is left out.  Measured n / cube_count (log-normal: sigma 0.5, seed 0):
+#   Cantor depth 8, 9, 10, constant     0.0625  0.0625-0.125  0.0625
+#   Cantor depth 8, 9, 10, log-normal   0.059-0.137  0.059-0.111  0.059-0.071
+#   grid 16^2, 24^2, constant           0.047  0.020-0.027
+#   grid 16^2, 24^2, log-normal         0.031-0.099  0.016-0.058
+# so n <= bound_value with 7-62x slack.  Each family keeps one band at every
+# depth or grid, with a margin of about 1.5 on both sides; a covering at
+# half or twice the target lambda / kappa leaves it.
+_COVERING_LEVELS = (2, 8, 32)
+_COVERING_BANDS = {"cantor": (0.04, 0.2), "grid": (0.01, 0.15)}
+
+
+@pytest.mark.parametrize("weight", ["constant", "log-normal"])
+@pytest.mark.parametrize("family", ["cantor", "grid"])
+def test_covering_bound_holds_against_the_counting_function(
+        family, weight, kernel, monkeypatch):
+    # the row-block budget bounds the search's memory only: 1 MB blocks run
+    # the same searches in a quarter of the time at 1024 atoms
+    monkeypatch.setattr(covering, "_BLOCK_BYTES", 1 << 20)
+    measures = ([make_cantor_measure(d) for d in (8, 9, 10)]
+                if family == "cantor"
+                else [make_uniform_square_measure(g) for g in (16, 24)])
+    lo, hi = _COVERING_BANDS[family]
+    for measure in measures:
+        n = measure.n_atoms
+        V = (np.ones(n) if weight == "constant"
+             else np.exp(np.random.default_rng(0).normal(0.0, 0.5, n)))
+        sp = eigensolve(assemble_measure_operator(
+            measure, WeightFn.tabulated(V), kernel))
+        pos = sp.side("+")
+        ratios = []
+        for k in _COVERING_LEVELS:
+            if k > sp.trusted_k_max:
+                continue
+            lam = float(pos[k - 1]) * (1.0 - 1e-9)
+            rep = build_covering(measure, V, lam, kappa_config=4)
+            if rep.cube_count == n:
+                continue
+            count = int(np.sum(pos >= lam))
+            assert count <= rep.bound_value, (n, k)
+            ratios.append(count / rep.cube_count)
+        assert ratios, n
+        assert lo <= min(ratios) and max(ratios) <= hi, (n, ratios)
