@@ -33,7 +33,17 @@ symmetry-adapted basis as one block per character of G, each about n/|G|
 assembles the rows of one representative per orbit, n^2/|G| entries, and
 takes the blocks from one DFT over the group axes; an equispaced circle of
 a constant weight is the case G = C_n, whose n blocks are 1 x 1, the real
-DFT of its first row.  ``_symmetry_table`` is the one place that decides
+DFT of its first row.
+
+A signed weight may instead be negated by a map g of order 2 that fixes no
+atom, as the half turn negates cos(t - phi) on an equispaced circle.  Its
+two characters give the even and odd blocks S and Q of the kernel matrix,
+each of order n/2, and diag(V w) couples them alone: with the Cholesky
+factors S = L_S L_S^T and Q = L_Q L_Q^T, the fold is [[0, M], [M^T, 0]]
+with M = L_S^T diag(V w) L_Q over the representatives, whose eigenvalues
+are plus and minus the singular values of M (Jordan and Wielandt; Golub and
+Van Loan, Matrix Computations, 8.6).  ``_symmetry_table`` takes such a map
+only where no map keeps the weight, and it is the one place that decides
 which operators are reduced; all others are dense.
 
 Each effective-kernel matrix is built in one blocked pass over its upper
@@ -189,7 +199,8 @@ class OperatorMatrix:
     C-contiguous writeable float64 array is kept as a read-only view of the
     caller's own memory, and any other is copied.  ``spectra.eigensolve``
     consumes the operator: it overwrites that storage, and a second solve
-    is refused.
+    is refused.  A coupling block of ``BlockOperator`` is kept the same way
+    but is not symmetric: its whole square is read.
     """
 
     entries: np.ndarray
@@ -768,14 +779,18 @@ class BlockOperator:
     1 x 1 blocks, each listed as often as it counts.  ``invariants`` are
     the trace and the squared Frobenius norm of the whole operator in units
     of 2^e and 2^2e, and e, the binary exponent of its largest |entry|, as
-    ``spectra`` checks them; ``n`` is its order.  ``spectra.eigensolve``
-    consumes the blocks."""
+    ``spectra`` checks them; ``n`` is its order.  ``couplings`` are the
+    coupling blocks M of a weight that its symmetry negates, each an
+    ``OperatorMatrix`` whose whole square, not its upper triangle, is M,
+    and whose eigenvalues are plus and minus M's singular values.
+    ``spectra.eigensolve`` consumes the blocks and the couplings."""
 
     blocks: tuple
     singles: np.ndarray
     invariants: tuple[float, float, int]
     n: int
     signed_flag: bool
+    couplings: tuple = ()
 
 
 # a generic direction: the atoms are matched to the images of a map by
@@ -850,6 +865,12 @@ def _symmetry_table(supports, points, weights, values, offsets):
     atom of an orbit must lie at the exact isometry's image of its
     representative, so a near-symmetry cannot pass by small steps.  Any
     support kind and any weight is reduced when this holds.
+
+    Where no group of order 2 or more keeps the weight, the half turn and
+    the four reflections, in that order, are tried once more as maps that
+    take each weight value to its negative within the same tolerance; the
+    first one accepted that fixes no atom, every orbit of two, is the group,
+    and ``negated`` is True.  The table comes as (table, negated), or None.
     """
     n = len(points)
     if n < 2:
@@ -865,9 +886,10 @@ def _symmetry_table(supports, points, weights, values, offsets):
     sorted_key = key[order]
     everyone = np.arange(n)
 
-    def match(isometry):
+    def match(isometry, sign=1.0):
         """The permutation of the atoms that ``isometry`` (about the
-        centroid) induces, or None where it is not a symmetry."""
+        centroid) induces, or None where it is not a symmetry that takes
+        each weight value to ``sign`` times itself."""
         image = rel @ isometry.T
         j = np.clip(np.searchsorted(sorted_key, image @ _KEY), 1, n - 1)
         near = order[np.stack([j - 1, j])]
@@ -879,7 +901,7 @@ def _symmetry_table(supports, points, weights, values, offsets):
                 or np.any(np.bincount(perm, minlength=n) != 1)
                 or np.any(owner[perm] != owner)
                 or np.any(np.abs(weights[perm] - weights) > unit * weights)
-                or np.any(np.abs(values[perm] - values) > v_reach)):
+                or np.any(np.abs(values[perm] - sign * values) > v_reach)):
             return None
         for k, (support, _) in enumerate(supports):
             if isinstance(support, SurfaceMesh) and not _keeps_mesh(
@@ -917,7 +939,7 @@ def _symmetry_table(supports, points, weights, values, offsets):
             TWO_PI * np.arange(m) / m))], *args)
         # no reflection group, of order 4 at most, beats it
         if rotations is not None and m > 4:
-            return rotations
+            return rotations, False
     mirrors = [(match(_reflection(a)), np.stack([np.eye(2), _reflection(a)]))
                for a in _AXES]
     # the largest order first, and at a tie the reflections, whose blocks
@@ -929,14 +951,24 @@ def _symmetry_table(supports, points, weights, values, offsets):
     for generators in groups:
         table = _orbit_table(generators, *args)
         if table is not None:
-            return table
+            return table, False
     if rotations is not None and m > 2:
-        return rotations
+        return rotations, False
     for mirror in mirrors:
         table = None if mirror[0] is None else _orbit_table([mirror], *args)
         if table is not None:
-            return table
-    return rotations
+            return table, False
+    if rotations is not None:
+        return rotations, False
+    # no map keeps the weight: one of order 2 that negates it, fixing no
+    # atom, the half turn first
+    for isometry in [_rotation(np.pi)] + [_reflection(a) for a in _AXES]:
+        perm = match(isometry, -1.0)
+        table = None if perm is None else _orbit_table(
+            [(perm, np.stack([np.eye(2), isometry]))], *args, negated=True)
+        if table is not None:
+            return table, True
+    return None
 
 
 def _keeps_mesh(mesh: SurfaceMesh, local: np.ndarray, isometry: np.ndarray,
@@ -962,11 +994,14 @@ def _keeps_mesh(mesh: SurfaceMesh, local: np.ndarray, isometry: np.ndarray,
     return bool(np.max(np.abs(shift)) <= unit * TWO_PI)
 
 
-def _orbit_table(generators, rel, weights, values, reach, unit, v_reach):
+def _orbit_table(generators, rel, weights, values, reach, unit, v_reach,
+                 negated=False):
     """The (N1, N2, r) orbit table of ``_symmetry_table`` for one or two
     commuting generators, each (permutation, the exact isometries of its
     powers), or None where the group they generate is not a symmetry of
-    the atoms within the tolerances."""
+    the atoms within the tolerances.  ``negated`` takes one generator of
+    order 2 that maps each weight value to its negative, and refuses it
+    where it fixes an atom."""
     n = len(rel)
     label = np.arange(n)
     for perm, maps in generators:
@@ -990,21 +1025,27 @@ def _orbit_table(generators, rel, weights, values, reach, unit, v_reach):
     orbit_sizes = table.shape[0] * table.shape[1] // (table == reps).sum(
         axis=(0, 1))
     expected = np.einsum("abij,oj->aboi", maps, rel[reps])
+    # the generator's powers run along the last group axis
+    signs = np.array([1.0, -1.0])[:, None] if negated else 1.0
     if (orbit_sizes.sum() != n
+            or (negated and np.any(orbit_sizes != 2))
             or np.max(np.linalg.norm(rel[table] - expected, axis=-1)) > reach
             or np.any(np.abs(weights[table] - weights[reps])
                       > unit * weights[reps])
-            or np.any(np.abs(values[table] - values[reps]) > v_reach)):
+            or np.any(np.abs(values[table] - signs * values[reps]) > v_reach)):
         return None
     return table
 
 
 def _orbit_rows(supports, kernel: KernelModel, points: np.ndarray,
-                offsets: np.ndarray, table: np.ndarray, vw: np.ndarray):
+                offsets: np.ndarray, table: np.ndarray, vw: np.ndarray,
+                negated: bool):
     """The rows of the orbit representatives of the kernel matrix that
     ``assemble_mixed`` builds over ``supports``, gathered in group order:
     an (N1, N2, r, r) array R with R[a, b, o, p] = K[i_o, g_ab(i_p)], and
-    the operator's invariants (``_row_invariants``).  Each support's rows
+    the operator's invariants (``_row_invariants``; ``negated`` where the
+    group negates V w, whose orbits then add nothing to the trace).  Each
+    support's rows
     take its effective kernel, and plain kernel values across supports,
     one row block at a time in the pass of ``_each_block``; no full row
     array is kept.
@@ -1015,6 +1056,7 @@ def _orbit_rows(supports, kernel: KernelModel, points: np.ndarray,
     resident after the solve than the dense path does."""
     reps = table[0, 0]
     sizes = table.shape[0] * table.shape[1] / (table == reps).sum(axis=(0, 1))
+    traces = 0.0 * sizes if negated else sizes
     shape = table.shape[:2] + (len(reps), len(reps))
     out = np.empty(max(len(points) ** 2, int(np.prod(shape))))
     out = out[:int(np.prod(shape))].reshape(shape)
@@ -1034,7 +1076,8 @@ def _orbit_rows(supports, kernel: KernelModel, points: np.ndarray,
                     full[:, c0:c1] = kernel.profile(
                         _pairwise_dist(points[reps[rows]], points[c0:c1]))
             out[:, :, rows] = np.moveaxis(full[:, table], 0, 2)
-            sums.append(_row_invariants(full, reps[rows], sizes[rows], vw))
+            sums.append(_row_invariants(full, reps[rows], traces[rows],
+                                        sizes[rows], vw))
 
         _each_block(bounds[k + 1] - first, len(points), fill)
     exponent = max(e for _, _, e in sums)
@@ -1043,26 +1086,29 @@ def _orbit_rows(supports, kernel: KernelModel, points: np.ndarray,
                  exponent)
 
 
-def _row_invariants(rows: np.ndarray, reps: np.ndarray, sizes: np.ndarray,
-                    vw: np.ndarray) -> tuple[float, float, int]:
+def _row_invariants(rows: np.ndarray, reps: np.ndarray, traces: np.ndarray,
+                    sizes: np.ndarray, vw: np.ndarray
+                    ) -> tuple[float, float, int]:
     """The part of the trace and of the squared Frobenius norm of the
     operator that the kernel rows ``rows`` of the orbit representatives
     ``reps`` carry, weight V w = ``vw``, in units of 2^e and 2^2e, and e,
     the exponent of their largest |entry|, as ``spectra._upper_invariants``
     gives them.  They hold for the scaled operator and for the fold alike:
     the trace is sum_i vw_i K_ii and the squared norm sum_ij vw_i vw_j
-    K_ij^2, each orbit's row counted as often as the orbit has atoms.
-    They are taken before the transform, so the check covers the transform
-    as well as the solves."""
+    K_ij^2.  Each orbit's row counts ``sizes`` times in the norm, as often
+    as the orbit has atoms, and ``traces`` times in the trace: as often
+    too, or 0 where the group negates V w, whose characters sum to 0 over
+    the orbit.  They are taken before the transform, so the check covers
+    the transform as well as the solves."""
     s = np.sqrt(np.abs(vw))
     sign = np.sign(vw)
     m = rows * s[None, :]
     m *= s[reps, None]
     exponent = int(np.frexp(np.max(np.abs(m), initial=0.0))[1])
     np.ldexp(m, -exponent, out=m)
-    weight = sizes * sign[reps]
-    return (float(weight @ m[np.arange(len(reps)), reps]),
-            float(weight @ np.einsum("ol,ol,l->o", m, m, sign)), exponent)
+    return (float((traces * sign[reps]) @ m[np.arange(len(reps)), reps]),
+            float((sizes * sign[reps]) @ np.einsum("ol,ol,l->o", m, m, sign)),
+            exponent)
 
 
 def assemble_symmetric(supports, kernel: KernelModel) -> BlockOperator | None:
@@ -1082,30 +1128,42 @@ def assemble_symmetric(supports, kernel: KernelModel) -> BlockOperator | None:
     storage of the transform where it has every orbit.  A real character's
     block is real; a complex one stands for its conjugate pair as the real
     form [[Re B, -Im B], [Im B, Re B]], whose eigenvalues are B's, each
-    twice.  The measure and curve refusals of ``assemble_mixed`` hold here
-    too.
+    twice.  Where the group negates V, its two real blocks S and Q are
+    factored and coupled instead (``_coupling``), and the operator is that
+    one coupling block.  The measure and curve refusals of
+    ``assemble_mixed`` hold here too.
     """
     supports = list(supports)
     points, weights, values, offsets = _layout(supports)
-    table = _symmetry_table(supports, points, weights, values, offsets)
-    if table is None:
+    found = _symmetry_table(supports, points, weights, values, offsets)
+    if found is None:
         return None
+    table, negated = found
     _check_separation(supports)
     _, n2, r = table.shape
     reps = table[0, 0]
     fixed = (table == reps).astype(float)
     norm = np.sqrt(1.0 / fixed.sum(axis=(0, 1)))
     gathered, invariants = _orbit_rows(supports, kernel, points, offsets,
-                                       table, values * weights)
+                                       table, values * weights, negated)
     characters = _character_sums(gathered)
     del gathered
     n_last = characters.shape[1]
     characters = characters.reshape(-1, r, r)
+    v_reps, w_reps = values[reps], weights[reps]
+    if negated:
+        even, odd = characters
+        _hermitian_upper(even, norm)
+        _hermitian_upper(odd, norm)
+        coupling = _coupling(even, odd, v_reps * w_reps, w_reps)
+        return BlockOperator(blocks=(), singles=np.empty(0),
+                             invariants=invariants, n=len(points),
+                             signed_flag=True, couplings=(OperatorMatrix(
+                                 entries=coupling, signed_flag=True),))
     # the orbits in each character's block: those whose stabiliser it is
     # trivial on; the characters that share them are taken together
     member = np.abs(_character_sums(fixed)).reshape(-1, r) > 0.5
     patterns, which = np.unique(member, axis=0, return_inverse=True)
-    v_reps, w_reps = values[reps], weights[reps]
     blocks, singles = [], []
     for pattern, mask in enumerate(patterns):
         keep = np.flatnonzero(mask)
@@ -1132,6 +1190,47 @@ def assemble_symmetric(supports, kernel: KernelModel) -> BlockOperator | None:
                          singles=np.concatenate(singles or [np.empty(0)]),
                          invariants=invariants, n=len(points),
                          signed_flag=bool(np.any(values < 0.0)))
+
+
+def _coupling(even: np.ndarray, odd: np.ndarray, vw: np.ndarray,
+              weights: np.ndarray) -> np.ndarray:
+    """The coupling M = L_S^T diag(V w) L_Q of the even and odd blocks S
+    and Q of a kernel matrix whose symmetry negates V w, both given by
+    their upper triangles, diagonal included, and overwritten: S = L_S
+    L_S^T and Q = L_Q L_Q^T are factored in place (``_cholesky_in_place``),
+    diag(V w) scales the rows of L_S's storage, and M is written over Q's
+    storage and returned.  Either block not positive definite raises the
+    fold's ``InvalidArgumentError`` naming the node spacing.
+
+    The product runs over ``_FOLD_COLUMNS`` square tiles, each column of
+    tiles c from the top down.  The tile (r, c) sums L_S[k, r]^T L_Q[k, c]
+    over the row tiles k >= max(r, c) alone (indices here are tiles): the
+    first of them, which holds a diagonal tile of a factor, through its
+    lower triangle, the rest as one product of two strips.  It overwrites
+    L_Q's tile (r, c), which no tile below it in the column reads."""
+    for block in (even, odd):
+        try:
+            _cholesky_in_place(block)
+        except np.linalg.LinAlgError:
+            raise _not_positive_definite(weights) from None
+    even *= vw[:, None]
+    k = len(vw)
+    lower = _upper(min(k, _FOLD_COLUMNS)).T
+    tiles = _fold_tiles(k)
+    for c, (c0, c1) in enumerate(tiles):
+        for r, (r0, r1) in enumerate(tiles):
+            s0, s1 = tiles[max(r, c)]
+            left = even[s0:s1, r0:r1]
+            right = odd[s0:s1, c0:c1]
+            if s0 == r0:
+                left = np.where(lower[:s1 - s0, :r1 - r0], left, 0.0)
+            if s0 == c0:
+                right = np.where(lower[:s1 - s0, :c1 - c0], right, 0.0)
+            tile = left.T @ right
+            if s1 < k:
+                tile += even[s1:, r0:r1].T @ odd[s1:, c0:c1]
+            odd[r0:r1, c0:c1] = tile
+    return odd
 
 
 def _compacted(square: np.ndarray, keep: np.ndarray) -> np.ndarray:

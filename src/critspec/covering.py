@@ -14,8 +14,10 @@ sorts once and gathers |V| and the masses into its own order.  All support
 points are searched together: the binary searches run in lockstep, and each
 of their steps evaluates J on every point's candidate prefix in one
 row-batched duality solve (``orlicz._norms_on_sets`` with per-row masses),
-as wide as the longest prefix probed, in serial blocks of points whose
-(points, atoms) temporaries hold about _BLOCK_BYTES.  The largest candidate
+as wide as the longest prefix probed, in serial blocks of points each of
+whose (points, atoms) arrays holds about _BLOCK_BYTES.  About ten such
+arrays are live at once, so a search peaks near ten _BLOCK_BYTES: 0.65 MB
+at 64 KB for 64 centres on 4096 atoms.  The largest candidate
 of every point is the whole support, checked once per search.  The report's
 largest cube functional comes from one masked full-width solve over all
 cubes.
@@ -157,7 +159,8 @@ def solve_t(measure, V, center, target: float):
     the last atom to enter.  ``center`` is one point, for which the side is
     returned as a float, or an (m, N) array of points, for which the m
     sides are returned as an array; the rows are searched in lockstep, in
-    serial blocks whose (rows, atoms) temporaries hold about _BLOCK_BYTES.
+    serial blocks of rows, each (rows, atoms) array about _BLOCK_BYTES and
+    about ten of them live at once.
     Every center's largest cube holds the whole support, so the range
     check (the target is reached at all) is one averaged norm per call.
     """
@@ -184,9 +187,9 @@ def solve_t(measure, V, center, target: float):
 
 def _first_crossings(points, vals, masses, centers, target):
     """First-crossing sides of every row of ``centers``, searched in
-    serial blocks of rows whose (rows, atoms) temporaries hold about
-    _BLOCK_BYTES.  The caller has checked that the whole support reaches
-    the target."""
+    serial blocks of rows, each (rows, atoms) array about _BLOCK_BYTES and
+    about ten of them live at once.  The caller has checked that the whole
+    support reaches the target."""
     absv = np.abs(vals)
     sides = np.empty(len(centers))
     for block in _row_blocks(len(centers), len(points)):

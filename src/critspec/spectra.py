@@ -24,7 +24,12 @@ block per character of its symmetry group (``assemble.assemble_symmetric``).
 Each block of order 2 or more is solved as a dense operator is, by the same
 ``dsyevd`` in its own storage; a complex conjugate pair is one real block
 whose eigenvalues come out twice, and the 1 x 1 blocks (on an equispaced
-circle, the real DFT of its first row) need no solve.  The union of their
+circle, the real DFT of its first row) need no solve.  A weight that its
+symmetry negates comes as one coupling block M instead, whose eigenvalues
+are plus and minus its singular values: LAPACK's ``dgesdd``, from the same
+OpenBLAS, takes them in M's own storage.  The eigenvalues of M^T M would be
+three times faster but square the spectrum, and the singular values below
+about 1e-4 of the largest would lose their digits to it.  The union of their
 eigenvalues runs through the same checks once, against the trace and the
 squared Frobenius norm of the whole operator, which the block operator
 carries from its kernel rows: the check covers the transform to the blocks
@@ -135,12 +140,16 @@ def eigensolve(op: OperatorMatrix | BlockOperator) -> Spectrum:
     trusted index range is n/8.
 
     A ``BlockOperator`` is solved block by block, each block as a dense
-    operator is but with no check of its own; the union of the blocks'
-    eigenvalues and its 1 x 1 blocks' is checked once, against the
-    invariants of the whole operator that the block operator carries.
+    operator is but with no check of its own, and each coupling block as
+    plus and minus its singular values; the union of these eigenvalues and
+    its 1 x 1 blocks' is checked once, against the invariants of the whole
+    operator that the block operator carries.
     """
     if isinstance(op, BlockOperator):
         vals = [op.singles] + [_eigvalsh_upper(b.consume()) for b in op.blocks]
+        for coupling in op.couplings:
+            sigma = _singular_values(coupling.consume())
+            vals += [sigma, -sigma]
         return _checked_spectrum(np.sort(np.concatenate(vals)), op.invariants,
                                  op.signed_flag)
     m = op.consume()
@@ -177,26 +186,48 @@ def _checked_spectrum(vals: np.ndarray, invariants: tuple[float, float, int],
         vals[keep], trusted_k_max=max(1, n // _TRUSTED_FRACTION))
 
 
-@functools.cache
-def _lapack_dsyevd():
-    """LAPACK's ``dsyevd`` from the scipy-openblas64 library NumPy has
-    already loaded (64-bit integers, gfortran's hidden character lengths),
-    or None where NumPy's build does not export it.  Resolved once, on the
-    first solve; no second library is mapped."""
+_INTEGER = ctypes.POINTER(ctypes.c_int64)
+
+
+def _numpy_lapack(name: str, argtypes: list):
+    """LAPACK's routine ``name`` from the scipy-openblas64 library NumPy
+    has already loaded (64-bit integers, gfortran's hidden character
+    lengths), or None where NumPy's build does not export it.  No second
+    library is mapped."""
     try:
         from numpy.linalg import _umath_linalg
-        routine = ctypes.CDLL(_umath_linalg.__file__).scipy_dsyevd_64_
+        routine = getattr(ctypes.CDLL(_umath_linalg.__file__),
+                          "scipy_%s_64_" % name)
     except (ImportError, OSError, AttributeError):
         return None
-    integer = ctypes.POINTER(ctypes.c_int64)
-    routine.argtypes = [
-        ctypes.c_char_p, ctypes.c_char_p, integer,      # jobz, uplo, n
-        ctypes.c_void_p, integer, ctypes.c_void_p,      # a, lda, w
-        ctypes.c_void_p, integer, ctypes.c_void_p,      # work, lwork, iwork
-        integer, integer,                               # liwork, info
-        ctypes.c_size_t, ctypes.c_size_t]               # len(jobz), len(uplo)
+    routine.argtypes = argtypes
     routine.restype = None
     return routine
+
+
+@functools.cache
+def _lapack_dsyevd():
+    """LAPACK's ``dsyevd`` (``_numpy_lapack``), resolved once, on the
+    first solve."""
+    return _numpy_lapack("dsyevd", [
+        ctypes.c_char_p, ctypes.c_char_p, _INTEGER,     # jobz, uplo, n
+        ctypes.c_void_p, _INTEGER, ctypes.c_void_p,     # a, lda, w
+        ctypes.c_void_p, _INTEGER, ctypes.c_void_p,     # work, lwork, iwork
+        _INTEGER, _INTEGER,                             # liwork, info
+        ctypes.c_size_t, ctypes.c_size_t])              # len(jobz), len(uplo)
+
+
+@functools.cache
+def _lapack_dgesdd():
+    """LAPACK's ``dgesdd`` (``_numpy_lapack``), resolved once, on the
+    first singular value solve."""
+    return _numpy_lapack("dgesdd", [
+        ctypes.c_char_p, _INTEGER, _INTEGER,            # jobz, m, n
+        ctypes.c_void_p, _INTEGER, ctypes.c_void_p,     # a, lda, s
+        ctypes.c_void_p, _INTEGER, ctypes.c_void_p,     # u, ldu, vt
+        _INTEGER, ctypes.c_void_p, _INTEGER,            # ldvt, work, lwork
+        ctypes.c_void_p, _INTEGER,                      # iwork, info
+        ctypes.c_size_t])                               # len(jobz)
 
 
 def _eigvalsh_upper(m: np.ndarray) -> np.ndarray:
@@ -240,6 +271,48 @@ def _eigvalsh_upper(m: np.ndarray) -> np.ndarray:
     call(work, -1, iwork, -1)
     lwork, liwork = int(work[0]), int(iwork[0])
     call(np.empty(lwork), lwork, np.empty(liwork, dtype=np.int64), liwork)
+    return vals
+
+
+def _singular_values(m: np.ndarray) -> np.ndarray:
+    """Singular values of the square C-contiguous float64 ``m``; ``m`` is
+    overwritten.
+
+    Fortran reads the C storage as m^T, whose singular values are m's:
+    ``dgesdd`` with jobz 'N' takes it in place, no copy made, with the
+    workspace LAPACK's query asks for.  Without the routine, NumPy's
+    ``svd`` solves a copy.  A failed solve raises ``InternalError`` naming
+    LAPACK's info.
+    """
+    dgesdd = _lapack_dgesdd()
+    if dgesdd is None:
+        try:
+            return np.linalg.svd(m, compute_uv=False)
+        except np.linalg.LinAlgError as exc:
+            raise InternalError(
+                "singular value solve failed: %s" % exc) from None
+    n = len(m)
+    vals = np.empty(n)
+    info = ctypes.c_int64(0)
+    order = ctypes.pointer(ctypes.c_int64(n))
+    lead = ctypes.pointer(ctypes.c_int64(max(1, n)))
+    one = ctypes.pointer(ctypes.c_int64(1))
+    iwork = np.empty(8 * n, dtype=np.int64)
+
+    def call(work: np.ndarray, lwork: int):
+        dgesdd(b"N", order, order, m.ctypes.data, lead, vals.ctypes.data,
+               None, one, None, one, work.ctypes.data,
+               ctypes.pointer(ctypes.c_int64(lwork)), iwork.ctypes.data,
+               ctypes.pointer(info), 1)
+        if info.value != 0:
+            raise InternalError(
+                "singular value solve failed: LAPACK dgesdd info = %d"
+                % info.value)
+
+    work = np.empty(1)
+    call(work, -1)
+    lwork = int(work[0])
+    call(np.empty(lwork), lwork)
     return vals
 
 

@@ -485,6 +485,38 @@ def test_only_an_equispaced_circle_skips_the_dense_solve(monkeypatch):
                          4200)
 
 
+def test_a_weight_the_half_turn_negates_skips_the_dense_solve(monkeypatch):
+    # the benchmark's signed-weight operation, cos(t - phi) at a random
+    # phase, at its smoke size: no dsyevd, one dgesdd of order n/2; the
+    # default cos t keeps its reflection t -> -t, whose two fixed nodes
+    # join the even block
+    perfbench = Path(__file__).resolve().parent.parent / "perfbench"
+    monkeypatch.syspath_prepend(str(perfbench))
+    workloads = importlib.import_module("workloads")
+    op, = [op for op in workloads.build("curve-weyl", 0, smoke=True)
+           if op.name == "signed-weight"]
+    solves = {"dsyevd": [], "dgesdd": []}
+    true_eigvalsh = spectra._eigvalsh_upper
+    true_singular_values = spectra._singular_values
+
+    def counted_eigvalsh(m):
+        solves["dsyevd"].append(len(m))
+        return true_eigvalsh(m)
+
+    def counted_singular_values(m):
+        solves["dgesdd"].append(len(m))
+        return true_singular_values(m)
+
+    monkeypatch.setattr(spectra, "_eigvalsh_upper", counted_eigvalsh)
+    monkeypatch.setattr(spectra, "_singular_values", counted_singular_values)
+    assert op.run().passed
+    assert solves == {"dsyevd": [], "dgesdd": [op.config["n"] // 2]}
+    solves["dgesdd"].clear()
+    assert run_experiment(ExperimentConfig.from_dict(
+        {"experiment": "signed-weight", "n": 512})).passed
+    assert sorted(solves["dsyevd"]) == [255, 257] and solves["dgesdd"] == []
+
+
 def _reports_info_1(*args):
     # dsyevd's arguments: jobz, uplo, n, a, lda, w, work, lwork, iwork,
     # liwork, info, and the two character lengths
@@ -514,6 +546,30 @@ def test_failed_eigensolve_exits_4(path, tmp_path, capsys, monkeypatch):
     assert named in err
     assert err.count("\n") == 1 and "Traceback" not in err
     assert not list(tmp_path.iterdir())
+
+
+def test_a_perturbed_singular_value_exits_4(tmp_path, capsys, monkeypatch):
+    # the benchmark's kind of signed-weight config at n = 128: its coupling
+    # block's largest singular value solved wrong fails the invariant check
+    true_singular_values = spectra._singular_values
+
+    def first_shifted(m):
+        vals = true_singular_values(m)
+        vals[0] *= 1.0 + 1e-6
+        return vals
+
+    monkeypatch.setattr(spectra, "_singular_values", first_shifted)
+    t = 2.0 * np.pi * np.arange(128) / 128
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "experiment": "signed-weight", "n": 128, "window": [2, 14],
+        "params": {"weight": {"kind": "tabulated",
+                              "values": np.cos(t - 1.234).tolist()}}}))
+    assert main(["run", "--config", str(cfg)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: internal check failed: eigenvalues "
+                          "violate the matrix invariants: trace error ")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_cli_usage_without_command(capsys):

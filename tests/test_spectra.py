@@ -463,8 +463,9 @@ def test_a_near_symmetry_is_refused(support, group):
     # vertex or atom leaves no symmetry, and the operator is dense
     supports = [(support, WeightFn.constant(1.0))]
     points, weights, values, offsets = assemble._layout(supports)
-    table = assemble._symmetry_table(supports, points, weights, values,
+    found = assemble._symmetry_table(supports, points, weights, values,
                                      offsets)
+    table = None if found is None else found[0]
     assert (None if table is None else table.shape[:2]) == group
     if group is None:
         assert assemble_symmetric(supports, reference_kernel()) is None
@@ -558,6 +559,221 @@ def test_a_complex_pair_counts_its_eigenvalues_twice():
     op = _assert_reduced_matches_dense([(mesh, WeightFn.constant(1.0))],
                                        reference_kernel())
     assert [b.n for b in op.blocks] == [8, 16, 16, 8]
+
+
+# ---------------------------------------------------------------------------
+# a weight that its symmetry negates
+# ---------------------------------------------------------------------------
+
+def _odd_in(offsets: np.ndarray, coefficients) -> np.ndarray:
+    """An odd polynomial of the plane offsets (x, y): a x + b y + c x^3 +
+    d x^2 y + e x y^2 + f y^3, negated by the half turn about 0."""
+    x, y = offsets[:, 0], offsets[:, 1]
+    a, b, c, d, e, f = coefficients
+    return (a * x + b * y + c * x ** 3 + d * x * x * y + e * x * y * y
+            + f * y ** 3)
+
+
+@st.composite
+def _negated_supports(draw):
+    """A support with a weight that a map of order 2 negates: the half turn
+    on equispaced circles (odd harmonics, cos(t - phi) among them) and on
+    rectangles, x -> 1 - x on the Cantor set."""
+    kind = draw(st.sampled_from(["harmonics", "table", "rectangle",
+                                 "cantor"]))
+    coefficient = st.floats(min_value=-2.0, max_value=2.0)
+    if kind in ("harmonics", "table"):
+        n = 2 * draw(st.integers(min_value=4, max_value=96))
+        mesh = make_smooth_curve(Circle(
+            center=(draw(st.floats(-3.0, 3.0)), draw(st.floats(-3.0, 3.0))),
+            radius=draw(st.floats(min_value=0.1, max_value=2.0))), n)
+        t = mesh.param_values
+        if kind == "harmonics":
+            values = np.cos(t - draw(st.floats(0.0, 2.0 * np.pi)))
+            for k in (3, 5, 7):
+                values += (draw(coefficient) * np.cos(k * t)
+                           + draw(coefficient) * np.sin(k * t))
+        else:
+            half = np.resize(draw(st.lists(coefficient, min_size=1,
+                                           max_size=n // 2)), n // 2)
+            values = np.concatenate([half, -half])
+        return [(mesh, WeightFn.tabulated(values))]
+    if kind == "rectangle":
+        a, b = draw(st.floats(0.3, 2.0)), draw(st.floats(0.3, 2.0))
+        x0, y0 = draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0))
+        mesh = make_polygon_curve(
+            [[x0, y0], [x0 + a, y0], [x0 + a, y0 + b], [x0, y0 + b]],
+            2 * draw(st.integers(min_value=1, max_value=16)),
+            draw(st.sampled_from([1.0, 2.0, 3.0])))
+        values = _odd_in(mesh.nodes - [x0 + a / 2, y0 + b / 2],
+                         [draw(coefficient) for _ in range(6)])
+        return [(mesh, WeightFn.tabulated(values))]
+    measure = make_cantor_measure(draw(st.integers(1, 7)))
+    u = measure.atoms[:, 0] - 0.5
+    values = (np.sin(draw(st.floats(0.5, 20.0)) * u)
+              + draw(coefficient) * u ** 3)
+    return [(measure, WeightFn.tabulated(values))]
+
+
+@settings(max_examples=40, deadline=None)
+@given(supports=_negated_supports())
+def test_a_negated_weight_is_solved_as_singular_values(supports):
+    # the spectrum of the coupling block's singular values is the dense
+    # fold's within 64 n eps of the spectral radius; one value moved by
+    # 1e-9 of max |V| is no longer negated by any map
+    _assert_reduced_matches_dense(supports, reference_kernel())
+    (support, weight), = supports
+    values = weight.table.copy()
+    values[0] += 1e-9 * np.max(np.abs(values))
+    moved = [(support, WeightFn.tabulated(values))]
+    found = assemble._symmetry_table(moved, *assemble._layout(moved))
+    assert found is None or not found[1]
+
+
+def _half_turn_circle(n: int = 128, phase: float = 1.234, radius=1.0):
+    """An equispaced circle with the weight cos(t - phase), which the half
+    turn negates and, at this phase, no map keeps."""
+    mesh = make_smooth_curve(Circle(radius=radius), n)
+    return [(mesh, WeightFn.tabulated(np.cos(mesh.param_values - phase)))]
+
+
+def _half_turn_rectangle():
+    mesh = make_polygon_curve([[0.0, 0.0], [1.3, 0.0], [1.3, 0.7],
+                               [0.0, 0.7]], 16, 3.0)
+    values = _odd_in(mesh.nodes - [0.65, 0.35],
+                     [1.0, 0.4, -0.7, 0.2, 0.9, -0.3])
+    return [(mesh, WeightFn.tabulated(values))]
+
+
+def _half_turn_cantor():
+    measure = make_cantor_measure(7)
+    u = measure.atoms[:, 0] - 0.5
+    return [(measure, WeightFn.tabulated(np.sin(7.0 * u) + u ** 3))]
+
+
+@pytest.mark.parametrize("supports", [
+    _half_turn_circle(), _half_turn_rectangle(), _half_turn_cantor(),
+], ids=["circle", "rectangle", "cantor"])
+def test_a_negated_weight_is_one_coupling_block(supports):
+    op = _assert_reduced_matches_dense(supports, reference_kernel())
+    assert op.blocks == () and len(op.singles) == 0
+    assert [c.n for c in op.couplings] == [op.n // 2]
+    # one value moved by 1e-9 of max |V|: the operator is dense
+    (support, weight), = supports
+    values = weight.table.copy()
+    values[1] += 1e-9 * np.max(np.abs(values))
+    assert assemble_symmetric([(support, WeightFn.tabulated(values))],
+                              reference_kernel()) is None
+
+
+def test_a_negating_map_that_fixes_an_atom_is_not_taken():
+    # sin t + sin 2t: t -> -t negates it and fixes the nodes at 0 and pi,
+    # and no other map of the detector keeps or negates it; three atoms on
+    # a line, the middle one at the centroid, with the values -1, 0, 1
+    mesh = make_smooth_curve(Circle(), 64)
+    t = mesh.param_values
+    line = SingularMeasure(atoms=np.array([[0.0, 0.0], [0.5, 0.0],
+                                           [1.0, 0.0]]),
+                           masses=np.full(3, 0.25), cell_size=0.25,
+                           alpha_nominal=1.0)
+    for supports in ([(mesh, WeightFn.tabulated(np.sin(t) + np.sin(2 * t)))],
+                     [(line, WeightFn.tabulated([-1.0, 0.0, 1.0]))]):
+        assert assemble._symmetry_table(
+            supports, *assemble._layout(supports)) is None
+        assert assemble_symmetric(supports, reference_kernel()) is None
+
+
+def test_a_perturbed_singular_value_fails_the_check(monkeypatch):
+    supports = _half_turn_circle()
+    eigensolve(assemble_symmetric(supports, reference_kernel()))
+    true_singular_values = spectra._singular_values
+
+    def first_shifted(m):
+        vals = true_singular_values(m)
+        vals[0] *= 1.0 + 1e-6
+        return vals
+
+    monkeypatch.setattr(spectra, "_singular_values", first_shifted)
+    op = assemble_symmetric(supports, reference_kernel())
+    with pytest.raises(InternalError, match="trace error .* Frobenius"):
+        eigensolve(op)
+
+
+def _dgesdd_reports_info_1(*args):
+    # dgesdd's arguments: jobz, m, n, a, lda, s, u, ldu, vt, ldvt, work,
+    # lwork, iwork, info, and the character length
+    args[13].contents.value = 1
+
+
+def _svd_does_not_converge(m, compute_uv):
+    raise np.linalg.LinAlgError("SVD did not converge")
+
+
+@pytest.mark.parametrize("path", ["dgesdd", "fallback"])
+def test_a_failed_singular_value_solve_raises_internal_error(path,
+                                                             monkeypatch):
+    if path == "dgesdd":
+        monkeypatch.setattr(spectra, "_lapack_dgesdd",
+                            lambda: _dgesdd_reports_info_1)
+        named = "LAPACK dgesdd info = 1"
+    else:
+        monkeypatch.setattr(spectra, "_lapack_dgesdd", lambda: None)
+        monkeypatch.setattr(np.linalg, "svd", _svd_does_not_converge)
+        named = "SVD did not converge"
+    op = assemble_symmetric(_half_turn_circle(), reference_kernel())
+    with pytest.raises(InternalError,
+                       match="singular value solve failed: .*" + named):
+        eigensolve(op)
+
+
+def test_the_singular_value_fallback_gives_the_same_spectrum(monkeypatch):
+    supports = _half_turn_circle()
+    want = eigensolve(assemble_symmetric(supports, reference_kernel()))
+    monkeypatch.setattr(spectra, "_lapack_dgesdd", lambda: None)
+    got = eigensolve(assemble_symmetric(supports, reference_kernel()))
+    rho = want.positives[0]
+    unit = spectra._tolerance_unit(128) * rho
+    assert np.max(np.abs(got.positives - want.positives)) <= unit
+    assert np.max(np.abs(got.negatives - want.negatives)) <= unit
+
+
+def test_a_second_solve_of_a_coupling_block_is_refused():
+    op = assemble_symmetric(_half_turn_circle(), reference_kernel())
+    eigensolve(op)
+    with pytest.raises(InvalidArgumentError, match="already eigensolved"):
+        eigensolve(op)
+    with pytest.raises(InvalidArgumentError, match="already eigensolved"):
+        op.couplings[0].consume()
+
+
+@pytest.mark.parametrize("failing", [1, 2], ids=["even", "odd"])
+def test_a_coupled_block_not_positive_definite_is_the_folds_refusal(
+        failing, monkeypatch):
+    # either block's factorisation failing gives the fold's refusal, naming
+    # the node spacing; on a radius-5 circle of 64 nodes (spacing 0.49)
+    # the dense fold refuses the same operator
+    supports = _half_turn_circle(n=64)
+    true_cholesky = assemble._cholesky_in_place
+    calls = []
+
+    def failing_cholesky(m):
+        calls.append(len(m))
+        if len(calls) == failing:
+            raise np.linalg.LinAlgError("not positive definite")
+        true_cholesky(m)
+
+    monkeypatch.setattr(assemble, "_cholesky_in_place", failing_cholesky)
+    with pytest.raises(InvalidArgumentError,
+                       match="under-resolved mesh: .* node spacing 0.09817"):
+        assemble_symmetric(supports, reference_kernel())
+    assert calls == [32] * failing
+    monkeypatch.undo()
+    wide = _half_turn_circle(n=64, radius=5.0)
+    for solve in (assemble_symmetric, assemble_mixed):
+        with pytest.raises(InvalidArgumentError,
+                           match="under-resolved mesh: .* node spacing "
+                                 "0.4909"):
+            solve(wide, reference_kernel())
 
 
 # ---------------------------------------------------------------------------
