@@ -30,10 +30,11 @@ operator commutes with G, and ``assemble_symmetric`` builds it in a
 symmetry-adapted basis as one block per character of G, each about n/|G|
 (Fassler and Stiefel, Group Theoretical Methods and Their Applications,
 1992; Allgower, Georg and Miranda, SIAM J. Numer. Anal. 29, 1992).  It
-assembles the rows of one representative per orbit, n^2/|G| entries, and
-takes the blocks from one DFT over the group axes; an equispaced circle of
-a constant weight is the case G = C_n, whose n blocks are 1 x 1, the real
-DFT of its first row.
+assembles the rows of one representative per orbit against the orbits
+after it alone, about n^2/(2|G|) entries, and takes the blocks from one
+DFT over the group axes, each Hermitian by its upper orbit triangle; an
+equispaced circle of a constant weight is the case G = C_n, whose n blocks
+are 1 x 1, the real DFT of its first row.
 
 A signed weight may instead be negated by a map g of order 2 that fixes no
 atom, as the half turn negates cos(t - phi) on an equispaced circle.  Its
@@ -418,19 +419,24 @@ def _kress_weight_vector(n: int) -> np.ndarray:
     return weights
 
 
-def _each_block(n_rows: int, width: int, fill) -> None:
+def _each_block(n_rows: int, width: int, fill, narrowing: int = 0) -> None:
     """Call ``fill(i0, i1)`` on every row slice [i0, i1) of ``n_rows`` rows,
-    each (rows, width) slice of doubles about ``_BLOCK_BYTES / _WORKERS``,
-    on the calling thread and up to ``_WORKERS - 1`` pool threads.
+    each (rows, width - narrowing * i0) slice of doubles about
+    ``_BLOCK_BYTES / _WORKERS``, on the calling thread and up to
+    ``_WORKERS - 1`` pool threads.
 
     The slices are taken in order, so the widest blocks of an upper
     triangle go first.  ``fill`` must write disjoint output per slice.  A
     slice that raises stops the slices not yet taken; the error reaches the
     caller after every running slice has ended.
     """
-    rows = max(1, _BLOCK_BYTES // _WORKERS // (8 * max(1, width)))
-    pending = [(i0, min(n_rows, i0 + rows))
-               for i0 in reversed(range(0, n_rows, rows))]
+    pending, i0 = [], 0
+    while i0 < n_rows:
+        rows = max(1, _BLOCK_BYTES // _WORKERS
+                   // (8 * max(1, width - narrowing * i0)))
+        pending.append((i0, min(n_rows, i0 + rows)))
+        i0 += rows
+    pending.reverse()
 
     def drain():
         # list.pop and list.clear are atomic: no lock is needed
@@ -453,10 +459,13 @@ def _each_block(n_rows: int, width: int, fill) -> None:
             future.result()
 
 
-def _set_self(block: np.ndarray, rows: np.ndarray, c0: int, value) -> None:
-    """Write ``value`` into the self pairs of a block of the rows ``rows``
-    (each at least c0) against the columns [c0, n)."""
-    block[np.arange(len(rows)), rows - c0] = value
+def _self_pairs(rows: np.ndarray, cols: np.ndarray):
+    """The positions (i, j) of the self pairs, rows[i] == cols[j], in a
+    block of the ascending indices ``rows`` against the indices ``cols``:
+    one per row against a range of columns, and one more for each symmetry
+    that fixes the row's atom against the columns of orbit images."""
+    j = np.flatnonzero(np.isin(cols, rows))
+    return np.searchsorted(rows, cols[j]), j
 
 
 def _smooth_curve_rows(mesh: SurfaceMesh, kernel: KernelModel):
@@ -472,22 +481,23 @@ def _smooth_curve_rows(mesh: SurfaceMesh, kernel: KernelModel):
                                  + kernel.log_coefficient * np.log(speed))
                ) * (n / TWO_PI)
 
-    def block(rows, c0):
-        r = _pairwise_dist(nodes[rows], nodes[c0:])
+    def block(rows, cols):
+        pairs = _self_pairs(rows, cols)
+        r = _pairwise_dist(nodes[rows], nodes[cols])
         # placeholders on the self pairs, whose entries the closure replaces
-        _set_self(r, rows, c0, 1.0)
+        r[pairs] = 1.0
         log_factor, smooth = kernel.split(r)
         # taken after the split, whose temporaries it would join otherwise
-        half_sin = np.abs(np.sin((t[rows, None] - t[None, c0:]) / 2.0))
-        _set_self(half_sin, rows, c0, 1.0)
+        half_sin = np.abs(np.sin((t[rows, None] - t[None, cols]) / 2.0))
+        half_sin[pairs] = 1.0
         # the Kress weights integrate log_factor * log(4 sin^2((t-s)/2)) / 2;
         # the rest of log_factor * log(r) joins the smooth remainder
         smooth = smooth + log_factor * np.log(r / (2.0 * half_sin))
         del r, half_sin
-        offsets = rows[:, None] - np.arange(c0, n)[None, :]
+        offsets = rows[:, None] - cols[None, :]
         out = (0.5 * log_factor * rw[offsets % n]
                + (TWO_PI / n) * smooth) * (n / TWO_PI)
-        _set_self(out, rows, c0, closure[rows])
+        out[pairs] = closure[rows[pairs[0]]]
         return out
 
     return block
@@ -537,8 +547,7 @@ def _polygon_rows(mesh: SurfaceMesh, kernel: KernelModel):
     closure = (kernel.log_coefficient * intlog_self
                + kernel.remainder_at_zero * w) / w
 
-    def block(rows, c0):
-        cols = slice(c0, None)
+    def block(rows, cols):
         log_factor, smooth = kernel.split(
             _pairwise_dist(nodes[rows], nodes[cols]))
         intlog = _panel_log_integrals(nodes[rows], nodes[cols],
@@ -550,7 +559,8 @@ def _polygon_rows(mesh: SurfaceMesh, kernel: KernelModel):
         ktil_t = ((log_factor * intlog_t + smooth * w[rows, None])
                   / w[rows, None])
         out = 0.5 * (ktil + ktil_t)
-        _set_self(out, rows, c0, closure[rows])
+        pairs = _self_pairs(rows, cols)
+        out[pairs] = closure[rows[pairs[0]]]
         return out
 
     return block
@@ -565,12 +575,13 @@ def _point_rows(points: np.ndarray, kernel: KernelModel, cell_kind: str,
     else:
         closure = kernel.remainder_at_zero
 
-    def block(rows, c0):
-        r = _pairwise_dist(points[rows], points[c0:])
+    def block(rows, cols):
+        pairs = _self_pairs(rows, cols)
+        r = _pairwise_dist(points[rows], points[cols])
         # a placeholder distance on the self pairs, closed below
-        _set_self(r, rows, c0, 1.0)
+        r[pairs] = 1.0
         out = kernel.profile(r)
-        _set_self(out, rows, c0, closure)
+        out[pairs] = closure
         return out
 
     return block
@@ -578,12 +589,13 @@ def _point_rows(points: np.ndarray, kernel: KernelModel, cell_kind: str,
 
 def _support_rows(support, kernel: KernelModel):
     """The effective-kernel rows of one support, as a function of (rows,
-    c0): the entries of the rows ``rows`` (an index array, each at least
-    c0) against the columns [c0, n), the self pairs closed.  Smooth closed
-    meshes (even, at least 8 nodes, as ``SurfaceMesh`` enforces) get the
-    spectrally accurate periodic log quadrature; polygons, of any size,
-    panel collocation with exact flat-panel log integrals; measures the
-    pointwise kernel closed by the cell average of ``_cell_shape``."""
+    cols): the entries of the rows ``rows`` (an ascending index array)
+    against the columns ``cols`` (any index array, repeats allowed), the
+    self pairs closed.  Smooth closed meshes (even, at least 8 nodes, as
+    ``SurfaceMesh`` enforces) get the spectrally accurate periodic log
+    quadrature; polygons, of any size, panel collocation with exact
+    flat-panel log integrals; measures the pointwise kernel closed by the
+    cell average of ``_cell_shape``."""
     if isinstance(support, SingularMeasure):
         return _point_rows(support.atoms, kernel, _cell_shape(support),
                            support.cell_size)
@@ -599,7 +611,7 @@ def _upper_pass(block, n: int, out: np.ndarray | None) -> np.ndarray:
     out = np.empty((n, n)) if out is None else out
 
     def fill(i0, i1):
-        _put_upper(out, i0, i1, block(np.arange(i0, i1), i0))
+        _put_upper(out, i0, i1, block(np.arange(i0, i1), np.arange(i0, n)))
 
     _each_block(n, n, fill)
     return out
@@ -1040,75 +1052,115 @@ def _orbit_table(generators, rel, weights, values, reach, unit, v_reach,
 def _orbit_rows(supports, kernel: KernelModel, points: np.ndarray,
                 offsets: np.ndarray, table: np.ndarray, vw: np.ndarray,
                 negated: bool):
-    """The rows of the orbit representatives of the kernel matrix that
-    ``assemble_mixed`` builds over ``supports``, gathered in group order:
-    an (N1, N2, r, r) array R with R[a, b, o, p] = K[i_o, g_ab(i_p)], and
-    the operator's invariants (``_row_invariants``; ``negated`` where the
-    group negates V w, whose orbits then add nothing to the trace).  Each
-    support's rows
-    take its effective kernel, and plain kernel values across supports,
-    one row block at a time in the pass of ``_each_block``; no full row
-    array is kept.
+    """The upper orbit triangle of the rows of the orbit representatives
+    of the kernel matrix that ``assemble_mixed`` builds over ``supports``,
+    gathered in group order: an (N1, N2, r, r) array R with R[a, b, o, p]
+    = K[i_o, g_ab(i_p)] for p >= o, and the operator's invariants
+    (``_row_invariants``; ``negated`` where the group negates V w, whose
+    orbits then add nothing to the trace).
+
+    A symmetric, G-invariant K gives R[g, p, o] = R[g^-1, o, p], so the
+    orbit pairs p < o are never evaluated (Allgower, Georg and Miranda):
+    a block of rows [o0, o1) is evaluated against the columns table[:, :,
+    o0:] alone, about n^2/(2|G|) entries in all, and its entries left of
+    o0 are zeroed, so that the transform reads no uninitialised memory.
+    Each support's rows take its effective kernel against the orbits of
+    that support, and plain kernel values against the later supports'
+    orbits only, so each cross block is computed once; the blocks run in
+    the pass of ``_each_block``, and no full row array is kept.
 
     R lives in an array of n^2 doubles or more, the dense operator's
     storage, of which it touches about n^2/|G|: the allocator maps and
     releases it as it does the dense operator, and so keeps no more memory
     resident after the solve than the dense path does."""
     reps = table[0, 0]
-    sizes = table.shape[0] * table.shape[1] / (table == reps).sum(axis=(0, 1))
+    r = len(reps)
+    order = table.shape[0] * table.shape[1]
+    stabilisers = (table == reps).sum(axis=(0, 1))
+    sizes = order / stabilisers
     traces = 0.0 * sizes if negated else sizes
-    shape = table.shape[:2] + (len(reps), len(reps))
+    orbits = (sizes, traces, stabilisers, vw)
+    shape = table.shape[:2] + (r, r)
     out = np.empty(max(len(points) ** 2, int(np.prod(shape))))
     out = out[:int(np.prod(shape))].reshape(shape)
     sums = []
     bounds = np.searchsorted(reps, offsets)
     for k, (support, _) in enumerate(supports):
         block = _support_rows(support, kernel)
-        lo, hi = offsets[k], offsets[k + 1]
-        first = bounds[k]
+        lo, first, last = offsets[k], bounds[k], bounds[k + 1]
 
-        def fill(i0, i1, block=block, lo=lo, hi=hi, first=first):
-            rows = slice(first + i0, first + i1)
-            full = np.empty((i1 - i0, len(points)))
-            full[:, lo:hi] = block(reps[rows] - lo, 0)
-            for c0, c1 in zip(offsets[:-1], offsets[1:]):
-                if c0 != lo:
-                    full[:, c0:c1] = kernel.profile(
-                        _pairwise_dist(points[reps[rows]], points[c0:c1]))
-            out[:, :, rows] = np.moveaxis(full[:, table], 0, 2)
-            sums.append(_row_invariants(full, reps[rows], traces[rows],
-                                        sizes[rows], vw))
+        def fill(i0, i1, block=block, lo=lo, first=first, last=last):
+            o0, o1 = first + i0, first + i1
+            rows = reps[o0:o1]
+            out[:, :, o0:o1, :o0] = 0.0
+            # the support's own orbits from o0 on, then the later supports'
+            for p0, p1 in ((o0, last), (last, r)):
+                if p0 == p1:
+                    continue
+                cols = table[:, :, p0:p1]
+                if p0 == o0:
+                    values = block(rows - lo, cols.ravel() - lo)
+                else:
+                    values = kernel.profile(
+                        _pairwise_dist(points[rows], points[cols.ravel()]))
+                values = values.reshape((o1 - o0,) + cols.shape)
+                out[:, :, o0:o1, p0:p1] = np.moveaxis(values, 0, 2)
+                sums.append(_row_invariants(values, o0, p0, table, orbits))
 
-        _each_block(bounds[k + 1] - first, len(points), fill)
+        # each row of orbits drops |G| columns of the blocks after it
+        _each_block(last - first, order * (r - first), fill, order)
     exponent = max(e for _, _, e in sums)
     return out, (sum(np.ldexp(t, e - exponent) for t, _, e in sums),
                  sum(np.ldexp(f, 2 * (e - exponent)) for _, f, e in sums),
                  exponent)
 
 
-def _row_invariants(rows: np.ndarray, reps: np.ndarray, traces: np.ndarray,
-                    sizes: np.ndarray, vw: np.ndarray
-                    ) -> tuple[float, float, int]:
+def _row_invariants(values: np.ndarray, o0: int, p0: int, table: np.ndarray,
+                    orbits) -> tuple[float, float, int]:
     """The part of the trace and of the squared Frobenius norm of the
-    operator that the kernel rows ``rows`` of the orbit representatives
-    ``reps`` carry, weight V w = ``vw``, in units of 2^e and 2^2e, and e,
-    the exponent of their largest |entry|, as ``spectra._upper_invariants``
-    gives them.  They hold for the scaled operator and for the fold alike:
-    the trace is sum_i vw_i K_ii and the squared norm sum_ij vw_i vw_j
-    K_ij^2.  Each orbit's row counts ``sizes`` times in the norm, as often
-    as the orbit has atoms, and ``traces`` times in the trace: as often
-    too, or 0 where the group negates V w, whose characters sum to 0 over
-    the orbit.  They are taken before the transform, so the check covers
-    the transform as well as the solves."""
+    operator that one block of ``_orbit_rows`` carries, in units of 2^e
+    and 2^2e, and e, the exponent of its largest |entry|, as
+    ``spectra._upper_invariants`` gives them.  ``values[i, a, b, j]`` =
+    K[i_o, g_ab(i_p)] for the orbits o = o0 + i and p = p0 + j, and
+    ``orbits`` are (sizes, traces, stabilisers, V w): each orbit's atom
+    count, its trace weight and its stabiliser's order, and the weight per
+    atom.
+
+    They hold for the scaled operator and for the fold alike: the trace is
+    sum_i vw_i K_ii and the squared norm sum_ij vw_i vw_j K_ij^2.  The sum
+    over O_o x O_p is |O_o| times the row of i_o over O_p, each atom of
+    which the group axes hold |stabiliser of p| times, and it is symmetric
+    in o and p: an orbit pair counts twice where p > o, once where p = o,
+    and not at all where p < o, in the leading square of a block.  The
+    trace takes each orbit's self entry ``traces`` times: |O_o| times, or
+    0 where the group negates V w, whose characters sum to 0 over the
+    orbit.  They are taken before the transform, so the check covers the
+    transform as well as the solves."""
+    sizes, traces, stabilisers, vw = orbits
+    o = o0 + np.arange(values.shape[0])
+    p = p0 + np.arange(values.shape[-1])
+    atoms = table[:, :, p]
+    reps = table[0, 0, o]
     s = np.sqrt(np.abs(vw))
+    # in units of the largest s, so that no entry underflows before its
+    # exponent is read: a subnormal weight gives a subnormal operator
+    shift = int(np.frexp(np.max(s))[1])
+    s = np.ldexp(s, -shift)
     sign = np.sign(vw)
-    m = rows * s[None, :]
-    m *= s[reps, None]
+    m = values * s[atoms]
+    m *= s[reps, None, None, None]
     exponent = int(np.frexp(np.max(np.abs(m), initial=0.0))[1])
     np.ldexp(m, -exponent, out=m)
-    return (float((traces * sign[reps]) @ m[np.arange(len(reps)), reps]),
-            float((sizes * sign[reps]) @ np.einsum("ol,ol,l->o", m, m, sign)),
-            exponent)
+    own = np.flatnonzero((o >= p[0]) & (o <= p[-1]))
+    trace = float((traces[o[own]] * sign[reps[own]])
+                  @ m[own, 0, 0, o[own] - p0])
+    m *= m
+    squares = np.einsum("iabj,abj->ij", m, sign[atoms])
+    pairs = (np.sign(p[None, :] - o[:, None]) + 1.0) / stabilisers[p]
+    return (trace,
+            float((sizes[o] * sign[reps])
+                  @ np.einsum("ij,ij->i", pairs, squares)),
+            exponent + 2 * shift)
 
 
 def assemble_symmetric(supports, kernel: KernelModel) -> BlockOperator | None:
@@ -1116,19 +1168,21 @@ def assemble_symmetric(supports, kernel: KernelModel) -> BlockOperator | None:
     its symmetry group G (``_symmetry_table``) to one block per character
     of G, or None where no symmetry is found.
 
-    Only the rows of one representative per orbit are assembled, n^2/|G|
-    entries.  With R[g, o, p] = K[i_o, g(i_p)] those rows gathered in group
-    order, the block of the character chi is
+    Only the rows of one representative per orbit are assembled, and of
+    those only the orbit pairs p >= o, about n^2/(2|G|) entries
+    (``_orbit_rows``).  With R[g, o, p] = K[i_o, g(i_p)] those rows
+    gathered in group order, the block of the character chi is
         B[o, p] = sqrt(|O_o| |O_p|) / |G| sum_g conj(chi(g)) R[g, o, p],
     the DFT over the group axes (``_character_sums``), over the orbits
-    whose stabiliser chi is trivial on; each block is then made exactly
-    Hermitian, (B + B^H) / 2 (on a circle, C_n, that is (c_j + c_{n-j}) / 2
-    of its first row).  V w is constant on an orbit, so each block is
-    scaled, or folded, as ``_finalize`` does the whole matrix, in the
-    storage of the transform where it has every orbit.  A real character's
-    block is real; a complex one stands for its conjugate pair as the real
-    form [[Re B, -Im B], [Im B, Re B]], whose eigenvalues are B's, each
-    twice.  Where the group negates V, its two real blocks S and Q are
+    whose stabiliser chi is trivial on.  R[g, p, o] = R[g^-1, o, p] makes
+    B[p, o] = conj(B[o, p]), so each block is Hermitian by its upper orbit
+    triangle, its diagonal taken real (``_hermitian_upper``; on a circle,
+    C_n, the real part of the DFT of its first row).  V w is constant on
+    an orbit, so each block is scaled, or folded, as ``_finalize`` does
+    the whole matrix, in the storage of the transform where it has every
+    orbit.  A real character's block is real; a complex one stands for its
+    conjugate pair as the real form [[Re B, -Im B], [Im B, Re B]], whose
+    eigenvalues are B's, each twice.  Where the group negates V, its two real blocks S and Q are
     factored and coupled instead (``_coupling``), and the operator is that
     one coupling block.  The measure and curve refusals of
     ``assemble_mixed`` hold here too.
@@ -1248,20 +1302,15 @@ def _compacted(square: np.ndarray, keep: np.ndarray) -> np.ndarray:
 
 
 def _hermitian_upper(b: np.ndarray, norm: np.ndarray) -> None:
-    """Scale the character sums ``b`` to the block, b_op norm_o norm_p, and
-    write (b + b^H) / 2 on and above its diagonal, in place, one row block
-    at a time; the strict lower triangle is left as scratch."""
+    """Scale the character sums ``b`` to the block, b_op norm_o norm_p, in
+    place, and make it Hermitian by its upper triangle: the real rows of a
+    symmetric, G-invariant kernel give B[p, o] = conj(B[o, p]), so the
+    triangle on and above the diagonal is the block once the diagonal is
+    made real.  The strict lower triangle is left as scratch."""
     b *= norm[:, None]
     b *= norm[None, :]
-    k = len(b)
-    rows = max(1, _BLOCK_BYTES // (8 * k))
-    for i0 in range(0, k, rows):
-        i1 = min(k, i0 + rows)
-        b[i0:i1, i1:] += b[i1:, i0:i1].conj().T
-        b[i0:i1, i1:] *= 0.5
-        square = b[i0:i1, i0:i1]
-        np.copyto(square, 0.5 * (square + square.conj().T),
-                  where=_upper(i1 - i0))
+    if np.iscomplexobj(b):
+        np.fill_diagonal(b.imag, 0.0)
 
 
 def _butterfly(first: np.ndarray, second: np.ndarray) -> None:

@@ -398,7 +398,8 @@ def _symmetric_weight(values, n: int) -> np.ndarray:
 @st.composite
 def _symmetric_supports(draw):
     kind = draw(st.sampled_from(["circle", "tabulated circle", "square",
-                                 "rectangle", "cantor", "two circles"]))
+                                 "rectangle", "cantor", "two circles",
+                                 "grid and circle"]))
     values = st.floats(min_value=-2.0, max_value=2.0)
     if kind in ("circle", "tabulated circle"):
         n = 2 * draw(st.integers(min_value=4, max_value=96))
@@ -422,6 +423,18 @@ def _symmetric_supports(draw):
     if kind == "cantor":
         return [(make_cantor_measure(draw(st.integers(1, 8))),
                  WeightFn.constant(draw(values)))]
+    if kind == "grid and circle":
+        # the mixed a.c. + singular layout, coarse: symmetric under the
+        # diagonal reflection, which fixes the cells on the diagonal and
+        # two nodes; the cross block between the supports is evaluated
+        # from the grid's rows alone
+        mesh = make_smooth_curve(Circle(radius=draw(st.floats(0.3, 0.6))),
+                                 8 * draw(st.integers(min_value=2,
+                                                      max_value=8)))
+        grid = make_cell_grid((0.0, 0.0), 1.0, draw(st.floats(0.12, 0.25)),
+                              exclude_meshes=[mesh])
+        return [(grid, WeightFn.constant(draw(st.floats(0.0, 5.0)))),
+                (mesh, WeightFn.constant(draw(st.floats(0.0, 5.0))))]
     n1, n2 = (2 * draw(st.integers(4, 48)) for _ in range(2))
     r1, r2 = (draw(st.floats(0.2, 1.5)) for _ in range(2))
     gap = draw(st.floats(0.5, 4.0))
@@ -620,14 +633,30 @@ def _negated_supports(draw):
 def test_a_negated_weight_is_solved_as_singular_values(supports):
     # the spectrum of the coupling block's singular values is the dense
     # fold's within 64 n eps of the spectral radius; one value moved by
-    # 1e-9 of max |V| is no longer negated by any map
+    # 1e-9 of max |V|, or by one step where that rounds away (subnormal
+    # V), is no longer negated by any map
     _assert_reduced_matches_dense(supports, reference_kernel())
     (support, weight), = supports
     values = weight.table.copy()
-    values[0] += 1e-9 * np.max(np.abs(values))
+    values[0] = max(values[0] + 1e-9 * np.max(np.abs(values)),
+                    np.nextafter(values[0], np.inf))
     moved = [(support, WeightFn.tabulated(values))]
     found = assemble._symmetry_table(moved, *assemble._layout(moved))
     assert found is None or not found[1]
+
+
+def test_a_subnormal_negated_weight_underflows_on_both_paths():
+    # +-5e-324 on an 8-node circle: the kernel rows times sqrt(V w)
+    # underflow to 0, and the operator's largest entry, subnormal on the
+    # dense fold, must be read as subnormal from the rows too
+    mesh = make_smooth_curve(Circle(radius=1.0), 8)
+    values = np.repeat([5e-324, -5e-324], 4)
+    supports = [(mesh, WeightFn.tabulated(values))]
+    assert assemble._symmetry_table(supports,
+                                    *assemble._layout(supports))[1]
+    with pytest.raises(InvalidArgumentError, match="entries underflow"):
+        eigensolve(assemble_symmetric(supports, reference_kernel()))
+    _assert_reduced_matches_dense(supports, reference_kernel())
 
 
 def _half_turn_circle(n: int = 128, phase: float = 1.234, radius=1.0):
@@ -774,6 +803,142 @@ def test_a_coupled_block_not_positive_definite_is_the_folds_refusal(
                            match="under-resolved mesh: .* node spacing "
                                  "0.4909"):
             solve(wide, reference_kernel())
+
+
+# ---------------------------------------------------------------------------
+# the upper orbit triangle
+# ---------------------------------------------------------------------------
+
+def _grid_and_circle(delta: float = 0.15, n_curve: int = 64):
+    """The mixed a.c. + singular layout: a cell grid on the unit disk and a
+    circle inside it, symmetric under the diagonal reflection x <-> y
+    alone, which fixes the cells on the diagonal and two nodes."""
+    mesh = make_smooth_curve(Circle(radius=0.5), n_curve)
+    grid = make_cell_grid((0.0, 0.0), 1.0, delta, exclude_meshes=[mesh])
+    return [(grid, WeightFn.constant(1.25)), (mesh, WeightFn.constant(1.0))]
+
+
+def _rectangle():
+    mesh = make_polygon_curve([[0.0, 0.0], [1.3, 0.0], [1.3, 0.7],
+                               [0.0, 0.7]], 48, 3.0)
+    return [(mesh, WeightFn.constant(1.0))]
+
+
+def _circle(weight, n: int = 256):
+    return [(make_smooth_curve(Circle(radius=1.0), n), weight)]
+
+
+_ORBIT_SUPPORTS = {
+    "rectangle": (_rectangle, (2, 2), False),
+    "cos t circle": (lambda: _circle(WeightFn.angular()), (1, 2), False),
+    "half-turn circle": (lambda: _half_turn_circle(n=256), (1, 2), True),
+    "cantor": (lambda: [(make_cantor_measure(8), WeightFn.constant(0.7))],
+               (1, 2), False),
+    "grid and circle": (_grid_and_circle, (1, 2), False),
+    "C_n circle": (lambda: _circle(WeightFn.constant(1.0)), (1, 256), False),
+}
+
+
+def _orbit_inputs(name):
+    """The supports of ``_ORBIT_SUPPORTS[name]`` and the arguments of
+    ``assemble._orbit_rows`` after ``kernel``."""
+    make, group, negated = _ORBIT_SUPPORTS[name]
+    supports = make()
+    points, weights, values, offsets = assemble._layout(supports)
+    table, found_negated = assemble._symmetry_table(supports, points,
+                                                    weights, values, offsets)
+    assert table.shape[:2] == group and found_negated == negated
+    return supports, (points, offsets, table, values * weights, negated)
+
+
+class _CountingKernel:
+    """The reference kernel, counting the entries it evaluates."""
+
+    def __init__(self):
+        self.inner = reference_kernel()
+        self.log_coefficient = self.inner.log_coefficient
+        self.remainder_at_zero = self.inner.remainder_at_zero
+        self.entries = 0
+
+    def split(self, r):
+        self.entries += np.size(r)
+        return self.inner.split(r)
+
+    def profile(self, r):
+        self.entries += np.size(r)
+        return self.inner.profile(r)
+
+
+@pytest.mark.parametrize("name", list(_ORBIT_SUPPORTS))
+def test_the_orbit_rows_evaluate_the_upper_orbit_triangle_once(name,
+                                                               monkeypatch):
+    # a block of rows [o0, o1) is evaluated against the orbits p >= o0
+    # alone, each column atom once per group element: about n^2/(2|G|)
+    # kernel entries, and the part of its leading square below the orbit
+    # diagonal; small blocks make the leading squares a small share
+    supports, args = _orbit_inputs(name)
+    table = args[2]
+    order, r = table.shape[0] * table.shape[1], table.shape[2]
+    monkeypatch.setattr(assemble, "_WORKERS", 1)
+    monkeypatch.setattr(assemble, "_BLOCK_BYTES", 1 << 13)
+    rows, panels = [], []
+    true_rows = assemble._support_rows
+    true_panels = assemble._panel_log_integrals
+
+    def recorded_rows(support, kern):
+        block = true_rows(support, kern)
+
+        def counted(block_rows, cols):
+            rows.append(len(block_rows))
+            return block(block_rows, cols)
+
+        return counted
+
+    def counted_panels(targets, centers, tangents, lengths):
+        panels.append(len(targets) * len(centers))
+        return true_panels(targets, centers, tangents, lengths)
+
+    monkeypatch.setattr(assemble, "_support_rows", recorded_rows)
+    monkeypatch.setattr(assemble, "_panel_log_integrals", counted_panels)
+    kern = _CountingKernel()
+    assemble._orbit_rows(supports, kern, *args)
+    rows = np.array(rows)
+    # exactly the orbit pairs p >= o and the rest of the leading squares
+    assert kern.entries == order * (r * (r + 1) + np.sum(rows * (rows - 1))
+                                    ) // 2
+    # |G| r columns of a full row, n of them where no symmetry fixes an atom
+    columns = order * r
+    n = len(args[0])
+    assert (columns > n) == (name in ("cos t circle", "grid and circle"))
+    assert kern.entries <= columns ** 2 / (2 * order) + order * np.sum(
+        rows ** 2)
+    assert sum(panels) == (2 * kern.entries if name == "rectangle" else 0)
+
+
+@pytest.mark.parametrize("name", list(_ORBIT_SUPPORTS))
+def test_the_orbit_row_invariants_are_those_of_the_dense_operator(name):
+    # the trace and the squared Frobenius norm from the upper orbit
+    # triangle, before the transform, against the dense operator's: the
+    # scaled kernel matrix, in the same unit, or for a signed weight the
+    # fold, whose largest entry is not the kernel's; the half turn's trace
+    # is 0, its orbits adding nothing to it
+    supports, args = _orbit_inputs(name)
+    _, (trace, frobenius_sq, unit) = assemble._orbit_rows(
+        supports, reference_kernel(), *args)
+    op = assemble_mixed(supports, reference_kernel())
+    dense = op.entries
+    want = spectra._upper_invariants(dense.copy())
+    if not op.signed_flag:
+        assert unit == want[2]
+    trace, frobenius_sq = (np.ldexp(trace, unit - want[2]),
+                           np.ldexp(frobenius_sq, 2 * (unit - want[2])))
+    n = len(dense)
+    eps = np.finfo(float).eps
+    diagonal = np.ldexp(np.diagonal(dense), -want[2])
+    assert abs(trace - want[0]) <= 2 * n * eps * np.sum(np.abs(diagonal))
+    assert frobenius_sq == pytest.approx(want[1], rel=4 * n * eps)
+    if args[-1]:
+        assert trace == 0.0
 
 
 # ---------------------------------------------------------------------------
