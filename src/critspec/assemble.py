@@ -1,11 +1,11 @@
-"""Dense symmetric discretizations of the weighted kernel operator.
+"""Symmetric discretizations of the weighted kernel operator.
 
 The operator acts on the weighted support by
 
     (L v)(X) = integral  W(X) Kernel(X, Y) W(Y) v(Y) dmu(Y),   W = sqrt(V),
 
-and its matrix is assembled as  M = diag(s) K diag(s)  with s = sqrt(V w)
-and K an effective-kernel matrix whose quadrature absorbs the logarithmic
+and its matrix is  M = diag(s) K diag(s)  with s = sqrt(V w) and K an
+effective-kernel matrix whose quadrature absorbs the logarithmic
 singularity:
 
 * smooth closed curves: spectrally accurate periodic quadrature that splits
@@ -23,18 +23,20 @@ weight) blocks: each support's effective kernel on its diagonal block and
 plain kernel values in the cross blocks between supports.  The curve and
 measure operators are its one-block calls.
 
-A support with a symmetry has a second, smaller form.  Where a group G of
-plane isometries maps the atoms, their quadrature weights and their weight
-values onto themselves (C_m rotations, or one or two reflections), the
-operator commutes with G, and ``assemble_symmetric`` builds it in a
-symmetry-adapted basis as one block per character of G, each about n/|G|
-(Fassler and Stiefel, Group Theoretical Methods and Their Applications,
-1992; Allgower, Georg and Miranda, SIAM J. Numer. Anal. 29, 1992).  It
-assembles the rows of one representative per orbit against the orbits
-after it alone, about n^2/(2|G|) entries, and takes the blocks from one
-DFT over the group axes, each Hermitian by its upper orbit triangle; an
-equispaced circle of a constant weight is the case G = C_n, whose n blocks
-are 1 x 1, the real DFT of its first row.
+``assemble_mixed`` is the one assembler, and it builds every operator in a
+symmetry-adapted basis.  Where a group G of plane isometries maps the
+atoms, their quadrature weights and their weight values onto themselves
+(C_m rotations, or one or two reflections), the operator commutes with G
+and splits into one block per character of G, each about n/|G| (Fassler
+and Stiefel, Group Theoretical Methods and Their Applications, 1992;
+Allgower, Georg and Miranda, SIAM J. Numer. Anal. 29, 1992).  Where none
+is found, G is the trivial group {e}: its one block is the whole n x n
+matrix, built by the same code.  The rows of one representative per orbit
+are assembled against the orbits from their own on alone, about
+n^2/(2|G|) entries, and the blocks come from one DFT over the group axes,
+each Hermitian by its upper orbit triangle; an equispaced circle of a
+constant weight is the case G = C_n, whose n blocks are 1 x 1, the real
+DFT of its first row.
 
 A signed weight may instead be negated by a map g of order 2 that fixes no
 atom, as the half turn negates cos(t - phi) on an equispaced circle.  Its
@@ -45,21 +47,19 @@ with M = L_S^T diag(V w) L_Q over the representatives, whose eigenvalues
 are plus and minus the singular values of M (Jordan and Wielandt; Golub and
 Van Loan, Matrix Computations, 8.6).  ``_symmetry_table`` takes such a map
 only where no map keeps the weight, and it is the one place that decides
-which operators are reduced; all others are dense.
+which group an operator is reduced by.
 
-Each effective-kernel matrix is built in one blocked pass over its upper
-triangle.  A block is a slice of rows [i0, i1) against the columns j >= i0:
-its distances come from a broadcast of two node slices, its kernel
-evaluations and panel integrals run on cache-resident temporaries, and its
-part on and above the diagonal is written straight into the one n x n
-output.  No pair-index array and no n^2 temporary exists.  The elementwise
-expressions are those of an all-pairs evaluation, so the matrices agree
-with one bit for bit.  The builders, the cross blocks of mixed
-configurations, the scaling and the sign fold all read the upper triangle
-only, and all but the fold write it only: the fold keeps its Cholesky
-factor in the lower one as scratch.  The finished operator is its upper
-triangle, diagonal included; no step fills the lower one, and the
-eigensolve of ``spectra`` reads the upper one alone, in place.
+The orbit rows are built in one blocked pass.  A block is a slice of
+representatives [o0, o1) against the columns of the orbits from o0 on: its
+distances come from a broadcast of two node slices, its kernel evaluations
+and panel integrals run on cache-resident temporaries, and it is written
+straight into the one row array, whose entries left of o0 are zeroed
+where a transform will read them.  No pair-index array and no n^2
+temporary exists.  The elementwise expressions are those of an all-pairs
+evaluation, so for G = {e} the matrix agrees with one bit for bit.  Each
+block of the operator is its upper triangle, diagonal included; the
+scaling and the fold read that triangle only, and the eigensolve of
+``spectra`` reads the upper one alone, in place.
 
 The pass runs on every core in the process's CPU affinity: the calling
 thread and up to ``_WORKERS - 1`` pool threads take the row blocks one at a
@@ -69,9 +69,8 @@ on the worker count.  Each worker's block is ``_BLOCK_BYTES // _WORKERS``,
 which keeps the bytes in flight at one serial block.  The first exception
 raised in a block stops the blocks not yet started and reaches the caller
 once every running block has ended; warnings raised in a block reach the
-caller's filters as usual.  The same pass scales the upper triangle by
-diag(s) and fills the cross blocks; the diagonal blocks are built in place,
-in views of the one operator matrix.
+caller's filters as usual.  The scaling runs over row blocks the same way,
+in the storage of the rows.
 
 Sign-changing V is reduced to a symmetric indefinite matrix with identical
 nonzero spectrum.  The one fold factors the effective-kernel matrix by
@@ -106,8 +105,8 @@ from .kernels import KernelModel, self_cell_coefficient
 
 TWO_PI = 2.0 * np.pi
 
-# byte size of the (rows, n) blocks in flight at once in the upper-triangle
-# pass, split evenly over the workers: the kernel and panel-integral
+# byte size of the row blocks in flight at once in the pass over the orbit
+# rows, split evenly over the workers: the kernel and panel-integral
 # temporaries of a block stay cache-resident
 _BLOCK_BYTES = 1 << 19
 # side of the square tiles of the Cholesky fold, in its factorisation and
@@ -191,17 +190,17 @@ class WeightFn:
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """Dense real symmetric discretization; ``signed_flag`` records that
-    the sign fold ran.
+    """One real symmetric block of a ``BlockOperator``; ``signed_flag``
+    records that the sign fold ran.
 
     The matrix is the upper triangle of ``entries``, diagonal included; the
     strict lower triangle is scratch and is never read, so an asymmetric
     array stands for the symmetric matrix of its upper triangle.  A
     C-contiguous writeable float64 array is kept as a read-only view of the
     caller's own memory, and any other is copied.  ``spectra.eigensolve``
-    consumes the operator: it overwrites that storage, and a second solve
-    is refused.  A coupling block of ``BlockOperator`` is kept the same way
-    but is not symmetric: its whole square is read.
+    consumes the block: it overwrites that storage, and a second solve is
+    refused.  A coupling block is kept the same way but is not symmetric:
+    its whole square is read.
     """
 
     entries: np.ndarray
@@ -240,14 +239,6 @@ class OperatorMatrix:
 def _upper(k: int) -> np.ndarray:
     """Mask of the upper triangle of a k x k square, diagonal included."""
     return ~np.tri(k, k=-1, dtype=bool)
-
-
-def _put_upper(out: np.ndarray, i0: int, i1: int, block: np.ndarray) -> None:
-    """Write the part of ``block`` (rows [i0, i1) against the columns
-    j >= i0) on and above the diagonal of ``out``."""
-    k = i1 - i0
-    out[i0:i1, i1:] = block[:, k:]
-    np.copyto(out[i0:i1, i0:i1], block[:, :k], where=_upper(k))
 
 
 def _pairwise_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -604,50 +595,22 @@ def _support_rows(support, kernel: KernelModel):
     return _polygon_rows(support, kernel)
 
 
-def _upper_pass(block, n: int, out: np.ndarray | None) -> np.ndarray:
-    """The upper triangle, diagonal included, of the n x n matrix whose
-    rows ``block`` gives, written in one blocked pass into ``out`` (an
-    (n, n) view, as of a larger matrix) when given."""
-    out = np.empty((n, n)) if out is None else out
-
-    def fill(i0, i1):
-        _put_upper(out, i0, i1, block(np.arange(i0, i1), np.arange(i0, n)))
-
-    _each_block(n, n, fill)
-    return out
-
-
-def _point_effective_kernel(points: np.ndarray, kernel: KernelModel,
-                            cell_kind: str, cell_size,
-                            out: np.ndarray | None = None) -> np.ndarray:
-    """Pointwise kernel with the cell-averaged diagonal closure."""
-    return _upper_pass(_point_rows(points, kernel, cell_kind, cell_size),
-                       len(points), out)
-
-
-def _curve_effective_kernel(mesh: SurfaceMesh, kernel: KernelModel,
-                            out: np.ndarray | None = None) -> np.ndarray:
-    """The curve's effective-kernel matrix on the quadrature that
-    ``_support_rows`` picks for it."""
-    return _upper_pass(_support_rows(mesh, kernel), mesh.n_nodes, out)
-
-
 # ---------------------------------------------------------------------------
 # assembly
 # ---------------------------------------------------------------------------
 
 def assemble_curve_operator(mesh: SurfaceMesh, V: WeightFn,
-                            kernel: KernelModel) -> OperatorMatrix:
-    """Symmetric matrix of the weighted kernel operator on a curve, on the
-    quadrature that ``_curve_effective_kernel`` picks for the mesh."""
+                            kernel: KernelModel) -> BlockOperator:
+    """The weighted kernel operator on a curve, on the quadrature that
+    ``_support_rows`` picks for the mesh (``assemble_mixed``)."""
     return assemble_mixed([(mesh, V)], kernel)
 
 
 def assemble_measure_operator(measure: SingularMeasure, V: WeightFn,
-                              kernel: KernelModel) -> OperatorMatrix:
-    """Symmetric matrix of the weighted kernel operator on an atomized
-    measure; the diagonal is closed by the cell-averaged self coefficient
-    of the cell each atom stands for (``_cell_shape``)."""
+                              kernel: KernelModel) -> BlockOperator:
+    """The weighted kernel operator on an atomized measure; the diagonal is
+    closed by the cell-averaged self coefficient of the cell each atom
+    stands for (``_cell_shape``; ``assemble_mixed``)."""
     return assemble_mixed([(measure, V)], kernel)
 
 
@@ -729,15 +692,6 @@ def _check_separation(supports) -> None:
                     "from curve nodes")
 
 
-def _cross_block(points_a: np.ndarray, points_b: np.ndarray,
-                 kernel: KernelModel, out: np.ndarray) -> None:
-    """Plain kernel values between two point sets, written into ``out``."""
-    def fill(i0, i1):
-        out[i0:i1] = kernel.profile(_pairwise_dist(points_a[i0:i1], points_b))
-
-    _each_block(len(points_a), len(points_b), fill)
-
-
 def _layout(supports):
     """The supports laid end to end: (atoms, quadrature weights, weight
     values, offsets), support k spanning [offsets[k], offsets[k + 1]).  A
@@ -751,44 +705,19 @@ def _layout(supports):
             offsets.astype(int))
 
 
-def assemble_mixed(supports, kernel: KernelModel) -> OperatorMatrix:
-    """Block operator over a list of (support, weight) pairs, each support
-    a ``SurfaceMesh`` or a ``SingularMeasure``.
-
-    A curve's diagonal block takes the curve quadrature of
-    ``_support_rows``; a measure's takes pointwise kernel values closed by
-    its cell's self coefficient; every cross block is plain kernel values.
-    A measure atom within one cell diagonal of a curve node is refused:
-    such near-singular blocks are unresolved.
-    """
-    supports = list(supports)
-    points, weights, v_all, offsets = _layout(supports)
-    _check_separation(supports)
-    spans = [slice(offsets[i], offsets[i + 1]) for i in range(len(supports))]
-    # every block is written in place: the diagonal ones by their builders
-    ktil = np.empty((len(points),) * 2)
-    for (support, _), si in zip(supports, spans):
-        _upper_pass(_support_rows(support, kernel), si.stop - si.start,
-                    ktil[si, si])
-    for i, si in enumerate(spans):
-        for sj in spans[i + 1:]:
-            _cross_block(points[si], points[sj], kernel, ktil[si, sj])
-    return _finalize(ktil, v_all, weights)
-
-
 # ---------------------------------------------------------------------------
 # symmetry reduction
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class BlockOperator:
-    """The operator of a symmetric support in a symmetry-adapted basis, as
-    ``assemble_symmetric`` builds it: one block per character of its
-    symmetry group.  Its eigenvalues are those of ``blocks``, real
-    symmetric ``OperatorMatrix`` blocks of order 2 or more (a complex
-    conjugate pair as the real form of one of its pair, whose eigenvalues
-    come out twice), together with ``singles``, the eigenvalues of the
-    1 x 1 blocks, each listed as often as it counts.  ``invariants`` are
+    """The operator in a symmetry-adapted basis, as ``assemble_mixed``
+    builds it: one block per character of its symmetry group, the one
+    block of order n for the trivial group.  Its eigenvalues are those of
+    ``blocks``, real symmetric ``OperatorMatrix`` blocks of order 2 or more
+    (a complex conjugate pair as the real form of one of its pair, whose
+    eigenvalues come out twice), together with ``singles``, the eigenvalues
+    of the 1 x 1 blocks, each listed as often as it counts.  ``invariants`` are
     the trace and the squared Frobenius norm of the whole operator in units
     of 2^e and 2^2e, and e, the binary exponent of its largest |entry|, as
     ``spectra`` checks them; ``n`` is its order.  ``couplings`` are the
@@ -856,10 +785,11 @@ def _symmetry_table(supports, points, weights, values, offsets):
     maps the supports onto themselves, as an (N1, N2, r) table: entry
     [a, b, o] is the atom that g1^a g2^b maps orbit o's representative
     to, the representatives (the least index of each orbit) in row
-    [0, 0].  None where no such group is found: the operator takes the
-    dense path.
+    [0, 0].  Where no such group is found, the group is the trivial one,
+    {e}, whose table is every atom in row [0, 0]: the operator is one
+    block of order n.
 
-    This is the one place that decides which operators are reduced.  The
+    This is the one place that decides which group reduces an operator.  The
     maps tried are the rotations about the centroid of the atoms by
     2 pi / m, m dividing each support's count of atoms off the centroid (the
     largest m, found one prime power at a time), and the reflections across
@@ -882,11 +812,12 @@ def _symmetry_table(supports, points, weights, values, offsets):
     the four reflections, in that order, are tried once more as maps that
     take each weight value to its negative within the same tolerance; the
     first one accepted that fixes no atom, every orbit of two, is the group,
-    and ``negated`` is True.  The table comes as (table, negated), or None.
+    and ``negated`` is True.  The table comes as (table, negated).
     """
     n = len(points)
+    trivial = np.arange(n)[None, None], False
     if n < 2:
-        return None
+        return trivial
     unit = _SYMMETRY_ULPS * n * np.finfo(float).eps
     center = points.mean(axis=0)
     rel = points - center
@@ -980,7 +911,7 @@ def _symmetry_table(supports, points, weights, values, offsets):
             [(perm, np.stack([np.eye(2), isometry]))], *args, negated=True)
         if table is not None:
             return table, True
-    return None
+    return trivial
 
 
 def _keeps_mesh(mesh: SurfaceMesh, local: np.ndarray, isometry: np.ndarray,
@@ -1064,22 +995,31 @@ def _orbit_rows(supports, kernel: KernelModel, points: np.ndarray,
     a block of rows [o0, o1) is evaluated against the columns table[:, :,
     o0:] alone, about n^2/(2|G|) entries in all, and its entries left of
     o0 are zeroed, so that the transform reads no uninitialised memory.
+    The trivial group's transform is the identity and reads nothing: its
+    entries left of o0 are left untouched, as scratch that no step reads,
+    and no page of them is faulted in.
     Each support's rows take its effective kernel against the orbits of
     that support, and plain kernel values against the later supports'
     orbits only, so each cross block is computed once; the blocks run in
     the pass of ``_each_block``, and no full row array is kept.
 
-    R lives in an array of n^2 doubles or more, the dense operator's
-    storage, of which it touches about n^2/|G|: the allocator maps and
-    releases it as it does the dense operator, and so keeps no more memory
-    resident after the solve than the dense path does."""
+    R lives in an array of n^2 doubles or more, of which it touches about
+    n^2/|G|: for the trivial group, R is the n x n kernel matrix itself,
+    its upper triangle evaluated, and the scaling or the fold runs in its
+    storage."""
     reps = table[0, 0]
     r = len(reps)
     order = table.shape[0] * table.shape[1]
     stabilisers = (table == reps).sum(axis=(0, 1))
-    sizes = order / stabilisers
-    traces = 0.0 * sizes if negated else sizes
-    orbits = (sizes, traces, stabilisers, vw)
+    # per representative, its orbit's atom count signed as V w
+    norms = order / stabilisers * np.sign(vw[reps])
+    # sqrt|V w| in units of its largest, so that no entry underflows before
+    # its exponent is read: a subnormal weight gives a subnormal operator
+    s = np.sqrt(np.abs(vw))
+    shift = int(np.frexp(np.max(s))[1])
+    s = np.ldexp(s, -shift)
+    orbits = (s[reps], 0.0 * norms if negated else norms, norms, s[table],
+              np.sign(vw[table]) * (2.0 / stabilisers), shift)
     shape = table.shape[:2] + (r, r)
     out = np.empty(max(len(points) ** 2, int(np.prod(shape))))
     out = out[:int(np.prod(shape))].reshape(shape)
@@ -1092,7 +1032,8 @@ def _orbit_rows(supports, kernel: KernelModel, points: np.ndarray,
         def fill(i0, i1, block=block, lo=lo, first=first, last=last):
             o0, o1 = first + i0, first + i1
             rows = reps[o0:o1]
-            out[:, :, o0:o1, :o0] = 0.0
+            if order > 1:
+                out[:, :, o0:o1, :o0] = 0.0
             # the support's own orbits from o0 on, then the later supports'
             for p0, p1 in ((o0, last), (last, r)):
                 if p0 == p1:
@@ -1105,7 +1046,7 @@ def _orbit_rows(supports, kernel: KernelModel, points: np.ndarray,
                         _pairwise_dist(points[rows], points[cols.ravel()]))
                 values = values.reshape((o1 - o0,) + cols.shape)
                 out[:, :, o0:o1, p0:p1] = np.moveaxis(values, 0, 2)
-                sums.append(_row_invariants(values, o0, p0, table, orbits))
+                sums.append(_row_invariants(values, o0, p0, orbits))
 
         # each row of orbits drops |G| columns of the blocks after it
         _each_block(last - first, order * (r - first), fill, order)
@@ -1115,58 +1056,62 @@ def _orbit_rows(supports, kernel: KernelModel, points: np.ndarray,
                  exponent)
 
 
-def _row_invariants(values: np.ndarray, o0: int, p0: int, table: np.ndarray,
+def _row_invariants(values: np.ndarray, o0: int, p0: int,
                     orbits) -> tuple[float, float, int]:
     """The part of the trace and of the squared Frobenius norm of the
     operator that one block of ``_orbit_rows`` carries, in units of 2^e
     and 2^2e, and e, the exponent of its largest |entry|, as
-    ``spectra._upper_invariants`` gives them.  ``values[i, a, b, j]`` =
+    ``BlockOperator.invariants`` holds them.  ``values[i, a, b, j]`` =
     K[i_o, g_ab(i_p)] for the orbits o = o0 + i and p = p0 + j, and
-    ``orbits`` are (sizes, traces, stabilisers, V w): each orbit's atom
-    count, its trace weight and its stabiliser's order, and the weight per
-    atom.
+    ``orbits`` are (s_o, trace_o, norm_o, s_abp, weight_abp, shift): per
+    representative and per atom of the orbit table, sqrt|V w| = s 2^shift;
+    per representative, its trace and norm weights; per atom of the table,
+    its column weight.
 
     They hold for the scaled operator and for the fold alike: the trace is
     sum_i vw_i K_ii and the squared norm sum_ij vw_i vw_j K_ij^2.  The sum
     over O_o x O_p is |O_o| times the row of i_o over O_p, each atom of
     which the group axes hold |stabiliser of p| times, and it is symmetric
     in o and p: an orbit pair counts twice where p > o, once where p = o,
-    and not at all where p < o, in the leading square of a block.  The
-    trace takes each orbit's self entry ``traces`` times: |O_o| times, or
-    0 where the group negates V w, whose characters sum to 0 over the
-    orbit.  They are taken before the transform, so the check covers the
-    transform as well as the solves."""
-    sizes, traces, stabilisers, vw = orbits
-    o = o0 + np.arange(values.shape[0])
-    p = p0 + np.arange(values.shape[-1])
-    atoms = table[:, :, p]
-    reps = table[0, 0, o]
-    s = np.sqrt(np.abs(vw))
-    # in units of the largest s, so that no entry underflows before its
-    # exponent is read: a subnormal weight gives a subnormal operator
-    shift = int(np.frexp(np.max(s))[1])
-    s = np.ldexp(s, -shift)
-    sign = np.sign(vw)
-    m = values * s[atoms]
-    m *= s[reps, None, None, None]
-    exponent = int(np.frexp(np.max(np.abs(m), initial=0.0))[1])
+    and not at all where p < o, in the leading square of a block.  Each
+    row is summed with the column weights of p > o, sign(V w) 2 /
+    |stabiliser of p|, and corrected on that square; the norm weight of a
+    row is sign(V w) |O_o|.  The trace takes each orbit's self entry
+    |O_o| times, or 0 times where the group negates V w, whose characters
+    sum to 0 over the orbit.  They are taken before the transform, so the
+    check covers the transform, the scaling and the fold as well as the
+    solves.  The per-entry work is a handful of passes over the block, and
+    none of it runs on BLAS, whose own threads would take the cores of the
+    pool's other workers."""
+    s_rows, trace_rows, norm_rows, s_cols, w_cols, shift = orbits
+    k, p1 = len(values), p0 + values.shape[-1]
+    m = values * s_cols[:, :, p0:p1]
+    m *= s_rows[o0:o0 + k, None, None, None]
+    exponent = int(np.frexp(max(m.max(initial=0.0),
+                                -m.min(initial=0.0)))[1])
     np.ldexp(m, -exponent, out=m)
-    own = np.flatnonzero((o >= p[0]) & (o <= p[-1]))
-    trace = float((traces[o[own]] * sign[reps[own]])
-                  @ m[own, 0, 0, o[own] - p0])
+    own = p0 == o0
+    trace = float(trace_rows[o0:o0 + k] @ np.diagonal(m[:, 0, 0, :k])
+                  ) if own else 0.0
     m *= m
-    squares = np.einsum("iabj,abj->ij", m, sign[atoms])
-    pairs = (np.sign(p[None, :] - o[:, None]) + 1.0) / stabilisers[p]
-    return (trace,
-            float((sizes[o] * sign[reps])
-                  @ np.einsum("ij,ij->i", pairs, squares)),
-            exponent + 2 * shift)
+    weight = w_cols[:, :, p0:p1]
+    rows = np.einsum("ik,k->i", m.reshape(k, -1), weight.ravel())
+    if own:
+        lead = np.einsum("iabj,abj->ij", m[..., :k], weight[..., :k])
+        rows -= np.tril(lead, -1).sum(axis=1) + 0.5 * np.diagonal(lead)
+    return trace, float(norm_rows[o0:o0 + k] @ rows), exponent + 2 * shift
 
 
-def assemble_symmetric(supports, kernel: KernelModel) -> BlockOperator | None:
-    """The operator ``assemble_mixed`` builds over ``supports``, reduced by
-    its symmetry group G (``_symmetry_table``) to one block per character
-    of G, or None where no symmetry is found.
+def assemble_mixed(supports, kernel: KernelModel) -> BlockOperator:
+    """The operator over a list of (support, weight) pairs, each support a
+    ``SurfaceMesh`` or a ``SingularMeasure``, reduced by its symmetry group
+    G (``_symmetry_table``) to one block per character of G.
+
+    A curve's diagonal block takes the curve quadrature of
+    ``_support_rows``; a measure's takes pointwise kernel values closed by
+    its cell's self coefficient; every cross block is plain kernel values.
+    A measure atom within one cell diagonal of a curve node is refused:
+    such near-singular blocks are unresolved.
 
     Only the rows of one representative per orbit are assembled, and of
     those only the orbit pairs p >= o, about n^2/(2|G|) entries
@@ -1178,21 +1123,20 @@ def assemble_symmetric(supports, kernel: KernelModel) -> BlockOperator | None:
     B[p, o] = conj(B[o, p]), so each block is Hermitian by its upper orbit
     triangle, its diagonal taken real (``_hermitian_upper``; on a circle,
     C_n, the real part of the DFT of its first row).  V w is constant on
-    an orbit, so each block is scaled, or folded, as ``_finalize`` does
-    the whole matrix, in the storage of the transform where it has every
-    orbit.  A real character's block is real; a complex one stands for its
-    conjugate pair as the real form [[Re B, -Im B], [Im B, Re B]], whose
-    eigenvalues are B's, each twice.  Where the group negates V, its two real blocks S and Q are
-    factored and coupled instead (``_coupling``), and the operator is that
-    one coupling block.  The measure and curve refusals of
-    ``assemble_mixed`` hold here too.
+    an orbit, so each block is scaled, or folded, by ``_finalize``, in the
+    storage of the transform where it has every orbit.  A real
+    character's block is real; a complex one stands for its conjugate pair
+    as the real form [[Re B, -Im B], [Im B, Re B]], whose eigenvalues are
+    B's, each twice.  Where the group negates V, its two real blocks S and
+    Q are factored and coupled instead (``_coupling``), and the operator is
+    that one coupling block.  For the trivial group the transform is the
+    identity: R is the kernel matrix, and its one block is the whole
+    operator, scaled or folded in R's storage.
     """
     supports = list(supports)
     points, weights, values, offsets = _layout(supports)
-    found = _symmetry_table(supports, points, weights, values, offsets)
-    if found is None:
-        return None
-    table, negated = found
+    table, negated = _symmetry_table(supports, points, weights, values,
+                                     offsets)
     _check_separation(supports)
     _, n2, r = table.shape
     reps = table[0, 0]
@@ -1306,9 +1250,11 @@ def _hermitian_upper(b: np.ndarray, norm: np.ndarray) -> None:
     place, and make it Hermitian by its upper triangle: the real rows of a
     symmetric, G-invariant kernel give B[p, o] = conj(B[o, p]), so the
     triangle on and above the diagonal is the block once the diagonal is
-    made real.  The strict lower triangle is left as scratch."""
-    b *= norm[:, None]
-    b *= norm[None, :]
+    made real.  The strict lower triangle is left as scratch.  Free
+    orbits have the norm 1, and a block of them only is not scaled."""
+    if np.any(norm != 1.0):
+        b *= norm[:, None]
+        b *= norm[None, :]
     if np.iscomplexobj(b):
         np.fill_diagonal(b.imag, 0.0)
 

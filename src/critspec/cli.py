@@ -35,7 +35,7 @@ from . import asymptotics, covering, orlicz, spectra
 # perfbench/tracer.py wraps them by name in this module
 from .assemble import (WeightFn, assemble_curve_operator,
                        assemble_measure_operator, assemble_mixed,
-                       assemble_symmetric, make_cell_grid)
+                       make_cell_grid)
 from .errors import (InsufficientDataError, InternalError,
                      InvalidArgumentError, OutOfRangeError, ResourceLimitError)
 from .geometry import (Circle, make_cantor_measure, make_polygon_curve,
@@ -293,16 +293,13 @@ def _spectrum_of(supports, kernel, cap: int) -> spectra.Spectrum:
     """Spectrum of the operator over the (support, weight) blocks; an
     operator of more than ``cap`` unknowns is refused before assembly.
 
-    An operator with a symmetry group is assembled and solved as one block
-    per character of the group (``assemble_symmetric``); any other as one
-    dense matrix.  Either is dropped after its solve, which consumes it,
-    and both go through the same checks."""
+    The operator is assembled and solved as one block per character of
+    its symmetry group (``assemble_mixed``), one block of order n where it
+    has none, and dropped after its solve, which consumes it."""
     n = sum(len(support_atoms(support)[0]) for support, _ in supports)
     if n > cap:
         raise ResourceLimitError("matrix size %d exceeds the cap %d" % (n, cap))
-    op = assemble_symmetric(supports, kernel)
-    return spectra.eigensolve(assemble_mixed(supports, kernel) if op is None
-                              else op)
+    return spectra.eigensolve(assemble_mixed(supports, kernel))
 
 
 def _weyl(config: ExperimentConfig, supports,

@@ -1,39 +1,37 @@
 """Symmetric eigenvalues, counting functions, and coefficient fits.
 
 The counting coefficient is read off eigenvalues alone, so ``eigensolve``
-computes no eigenvectors.  It takes an ``OperatorMatrix``, which is its
-upper triangle, diagonal included: the strict lower triangle is scratch and
-is never read, so no symmetry test runs here.  The solve consumes the
-operator.  LAPACK's divide-and-conquer ``dsyevd``, from the OpenBLAS that
-NumPy has already loaded, reduces the triangle in the operator's own
-storage, so no n x n copy is made; a second solve of the same operator is
-refused.  The two invariants that check the whole computed spectrum are
-taken from the triangle before the solve overwrites it, in O(n^2) with no
-n^2 temporary: the sum of the eigenvalues is the trace, and the sum of
-their squares is the squared Frobenius norm.  Both sides are summed in
-units of a power of two of the largest |entry|, so the check holds at any
-scale of the weight.  Either
-error above its tolerance raises ``InternalError``, as does a solve that
-LAPACK reports failed.  An operator of a nonnegative weight must also come
-out positive semidefinite in the same tolerance unit; one that does not is
-an under-resolved mesh, refused with ``InvalidArgumentError``, as is an
-operator whose largest entry is subnormal.
+computes no eigenvectors.  It takes the ``BlockOperator`` that
+``assemble.assemble_mixed`` builds, one block per character of the
+operator's symmetry group, the whole matrix for the trivial group.  Each
+block of order 2 or more is an ``OperatorMatrix``, its upper triangle,
+diagonal included: the strict lower triangle is scratch and is never read,
+so no symmetry test runs here.  The solve consumes the operator.  LAPACK's
+divide-and-conquer ``dsyevd``, from the OpenBLAS that NumPy has already
+loaded, reduces each triangle in the block's own storage, so no copy is
+made; a second solve of the same operator is refused.  A complex
+conjugate pair is one real block whose eigenvalues come out twice, and the
+1 x 1 blocks (on an equispaced circle, the real DFT of its first row) need
+no solve.  A weight that its symmetry negates comes as one coupling block M
+instead, whose eigenvalues are plus and minus its singular values:
+LAPACK's ``dgesdd``, from the same OpenBLAS, takes them in M's own
+storage.  The eigenvalues of M^T M would be three times faster but square
+the spectrum, and the singular values below about 1e-4 of the largest
+would lose their digits to it.
 
-The operator of a symmetric support comes as a ``BlockOperator``, one
-block per character of its symmetry group (``assemble.assemble_symmetric``).
-Each block of order 2 or more is solved as a dense operator is, by the same
-``dsyevd`` in its own storage; a complex conjugate pair is one real block
-whose eigenvalues come out twice, and the 1 x 1 blocks (on an equispaced
-circle, the real DFT of its first row) need no solve.  A weight that its
-symmetry negates comes as one coupling block M instead, whose eigenvalues
-are plus and minus its singular values: LAPACK's ``dgesdd``, from the same
-OpenBLAS, takes them in M's own storage.  The eigenvalues of M^T M would be
-three times faster but square the spectrum, and the singular values below
-about 1e-4 of the largest would lose their digits to it.  The union of their
-eigenvalues runs through the same checks once, against the trace and the
-squared Frobenius norm of the whole operator, which the block operator
-carries from its kernel rows: the check covers the transform to the blocks
-as well as each solve.
+The union of the eigenvalues is checked once against the two invariants of
+the whole operator, which the block operator carries from its kernel rows
+before they are transformed, scaled or folded: the sum of the eigenvalues
+is the trace, and the sum of their squares is the squared Frobenius norm.
+The check therefore covers the transform to the blocks, the scaling and
+the fold as well as each solve.  Both sides are summed in units of a power
+of two of the largest |entry|, so the check holds at any scale of the
+weight.  Either error above its tolerance raises ``InternalError``, as does
+a solve that LAPACK reports failed.  An operator of a nonnegative weight
+must also come out positive semidefinite in the same tolerance unit; one
+that does not is an under-resolved mesh, refused with
+``InvalidArgumentError``, as is an operator whose largest entry is
+subnormal.
 
 The mid-spectrum estimator for the constant C in n(lambda) ~ C / lambda is
 the median of k |lambda_k| over a window of indices: multiplicity-2 families
@@ -51,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assemble import BlockOperator, OperatorMatrix
+from .assemble import BlockOperator
 from .errors import InsufficientDataError, InvalidArgumentError, InternalError
 
 # relative scale below which an eigenvalue counts as a numerical zero
@@ -62,11 +60,10 @@ _ZERO_RTOL = 1e-14
 # mixed and signed operators and below 2 on random symmetric matrices
 _INVARIANT_ULPS = 64.0
 _TRUSTED_FRACTION = 8
-# the exponent of the smallest normal double: an operator whose largest
+# the smallest normal double and its exponent: an operator whose largest
 # entry lies below it has lost digits in every entry
-_MIN_EXPONENT = int(np.frexp(np.finfo(float).tiny)[1])
-# byte size of the row blocks the invariants are summed over
-_INVARIANT_BLOCK_BYTES = 1 << 20
+_TINY = float(np.finfo(float).tiny)
+_MIN_EXPONENT = int(np.frexp(_TINY)[1])
 
 
 @dataclass(frozen=True)
@@ -119,54 +116,45 @@ class WeylFit:
     dispersion: float
 
 
-def eigensolve(op: OperatorMatrix | BlockOperator) -> Spectrum:
-    """Eigenvalues of an operator matrix, checked against its invariants.
+def eigensolve(op: BlockOperator) -> Spectrum:
+    """Eigenvalues of an assembled operator, checked against its invariants.
 
-    The solve consumes the operator: it overwrites the operator's storage,
-    which is the caller's own array where the operator was built on a
-    C-contiguous float64 one, and a second ``eigensolve`` of the same
-    operator raises ``InvalidArgumentError``.  ``op.n`` stays valid.  Only
-    the upper triangle, diagonal included, is read.
+    The solve consumes the operator: it overwrites the storage of its
+    blocks, and a second ``eigensolve`` of the same operator raises
+    ``InvalidArgumentError``.  ``op.n`` stays valid.  Only the upper
+    triangle of each block, diagonal included, is read.
 
-    No eigenvectors are computed.  The computed spectrum must reproduce the
-    trace and the squared Frobenius norm of the matrix to within 64 n eps
-    times the spectral radius and the squared norm; a violation raises
-    ``InternalError`` naming both errors, and so does a solve that LAPACK
-    reports failed.  An unsigned operator (nonnegative weight) is positive
-    semidefinite on a resolved mesh: a least eigenvalue below -64 n eps
-    times the spectral radius raises ``InvalidArgumentError`` (exit 2), and
-    so does an operator whose largest entry is subnormal.  Eigenvalues
-    below 1e-14 of the spectral radius are dropped as numerical zeros; the
-    trusted index range is n/8.
-
-    A ``BlockOperator`` is solved block by block, each block as a dense
-    operator is but with no check of its own, and each coupling block as
-    plus and minus its singular values; the union of these eigenvalues and
-    its 1 x 1 blocks' is checked once, against the invariants of the whole
-    operator that the block operator carries.
+    No eigenvectors are computed.  Each block is solved with no check of
+    its own, and each coupling block as plus and minus its singular values;
+    the union of these eigenvalues and its 1 x 1 blocks' must reproduce the
+    trace and the squared Frobenius norm of the whole operator, which it
+    carries, to within 64 n eps times the spectral radius and the squared
+    norm.  A violation raises ``InternalError`` naming both errors, and so
+    does a solve that LAPACK reports failed.  An unsigned operator
+    (nonnegative weight) is positive semidefinite on a resolved mesh: a
+    least eigenvalue below -64 n eps times the spectral radius raises
+    ``InvalidArgumentError`` (exit 2), and so does an operator whose
+    largest entry is subnormal.  Eigenvalues below 1e-14 of the spectral
+    radius are dropped as numerical zeros; the trusted index range is n/8.
     """
-    if isinstance(op, BlockOperator):
-        vals = [op.singles] + [_eigvalsh_upper(b.consume()) for b in op.blocks]
-        for coupling in op.couplings:
-            sigma = _singular_values(coupling.consume())
-            vals += [sigma, -sigma]
-        return _checked_spectrum(np.sort(np.concatenate(vals)), op.invariants,
-                                 op.signed_flag)
-    m = op.consume()
-    invariants = _upper_invariants(m)
-    return _checked_spectrum(_eigvalsh_upper(m), invariants, op.signed_flag)
+    vals = [op.singles] + [_eigvalsh_upper(b.consume()) for b in op.blocks]
+    for coupling in op.couplings:
+        sigma = _singular_values(coupling.consume())
+        vals += [sigma, -sigma]
+    return _checked_spectrum(np.sort(np.concatenate(vals)), op.invariants,
+                             op.signed_flag)
 
 
 def _checked_spectrum(vals: np.ndarray, invariants: tuple[float, float, int],
                       signed: bool) -> Spectrum:
     """The spectrum of the ascending eigenvalues ``vals`` of an operator
-    with ``invariants`` as ``_upper_invariants`` gives them, after the
-    checks ``eigensolve`` documents: the underflow and the invariant
+    with ``invariants`` as ``BlockOperator.invariants`` holds them, after
+    the checks ``eigensolve`` documents: the underflow and the invariant
     checks, and for an unsigned operator the semidefinite one."""
     if invariants[2] < _MIN_EXPONENT:
         raise InvalidArgumentError(
             "operator entries underflow: the largest |entry| is subnormal "
-            "(below %.3g); scale the weight up" % np.ldexp(1.0, invariants[2]))
+            "(below %.3g); scale the weight up" % _TINY)
     trace_err, frobenius_err = _invariant_errors(invariants, vals)
     if not (trace_err <= 1.0 and frobenius_err <= 1.0):
         raise InternalError(
@@ -316,39 +304,6 @@ def _singular_values(m: np.ndarray) -> np.ndarray:
     return vals
 
 
-def _upper_invariants(m: np.ndarray) -> tuple[float, float, int]:
-    """Trace and squared Frobenius norm of the symmetric matrix whose upper
-    triangle, diagonal included, is that of ``m``, in units of 2^e and
-    2^2e, and e, the binary exponent of the largest |entry| (0 for a zero
-    or non-finite one).  Scaling by a power of two is exact, so the sums
-    neither overflow nor lose their digits to underflow at any scale.
-
-    The strict upper triangle is taken over row blocks of about
-    ``_INVARIANT_BLOCK_BYTES``, each as its square's strict upper corner
-    and the strip right of it.  One pass over them finds the largest
-    |entry|; a second scales each into one block-sized buffer and sums its
-    squares.  No n^2 temporary exists.
-    """
-    n = len(m)
-    rows = max(1, min(n, _INVARIANT_BLOCK_BYTES // (8 * max(1, n))))
-    pieces = [x for i0 in range(0, n, rows)
-              for x in (np.triu(m[i0:i0 + rows, i0:i0 + rows], 1),
-                        m[i0:i0 + rows, i0 + rows:])]
-    diagonal = np.diagonal(m)
-    largest = max(max(x.max(initial=0.0), -x.min(initial=0.0))
-                  for x in [diagonal, *pieces])
-    exponent = int(np.frexp(largest)[1])
-    buffer = np.empty(rows * n)
-    off = 0.0
-    for x in pieces:
-        scaled = np.ldexp(x, -exponent,
-                          out=buffer[:x.size].reshape(x.shape)).ravel()
-        off += scaled @ scaled
-    diagonal = np.ldexp(diagonal, -exponent)
-    return (float(np.sum(diagonal)), float(diagonal @ diagonal + 2.0 * off),
-            exponent)
-
-
 def _tolerance_unit(n: int) -> float:
     """n eps times ``_INVARIANT_ULPS``: the relative tolerance unit of an
     order-n eigensolve."""
@@ -358,8 +313,8 @@ def _tolerance_unit(n: int) -> float:
 def _invariant_errors(invariants: tuple[float, float, int],
                       vals: np.ndarray) -> tuple[float, float]:
     """Errors of sum(vals) against the trace and of sum(vals^2) against the
-    squared Frobenius norm, ``invariants`` as ``_upper_invariants`` gives
-    them, in units of their tolerances (``eigensolve`` accepts up to 1).
+    squared Frobenius norm, ``invariants`` as ``BlockOperator.invariants``
+    holds them, in units of their tolerances (``eigensolve`` accepts up to 1).
     The eigenvalues are summed in the invariants' units of 2^e.
 
     A zero tolerance (the zero matrix) accepts only an exact zero; a NaN

@@ -6,7 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from critspec import spectra
+from critspec import assemble, spectra
 from critspec.assemble import (WeightFn, assemble_curve_operator,
                                assemble_measure_operator, assemble_mixed)
 from critspec.geometry import (Circle, make_cantor_measure,
@@ -86,6 +86,22 @@ def two_circle_spectra(two_circle_meshes, unit_weight, kernel):
     sp1 = spectra.eigensolve(assemble_curve_operator(m1, unit_weight, kernel))
     sp2 = spectra.eigensolve(assemble_curve_operator(m2, unit_weight, kernel))
     return spectra.eigensolve(combined), sp1, sp2
+
+
+def trivial_table(supports, points, *rest):
+    """``_symmetry_table``'s answer for the trivial group {e}: every atom
+    its own orbit."""
+    return np.arange(len(points))[None, None], False
+
+
+def assemble_dense(supports, kernel) -> assemble.BlockOperator:
+    """``assemble_mixed`` over ``supports`` with the trivial group {e} in
+    place of the one ``_symmetry_table`` finds: however symmetric the
+    supports, the operator is one block of order n (n >= 2), the dense
+    matrix given by its upper triangle."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(assemble, "_symmetry_table", trivial_table)
+        return assemble_mixed(supports, kernel)
 
 
 def circle_exact_eigenvalues(radius: float, count: int) -> np.ndarray:

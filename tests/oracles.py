@@ -48,6 +48,13 @@ entries followed by a row-by-row mirror (the package's fold, which returns
 an upper triangle, is mirrored the same way).  Its diagonal blocks come
 from the ``*_pairs`` oracles above.
 
+``upper_invariants`` is the trace and squared Frobenius norm of a finished
+matrix, its upper triangle, as ``spectra`` summed them over row blocks for
+a dense operator before every operator carried its invariants from its
+kernel rows; ``upper_invariants_rows`` is the same sums one row at a time,
+as ``spectra`` took them before the row blocks.  ``one_block`` hands a
+hand-made matrix to the eigensolve as the one block of an operator.
+
 ``cholesky_fold_full`` is the sign fold as it was before its column-blocked
 upper-triangle product: the full product L^T (diag(V w) L), then a
 row-by-row mirror.
@@ -76,7 +83,7 @@ import mpmath as mp
 import numpy as np
 from scipy.integrate import dblquad, quad
 
-from critspec.assemble import (OperatorMatrix, _cholesky_fold,
+from critspec.assemble import (BlockOperator, OperatorMatrix, _cholesky_fold,
                                _kress_weight_vector, _pairwise_dist,
                                _panel_log_integrals)
 from critspec.asymptotics import sphere_surface
@@ -430,7 +437,8 @@ def _mirror_rows(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def _curve_effective_kernel_pairs(mesh, kernel) -> np.ndarray:
+def curve_kernel_pairs(mesh, kernel) -> np.ndarray:
+    """The all-pairs oracle of a curve's effective-kernel matrix."""
     if mesh.kind == "smooth-closed":
         return smooth_curve_effective_kernel_pairs(mesh, kernel)
     return polygon_effective_kernel_pairs(mesh, kernel)
@@ -449,8 +457,7 @@ def assemble_mixed_pairs(supports, kernel) -> OperatorMatrix:
     for support, vfn in supports:
         if isinstance(support, SurfaceMesh):
             points, weights = support.nodes, support.weights
-            kernel_blocks.append(_curve_effective_kernel_pairs(support,
-                                                               kernel))
+            kernel_blocks.append(curve_kernel_pairs(support, kernel))
         else:
             for mesh in meshes:
                 d = _dist_norm(support.atoms, mesh.nodes).min()
@@ -662,3 +669,51 @@ def upper_invariants_rows(m: np.ndarray) -> tuple[float, float]:
         row = m[i, i + 1:]
         off += float(row @ row)
     return float(np.sum(diagonal)), float(diagonal @ diagonal) + 2.0 * off
+
+
+# byte size of the row blocks ``upper_invariants`` sums over
+_SUM_BLOCK_BYTES = 1 << 20
+
+
+def upper_invariants(m: np.ndarray) -> tuple[float, float, int]:
+    """Trace and squared Frobenius norm of the symmetric matrix whose upper
+    triangle, diagonal included, is that of ``m``, in units of 2^e and
+    2^2e, and e, the binary exponent of the largest |entry| (0 for a zero
+    or non-finite one): the invariants of a finished matrix, as
+    ``spectra`` took them from a dense operator before the solve.
+
+    The strict upper triangle is taken over row blocks of about
+    ``_SUM_BLOCK_BYTES``, each as its square's strict upper corner
+    and the strip right of it.  One pass over them finds the largest
+    |entry|; a second scales each into one block-sized buffer and sums its
+    squares.
+    """
+    n = len(m)
+    rows = max(1, min(n, _SUM_BLOCK_BYTES // (8 * max(1, n))))
+    pieces = [x for i0 in range(0, n, rows)
+              for x in (np.triu(m[i0:i0 + rows, i0:i0 + rows], 1),
+                        m[i0:i0 + rows, i0 + rows:])]
+    diagonal = np.diagonal(m)
+    largest = max(max(x.max(initial=0.0), -x.min(initial=0.0))
+                  for x in [diagonal, *pieces])
+    exponent = int(np.frexp(largest)[1])
+    buffer = np.empty(rows * n)
+    off = 0.0
+    for x in pieces:
+        scaled = np.ldexp(x, -exponent,
+                          out=buffer[:x.size].reshape(x.shape)).ravel()
+        off += scaled @ scaled
+    diagonal = np.ldexp(diagonal, -exponent)
+    return (float(np.sum(diagonal)), float(diagonal @ diagonal + 2.0 * off),
+            exponent)
+
+
+def one_block(m: np.ndarray, signed: bool = False) -> BlockOperator:
+    """A hand-made symmetric matrix, given by its upper triangle, as the one
+    block of a ``BlockOperator`` that ``spectra.eigensolve`` takes, with the
+    invariants of ``upper_invariants`` taken before the solve overwrites
+    it."""
+    block = OperatorMatrix(entries=m, signed_flag=signed)
+    return BlockOperator(blocks=(block,), singles=np.empty(0),
+                         invariants=upper_invariants(block.entries),
+                         n=block.n, signed_flag=signed)

@@ -11,10 +11,8 @@ from hypothesis import strategies as st
 from scipy.special import ive, kve
 
 from critspec import assemble, spectra
-from critspec.assemble import (OperatorMatrix, WeightFn,
-                               _cholesky_fold, _curve_effective_kernel,
-                               _kress_weight_vector, _point_effective_kernel,
-                               assemble_curve_operator,
+from critspec.assemble import (WeightFn, _cholesky_fold,
+                               _kress_weight_vector, assemble_curve_operator,
                                assemble_measure_operator, assemble_mixed,
                                make_cell_grid)
 from critspec.bessel import bessel_k
@@ -27,9 +25,11 @@ from critspec.geometry import (Circle, Ellipse, SingularMeasure, Star,
 from critspec.kernels import (lower_order_kernel, reference_kernel,
                               self_cell_coefficient)
 
-from conftest import UNIT_SQUARE, circle_exact_eigenvalues
+from conftest import (UNIT_SQUARE, assemble_dense, circle_exact_eigenvalues,
+                      trivial_table)
 from oracles import (assemble_mixed_pairs, cholesky_fold_full,
-                     kress_weight_vector_table, point_effective_kernel_pairs,
+                     curve_kernel_pairs, kress_weight_vector_table, one_block,
+                     point_effective_kernel_pairs,
                      polygon_effective_kernel_pairs,
                      polygon_effective_kernel_two_calls,
                      smooth_curve_effective_kernel_pairs,
@@ -47,6 +47,30 @@ def _symmetric(upper: np.ndarray) -> np.ndarray:
 def _same_upper(got: np.ndarray, want: np.ndarray) -> bool:
     """Whether the upper triangles, diagonal included, agree bit for bit."""
     return np.array_equal(np.triu(got), np.triu(want))
+
+
+def _kernel_rows(supports, kernel) -> np.ndarray:
+    """The kernel matrix over ``supports`` as the pass over the orbit rows
+    builds it for the trivial group, the one the operator of a support
+    without symmetry takes: its upper triangle, diagonal included, and
+    scratch below."""
+    points, weights, values, offsets = assemble._layout(supports)
+    table, _ = trivial_table(supports, points)
+    rows, _ = assemble._orbit_rows(supports, kernel, points, offsets, table,
+                                   values * weights, False)
+    return rows[0, 0]
+
+
+def _kernel_matrix(support, kernel) -> np.ndarray:
+    """The effective-kernel matrix of one support (``_kernel_rows``)."""
+    return _kernel_rows([(support, WeightFn.constant(1.0))], kernel)
+
+
+def _points(points, cell_kind: str, cell_size) -> SingularMeasure:
+    """Atoms at ``points`` standing for cells of ``cell_kind``."""
+    return SingularMeasure(atoms=points, masses=np.ones(len(points)),
+                           cell_size=cell_size,
+                           alpha_nominal=2.0 if cell_kind == "square" else 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -82,9 +106,13 @@ def test_circle_top_eigenvalue_n64(kernel, unit_weight):
 
 
 def test_zero_weight_gives_zero_matrix(kernel):
+    # an equispaced circle of a constant weight: n 1 x 1 blocks, all zero,
+    # and with the trivial group one zero block of order n
     mesh = make_smooth_curve(Circle(), 32)
     op = assemble_curve_operator(mesh, WeightFn.constant(0.0), kernel)
-    assert np.all(np.triu(op.entries) == 0.0)
+    assert op.blocks == () and np.all(op.singles == 0.0)
+    dense = assemble_dense([(mesh, WeightFn.constant(0.0))], kernel)
+    assert np.all(np.triu(dense.blocks[0].entries) == 0.0)
 
 
 def test_matrix_exactly_symmetric(kernel):
@@ -92,9 +120,8 @@ def test_matrix_exactly_symmetric(kernel):
     # spectrum of the exactly symmetric matrix it stands for
     for mesh in (make_smooth_curve(Circle(), 32),
                  make_polygon_curve(UNIT_SQUARE, 8, 3.0)):
-        op = assemble_curve_operator(mesh, WeightFn.angular(), kernel)
-        mirrored = OperatorMatrix(entries=_symmetric(op.entries),
-                                  signed_flag=True)
+        op = assemble_dense([(mesh, WeightFn.angular())], kernel)
+        mirrored = one_block(_symmetric(op.blocks[0].entries), signed=True)
         got, want = spectra.eigensolve(op), spectra.eigensolve(mirrored)
         assert np.array_equal(got.positives, want.positives)
         assert np.array_equal(got.negatives, want.negatives)
@@ -105,12 +132,12 @@ def test_similarity_invariance_vs_plain_nystrom(kernel):
     mesh = make_smooth_curve(Circle(radius=1.0), 48)
     for weight in (WeightFn.constant(1.0), WeightFn.angular()):
         vvals = weight.values_on(mesh)
-        ktil = _symmetric(_curve_effective_kernel(mesh, kernel))
+        ktil = smooth_curve_effective_kernel_pairs(mesh, kernel)
         plain = ktil * (vvals * mesh.weights)[None, :]
         ref = np.linalg.eigvals(plain)
         assert np.max(np.abs(ref.imag)) < 1e-10
         ref = np.sort(ref.real)
-        op = assemble_curve_operator(mesh, weight, kernel)
+        op = assemble_dense([(mesh, weight)], kernel).blocks[0]
         sym = np.sort(np.linalg.eigvalsh(op.entries, UPLO="U"))
         # compare the nonzero tails of both spectra
         assert np.max(np.abs(ref[-12:] - sym[-12:])) < 1e-10
@@ -141,18 +168,15 @@ def test_cholesky_fold_matches_plain_nystrom(kind, half_n, seed):
     rng = np.random.default_rng(seed)
     support = _fold_support(kind, 2 * half_n, rng)
     if kind == "cantor":
-        ktil = _symmetric(_point_effective_kernel(
-            support.atoms, kern, "segment", support.cell_size))
-        v = rng.normal(size=support.n_atoms)
-        v[:2] = -abs(v[0]), abs(v[1])
-        op = assemble_measure_operator(support, WeightFn.tabulated(v), kern)
+        ktil = point_effective_kernel_pairs(support.atoms, kern, "segment",
+                                            support.cell_size)
         w = support.masses
     else:
-        ktil = _symmetric(_curve_effective_kernel(support, kern))
-        v = rng.normal(size=support.n_nodes)
-        v[:2] = -abs(v[0]), abs(v[1])
-        op = assemble_curve_operator(support, WeightFn.tabulated(v), kern)
+        ktil = curve_kernel_pairs(support, kern)
         w = support.weights
+    v = rng.normal(size=len(w))
+    v[:2] = -abs(v[0]), abs(v[1])
+    op = assemble_dense([(support, WeightFn.tabulated(v))], kern).blocks[0]
     assert op.signed_flag
     ref = np.linalg.eigvals(ktil * (v * w)[None, :])
     rho = np.max(np.abs(ref))
@@ -166,10 +190,10 @@ def test_radius_five_circle_takes_the_cholesky_fold(kernel):
     # at n = 512 is positive definite (unwindowed, its least eigenvalue was
     # -0.108), so the angular weight takes the one fold
     mesh = make_smooth_curve(Circle(radius=5.0), 512)
-    ktil = _symmetric(_curve_effective_kernel(mesh, kernel))
+    ktil = smooth_curve_effective_kernel_pairs(mesh, kernel)
     assert np.linalg.eigvalsh(ktil)[0] > 0.0
     weight = WeightFn.angular()
-    op = assemble_curve_operator(mesh, weight, kernel)
+    op = assemble_dense([(mesh, weight)], kernel).blocks[0]
     assert op.signed_flag
     vw = weight.values_on(mesh) * mesh.weights
     ref = np.linalg.eigvals(ktil * vw[None, :])
@@ -217,10 +241,9 @@ def test_mesh_refinement_convergence(kernel, unit_weight):
 def test_rotation_invariance_of_spectrum(kernel, unit_weight):
     mesh = make_smooth_curve(Circle(radius=1.0), 64)
     moved = transform(mesh, rotation_matrix(1.1), shift=(0.3, -2.0))
-    ev0 = np.linalg.eigvalsh(assemble_curve_operator(
-        mesh, unit_weight, kernel).entries, UPLO="U")
-    ev1 = np.linalg.eigvalsh(assemble_curve_operator(
-        moved, unit_weight, kernel).entries, UPLO="U")
+    ev0, ev1 = (np.linalg.eigvalsh(assemble_dense(
+        [(m, unit_weight)], kernel).blocks[0].entries, UPLO="U")
+        for m in (mesh, moved))
     assert np.max(np.abs(ev0 - ev1)) < 1e-10
 
 
@@ -248,7 +271,7 @@ def _agrees_with_two_call_oracle(mesh, kern) -> bool:
     oracle = (smooth_curve_effective_kernel_two_calls
               if mesh.kind == "smooth-closed"
               else polygon_effective_kernel_two_calls)
-    got = _symmetric(_curve_effective_kernel(mesh, kern))
+    got = _symmetric(_kernel_matrix(mesh, kern))
     want = oracle(mesh, kern)
     return np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
@@ -281,9 +304,9 @@ def _fold_kernel(support: str, kernel):
     """(kernel matrix, quadrature weights) of ``_fold_case(support)``."""
     case = _fold_case(support)
     if support == "cantor":
-        return (_symmetric(_point_effective_kernel(
-            case.atoms, kernel, "segment", case.cell_size)), case.masses)
-    return _symmetric(_curve_effective_kernel(case, kernel)), case.weights
+        return (point_effective_kernel_pairs(case.atoms, kernel, "segment",
+                                             case.cell_size), case.masses)
+    return curve_kernel_pairs(case, kernel), case.weights
 
 
 @pytest.mark.parametrize("support", ["circle", "ellipse", "graded-polygon",
@@ -375,7 +398,7 @@ def test_fold_refuses_a_kernel_matrix_that_fails_in_its_last_panel(
 
 def test_operator_freezes_a_view_not_the_callers_array():
     m = np.eye(4)
-    op = OperatorMatrix(entries=m)
+    op = assemble.OperatorMatrix(entries=m)
     assert m.flags.writeable
     assert not op.entries.flags.writeable
     assert np.shares_memory(op.entries, m)
@@ -387,14 +410,15 @@ def test_operator_copies_a_read_only_array():
     # caller cannot write
     m = np.diag([2.0, 1.0])
     m.flags.writeable = False
-    op = OperatorMatrix(entries=m)
-    assert not np.shares_memory(op.entries, m)
+    op = one_block(m)
+    assert not np.shares_memory(op.blocks[0].entries, m)
     assert np.array_equal(spectra.eigensolve(op).positives, [2.0, 1.0])
     assert np.array_equal(m, np.diag([2.0, 1.0]))
 
 
 # ---------------------------------------------------------------------------
-# the blocked upper-triangle pass against the all-pairs oracles
+# the blocked pass over the orbit rows of the trivial group against the
+# all-pairs oracles
 # ---------------------------------------------------------------------------
 
 _SMOOTH = {
@@ -409,7 +433,7 @@ _SMOOTH = {
 @pytest.mark.parametrize("n", [8, 10, 1030, 2048])
 def test_blocked_smooth_curve_kernel_matches_pairs_oracle(curve, n, kernel):
     mesh = make_smooth_curve(_SMOOTH[curve], n)
-    assert _same_upper(_curve_effective_kernel(mesh, kernel),
+    assert _same_upper(_kernel_matrix(mesh, kernel),
                        smooth_curve_effective_kernel_pairs(mesh, kernel))
 
 
@@ -427,7 +451,7 @@ _POLYGONS = {
 def test_blocked_polygon_kernel_matches_pairs_oracle(vertices, grading,
                                                      kernel):
     mesh = make_polygon_curve(_POLYGONS[vertices], 66, grading)
-    assert _same_upper(_curve_effective_kernel(mesh, kernel),
+    assert _same_upper(_kernel_matrix(mesh, kernel),
                        polygon_effective_kernel_pairs(mesh, kernel))
 
 
@@ -448,7 +472,7 @@ def _point_cases():
 def test_blocked_point_kernel_matches_pairs_oracle(case):
     _, points, kern, cell_kind, cell_size = case
     assert _same_upper(
-        _point_effective_kernel(points, kern, cell_kind, cell_size),
+        _kernel_matrix(_points(points, cell_kind, cell_size), kern),
         point_effective_kernel_pairs(points, kern, cell_kind, cell_size))
 
 
@@ -457,15 +481,15 @@ def test_blocked_point_kernel_matches_pairs_oracle(case):
 def test_blocked_curves_and_fallback_match_pairs_oracles(kern):
     circle = make_smooth_curve(Circle(), 256)
     polygon = make_polygon_curve(_QUAD, 32, 3.0)
-    assert _same_upper(_curve_effective_kernel(circle, kern),
+    assert _same_upper(_kernel_matrix(circle, kern),
                        smooth_curve_effective_kernel_pairs(circle, kern))
-    assert _same_upper(_curve_effective_kernel(polygon, kern),
+    assert _same_upper(_kernel_matrix(polygon, kern),
                        polygon_effective_kernel_pairs(polygon, kern))
     # a polygon of fewer nodes than a smooth mesh may have takes panel
     # collocation all the same
     triangle = make_polygon_curve(_POLYGONS[3], 2, 3.0)
     assert triangle.n_nodes == 6
-    assert _same_upper(_curve_effective_kernel(triangle, kern),
+    assert _same_upper(_kernel_matrix(triangle, kern),
                        polygon_effective_kernel_pairs(triangle, kern))
 
 
@@ -484,14 +508,9 @@ def _assert_assembly_temporaries_bounded(kernel):
     circle = make_smooth_curve(Circle(), 2048)
     square = make_polygon_curve(UNIT_SQUARE, 512, 3.0)
     grid = make_cell_grid((0.0, 0.0), 1.0, 0.035)
-    peaks = [
-        (circle.n_nodes, _traced_peak(_curve_effective_kernel, circle,
-                                      kernel)),
-        (square.n_nodes, _traced_peak(_curve_effective_kernel, square,
-                                      kernel)),
-        (grid.n_atoms, _traced_peak(_point_effective_kernel, grid.atoms,
-                                    kernel, "square", grid.cell_size)),
-    ]
+    peaks = [(support.n_atoms if support is grid else support.n_nodes,
+              _traced_peak(_kernel_matrix, support, kernel))
+             for support in (circle, square, grid)]
     for n, peak in peaks:
         assert peak < 2 * 8 * n * n
 
@@ -535,28 +554,66 @@ def test_kress_weights_hold_no_n2_temporary():
 # ---------------------------------------------------------------------------
 
 def _builder_case(name: str):
-    """(blocked builder, all-pairs oracle) thunks of one kernel matrix."""
+    """(blocked builder, all-pairs oracle) thunks of one matrix: a kernel
+    matrix as the pass over the orbit rows builds it for the trivial group,
+    or the finished operator of a support without symmetry, which
+    ``assemble_mixed`` must build as exactly one block of order n."""
     kern = reference_kernel()
     if name == "circle":
         mesh = make_smooth_curve(Circle(), 1030)
-        return (lambda: _curve_effective_kernel(mesh, kern),
+        return (lambda: _kernel_matrix(mesh, kern),
                 lambda: smooth_curve_effective_kernel_pairs(mesh, kern))
     if name == "graded-polygon":
         mesh = make_polygon_curve(_POLYGONS[6], 66, 3.0)
-        return (lambda: _curve_effective_kernel(mesh, kern),
+        return (lambda: _kernel_matrix(mesh, kern),
                 lambda: polygon_effective_kernel_pairs(mesh, kern))
-    if name == "cantor":
-        measure = make_cantor_measure(9)
-        args = (measure.atoms, kern, "segment", measure.cell_size)
-    else:
-        grid = make_cell_grid((0.0, 0.0), 1.0, 0.05)
-        args = (grid.atoms, kern, "square", grid.cell_size)
-    return (lambda: _point_effective_kernel(*args),
-            lambda: point_effective_kernel_pairs(*args))
+    if name in ("cantor", "cell-grid"):
+        if name == "cantor":
+            measure = make_cantor_measure(9)
+            args = (measure.atoms, kern, "segment", measure.cell_size)
+        else:
+            grid = make_cell_grid((0.0, 0.0), 1.0, 0.05)
+            args = (grid.atoms, kern, "square", grid.cell_size)
+        return (lambda: _kernel_matrix(_points(args[0], *args[2:]), kern),
+                lambda: point_effective_kernel_pairs(*args))
+    supports = _asymmetric_supports(name)
+    return (lambda: _one_block(assemble_mixed(supports, kern)),
+            lambda: assemble_mixed_pairs(supports, kern).entries)
+
+
+def _asymmetric_supports(name: str):
+    """Supports that no map of the plane keeps, at angles drawn once."""
+    rng = np.random.default_rng(29)
+    angle = rng.uniform(0.0, TWO_PI)
+    if name == "two circles at an angle":
+        # the second circle's angular weight takes the fold
+        return [(make_smooth_curve(Circle(radius=0.9), 128),
+                 WeightFn.constant(1.0)),
+                (make_smooth_curve(Circle(center=(3.5 * np.cos(angle),
+                                                  3.5 * np.sin(angle)),
+                                          radius=1.6), 192),
+                 WeightFn.angular())]
+    if name == "rotated polygon":
+        return [(transform(make_polygon_curve(_QUAD, 24, 3.0),
+                           rotation_matrix(angle), shift=(0.4, -1.1)),
+                 WeightFn.constant(1.0))]
+    atoms = rng.uniform(0.0, 1.0, size=(150, 2))
+    return [(SingularMeasure(atoms=atoms,
+                             masses=rng.uniform(0.5, 1.5, 150) / 150,
+                             cell_size=0.02, alpha_nominal=2.0),
+             WeightFn.tabulated(rng.uniform(0.5, 2.0, 150)))]
+
+
+def _one_block(op) -> np.ndarray:
+    """The storage of an operator's one block of order n."""
+    assert op.singles.size == 0 and op.couplings == ()
+    assert [block.n for block in op.blocks] == [op.n]
+    return op.blocks[0].entries
 
 
 @pytest.mark.parametrize("case", ["circle", "graded-polygon", "cantor",
-                                  "cell-grid"])
+                                  "cell-grid", "two circles at an angle",
+                                  "rotated polygon", "random atoms"])
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_every_worker_count_matches_pairs_oracle(case, workers, monkeypatch):
     built, oracle = _builder_case(case)
@@ -567,17 +624,21 @@ def test_every_worker_count_matches_pairs_oracle(case, workers, monkeypatch):
 @pytest.mark.parametrize("weight", ["unsigned", "signed"])
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_mixed_matches_pairs_oracle(weight, workers, kernel, monkeypatch):
-    # cross blocks at distances 2-4 take the cosh-integral band of K_0
+    # cross blocks at distances 2-4 take the cosh-integral band of K_0; no
+    # map keeps the three supports, and the operator is one block
     grid = make_cell_grid((0.0, 0.0), 1.0, 0.05)
     near = make_smooth_curve(Circle(center=(3.0, 0.0), radius=0.5), 256)
     far = make_smooth_curve(Circle(center=(0.0, -3.0), radius=0.8), 300)
     second = WeightFn.angular() if weight == "signed" else WeightFn.constant(2.0)
     supports = [(grid, WeightFn.constant(1.0)),
                 (near, WeightFn.constant(1.0)), (far, second)]
+    table, negated = assemble._symmetry_table(supports,
+                                              *assemble._layout(supports))
+    assert table.shape[:2] == (1, 1) and not negated
     monkeypatch.setattr(assemble, "_WORKERS", workers)
     op = assemble_mixed(supports, kernel)
     expected = assemble_mixed_pairs(supports, kernel)
-    assert _same_upper(op.entries, expected.entries)
+    assert _same_upper(_one_block(op), expected.entries)
     assert op.signed_flag == expected.signed_flag
     assert op.signed_flag == (weight == "signed")
 
@@ -656,20 +717,18 @@ def test_underflow_warning_in_a_pool_block_reaches_the_caller(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the upper-triangle contract: only _finalize writes the lower triangle
+# the upper-triangle contract: the pass writes below the diagonal only the
+# mirrored values of its leading squares, and only _finalize writes anything
+# else there
 # ---------------------------------------------------------------------------
 
-def _upper_builder(name: str):
-    """(size, builder writing into a given out) of one kernel matrix."""
-    kern = reference_kernel()
+def _upper_support(name: str):
+    """One support whose kernel matrix a test builds."""
     if name == "points":
-        measure = make_cantor_measure(8)
-        return measure.n_atoms, lambda out: _point_effective_kernel(
-            measure.atoms, kern, "segment", measure.cell_size, out)
-    mesh = {"circle": make_smooth_curve(Circle(), 300),
+        return make_cantor_measure(8)
+    return {"circle": make_smooth_curve(Circle(), 300),
             "polygon": make_polygon_curve(_QUAD, 64, 3.0),
             "fallback": make_polygon_curve(_POLYGONS[3], 2, 3.0)}[name]
-    return mesh.n_nodes, lambda out: _curve_effective_kernel(mesh, kern, out)
 
 
 # a 1 GB block budget puts every matrix in one block; 64 bytes give one row
@@ -680,15 +739,27 @@ def _upper_builder(name: str):
 @pytest.mark.parametrize("workers", [1, 2])
 def test_builders_leave_the_strict_lower_triangle_untouched(
         name, block_bytes, workers, monkeypatch):
+    # the pass starts from NaN: the builders fill the upper triangle, bit
+    # for bit the all-pairs oracle's, and below it write nothing the
+    # symmetric matrix does not hold: the leading square of each row block
+    # takes their values, each its mirror's, and the rest stays untouched
     monkeypatch.setattr(assemble, "_WORKERS", workers)
     monkeypatch.setattr(assemble, "_BLOCK_BYTES", block_bytes)
-    n, build = _upper_builder(name)
+    monkeypatch.setattr(assemble, "np", _NanEmptyNumpy())
+    support = _upper_support(name)
+    kern = reference_kernel()
+    out = _kernel_matrix(support, kern)
+    n = len(out)
     assert name != "fallback" or n < 8
-    out = np.full((n, n), np.nan)
-    build(out)
+    if name == "points":
+        want = point_effective_kernel_pairs(support.atoms, kern, "segment",
+                                            support.cell_size)
+    else:
+        want = curve_kernel_pairs(support, kern)
     lower = np.tri(n, k=-1, dtype=bool)
-    assert np.isnan(out[lower]).all()
-    assert not np.isnan(out[~lower]).any()
+    below = out[lower]
+    assert np.all(np.isnan(below) | (below == out.T[lower]))
+    assert _same_upper(out, want)
 
 
 class _NanEmptyNumpy:
@@ -718,9 +789,9 @@ def _nan_lower_operator(case: str, signed: bool, monkeypatch):
     monkeypatch.setattr(assemble, "np", _NanEmptyNumpy())
     monkeypatch.setattr(assemble, "_finalize", spy)
     if case == "cantor":
+        # weights that no map keeps: one block of order n
         measure = make_cantor_measure(7)
-        v = np.cos(np.arange(measure.n_atoms)) if signed else np.ones(
-            measure.n_atoms)
+        v = np.cos(np.arange(measure.n_atoms)) + (0.0 if signed else 1.5)
         op = assemble_measure_operator(measure, WeightFn.tabulated(v), kern)
     else:
         # a cell grid, a circle, a square and a six-node triangle: four
@@ -748,15 +819,22 @@ def test_only_the_finished_operator_has_a_lower_triangle(
     monkeypatch.setattr(assemble, "_WORKERS", workers)
     monkeypatch.setattr(assemble, "_BLOCK_BYTES", block_bytes)
     kernel_matrix, op = _nan_lower_operator(case, signed, monkeypatch)
+    entries = _one_block(op)
     lower = np.tri(op.n, k=-1, dtype=bool)
-    # the diagonal and cross blocks fill the upper triangle and nothing else
-    assert np.isnan(kernel_matrix[lower]).all()
+    # the diagonal and cross blocks fill the upper triangle; below it lie
+    # the leading squares of the row blocks, each entry its mirror's, and
+    # the NaN of the fresh matrix
+    below = kernel_matrix[lower]
+    assert np.all(np.isnan(below) | (below == kernel_matrix.T[lower]))
     assert not np.isnan(kernel_matrix[~lower]).any()
     assert op.signed_flag == signed
-    # the finished operator is its upper triangle; below it lies the NaN
-    # of the fresh matrix, or the fold's factor
-    assert not np.isnan(op.entries[~lower]).any()
-    assert np.isnan(op.entries[lower]).all() != signed
+    # the finished operator is its upper triangle; below it lies what the
+    # pass left, or the fold's factor
+    assert not np.isnan(entries[~lower]).any()
+    if signed:
+        assert not np.isnan(entries[lower]).any()
+    else:
+        assert np.array_equal(entries[lower], below, equal_nan=True)
     sp = spectra.eigensolve(op)
     assert np.isfinite(sp.positives).all() and np.isfinite(sp.negatives).all()
 
@@ -806,7 +884,9 @@ def test_single_atom_matrix_is_self_cell(kernel):
     v = 3.0
     op = assemble_measure_operator(measure, WeightFn.constant(v), kernel)
     expected = v * self_cell_coefficient("segment", 0.05)
-    assert op.entries[0, 0] == pytest.approx(expected, rel=1e-14)
+    # the one atom is the trivial group's one 1 x 1 block
+    assert op.blocks == () and len(op.singles) == 1
+    assert op.singles[0] == pytest.approx(expected, rel=1e-14)
 
 
 def test_two_atoms_off_diagonal(kernel, unit_weight):
@@ -814,16 +894,23 @@ def test_two_atoms_off_diagonal(kernel, unit_weight):
     measure = SingularMeasure(
         atoms=np.array([[0.0, 0.0], [1.0, 0.0]]),
         masses=np.array([1.0, 1.0]), cell_size=0.1, alpha_nominal=1.0)
-    op = assemble_measure_operator(measure, unit_weight, kernel)
-    assert op.entries[0, 1] == pytest.approx(bessel_k(0, 1.0) / TWO_PI,
-                                             rel=1e-13)
+    op = assemble_dense([(measure, unit_weight)], kernel)
+    assert op.blocks[0].entries[0, 1] == pytest.approx(
+        bessel_k(0, 1.0) / TWO_PI, rel=1e-13)
+    # the swap of the two atoms reduces the operator to its even and odd
+    # 1 x 1 blocks, K_00 +- K_01
+    reduced = assemble_measure_operator(measure, unit_weight, kernel)
+    closure = self_cell_coefficient("segment", 0.1)
+    assert np.sort(reduced.singles) == pytest.approx(
+        closure + np.array([-1.0, 1.0]) * bessel_k(0, 1.0) / TWO_PI,
+        rel=1e-13)
 
 
 def test_nonnegative_weight_gives_semidefinite_matrix(kernel, unit_weight):
     # at fine resolution the discretized operator inherits positivity
     mesh = make_smooth_curve(Circle(radius=1.0), 128)
-    op = assemble_curve_operator(mesh, unit_weight, kernel)
-    ev = np.linalg.eigvalsh(op.entries, UPLO="U")
+    op = assemble_dense([(mesh, unit_weight)], kernel)
+    ev = np.linalg.eigvalsh(op.blocks[0].entries, UPLO="U")
     assert ev.min() >= -1e-10 * ev.max()
     assert not op.signed_flag
 
@@ -883,11 +970,9 @@ def test_unsigned_operators_are_symmetric_semidefinite(support, seed):
         assert kind == "circle" or obj.weights.max() <= resolution
     # nonnegative weights, a quarter of them zero
     v = np.random.default_rng(seed).uniform(-0.5, 2.0, count).clip(0.0)
-    assemble = (assemble_measure_operator if kind == "cantor"
-                else assemble_curve_operator)
-    op = assemble(obj, WeightFn.tabulated(v), kern)
+    op = assemble_dense([(obj, WeightFn.tabulated(v))], kern)
     assert not op.signed_flag
-    ev = np.linalg.eigvalsh(op.entries, UPLO="U")
+    ev = np.linalg.eigvalsh(op.blocks[0].entries, UPLO="U")
     assert ev[0] >= -1e-12 * np.max(np.abs(ev))
 
 
@@ -905,22 +990,24 @@ def test_cantor_refinement_consistency(cantor_spectra):
 
 def test_mixed_empty_curves_is_pure_area(kernel):
     grid = make_cell_grid((0.5, 0.5), 0.5, 0.25)
-    op = assemble_mixed([(grid, WeightFn.constant(1.0))], kernel)
+    op = assemble_dense([(grid, WeightFn.constant(1.0))], kernel)
     assert op.n == grid.n_atoms
     diag = self_cell_coefficient("square", 0.25) * 0.25 ** 2
-    assert op.entries[0, 0] == pytest.approx(diag, rel=1e-13)
+    assert op.blocks[0].entries[0, 0] == pytest.approx(diag, rel=1e-13)
 
 
 def test_mixed_zero_density_decouples(kernel, unit_weight):
     mesh = make_smooth_curve(Circle(center=(2.0, 2.0), radius=0.5), 32)
     grid = make_cell_grid((0.5, 0.5), 0.5, 0.25)
-    mixed = assemble_mixed([(grid, WeightFn.constant(0.0)),
-                            (mesh, unit_weight)], kernel)
-    curve_only = assemble_curve_operator(mesh, unit_weight, kernel)
-    ev_mixed = np.linalg.eigvalsh(mixed.entries, UPLO="U")
-    ev_curve = np.linalg.eigvalsh(curve_only.entries, UPLO="U")
-    nz = len(ev_curve)
-    assert np.max(np.abs(np.sort(ev_mixed)[-nz:] - np.sort(ev_curve))) < 1e-12
+    supports = [(grid, WeightFn.constant(0.0)), (mesh, unit_weight)]
+    curve = [(mesh, unit_weight)]
+    # reduced by the diagonal reflection, and with the trivial group; the
+    # zero eigenvalues of the grid are dropped
+    for assembled in (assemble_mixed, assemble_dense):
+        ev_mixed = spectra.eigensolve(assembled(supports, kernel)).positives
+        ev_curve = spectra.eigensolve(assembled(curve, kernel)).positives
+        assert len(ev_mixed) == len(ev_curve) == mesh.n_nodes
+        assert np.max(np.abs(ev_mixed - ev_curve)) < 1e-12
 
 
 def test_mixed_rejects_separation_violation(kernel, unit_weight):
@@ -979,6 +1066,6 @@ def test_uniform_square_measure_closes_its_diagonal_with_square_cells(
         kernel):
     # an area measure's atoms stand for square cells, as a cell grid's do
     measure = make_uniform_square_measure(4)
-    op = assemble_measure_operator(measure, WeightFn.constant(1.0), kernel)
-    assert np.all(np.diag(op.entries)
+    op = assemble_dense([(measure, WeightFn.constant(1.0))], kernel)
+    assert np.all(np.diag(op.blocks[0].entries)
                   == self_cell_coefficient("square", 0.25) / 16)

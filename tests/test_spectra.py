@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -11,10 +12,9 @@ from hypothesis import strategies as st
 
 import critspec
 from critspec import assemble, asymptotics, spectra
-from critspec.assemble import (OperatorMatrix, WeightFn,
-                               assemble_curve_operator,
-                               assemble_measure_operator, assemble_mixed,
-                               assemble_symmetric, make_cell_grid)
+from critspec.assemble import (BlockOperator, OperatorMatrix, WeightFn,
+                               assemble_curve_operator, assemble_mixed,
+                               make_cell_grid)
 from critspec.errors import (InsufficientDataError, InternalError,
                              InvalidArgumentError)
 from critspec.geometry import (Circle, Ellipse, SingularMeasure, Star,
@@ -23,13 +23,14 @@ from critspec.geometry import (Circle, Ellipse, SingularMeasure, Star,
 from critspec.kernels import lower_order_kernel, reference_kernel
 from critspec.spectra import Spectrum, counting, eigensolve, weyl_fit
 
-from conftest import UNIT_SQUARE, circle_exact_eigenvalues
-from oracles import upper_invariants_rows
+from conftest import UNIT_SQUARE, assemble_dense, circle_exact_eigenvalues
+from oracles import (assemble_mixed_pairs, one_block, upper_invariants,
+                     upper_invariants_rows)
 
 
-def _signed(m) -> OperatorMatrix:
-    """An operator matrix that may have eigenvalues of either sign."""
-    return OperatorMatrix(entries=m, signed_flag=True)
+def _signed(m) -> BlockOperator:
+    """A one-block operator that may have eigenvalues of either sign."""
+    return one_block(m, signed=True)
 
 
 # ---------------------------------------------------------------------------
@@ -43,7 +44,7 @@ def test_diagonal_matrix():
 
 
 def test_zero_matrix_empty_spectrum():
-    sp = eigensolve(OperatorMatrix(entries=np.zeros((4, 4))))
+    sp = eigensolve(one_block(np.zeros((4, 4))))
     assert len(sp.positives) == 0 and len(sp.negatives) == 0
 
 
@@ -96,7 +97,7 @@ _SEEDS = st.integers(min_value=0, max_value=2 ** 32 - 1)
 def test_upper_invariants_are_those_of_the_symmetric_matrix(n, exponent,
                                                             seed):
     full = _symmetric_sample(n, exponent, seed)
-    trace, frobenius_sq, unit = spectra._upper_invariants(_nan_lower(full))
+    trace, frobenius_sq, unit = upper_invariants(_nan_lower(full))
     # in units of 2^unit, the binary exponent of the largest |entry|
     assert unit == np.frexp(np.max(np.abs(full)))[1]
     full = np.ldexp(full, -unit)
@@ -114,7 +115,7 @@ def test_row_block_invariants_match_the_row_loop(n, exponent):
     # would leave the normal range, the ones in units of the largest entry
     # do not
     full = _symmetric_sample(n, exponent, n)
-    trace, frobenius_sq, unit = spectra._upper_invariants(_nan_lower(full))
+    trace, frobenius_sq, unit = upper_invariants(_nan_lower(full))
     assert unit == np.frexp(np.max(np.abs(full)))[1]
     want = upper_invariants_rows(_nan_lower(np.ldexp(full, -unit)))
     eps = np.finfo(float).eps
@@ -158,7 +159,7 @@ def test_a_second_solve_of_one_operator_is_refused(n, seed, signed):
     m = _symmetric_sample(n, 0.0, seed)
     if not signed:
         m = m @ m
-    op = OperatorMatrix(entries=m, signed_flag=signed)
+    op = one_block(m, signed)
     eigensolve(op)
     with pytest.raises(InvalidArgumentError, match="already eigensolved"):
         eigensolve(op)
@@ -178,11 +179,11 @@ def test_a_failed_solve_consumes_the_operator_too(monkeypatch):
 
 @pytest.mark.skipif(spectra._lapack_dsyevd() is None,
                     reason="NumPy's LAPACK exports no dsyevd")
-def test_in_place_solve_matches_numpy_bit_for_bit(operators_512):
+def test_in_place_solve_matches_numpy_bit_for_bit(dense_512):
     # the spectra, and so the report hashes, are those of NumPy's eigvalsh
     # on the full symmetric matrix
-    for name, op in operators_512.items():
-        upper = op.entries.copy()
+    for name, op in dense_512.items():
+        upper = op.blocks[0].entries.copy()
         full = np.triu(upper) + np.triu(upper, 1).T
         assert np.array_equal(spectra._eigvalsh_upper(upper),
                               np.linalg.eigvalsh(full)), name
@@ -191,6 +192,8 @@ def test_in_place_solve_matches_numpy_bit_for_bit(operators_512):
 _SOLVE_MEMORY_SCRIPT = """
 import json
 import sys
+
+import numpy as np
 
 from critspec import spectra
 from critspec.assemble import WeightFn, assemble_curve_operator
@@ -213,8 +216,11 @@ def peak_bytes():
                 return int(line.split()[1]) * 1024
 
 
-op = assemble_curve_operator(make_smooth_curve(Circle(), 2048),
-                             WeightFn.constant(1.0), reference_kernel())
+# a weight off the axes: no symmetry, one block of order n
+mesh = make_smooth_curve(Circle(), 2048)
+weight = WeightFn.tabulated(1.5 + np.cos(mesh.param_values - 0.3))
+op = assemble_curve_operator(mesh, weight, reference_kernel())
+assert [block.n for block in op.blocks] == [op.n]
 files, peak = openblas_files(), peak_bytes()
 spectra.eigensolve(op)
 print(json.dumps({"rise": peak_bytes() - peak, "n": op.n,
@@ -246,53 +252,67 @@ def test_eigensolve_makes_no_matrix_copy():
 # the invariant check on the whole spectrum
 # ---------------------------------------------------------------------------
 
-def _operators(n: int) -> dict:
-    """Unsigned curve, polygon, Cantor and mixed operators and a signed
+def _supports(n: int) -> dict:
+    """Unsigned curve, polygon, Cantor and mixed supports and a signed
     circle, each with about n unknowns."""
-    kern = reference_kernel()
     circle = make_smooth_curve(Circle(radius=1.0), n)
     small = make_smooth_curve(Circle(center=(0.5, 0.5), radius=0.25), 64)
     grid = make_cell_grid((0.5, 0.5), 1.0, 2.0 / np.sqrt(n),
                           exclude_meshes=[small])
     one = WeightFn.constant(1.0)
     return {
-        "circle": assemble_curve_operator(circle, one, kern),
-        "signed": assemble_curve_operator(circle, WeightFn.angular(), kern),
-        "polygon": assemble_curve_operator(
-            make_polygon_curve(UNIT_SQUARE, n // 4, 3.0), one, kern),
-        "cantor": assemble_measure_operator(
-            make_cantor_measure(int(np.log2(n))), one, kern),
-        "mixed": assemble_mixed([(grid, one), (small, one)], kern),
+        "circle": [(circle, one)],
+        "signed": [(circle, WeightFn.angular())],
+        "polygon": [(make_polygon_curve(UNIT_SQUARE, n // 4, 3.0), one)],
+        "cantor": [(make_cantor_measure(int(np.log2(n))), one)],
+        "mixed": [(grid, one), (small, one)],
     }
 
 
 @pytest.fixture(scope="module")
-def operators_512():
-    return _operators(512)
+def dense_512():
+    """The operators of ``_supports(512)`` with the trivial group: one
+    block of order n each."""
+    return {name: assemble_dense(supports, reference_kernel())
+            for name, supports in _supports(512).items()}
+
+
+def _fresh(op: BlockOperator) -> BlockOperator:
+    """An unsolved operator over a copy of ``op``'s storage."""
+    return dataclasses.replace(op, blocks=tuple(
+        OperatorMatrix(entries=b.entries.copy(), signed_flag=b.signed_flag)
+        for b in op.blocks))
 
 
 @pytest.mark.parametrize("n", [64, 512])
-def test_clean_solves_pass_the_invariant_check_with_margin(n, operators_512):
-    ops = operators_512 if n == 512 else _operators(n)
-    for name, op in ops.items():
-        assert op.n >= n // 2, name
-        errors = spectra._invariant_errors(
-            spectra._upper_invariants(op.entries),
-            np.linalg.eigvalsh(op.entries, UPLO="U"))
-        # largest observed: 0.0035 of the tolerance
-        assert max(errors) <= 0.05, (name, errors)
+def test_clean_solves_pass_the_invariant_check_with_margin(n, dense_512,
+                                                           monkeypatch):
+    # each operator reduced by its symmetry group and with the trivial one:
+    # the errors the solve's own check reads
+    errors = []
+    true_errors = spectra._invariant_errors
+
+    def recorded(invariants, vals):
+        errors.append(true_errors(invariants, vals))
+        return errors[-1]
+
+    monkeypatch.setattr(spectra, "_invariant_errors", recorded)
+    kern = reference_kernel()
+    for name, supports in _supports(n).items():
+        dense = dense_512[name] if n == 512 else assemble_dense(supports,
+                                                                kern)
+        for op in (assemble_mixed(supports, kern), _fresh(dense)):
+            assert op.n >= n // 2, name
+            errors.clear()
+            eigensolve(op)
+            # largest observed: 0.0035 of the tolerance
+            assert max(errors[0]) <= 0.05, (name, errors)
 
 
 @pytest.fixture(scope="module")
-def spectra_512(operators_512):
-    return {name: np.linalg.eigvalsh(op.entries, UPLO="U")
-            for name, op in operators_512.items()}
-
-
-def _fresh(op: OperatorMatrix) -> OperatorMatrix:
-    """An unsolved operator over a copy of ``op``'s storage."""
-    return OperatorMatrix(entries=op.entries.copy(),
-                          signed_flag=op.signed_flag)
+def spectra_512(dense_512):
+    return {name: np.linalg.eigvalsh(op.blocks[0].entries, UPLO="U")
+            for name, op in dense_512.items()}
 
 
 @settings(max_examples=60, deadline=None)
@@ -300,9 +320,9 @@ def _fresh(op: OperatorMatrix) -> OperatorMatrix:
                              "mixed"]),
        position=st.floats(min_value=0.0, max_value=1.0),
        sign=st.sampled_from([-1.0, 1.0]))
-def test_one_shifted_eigenvalue_fails_the_check(operators_512, spectra_512,
+def test_one_shifted_eigenvalue_fails_the_check(dense_512, spectra_512,
                                                 name, position, sign):
-    op, vals = operators_512[name], spectra_512[name]
+    op, vals = dense_512[name], spectra_512[name]
     shifted = vals.copy()
     shifted[int(position * (len(vals) - 1))] += (
         sign * 1e-6 * np.max(np.abs(vals)))
@@ -318,7 +338,7 @@ def test_invariant_check_rejects_nan_eigenvalues(monkeypatch):
     monkeypatch.setattr(spectra, "_eigvalsh_upper",
                         lambda m: np.array([1.0, np.nan]))
     with pytest.raises(InternalError):
-        eigensolve(OperatorMatrix(entries=np.eye(2)))
+        eigensolve(one_block(np.eye(2)))
 
 
 def test_indefinite_unsigned_operator_is_refused():
@@ -352,14 +372,30 @@ def _outcome(solve, n: int):
     return np.sort(vals)
 
 
+def _reduced(op: BlockOperator) -> bool:
+    """Whether a symmetry group of order 2 or more reduced the operator:
+    anything but the trivial group's one block of order n."""
+    return [b.n for b in op.blocks] + [1] * len(op.singles) != [op.n]
+
+
+def _oracle_solve(supports, kern) -> Spectrum:
+    """The spectrum of the all-pairs oracle's matrix (``assemble_mixed_pairs``)
+    from NumPy's ``eigvalsh`` on its upper triangle, after the checks of
+    ``eigensolve`` on the oracle's own invariants."""
+    op = assemble_mixed_pairs(supports, kern)
+    vals = np.linalg.eigvalsh(op.entries, UPLO="U")
+    return spectra._checked_spectrum(vals, upper_invariants(op.entries),
+                                     op.signed_flag)
+
+
 def _assert_reduced_matches_dense(supports, kern):
-    """The block solve of ``supports`` gives the dense solve's spectrum
-    within 64 n eps of the spectral radius, or the same kind of error."""
-    op = assemble_symmetric(supports, kern)
-    assert op is not None
+    """The block solve of ``supports`` gives the spectrum of the dense
+    all-pairs oracle within 64 n eps of the spectral radius, or the same
+    kind of error."""
+    op = assemble_mixed(supports, kern)
     n = op.n
     reduced = _outcome(lambda: eigensolve(op), n)
-    dense = _outcome(lambda: eigensolve(assemble_mixed(supports, kern)), n)
+    dense = _outcome(lambda: _oracle_solve(supports, kern), n)
     if isinstance(dense, tuple) or isinstance(reduced, tuple):
         assert reduced == dense
         return op
@@ -467,23 +503,41 @@ def _moved_cantor():
 @pytest.mark.parametrize("support, group", [
     (make_smooth_curve(Ellipse(a=1.0, b=1.0 + 1e-9), 256), (2, 2)),
     (make_smooth_curve(Star(amplitude=1e-9), 256), (1, 2)),
-    (_moved_rectangle(), None),
-    (_moved_cantor(), None),
+    (_moved_rectangle(), (1, 1)),
+    (_moved_cantor(), (1, 1)),
 ], ids=["ellipse", "star", "rectangle", "cantor"])
 def test_a_near_symmetry_is_refused(support, group):
     # the ellipse and the star miss the rotations of the circle by 1e-9:
     # only their exact reflections reduce them (Z2 x Z2 and Z2); one moved
-    # vertex or atom leaves no symmetry, and the operator is dense
+    # vertex or atom leaves the trivial group, and one block of order n
     supports = [(support, WeightFn.constant(1.0))]
     points, weights, values, offsets = assemble._layout(supports)
-    found = assemble._symmetry_table(supports, points, weights, values,
-                                     offsets)
-    table = None if found is None else found[0]
-    assert (None if table is None else table.shape[:2]) == group
-    if group is None:
-        assert assemble_symmetric(supports, reference_kernel()) is None
-    else:
-        _assert_reduced_matches_dense(supports, reference_kernel())
+    table, negated = assemble._symmetry_table(supports, points, weights,
+                                              values, offsets)
+    assert table.shape[:2] == group and not negated
+    op = _assert_reduced_matches_dense(supports, reference_kernel())
+    assert _reduced(op) == (group != (1, 1))
+
+
+@pytest.mark.parametrize("supports", [
+    [(SingularMeasure(atoms=[[0.3, -0.2]], masses=[0.5], cell_size=0.1,
+                      alpha_nominal=1.0), WeightFn.constant(2.0))],
+    [(SingularMeasure(atoms=[[0.0, 0.0], [1.0, 0.0]], masses=[0.5, 0.7],
+                      cell_size=0.1, alpha_nominal=1.0),
+      WeightFn.constant(1.0))],
+    [(make_smooth_curve(Circle(), 64),
+      WeightFn.tabulated(1.5 + np.cos(np.pi * np.arange(64) / 32 - 0.3)))],
+], ids=["one atom", "two atoms of two masses", "weight off the axes"])
+def test_the_symmetry_table_is_never_none(supports):
+    # where no map keeps the supports, the group is the trivial one: every
+    # atom its own orbit, in one row of the table
+    points, weights, values, offsets = assemble._layout(supports)
+    table, negated = assemble._symmetry_table(supports, points, weights,
+                                              values, offsets)
+    assert np.array_equal(table, np.arange(len(points))[None, None])
+    assert not negated
+    op = _assert_reduced_matches_dense(supports, reference_kernel())
+    assert not _reduced(op)
 
 
 @pytest.mark.parametrize("shape, inside", [
@@ -499,12 +553,11 @@ def test_a_near_circle_takes_the_circulant_solve_only_inside_the_check(
     # by 5.5 and 5.5, and are reduced by their exact reflections instead
     n = 512
     supports = [(make_smooth_curve(shape, n), WeightFn.constant(1.0))]
-    op = assemble_symmetric(supports, reference_kernel())
+    op = assemble_mixed(supports, reference_kernel())
     assert (op.blocks == ()) == inside
     got = _outcome(lambda: eigensolve(op), n)
-    dense = np.linalg.eigvalsh(assemble_mixed(supports,
-                                              reference_kernel()).entries,
-                               UPLO="U")
+    dense = np.linalg.eigvalsh(assemble_mixed_pairs(
+        supports, reference_kernel()).entries, UPLO="U")
     rho = np.max(np.abs(dense))
     # measured: 0.19 and 0.14 of the unit inside, below 0.001 outside
     assert np.max(np.abs(got - dense)) <= (
@@ -520,7 +573,7 @@ def test_a_perturbed_circulant_eigenvalue_fails_the_check(monkeypatch):
     # wrong character sum fails the check like a wrong eigenvalue
     mesh = make_smooth_curve(Circle(radius=1.0), 512)
     supports = [(mesh, WeightFn.constant(1.0))]
-    eigensolve(assemble_symmetric(supports, reference_kernel()))
+    eigensolve(assemble_mixed(supports, reference_kernel()))
     true_rfft = np.fft.rfft
 
     def one_shifted(*args, **kwargs):
@@ -529,7 +582,7 @@ def test_a_perturbed_circulant_eigenvalue_fails_the_check(monkeypatch):
         return half
 
     monkeypatch.setattr(np.fft, "rfft", one_shifted)
-    op = assemble_symmetric(supports, reference_kernel())
+    op = assemble_mixed(supports, reference_kernel())
     with pytest.raises(InternalError, match="trace error .* Frobenius"):
         eigensolve(op)
 
@@ -538,7 +591,7 @@ def test_a_perturbed_block_eigenvalue_fails_the_check(monkeypatch):
     # the square's four real blocks, one of them solved wrong
     mesh = make_polygon_curve(UNIT_SQUARE, 16, 3.0)
     supports = [(mesh, WeightFn.constant(1.0))]
-    op = assemble_symmetric(supports, reference_kernel())
+    op = assemble_mixed(supports, reference_kernel())
     assert [b.n for b in op.blocks] == [16, 16, 16, 16]
     true_eigvalsh = spectra._eigvalsh_upper
     solved = []
@@ -555,9 +608,34 @@ def test_a_perturbed_block_eigenvalue_fails_the_check(monkeypatch):
         eigensolve(op)
 
 
+@pytest.mark.parametrize("signed", [False, True],
+                         ids=["scaling", "fold"])
+def test_a_wrong_scaling_or_fold_fails_the_check(signed, monkeypatch):
+    # a weight that no map keeps or negates: one block of order n, whose
+    # invariants come from its kernel rows before the scaling or the fold,
+    # so one entry finished wrong fails the check like a wrong eigenvalue
+    mesh = make_smooth_curve(Circle(radius=1.0), 64)
+    t = mesh.param_values
+    values = np.cos(t - 0.3) + 0.4 * np.cos(2.0 * t - 0.7)
+    supports = [(mesh, WeightFn.tabulated(values + (0.0 if signed else 1.5)))]
+    op = assemble_mixed(supports, reference_kernel())
+    assert not _reduced(op) and op.signed_flag == signed
+    eigensolve(op)
+    finalize = assemble._finalize
+
+    def one_entry_off(kernel_matrix, v_vals, weights):
+        finished = finalize(kernel_matrix, v_vals, weights)
+        kernel_matrix[3, 10] *= 1.0 + 1e-6
+        return finished
+
+    monkeypatch.setattr(assemble, "_finalize", one_entry_off)
+    with pytest.raises(InternalError, match="trace error .* Frobenius"):
+        eigensolve(assemble_mixed(supports, reference_kernel()))
+
+
 def test_a_second_solve_of_a_block_operator_is_refused():
     mesh = make_polygon_curve(UNIT_SQUARE, 16, 3.0)
-    op = assemble_symmetric([(mesh, WeightFn.constant(1.0))],
+    op = assemble_mixed([(mesh, WeightFn.constant(1.0))],
                             reference_kernel())
     eigensolve(op)
     with pytest.raises(InvalidArgumentError, match="already eigensolved"):
@@ -625,7 +703,10 @@ def _negated_supports(draw):
     u = measure.atoms[:, 0] - 0.5
     values = (np.sin(draw(st.floats(0.5, 20.0)) * u)
               + draw(coefficient) * u ** 3)
-    return [(measure, WeightFn.tabulated(values))]
+    # odd under x -> 1 - x to the last bit: the atoms are symmetric only to
+    # their rounding, which the slope of a weight that nearly vanishes on
+    # them lifts past the detector's tolerance, 64 n eps of max |V|
+    return [(measure, WeightFn.tabulated(0.5 * (values - values[::-1])))]
 
 
 @settings(max_examples=40, deadline=None)
@@ -635,28 +716,52 @@ def test_a_negated_weight_is_solved_as_singular_values(supports):
     # fold's within 64 n eps of the spectral radius; one value moved by
     # 1e-9 of max |V|, or by one step where that rounds away (subnormal
     # V), is no longer negated by any map
-    _assert_reduced_matches_dense(supports, reference_kernel())
+    op = _assert_reduced_matches_dense(supports, reference_kernel())
+    assert _reduced(op)
     (support, weight), = supports
     values = weight.table.copy()
     values[0] = max(values[0] + 1e-9 * np.max(np.abs(values)),
                     np.nextafter(values[0], np.inf))
     moved = [(support, WeightFn.tabulated(values))]
-    found = assemble._symmetry_table(moved, *assemble._layout(moved))
-    assert found is None or not found[1]
+    assert not assemble._symmetry_table(moved, *assemble._layout(moved))[1]
 
 
 def test_a_subnormal_negated_weight_underflows_on_both_paths():
     # +-5e-324 on an 8-node circle: the kernel rows times sqrt(V w)
     # underflow to 0, and the operator's largest entry, subnormal on the
-    # dense fold, must be read as subnormal from the rows too
+    # oracle's dense fold, must be read as subnormal from the rows too, on
+    # the half turn's coupling block and on the trivial group's one block
     mesh = make_smooth_curve(Circle(radius=1.0), 8)
     values = np.repeat([5e-324, -5e-324], 4)
     supports = [(mesh, WeightFn.tabulated(values))]
     assert assemble._symmetry_table(supports,
                                     *assemble._layout(supports))[1]
-    with pytest.raises(InvalidArgumentError, match="entries underflow"):
-        eigensolve(assemble_symmetric(supports, reference_kernel()))
+    for op in (assemble_mixed(supports, reference_kernel()),
+               assemble_dense(supports, reference_kernel())):
+        with pytest.raises(InvalidArgumentError, match="entries underflow"):
+            eigensolve(op)
     _assert_reduced_matches_dense(supports, reference_kernel())
+
+
+def test_the_underflow_refusal_names_the_smallest_normal_double():
+    # one threshold, the smallest normal double, whatever the exponent of
+    # the largest entry: on the half turn's coupling block, on the trivial
+    # group's one block of the same operator, and on hand-made blocks whose
+    # largest entry is the least subnormal double or lies just under the
+    # threshold
+    mesh = make_smooth_curve(Circle(radius=1.0), 8)
+    supports = [(mesh, WeightFn.tabulated(np.repeat([5e-324, -5e-324], 4)))]
+    ops = [assemble_mixed(supports, reference_kernel()),
+           assemble_dense(supports, reference_kernel()),
+           _signed(np.diag([5e-324, -5e-324])),
+           one_block(np.diag([1e-310, 0.0]))]
+    assert _reduced(ops[0]) and not _reduced(ops[1])
+    for op in ops:
+        with pytest.raises(InvalidArgumentError) as info:
+            eigensolve(op)
+        assert str(info.value) == (
+            "operator entries underflow: the largest |entry| is subnormal "
+            "(below 2.23e-308); scale the weight up")
 
 
 def _half_turn_circle(n: int = 128, phase: float = 1.234, radius=1.0):
@@ -687,12 +792,13 @@ def test_a_negated_weight_is_one_coupling_block(supports):
     op = _assert_reduced_matches_dense(supports, reference_kernel())
     assert op.blocks == () and len(op.singles) == 0
     assert [c.n for c in op.couplings] == [op.n // 2]
-    # one value moved by 1e-9 of max |V|: the operator is dense
+    # one value moved by 1e-9 of max |V|: the group is trivial, and the
+    # operator one block of order n
     (support, weight), = supports
     values = weight.table.copy()
     values[1] += 1e-9 * np.max(np.abs(values))
-    assert assemble_symmetric([(support, WeightFn.tabulated(values))],
-                              reference_kernel()) is None
+    assert not _reduced(assemble_mixed([(support, WeightFn.tabulated(values))],
+                                       reference_kernel()))
 
 
 def test_a_negating_map_that_fixes_an_atom_is_not_taken():
@@ -707,14 +813,15 @@ def test_a_negating_map_that_fixes_an_atom_is_not_taken():
                            alpha_nominal=1.0)
     for supports in ([(mesh, WeightFn.tabulated(np.sin(t) + np.sin(2 * t)))],
                      [(line, WeightFn.tabulated([-1.0, 0.0, 1.0]))]):
-        assert assemble._symmetry_table(
-            supports, *assemble._layout(supports)) is None
-        assert assemble_symmetric(supports, reference_kernel()) is None
+        table, negated = assemble._symmetry_table(
+            supports, *assemble._layout(supports))
+        assert table.shape[:2] == (1, 1) and not negated
+        assert not _reduced(assemble_mixed(supports, reference_kernel()))
 
 
 def test_a_perturbed_singular_value_fails_the_check(monkeypatch):
     supports = _half_turn_circle()
-    eigensolve(assemble_symmetric(supports, reference_kernel()))
+    eigensolve(assemble_mixed(supports, reference_kernel()))
     true_singular_values = spectra._singular_values
 
     def first_shifted(m):
@@ -723,7 +830,7 @@ def test_a_perturbed_singular_value_fails_the_check(monkeypatch):
         return vals
 
     monkeypatch.setattr(spectra, "_singular_values", first_shifted)
-    op = assemble_symmetric(supports, reference_kernel())
+    op = assemble_mixed(supports, reference_kernel())
     with pytest.raises(InternalError, match="trace error .* Frobenius"):
         eigensolve(op)
 
@@ -749,7 +856,7 @@ def test_a_failed_singular_value_solve_raises_internal_error(path,
         monkeypatch.setattr(spectra, "_lapack_dgesdd", lambda: None)
         monkeypatch.setattr(np.linalg, "svd", _svd_does_not_converge)
         named = "SVD did not converge"
-    op = assemble_symmetric(_half_turn_circle(), reference_kernel())
+    op = assemble_mixed(_half_turn_circle(), reference_kernel())
     with pytest.raises(InternalError,
                        match="singular value solve failed: .*" + named):
         eigensolve(op)
@@ -757,9 +864,9 @@ def test_a_failed_singular_value_solve_raises_internal_error(path,
 
 def test_the_singular_value_fallback_gives_the_same_spectrum(monkeypatch):
     supports = _half_turn_circle()
-    want = eigensolve(assemble_symmetric(supports, reference_kernel()))
+    want = eigensolve(assemble_mixed(supports, reference_kernel()))
     monkeypatch.setattr(spectra, "_lapack_dgesdd", lambda: None)
-    got = eigensolve(assemble_symmetric(supports, reference_kernel()))
+    got = eigensolve(assemble_mixed(supports, reference_kernel()))
     rho = want.positives[0]
     unit = spectra._tolerance_unit(128) * rho
     assert np.max(np.abs(got.positives - want.positives)) <= unit
@@ -767,7 +874,7 @@ def test_the_singular_value_fallback_gives_the_same_spectrum(monkeypatch):
 
 
 def test_a_second_solve_of_a_coupling_block_is_refused():
-    op = assemble_symmetric(_half_turn_circle(), reference_kernel())
+    op = assemble_mixed(_half_turn_circle(), reference_kernel())
     eigensolve(op)
     with pytest.raises(InvalidArgumentError, match="already eigensolved"):
         eigensolve(op)
@@ -794,11 +901,11 @@ def test_a_coupled_block_not_positive_definite_is_the_folds_refusal(
     monkeypatch.setattr(assemble, "_cholesky_in_place", failing_cholesky)
     with pytest.raises(InvalidArgumentError,
                        match="under-resolved mesh: .* node spacing 0.09817"):
-        assemble_symmetric(supports, reference_kernel())
+        assemble_mixed(supports, reference_kernel())
     assert calls == [32] * failing
     monkeypatch.undo()
     wide = _half_turn_circle(n=64, radius=5.0)
-    for solve in (assemble_symmetric, assemble_mixed):
+    for solve in (assemble_mixed, assemble_mixed_pairs):
         with pytest.raises(InvalidArgumentError,
                            match="under-resolved mesh: .* node spacing "
                                  "0.4909"):
@@ -828,6 +935,15 @@ def _circle(weight, n: int = 256):
     return [(make_smooth_curve(Circle(radius=1.0), n), weight)]
 
 
+def _circles_off_the_axes():
+    """Two circles of different sizes on a line at an angle to the axes:
+    no symmetry, the trivial group."""
+    return [(make_smooth_curve(Circle(radius=1.0), 96),
+             WeightFn.constant(1.0)),
+            (make_smooth_curve(Circle(center=(2.5, 1.7), radius=0.6), 64),
+             WeightFn.constant(2.0))]
+
+
 _ORBIT_SUPPORTS = {
     "rectangle": (_rectangle, (2, 2), False),
     "cos t circle": (lambda: _circle(WeightFn.angular()), (1, 2), False),
@@ -836,6 +952,7 @@ _ORBIT_SUPPORTS = {
                (1, 2), False),
     "grid and circle": (_grid_and_circle, (1, 2), False),
     "C_n circle": (lambda: _circle(WeightFn.constant(1.0)), (1, 256), False),
+    "two circles off the axes": (_circles_off_the_axes, (1, 1), False),
 }
 
 
@@ -925,9 +1042,9 @@ def test_the_orbit_row_invariants_are_those_of_the_dense_operator(name):
     supports, args = _orbit_inputs(name)
     _, (trace, frobenius_sq, unit) = assemble._orbit_rows(
         supports, reference_kernel(), *args)
-    op = assemble_mixed(supports, reference_kernel())
+    op = assemble_mixed_pairs(supports, reference_kernel())
     dense = op.entries
-    want = spectra._upper_invariants(dense.copy())
+    want = upper_invariants(dense)
     if not op.signed_flag:
         assert unit == want[2]
     trace, frobenius_sq = (np.ldexp(trace, unit - want[2]),
