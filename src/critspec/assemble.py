@@ -47,7 +47,24 @@ with M = L_S^T diag(V w) L_Q over the representatives, whose eigenvalues
 are plus and minus the singular values of M (Jordan and Wielandt; Golub and
 Van Loan, Matrix Computations, 8.6).  ``_symmetry_table`` takes such a map
 only where no map keeps the weight, and it is the one place that decides
-which group an operator is reduced by.
+which group an operator is reduced by.  It asks two questions apart: which
+group keeps the atoms, their quadrature weights and the mesh, and which
+characters of that group the weight carries.
+
+On a support that is one free orbit of C_n, an equispaced circle, the
+kernel matrix is C_n-invariant whatever the weight, so in the Fourier basis
+it is diag(kappa), kappa the real DFT of one kernel row.  A weight that
+carries the modes |m| <= b alone, b from 1 to ``_BAND_MODES``, makes
+K diag(V w) similar to diag(sqrt kappa) C(u^) diag(sqrt kappa), C(u^) the
+circulant of u^ = DFT(V w) / n, which is a real symmetric band of
+half-width 2 b + 1 in the basis (1, cos t, sin t, ..., cos (n/2) t)
+(Fassler and Stiefel; ``_banded``).  Such an operator is one band block,
+built from the row in O(n b) straight into LAPACK's band storage, with no
+n x n array, no fold and no coupling: the benchmark's cos(t - phi) is b =
+1.  Its invariants come from the row, and the band is taken only where
+every kappa_m is positive and the modes dropped below the truncation move
+no eigenvalue past the solve's tolerance unit; otherwise the operator
+takes the group of the table, as every other weight does.
 
 The orbit rows are built in one blocked pass.  A block is a slice of
 representatives [o0, o1) against the columns of the orbits from o0 on: its
@@ -121,6 +138,12 @@ _FOLD_COLUMNS = 256
 # moves its eigenvalues off the reduced ones by about s of the spectral
 # radius, inside the solve's check
 _SYMMETRY_ULPS = 64.0
+# the most Fourier modes b a weight may carry on one free orbit of C_n for
+# the operator to be solved as one band of half-width 2 b + 1 (``_banded``):
+# in the table of BENCH_banded.json the band beat every weight's group up
+# to b = 5, at n = 1024 to 4096, and lost to the weights that C_8 keeps at
+# b = 8 by 1.5 to 2.5 times
+_BAND_MODES = 5
 # threads that run the row blocks: the cores this process may run on
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
@@ -191,7 +214,7 @@ class WeightFn:
 @dataclass(frozen=True)
 class OperatorMatrix:
     """One real symmetric block of a ``BlockOperator``; ``signed_flag``
-    records that the sign fold ran.
+    records that the sign fold ran, or that the weight is signed.
 
     The matrix is the upper triangle of ``entries``, diagonal included; the
     strict lower triangle is scratch and is never read, so an asymmetric
@@ -200,11 +223,15 @@ class OperatorMatrix:
     caller's own memory, and any other is copied.  ``spectra.eigensolve``
     consumes the block: it overwrites that storage, and a second solve is
     refused.  A coupling block is kept the same way but is not symmetric:
-    its whole square is read.
+    its whole square is read.  A ``band`` block of order n and half-width kd
+    is kept in LAPACK's lower band storage, an (n, kd + 1) array whose
+    entry [j, d] is the matrix entry (j, j + d); the entries past the last
+    row of a diagonal are scratch.
     """
 
     entries: np.ndarray
     signed_flag: bool = False
+    band: bool = False
     _consumed: bool = field(default=False, init=False, repr=False,
                             compare=False)
 
@@ -216,8 +243,11 @@ class OperatorMatrix:
         # a view: freezing it leaves the caller's array writeable, and no
         # n x n copy is made
         m = m.view()
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise InvalidArgumentError("entries must be square")
+        if m.ndim != 2 or not (m.shape[0] >= m.shape[1] if self.band
+                                else m.shape[0] == m.shape[1]):
+            raise InvalidArgumentError(
+                "entries must be a band of at most n diagonals" if self.band
+                else "entries must be square")
         m.flags.writeable = False
         object.__setattr__(self, "entries", m)
 
@@ -724,7 +754,11 @@ class BlockOperator:
     coupling blocks M of a weight that its symmetry negates, each an
     ``OperatorMatrix`` whose whole square, not its upper triangle, is M,
     and whose eigenvalues are plus and minus M's singular values.
-    ``spectra.eigensolve`` consumes the blocks and the couplings."""
+    ``bands`` are the band blocks of a weight that carries few Fourier
+    modes on one free orbit of C_n (``_banded``), each a ``band``
+    ``OperatorMatrix`` in LAPACK's lower band storage.
+    ``spectra.eigensolve`` consumes the blocks, the couplings and the
+    bands."""
 
     blocks: tuple
     singles: np.ndarray
@@ -732,6 +766,7 @@ class BlockOperator:
     n: int
     signed_flag: bool
     couplings: tuple = ()
+    bands: tuple = ()
 
 
 # a generic direction: the atoms are matched to the images of a map by
@@ -781,41 +816,53 @@ def _powers(perm: np.ndarray, count: int, start: np.ndarray) -> np.ndarray:
 
 
 def _symmetry_table(supports, points, weights, values, offsets):
-    """The orbits of the largest abelian group of plane isometries that
-    maps the supports onto themselves, as an (N1, N2, r) table: entry
-    [a, b, o] is the atom that g1^a g2^b maps orbit o's representative
-    to, the representatives (the least index of each orbit) in row
-    [0, 0].  Where no such group is found, the group is the trivial one,
-    {e}, whose table is every atom in row [0, 0]: the operator is one
-    block of order n.
+    """Which group reduces an operator, as two questions: which group of
+    plane isometries keeps the atoms, their quadrature weights and the
+    mesh, and which characters of that group the weight carries.  The
+    answer is (table, negated, band).
 
-    This is the one place that decides which group reduces an operator.  The
-    maps tried are the rotations about the centroid of the atoms by
+    ``table`` holds the orbits of the largest abelian group whose maps also
+    keep the weight, as an (N1, N2, r) table: entry [a, b, o] is the atom
+    that g1^a g2^b maps orbit o's representative to, the representatives
+    (the least index of each orbit) in row [0, 0].  Where no such group is
+    found, the group is the trivial one, {e}, whose table is every atom in
+    row [0, 0]: the operator is one block of order n.
+
+    The maps tried are the rotations about the centroid of the atoms by
     2 pi / m, m dividing each support's count of atoms off the centroid (the
     largest m, found one prime power at a time), and the reflections across
     the lines through the centroid parallel to the axes and to the
     diagonals.  The group is C_m, two perpendicular reflections (Z2 x Z2),
     or one reflection (Z2): the largest order wins, reflections at a tie,
-    whose blocks are real.  A map is accepted when it maps every support
-    onto itself, each atom within ``_SYMMETRY_ULPS`` n eps of the largest
-    |coordinate| of an atom, with its quadrature weight within that many
-    n eps of itself and its weight value within that many n eps of the
-    largest |value|; on a smooth closed mesh it must also shift or reverse
-    the node indices and the parameters with them (the Kress weights read
-    index offsets), and on a polygon carry each panel's tangent to one of
-    the image panel's.  The whole group is then checked the same way: every
-    atom of an orbit must lie at the exact isometry's image of its
-    representative, so a near-symmetry cannot pass by small steps.  Any
+    whose blocks are real.  A map keeps the supports (``match``) when it
+    maps every support onto itself, each atom within ``_SYMMETRY_ULPS`` n
+    eps of the largest |coordinate| of an atom, with its quadrature weight
+    within that many n eps of itself; on a smooth closed mesh it must also
+    shift or reverse the node indices and the parameters with them (the
+    Kress weights read index offsets), and on a polygon carry each panel's
+    tangent to one of the image panel's.  It keeps the weight (``keeps``)
+    when it also takes each weight value within that many n eps of the
+    largest |value| to itself.  The whole group is then checked the same
+    way: every atom of an orbit must lie at the exact isometry's image of
+    its representative, so a near-symmetry cannot pass by small steps.  Any
     support kind and any weight is reduced when this holds.
 
     Where no group of order 2 or more keeps the weight, the half turn and
     the four reflections, in that order, are tried once more as maps that
     take each weight value to its negative within the same tolerance; the
     first one accepted that fixes no atom, every orbit of two, is the group,
-    and ``negated`` is True.  The table comes as (table, negated).
+    and ``negated`` is True.
+
+    ``band`` answers the second question for C_n: it is None, or (orbit,
+    b) where the supports are one free orbit of C_n, orbit[a] = g^a(i_0)
+    for the rotation g by 2 pi / n, and the weight carries the characters
+    (Fourier modes) |m| <= b of C_n alone, 1 <= b <= ``_BAND_MODES`` and
+    2 b + 1 < n: its real DFT along the orbit has no mode above b whose
+    magnitude exceeds ``_SYMMETRY_ULPS`` n eps of the largest.  A weight
+    that the rotations keep carries the mode 0 alone, and has no band.
     """
     n = len(points)
-    trivial = np.arange(n)[None, None], False
+    trivial = np.arange(n)[None, None], False, None
     if n < 2:
         return trivial
     unit = _SYMMETRY_ULPS * n * np.finfo(float).eps
@@ -829,10 +876,10 @@ def _symmetry_table(supports, points, weights, values, offsets):
     sorted_key = key[order]
     everyone = np.arange(n)
 
-    def match(isometry, sign=1.0):
+    def match(isometry):
         """The permutation of the atoms that ``isometry`` (about the
-        centroid) induces, or None where it is not a symmetry that takes
-        each weight value to ``sign`` times itself."""
+        centroid) induces, or None where it does not keep the atoms, their
+        quadrature weights and the mesh."""
         image = rel @ isometry.T
         j = np.clip(np.searchsorted(sorted_key, image @ _KEY), 1, n - 1)
         near = order[np.stack([j - 1, j])]
@@ -843,8 +890,7 @@ def _symmetry_table(supports, points, weights, values, offsets):
                 or np.array_equal(perm, everyone)
                 or np.any(np.bincount(perm, minlength=n) != 1)
                 or np.any(owner[perm] != owner)
-                or np.any(np.abs(weights[perm] - weights) > unit * weights)
-                or np.any(np.abs(values[perm] - sign * values) > v_reach)):
+                or np.any(np.abs(weights[perm] - weights) > unit * weights)):
             return None
         for k, (support, _) in enumerate(supports):
             if isinstance(support, SurfaceMesh) and not _keeps_mesh(
@@ -853,14 +899,41 @@ def _symmetry_table(supports, points, weights, values, offsets):
                 return None
         return perm
 
+    def keeps(perm, sign=1.0):
+        """``perm`` where it takes each weight value to ``sign`` times
+        itself, else None."""
+        if perm is None or np.any(np.abs(values[perm] - sign * values)
+                                  > v_reach):
+            return None
+        return perm
+
+    def kept(table, negated=False):
+        """``table`` where the weight is constant on each of its orbits, or,
+        ``negated``, is negated by the generator of order 2; else None."""
+        # the generator's powers run along the last group axis
+        signs = np.array([1.0, -1.0])[:, None] if negated else 1.0
+        if table is None or np.any(
+                np.abs(values[table] - signs * values[table[0, 0]]) > v_reach):
+            return None
+        return table
+
     @functools.cache
-    def turn(m):
+    def rotation(m):
         return match(_rotation(TWO_PI / m))
 
+    def turn(m):
+        return keeps(rotation(m))
+
+    args = (rel, weights, reach, unit)
+    off = np.linalg.norm(rel, axis=1) > reach
+    band = None
+    if (len(supports) == 1 and off.all() and rotation(n) is not None
+            and turn(n) is None):
+        band = _carried_modes(_orbit_table([(rotation(n), _rotation(
+            TWO_PI * np.arange(n) / n))], *args), values * weights)
     # every atom off the centroid has an orbit of m under C_m, and C_m
     # holds for each divisor of an m that holds: per prime p, a bisection
     # over the powers of p that divide every such count, p itself first
-    off = np.linalg.norm(rel, axis=1) > reach
     common = int(np.gcd.reduce(np.bincount(owner[off],
                                            minlength=len(supports))))
     m = 1
@@ -875,16 +948,15 @@ def _symmetry_table(supports, points, weights, values, offsets):
             else:
                 low = mid
         m *= p ** low
-    args = (rel, weights, values, reach, unit, v_reach)
     rotations = None
     if m > 1 and turn(m) is not None:
-        rotations = _orbit_table([(turn(m), _rotation(
-            TWO_PI * np.arange(m) / m))], *args)
+        rotations = kept(_orbit_table([(turn(m), _rotation(
+            TWO_PI * np.arange(m) / m))], *args))
         # no reflection group, of order 4 at most, beats it
         if rotations is not None and m > 4:
-            return rotations, False
-    mirrors = [(match(_reflection(a)), np.stack([np.eye(2), _reflection(a)]))
-               for a in _AXES]
+            return rotations, False, band
+    mirrors = [(keeps(match(_reflection(a))),
+                np.stack([np.eye(2), _reflection(a)])) for a in _AXES]
     # the largest order first, and at a tie the reflections, whose blocks
     # are real: two of them before C_4 and C_3, C_3 before one, one before
     # C_2
@@ -892,26 +964,49 @@ def _symmetry_table(supports, points, weights, values, offsets):
               if first[0] is not None and second[0] is not None
               and not np.array_equal(first[0], second[0])]
     for generators in groups:
-        table = _orbit_table(generators, *args)
+        table = kept(_orbit_table(generators, *args))
         if table is not None:
-            return table, False
+            return table, False, band
     if rotations is not None and m > 2:
-        return rotations, False
+        return rotations, False, band
     for mirror in mirrors:
-        table = None if mirror[0] is None else _orbit_table([mirror], *args)
+        table = None if mirror[0] is None else kept(_orbit_table([mirror],
+                                                                 *args))
         if table is not None:
-            return table, False
+            return table, False, band
     if rotations is not None:
-        return rotations, False
+        return rotations, False, band
     # no map keeps the weight: one of order 2 that negates it, fixing no
     # atom, the half turn first
     for isometry in [_rotation(np.pi)] + [_reflection(a) for a in _AXES]:
-        perm = match(isometry, -1.0)
-        table = None if perm is None else _orbit_table(
-            [(perm, np.stack([np.eye(2), isometry]))], *args, negated=True)
+        perm = keeps(match(isometry), -1.0)
+        table = None if perm is None else kept(_orbit_table(
+            [(perm, np.stack([np.eye(2), isometry]))], *args, free=True),
+            negated=True)
         if table is not None:
-            return table, True
-    return trivial
+            return table, True, band
+    return trivial[:2] + (band,)
+
+
+def _carried_modes(table, vw: np.ndarray):
+    """The band question of ``_symmetry_table`` on the C_n orbit table
+    ``table`` of one support (or None): (orbit, b) where the table is one
+    free orbit and V w carries the modes |m| <= b alone, b within
+    ``_BAND_MODES`` and 2 b + 1 < n; else None.  The quadrature weights
+    are constant on the orbit, so V w carries the characters V does, and
+    ``_banded`` reads the same numbers.  They are read in units of their
+    largest power of two, so no mode of a tiny weight underflows."""
+    if table is None or table.shape[2] != 1:
+        return None
+    orbit = table[0, :, 0]
+    n = len(orbit)
+    v = vw[orbit]
+    modes = np.abs(np.fft.rfft(np.ldexp(v, -np.frexp(np.max(np.abs(v)))[1])))
+    b = int(np.flatnonzero(modes > _SYMMETRY_ULPS * n * np.finfo(float).eps
+                           * modes.max()).max(initial=0))
+    if not 1 <= b <= _BAND_MODES or 2 * b + 1 >= n:
+        return None
+    return orbit, b
 
 
 def _keeps_mesh(mesh: SurfaceMesh, local: np.ndarray, isometry: np.ndarray,
@@ -937,14 +1032,13 @@ def _keeps_mesh(mesh: SurfaceMesh, local: np.ndarray, isometry: np.ndarray,
     return bool(np.max(np.abs(shift)) <= unit * TWO_PI)
 
 
-def _orbit_table(generators, rel, weights, values, reach, unit, v_reach,
-                 negated=False):
+def _orbit_table(generators, rel, weights, reach, unit, free=False):
     """The (N1, N2, r) orbit table of ``_symmetry_table`` for one or two
     commuting generators, each (permutation, the exact isometries of its
-    powers), or None where the group they generate is not a symmetry of
-    the atoms within the tolerances.  ``negated`` takes one generator of
-    order 2 that maps each weight value to its negative, and refuses it
-    where it fixes an atom."""
+    powers), or None where the group they generate does not keep the atoms
+    and their quadrature weights within the tolerances.  ``free`` takes one
+    generator of order 2 and refuses it where it fixes an atom.  The weight
+    is not read: ``_symmetry_table`` asks that apart."""
     n = len(rel)
     label = np.arange(n)
     for perm, maps in generators:
@@ -968,14 +1062,11 @@ def _orbit_table(generators, rel, weights, values, reach, unit, v_reach,
     orbit_sizes = table.shape[0] * table.shape[1] // (table == reps).sum(
         axis=(0, 1))
     expected = np.einsum("abij,oj->aboi", maps, rel[reps])
-    # the generator's powers run along the last group axis
-    signs = np.array([1.0, -1.0])[:, None] if negated else 1.0
     if (orbit_sizes.sum() != n
-            or (negated and np.any(orbit_sizes != 2))
+            or (free and np.any(orbit_sizes != 2))
             or np.max(np.linalg.norm(rel[table] - expected, axis=-1)) > reach
             or np.any(np.abs(weights[table] - weights[reps])
-                      > unit * weights[reps])
-            or np.any(np.abs(values[table] - signs * values[reps]) > v_reach)):
+                      > unit * weights[reps])):
         return None
     return table
 
@@ -1105,7 +1196,9 @@ def _row_invariants(values: np.ndarray, o0: int, p0: int,
 def assemble_mixed(supports, kernel: KernelModel) -> BlockOperator:
     """The operator over a list of (support, weight) pairs, each support a
     ``SurfaceMesh`` or a ``SingularMeasure``, reduced by its symmetry group
-    G (``_symmetry_table``) to one block per character of G.
+    G (``_symmetry_table``) to one block per character of G, or, on one
+    free orbit of C_n whose weight carries few Fourier modes, to one band
+    (``_banded``).
 
     A curve's diagonal block takes the curve quadrature of
     ``_support_rows``; a measure's takes pointwise kernel values closed by
@@ -1135,9 +1228,13 @@ def assemble_mixed(supports, kernel: KernelModel) -> BlockOperator:
     """
     supports = list(supports)
     points, weights, values, offsets = _layout(supports)
-    table, negated = _symmetry_table(supports, points, weights, values,
-                                     offsets)
+    table, negated, band = _symmetry_table(supports, points, weights,
+                                           values, offsets)
     _check_separation(supports)
+    if band is not None:
+        op = _banded(supports[0][0], kernel, values * weights, *band)
+        if op is not None:
+            return op
     _, n2, r = table.shape
     reps = table[0, 0]
     fixed = (table == reps).astype(float)
@@ -1188,6 +1285,107 @@ def assemble_mixed(supports, kernel: KernelModel) -> BlockOperator:
                          singles=np.concatenate(singles or [np.empty(0)]),
                          invariants=invariants, n=len(points),
                          signed_flag=bool(np.any(values < 0.0)))
+
+
+def _banded(support, kernel: KernelModel, vw: np.ndarray, orbit: np.ndarray,
+            b: int) -> BlockOperator | None:
+    """The operator on a support that is one free orbit of C_n, whose
+    weight carries the modes |m| <= b (``_symmetry_table``), as one band
+    block, or None where the band is not taken.
+
+    The kernel matrix is C_n-invariant whatever the weight, so one row,
+    row[a] = K[i_0, g^a(i_0)], gives it in the DFT basis: diag(kappa), kappa
+    the real DFT of the row.  With u = V w along the orbit and u^ = DFT(u) /
+    n, K diag(V w) is similar to diag(sqrt kappa) C(u^) diag(sqrt kappa),
+    C(u^) the circulant of u^, Hermitian, whose entry (m, m') is u^_(m - m')
+    and which carries the modes |m - m'| <= b alone (Fassler and Stiefel).
+    ``_band_storage`` writes it in the real basis, where it is a real
+    symmetric band of half-width 2 b + 1.
+
+    The modes above b are dropped: by Weyl's inequality they move each
+    eigenvalue by at most max kappa sum |u^_dropped|.  The band is taken
+    only where that bound is within ``_SYMMETRY_ULPS`` n eps of sqrt(F / n),
+    F the squared Frobenius norm, since the spectral radius is at least
+    ||A||_F / sqrt(n), and only where every kappa_m is positive: that is the
+    kernel matrix positive definite, which the fold needs.  Otherwise the
+    operator takes the group of ``_symmetry_table``'s table, and every
+    refusal keeps its message.
+
+    The invariants come from the row, not the band, in the units of
+    ``_row_invariants``: the trace is K[0, 0] sum(V w), and the squared
+    Frobenius norm sum_d row[d]^2 c[d], c[d] = sum_i u_i u_(i + d) the
+    circular correlation of u, by FFT; so the check covers the transform as
+    well as the solve.  No n x n
+    array exists: the row, the transforms and the band are O(n b)."""
+    n = len(orbit)
+    row = _support_rows(support, kernel)(orbit[:1], orbit)[0]
+    # V w and the row in units of powers of two, as ``_orbit_rows`` takes
+    # them: a subnormal weight keeps its digits, and its largest entry is
+    # read as subnormal
+    shift = int(np.frexp(np.sqrt(np.max(np.abs(vw))))[1])
+    u = np.ldexp(vw[orbit], -2 * shift)
+    exponent = int(np.frexp(np.max(np.abs(row)) * np.max(np.abs(u)))[1])
+    row = np.ldexp(row, -exponent)
+    kappa = np.fft.rfft(row).real
+    spectrum = np.fft.rfft(u)
+    coefficients = spectrum[:b + 1] / n
+    # each mode above b counts twice, for m and -m, but n / 2 once
+    dropped = np.abs(spectrum[b + 1:]) / n
+    dropped = 2.0 * dropped.sum() - (dropped[-1] if n % 2 == 0 else 0.0)
+    correlation = np.fft.irfft(np.abs(spectrum) ** 2, n)
+    invariants = (float(row[0] * u.sum()), float(row ** 2 @ correlation),
+                  exponent + 2 * shift)
+    bound = _SYMMETRY_ULPS * n * np.finfo(float).eps * np.sqrt(
+        max(invariants[1], 0.0) / n)
+    if not (np.all(kappa > 0.0) and kappa.max() * dropped <= bound):
+        return None
+    band = _band_storage(kappa, coefficients, n)
+    signed = bool(np.any(vw < 0.0))
+    return BlockOperator(blocks=(), singles=np.empty(0), invariants=invariants,
+                         n=n, signed_flag=signed, bands=(OperatorMatrix(
+                             entries=np.ldexp(band, invariants[2], out=band),
+                             signed_flag=signed, band=True),))
+
+
+def _band_storage(kappa: np.ndarray, coefficients: np.ndarray,
+                  n: int) -> np.ndarray:
+    """diag(sqrt kappa) C(u^) diag(sqrt kappa) of ``_banded`` in LAPACK's
+    lower band storage, an (n, 2 b + 2) array, for u^_m = ``coefficients``
+    [m], m = 0..b, and their conjugates at -m, zero elsewhere.
+
+    The basis is the real one, (1, cos t, sin t, cos 2t, sin 2t, ..., cos
+    (n/2) t), orthonormal over the orbit: position p holds the mode (p +
+    1) // 2, a sine where p is even and positive.  With a = Re u^ and
+    c = Im u^ (indices mod n), the entry of the modes m and m' is a_(m -
+    m') + a_(m + m') between cosines, a_(m - m') - a_(m + m') between
+    sines, c_(m - m') - c_(m + m') for a cosine m and a sine m', and
+    -c_(m - m') - c_(m + m') for a sine m and a cosine m'; the constant and
+    the Nyquist cosine cos (n/2) t are the cosines of the modes 0 and n/2
+    over sqrt 2.  The entries vanish past |p - q| = 2 b + 1, with no
+    wrap-around: the mode n/2 + k is the mode -(n/2 - k), and folds onto
+    the cosine and sine of n/2 - k.  Each diagonal is one O(n) pass."""
+    b = len(coefficients) - 1
+    re, im = np.zeros(n), np.zeros(n)
+    re[:b + 1], im[:b + 1] = coefficients.real, coefficients.imag
+    re[n - b:], im[n - b:] = coefficients.real[:0:-1], -coefficients.imag[:0:-1]
+    position = np.arange(n)
+    mode = (position + 1) // 2
+    sine = (position % 2 == 0) & (position > 0)
+    root = np.sqrt(kappa[mode])
+    root[0] *= np.sqrt(0.5)
+    if n % 2 == 0:
+        root[-1] *= np.sqrt(0.5)
+    out = np.zeros((n, 2 * b + 2))
+    for d in range(2 * b + 2):
+        p, q = position[:n - d], position[d:]
+        difference = (mode[p] - mode[q]) % n
+        total = (mode[p] + mode[q]) % n
+        out[:n - d, d] = np.where(
+            sine[p] == sine[q],
+            re[difference] + np.where(sine[p], -1.0, 1.0) * re[total],
+            np.where(sine[q], 1.0, -1.0) * im[difference] - im[total]
+        ) * root[p] * root[q]
+    return out
 
 
 def _coupling(even: np.ndarray, odd: np.ndarray, vw: np.ndarray,

@@ -17,7 +17,10 @@ instead, whose eigenvalues are plus and minus its singular values:
 LAPACK's ``dgesdd``, from the same OpenBLAS, takes them in M's own
 storage.  The eigenvalues of M^T M would be three times faster but square
 the spectrum, and the singular values below about 1e-4 of the largest
-would lose their digits to it.
+would lose their digits to it.  A weight that carries few Fourier modes on
+an equispaced circle comes as one band block, in LAPACK's lower band
+storage: ``dsbevd``, from the same OpenBLAS, reduces it to tridiagonal form
+in place, in O(n^2 b) where the dense solve takes O(n^3).
 
 The union of the eigenvalues is checked once against the two invariants of
 the whole operator, which the block operator carries from its kernel rows
@@ -122,11 +125,13 @@ def eigensolve(op: BlockOperator) -> Spectrum:
     The solve consumes the operator: it overwrites the storage of its
     blocks, and a second ``eigensolve`` of the same operator raises
     ``InvalidArgumentError``.  ``op.n`` stays valid.  Only the upper
-    triangle of each block, diagonal included, is read.
+    triangle of each block, diagonal included, is read, and of a band
+    block its band storage.
 
     No eigenvectors are computed.  Each block is solved with no check of
-    its own, and each coupling block as plus and minus its singular values;
-    the union of these eigenvalues and its 1 x 1 blocks' must reproduce the
+    its own, each band block by ``dsbevd`` (``_band_eigenvalues``), and
+    each coupling block as plus and minus its singular values; the union
+    of these eigenvalues and its 1 x 1 blocks' must reproduce the
     trace and the squared Frobenius norm of the whole operator, which it
     carries, to within 64 n eps times the spectral radius and the squared
     norm.  A violation raises ``InternalError`` naming both errors, and so
@@ -138,6 +143,7 @@ def eigensolve(op: BlockOperator) -> Spectrum:
     radius are dropped as numerical zeros; the trusted index range is n/8.
     """
     vals = [op.singles] + [_eigvalsh_upper(b.consume()) for b in op.blocks]
+    vals += [_band_eigenvalues(b.consume()) for b in op.bands]
     for coupling in op.couplings:
         sigma = _singular_values(coupling.consume())
         vals += [sigma, -sigma]
@@ -252,6 +258,66 @@ def _eigvalsh_upper(m: np.ndarray) -> np.ndarray:
         if info.value != 0:
             raise InternalError(
                 "symmetric eigensolve failed: LAPACK dsyevd info = %d"
+                % info.value)
+
+    work = np.empty(1)
+    iwork = np.empty(1, dtype=np.int64)
+    call(work, -1, iwork, -1)
+    lwork, liwork = int(work[0]), int(iwork[0])
+    call(np.empty(lwork), lwork, np.empty(liwork, dtype=np.int64), liwork)
+    return vals
+
+
+@functools.cache
+def _lapack_dsbevd():
+    """LAPACK's ``dsbevd`` (``_numpy_lapack``), resolved once, on the
+    first band solve."""
+    return _numpy_lapack("dsbevd", [
+        ctypes.c_char_p, ctypes.c_char_p, _INTEGER,     # jobz, uplo, n
+        _INTEGER, ctypes.c_void_p, _INTEGER,            # kd, ab, ldab
+        ctypes.c_void_p, ctypes.c_void_p, _INTEGER,     # w, z, ldz
+        ctypes.c_void_p, _INTEGER, ctypes.c_void_p,     # work, lwork, iwork
+        _INTEGER, _INTEGER,                             # liwork, info
+        ctypes.c_size_t, ctypes.c_size_t])              # len(jobz), len(uplo)
+
+
+def _band_eigenvalues(ab: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the symmetric band matrix whose lower band
+    storage (``OperatorMatrix.band``) is the C-contiguous float64 (n, kd +
+    1) ``ab``: entry [j, d] is the matrix entry (j, j + d).  ``ab`` is
+    overwritten.
+
+    Fortran reads the C storage as the (kd + 1, n) array whose column j is
+    row j here, which is LAPACK's lower band storage with ldab = kd + 1:
+    ``dsbevd`` with uplo 'L' takes it in place, no copy made, with the
+    workspace LAPACK's query asks for.  Without the routine, NumPy's
+    ``eigvalsh`` solves the band expanded to its n x n matrix.  A failed
+    solve raises ``InternalError`` naming LAPACK's info."""
+    n, width = ab.shape
+    dsbevd = _lapack_dsbevd()
+    if dsbevd is None:
+        m = np.zeros((n, n))
+        for d in range(width):
+            m[np.arange(n - d), np.arange(d, n)] = ab[:n - d, d]
+        try:
+            return np.linalg.eigvalsh(m, UPLO="U")
+        except np.linalg.LinAlgError as exc:
+            raise InternalError(
+                "band eigensolve failed: %s" % exc) from None
+    vals = np.empty(n)
+    info = ctypes.c_int64(0)
+    one = ctypes.pointer(ctypes.c_int64(1))
+
+    def call(work: np.ndarray, lwork: int, iwork: np.ndarray, liwork: int):
+        dsbevd(b"N", b"L", ctypes.pointer(ctypes.c_int64(n)),
+               ctypes.pointer(ctypes.c_int64(width - 1)), ab.ctypes.data,
+               ctypes.pointer(ctypes.c_int64(width)), vals.ctypes.data, None,
+               one, work.ctypes.data, ctypes.pointer(ctypes.c_int64(lwork)),
+               iwork.ctypes.data, ctypes.pointer(ctypes.c_int64(liwork)),
+               ctypes.pointer(info), 1, 1)
+        if info.value != 0:
+            raise InternalError(
+                "band eigensolve failed: LAPACK dsbevd info = %d"
                 % info.value)
 
     work = np.empty(1)

@@ -435,18 +435,30 @@ def test_only_an_equispaced_circle_skips_the_dense_solve(monkeypatch):
     # which path runs: the orders of the dsyevd solves, none for the 1 x 1
     # blocks of an equispaced circle of a constant weight (the group C_n),
     # one per real block of a reflection group, one of order n for a dense
-    # operator
-    solves = []
+    # operator; and the orders of the dsbevd solves, one of order n for a
+    # circle whose weight carries a few Fourier modes, whatever map keeps it
+    solves, bands = [], []
     true_eigvalsh = spectra._eigvalsh_upper
+    true_band = spectra._band_eigenvalues
 
     def counted(m):
         solves.append(len(m))
         return true_eigvalsh(m)
 
+    def counted_band(ab):
+        bands.append(len(ab))
+        return true_band(ab)
+
     monkeypatch.setattr(spectra, "_eigvalsh_upper", counted)
+    monkeypatch.setattr(spectra, "_band_eigenvalues", counted_band)
     one = WeightFn.constant(1.0)
     circle = make_smooth_curve(Circle(), 64)
     t = circle.param_values
+    # modes up to n/2, even under t -> -t (node j -> node -j), and not
+    rng = np.random.default_rng(1)
+    even = rng.uniform(-0.2, 0.2, 33)
+    wide_even = 1.5 + np.cos(t) + np.concatenate([even, even[1:32][::-1]])
+    wide = 1.5 + np.cos(t - 0.3) + rng.uniform(-0.2, 0.2, 64)
     small = make_smooth_curve(Circle(center=(0.3, 0.0), radius=0.25), 32)
     cases = {
         "circle": ([(circle, one)], []),
@@ -463,21 +475,27 @@ def test_only_an_equispaced_circle_skips_the_dense_solve(monkeypatch):
         "nearly a circle, star": (
             [(make_smooth_curve(Star(amplitude=1e-9), 64), one)], [31, 33]),
         "tabulated weight": (
-            [(circle, WeightFn.tabulated(1.5 + np.cos(t)))], [31, 33]),
+            [(circle, WeightFn.tabulated(1.5 + np.cos(t)))], [], [64]),
+        "wide-band tabulated weight": (
+            [(circle, WeightFn.tabulated(wide_even))], [31, 33]),
         "two circles": ([(circle, one), (make_smooth_curve(
             Circle(center=(4.0, 0.0)), 64), one)], [62, 66]),
         "cell grid and circle": ([(assemble.make_cell_grid(
             (0.0, 0.0), 1.0, 0.2, exclude_meshes=[small]), one),
             (small, one)], [44, 46]),
         "tabulated weight off the axes": (
-            [(circle, WeightFn.tabulated(1.5 + np.cos(t - 0.3)))], [64]),
+            [(circle, WeightFn.tabulated(1.5 + np.cos(t - 0.3)))], [], [64]),
+        "wide-band tabulated weight off the axes": (
+            [(circle, WeightFn.tabulated(wide))], [64]),
         "two circles off the axes": ([(circle, one), (make_smooth_curve(
             Circle(center=(3.0, 2.0)), 64), one)], [128]),
     }
-    for name, (supports, want) in cases.items():
+    for name, (supports, *want) in cases.items():
         solves.clear()
+        bands.clear()
         cli._spectrum_of(supports, reference_kernel(), 4200)
-        assert sorted(solves) == want, name
+        assert sorted(solves) == want[0], name
+        assert bands == (want[1] if len(want) > 1 else []), name
     # a negative constant weight keeps the fold and its refusal
     with pytest.raises(InvalidArgumentError, match="node spacing"):
         cli._spectrum_of([(make_smooth_curve(Circle(radius=5.0), 64),
@@ -487,34 +505,44 @@ def test_only_an_equispaced_circle_skips_the_dense_solve(monkeypatch):
 
 def test_a_weight_the_half_turn_negates_skips_the_dense_solve(monkeypatch):
     # the benchmark's signed-weight operation, cos(t - phi) at a random
-    # phase, at its smoke size: no dsyevd, one dgesdd of order n/2; the
-    # default cos t keeps its reflection t -> -t, whose two fixed nodes
-    # join the even block
+    # phase, at its smoke size, and the default cos t, which keeps its
+    # reflection t -> -t: both carry the modes |m| <= 1 of C_n, and each is
+    # one band of order n, with no dsyevd and no dgesdd.  An odd weight on
+    # a rectangle, which the half turn negates, is one dgesdd of order n/2
     perfbench = Path(__file__).resolve().parent.parent / "perfbench"
     monkeypatch.syspath_prepend(str(perfbench))
     workloads = importlib.import_module("workloads")
     op, = [op for op in workloads.build("curve-weyl", 0, smoke=True)
            if op.name == "signed-weight"]
-    solves = {"dsyevd": [], "dgesdd": []}
-    true_eigvalsh = spectra._eigvalsh_upper
-    true_singular_values = spectra._singular_values
+    solves = {"dsyevd": [], "dgesdd": [], "dsbevd": []}
+    counted = {"dsyevd": "_eigvalsh_upper", "dgesdd": "_singular_values",
+               "dsbevd": "_band_eigenvalues"}
+    for name, attr in counted.items():
+        def solve(m, name=name, true=getattr(spectra, attr)):
+            solves[name].append(len(m))
+            return true(m)
 
-    def counted_eigvalsh(m):
-        solves["dsyevd"].append(len(m))
-        return true_eigvalsh(m)
-
-    def counted_singular_values(m):
-        solves["dgesdd"].append(len(m))
-        return true_singular_values(m)
-
-    monkeypatch.setattr(spectra, "_eigvalsh_upper", counted_eigvalsh)
-    monkeypatch.setattr(spectra, "_singular_values", counted_singular_values)
+        monkeypatch.setattr(spectra, attr, solve)
     assert op.run().passed
-    assert solves == {"dsyevd": [], "dgesdd": [op.config["n"] // 2]}
-    solves["dgesdd"].clear()
+    assert solves == {"dsyevd": [], "dgesdd": [],
+                      "dsbevd": [op.config["n"]]}
+    solves["dsbevd"].clear()
     assert run_experiment(ExperimentConfig.from_dict(
         {"experiment": "signed-weight", "n": 512})).passed
-    assert sorted(solves["dsyevd"]) == [255, 257] and solves["dgesdd"] == []
+    assert solves == {"dsyevd": [], "dgesdd": [], "dsbevd": [512]}
+    solves["dsbevd"].clear()
+    vertices = [[0.0, 0.0], [1.3, 0.0], [1.3, 0.7], [0.0, 0.7]]
+    mesh = cli._polygon_mesh(vertices, 256, 3.0)
+    x, y = (mesh.nodes - [0.65, 0.35]).T
+    report = run_experiment(ExperimentConfig.from_dict(
+        {"experiment": "polygon-weyl", "n": 256, "window": [5, 30],
+         "params": {"vertices": vertices,
+                    "weight": {"kind": "tabulated",
+                               "values": (x + 0.4 * y - 0.7 * x ** 3)
+                               .tolist()}}}))
+    assert report.passed and report.measured["n_nodes"] == mesh.n_nodes
+    assert solves == {"dsyevd": [], "dgesdd": [mesh.n_nodes // 2],
+                      "dsbevd": []}
 
 
 def _reports_info_1(*args):
@@ -549,8 +577,10 @@ def test_failed_eigensolve_exits_4(path, tmp_path, capsys, monkeypatch):
 
 
 def test_a_perturbed_singular_value_exits_4(tmp_path, capsys, monkeypatch):
-    # the benchmark's kind of signed-weight config at n = 128: its coupling
-    # block's largest singular value solved wrong fails the invariant check
+    # a signed-weight config at n = 128 whose weight the half turn negates,
+    # cos(t - 1.234) plus an odd square wave, with modes up to n/2: its
+    # coupling block's largest singular value solved wrong fails the
+    # invariant check
     true_singular_values = spectra._singular_values
 
     def first_shifted(m):
@@ -559,6 +589,33 @@ def test_a_perturbed_singular_value_exits_4(tmp_path, capsys, monkeypatch):
         return vals
 
     monkeypatch.setattr(spectra, "_singular_values", first_shifted)
+    t = 2.0 * np.pi * np.arange(128) / 128
+    square = np.sign(np.sin(t)) * (np.abs(np.sin(t)) > 1e-9)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "experiment": "signed-weight", "n": 128, "window": [2, 14],
+        "params": {"weight": {"kind": "tabulated",
+                              "values": (np.cos(t - 1.234)
+                                         + 0.5 * square).tolist()}}}))
+    assert main(["run", "--config", str(cfg)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: internal check failed: eigenvalues "
+                          "violate the matrix invariants: trace error ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_a_perturbed_band_eigenvalue_exits_4(tmp_path, capsys, monkeypatch):
+    # the benchmark's kind of signed-weight config at n = 128, cos(t - phi):
+    # one band of order n, whose largest eigenvalue solved wrong fails the
+    # invariant check
+    true_band = spectra._band_eigenvalues
+
+    def last_shifted(ab):
+        vals = true_band(ab)
+        vals[-1] *= 1.0 + 1e-6
+        return vals
+
+    monkeypatch.setattr(spectra, "_band_eigenvalues", last_shifted)
     t = 2.0 * np.pi * np.arange(128) / 128
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({

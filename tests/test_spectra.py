@@ -216,9 +216,12 @@ def peak_bytes():
                 return int(line.split()[1]) * 1024
 
 
-# a weight off the axes: no symmetry, one block of order n
+# a weight off the axes with modes up to n/2: no symmetry and no band, one
+# block of order n
 mesh = make_smooth_curve(Circle(), 2048)
-weight = WeightFn.tabulated(1.5 + np.cos(mesh.param_values - 0.3))
+weight = WeightFn.tabulated(1.5 + np.cos(mesh.param_values - 0.3)
+                            + 0.2 * np.random.default_rng(0).uniform(
+                                -1.0, 1.0, 2048))
 op = assemble_curve_operator(mesh, weight, reference_kernel())
 assert [block.n for block in op.blocks] == [op.n]
 files, peak = openblas_files(), peak_bytes()
@@ -512,9 +515,9 @@ def test_a_near_symmetry_is_refused(support, group):
     # vertex or atom leaves the trivial group, and one block of order n
     supports = [(support, WeightFn.constant(1.0))]
     points, weights, values, offsets = assemble._layout(supports)
-    table, negated = assemble._symmetry_table(supports, points, weights,
-                                              values, offsets)
-    assert table.shape[:2] == group and not negated
+    table, negated, band = assemble._symmetry_table(supports, points,
+                                                    weights, values, offsets)
+    assert table.shape[:2] == group and not negated and band is None
     op = _assert_reduced_matches_dense(supports, reference_kernel())
     assert _reduced(op) == (group != (1, 1))
 
@@ -530,14 +533,19 @@ def test_a_near_symmetry_is_refused(support, group):
 ], ids=["one atom", "two atoms of two masses", "weight off the axes"])
 def test_the_symmetry_table_is_never_none(supports):
     # where no map keeps the supports, the group is the trivial one: every
-    # atom its own orbit, in one row of the table
+    # atom its own orbit, in one row of the table; the weight off the axes,
+    # 1.5 + cos(t - 0.3) on an equispaced circle, carries the modes |m| <= 1
+    # of C_n and is solved as one band, the others as one block of order n
     points, weights, values, offsets = assemble._layout(supports)
-    table, negated = assemble._symmetry_table(supports, points, weights,
-                                              values, offsets)
+    table, negated, band = assemble._symmetry_table(supports, points,
+                                                    weights, values, offsets)
     assert np.array_equal(table, np.arange(len(points))[None, None])
     assert not negated
     op = _assert_reduced_matches_dense(supports, reference_kernel())
-    assert not _reduced(op)
+    if len(points) == 64:
+        assert band[1] == 1 and [b.n for b in op.bands] == [64]
+    else:
+        assert band is None and not _reduced(op)
 
 
 @pytest.mark.parametrize("shape, inside", [
@@ -611,12 +619,14 @@ def test_a_perturbed_block_eigenvalue_fails_the_check(monkeypatch):
 @pytest.mark.parametrize("signed", [False, True],
                          ids=["scaling", "fold"])
 def test_a_wrong_scaling_or_fold_fails_the_check(signed, monkeypatch):
-    # a weight that no map keeps or negates: one block of order n, whose
-    # invariants come from its kernel rows before the scaling or the fold,
-    # so one entry finished wrong fails the check like a wrong eigenvalue
+    # a weight that no map keeps or negates, with modes up to n/2, so no
+    # band: one block of order n, whose invariants come from its kernel rows
+    # before the scaling or the fold, so one entry finished wrong fails the
+    # check like a wrong eigenvalue
     mesh = make_smooth_curve(Circle(radius=1.0), 64)
     t = mesh.param_values
-    values = np.cos(t - 0.3) + 0.4 * np.cos(2.0 * t - 0.7)
+    values = (np.cos(t - 0.3) + 0.4 * np.cos(2.0 * t - 0.7)
+              + 0.2 * np.random.default_rng(3).uniform(-1.0, 1.0, 64))
     supports = [(mesh, WeightFn.tabulated(values + (0.0 if signed else 1.5)))]
     op = assemble_mixed(supports, reference_kernel())
     assert not _reduced(op) and op.signed_flag == signed
@@ -669,12 +679,15 @@ def _odd_in(offsets: np.ndarray, coefficients) -> np.ndarray:
 def _negated_supports(draw):
     """A support with a weight that a map of order 2 negates: the half turn
     on equispaced circles (odd harmonics, cos(t - phi) among them) and on
-    rectangles, x -> 1 - x on the Cantor set."""
+    rectangles, x -> 1 - x on the Cantor set.  The circles' weights carry
+    modes past ``assemble._BAND_MODES``, on 32 nodes or more, so that they
+    reach the coupling block rather than the band: the harmonics through an
+    odd square wave."""
     kind = draw(st.sampled_from(["harmonics", "table", "rectangle",
                                  "cantor"]))
     coefficient = st.floats(min_value=-2.0, max_value=2.0)
     if kind in ("harmonics", "table"):
-        n = 2 * draw(st.integers(min_value=4, max_value=96))
+        n = 2 * draw(st.integers(min_value=16, max_value=96))
         mesh = make_smooth_curve(Circle(
             center=(draw(st.floats(-3.0, 3.0)), draw(st.floats(-3.0, 3.0))),
             radius=draw(st.floats(min_value=0.1, max_value=2.0))), n)
@@ -684,6 +697,8 @@ def _negated_supports(draw):
             for k in (3, 5, 7):
                 values += (draw(coefficient) * np.cos(k * t)
                            + draw(coefficient) * np.sin(k * t))
+            values += (draw(st.sampled_from([-1.0, 1.0]))
+                       * draw(st.floats(0.1, 2.0)) * _square_wave(t))
         else:
             half = np.resize(draw(st.lists(coefficient, min_size=1,
                                            max_size=n // 2)), n // 2)
@@ -766,9 +781,26 @@ def test_the_underflow_refusal_names_the_smallest_normal_double():
 
 def _half_turn_circle(n: int = 128, phase: float = 1.234, radius=1.0):
     """An equispaced circle with the weight cos(t - phase), which the half
-    turn negates and, at this phase, no map keeps."""
+    turn negates and, at this phase, no map keeps: it carries the modes
+    |m| <= 1 of C_n, and is solved as one band."""
     mesh = make_smooth_curve(Circle(radius=radius), n)
     return [(mesh, WeightFn.tabulated(np.cos(mesh.param_values - phase)))]
+
+
+def _square_wave(t: np.ndarray) -> np.ndarray:
+    """sign(sin t), 0 where sin t rounds to near 0 (t = 0 and pi): odd
+    under the half turn, with every odd mode."""
+    return np.sign(np.sin(t)) * (np.abs(np.sin(t)) > 1e-9)
+
+
+def _odd_circle(n: int = 128, radius=1.0):
+    """An equispaced circle with the weight cos(t - 1.234) plus an odd
+    square wave, which the half turn negates and no map keeps, and whose
+    modes reach n/2: it is solved as one coupling block, not a band."""
+    mesh = make_smooth_curve(Circle(radius=radius), n)
+    t = mesh.param_values
+    return [(mesh, WeightFn.tabulated(np.cos(t - 1.234)
+                                      + 0.5 * _square_wave(t)))]
 
 
 def _half_turn_rectangle():
@@ -786,7 +818,7 @@ def _half_turn_cantor():
 
 
 @pytest.mark.parametrize("supports", [
-    _half_turn_circle(), _half_turn_rectangle(), _half_turn_cantor(),
+    _odd_circle(), _half_turn_rectangle(), _half_turn_cantor(),
 ], ids=["circle", "rectangle", "cantor"])
 def test_a_negated_weight_is_one_coupling_block(supports):
     op = _assert_reduced_matches_dense(supports, reference_kernel())
@@ -803,24 +835,30 @@ def test_a_negated_weight_is_one_coupling_block(supports):
 
 def test_a_negating_map_that_fixes_an_atom_is_not_taken():
     # sin t + sin 2t: t -> -t negates it and fixes the nodes at 0 and pi,
-    # and no other map of the detector keeps or negates it; three atoms on
-    # a line, the middle one at the centroid, with the values -1, 0, 1
+    # and no other map of the detector keeps or negates it, so its table is
+    # the trivial group's; it carries the modes |m| <= 2 of C_n, and is
+    # solved as one band.  Three atoms on a line, the middle one at the
+    # centroid, with the values -1, 0, 1: the trivial group's one block
     mesh = make_smooth_curve(Circle(), 64)
     t = mesh.param_values
     line = SingularMeasure(atoms=np.array([[0.0, 0.0], [0.5, 0.0],
                                            [1.0, 0.0]]),
                            masses=np.full(3, 0.25), cell_size=0.25,
                            alpha_nominal=1.0)
-    for supports in ([(mesh, WeightFn.tabulated(np.sin(t) + np.sin(2 * t)))],
-                     [(line, WeightFn.tabulated([-1.0, 0.0, 1.0]))]):
-        table, negated = assemble._symmetry_table(
+    for supports, b in (
+            ([(mesh, WeightFn.tabulated(np.sin(t) + np.sin(2 * t)))], 2),
+            ([(line, WeightFn.tabulated([-1.0, 0.0, 1.0]))], None)):
+        table, negated, band = assemble._symmetry_table(
             supports, *assemble._layout(supports))
         assert table.shape[:2] == (1, 1) and not negated
-        assert not _reduced(assemble_mixed(supports, reference_kernel()))
+        assert (band and band[1]) == b
+        op = assemble_mixed(supports, reference_kernel())
+        assert [c.n for c in op.bands] == ([] if b is None else [64])
+        assert _reduced(op) == (b is not None)
 
 
 def test_a_perturbed_singular_value_fails_the_check(monkeypatch):
-    supports = _half_turn_circle()
+    supports = _odd_circle()
     eigensolve(assemble_mixed(supports, reference_kernel()))
     true_singular_values = spectra._singular_values
 
@@ -856,14 +894,14 @@ def test_a_failed_singular_value_solve_raises_internal_error(path,
         monkeypatch.setattr(spectra, "_lapack_dgesdd", lambda: None)
         monkeypatch.setattr(np.linalg, "svd", _svd_does_not_converge)
         named = "SVD did not converge"
-    op = assemble_mixed(_half_turn_circle(), reference_kernel())
+    op = assemble_mixed(_odd_circle(), reference_kernel())
     with pytest.raises(InternalError,
                        match="singular value solve failed: .*" + named):
         eigensolve(op)
 
 
 def test_the_singular_value_fallback_gives_the_same_spectrum(monkeypatch):
-    supports = _half_turn_circle()
+    supports = _odd_circle()
     want = eigensolve(assemble_mixed(supports, reference_kernel()))
     monkeypatch.setattr(spectra, "_lapack_dgesdd", lambda: None)
     got = eigensolve(assemble_mixed(supports, reference_kernel()))
@@ -874,7 +912,7 @@ def test_the_singular_value_fallback_gives_the_same_spectrum(monkeypatch):
 
 
 def test_a_second_solve_of_a_coupling_block_is_refused():
-    op = assemble_mixed(_half_turn_circle(), reference_kernel())
+    op = assemble_mixed(_odd_circle(), reference_kernel())
     eigensolve(op)
     with pytest.raises(InvalidArgumentError, match="already eigensolved"):
         eigensolve(op)
@@ -887,8 +925,10 @@ def test_a_coupled_block_not_positive_definite_is_the_folds_refusal(
         failing, monkeypatch):
     # either block's factorisation failing gives the fold's refusal, naming
     # the node spacing; on a radius-5 circle of 64 nodes (spacing 0.49)
-    # the dense fold refuses the same operator
-    supports = _half_turn_circle(n=64)
+    # the dense fold refuses the same operator, and so does the band's
+    # kernel, one of whose DFT modes is not positive: cos(t - 1.234) falls
+    # back to the coupling block and keeps the fold's refusal
+    supports = _odd_circle(n=64)
     true_cholesky = assemble._cholesky_in_place
     calls = []
 
@@ -905,11 +945,234 @@ def test_a_coupled_block_not_positive_definite_is_the_folds_refusal(
     assert calls == [32] * failing
     monkeypatch.undo()
     wide = _half_turn_circle(n=64, radius=5.0)
+    assert assemble._symmetry_table(wide, *assemble._layout(wide))[2]
     for solve in (assemble_mixed, assemble_mixed_pairs):
         with pytest.raises(InvalidArgumentError,
                            match="under-resolved mesh: .* node spacing "
                                  "0.4909"):
             solve(wide, reference_kernel())
+
+
+# ---------------------------------------------------------------------------
+# a weight that carries few Fourier modes on an equispaced circle
+# ---------------------------------------------------------------------------
+
+@st.composite
+def _band_limited_circles(draw):
+    """An equispaced circle of 16 to 256 nodes at a random radius, centre
+    and phase, node spacing at most 2 pi / 64, with a weight of modes |m| <=
+    b: cos(t - phi), cos 5(t - phi) - 0.3 and 2 + cos 3(t - phi), or random
+    coefficients up to a random b from 0 to ``_BAND_MODES`` (below n / 2),
+    signed or made positive.  Returns (supports, b)."""
+    n = 2 * draw(st.integers(min_value=8, max_value=128))
+    mesh = make_smooth_curve(Circle(
+        center=(draw(st.floats(-3.0, 3.0)), draw(st.floats(-3.0, 3.0))),
+        radius=draw(st.floats(min_value=0.05, max_value=1.0)) * n / 64), n)
+    t = mesh.param_values - draw(st.floats(0.0, 2.0 * np.pi))
+    kind = draw(st.sampled_from(["cos(t - phi)", "cos 5t - 0.3",
+                                 "2 + cos 3t", "random"]))
+    if kind == "cos(t - phi)":
+        return [(mesh, WeightFn.tabulated(np.cos(t)))], 1
+    if kind == "cos 5t - 0.3":
+        return [(mesh, WeightFn.tabulated(np.cos(5.0 * t) - 0.3))], 5
+    if kind == "2 + cos 3t":
+        return [(mesh, WeightFn.tabulated(2.0 + np.cos(3.0 * t)))], 3
+    b = draw(st.integers(0, min(assemble._BAND_MODES, n // 2 - 1)))
+    coefficient = st.floats(min_value=-1.0, max_value=1.0)
+    values = np.full(n, draw(coefficient))
+    for m in range(1, b + 1):
+        # the top mode well above the truncation
+        top = draw(st.floats(0.2, 1.0)) if m == b else draw(coefficient)
+        values += top * np.cos(m * t) + draw(coefficient) * np.sin(m * t)
+    if draw(st.booleans()):
+        values += 0.1 - values.min()
+    return [(mesh, WeightFn.tabulated(values))], b
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_band_limited_circles())
+def test_a_band_limited_weight_is_one_band_of_the_dense_spectrum(case):
+    # b = 0 is a weight the rotations keep, C_n's 1 x 1 blocks; every b from
+    # 1 to the cutoff is one band of half-width 2 b + 1, whose spectrum is
+    # the dense oracle's within 64 n eps of the spectral radius, and whose
+    # invariants, read from the kernel row, are the oracle's
+    supports, b = case
+    kern = reference_kernel()
+    table, negated, band = assemble._symmetry_table(
+        supports, *assemble._layout(supports))
+    assert (band and band[1]) == (b or None)
+    op = assemble_mixed(supports, kern)
+    n = op.n
+    if b == 0:
+        assert op.bands == () and len(op.singles) == n
+    else:
+        assert op.blocks == () and op.couplings == () and len(op.singles) == 0
+        assert [bd.entries.shape for bd in op.bands] == [(n, 2 * b + 2)]
+        oracle = assemble_mixed_pairs(supports, kern)
+        trace, frobenius_sq, exponent = upper_invariants(oracle.entries)
+        got = (np.ldexp(op.invariants[0], op.invariants[2] - exponent),
+               np.ldexp(op.invariants[1], 2 * (op.invariants[2] - exponent)))
+        vals = np.ldexp(np.linalg.eigvalsh(oracle.entries, UPLO="U"),
+                        -exponent)
+        unit = spectra._tolerance_unit(n)
+        assert abs(got[0] - trace) <= unit * np.max(np.abs(vals))
+        assert abs(got[1] - frobenius_sq) <= unit * frobenius_sq
+    _assert_reduced_matches_dense(supports, kern)
+
+
+def test_a_wide_band_weight_keeps_the_trivial_group_bit_for_bit():
+    # a random tabulated weight carries every mode up to n / 2: no band,
+    # the trivial group's table, and the one block of order n solved as the
+    # trivial group's dense operator is, to the last bit
+    mesh = make_smooth_curve(Circle(radius=0.93), 128)
+    values = np.random.default_rng(7).uniform(-1.0, 1.0, 128)
+    supports = [(mesh, WeightFn.tabulated(values))]
+    table, negated, band = assemble._symmetry_table(
+        supports, *assemble._layout(supports))
+    assert table.shape == (1, 1, 128) and not negated and band is None
+    op = assemble_mixed(supports, reference_kernel())
+    assert op.bands == () and [b.n for b in op.blocks] == [128]
+    got = eigensolve(op)
+    want = eigensolve(assemble_dense(supports, reference_kernel()))
+    assert np.array_equal(got.positives, want.positives)
+    assert np.array_equal(got.negatives, want.negatives)
+
+
+@pytest.mark.parametrize("n, gate", [(128, "modes"), (512, "bound"),
+                                     (2048, "bound")])
+def test_a_weight_moved_by_1e_9_falls_back(n, gate):
+    # one value of cos(t - 1.234) moved by 1e-9 of max |V| moves the
+    # eigenvalues by about 1e-9 of the spectral radius: at n = 128 each of
+    # its modes lies above the truncation, 64 n eps of the largest; from
+    # n = 512 they lie below it, and the dropped modes' Weyl bound, above
+    # the tolerance unit, refuses the band.  Either way the operator takes
+    # the trivial group, as before the band existed
+    supports = _half_turn_circle(n=n)
+    (mesh, weight), = supports
+    values = weight.table.copy()
+    values[1] += 1e-9 * np.max(np.abs(values))
+    moved = [(mesh, WeightFn.tabulated(values))]
+    points, weights, values, offsets = assemble._layout(moved)
+    table, negated, band = assemble._symmetry_table(moved, points, weights,
+                                                    values, offsets)
+    assert table.shape[:2] == (1, 1) and not negated
+    if gate == "modes":
+        assert band is None
+    else:
+        assert band[1] == 1
+        assert assemble._banded(mesh, reference_kernel(), values * weights,
+                                *band) is None
+        # the weight as it was takes the band
+        exact = assemble._layout(supports)
+        assert assemble._banded(mesh, reference_kernel(),
+                                exact[2] * exact[1], *band) is not None
+    if n <= 512:
+        op = _assert_reduced_matches_dense(moved, reference_kernel())
+        assert op.bands == () and [b.n for b in op.blocks] == [n]
+
+
+def test_a_band_whose_kernel_is_not_positive_definite_falls_back():
+    # a radius-5 circle of 64 nodes, spacing 0.49: a DFT mode of the kernel
+    # row is not positive, so cos(t - 1.234) takes the half turn's coupling
+    # block, whose factorisation keeps the fold's refusal and its exit 2
+    supports = _half_turn_circle(n=64, radius=5.0)
+    points, weights, values, offsets = assemble._layout(supports)
+    band = assemble._symmetry_table(supports, points, weights, values,
+                                    offsets)[2]
+    assert band[1] == 1
+    assert assemble._banded(supports[0][0], reference_kernel(),
+                            values * weights, *band) is None
+    with pytest.raises(InvalidArgumentError,
+                       match="under-resolved mesh: .* node spacing 0.4909"):
+        assemble_mixed(supports, reference_kernel())
+
+
+def test_a_subnormal_band_limited_weight_underflows():
+    # (4, 3, 1, 3, ...) 5e-324 on an 8-node circle: V w rounds to (3, 2, 1,
+    # 2, ...) 5e-324, which carries the modes 0 and 2: one band, whose
+    # invariants from the row read the largest entry as subnormal, as the
+    # dense operator's do
+    mesh = make_smooth_curve(Circle(radius=1.0), 8)
+    supports = [(mesh, WeightFn.tabulated(np.tile([4, 3, 1, 3], 2)
+                                          * 5e-324))]
+    assert np.array_equal(supports[0][1].table * mesh.weights,
+                          np.tile([3, 2, 1, 2], 2) * 5e-324)
+    op = assemble_mixed(supports, reference_kernel())
+    assert [b.n for b in op.bands] == [8]
+    for op in (op, assemble_dense(supports, reference_kernel())):
+        with pytest.raises(InvalidArgumentError) as info:
+            eigensolve(op)
+        assert str(info.value) == (
+            "operator entries underflow: the largest |entry| is subnormal "
+            "(below 2.23e-308); scale the weight up")
+
+
+def test_a_perturbed_band_eigenvalue_fails_the_check(monkeypatch):
+    supports = _half_turn_circle()
+    eigensolve(assemble_mixed(supports, reference_kernel()))
+    true_band = spectra._band_eigenvalues
+
+    def last_shifted(ab):
+        vals = true_band(ab)
+        vals[-1] *= 1.0 + 1e-6
+        return vals
+
+    monkeypatch.setattr(spectra, "_band_eigenvalues", last_shifted)
+    op = assemble_mixed(supports, reference_kernel())
+    with pytest.raises(InternalError, match="trace error .* Frobenius"):
+        eigensolve(op)
+
+
+def _dsbevd_reports_info_1(*args):
+    # dsbevd's arguments: jobz, uplo, n, kd, ab, ldab, w, z, ldz, work,
+    # lwork, iwork, liwork, info, and the two character lengths
+    args[13].contents.value = 1
+
+
+def _eigvalsh_does_not_converge(m, UPLO):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+@pytest.mark.parametrize("path", ["dsbevd", "fallback"])
+def test_a_failed_band_solve_raises_internal_error(path, monkeypatch):
+    if path == "dsbevd":
+        monkeypatch.setattr(spectra, "_lapack_dsbevd",
+                            lambda: _dsbevd_reports_info_1)
+        named = "LAPACK dsbevd info = 1"
+    else:
+        monkeypatch.setattr(spectra, "_lapack_dsbevd", lambda: None)
+        monkeypatch.setattr(np.linalg, "eigvalsh", _eigvalsh_does_not_converge)
+        named = "Eigenvalues did not converge"
+    op = assemble_mixed(_half_turn_circle(), reference_kernel())
+    with pytest.raises(InternalError,
+                       match="band eigensolve failed: .*" + named):
+        eigensolve(op)
+
+
+def test_the_band_fallback_gives_the_same_spectrum(monkeypatch):
+    # NumPy's eigvalsh on the band expanded to its n x n matrix
+    supports = [(make_smooth_curve(Circle(radius=0.8), 256),
+                 WeightFn.tabulated(np.cos(5.0 * np.arange(256) * np.pi / 128)
+                                    - 0.3))]
+    want = eigensolve(assemble_mixed(supports, reference_kernel()))
+    monkeypatch.setattr(spectra, "_lapack_dsbevd", lambda: None)
+    op = assemble_mixed(supports, reference_kernel())
+    assert [b.entries.shape for b in op.bands] == [(256, 12)]
+    got = eigensolve(op)
+    unit = spectra._tolerance_unit(256) * want.positives[0]
+    assert len(got.positives) == len(want.positives)
+    assert len(got.negatives) == len(want.negatives)
+    assert np.max(np.abs(got.positives - want.positives)) <= unit
+    assert np.max(np.abs(got.negatives - want.negatives)) <= unit
+
+
+def test_a_second_solve_of_a_band_is_refused():
+    op = assemble_mixed(_half_turn_circle(), reference_kernel())
+    eigensolve(op)
+    with pytest.raises(InvalidArgumentError, match="already eigensolved"):
+        eigensolve(op)
+    with pytest.raises(InvalidArgumentError, match="already eigensolved"):
+        op.bands[0].consume()
 
 
 # ---------------------------------------------------------------------------
@@ -962,8 +1225,8 @@ def _orbit_inputs(name):
     make, group, negated = _ORBIT_SUPPORTS[name]
     supports = make()
     points, weights, values, offsets = assemble._layout(supports)
-    table, found_negated = assemble._symmetry_table(supports, points,
-                                                    weights, values, offsets)
+    table, found_negated, _ = assemble._symmetry_table(
+        supports, points, weights, values, offsets)
     assert table.shape[:2] == group and found_negated == negated
     return supports, (points, offsets, table, values * weights, negated)
 
