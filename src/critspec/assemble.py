@@ -223,15 +223,11 @@ class OperatorMatrix:
     caller's own memory, and any other is copied.  ``spectra.eigensolve``
     consumes the block: it overwrites that storage, and a second solve is
     refused.  A coupling block is kept the same way but is not symmetric:
-    its whole square is read.  A ``band`` block of order n and half-width kd
-    is kept in LAPACK's lower band storage, an (n, kd + 1) array whose
-    entry [j, d] is the matrix entry (j, j + d); the entries past the last
-    row of a diagonal are scratch.
+    its whole square is read.
     """
 
     entries: np.ndarray
     signed_flag: bool = False
-    band: bool = False
     _consumed: bool = field(default=False, init=False, repr=False,
                             compare=False)
 
@@ -243,13 +239,18 @@ class OperatorMatrix:
         # a view: freezing it leaves the caller's array writeable, and no
         # n x n copy is made
         m = m.view()
-        if m.ndim != 2 or not (m.shape[0] >= m.shape[1] if self.band
-                                else m.shape[0] == m.shape[1]):
-            raise InvalidArgumentError(
-                "entries must be a band of at most n diagonals" if self.band
-                else "entries must be square")
+        problem = self._shape_problem(m)
+        if problem:
+            raise InvalidArgumentError(problem)
         m.flags.writeable = False
         object.__setattr__(self, "entries", m)
+
+    @staticmethod
+    def _shape_problem(m: np.ndarray) -> str | None:
+        """What is wrong with the shape of ``entries``, or None."""
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            return "entries must be square"
+        return None
 
     @property
     def n(self) -> int:
@@ -264,6 +265,19 @@ class OperatorMatrix:
                 "storage; assemble the operator again")
         object.__setattr__(self, "_consumed", True)
         return self.entries
+
+
+class BandMatrix(OperatorMatrix):
+    """A band block of a ``BlockOperator``, of order n and half-width kd,
+    kept as ``OperatorMatrix`` keeps a block but in LAPACK's lower band
+    storage: an (n, kd + 1) array whose entry [j, d] is the matrix entry
+    (j, j + d); the entries past the last row of a diagonal are scratch."""
+
+    @staticmethod
+    def _shape_problem(m: np.ndarray) -> str | None:
+        if m.ndim != 2 or m.shape[0] < m.shape[1]:
+            return "entries must be a band of at most n diagonals"
+        return None
 
 
 def _upper(k: int) -> np.ndarray:
@@ -755,8 +769,8 @@ class BlockOperator:
     ``OperatorMatrix`` whose whole square, not its upper triangle, is M,
     and whose eigenvalues are plus and minus M's singular values.
     ``bands`` are the band blocks of a weight that carries few Fourier
-    modes on one free orbit of C_n (``_banded``), each a ``band``
-    ``OperatorMatrix`` in LAPACK's lower band storage.
+    modes on one free orbit of C_n (``_banded``), each a ``BandMatrix`` in
+    LAPACK's lower band storage.
     ``spectra.eigensolve`` consumes the blocks, the couplings and the
     bands."""
 
@@ -1342,9 +1356,9 @@ def _banded(support, kernel: KernelModel, vw: np.ndarray, orbit: np.ndarray,
     band = _band_storage(kappa, coefficients, n)
     signed = bool(np.any(vw < 0.0))
     return BlockOperator(blocks=(), singles=np.empty(0), invariants=invariants,
-                         n=n, signed_flag=signed, bands=(OperatorMatrix(
+                         n=n, signed_flag=signed, bands=(BandMatrix(
                              entries=np.ldexp(band, invariants[2], out=band),
-                             signed_flag=signed, band=True),))
+                             signed_flag=signed),))
 
 
 def _band_storage(kappa: np.ndarray, coefficients: np.ndarray,

@@ -283,7 +283,7 @@ def _lapack_dsbevd():
 
 def _band_eigenvalues(ab: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of the symmetric band matrix whose lower band
-    storage (``OperatorMatrix.band``) is the C-contiguous float64 (n, kd +
+    storage (``assemble.BandMatrix``) is the C-contiguous float64 (n, kd +
     1) ``ab``: entry [j, d] is the matrix entry (j, j + d).  ``ab`` is
     overwritten.
 

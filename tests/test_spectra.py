@@ -376,8 +376,8 @@ def _outcome(solve, n: int):
 
 
 def _reduced(op: BlockOperator) -> bool:
-    """Whether a symmetry group of order 2 or more reduced the operator:
-    anything but the trivial group's one block of order n."""
+    """Whether a symmetry group of order 2 or more, or a band, reduced the
+    operator: anything but the trivial group's one block of order n."""
     return [b.n for b in op.blocks] + [1] * len(op.singles) != [op.n]
 
 
@@ -680,14 +680,14 @@ def _negated_supports(draw):
     """A support with a weight that a map of order 2 negates: the half turn
     on equispaced circles (odd harmonics, cos(t - phi) among them) and on
     rectangles, x -> 1 - x on the Cantor set.  The circles' weights carry
-    modes past ``assemble._BAND_MODES``, on 32 nodes or more, so that they
+    modes past ``assemble._BAND_MODES`` on 16 nodes or more, so that they
     reach the coupling block rather than the band: the harmonics through an
-    odd square wave."""
+    odd square wave.  On 8 to 14 nodes they may take the band."""
     kind = draw(st.sampled_from(["harmonics", "table", "rectangle",
                                  "cantor"]))
     coefficient = st.floats(min_value=-2.0, max_value=2.0)
     if kind in ("harmonics", "table"):
-        n = 2 * draw(st.integers(min_value=16, max_value=96))
+        n = 2 * draw(st.integers(min_value=4, max_value=96))
         mesh = make_smooth_curve(Circle(
             center=(draw(st.floats(-3.0, 3.0)), draw(st.floats(-3.0, 3.0))),
             radius=draw(st.floats(min_value=0.1, max_value=2.0))), n)
@@ -957,18 +957,35 @@ def test_a_coupled_block_not_positive_definite_is_the_folds_refusal(
 # a weight that carries few Fourier modes on an equispaced circle
 # ---------------------------------------------------------------------------
 
+def _atom_ring(n: int, radius: float = 1.0, center=(0.0, 0.0)):
+    """n atoms equispaced on a circle, each of the mass and cell size of
+    its arc, and their angles: one free orbit of C_n for any n, odd n
+    included, which a smooth mesh does not take."""
+    t = 2.0 * np.pi * np.arange(n) / n
+    arc = 2.0 * np.pi * radius / n
+    atoms = np.stack([center[0] + radius * np.cos(t),
+                      center[1] + radius * np.sin(t)], axis=1)
+    return SingularMeasure(atoms=atoms, masses=np.full(n, arc),
+                           cell_size=arc, alpha_nominal=1.0), t
+
+
 @st.composite
 def _band_limited_circles(draw):
-    """An equispaced circle of 16 to 256 nodes at a random radius, centre
-    and phase, node spacing at most 2 pi / 64, with a weight of modes |m| <=
-    b: cos(t - phi), cos 5(t - phi) - 0.3 and 2 + cos 3(t - phi), or random
+    """An equispaced circle of 16 to 256 nodes, a smooth mesh of even n or
+    a ring of atoms of any n, at a random radius, centre and phase, node
+    spacing at most 2 pi / 64, with a weight of modes |m| <= b: cos(t -
+    phi), cos 5(t - phi) - 0.3 and 2 + cos 3(t - phi), or random
     coefficients up to a random b from 0 to ``_BAND_MODES`` (below n / 2),
     signed or made positive.  Returns (supports, b)."""
-    n = 2 * draw(st.integers(min_value=8, max_value=128))
-    mesh = make_smooth_curve(Circle(
-        center=(draw(st.floats(-3.0, 3.0)), draw(st.floats(-3.0, 3.0))),
-        radius=draw(st.floats(min_value=0.05, max_value=1.0)) * n / 64), n)
-    t = mesh.param_values - draw(st.floats(0.0, 2.0 * np.pi))
+    n = draw(st.integers(min_value=16, max_value=256))
+    center = (draw(st.floats(-3.0, 3.0)), draw(st.floats(-3.0, 3.0)))
+    radius = draw(st.floats(min_value=0.05, max_value=1.0)) * n / 64
+    if n % 2 == 0 and draw(st.booleans()):
+        mesh = make_smooth_curve(Circle(center=center, radius=radius), n)
+        t = mesh.param_values
+    else:
+        mesh, t = _atom_ring(n, radius, center)
+    t = t - draw(st.floats(0.0, 2.0 * np.pi))
     kind = draw(st.sampled_from(["cos(t - phi)", "cos 5t - 0.3",
                                  "2 + cos 3t", "random"]))
     if kind == "cos(t - phi)":
@@ -1018,6 +1035,31 @@ def test_a_band_limited_weight_is_one_band_of_the_dense_spectrum(case):
         assert abs(got[0] - trace) <= unit * np.max(np.abs(vals))
         assert abs(got[1] - frobenius_sq) <= unit * frobenius_sq
     _assert_reduced_matches_dense(supports, kern)
+
+
+def test_a_band_of_odd_order_has_no_nyquist_mode():
+    # cos(t - 1.234) on 129 atoms: the last basis position is a sine, and
+    # every dropped mode counts twice; the band's spectrum and invariants
+    # are the dense oracle's
+    ring, t = _atom_ring(129, radius=0.9)
+    supports = [(ring, WeightFn.tabulated(np.cos(t - 1.234)))]
+    op = assemble_mixed(supports, reference_kernel())
+    assert [b.entries.shape for b in op.bands] == [(129, 4)]
+    oracle = assemble_mixed_pairs(supports, reference_kernel())
+    frobenius_sq, exponent = upper_invariants(oracle.entries)[1:]
+    got = np.ldexp(op.invariants[1], 2 * (op.invariants[2] - exponent))
+    assert abs(got - frobenius_sq) <= spectra._tolerance_unit(129) * frobenius_sq
+    _assert_reduced_matches_dense(supports, reference_kernel())
+
+
+def test_a_band_block_keeps_its_band_storage():
+    # a band block takes (n, kd + 1) storage, at most n diagonals; every
+    # other block stays square
+    assemble.BandMatrix(entries=np.zeros((8, 4)))
+    with pytest.raises(InvalidArgumentError, match="at most n diagonals"):
+        assemble.BandMatrix(entries=np.zeros((3, 4)))
+    with pytest.raises(InvalidArgumentError, match="must be square"):
+        OperatorMatrix(entries=np.zeros((8, 4)))
 
 
 def test_a_wide_band_weight_keeps_the_trivial_group_bit_for_bit():
