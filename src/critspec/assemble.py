@@ -66,6 +66,17 @@ every kappa_m is positive and the modes dropped below the truncation move
 no eigenvalue past the solve's tolerance unit; otherwise the operator
 takes the group of the table, as every other weight does.
 
+Circles that share no symmetry, each a free orbit of its own C_n_k with a
+constant weight >= 0, as two-surfaces at an angle off the axes, are the
+trivial group's case that needs no block of order n.  In each
+circle's real Fourier basis its own block is diagonal, V w kappa_k, and
+the cross blocks, taken there by two real FFT passes, decay geometrically
+between separated circles, since the kernel is analytic there.  The
+modes of least coupling are dropped while the Frobenius norm of the
+dropped coupling, which bounds how far any eigenvalue moves (Weyl), stays
+within the tolerance unit times sqrt(F / n); the kept ones are one dense
+coupled block, every other mode a single (``_coupled``).
+
 The orbit rows are built in one blocked pass.  A block is a slice of
 representatives [o0, o1) against the columns of the orbits from o0 on: its
 distances come from a broadcast of two node slices, its kernel evaluations
@@ -770,7 +781,12 @@ class BlockOperator:
     and whose eigenvalues are plus and minus M's singular values.
     ``bands`` are the band blocks of a weight that carries few Fourier
     modes on one free orbit of C_n (``_banded``), each a ``BandMatrix`` in
-    LAPACK's lower band storage.
+    LAPACK's lower band storage.  Separated circles of the trivial group,
+    each a free orbit of its own C_n_i (``_coupled``), are one coupled
+    block of their low Fourier modes in ``blocks``, every other mode a
+    single.  ``weyl_bound`` is the most the band's or the coupled block's
+    dropped modes move any eigenvalue, by Weyl's inequality: the Frobenius
+    norm of the coupling dropped, or its bound; 0 where nothing is dropped.
     ``spectra.eigensolve`` consumes the blocks, the couplings and the
     bands."""
 
@@ -781,6 +797,7 @@ class BlockOperator:
     signed_flag: bool
     couplings: tuple = ()
     bands: tuple = ()
+    weyl_bound: float = 0.0
 
 
 # a generic direction: the atoms are matched to the images of a map by
@@ -1155,10 +1172,17 @@ def _orbit_rows(supports, kernel: KernelModel, points: np.ndarray,
 
         # each row of orbits drops |G| columns of the blocks after it
         _each_block(last - first, order * (r - first), fill, order)
-    exponent = max(e for _, _, e in sums)
-    return out, (sum(np.ldexp(t, e - exponent) for t, _, e in sums),
-                 sum(np.ldexp(f, 2 * (e - exponent)) for _, f, e in sums),
-                 exponent)
+    return out, _summed_invariants(sums)
+
+
+def _summed_invariants(sums) -> tuple[float, float, int]:
+    """The invariants of an operator from the parts (trace, squared norm,
+    e) of its blocks, each in its own units of 2^e and 2^2e, in the units of
+    the largest e (0 where there is no part)."""
+    exponent = max((e for _, _, e in sums), default=0)
+    return (sum(np.ldexp(t, e - exponent) for t, _, e in sums),
+            sum(np.ldexp(f, 2 * (e - exponent)) for _, f, e in sums),
+            exponent)
 
 
 def _row_invariants(values: np.ndarray, o0: int, p0: int,
@@ -1212,7 +1236,14 @@ def assemble_mixed(supports, kernel: KernelModel) -> BlockOperator:
     ``SurfaceMesh`` or a ``SingularMeasure``, reduced by its symmetry group
     G (``_symmetry_table``) to one block per character of G, or, on one
     free orbit of C_n whose weight carries few Fourier modes, to one band
-    (``_banded``).
+    (``_banded``).  Where G is the trivial group and every support is an
+    equispaced circle of a constant weight >= 0, a free orbit of its own
+    C_n_k (``_circle_orbits``), the operator is one coupled block of the
+    circles' low Fourier modes and a single per other mode
+    (``_coupled``): the modes dropped from the coupling move no eigenvalue
+    by more than the Frobenius norm of what they drop, ``weyl_bound``
+    (Weyl's inequality), which is kept within the solve's tolerance unit
+    times sqrt(F / n).
 
     A curve's diagonal block takes the curve quadrature of
     ``_support_rows``; a measure's takes pointwise kernel values closed by
@@ -1249,6 +1280,11 @@ def assemble_mixed(supports, kernel: KernelModel) -> BlockOperator:
         op = _banded(supports[0][0], kernel, values * weights, *band)
         if op is not None:
             return op
+    if table.shape[:2] == (1, 1):
+        orbits = _circle_orbits(supports, points, weights, values, offsets)
+        if orbits is not None:
+            return _coupled(supports, kernel, points, values * weights,
+                            offsets, orbits)
     _, n2, r = table.shape
     reps = table[0, 0]
     fixed = (table == reps).astype(float)
@@ -1325,32 +1361,18 @@ def _banded(support, kernel: KernelModel, vw: np.ndarray, orbit: np.ndarray,
     operator takes the group of ``_symmetry_table``'s table, and every
     refusal keeps its message.
 
-    The invariants come from the row, not the band, in the units of
-    ``_row_invariants``: the trace is K[0, 0] sum(V w), and the squared
-    Frobenius norm sum_d row[d]^2 c[d], c[d] = sum_i u_i u_(i + d) the
-    circular correlation of u, by FFT; so the check covers the transform as
-    well as the solve.  No n x n
-    array exists: the row, the transforms and the band are O(n b)."""
+    The invariants come from the row, not the band (``_circulant``), so the
+    check covers the transform as well as the solve.  No n x n array
+    exists: the row, the transforms and the band are O(n b)."""
     n = len(orbit)
-    row = _support_rows(support, kernel)(orbit[:1], orbit)[0]
-    # V w and the row in units of powers of two, as ``_orbit_rows`` takes
-    # them: a subnormal weight keeps its digits, and its largest entry is
-    # read as subnormal
     shift = int(np.frexp(np.sqrt(np.max(np.abs(vw))))[1])
-    u = np.ldexp(vw[orbit], -2 * shift)
-    exponent = int(np.frexp(np.max(np.abs(row)) * np.max(np.abs(u)))[1])
-    row = np.ldexp(row, -exponent)
-    kappa = np.fft.rfft(row).real
-    spectrum = np.fft.rfft(u)
+    kappa, spectrum, invariants = _circulant(
+        support, kernel, orbit, np.ldexp(vw[orbit], -2 * shift), shift)
     coefficients = spectrum[:b + 1] / n
     # each mode above b counts twice, for m and -m, but n / 2 once
     dropped = np.abs(spectrum[b + 1:]) / n
     dropped = 2.0 * dropped.sum() - (dropped[-1] if n % 2 == 0 else 0.0)
-    correlation = np.fft.irfft(np.abs(spectrum) ** 2, n)
-    invariants = (float(row[0] * u.sum()), float(row ** 2 @ correlation),
-                  exponent + 2 * shift)
-    bound = _SYMMETRY_ULPS * n * np.finfo(float).eps * np.sqrt(
-        max(invariants[1], 0.0) / n)
+    bound = _truncation_bound(invariants, n)
     if not (np.all(kappa > 0.0) and kappa.max() * dropped <= bound):
         return None
     band = _band_storage(kappa, coefficients, n)
@@ -1358,7 +1380,43 @@ def _banded(support, kernel: KernelModel, vw: np.ndarray, orbit: np.ndarray,
     return BlockOperator(blocks=(), singles=np.empty(0), invariants=invariants,
                          n=n, signed_flag=signed, bands=(BandMatrix(
                              entries=np.ldexp(band, invariants[2], out=band),
-                             signed_flag=signed),))
+                             signed_flag=signed),),
+                         weyl_bound=float(np.ldexp(kappa.max() * dropped,
+                                                   invariants[2])))
+
+
+def _circulant(support, kernel: KernelModel, orbit: np.ndarray,
+               u: np.ndarray, shift: int):
+    """The kernel row of a support that is one free orbit of C_n, read
+    along the orbit, row[a] = K[i_0, g^a(i_0)], for V w = u 2^(2 shift)
+    along it, u of order 1: (kappa, u^, invariants).  The invariants are
+    the trace and the squared Frobenius norm of diag(sqrt(V w)) K
+    diag(sqrt(V w)) in ``_row_invariants``' units of 2^e and 2^2e, e the
+    exponent of max|row| max|V w|: the trace K[0, 0] sum(u), and the
+    squared norm sum_d row[d]^2 c[d], c[d] = sum_a u_a u_(a + d) the
+    circular correlation of u, by FFT.  kappa = rfft(row) 2^(2 shift - e),
+    real, holds the eigenvalues of the C_n-invariant kernel matrix, each
+    mode m of 0 < m < n/2 twice (for cos m t and sin m t), so that
+    kappa_m u_a is in units of 2^e; u^ = rfft(u).  A subnormal weight
+    keeps its digits in u, and its largest entry is read as subnormal."""
+    n = len(orbit)
+    row = _support_rows(support, kernel)(orbit[:1], orbit)[0]
+    exponent = int(np.frexp(np.max(np.abs(row)) * np.max(np.abs(u)))[1])
+    row = np.ldexp(row, -exponent)
+    spectrum = np.fft.rfft(u)
+    correlation = np.fft.irfft(np.abs(spectrum) ** 2, n)
+    return np.fft.rfft(row).real, spectrum, (
+        float(row[0] * u.sum()), float(row ** 2 @ correlation),
+        exponent + 2 * shift)
+
+
+def _truncation_bound(invariants: tuple[float, float, int], n: int) -> float:
+    """How far, in the units of ``invariants``, a structured block may move
+    the eigenvalues of an operator of order n by what it drops:
+    ``_SYMMETRY_ULPS`` n eps times sqrt(F / n), F the squared Frobenius
+    norm, since the spectral radius is at least ||A||_F / sqrt(n)."""
+    return _SYMMETRY_ULPS * n * np.finfo(float).eps * np.sqrt(
+        max(invariants[1], 0.0) / n)
 
 
 def _band_storage(kappa: np.ndarray, coefficients: np.ndarray,
@@ -1400,6 +1458,173 @@ def _band_storage(kappa: np.ndarray, coefficients: np.ndarray,
             np.where(sine[q], 1.0, -1.0) * im[difference] - im[total]
         ) * root[p] * root[q]
     return out
+
+
+def _circle_orbits(supports, points, weights, values, offsets):
+    """Per support, its atoms in the order of the rotation g by 2 pi / n_k
+    about its own centre, orbit[a] = g^a(orbit[0]), where every support is
+    a smooth closed mesh whose own group (``_symmetry_table`` of it alone)
+    is C_n_k with one free orbit, a C_n_k that keeps its weight, and every
+    weight is >= 0: an equispaced circle of a constant weight.  Else
+    None."""
+    if np.any(values < 0.0) or not all(
+            isinstance(s, SurfaceMesh) and s.kind == "smooth-closed"
+            for s, _ in supports):
+        return None
+    orbits = []
+    for k, support in enumerate(supports):
+        own = slice(offsets[k], offsets[k + 1])
+        size = offsets[k + 1] - offsets[k]
+        table = _symmetry_table([support], points[own], weights[own],
+                                values[own], np.array([0, size]))[0]
+        if table.shape != (1, size, 1):
+            return None
+        orbits.append(offsets[k] + table[0, :, 0])
+    return orbits
+
+
+def _coupled(supports, kernel: KernelModel, points: np.ndarray,
+             vw: np.ndarray, offsets: np.ndarray, orbits) -> BlockOperator:
+    """The operator on circles that share no symmetry, each one free orbit
+    ``orbits[k]`` of its own C_n_k whose V w is constant on it
+    (``_circle_orbits``), as one coupled block of their low Fourier modes
+    and the singles of all the others.
+
+    In the real basis of ``_band_storage`` along each orbit, C_k, circle
+    k's own block is diag(V w kappa_k), kappa_k the real DFT of its kernel
+    row (``_circulant``), and the cross block of circles i < j is B^ = s_i
+    s_j C_i B C_j^T, B the kernel values between them in orbit order,
+    evaluated in full in the pass of ``_each_block`` and carried to B^ by
+    two real FFT passes (``_real_fourier``).  The operator Q A Q^T, Q =
+    diag(C_k), is orthogonally similar to A.  Between separated circles
+    the kernel is analytic and B^ decays geometrically in both mode
+    numbers, so only a few low modes couple.
+
+    The modes are dropped from the coupling in the order of their coupling
+    norms, the squared norms of their rows of the cross blocks, the least
+    first, while twice the sum of those dropped stays within the square of
+    ``_truncation_bound``: the dropped coupling E, the entries of the rows
+    and columns of the dropped modes, then has ||E||_F within the bound,
+    and by Weyl's inequality no eigenvalue moves further.  ||E||_F is
+    summed from the entries themselves and kept as ``weyl_bound``.  A
+    dropped mode is a single, its own diagonal entry; the kept ones are one
+    dense real block.  Where every mode is kept, E = 0 and the block is the
+    whole operator in the Fourier bases: circles that nearly touch or cross
+    need no other path.
+
+    The invariants are taken from the rows and from the raw cross blocks,
+    before the FFT, in ``_row_invariants``' units, so the check covers the
+    transforms as well as the solve.  No n x n array exists: the largest
+    is one cross block."""
+    n = len(points)
+    roots, shifts, diagonals, parts = [], [], [], []
+    for (support, _), orbit, lo in zip(supports, orbits, offsets):
+        # sqrt(V w) = root 2^shift, V w taken at the representative
+        shift = int(np.frexp(np.sqrt(vw[orbit[0]]))[1])
+        u = np.ldexp(vw[orbit[0]], -2 * shift)
+        kappa, _, part = _circulant(support, kernel, orbit - lo,
+                                    np.full(len(orbit), u), shift)
+        diagonals.append((kappa[(np.arange(len(orbit)) + 1) // 2] * u,
+                          part[2]))
+        roots.append(np.sqrt(u))
+        shifts.append(shift)
+        parts.append(part)
+    crosses = []
+    for i in range(len(orbits)):
+        for j in range(i + 1, len(orbits)):
+            crosses.append((i, j, _cross_block(
+                kernel, points[orbits[i]], points[orbits[j]],
+                roots[i] * roots[j], shifts[i] + shifts[j], parts)))
+    # a part of a zero weight holds no entry, and its exponent says nothing
+    invariants = _summed_invariants([p for p in parts if p[1] > 0.0])
+    exponent = invariants[2]
+    diagonal = np.concatenate([np.ldexp(d, e - exponent)
+                               for d, e in diagonals])
+    # the cross blocks in the Fourier bases and in units of 2^exponent, and
+    # each mode's coupling norm
+    coupling = np.zeros(n)
+    for c, (i, j, block) in enumerate(crosses):
+        block = _real_fourier(_real_fourier(block, 1), 0)
+        block *= np.ldexp(roots[i] * roots[j],
+                          shifts[i] + shifts[j] - exponent)
+        rows = np.einsum("ij,ij->i", block, block)
+        coupling[offsets[i]:offsets[i + 1]] += rows
+        coupling[offsets[j]:offsets[j + 1]] += np.einsum("ij,ij->j", block,
+                                                         block)
+        crosses[c] = i, j, block, rows
+    order = np.argsort(coupling, kind="stable")
+    dropped = np.searchsorted(2.0 * np.cumsum(coupling[order]),
+                              _truncation_bound(invariants, n) ** 2,
+                              side="right")
+    kept = np.zeros(n, dtype=bool)
+    kept[order[dropped:]] = True
+    if kept.sum() < 2:
+        kept[:] = False
+    position = np.cumsum(kept) - 1
+    square = np.zeros((int(kept.sum()),) * 2)
+    square[np.diag_indices(len(square))] = diagonal[kept]
+    error = 0.0
+    for i, j, block, row_norms in crosses:
+        rows = kept[offsets[i]:offsets[i + 1]]
+        cols = kept[offsets[j]:offsets[j + 1]]
+        inner = block[rows]
+        outer = inner[:, ~cols]
+        # E's entries above the diagonal: the dropped rows whole, and the
+        # dropped columns of the kept rows
+        error += row_norms[~rows].sum() + np.einsum("ij,ij->", outer, outer)
+        square[np.ix_(position[offsets[i]:offsets[i + 1]][rows],
+                      position[offsets[j]:offsets[j + 1]][cols])] = (
+                          inner[:, cols])
+    blocks = (OperatorMatrix(entries=np.ldexp(square, exponent,
+                                              out=square)),) if len(
+        square) else ()
+    return BlockOperator(blocks=blocks,
+                         singles=np.ldexp(diagonal[~kept], exponent),
+                         invariants=invariants, n=n, signed_flag=False,
+                         weyl_bound=float(np.ldexp(np.sqrt(2.0 * error),
+                                                   exponent)))
+
+
+def _cross_block(kernel: KernelModel, rows: np.ndarray, cols: np.ndarray,
+                 scale: float, shift: int, parts: list) -> np.ndarray:
+    """The kernel values between the atoms ``rows`` and ``cols`` of two
+    supports, over row blocks in the pass of ``_each_block``, as a
+    (len(rows), len(cols)) array; each row block appends to ``parts`` its
+    share of the operator's invariants, (0, its squared norm counted twice,
+    for the block and its transpose, e), for entries of scale 2^shift times
+    the kernel values."""
+    out = np.empty((len(rows), len(cols)))
+
+    def fill(i0, i1):
+        out[i0:i1] = kernel.profile(_pairwise_dist(rows[i0:i1], cols))
+        m = out[i0:i1] * scale
+        exponent = int(np.frexp(max(m.max(initial=0.0),
+                                    -m.min(initial=0.0)))[1])
+        np.ldexp(m, -exponent, out=m)
+        m *= m
+        parts.append((0.0, 2.0 * float(m.sum()), exponent + shift))
+
+    _each_block(len(rows), len(cols), fill)
+    return out
+
+
+def _real_fourier(x: np.ndarray, axis: int) -> np.ndarray:
+    """C x along ``axis``, C the orthonormal real Fourier basis of
+    ``_band_storage`` over n = x.shape[axis] points, (1, cos t, sin t, ...,
+    cos (n/2) t) at t_a = 2 pi a / n, from one real FFT: position 2m - 1
+    holds sqrt(2/n) Re x^_m, position 2m sqrt(2/n) (-Im x^_m), and the
+    constant and the Nyquist cosine sqrt(1/n) times theirs."""
+    n = x.shape[axis]
+    spectrum = np.moveaxis(np.fft.rfft(x, axis=axis), axis, 0)
+    out = np.empty((n,) + spectrum.shape[1:])
+    out[0] = spectrum[0].real
+    out[1::2] = spectrum[1:n // 2 + 1].real
+    out[2::2] = -spectrum[1:(n + 1) // 2].imag
+    out *= np.sqrt(2.0 / n)
+    out[0] *= np.sqrt(0.5)
+    if n % 2 == 0:
+        out[-1] *= np.sqrt(0.5)
+    return np.moveaxis(out, 0, axis)
 
 
 def _coupling(even: np.ndarray, odd: np.ndarray, vw: np.ndarray,

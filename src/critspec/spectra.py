@@ -20,7 +20,9 @@ the spectrum, and the singular values below about 1e-4 of the largest
 would lose their digits to it.  A weight that carries few Fourier modes on
 an equispaced circle comes as one band block, in LAPACK's lower band
 storage: ``dsbevd``, from the same OpenBLAS, reduces it to tridiagonal form
-in place, in O(n^2 b) where the dense solve takes O(n^3).
+in place, in O(n^2 b) where the dense solve takes O(n^3).  Circles that
+share no symmetry come as one coupled block of their low Fourier modes,
+solved as every other block is, and singles.
 
 The union of the eigenvalues is checked once against the two invariants of
 the whole operator, which the block operator carries from its kernel rows

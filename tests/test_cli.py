@@ -431,6 +431,19 @@ def test_tiny_weights_keep_the_scaling_law_or_name_the_underflow(shape):
     assert 0 < refused < 25
 
 
+def _benchmark_two_surfaces(n: int = 2048):
+    """The benchmark's kind of two-surfaces layout: radii 0.93 and 2.02, a
+    gap of 3 between the circles at a random angle, and the split of n that
+    the experiment makes."""
+    n1 = (n // 3) & ~1
+    d = 0.93 + 2.02 + 3.0
+    one = WeightFn.constant(1.0)
+    return [(make_smooth_curve(Circle(radius=0.93), n1), one),
+            (make_smooth_curve(Circle(center=(d * np.cos(4.1),
+                                              d * np.sin(4.1)),
+                                      radius=2.02), n - n1), one)]
+
+
 def test_only_an_equispaced_circle_skips_the_dense_solve(monkeypatch):
     # which path runs: the orders of the dsyevd solves, none for the 1 x 1
     # blocks of an equispaced circle of a constant weight (the group C_n),
@@ -487,8 +500,9 @@ def test_only_an_equispaced_circle_skips_the_dense_solve(monkeypatch):
             [(circle, WeightFn.tabulated(1.5 + np.cos(t - 0.3)))], [], [64]),
         "wide-band tabulated weight off the axes": (
             [(circle, WeightFn.tabulated(wide))], [64]),
-        "two circles off the axes": ([(circle, one), (make_smooth_curve(
-            Circle(center=(3.0, 2.0)), 64), one)], [128]),
+        "two circles off the axes, one weight varying": (
+            [(circle, one), (make_smooth_curve(Circle(center=(3.0, 2.0)), 64),
+                             WeightFn.tabulated(wide))], [128]),
     }
     for name, (supports, *want) in cases.items():
         solves.clear()
@@ -496,6 +510,17 @@ def test_only_an_equispaced_circle_skips_the_dense_solve(monkeypatch):
         cli._spectrum_of(supports, reference_kernel(), 4200)
         assert sorted(solves) == want[0], name
         assert bands == (want[1] if len(want) > 1 else []), name
+    # circles that share no symmetry, of constant weights: one coupled
+    # block of their low Fourier modes, no solve of order n; the
+    # benchmark's two-surfaces at a random angle keeps under n / 16
+    for supports, order in (
+            ([(circle, one), (make_smooth_curve(Circle(center=(3.0, 2.0)),
+                                                64), one)], 128),
+            (_benchmark_two_surfaces(), 2048)):
+        solves.clear()
+        cli._spectrum_of(supports, reference_kernel(), 4200)
+        assert len(solves) == 1 and solves[0] < order, solves
+    assert solves[0] < 2048 // 16 and bands == []
     # a negative constant weight keeps the fold and its refusal
     with pytest.raises(InvalidArgumentError, match="node spacing"):
         cli._spectrum_of([(make_smooth_curve(Circle(radius=5.0), 64),
@@ -623,6 +648,34 @@ def test_a_perturbed_band_eigenvalue_exits_4(tmp_path, capsys, monkeypatch):
         "params": {"weight": {"kind": "tabulated",
                               "values": np.cos(t - 1.234).tolist()}}}))
     assert main(["run", "--config", str(cfg)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: internal check failed: eigenvalues "
+                          "violate the matrix invariants: trace error ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_a_perturbed_coupled_eigenvalue_exits_4(tmp_path, capsys,
+                                               monkeypatch):
+    # two-surfaces at a random angle, n = 256: one coupled block of the low
+    # Fourier modes, whose largest eigenvalue solved wrong fails the
+    # invariant check
+    true_eigvalsh = spectra._eigvalsh_upper
+    orders = []
+
+    def last_shifted(m):
+        orders.append(len(m))
+        vals = true_eigvalsh(m)
+        vals[-1] *= 1.0 + 1e-6
+        return vals
+
+    monkeypatch.setattr(spectra, "_eigvalsh_upper", last_shifted)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "experiment": "two-surfaces", "n": 256, "window": [2, 14],
+        "params": {"radius_1": 0.93, "radius_2": 2.02,
+                   "center_2": [5.95 * np.cos(4.1), 5.95 * np.sin(4.1)]}}))
+    assert main(["run", "--config", str(cfg)]) == 4
+    assert len(orders) == 1 and orders[0] < 256
     err = capsys.readouterr().err
     assert err.startswith("error: internal check failed: eigenvalues "
                           "violate the matrix invariants: trace error ")

@@ -381,26 +381,49 @@ def _reduced(op: BlockOperator) -> bool:
     return [b.n for b in op.blocks] + [1] * len(op.singles) != [op.n]
 
 
-def _oracle_solve(supports, kern) -> Spectrum:
+def _oracle_solve(matrix: OperatorMatrix) -> Spectrum:
     """The spectrum of the all-pairs oracle's matrix (``assemble_mixed_pairs``)
     from NumPy's ``eigvalsh`` on its upper triangle, after the checks of
     ``eigensolve`` on the oracle's own invariants."""
-    op = assemble_mixed_pairs(supports, kern)
-    vals = np.linalg.eigvalsh(op.entries, UPLO="U")
-    return spectra._checked_spectrum(vals, upper_invariants(op.entries),
-                                     op.signed_flag)
+    vals = np.linalg.eigvalsh(matrix.entries, UPLO="U")
+    return spectra._checked_spectrum(vals, upper_invariants(matrix.entries),
+                                     matrix.signed_flag)
+
+
+_UNDERFLOW = (InvalidArgumentError, "operator entries underflow")
 
 
 def _assert_reduced_matches_dense(supports, kern):
     """The block solve of ``supports`` gives the spectrum of the dense
     all-pairs oracle within 64 n eps of the spectral radius, or the same
-    kind of error."""
-    op = assemble_mixed(supports, kern)
-    n = op.n
-    reduced = _outcome(lambda: eigensolve(op), n)
-    dense = _outcome(lambda: _oracle_solve(supports, kern), n)
+    kind of error, the assembly's included (then it returns None).  Where
+    V w is nonzero but the oracle's products s_i K_ij s_j all flush to 0,
+    the oracle cannot represent the operator, and the block solve must
+    refuse it as underflowing."""
+    _, weights, values, _ = assemble._layout(supports)
+    n = len(values)
+    ops, built = [], []
+
+    def solve():
+        ops.append(assemble_mixed(supports, kern))
+        return eigensolve(ops[0])
+
+    reduced = _outcome(solve, n)
+    op = ops[0] if ops else None
+
+    def oracle():
+        built.append(assemble_mixed_pairs(supports, kern))
+        return _oracle_solve(built[0])
+
+    dense = _outcome(oracle, n)
+    if built and np.any(values * weights) and not np.any(built[0].entries):
+        assert reduced == _UNDERFLOW, "the block solve gave %r" % (reduced,)
+        return op
     if isinstance(dense, tuple) or isinstance(reduced, tuple):
-        assert reduced == dense
+        assert type(reduced) is type(dense) and reduced == dense, (
+            "the block solve gave %r, the oracle %r"
+            % tuple(x if isinstance(x, tuple) else "a spectrum"
+                    for x in (reduced, dense)))
         return op
     radius = max(np.max(np.abs(dense)), np.max(np.abs(reduced)))
     assert np.max(np.abs(reduced - dense)) <= (
@@ -1025,15 +1048,7 @@ def test_a_band_limited_weight_is_one_band_of_the_dense_spectrum(case):
     else:
         assert op.blocks == () and op.couplings == () and len(op.singles) == 0
         assert [bd.entries.shape for bd in op.bands] == [(n, 2 * b + 2)]
-        oracle = assemble_mixed_pairs(supports, kern)
-        trace, frobenius_sq, exponent = upper_invariants(oracle.entries)
-        got = (np.ldexp(op.invariants[0], op.invariants[2] - exponent),
-               np.ldexp(op.invariants[1], 2 * (op.invariants[2] - exponent)))
-        vals = np.ldexp(np.linalg.eigvalsh(oracle.entries, UPLO="U"),
-                        -exponent)
-        unit = spectra._tolerance_unit(n)
-        assert abs(got[0] - trace) <= unit * np.max(np.abs(vals))
-        assert abs(got[1] - frobenius_sq) <= unit * frobenius_sq
+        _assert_invariants_match_the_oracle(op, supports, kern)
     _assert_reduced_matches_dense(supports, kern)
 
 
@@ -1215,6 +1230,206 @@ def test_a_second_solve_of_a_band_is_refused():
         eigensolve(op)
     with pytest.raises(InvalidArgumentError, match="already eigensolved"):
         op.bands[0].consume()
+
+
+# ---------------------------------------------------------------------------
+# circles that share no symmetry: one coupled block of low Fourier modes
+# ---------------------------------------------------------------------------
+
+def _two_circles(gap: float, n1: int = 128, n2: int = 128,
+                 angle: float = 1.234, weights=(1.0, 1.0), r2: float = 0.7):
+    """A unit circle at the origin and a circle of radius ``r2`` at
+    ``gap`` from it in the direction ``angle``, of constant weights."""
+    d = 1.0 + r2 + gap
+    return [(make_smooth_curve(Circle(radius=1.0), n1),
+             WeightFn.constant(weights[0])),
+            (make_smooth_curve(Circle(center=(d * np.cos(angle),
+                                              d * np.sin(angle)),
+                                      radius=r2), n2),
+             WeightFn.constant(weights[1]))]
+
+
+@st.composite
+def _separated_circles(draw):
+    """Two or three equispaced circles of 8 to 128 nodes at random radii,
+    each after the first at a random angle and gap from the first: tangent,
+    nearly touching, crossing (down to half the smaller radius) or far
+    apart, with constant weights >= 0, any of them 0."""
+    radii = [draw(st.floats(0.2, 2.0)) for _ in range(draw(st.integers(2, 3)))]
+    supports = [(make_smooth_curve(Circle(radius=radii[0]),
+                                   2 * draw(st.integers(4, 64))),)]
+    for r in radii[1:]:
+        gap = draw(st.one_of(st.just(0.0), st.floats(1e-6, 1e-2),
+                             st.floats(-0.5, 8.0))) * min(radii[0], r)
+        angle = draw(st.floats(0.0, 2.0 * np.pi))
+        d = radii[0] + r + gap
+        supports.append((make_smooth_curve(
+            Circle(center=(d * np.cos(angle), d * np.sin(angle)), radius=r),
+            2 * draw(st.integers(4, 64))),))
+    value = st.one_of(st.just(0.0), st.floats(0.0, 1e3))
+    return [(mesh, WeightFn.constant(draw(value))) for mesh, in supports]
+
+
+def _assert_invariants_match_the_oracle(op, supports, kern):
+    """The operator's trace and squared Frobenius norm are those of the
+    dense oracle within the solve's tolerance unit, compared in the
+    oracle's units."""
+    oracle = assemble_mixed_pairs(supports, kern)
+    trace, frobenius_sq, exponent = upper_invariants(oracle.entries)
+    got = (np.ldexp(op.invariants[0], op.invariants[2] - exponent),
+           np.ldexp(op.invariants[1], 2 * (op.invariants[2] - exponent)))
+    vals = np.ldexp(np.linalg.eigvalsh(oracle.entries, UPLO="U"), -exponent)
+    unit = spectra._tolerance_unit(op.n)
+    assert abs(got[0] - trace) <= unit * np.max(np.abs(vals))
+    assert abs(got[1] - frobenius_sq) <= unit * frobenius_sq
+
+
+@settings(max_examples=50, deadline=None)
+@given(supports=_separated_circles())
+def test_circles_without_a_common_symmetry_are_one_coupled_block(supports):
+    # where the union has no symmetry, the kept low modes are one dense
+    # block and every other mode a single; the dropped coupling is within
+    # the Weyl bound, and the spectrum, or the kind of refusal, is the
+    # dense oracle's within 64 n eps of the spectral radius
+    kern = reference_kernel()
+    table = assemble._symmetry_table(supports,
+                                     *assemble._layout(supports))[0]
+    op = _assert_reduced_matches_dense(supports, kern)
+    if op is None or table.shape[:2] != (1, 1):
+        return
+    n = op.n
+    assert op.bands == () and op.couplings == () and len(op.blocks) <= 1
+    assert sum(b.n for b in op.blocks) + len(op.singles) == n
+    assert op.weyl_bound <= np.ldexp(
+        assemble._truncation_bound(op.invariants, n), op.invariants[2])
+    if op.invariants[2] >= spectra._MIN_EXPONENT:
+        _assert_invariants_match_the_oracle(op, supports, kern)
+
+
+def test_the_benchmark_layout_keeps_few_modes():
+    # the two-surfaces split of n = 768 at a random angle and a gap of 3:
+    # a coupled block of a few dozen modes, its dropped coupling within the
+    # bound, and the dense oracle's spectrum
+    first = make_smooth_curve(Circle(radius=0.93), 256)
+    second = make_smooth_curve(Circle(center=(5.95 * np.cos(4.1),
+                                              5.95 * np.sin(4.1)),
+                                      radius=2.02), 512)
+    one = WeightFn.constant(1.0)
+    op = _assert_reduced_matches_dense([(first, one), (second, one)],
+                                       reference_kernel())
+    assert [b.n for b in op.blocks] < [768 // 8]
+    assert len(op.singles) == 768 - op.blocks[0].n
+    assert 0.0 < op.weyl_bound <= np.ldexp(
+        assemble._truncation_bound(op.invariants, 768), op.invariants[2])
+
+
+def test_nearly_touching_circles_keep_every_mode():
+    # at a gap of 0.01 every mode couples above the bound: the block is the
+    # whole operator in the Fourier bases, nothing is dropped, and its
+    # spectrum is the dense oracle's
+    supports = _two_circles(0.01)
+    op = _assert_reduced_matches_dense(supports, reference_kernel())
+    assert [b.n for b in op.blocks] == [256] and len(op.singles) == 0
+    assert op.weyl_bound == 0.0
+
+
+def test_a_circle_of_zero_weight_is_all_singles():
+    # no coupling at all: every mode a single, the zero ones included
+    supports = _two_circles(2.0, weights=(0.0, 1.5))
+    op = _assert_reduced_matches_dense(supports, reference_kernel())
+    assert op.blocks == () and len(op.singles) == 256
+    assert op.weyl_bound == 0.0
+
+
+def test_subnormal_weights_on_circles_underflow():
+    # V w subnormal on both circles: the largest entry is read in units of
+    # powers of two, and the operator is refused by name
+    supports = _two_circles(2.0, weights=(3e-320, 1e-321))
+    _, weights, values, _ = assemble._layout(supports)
+    assert np.all(values * weights > 0.0)
+    op = assemble_mixed(supports, reference_kernel())
+    assert op.weyl_bound <= np.ldexp(
+        assemble._truncation_bound(op.invariants, 256), op.invariants[2])
+    with pytest.raises(InvalidArgumentError,
+                       match="operator entries underflow"):
+        eigensolve(op)
+    _assert_reduced_matches_dense(supports, reference_kernel())
+
+
+@pytest.mark.parametrize("case", ["signed", "non-constant", "on the axis",
+                                  "one polygon"])
+def test_other_unions_keep_their_path_bit_for_bit(case, monkeypatch):
+    # a signed weight, a weight that varies on a circle, the default
+    # two-surfaces layout on the x axis (the reflection Z2) and a polygon
+    # beside a circle do not take the coupled block: their eigenvalues are
+    # those of the path without it, to the last bit
+    if case == "signed":
+        supports = _two_circles(2.0, weights=(1.0, -0.5))
+    elif case == "non-constant":
+        supports = _two_circles(2.0)
+        t = supports[1][0].param_values
+        supports[1] = (supports[1][0], WeightFn.tabulated(1.5 + np.cos(t)))
+    elif case == "on the axis":
+        supports = _two_circles(2.0, n1=96, n2=160, angle=0.0, r2=2.0)
+    else:
+        supports = _two_circles(2.0)
+        supports[0] = (make_polygon_curve([[0.0, 0.0], [1.3, 0.0], [1.3, 0.7],
+                                           [0.0, 0.7]], 24, 3.0),
+                       WeightFn.constant(1.0))
+    kern = reference_kernel()
+    op = assemble_mixed(supports, kern)
+    assert op.weyl_bound == 0.0
+    got = eigensolve(op)
+    monkeypatch.setattr(assemble, "_circle_orbits", lambda *args: None)
+    want = eigensolve(assemble_mixed(supports, kern))
+    assert np.array_equal(got.positives, want.positives)
+    assert np.array_equal(got.negatives, want.negatives)
+
+
+def test_the_real_fourier_basis_diagonalises_a_circulant():
+    # C is orthogonal, and C K C^T is diagonal for a symmetric circulant K,
+    # cos and sin of each mode sharing its eigenvalue, on even and odd n
+    for n in (7, 8):
+        basis = assemble._real_fourier(np.eye(n), 0)
+        assert np.allclose(basis @ basis.T, np.eye(n), atol=1e-14)
+        row = np.random.default_rng(n).uniform(size=n)
+        row = row + np.roll(row[::-1], 1)
+        circulant = np.array([np.roll(row, k) for k in range(n)])
+        diagonal = assemble._real_fourier(
+            assemble._real_fourier(circulant, 1), 0)
+        kappa = np.fft.rfft(row).real
+        assert np.allclose(diagonal, np.diag(kappa[(np.arange(n) + 1) // 2]),
+                           atol=1e-13)
+
+
+# ---------------------------------------------------------------------------
+# the helper that compares a reduced solve with the dense oracle
+# ---------------------------------------------------------------------------
+
+def test_an_operator_the_oracle_flushes_to_zero_must_underflow():
+    # a 2 x 2 square of 8 nodes at the weight 5e-324: every product s_i
+    # K_ij s_j of the oracle is 0, and the block solve refuses the
+    # operator as underflowing
+    square = make_polygon_curve([[0.0, 0.0], [2.0, 0.0], [2.0, 2.0],
+                                 [0.0, 2.0]], 2, 1.0)
+    supports = [(square, WeightFn.constant(5e-324))]
+    assert not np.any(assemble_mixed_pairs(supports,
+                                           reference_kernel()).entries)
+    _assert_reduced_matches_dense(supports, reference_kernel())
+
+
+def test_a_spectrum_against_a_refusal_fails_the_comparison(monkeypatch):
+    # one side raising where the other returns a spectrum is an assertion
+    # failure naming both, not a comparison of a tuple with an array
+    def refused(op):
+        raise InvalidArgumentError("under-resolved mesh: made up")
+
+    monkeypatch.setattr(sys.modules[__name__], "eigensolve", refused)
+    with pytest.raises(AssertionError, match="the block solve gave .*"
+                                             "under-resolved mesh.*the "
+                                             "oracle 'a spectrum'"):
+        _assert_reduced_matches_dense(_two_circles(2.0, 16, 16),
+                                      reference_kernel())
 
 
 # ---------------------------------------------------------------------------
