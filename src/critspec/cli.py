@@ -140,9 +140,9 @@ def _validated(table: dict, given: dict, what: str, config=None) -> dict:
 def _checked(value, kind, what: str):
     """``value`` read as ``kind``, or a usage error naming ``what``: float,
     int, a range of integers (lo, hi) (hi None for no upper end), "point"
-    (a pair of numbers), "points" (at least three), "numbers" (a list) or
-    "weight", an object of a "kind" ("constant" by default) and the keys
-    ``_WEIGHT_KEYS`` declares for it, read as a ``WeightFn``."""
+    (a pair of finite numbers), "points" (at least three), "numbers" (a
+    list) or "weight", an object of a "kind" ("constant" by default) and the
+    keys ``_WEIGHT_KEYS`` declares for it, read as a ``WeightFn``."""
     if kind is float or kind is int:
         return _as_number(value, what, kind)
     if isinstance(kind, tuple):
@@ -158,7 +158,11 @@ def _checked(value, kind, what: str):
         if not isinstance(value, (list, tuple)) or len(value) != 2:
             raise InvalidArgumentError(
                 "%s must be a pair of numbers, got %r" % (what, value))
-        return tuple(_as_number(c, what) for c in value)
+        point = tuple(_as_number(c, what) for c in value)
+        if not np.all(np.isfinite(point)):
+            raise InvalidArgumentError(
+                "%s must be a pair of finite numbers, got %r" % (what, value))
+        return point
     if kind == "points":
         if not isinstance(value, (list, tuple)) or len(value) < 3:
             raise InvalidArgumentError(

@@ -70,7 +70,8 @@ class KernelModel:
 
 def _distances(r) -> np.ndarray:
     r = np.asarray(r, dtype=float)
-    if np.any(r < 0.0):
+    # a NaN fails every branch's mask, so it is refused with the negatives
+    if not np.all(r >= 0.0):
         raise InvalidArgumentError("distances must be nonnegative")
     return r
 

@@ -785,6 +785,19 @@ _BAD_INPUTS = {
     "orlicz-norm-circle-n-1e14": (
         ["orlicz-norm", "--shape", "circle", "--n", "100000000000000"],
         3, "100000000000000 nodes exceed the cap of 32768"),
+    "center-nan": (
+        {"experiment": "two-surfaces",
+         "params": {"center_2": [float("nan"), 0.0]}},
+        2, '"center_2" must be a pair of finite numbers, got [nan, 0.0]'),
+    "center-infinite": (
+        {"experiment": "two-surfaces",
+         "params": {"center_2": [float("inf"), 0.0]}},
+        2, '"center_2" must be a pair of finite numbers, got [inf, 0.0]'),
+    "polygon-vertex-nan": (
+        {"experiment": "polygon-weyl",
+         "params": {"vertices": [[0, 0], [1, 0], [1, float("nan")],
+                                 [0, 1]]}},
+        2, '"vertices" must be a pair of finite numbers, got [1, nan]'),
     "config-seed": (
         {"experiment": "circle-weyl", "seed": 0},
         2, "unknown config keys: seed"),

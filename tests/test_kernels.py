@@ -17,8 +17,8 @@ from critspec.kernels import (lower_order_kernel, reference_kernel,
                               self_cell_coefficient)
 
 from _frozen_bessel import FROZEN_BESSEL
-from oracles import (bessel_k0_matvec, log_energy_segment, log_energy_square,
-                     lower_order_kernel_subordination,
+from oracles import (_k_band_matvec, bessel_k0_matvec, log_energy_segment,
+                     log_energy_square, lower_order_kernel_subordination,
                      unit_square_log_energy_dblquad)
 
 TWO_PI = 2.0 * np.pi
@@ -71,6 +71,15 @@ def test_bessel_rejects_bad_arguments():
         bessel_i(-1, 1.0)
 
 
+@pytest.mark.parametrize("fn", [bessel_i, bessel_k])
+def test_bessel_refuses_nan(fn):
+    # a NaN fails every branch's mask; it must not read uninitialised memory
+    with pytest.raises(InvalidArgumentError):
+        fn(0, float("nan"))
+    with pytest.raises(InvalidArgumentError):
+        fn(3, np.array([1.0, np.nan, 20.0]))
+
+
 def test_bessel_k_underflow_returns_zero_with_flag():
     with pytest.warns(RuntimeWarning):
         val = bessel_k(0, 800.0)
@@ -109,6 +118,79 @@ def test_fixed_grid_temporaries_are_bounded(monkeypatch):
             mctx.setattr(bessel_module, "_GRID_CHUNK_BYTES", 1 << 40)
             unchunked = fn(arg[:head])
         assert np.array_equal(chunked[:head], unchunked)
+
+
+# ---------------------------------------------------------------------------
+# the nodes each band point keeps
+# ---------------------------------------------------------------------------
+
+_BAND_X = np.linspace(2.2, 15.0, 20000, endpoint=False)
+
+
+def test_bessel_kn_on_the_band_matches_the_full_grid():
+    x = _BAND_X
+    km, kc = _k_band_matvec(0, x), _k_band_matvec(1, x)
+    assert np.max(np.abs(bessel_k(1, x) - kc) / np.spacing(kc)) <= 4.0
+    # K_n = P_n K_0 + Q_n K_1 with P_n, Q_n >= 0, so the recurrence carries
+    # the pair's relative error (4 ulps, at most 4 eps) to K_n unamplified;
+    # each of its n - 1 steps rounds three times in either run, adding at
+    # most 1.5 eps to each
+    eps = np.finfo(float).eps
+    for n in range(2, 11):
+        km, kc = kc, km + (2.0 * (n - 1) / x) * kc
+        rel = np.max(np.abs(bessel_k(n, x) - kc) / kc)
+        assert rel <= (4 + 3 * (n - 1)) * eps
+
+
+@pytest.mark.parametrize("n", [0, 1, 10])
+def test_the_dropped_band_tail_stays_under_its_bound(n):
+    x = _BAND_X[:, None]
+    t, cosh_t = bessel_module._BAND_T, bessel_module._BAND_COSH_T
+    terms = bessel_module._BAND_W * np.exp(-x * cosh_t) * np.cosh(n * t)
+    kept = bessel_module._band_nodes(n, _BAND_X)[:, None]
+    dropped = np.arange(len(t)) >= kept
+    assert not dropped[:, 0].any()
+    kept_sum = np.where(dropped, 0.0, terms).sum(axis=1, keepdims=True)
+    tail = np.where(dropped, terms, 0.0)
+    reach = bessel_module._BAND_REACH
+    assert np.all(tail <= 2.0 * np.exp(-reach) * kept_sum)
+    assert np.all(tail.sum(axis=1, keepdims=True) <= 2.0 ** -60 * kept_sum)
+    # the cut is the first node whose exponent reaches the bound
+    exponent = x * (cosh_t - 1.0) - n * t
+    slack = 1e-12 * reach
+    assert np.all(np.where(dropped, exponent >= reach - slack,
+                           exponent < reach + slack))
+
+
+def test_band_values_depend_on_the_point_alone(monkeypatch):
+    rng = np.random.default_rng(3)
+    x = rng.uniform(2.2, 15.0, 5000)
+    perm = rng.permutation(len(x))
+    for n in (0, 1, 7):
+        want = bessel_k(n, x)
+        assert np.array_equal(bessel_k(n, x[perm]), want[perm])
+        assert np.array_equal([bessel_k(n, v) for v in x[:100]], want[:100])
+        with monkeypatch.context() as mctx:
+            mctx.setattr(bessel_module, "_GRID_CHUNK_BYTES", 8 * 43 * 7)
+            assert np.array_equal(bessel_k(n, x), want)
+
+
+def test_the_band_sums_few_nodes_per_point(monkeypatch):
+    # the full grid has 43 nodes; on [2.5, 10) a point keeps 14 to 21
+    summed = []
+    grid_sum = bessel_module.grid_sum
+
+    def counted(x, integrand, weights):
+        summed.append(np.size(x) * len(weights))
+        return grid_sum(x, integrand, weights)
+
+    monkeypatch.setattr(bessel_module, "grid_sum", counted)
+    x = np.linspace(2.5, 10.0, 10000, endpoint=False)
+    for n in (0, 1):
+        summed.clear()
+        bessel_k(n, x)
+        # order 1 sums the bands of K_0 and K_1
+        assert sum(summed) <= 18 * (n + 1) * len(x)
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +273,12 @@ def test_split_beyond_the_series_switch_and_at_zero():
     assert np.array_equal(kern.log_factor(r), log_factor)
     with pytest.raises(InvalidArgumentError):
         kern.split(np.array([1.0, -1e-3]))
+
+
+@pytest.mark.parametrize("kern", [reference_kernel(), lower_order_kernel()])
+def test_split_refuses_nan(kern):
+    with pytest.raises(InvalidArgumentError):
+        kern.split([np.nan, 1.0])
 
 
 # ---------------------------------------------------------------------------
