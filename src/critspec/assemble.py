@@ -104,8 +104,8 @@ Sign-changing V is reduced to a symmetric indefinite matrix with identical
 nonzero spectrum.  The one fold factors the effective-kernel matrix by
 Cholesky, K = L L^T, read from K's upper triangle, and takes
 L^T diag(V w) L,  which shares the nonzero spectrum of K diag(V w) (Golub
-and Van Loan, Matrix Computations, 8.7); ``OperatorMatrix.signed_flag``
-records that it ran.  Both steps run in K's own storage, one
+and Van Loan, Matrix Computations, 8.7); ``BlockOperator.signed_flag``
+records that the weight is signed.  Both steps run in K's own storage, one
 square tile of ``_FOLD_COLUMNS`` at a time: a blocked right-looking
 factorisation (ibid., 4.2) writes L into K's lower triangle, and the
 product, one column of tiles at a time, overwrites the upper one, so the
@@ -155,6 +155,9 @@ _SYMMETRY_ULPS = 64.0
 # to b = 5, at n = 1024 to 4096, and lost to the weights that C_8 keeps at
 # b = 8 by 1.5 to 2.5 times
 _BAND_MODES = 5
+# the smallest normal double: an operator whose largest entry lies below it
+# has lost digits in every entry (``_underflow``)
+_TINY = float(np.finfo(float).tiny)
 # threads that run the row blocks: the cores this process may run on
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
@@ -224,8 +227,8 @@ class WeightFn:
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """One real symmetric block of a ``BlockOperator``; ``signed_flag``
-    records that the sign fold ran, or that the weight is signed.
+    """One real symmetric block of a ``BlockOperator``, solved by LAPACK's
+    ``dsyevd``.
 
     The matrix is the upper triangle of ``entries``, diagonal included; the
     strict lower triangle is scratch and is never read, so an asymmetric
@@ -233,12 +236,10 @@ class OperatorMatrix:
     C-contiguous writeable float64 array is kept as a read-only view of the
     caller's own memory, and any other is copied.  ``spectra.eigensolve``
     consumes the block: it overwrites that storage, and a second solve is
-    refused.  A coupling block is kept the same way but is not symmetric:
-    its whole square is read.
+    refused.
     """
 
     entries: np.ndarray
-    signed_flag: bool = False
     _consumed: bool = field(default=False, init=False, repr=False,
                             compare=False)
 
@@ -281,14 +282,22 @@ class OperatorMatrix:
 class BandMatrix(OperatorMatrix):
     """A band block of a ``BlockOperator``, of order n and half-width kd,
     kept as ``OperatorMatrix`` keeps a block but in LAPACK's lower band
-    storage: an (n, kd + 1) array whose entry [j, d] is the matrix entry
-    (j, j + d); the entries past the last row of a diagonal are scratch."""
+    storage, and solved by ``dsbevd``: an (n, kd + 1) array whose entry
+    [j, d] is the matrix entry (j, j + d); the entries past the last row of
+    a diagonal are scratch."""
 
     @staticmethod
     def _shape_problem(m: np.ndarray) -> str | None:
         if m.ndim != 2 or m.shape[0] < m.shape[1]:
             return "entries must be a band of at most n diagonals"
         return None
+
+
+class CouplingMatrix(OperatorMatrix):
+    """The coupling block M of a weight that its symmetry negates, kept as
+    ``OperatorMatrix`` keeps a block but not symmetric: its whole square is
+    M, and it stands for [[0, M], [M^T, 0]], whose eigenvalues are plus
+    and minus M's singular values, which ``dgesdd`` takes."""
 
 
 def _upper(k: int) -> np.ndarray:
@@ -362,6 +371,14 @@ def _cholesky_fold(kernel_matrix: np.ndarray, v_vals: np.ndarray,
     return kernel_matrix
 
 
+def _underflow() -> InvalidArgumentError:
+    """The refusal of an operator whose entries underflow: its largest
+    |entry| is subnormal, or a nonzero weight's V w all flushed to 0."""
+    return InvalidArgumentError(
+        "operator entries underflow: the largest |entry| is subnormal "
+        "(below %.3g); scale the weight up" % _TINY)
+
+
 def _not_positive_definite(weights: np.ndarray) -> InvalidArgumentError:
     """The fold's refusal of a kernel matrix that is not positive
     definite, naming the node spacing (the largest quadrature weight)."""
@@ -414,12 +431,11 @@ def _finalize(kernel_matrix: np.ndarray, v_vals: np.ndarray,
     fold of the module docstring otherwise.  K is read from its upper
     triangle and overwritten, and the operator is that triangle: below it
     lies whatever K's storage held, or the fold's factor."""
-    signed = bool(np.any(v_vals < 0.0))
-    if signed:
+    if np.any(v_vals < 0.0):
         upper = _cholesky_fold(kernel_matrix, v_vals, weights)
     else:
         upper = _scaled(kernel_matrix, v_vals, weights)
-    return OperatorMatrix(entries=upper, signed_flag=signed)
+    return OperatorMatrix(entries=upper)
 
 
 def _scaled(kernel_matrix: np.ndarray, v_vals: np.ndarray,
@@ -767,36 +783,36 @@ def _layout(supports):
 @dataclass(frozen=True)
 class BlockOperator:
     """The operator in a symmetry-adapted basis, as ``assemble_mixed``
-    builds it: one block per character of its symmetry group, the one
-    block of order n for the trivial group.  Its eigenvalues are those of
-    ``blocks``, real symmetric ``OperatorMatrix`` blocks of order 2 or more
-    (a complex conjugate pair as the real form of one of its pair, whose
-    eigenvalues come out twice), together with ``singles``, the eigenvalues
-    of the 1 x 1 blocks, each listed as often as it counts.  ``invariants`` are
-    the trace and the squared Frobenius norm of the whole operator in units
-    of 2^e and 2^2e, and e, the binary exponent of its largest |entry|, as
-    ``spectra`` checks them; ``n`` is its order.  ``couplings`` are the
-    coupling blocks M of a weight that its symmetry negates, each an
-    ``OperatorMatrix`` whose whole square, not its upper triangle, is M,
-    and whose eigenvalues are plus and minus M's singular values.
-    ``bands`` are the band blocks of a weight that carries few Fourier
-    modes on one free orbit of C_n (``_banded``), each a ``BandMatrix`` in
-    LAPACK's lower band storage.  Separated circles of the trivial group,
-    each a free orbit of its own C_n_i (``_coupled``), are one coupled
-    block of their low Fourier modes in ``blocks``, every other mode a
-    single.  ``weyl_bound`` is the most the band's or the coupled block's
-    dropped modes move any eigenvalue, by Weyl's inequality: the Frobenius
-    norm of the coupling dropped, or its bound; 0 where nothing is dropped.
-    ``spectra.eigensolve`` consumes the blocks, the couplings and the
-    bands."""
+    builds it.  Its eigenvalues are those of ``blocks`` together with
+    ``singles``, the eigenvalues of the 1 x 1 blocks, each listed as often
+    as it counts.  Each of ``blocks`` is one of three kinds, and its kind
+    picks its solve in ``spectra.eigensolve``:
+
+    * ``OperatorMatrix``, a real symmetric block of order 2 or more by its
+      upper triangle: one per character of the symmetry group, the one of
+      order n for the trivial group, a complex conjugate pair as the real
+      form of one of its pair (whose eigenvalues come out twice), or the
+      coupled block of the low Fourier modes of separated circles, each a
+      free orbit of its own C_n_i (``_coupled``);
+    * ``BandMatrix``, in LAPACK's lower band storage, for a weight that
+      carries few Fourier modes on one free orbit of C_n (``_banded``);
+    * ``CouplingMatrix``, the whole square M of a weight that its symmetry
+      negates, whose eigenvalues are plus and minus M's singular values.
+
+    ``invariants`` are the trace and the squared Frobenius norm of the
+    whole operator in units of 2^e and 2^2e, and e, the binary exponent of
+    its largest |entry|, as ``spectra`` checks them; ``n`` is its order, and
+    ``signed_flag`` that its weight is signed.  ``weyl_bound`` is the most
+    the band's or the coupled block's dropped modes move any eigenvalue,
+    by Weyl's inequality: the Frobenius norm of the coupling dropped, or its
+    bound; 0 where nothing is dropped.  ``spectra.eigensolve`` consumes the
+    blocks."""
 
     blocks: tuple
     singles: np.ndarray
     invariants: tuple[float, float, int]
     n: int
     signed_flag: bool
-    couplings: tuple = ()
-    bands: tuple = ()
     weyl_bound: float = 0.0
 
 
@@ -1249,7 +1265,9 @@ def assemble_mixed(supports, kernel: KernelModel) -> BlockOperator:
     ``_support_rows``; a measure's takes pointwise kernel values closed by
     its cell's self coefficient; every cross block is plain kernel values.
     A measure atom within one cell diagonal of a curve node is refused:
-    such near-singular blocks are unresolved.
+    such near-singular blocks are unresolved.  So is a weight that is not
+    0 but whose V w all flush to 0 (``_underflow``), before any path is
+    taken: its operator is not the zero one.
 
     Only the rows of one representative per orbit are assembled, and of
     those only the orbit pairs p >= o, about n^2/(2|G|) entries
@@ -1276,21 +1294,24 @@ def assemble_mixed(supports, kernel: KernelModel) -> BlockOperator:
     table, negated, band = _symmetry_table(supports, points, weights,
                                            values, offsets)
     _check_separation(supports)
+    vw = values * weights
+    if np.any(values) and not np.any(vw):
+        # every V w flushed to 0: the operator is not the zero one
+        raise _underflow()
     if band is not None:
-        op = _banded(supports[0][0], kernel, values * weights, *band)
+        op = _banded(supports[0][0], kernel, vw, *band)
         if op is not None:
             return op
     if table.shape[:2] == (1, 1):
         orbits = _circle_orbits(supports, points, weights, values, offsets)
         if orbits is not None:
-            return _coupled(supports, kernel, points, values * weights,
-                            offsets, orbits)
+            return _coupled(supports, kernel, points, vw, offsets, orbits)
     _, n2, r = table.shape
     reps = table[0, 0]
     fixed = (table == reps).astype(float)
     norm = np.sqrt(1.0 / fixed.sum(axis=(0, 1)))
     gathered, invariants = _orbit_rows(supports, kernel, points, offsets,
-                                       table, values * weights, negated)
+                                       table, vw, negated)
     characters = _character_sums(gathered)
     del gathered
     n_last = characters.shape[1]
@@ -1301,10 +1322,9 @@ def assemble_mixed(supports, kernel: KernelModel) -> BlockOperator:
         _hermitian_upper(even, norm)
         _hermitian_upper(odd, norm)
         coupling = _coupling(even, odd, v_reps * w_reps, w_reps)
-        return BlockOperator(blocks=(), singles=np.empty(0),
-                             invariants=invariants, n=len(points),
-                             signed_flag=True, couplings=(OperatorMatrix(
-                                 entries=coupling, signed_flag=True),))
+        return BlockOperator(blocks=(CouplingMatrix(entries=coupling),),
+                             singles=np.empty(0), invariants=invariants,
+                             n=len(points), signed_flag=True)
     # the orbits in each character's block: those whose stabiliser it is
     # trivial on; the characters that share them are taken together
     member = np.abs(_character_sums(fixed)).reshape(-1, r) > 0.5
@@ -1376,11 +1396,10 @@ def _banded(support, kernel: KernelModel, vw: np.ndarray, orbit: np.ndarray,
     if not (np.all(kappa > 0.0) and kappa.max() * dropped <= bound):
         return None
     band = _band_storage(kappa, coefficients, n)
-    signed = bool(np.any(vw < 0.0))
-    return BlockOperator(blocks=(), singles=np.empty(0), invariants=invariants,
-                         n=n, signed_flag=signed, bands=(BandMatrix(
-                             entries=np.ldexp(band, invariants[2], out=band),
-                             signed_flag=signed),),
+    np.ldexp(band, invariants[2], out=band)
+    return BlockOperator(blocks=(BandMatrix(entries=band),),
+                         singles=np.empty(0), invariants=invariants, n=n,
+                         signed_flag=bool(np.any(vw < 0.0)),
                          weyl_bound=float(np.ldexp(kappa.max() * dropped,
                                                    invariants[2])))
 

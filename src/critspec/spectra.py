@@ -2,27 +2,30 @@
 
 The counting coefficient is read off eigenvalues alone, so ``eigensolve``
 computes no eigenvectors.  It takes the ``BlockOperator`` that
-``assemble.assemble_mixed`` builds, one block per character of the
-operator's symmetry group, the whole matrix for the trivial group.  Each
-block of order 2 or more is an ``OperatorMatrix``, its upper triangle,
-diagonal included: the strict lower triangle is scratch and is never read,
-so no symmetry test runs here.  The solve consumes the operator.  LAPACK's
-divide-and-conquer ``dsyevd``, from the OpenBLAS that NumPy has already
-loaded, reduces each triangle in the block's own storage, so no copy is
-made; a second solve of the same operator is refused.  A complex
-conjugate pair is one real block whose eigenvalues come out twice, and the
-1 x 1 blocks (on an equispaced circle, the real DFT of its first row) need
-no solve.  A weight that its symmetry negates comes as one coupling block M
-instead, whose eigenvalues are plus and minus its singular values:
-LAPACK's ``dgesdd``, from the same OpenBLAS, takes them in M's own
-storage.  The eigenvalues of M^T M would be three times faster but square
-the spectrum, and the singular values below about 1e-4 of the largest
-would lose their digits to it.  A weight that carries few Fourier modes on
-an equispaced circle comes as one band block, in LAPACK's lower band
-storage: ``dsbevd``, from the same OpenBLAS, reduces it to tridiagonal form
-in place, in O(n^2 b) where the dense solve takes O(n^3).  Circles that
-share no symmetry come as one coupled block of their low Fourier modes,
-solved as every other block is, and singles.
+``assemble.assemble_mixed`` builds: its singles, the eigenvalues of its
+1 x 1 blocks, which need no solve, and one list of blocks, each of a kind
+that picks its LAPACK routine, from the OpenBLAS that NumPy has already
+loaded.  Each solve works in the block's own storage, so no copy is made;
+the solve consumes the operator, and a second one is refused.
+
+* An ``OperatorMatrix`` is a symmetric block by its upper triangle,
+  diagonal included: the strict lower triangle is scratch and is never
+  read, so no symmetry test runs here.  The divide-and-conquer ``dsyevd``
+  reduces it.  A complex conjugate pair is one real block whose eigenvalues
+  come out twice.
+* A ``BandMatrix``, the operator of a weight that carries few Fourier
+  modes on an equispaced circle, is in LAPACK's lower band storage:
+  ``dsbevd`` reduces it to tridiagonal form in O(n^2 b) where the dense
+  solve takes O(n^3).
+* A ``CouplingMatrix`` M, the operator of a weight that its symmetry
+  negates, has eigenvalues plus and minus its singular values, which
+  ``dgesdd`` takes.  The eigenvalues of M^T M would be three times faster
+  but square the spectrum, and the singular values below about 1e-4 of
+  the largest would lose their digits to it.
+
+One resolver (``_lapack``) finds each routine by name, and one driver
+(``_lapack_solve``) runs its workspace query, its solve and the check of
+its info.
 
 The union of the eigenvalues is checked once against the two invariants of
 the whole operator, which the block operator carries from its kernel rows
@@ -54,7 +57,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assemble import BlockOperator
+from .assemble import BandMatrix, BlockOperator, CouplingMatrix, _underflow
 from .errors import InsufficientDataError, InvalidArgumentError, InternalError
 
 # relative scale below which an eigenvalue counts as a numerical zero
@@ -65,10 +68,9 @@ _ZERO_RTOL = 1e-14
 # mixed and signed operators and below 2 on random symmetric matrices
 _INVARIANT_ULPS = 64.0
 _TRUSTED_FRACTION = 8
-# the smallest normal double and its exponent: an operator whose largest
+# the exponent of the smallest normal double: an operator whose largest
 # entry lies below it has lost digits in every entry
-_TINY = float(np.finfo(float).tiny)
-_MIN_EXPONENT = int(np.frexp(_TINY)[1])
+_MIN_EXPONENT = int(np.frexp(np.finfo(float).tiny)[1])
 
 
 @dataclass(frozen=True)
@@ -126,14 +128,14 @@ def eigensolve(op: BlockOperator) -> Spectrum:
 
     The solve consumes the operator: it overwrites the storage of its
     blocks, and a second ``eigensolve`` of the same operator raises
-    ``InvalidArgumentError``.  ``op.n`` stays valid.  Only the upper
-    triangle of each block, diagonal included, is read, and of a band
-    block its band storage.
+    ``InvalidArgumentError``.  ``op.n`` stays valid.
 
-    No eigenvectors are computed.  Each block is solved with no check of
-    its own, each band block by ``dsbevd`` (``_band_eigenvalues``), and
-    each coupling block as plus and minus its singular values; the union
-    of these eigenvalues and its 1 x 1 blocks' must reproduce the
+    No eigenvectors are computed.  One pass over ``op.blocks`` solves each
+    block by its kind, with no check of its own: an ``OperatorMatrix`` by
+    its upper triangle (``_eigvalsh_upper``), a ``BandMatrix`` by its band
+    storage (``_band_eigenvalues``), and a ``CouplingMatrix`` as plus and
+    minus its singular values (``_singular_values``).  The union of these
+    eigenvalues and the singles must reproduce the
     trace and the squared Frobenius norm of the whole operator, which it
     carries, to within 64 n eps times the spectral radius and the squared
     norm.  A violation raises ``InternalError`` naming both errors, and so
@@ -144,11 +146,15 @@ def eigensolve(op: BlockOperator) -> Spectrum:
     largest entry is subnormal.  Eigenvalues below 1e-14 of the spectral
     radius are dropped as numerical zeros; the trusted index range is n/8.
     """
-    vals = [op.singles] + [_eigvalsh_upper(b.consume()) for b in op.blocks]
-    vals += [_band_eigenvalues(b.consume()) for b in op.bands]
-    for coupling in op.couplings:
-        sigma = _singular_values(coupling.consume())
-        vals += [sigma, -sigma]
+    vals = [op.singles]
+    for block in op.blocks:
+        if isinstance(block, CouplingMatrix):
+            sigma = _singular_values(block.consume())
+            vals += [sigma, -sigma]
+        elif isinstance(block, BandMatrix):
+            vals.append(_band_eigenvalues(block.consume()))
+        else:
+            vals.append(_eigvalsh_upper(block.consume()))
     return _checked_spectrum(np.sort(np.concatenate(vals)), op.invariants,
                              op.signed_flag)
 
@@ -160,9 +166,7 @@ def _checked_spectrum(vals: np.ndarray, invariants: tuple[float, float, int],
     the checks ``eigensolve`` documents: the underflow and the invariant
     checks, and for an unsigned operator the semidefinite one."""
     if invariants[2] < _MIN_EXPONENT:
-        raise InvalidArgumentError(
-            "operator entries underflow: the largest |entry| is subnormal "
-            "(below %.3g); scale the weight up" % _TINY)
+        raise _underflow()
     trace_err, frobenius_err = _invariant_errors(invariants, vals)
     if not (trace_err <= 1.0 and frobenius_err <= 1.0):
         raise InternalError(
@@ -182,48 +186,69 @@ def _checked_spectrum(vals: np.ndarray, invariants: tuple[float, float, int],
         vals[keep], trusted_k_max=max(1, n // _TRUSTED_FRACTION))
 
 
-_INTEGER = ctypes.POINTER(ctypes.c_int64)
-
-
-def _numpy_lapack(name: str, argtypes: list):
+@functools.cache
+def _lapack(name: str):
     """LAPACK's routine ``name`` from the scipy-openblas64 library NumPy
     has already loaded (64-bit integers, gfortran's hidden character
-    lengths), or None where NumPy's build does not export it.  No second
-    library is mapped."""
+    lengths), resolved once per name, on its first solve, or None where
+    NumPy's build does not export it.  No second library is mapped.  No
+    argument types are set: ``_lapack_solve`` passes each argument as the
+    routine reads it."""
     try:
         from numpy.linalg import _umath_linalg
         routine = getattr(ctypes.CDLL(_umath_linalg.__file__),
                           "scipy_%s_64_" % name)
     except (ImportError, OSError, AttributeError):
         return None
-    routine.argtypes = argtypes
     routine.restype = None
     return routine
 
 
-@functools.cache
-def _lapack_dsyevd():
-    """LAPACK's ``dsyevd`` (``_numpy_lapack``), resolved once, on the
-    first solve."""
-    return _numpy_lapack("dsyevd", [
-        ctypes.c_char_p, ctypes.c_char_p, _INTEGER,     # jobz, uplo, n
-        ctypes.c_void_p, _INTEGER, ctypes.c_void_p,     # a, lda, w
-        ctypes.c_void_p, _INTEGER, ctypes.c_void_p,     # work, lwork, iwork
-        _INTEGER, _INTEGER,                             # liwork, info
-        ctypes.c_size_t, ctypes.c_size_t])              # len(jobz), len(uplo)
+def _argument(x):
+    """One argument of a LAPACK call as the routine reads it: an array by
+    its data pointer, an integer by reference as an int64, a character as
+    a C string, None as a null pointer."""
+    if isinstance(x, np.ndarray):
+        return ctypes.c_void_p(x.ctypes.data)
+    if isinstance(x, int):
+        return ctypes.pointer(ctypes.c_int64(x))
+    return x
 
 
-@functools.cache
-def _lapack_dgesdd():
-    """LAPACK's ``dgesdd`` (``_numpy_lapack``), resolved once, on the
-    first singular value solve."""
-    return _numpy_lapack("dgesdd", [
-        ctypes.c_char_p, _INTEGER, _INTEGER,            # jobz, m, n
-        ctypes.c_void_p, _INTEGER, ctypes.c_void_p,     # a, lda, s
-        ctypes.c_void_p, _INTEGER, ctypes.c_void_p,     # u, ldu, vt
-        _INTEGER, ctypes.c_void_p, _INTEGER,            # ldvt, work, lwork
-        ctypes.c_void_p, _INTEGER,                      # iwork, info
-        ctypes.c_size_t])                               # len(jobz)
+def _lapack_solve(name: str, what: str, args: tuple,
+                  iwork: int | None = None) -> bool:
+    """Run LAPACK's ``name`` on ``args``, its arguments up to the
+    workspace, and return True, or False where the routine is missing.
+
+    The routine runs twice: as a workspace query, then with the workspace
+    the query asks for (the minimal one runs slower).  After ``args`` come
+    work, lwork and iwork, then liwork where ``iwork`` is None (its length
+    from the query; otherwise iwork has ``iwork`` entries and no liwork is
+    passed), then info and the length of each character argument.  An info
+    other than 0 raises ``InternalError``: "<what> failed: LAPACK <name>
+    info = <info>"."""
+    routine = _lapack(name)
+    if routine is None:
+        return False
+    head = [_argument(x) for x in args]
+    lengths = [ctypes.c_size_t(1) for x in args if isinstance(x, bytes)]
+
+    def call(work: np.ndarray, lwork: int, iw: np.ndarray, liwork: int):
+        info = ctypes.c_int64(0)
+        tail = [work, lwork, iw] + ([liwork] if iwork is None else [])
+        routine(*head, *map(_argument, tail), ctypes.pointer(info), *lengths)
+        if info.value != 0:
+            raise InternalError("%s failed: LAPACK %s info = %d"
+                                % (what, name, info.value))
+
+    work = np.empty(1)
+    iw = np.empty(1 if iwork is None else iwork, dtype=np.int64)
+    call(work, -1, iw, -1)
+    lwork = int(work[0])
+    if iwork is None:
+        iw = np.empty(int(iw[0]), dtype=np.int64)
+    call(np.empty(lwork), lwork, iw, len(iw))
+    return True
 
 
 def _eigvalsh_upper(m: np.ndarray) -> np.ndarray:
@@ -235,52 +260,19 @@ def _eigvalsh_upper(m: np.ndarray) -> np.ndarray:
     the upper one here: ``dsyevd`` with uplo 'L' is handed the very values,
     in the very layout, that NumPy's ``eigvalsh`` copies out of the full
     symmetric matrix for the same routine, and returns its eigenvalues bit
-    for bit.  The workspace is the size LAPACK's query asks for: the
-    minimal one runs slower.  Without the routine, NumPy's ``eigvalsh``
-    solves a copy of the upper triangle.  A failed solve raises
-    ``InternalError`` naming LAPACK's info.
+    for bit.  Without the routine, NumPy's ``eigvalsh`` solves a copy of the
+    upper triangle.  A failed solve raises ``InternalError`` naming LAPACK's
+    info.
     """
-    dsyevd = _lapack_dsyevd()
-    if dsyevd is None:
-        try:
-            return np.linalg.eigvalsh(m, UPLO="U")
-        except np.linalg.LinAlgError as exc:
-            raise InternalError(
-                "symmetric eigensolve failed: %s" % exc) from None
     n = len(m)
     vals = np.empty(n)
-    info = ctypes.c_int64(0)
-
-    def call(work: np.ndarray, lwork: int, iwork: np.ndarray, liwork: int):
-        dsyevd(b"N", b"L", ctypes.pointer(ctypes.c_int64(n)), m.ctypes.data,
-               ctypes.pointer(ctypes.c_int64(max(1, n))), vals.ctypes.data,
-               work.ctypes.data, ctypes.pointer(ctypes.c_int64(lwork)),
-               iwork.ctypes.data, ctypes.pointer(ctypes.c_int64(liwork)),
-               ctypes.pointer(info), 1, 1)
-        if info.value != 0:
-            raise InternalError(
-                "symmetric eigensolve failed: LAPACK dsyevd info = %d"
-                % info.value)
-
-    work = np.empty(1)
-    iwork = np.empty(1, dtype=np.int64)
-    call(work, -1, iwork, -1)
-    lwork, liwork = int(work[0]), int(iwork[0])
-    call(np.empty(lwork), lwork, np.empty(liwork, dtype=np.int64), liwork)
-    return vals
-
-
-@functools.cache
-def _lapack_dsbevd():
-    """LAPACK's ``dsbevd`` (``_numpy_lapack``), resolved once, on the
-    first band solve."""
-    return _numpy_lapack("dsbevd", [
-        ctypes.c_char_p, ctypes.c_char_p, _INTEGER,     # jobz, uplo, n
-        _INTEGER, ctypes.c_void_p, _INTEGER,            # kd, ab, ldab
-        ctypes.c_void_p, ctypes.c_void_p, _INTEGER,     # w, z, ldz
-        ctypes.c_void_p, _INTEGER, ctypes.c_void_p,     # work, lwork, iwork
-        _INTEGER, _INTEGER,                             # liwork, info
-        ctypes.c_size_t, ctypes.c_size_t])              # len(jobz), len(uplo)
+    if _lapack_solve("dsyevd", "symmetric eigensolve",
+                     (b"N", b"L", n, m, max(1, n), vals)):
+        return vals
+    try:
+        return np.linalg.eigvalsh(m, UPLO="U")
+    except np.linalg.LinAlgError as exc:
+        raise InternalError("symmetric eigensolve failed: %s" % exc) from None
 
 
 def _band_eigenvalues(ab: np.ndarray) -> np.ndarray:
@@ -291,43 +283,21 @@ def _band_eigenvalues(ab: np.ndarray) -> np.ndarray:
 
     Fortran reads the C storage as the (kd + 1, n) array whose column j is
     row j here, which is LAPACK's lower band storage with ldab = kd + 1:
-    ``dsbevd`` with uplo 'L' takes it in place, no copy made, with the
-    workspace LAPACK's query asks for.  Without the routine, NumPy's
-    ``eigvalsh`` solves the band expanded to its n x n matrix.  A failed
-    solve raises ``InternalError`` naming LAPACK's info."""
+    ``dsbevd`` with uplo 'L' takes it in place, no copy made.  Without the
+    routine, NumPy's ``eigvalsh`` solves the band expanded to its n x n
+    matrix.  A failed solve raises ``InternalError`` naming LAPACK's info."""
     n, width = ab.shape
-    dsbevd = _lapack_dsbevd()
-    if dsbevd is None:
-        m = np.zeros((n, n))
-        for d in range(width):
-            m[np.arange(n - d), np.arange(d, n)] = ab[:n - d, d]
-        try:
-            return np.linalg.eigvalsh(m, UPLO="U")
-        except np.linalg.LinAlgError as exc:
-            raise InternalError(
-                "band eigensolve failed: %s" % exc) from None
     vals = np.empty(n)
-    info = ctypes.c_int64(0)
-    one = ctypes.pointer(ctypes.c_int64(1))
-
-    def call(work: np.ndarray, lwork: int, iwork: np.ndarray, liwork: int):
-        dsbevd(b"N", b"L", ctypes.pointer(ctypes.c_int64(n)),
-               ctypes.pointer(ctypes.c_int64(width - 1)), ab.ctypes.data,
-               ctypes.pointer(ctypes.c_int64(width)), vals.ctypes.data, None,
-               one, work.ctypes.data, ctypes.pointer(ctypes.c_int64(lwork)),
-               iwork.ctypes.data, ctypes.pointer(ctypes.c_int64(liwork)),
-               ctypes.pointer(info), 1, 1)
-        if info.value != 0:
-            raise InternalError(
-                "band eigensolve failed: LAPACK dsbevd info = %d"
-                % info.value)
-
-    work = np.empty(1)
-    iwork = np.empty(1, dtype=np.int64)
-    call(work, -1, iwork, -1)
-    lwork, liwork = int(work[0]), int(iwork[0])
-    call(np.empty(lwork), lwork, np.empty(liwork, dtype=np.int64), liwork)
-    return vals
+    if _lapack_solve("dsbevd", "band eigensolve",
+                     (b"N", b"L", n, width - 1, ab, width, vals, None, 1)):
+        return vals
+    m = np.zeros((n, n))
+    for d in range(width):
+        m[np.arange(n - d), np.arange(d, n)] = ab[:n - d, d]
+    try:
+        return np.linalg.eigvalsh(m, UPLO="U")
+    except np.linalg.LinAlgError as exc:
+        raise InternalError("band eigensolve failed: %s" % exc) from None
 
 
 def _singular_values(m: np.ndarray) -> np.ndarray:
@@ -335,41 +305,20 @@ def _singular_values(m: np.ndarray) -> np.ndarray:
     overwritten.
 
     Fortran reads the C storage as m^T, whose singular values are m's:
-    ``dgesdd`` with jobz 'N' takes it in place, no copy made, with the
-    workspace LAPACK's query asks for.  Without the routine, NumPy's
-    ``svd`` solves a copy.  A failed solve raises ``InternalError`` naming
-    LAPACK's info.
+    ``dgesdd`` with jobz 'N' takes it in place, no copy made.  Without the
+    routine, NumPy's ``svd`` solves a copy.  A failed solve raises
+    ``InternalError`` naming LAPACK's info.
     """
-    dgesdd = _lapack_dgesdd()
-    if dgesdd is None:
-        try:
-            return np.linalg.svd(m, compute_uv=False)
-        except np.linalg.LinAlgError as exc:
-            raise InternalError(
-                "singular value solve failed: %s" % exc) from None
     n = len(m)
     vals = np.empty(n)
-    info = ctypes.c_int64(0)
-    order = ctypes.pointer(ctypes.c_int64(n))
-    lead = ctypes.pointer(ctypes.c_int64(max(1, n)))
-    one = ctypes.pointer(ctypes.c_int64(1))
-    iwork = np.empty(8 * n, dtype=np.int64)
-
-    def call(work: np.ndarray, lwork: int):
-        dgesdd(b"N", order, order, m.ctypes.data, lead, vals.ctypes.data,
-               None, one, None, one, work.ctypes.data,
-               ctypes.pointer(ctypes.c_int64(lwork)), iwork.ctypes.data,
-               ctypes.pointer(info), 1)
-        if info.value != 0:
-            raise InternalError(
-                "singular value solve failed: LAPACK dgesdd info = %d"
-                % info.value)
-
-    work = np.empty(1)
-    call(work, -1)
-    lwork = int(work[0])
-    call(np.empty(lwork), lwork)
-    return vals
+    if _lapack_solve("dgesdd", "singular value solve",
+                     (b"N", n, n, m, max(1, n), vals, None, 1, None, 1),
+                     iwork=8 * n):
+        return vals
+    try:
+        return np.linalg.svd(m, compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        raise InternalError("singular value solve failed: %s" % exc) from None
 
 
 def _tolerance_unit(n: int) -> float:

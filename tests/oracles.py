@@ -488,15 +488,14 @@ def assemble_mixed_pairs(supports, kernel) -> OperatorMatrix:
             ktil[sj, si] = cross.T
     v_all = np.concatenate(blocks_vvals)
     w_all = np.concatenate(blocks_weights)
-    signed = bool(np.any(v_all < 0.0))
-    if signed:
+    if np.any(v_all < 0.0):
         entries = _mirror_rows(_cholesky_fold(ktil, v_all, w_all))
     else:
         s = np.sqrt(np.abs(v_all) * w_all)
         ktil *= s[:, None]
         ktil *= s[None, :]
         entries = _mirror_rows(ktil)
-    return OperatorMatrix(entries=entries, signed_flag=signed)
+    return OperatorMatrix(entries=entries)
 
 
 def cholesky_fold_full(kernel_matrix: np.ndarray, v_vals: np.ndarray,
@@ -713,7 +712,7 @@ def one_block(m: np.ndarray, signed: bool = False) -> BlockOperator:
     block of a ``BlockOperator`` that ``spectra.eigensolve`` takes, with the
     invariants of ``upper_invariants`` taken before the solve overwrites
     it."""
-    block = OperatorMatrix(entries=m, signed_flag=signed)
+    block = OperatorMatrix(entries=m)
     return BlockOperator(blocks=(block,), singles=np.empty(0),
                          invariants=upper_invariants(block.entries),
                          n=block.n, signed_flag=signed)

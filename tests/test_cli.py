@@ -393,15 +393,18 @@ def test_spectrum_scales_with_a_huge_weight(shape, tmp_path):
 def test_a_subnormal_operator_exits_2_naming_the_underflow(shape, tmp_path,
                                                           capsys):
     # at 1e-315 every entry is subnormal: the tolerance underflowed to 0
-    # (trace error inf, exit 4)
-    code = main(["spectrum", "--shape", shape, "--n", "64", "--value",
-                 "1e-315", "--out", str(tmp_path)])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: operator entries underflow: the largest "
-                          "|entry| is subnormal")
-    assert err.count("\n") == 1 and "Traceback" not in err
-    assert not list(tmp_path.iterdir())
+    # (trace error inf, exit 4); at 1e-322 and 5e-324 every V w flushes to
+    # 0 on 256 nodes (and on the Cantor measure of depth 8), which read as
+    # the zero operator (header-only CSVs, exit 0)
+    for n, value in (("64", "1e-315"), ("256", "1e-322"), ("256", "5e-324")):
+        code = main(["spectrum", "--shape", shape, "--n", n, "--value",
+                     value, "--out", str(tmp_path)])
+        assert code == 2, value
+        err = capsys.readouterr().err
+        assert err.startswith("error: operator entries underflow: the "
+                              "largest |entry| is subnormal")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("shape", ["circle", "square", "cantor"])
@@ -583,11 +586,10 @@ def _no_convergence(m, UPLO):
 @pytest.mark.parametrize("path", ["dsyevd", "fallback"])
 def test_failed_eigensolve_exits_4(path, tmp_path, capsys, monkeypatch):
     if path == "dsyevd":
-        monkeypatch.setattr(spectra, "_lapack_dsyevd",
-                            lambda: _reports_info_1)
+        monkeypatch.setattr(spectra, "_lapack", lambda name: _reports_info_1)
         named = "LAPACK dsyevd info = 1"
     else:
-        monkeypatch.setattr(spectra, "_lapack_dsyevd", lambda: None)
+        monkeypatch.setattr(spectra, "_lapack", lambda name: None)
         monkeypatch.setattr(np.linalg, "eigvalsh", _no_convergence)
         named = "Eigenvalues did not converge"
     code = main(["spectrum", "--shape", "square", "--n", "64",
@@ -698,16 +700,35 @@ print(sorted(m for m in sys.modules
 """
 
 
+def _source_env() -> dict:
+    """The environment with the package's source first on PYTHONPATH."""
+    src = str(Path(critspec.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path
+                                               else ""))
+
+
 def test_runtime_loads_no_scipy():
     # a fresh process: circle-weyl reaches the r_symbol cross-check and
     # mixed-ac-singular the square self-cell constant, on NumPy alone
-    src = str(Path(critspec.__file__).resolve().parent.parent)
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
-    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_SCRIPT], env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_SCRIPT],
+                          env=_source_env(), capture_output=True, text=True,
+                          timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_python_m_critspec_runs_the_command_line(tmp_path):
+    # a weight whose V w all flush to 0 is refused with exit 2, one error
+    # line and no traceback
+    proc = subprocess.run(
+        [sys.executable, "-m", "critspec", "spectrum", "--shape", "circle",
+         "--n", "256", "--value", "5e-324", "--out", str(tmp_path)],
+        env=_source_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: operator entries underflow")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+    assert proc.stdout == "" and not list(tmp_path.iterdir())
 
 
 # each bad input as a config (run --config) or as a command line, the exit
