@@ -1296,7 +1296,6 @@ def assemble_mixed(supports, kernel: KernelModel) -> BlockOperator:
     _check_separation(supports)
     vw = values * weights
     if np.any(values) and not np.any(vw):
-        # every V w flushed to 0: the operator is not the zero one
         raise _underflow()
     if band is not None:
         op = _banded(supports[0][0], kernel, vw, *band)
