@@ -38,18 +38,12 @@ each Hermitian by its upper orbit triangle; an equispaced circle of a
 constant weight is the case G = C_n, whose n blocks are 1 x 1, the real
 DFT of its first row.
 
-A signed weight may instead be negated by a map g of order 2 that fixes no
-atom, as the half turn negates cos(t - phi) on an equispaced circle.  Its
-two characters give the even and odd blocks S and Q of the kernel matrix,
-each of order n/2, and diag(V w) couples them alone: with the Cholesky
-factors S = L_S L_S^T and Q = L_Q L_Q^T, the fold is [[0, M], [M^T, 0]]
-with M = L_S^T diag(V w) L_Q over the representatives, whose eigenvalues
-are plus and minus the singular values of M (Jordan and Wielandt; Golub and
-Van Loan, Matrix Computations, 8.6).  ``_symmetry_table`` takes such a map
-only where no map keeps the weight, and it is the one place that decides
-which group an operator is reduced by.  It asks two questions apart: which
-group keeps the atoms, their quadrature weights and the mesh, and which
-characters of that group the weight carries.
+``_symmetry_table`` is the one place that decides which group an operator
+is reduced by.  It asks two questions apart: which group keeps the atoms,
+their quadrature weights and the mesh, and which characters of that group
+the weight carries.  A signed weight that no map keeps takes the trivial
+group, and so the one fold below, whether or not some map negates it,
+unless it is a band (below).
 
 On a support that is one free orbit of C_n, an equispaced circle, the
 kernel matrix is C_n-invariant whatever the weight, so in the Fourier basis
@@ -60,11 +54,11 @@ circulant of u^ = DFT(V w) / n, which is a real symmetric band of
 half-width 2 b + 1 in the basis (1, cos t, sin t, ..., cos (n/2) t)
 (Fassler and Stiefel; ``_banded``).  Such an operator is one band block,
 built from the row in O(n b) straight into LAPACK's band storage, with no
-n x n array, no fold and no coupling: the benchmark's cos(t - phi) is b =
-1.  Its invariants come from the row, and the band is taken only where
-every kappa_m is positive and the modes dropped below the truncation move
-no eigenvalue past the solve's tolerance unit; otherwise the operator
-takes the group of the table, as every other weight does.
+n x n array and no fold: the benchmark's cos(t - phi) is b = 1.  Its
+invariants come from the row, and the band is taken only where every
+kappa_m is positive and the modes dropped below the truncation move no
+eigenvalue past the solve's tolerance unit; otherwise the operator takes
+the group of the table, as every other weight does.
 
 Circles that share no symmetry, each a free orbit of its own C_n_k with a
 constant weight >= 0, as two-surfaces at an angle off the axes, are the
@@ -142,13 +136,6 @@ _BLOCK_BYTES = 1 << 19
 # for BLAS to run near its GEMM rate, narrow enough that the half of each
 # diagonal tile computed and then dropped stays a small share of the work
 _FOLD_COLUMNS = 256
-# tolerance, in units of n eps, within which a plane isometry counts as a
-# symmetry of the atoms, their quadrature weights and their weight values
-# (``_symmetry_table``): the eigensolve's own tolerance unit
-# (spectra._INVARIANT_ULPS).  A support that misses a symmetry by s of it
-# moves its eigenvalues off the reduced ones by about s of the spectral
-# radius, inside the solve's check
-_SYMMETRY_ULPS = 64.0
 # the most Fourier modes b a weight may carry on one free orbit of C_n for
 # the operator to be solved as one band of half-width 2 b + 1 (``_banded``):
 # in the table of BENCH_banded.json the band beat every weight's group up
@@ -161,6 +148,19 @@ _TINY = float(np.finfo(float).tiny)
 # threads that run the row blocks: the cores this process may run on
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
+
+
+def _tolerance_unit(n: int) -> float:
+    """64 n eps, the relative tolerance unit of an operator of order n,
+    defined once: the eigensolve checks its invariants in it (clean solves
+    measured below 0.25 of it), a plane isometry counts as a symmetry
+    within it (``_symmetry_table``), a weight's Fourier modes below it of
+    the largest are not carried (``_carried_modes``), and what a
+    structured block drops is bounded by it (``_truncation_bound``).  A
+    support that misses a symmetry by s of it moves its eigenvalues off
+    the reduced ones by about s of the spectral radius, inside the
+    solve's check."""
+    return 64.0 * n * np.finfo(float).eps
 
 
 # ---------------------------------------------------------------------------
@@ -291,13 +291,6 @@ class BandMatrix(OperatorMatrix):
         if m.ndim != 2 or m.shape[0] < m.shape[1]:
             return "entries must be a band of at most n diagonals"
         return None
-
-
-class CouplingMatrix(OperatorMatrix):
-    """The coupling block M of a weight that its symmetry negates, kept as
-    ``OperatorMatrix`` keeps a block but not symmetric: its whole square is
-    M, and it stands for [[0, M], [M^T, 0]], whose eigenvalues are plus
-    and minus M's singular values, which ``dgesdd`` takes."""
 
 
 def _upper(k: int) -> np.ndarray:
@@ -763,6 +756,25 @@ def _check_separation(supports) -> None:
                     "from curve nodes")
 
 
+def _check_shared_atoms(points: np.ndarray, offsets: np.ndarray) -> None:
+    """Refuse two supports that share an atom, naming it: the kernel
+    between them is infinite there (K_0(0)), so their cross block has no
+    value.  The atoms are sorted by their coordinates once, and a shared
+    one is two equal neighbours of two supports."""
+    owner = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
+    order = np.lexsort((points[:, 1], points[:, 0]))
+    atoms, owner = points[order], owner[order]
+    shared = np.flatnonzero(np.all(atoms[1:] == atoms[:-1], axis=1)
+                            & (owner[1:] != owner[:-1]))
+    if shared.size:
+        i = shared[0]
+        first, second = sorted(owner[i:i + 2] + 1)
+        raise InvalidArgumentError(
+            "two supports share an atom: supports %d and %d at (%.6g, %.6g), "
+            "where the kernel between them is infinite; move one off the "
+            "other" % (first, second, *atoms[i]))
+
+
 def _layout(supports):
     """The supports laid end to end: (atoms, quadrature weights, weight
     values, offsets), support k spanning [offsets[k], offsets[k + 1]).  A
@@ -785,19 +797,18 @@ class BlockOperator:
     """The operator in a symmetry-adapted basis, as ``assemble_mixed``
     builds it.  Its eigenvalues are those of ``blocks`` together with
     ``singles``, the eigenvalues of the 1 x 1 blocks, each listed as often
-    as it counts.  Each of ``blocks`` is one of three kinds, and its kind
+    as it counts.  Each of ``blocks`` is one of two kinds, and its kind
     picks its solve in ``spectra.eigensolve``:
 
     * ``OperatorMatrix``, a real symmetric block of order 2 or more by its
-      upper triangle: one per character of the symmetry group, the one of
-      order n for the trivial group, a complex conjugate pair as the real
-      form of one of its pair (whose eigenvalues come out twice), or the
-      coupled block of the low Fourier modes of separated circles, each a
-      free orbit of its own C_n_i (``_coupled``);
+      upper triangle: one per character of the symmetry group, scaled or,
+      for a signed weight, folded (``_finalize``), the one of order n for
+      the trivial group, a complex conjugate pair as the real form of one
+      of its pair (whose eigenvalues come out twice), or the coupled block
+      of the low Fourier modes of separated circles, each a free orbit of
+      its own C_n_i (``_coupled``);
     * ``BandMatrix``, in LAPACK's lower band storage, for a weight that
-      carries few Fourier modes on one free orbit of C_n (``_banded``);
-    * ``CouplingMatrix``, the whole square M of a weight that its symmetry
-      negates, whose eigenvalues are plus and minus M's singular values.
+      carries few Fourier modes on one free orbit of C_n (``_banded``).
 
     ``invariants`` are the trace and the squared Frobenius norm of the
     whole operator in units of 2^e and 2^2e, and e, the binary exponent of
@@ -866,7 +877,7 @@ def _symmetry_table(supports, points, weights, values, offsets):
     """Which group reduces an operator, as two questions: which group of
     plane isometries keeps the atoms, their quadrature weights and the
     mesh, and which characters of that group the weight carries.  The
-    answer is (table, negated, band).
+    answer is (table, band).
 
     ``table`` holds the orbits of the largest abelian group whose maps also
     keep the weight, as an (N1, N2, r) table: entry [a, b, o] is the atom
@@ -882,37 +893,31 @@ def _symmetry_table(supports, points, weights, values, offsets):
     diagonals.  The group is C_m, two perpendicular reflections (Z2 x Z2),
     or one reflection (Z2): the largest order wins, reflections at a tie,
     whose blocks are real.  A map keeps the supports (``match``) when it
-    maps every support onto itself, each atom within ``_SYMMETRY_ULPS`` n
-    eps of the largest |coordinate| of an atom, with its quadrature weight
-    within that many n eps of itself; on a smooth closed mesh it must also
+    maps every support onto itself, each atom within ``_tolerance_unit(n)``
+    of the largest |coordinate| of an atom, with its quadrature weight
+    within that unit of itself; on a smooth closed mesh it must also
     shift or reverse the node indices and the parameters with them (the
     Kress weights read index offsets), and on a polygon carry each panel's
     tangent to one of the image panel's.  It keeps the weight (``keeps``)
-    when it also takes each weight value within that many n eps of the
-    largest |value| to itself.  The whole group is then checked the same
+    when it also takes each weight value within that unit of the largest
+    |value| to itself.  The whole group is then checked the same
     way: every atom of an orbit must lie at the exact isometry's image of
     its representative, so a near-symmetry cannot pass by small steps.  Any
     support kind and any weight is reduced when this holds.
-
-    Where no group of order 2 or more keeps the weight, the half turn and
-    the four reflections, in that order, are tried once more as maps that
-    take each weight value to its negative within the same tolerance; the
-    first one accepted that fixes no atom, every orbit of two, is the group,
-    and ``negated`` is True.
 
     ``band`` answers the second question for C_n: it is None, or (orbit,
     b) where the supports are one free orbit of C_n, orbit[a] = g^a(i_0)
     for the rotation g by 2 pi / n, and the weight carries the characters
     (Fourier modes) |m| <= b of C_n alone, 1 <= b <= ``_BAND_MODES`` and
     2 b + 1 < n: its real DFT along the orbit has no mode above b whose
-    magnitude exceeds ``_SYMMETRY_ULPS`` n eps of the largest.  A weight
+    magnitude exceeds ``_tolerance_unit(n)`` of the largest.  A weight
     that the rotations keep carries the mode 0 alone, and has no band.
     """
     n = len(points)
-    trivial = np.arange(n)[None, None], False, None
+    trivial = np.arange(n)[None, None]
     if n < 2:
-        return trivial
-    unit = _SYMMETRY_ULPS * n * np.finfo(float).eps
+        return trivial, None
+    unit = _tolerance_unit(n)
     center = points.mean(axis=0)
     rel = points - center
     reach = unit * np.max(np.abs(points))
@@ -946,21 +951,18 @@ def _symmetry_table(supports, points, weights, values, offsets):
                 return None
         return perm
 
-    def keeps(perm, sign=1.0):
-        """``perm`` where it takes each weight value to ``sign`` times
-        itself, else None."""
-        if perm is None or np.any(np.abs(values[perm] - sign * values)
-                                  > v_reach):
+    def keeps(perm):
+        """``perm`` where it takes each weight value to itself, else
+        None."""
+        if perm is None or np.any(np.abs(values[perm] - values) > v_reach):
             return None
         return perm
 
-    def kept(table, negated=False):
-        """``table`` where the weight is constant on each of its orbits, or,
-        ``negated``, is negated by the generator of order 2; else None."""
-        # the generator's powers run along the last group axis
-        signs = np.array([1.0, -1.0])[:, None] if negated else 1.0
+    def kept(table):
+        """``table`` where the weight is constant on each of its orbits,
+        else None."""
         if table is None or np.any(
-                np.abs(values[table] - signs * values[table[0, 0]]) > v_reach):
+                np.abs(values[table] - values[table[0, 0]]) > v_reach):
             return None
         return table
 
@@ -1001,7 +1003,7 @@ def _symmetry_table(supports, points, weights, values, offsets):
             TWO_PI * np.arange(m) / m))], *args))
         # no reflection group, of order 4 at most, beats it
         if rotations is not None and m > 4:
-            return rotations, False, band
+            return rotations, band
     mirrors = [(keeps(match(_reflection(a))),
                 np.stack([np.eye(2), _reflection(a)])) for a in _AXES]
     # the largest order first, and at a tie the reflections, whose blocks
@@ -1013,26 +1015,17 @@ def _symmetry_table(supports, points, weights, values, offsets):
     for generators in groups:
         table = kept(_orbit_table(generators, *args))
         if table is not None:
-            return table, False, band
+            return table, band
     if rotations is not None and m > 2:
-        return rotations, False, band
+        return rotations, band
     for mirror in mirrors:
         table = None if mirror[0] is None else kept(_orbit_table([mirror],
                                                                  *args))
         if table is not None:
-            return table, False, band
+            return table, band
     if rotations is not None:
-        return rotations, False, band
-    # no map keeps the weight: one of order 2 that negates it, fixing no
-    # atom, the half turn first
-    for isometry in [_rotation(np.pi)] + [_reflection(a) for a in _AXES]:
-        perm = keeps(match(isometry), -1.0)
-        table = None if perm is None else kept(_orbit_table(
-            [(perm, np.stack([np.eye(2), isometry]))], *args, free=True),
-            negated=True)
-        if table is not None:
-            return table, True, band
-    return trivial[:2] + (band,)
+        return rotations, band
+    return trivial, band
 
 
 def _carried_modes(table, vw: np.ndarray):
@@ -1049,8 +1042,8 @@ def _carried_modes(table, vw: np.ndarray):
     n = len(orbit)
     v = vw[orbit]
     modes = np.abs(np.fft.rfft(np.ldexp(v, -np.frexp(np.max(np.abs(v)))[1])))
-    b = int(np.flatnonzero(modes > _SYMMETRY_ULPS * n * np.finfo(float).eps
-                           * modes.max()).max(initial=0))
+    b = int(np.flatnonzero(modes > _tolerance_unit(n) * modes.max()
+                           ).max(initial=0))
     if not 1 <= b <= _BAND_MODES or 2 * b + 1 >= n:
         return None
     return orbit, b
@@ -1079,13 +1072,12 @@ def _keeps_mesh(mesh: SurfaceMesh, local: np.ndarray, isometry: np.ndarray,
     return bool(np.max(np.abs(shift)) <= unit * TWO_PI)
 
 
-def _orbit_table(generators, rel, weights, reach, unit, free=False):
+def _orbit_table(generators, rel, weights, reach, unit):
     """The (N1, N2, r) orbit table of ``_symmetry_table`` for one or two
     commuting generators, each (permutation, the exact isometries of its
     powers), or None where the group they generate does not keep the atoms
-    and their quadrature weights within the tolerances.  ``free`` takes one
-    generator of order 2 and refuses it where it fixes an atom.  The weight
-    is not read: ``_symmetry_table`` asks that apart."""
+    and their quadrature weights within the tolerances.  The weight is not
+    read: ``_symmetry_table`` asks that apart."""
     n = len(rel)
     label = np.arange(n)
     for perm, maps in generators:
@@ -1110,7 +1102,6 @@ def _orbit_table(generators, rel, weights, reach, unit, free=False):
         axis=(0, 1))
     expected = np.einsum("abij,oj->aboi", maps, rel[reps])
     if (orbit_sizes.sum() != n
-            or (free and np.any(orbit_sizes != 2))
             or np.max(np.linalg.norm(rel[table] - expected, axis=-1)) > reach
             or np.any(np.abs(weights[table] - weights[reps])
                       > unit * weights[reps])):
@@ -1119,14 +1110,12 @@ def _orbit_table(generators, rel, weights, reach, unit, free=False):
 
 
 def _orbit_rows(supports, kernel: KernelModel, points: np.ndarray,
-                offsets: np.ndarray, table: np.ndarray, vw: np.ndarray,
-                negated: bool):
+                offsets: np.ndarray, table: np.ndarray, vw: np.ndarray):
     """The upper orbit triangle of the rows of the orbit representatives
     of the kernel matrix that ``assemble_mixed`` builds over ``supports``,
     gathered in group order: an (N1, N2, r, r) array R with R[a, b, o, p]
     = K[i_o, g_ab(i_p)] for p >= o, and the operator's invariants
-    (``_row_invariants``; ``negated`` where the group negates V w, whose
-    orbits then add nothing to the trace).
+    (``_row_invariants``).
 
     A symmetric, G-invariant K gives R[g, p, o] = R[g^-1, o, p], so the
     orbit pairs p < o are never evaluated (Allgower, Georg and Miranda):
@@ -1156,7 +1145,7 @@ def _orbit_rows(supports, kernel: KernelModel, points: np.ndarray,
     s = np.sqrt(np.abs(vw))
     shift = int(np.frexp(np.max(s))[1])
     s = np.ldexp(s, -shift)
-    orbits = (s[reps], 0.0 * norms if negated else norms, norms, s[table],
+    orbits = (s[reps], norms, s[table],
               np.sign(vw[table]) * (2.0 / stabilisers), shift)
     shape = table.shape[:2] + (r, r)
     out = np.empty(max(len(points) ** 2, int(np.prod(shape))))
@@ -1208,10 +1197,10 @@ def _row_invariants(values: np.ndarray, o0: int, p0: int,
     and 2^2e, and e, the exponent of its largest |entry|, as
     ``BlockOperator.invariants`` holds them.  ``values[i, a, b, j]`` =
     K[i_o, g_ab(i_p)] for the orbits o = o0 + i and p = p0 + j, and
-    ``orbits`` are (s_o, trace_o, norm_o, s_abp, weight_abp, shift): per
+    ``orbits`` are (s_o, weight_o, s_abp, weight_abp, shift): per
     representative and per atom of the orbit table, sqrt|V w| = s 2^shift;
-    per representative, its trace and norm weights; per atom of the table,
-    its column weight.
+    per representative, its row weight; per atom of the table, its column
+    weight.
 
     They hold for the scaled operator and for the fold alike: the trace is
     sum_i vw_i K_ii and the squared norm sum_ij vw_i vw_j K_ij^2.  The sum
@@ -1220,15 +1209,14 @@ def _row_invariants(values: np.ndarray, o0: int, p0: int,
     in o and p: an orbit pair counts twice where p > o, once where p = o,
     and not at all where p < o, in the leading square of a block.  Each
     row is summed with the column weights of p > o, sign(V w) 2 /
-    |stabiliser of p|, and corrected on that square; the norm weight of a
-    row is sign(V w) |O_o|.  The trace takes each orbit's self entry
-    |O_o| times, or 0 times where the group negates V w, whose characters
-    sum to 0 over the orbit.  They are taken before the transform, so the
-    check covers the transform, the scaling and the fold as well as the
-    solves.  The per-entry work is a handful of passes over the block, and
-    none of it runs on BLAS, whose own threads would take the cores of the
-    pool's other workers."""
-    s_rows, trace_rows, norm_rows, s_cols, w_cols, shift = orbits
+    |stabiliser of p|, and corrected on that square; the row weight is
+    sign(V w) |O_o|, and the trace takes each orbit's self entry with it.
+    They are taken before the transform, so the check covers the
+    transform, the scaling and the fold as well as the solves.  The
+    per-entry work is a handful of passes over the block, and none of it
+    runs on BLAS, whose own threads would take the cores of the pool's
+    other workers."""
+    s_rows, w_rows, s_cols, w_cols, shift = orbits
     k, p1 = len(values), p0 + values.shape[-1]
     m = values * s_cols[:, :, p0:p1]
     m *= s_rows[o0:o0 + k, None, None, None]
@@ -1236,7 +1224,7 @@ def _row_invariants(values: np.ndarray, o0: int, p0: int,
                                 -m.min(initial=0.0)))[1])
     np.ldexp(m, -exponent, out=m)
     own = p0 == o0
-    trace = float(trace_rows[o0:o0 + k] @ np.diagonal(m[:, 0, 0, :k])
+    trace = float(w_rows[o0:o0 + k] @ np.diagonal(m[:, 0, 0, :k])
                   ) if own else 0.0
     m *= m
     weight = w_cols[:, :, p0:p1]
@@ -1244,7 +1232,7 @@ def _row_invariants(values: np.ndarray, o0: int, p0: int,
     if own:
         lead = np.einsum("iabj,abj->ij", m[..., :k], weight[..., :k])
         rows -= np.tril(lead, -1).sum(axis=1) + 0.5 * np.diagonal(lead)
-    return trace, float(norm_rows[o0:o0 + k] @ rows), exponent + 2 * shift
+    return trace, float(w_rows[o0:o0 + k] @ rows), exponent + 2 * shift
 
 
 def assemble_mixed(supports, kernel: KernelModel) -> BlockOperator:
@@ -1265,9 +1253,11 @@ def assemble_mixed(supports, kernel: KernelModel) -> BlockOperator:
     ``_support_rows``; a measure's takes pointwise kernel values closed by
     its cell's self coefficient; every cross block is plain kernel values.
     A measure atom within one cell diagonal of a curve node is refused:
-    such near-singular blocks are unresolved.  So is a weight that is not
-    0 but whose V w all flush to 0 (``_underflow``), before any path is
-    taken: its operator is not the zero one.
+    such near-singular blocks are unresolved.  So is an atom that two
+    supports share, where the kernel is infinite (``_check_shared_atoms``),
+    and a weight that is not 0 but whose V w all flush to 0
+    (``_underflow``): its operator is not the zero one.  Each refusal comes
+    before any path is taken.
 
     Only the rows of one representative per orbit are assembled, and of
     those only the orbit pairs p >= o, about n^2/(2|G|) entries
@@ -1283,17 +1273,16 @@ def assemble_mixed(supports, kernel: KernelModel) -> BlockOperator:
     storage of the transform where it has every orbit.  A real
     character's block is real; a complex one stands for its conjugate pair
     as the real form [[Re B, -Im B], [Im B, Re B]], whose eigenvalues are
-    B's, each twice.  Where the group negates V, its two real blocks S and
-    Q are factored and coupled instead (``_coupling``), and the operator is
-    that one coupling block.  For the trivial group the transform is the
-    identity: R is the kernel matrix, and its one block is the whole
-    operator, scaled or folded in R's storage.
+    B's, each twice.  For the trivial group the transform is the identity:
+    R is the kernel matrix, and its one block is the whole operator,
+    scaled or folded in R's storage.
     """
     supports = list(supports)
     points, weights, values, offsets = _layout(supports)
-    table, negated, band = _symmetry_table(supports, points, weights,
-                                           values, offsets)
     _check_separation(supports)
+    _check_shared_atoms(points, offsets)
+    table, band = _symmetry_table(supports, points, weights, values,
+                                  offsets)
     vw = values * weights
     if np.any(values) and not np.any(vw):
         raise _underflow()
@@ -1310,20 +1299,12 @@ def assemble_mixed(supports, kernel: KernelModel) -> BlockOperator:
     fixed = (table == reps).astype(float)
     norm = np.sqrt(1.0 / fixed.sum(axis=(0, 1)))
     gathered, invariants = _orbit_rows(supports, kernel, points, offsets,
-                                       table, vw, negated)
+                                       table, vw)
     characters = _character_sums(gathered)
     del gathered
     n_last = characters.shape[1]
     characters = characters.reshape(-1, r, r)
     v_reps, w_reps = values[reps], weights[reps]
-    if negated:
-        even, odd = characters
-        _hermitian_upper(even, norm)
-        _hermitian_upper(odd, norm)
-        coupling = _coupling(even, odd, v_reps * w_reps, w_reps)
-        return BlockOperator(blocks=(CouplingMatrix(entries=coupling),),
-                             singles=np.empty(0), invariants=invariants,
-                             n=len(points), signed_flag=True)
     # the orbits in each character's block: those whose stabiliser it is
     # trivial on; the characters that share them are taken together
     member = np.abs(_character_sums(fixed)).reshape(-1, r) > 0.5
@@ -1373,7 +1354,7 @@ def _banded(support, kernel: KernelModel, vw: np.ndarray, orbit: np.ndarray,
 
     The modes above b are dropped: by Weyl's inequality they move each
     eigenvalue by at most max kappa sum |u^_dropped|.  The band is taken
-    only where that bound is within ``_SYMMETRY_ULPS`` n eps of sqrt(F / n),
+    only where that bound is within ``_tolerance_unit(n)`` of sqrt(F / n),
     F the squared Frobenius norm, since the spectral radius is at least
     ||A||_F / sqrt(n), and only where every kappa_m is positive: that is the
     kernel matrix positive definite, which the fold needs.  Otherwise the
@@ -1431,10 +1412,9 @@ def _circulant(support, kernel: KernelModel, orbit: np.ndarray,
 def _truncation_bound(invariants: tuple[float, float, int], n: int) -> float:
     """How far, in the units of ``invariants``, a structured block may move
     the eigenvalues of an operator of order n by what it drops:
-    ``_SYMMETRY_ULPS`` n eps times sqrt(F / n), F the squared Frobenius
+    ``_tolerance_unit(n)`` times sqrt(F / n), F the squared Frobenius
     norm, since the spectral radius is at least ||A||_F / sqrt(n)."""
-    return _SYMMETRY_ULPS * n * np.finfo(float).eps * np.sqrt(
-        max(invariants[1], 0.0) / n)
+    return _tolerance_unit(n) * np.sqrt(max(invariants[1], 0.0) / n)
 
 
 def _band_storage(kappa: np.ndarray, coefficients: np.ndarray,
@@ -1643,47 +1623,6 @@ def _real_fourier(x: np.ndarray, axis: int) -> np.ndarray:
     if n % 2 == 0:
         out[-1] *= np.sqrt(0.5)
     return np.moveaxis(out, 0, axis)
-
-
-def _coupling(even: np.ndarray, odd: np.ndarray, vw: np.ndarray,
-              weights: np.ndarray) -> np.ndarray:
-    """The coupling M = L_S^T diag(V w) L_Q of the even and odd blocks S
-    and Q of a kernel matrix whose symmetry negates V w, both given by
-    their upper triangles, diagonal included, and overwritten: S = L_S
-    L_S^T and Q = L_Q L_Q^T are factored in place (``_cholesky_in_place``),
-    diag(V w) scales the rows of L_S's storage, and M is written over Q's
-    storage and returned.  Either block not positive definite raises the
-    fold's ``InvalidArgumentError`` naming the node spacing.
-
-    The product runs over ``_FOLD_COLUMNS`` square tiles, each column of
-    tiles c from the top down.  The tile (r, c) sums L_S[k, r]^T L_Q[k, c]
-    over the row tiles k >= max(r, c) alone (indices here are tiles): the
-    first of them, which holds a diagonal tile of a factor, through its
-    lower triangle, the rest as one product of two strips.  It overwrites
-    L_Q's tile (r, c), which no tile below it in the column reads."""
-    for block in (even, odd):
-        try:
-            _cholesky_in_place(block)
-        except np.linalg.LinAlgError:
-            raise _not_positive_definite(weights) from None
-    even *= vw[:, None]
-    k = len(vw)
-    lower = _upper(min(k, _FOLD_COLUMNS)).T
-    tiles = _fold_tiles(k)
-    for c, (c0, c1) in enumerate(tiles):
-        for r, (r0, r1) in enumerate(tiles):
-            s0, s1 = tiles[max(r, c)]
-            left = even[s0:s1, r0:r1]
-            right = odd[s0:s1, c0:c1]
-            if s0 == r0:
-                left = np.where(lower[:s1 - s0, :r1 - r0], left, 0.0)
-            if s0 == c0:
-                right = np.where(lower[:s1 - s0, :c1 - c0], right, 0.0)
-            tile = left.T @ right
-            if s1 < k:
-                tile += even[s1:, r0:r1].T @ odd[s1:, c0:c1]
-            odd[r0:r1, c0:c1] = tile
-    return odd
 
 
 def _compacted(square: np.ndarray, keep: np.ndarray) -> np.ndarray:

@@ -17,11 +17,6 @@ the solve consumes the operator, and a second one is refused.
   modes on an equispaced circle, is in LAPACK's lower band storage:
   ``dsbevd`` reduces it to tridiagonal form in O(n^2 b) where the dense
   solve takes O(n^3).
-* A ``CouplingMatrix`` M, the operator of a weight that its symmetry
-  negates, has eigenvalues plus and minus its singular values, which
-  ``dgesdd`` takes.  The eigenvalues of M^T M would be three times faster
-  but square the spectrum, and the singular values below about 1e-4 of
-  the largest would lose their digits to it.
 
 One resolver (``_lapack``) finds each routine by name, and one driver
 (``_lapack_solve``) runs its workspace query, its solve and the check of
@@ -57,16 +52,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assemble import BandMatrix, BlockOperator, CouplingMatrix, _underflow
+from .assemble import BandMatrix, BlockOperator, _tolerance_unit, _underflow
 from .errors import InsufficientDataError, InvalidArgumentError, InternalError
 
 # relative scale below which an eigenvalue counts as a numerical zero
 _ZERO_RTOL = 1e-14
-# invariant tolerances, in units of n * eps * scale (scale = spectral radius
-# for the trace, squared Frobenius norm for the sum of squares); measured
-# clean solves stay below 0.25 of these units on curve, polygon, Cantor,
-# mixed and signed operators and below 2 on random symmetric matrices
-_INVARIANT_ULPS = 64.0
 _TRUSTED_FRACTION = 8
 # the exponent of the smallest normal double: an operator whose largest
 # entry lies below it has lost digits in every entry
@@ -132,26 +122,22 @@ def eigensolve(op: BlockOperator) -> Spectrum:
 
     No eigenvectors are computed.  One pass over ``op.blocks`` solves each
     block by its kind, with no check of its own: an ``OperatorMatrix`` by
-    its upper triangle (``_eigvalsh_upper``), a ``BandMatrix`` by its band
-    storage (``_band_eigenvalues``), and a ``CouplingMatrix`` as plus and
-    minus its singular values (``_singular_values``).  The union of these
-    eigenvalues and the singles must reproduce the
-    trace and the squared Frobenius norm of the whole operator, which it
-    carries, to within 64 n eps times the spectral radius and the squared
-    norm.  A violation raises ``InternalError`` naming both errors, and so
-    does a solve that LAPACK reports failed.  An unsigned operator
-    (nonnegative weight) is positive semidefinite on a resolved mesh: a
-    least eigenvalue below -64 n eps times the spectral radius raises
-    ``InvalidArgumentError`` (exit 2), and so does an operator whose
-    largest entry is subnormal.  Eigenvalues below 1e-14 of the spectral
+    its upper triangle (``_eigvalsh_upper``) and a ``BandMatrix`` by its
+    band storage (``_band_eigenvalues``).  The union of these eigenvalues
+    and the singles must reproduce the trace and the squared Frobenius
+    norm of the whole operator, which it carries, to within the tolerance
+    unit 64 n eps (``_tolerance_unit``) times the spectral radius and the
+    squared norm.  A violation raises ``InternalError`` naming both
+    errors, and so does a solve that LAPACK reports failed.  An unsigned
+    operator (nonnegative weight) is positive semidefinite on a resolved
+    mesh: a least eigenvalue below -64 n eps times the spectral radius
+    raises ``InvalidArgumentError`` (exit 2), and so does an operator
+    whose largest entry is subnormal.  Eigenvalues below 1e-14 of the spectral
     radius are dropped as numerical zeros; the trusted index range is n/8.
     """
     vals = [op.singles]
     for block in op.blocks:
-        if isinstance(block, CouplingMatrix):
-            sigma = _singular_values(block.consume())
-            vals += [sigma, -sigma]
-        elif isinstance(block, BandMatrix):
+        if isinstance(block, BandMatrix):
             vals.append(_band_eigenvalues(block.consume()))
         else:
             vals.append(_eigvalsh_upper(block.consume()))
@@ -215,39 +201,33 @@ def _argument(x):
     return x
 
 
-def _lapack_solve(name: str, what: str, args: tuple,
-                  iwork: int | None = None) -> bool:
+def _lapack_solve(name: str, what: str, args: tuple) -> bool:
     """Run LAPACK's ``name`` on ``args``, its arguments up to the
     workspace, and return True, or False where the routine is missing.
 
-    The routine runs twice: as a workspace query, then with the workspace
-    the query asks for (the minimal one runs slower).  After ``args`` come
-    work, lwork and iwork, then liwork where ``iwork`` is None (its length
-    from the query; otherwise iwork has ``iwork`` entries and no liwork is
-    passed), then info and the length of each character argument.  An info
-    other than 0 raises ``InternalError``: "<what> failed: LAPACK <name>
-    info = <info>"."""
+    The routine runs twice: as a workspace query, then with the workspaces
+    the query asks for (the minimal ones run slower).  After ``args`` come
+    work, lwork, iwork, liwork and info, then the length of each character
+    argument.  An info other than 0 raises ``InternalError``: "<what>
+    failed: LAPACK <name> info = <info>"."""
     routine = _lapack(name)
     if routine is None:
         return False
     head = [_argument(x) for x in args]
     lengths = [ctypes.c_size_t(1) for x in args if isinstance(x, bytes)]
 
-    def call(work: np.ndarray, lwork: int, iw: np.ndarray, liwork: int):
+    def call(work: np.ndarray, lwork: int, iwork: np.ndarray, liwork: int):
         info = ctypes.c_int64(0)
-        tail = [work, lwork, iw] + ([liwork] if iwork is None else [])
-        routine(*head, *map(_argument, tail), ctypes.pointer(info), *lengths)
+        routine(*head, *map(_argument, (work, lwork, iwork, liwork)),
+                ctypes.pointer(info), *lengths)
         if info.value != 0:
             raise InternalError("%s failed: LAPACK %s info = %d"
                                 % (what, name, info.value))
 
-    work = np.empty(1)
-    iw = np.empty(1 if iwork is None else iwork, dtype=np.int64)
-    call(work, -1, iw, -1)
-    lwork = int(work[0])
-    if iwork is None:
-        iw = np.empty(int(iw[0]), dtype=np.int64)
-    call(np.empty(lwork), lwork, iw, len(iw))
+    work, iwork = np.empty(1), np.empty(1, dtype=np.int64)
+    call(work, -1, iwork, -1)
+    lwork, liwork = int(work[0]), int(iwork[0])
+    call(np.empty(lwork), lwork, np.empty(liwork, dtype=np.int64), liwork)
     return True
 
 
@@ -298,33 +278,6 @@ def _band_eigenvalues(ab: np.ndarray) -> np.ndarray:
         return np.linalg.eigvalsh(m, UPLO="U")
     except np.linalg.LinAlgError as exc:
         raise InternalError("band eigensolve failed: %s" % exc) from None
-
-
-def _singular_values(m: np.ndarray) -> np.ndarray:
-    """Singular values of the square C-contiguous float64 ``m``; ``m`` is
-    overwritten.
-
-    Fortran reads the C storage as m^T, whose singular values are m's:
-    ``dgesdd`` with jobz 'N' takes it in place, no copy made.  Without the
-    routine, NumPy's ``svd`` solves a copy.  A failed solve raises
-    ``InternalError`` naming LAPACK's info.
-    """
-    n = len(m)
-    vals = np.empty(n)
-    if _lapack_solve("dgesdd", "singular value solve",
-                     (b"N", n, n, m, max(1, n), vals, None, 1, None, 1),
-                     iwork=8 * n):
-        return vals
-    try:
-        return np.linalg.svd(m, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise InternalError("singular value solve failed: %s" % exc) from None
-
-
-def _tolerance_unit(n: int) -> float:
-    """n eps times ``_INVARIANT_ULPS``: the relative tolerance unit of an
-    order-n eigensolve."""
-    return _INVARIANT_ULPS * n * np.finfo(float).eps
 
 
 def _invariant_errors(invariants: tuple[float, float, int],

@@ -91,7 +91,7 @@ def two_circle_spectra(two_circle_meshes, unit_weight, kernel):
 def trivial_table(supports, points, *rest):
     """``_symmetry_table``'s answer for the trivial group {e}: every atom
     its own orbit, and no band."""
-    return np.arange(len(points))[None, None], False, None
+    return np.arange(len(points))[None, None], None
 
 
 def assemble_dense(supports, kernel) -> assemble.BlockOperator:

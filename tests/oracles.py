@@ -43,7 +43,8 @@ elementwise expressions, so the two agree bit for bit.
 ``assemble_mixed_pairs`` is ``assemble_mixed`` as it was before the
 threaded pass, on its list of (support, weight) blocks: every diagonal
 kernel block built on its own and copied into a second matrix, each cross
-block one ``profile`` call on all its pairs, and the scaling of all n^2
+block one ``profile`` call on all its pairs (refused, as the package
+refuses it, where two supports share an atom), and the scaling of all n^2
 entries followed by a row-by-row mirror (the package's fold, which returns
 an upper triangle, is mirrored the same way).  Its diagonal blocks come
 from the ``*_pairs`` oracles above.
@@ -483,6 +484,10 @@ def assemble_mixed_pairs(supports, kernel) -> OperatorMatrix:
         for j in range(i + 1, len(blocks_points)):
             sj = slice(offsets[j], offsets[j + 1])
             r = _dist_norm(blocks_points[i], blocks_points[j])
+            if np.any(r == 0.0):
+                raise InvalidArgumentError(
+                    "two supports share an atom: supports %d and %d"
+                    % (i + 1, j + 1))
             cross = kernel.profile(r)
             ktil[si, sj] = cross
             ktil[sj, si] = cross.T

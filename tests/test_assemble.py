@@ -57,7 +57,7 @@ def _kernel_rows(supports, kernel) -> np.ndarray:
     points, weights, values, offsets = assemble._layout(supports)
     table = trivial_table(supports, points)[0]
     rows, _ = assemble._orbit_rows(supports, kernel, points, offsets, table,
-                                   values * weights, False)
+                                   values * weights)
     return rows[0, 0]
 
 
@@ -633,9 +633,9 @@ def test_mixed_matches_pairs_oracle(weight, workers, kernel, monkeypatch):
     second = WeightFn.angular() if weight == "signed" else WeightFn.constant(2.0)
     supports = [(grid, WeightFn.constant(1.0)),
                 (near, WeightFn.constant(1.0)), (far, second)]
-    table, negated, band = assemble._symmetry_table(
+    table, band = assemble._symmetry_table(
         supports, *assemble._layout(supports))
-    assert table.shape[:2] == (1, 1) and not negated and band is None
+    assert table.shape[:2] == (1, 1) and band is None
     monkeypatch.setattr(assemble, "_WORKERS", workers)
     op = assemble_mixed(supports, kernel)
     expected = assemble_mixed_pairs(supports, kernel)

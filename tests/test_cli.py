@@ -535,29 +535,30 @@ def test_a_weight_the_half_turn_negates_skips_the_dense_solve(monkeypatch):
     # the benchmark's signed-weight operation, cos(t - phi) at a random
     # phase, at its smoke size, and the default cos t, which keeps its
     # reflection t -> -t: both carry the modes |m| <= 1 of C_n, and each is
-    # one band of order n, with no dsyevd and no dgesdd.  An odd weight on
-    # a rectangle, which the half turn negates, is one dgesdd of order n/2
+    # one band of order n, with no dsyevd and no fold.  An odd weight on a
+    # rectangle, which the half turn negates and no map keeps, does not
+    # skip it: the trivial group's one folded block, one dsyevd of order n
     perfbench = Path(__file__).resolve().parent.parent / "perfbench"
     monkeypatch.syspath_prepend(str(perfbench))
     workloads = importlib.import_module("workloads")
     op, = [op for op in workloads.build("curve-weyl", 0, smoke=True)
            if op.name == "signed-weight"]
-    solves = {"dsyevd": [], "dgesdd": [], "dsbevd": []}
-    counted = {"dsyevd": "_eigvalsh_upper", "dgesdd": "_singular_values",
-               "dsbevd": "_band_eigenvalues"}
-    for name, attr in counted.items():
-        def solve(m, name=name, true=getattr(spectra, attr)):
+    solves = {"dsyevd": [], "fold": [], "dsbevd": []}
+    counted = [(spectra, "dsyevd", "_eigvalsh_upper"),
+               (assemble, "fold", "_cholesky_fold"),
+               (spectra, "dsbevd", "_band_eigenvalues")]
+    for module, name, attr in counted:
+        def solve(m, *rest, name=name, true=getattr(module, attr)):
             solves[name].append(len(m))
-            return true(m)
+            return true(m, *rest)
 
-        monkeypatch.setattr(spectra, attr, solve)
+        monkeypatch.setattr(module, attr, solve)
     assert op.run().passed
-    assert solves == {"dsyevd": [], "dgesdd": [],
-                      "dsbevd": [op.config["n"]]}
+    assert solves == {"dsyevd": [], "fold": [], "dsbevd": [op.config["n"]]}
     solves["dsbevd"].clear()
     assert run_experiment(ExperimentConfig.from_dict(
         {"experiment": "signed-weight", "n": 512})).passed
-    assert solves == {"dsyevd": [], "dgesdd": [], "dsbevd": [512]}
+    assert solves == {"dsyevd": [], "fold": [], "dsbevd": [512]}
     solves["dsbevd"].clear()
     vertices = [[0.0, 0.0], [1.3, 0.0], [1.3, 0.7], [0.0, 0.7]]
     mesh = cli._polygon_mesh(vertices, 256, 3.0)
@@ -569,8 +570,60 @@ def test_a_weight_the_half_turn_negates_skips_the_dense_solve(monkeypatch):
                                "values": (x + 0.4 * y - 0.7 * x ** 3)
                                .tolist()}}}))
     assert report.passed and report.measured["n_nodes"] == mesh.n_nodes
-    assert solves == {"dsyevd": [], "dgesdd": [mesh.n_nodes // 2],
+    assert solves == {"dsyevd": [mesh.n_nodes], "fold": [mesh.n_nodes],
                       "dsbevd": []}
+
+
+def test_the_benchmark_operations_take_the_structured_blocks(monkeypatch):
+    # every operation of the benchmark at its smoke size and seed 0, and the
+    # blocks of each operator it solves: C_n's singles alone, one band, a
+    # symmetry group's blocks (Z2 x Z2 on the rectangle, Z2 on the Cantor
+    # set at two depths and on the grid and circle), or the two circles'
+    # one coupled block of low modes and a single per other mode.  No
+    # operator takes the trivial group's Cholesky fold, and the bound side
+    # solves none
+    perfbench = Path(__file__).resolve().parent.parent / "perfbench"
+    monkeypatch.syspath_prepend(str(perfbench))
+    workloads = importlib.import_module("workloads")
+    solved, folds = [], []
+    true_eigensolve = spectra.eigensolve
+    true_fold = assemble._cholesky_fold
+
+    def recorded(op):
+        solved.append(([(type(b), b.n) for b in op.blocks], len(op.singles),
+                       op.n))
+        return true_eigensolve(op)
+
+    def counted_fold(kernel_matrix, *rest):
+        folds.append(len(kernel_matrix))
+        return true_fold(kernel_matrix, *rest)
+
+    monkeypatch.setattr(spectra, "eigensolve", recorded)
+    monkeypatch.setattr(assemble, "_cholesky_fold", counted_fold)
+    group = assemble.OperatorMatrix
+    want = {"circle-weyl": [[]], "signed-weight": [[assemble.BandMatrix]],
+            "polygon-weyl": [[group] * 4],
+            "cantor-estimate": [[group] * 2, [group] * 2],
+            "two-surfaces": [[group]], "mixed-ac-singular": [[group] * 2],
+            "lower-order-decay": [[]], "covering-uniform": [],
+            "covering-cantor": [], "covering-dyadic": []}
+    names = []
+    for workload in workloads.WORKLOADS:
+        for op in workloads.build(workload, 0, smoke=True):
+            solved.clear()
+            assert op.check(op.run(), None) == [], op.name
+            assert [[kind for kind, _ in blocks]
+                    for blocks, _, _ in solved] == want[op.name], op.name
+            for blocks, singles, n in solved:
+                # every mode counted once, each group block below n
+                assert sum(order for _, order in blocks) + singles == n
+                assert all(order < n for kind, order in blocks
+                           if kind is group), op.name
+            assert (solved[0][1] > 0 if op.name in (
+                "circle-weyl", "two-surfaces", "lower-order-decay")
+                else all(singles == 0 for _, singles, _ in solved)), op.name
+            names.append(op.name)
+    assert sorted(names) == sorted(want) and folds == []
 
 
 def _reports_info_1(*args):
@@ -603,19 +656,19 @@ def test_failed_eigensolve_exits_4(path, tmp_path, capsys, monkeypatch):
     assert not list(tmp_path.iterdir())
 
 
-def test_a_perturbed_singular_value_exits_4(tmp_path, capsys, monkeypatch):
+def test_a_perturbed_fold_eigenvalue_exits_4(tmp_path, capsys, monkeypatch):
     # a signed-weight config at n = 128 whose weight the half turn negates,
-    # cos(t - 1.234) plus an odd square wave, with modes up to n/2: its
-    # coupling block's largest singular value solved wrong fails the
-    # invariant check
-    true_singular_values = spectra._singular_values
+    # cos(t - 1.234) plus an odd square wave, with modes up to n/2 and no
+    # map that keeps it: its one folded block's largest eigenvalue solved
+    # wrong fails the invariant check
+    true_eigvalsh = spectra._eigvalsh_upper
 
-    def first_shifted(m):
-        vals = true_singular_values(m)
-        vals[0] *= 1.0 + 1e-6
+    def last_shifted(m):
+        vals = true_eigvalsh(m)
+        vals[-1] *= 1.0 + 1e-6
         return vals
 
-    monkeypatch.setattr(spectra, "_singular_values", first_shifted)
+    monkeypatch.setattr(spectra, "_eigvalsh_upper", last_shifted)
     t = 2.0 * np.pi * np.arange(128) / 128
     square = np.sign(np.sin(t)) * (np.abs(np.sin(t)) > 1e-9)
     cfg = tmp_path / "cfg.json"
@@ -629,6 +682,31 @@ def test_a_perturbed_singular_value_exits_4(tmp_path, capsys, monkeypatch):
     assert err.startswith("error: internal check failed: eigenvalues "
                           "violate the matrix invariants: trace error ")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_supports_that_share_an_atom_exit_2_naming_it(tmp_path, capsys):
+    # two unit circles about the origin share every node, where K_0(0) is
+    # infinite: refused before any path is taken, naming the atom, and so
+    # are two measures that share their atoms
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "experiment": "two-surfaces",
+        "params": {"radius_1": 1.0, "radius_2": 1.0, "center_2": [0.0, 0.0]}}))
+    assert main(["run", "--config", str(cfg), "--out",
+                 str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: two supports share an atom: supports 1 "
+                          "and 2 at (")
+    assert "kernel between them is infinite" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    cantor = make_cantor_measure(3)
+    with pytest.raises(InvalidArgumentError,
+                       match=r"supports 1 and 3 at \(0\.0185185, 0\)"):
+        assemble.assemble_mixed(
+            [(cantor, WeightFn.constant(1.0)),
+             (make_smooth_curve(Circle(center=(0.5, 5.0)), 16),
+              WeightFn.constant(1.0)),
+             (cantor, WeightFn.constant(2.0))], reference_kernel())
 
 
 def test_a_perturbed_band_eigenvalue_exits_4(tmp_path, capsys, monkeypatch):

@@ -12,10 +12,9 @@ from hypothesis import strategies as st
 
 import critspec
 from critspec import assemble, asymptotics, spectra
-from critspec.assemble import (BandMatrix, BlockOperator, CouplingMatrix,
-                               OperatorMatrix, WeightFn,
-                               assemble_curve_operator, assemble_mixed,
-                               make_cell_grid)
+from critspec.assemble import (BandMatrix, BlockOperator, OperatorMatrix,
+                               WeightFn, assemble_curve_operator,
+                               assemble_mixed, make_cell_grid)
 from critspec.errors import (InsufficientDataError, InternalError,
                              InvalidArgumentError)
 from critspec.geometry import (Circle, Ellipse, SingularMeasure, Star,
@@ -25,8 +24,9 @@ from critspec.kernels import lower_order_kernel, reference_kernel
 from critspec.spectra import Spectrum, counting, eigensolve, weyl_fit
 
 from conftest import UNIT_SQUARE, assemble_dense, circle_exact_eigenvalues
-from oracles import (assemble_mixed_pairs, one_block, upper_invariants,
-                     upper_invariants_rows)
+import oracles
+from oracles import (assemble_mixed_pairs, cholesky_fold_full, one_block,
+                     upper_invariants, upper_invariants_rows)
 
 
 def _signed(m) -> BlockOperator:
@@ -258,8 +258,9 @@ def test_eigensolve_makes_no_matrix_copy():
 
 def _supports(n: int) -> dict:
     """Unsigned curve, polygon, Cantor and mixed supports, a signed circle
-    (a band), an odd weight on a rectangle (a coupling) and two circles at
-    an angle (a coupled block), each with about n unknowns."""
+    (a band), an odd weight on a rectangle (the trivial group's fold) and
+    two circles at an angle (a coupled block), each with about n
+    unknowns."""
     circle = make_smooth_curve(Circle(radius=1.0), n)
     small = make_smooth_curve(Circle(center=(0.5, 0.5), radius=0.25), 64)
     grid = make_cell_grid((0.5, 0.5), 1.0, 2.0 / np.sqrt(n),
@@ -460,7 +461,12 @@ def test_circulant_solve_matches_the_dense_solve(radius, center, half_n,
     mesh = make_smooth_curve(Circle(center=center, radius=radius), n)
     op = _assert_reduced_matches_dense([(mesh, WeightFn.constant(value))],
                                        kern)
-    assert op.blocks == () and len(op.singles) == n
+    if value and not np.any(value * mesh.weights):
+        # V w flushes to 0 (value 5e-324): refused before any path is
+        # taken, as the oracle refuses it
+        assert op is None
+    else:
+        assert op.blocks == () and len(op.singles) == n
 
 
 def _symmetric_weight(values, n: int) -> np.ndarray:
@@ -551,9 +557,9 @@ def test_a_near_symmetry_is_refused(support, group):
     # vertex or atom leaves the trivial group, and one block of order n
     supports = [(support, WeightFn.constant(1.0))]
     points, weights, values, offsets = assemble._layout(supports)
-    table, negated, band = assemble._symmetry_table(supports, points,
-                                                    weights, values, offsets)
-    assert table.shape[:2] == group and not negated and band is None
+    table, band = assemble._symmetry_table(supports, points, weights,
+                                           values, offsets)
+    assert table.shape[:2] == group and band is None
     op = _assert_reduced_matches_dense(supports, reference_kernel())
     assert _reduced(op) == (group != (1, 1))
 
@@ -573,10 +579,9 @@ def test_the_symmetry_table_is_never_none(supports):
     # 1.5 + cos(t - 0.3) on an equispaced circle, carries the modes |m| <= 1
     # of C_n and is solved as one band, the others as one block of order n
     points, weights, values, offsets = assemble._layout(supports)
-    table, negated, band = assemble._symmetry_table(supports, points,
-                                                    weights, values, offsets)
+    table, band = assemble._symmetry_table(supports, points, weights,
+                                           values, offsets)
     assert np.array_equal(table, np.arange(len(points))[None, None])
-    assert not negated
     op = _assert_reduced_matches_dense(supports, reference_kernel())
     if len(points) == 64:
         assert band[1] == 1 and _kinds(op) == [(BandMatrix, 64)]
@@ -609,7 +614,9 @@ def test_a_near_circle_takes_the_circulant_solve_only_inside_the_check(
 
 
 def test_the_circulant_tolerance_is_the_solve_tolerance():
-    assert assemble._SYMMETRY_ULPS == spectra._INVARIANT_ULPS
+    # one tolerance unit, defined once in assemble and read by spectra
+    assert spectra._tolerance_unit is assemble._tolerance_unit
+    assert assemble._tolerance_unit(512) == 64.0 * 512 * np.finfo(float).eps
 
 
 def test_a_perturbed_circulant_eigenvalue_fails_the_check(monkeypatch):
@@ -655,8 +662,8 @@ def test_a_perturbed_block_eigenvalue_fails_the_check(monkeypatch):
 @pytest.mark.parametrize("signed", [False, True],
                          ids=["scaling", "fold"])
 def test_a_wrong_scaling_or_fold_fails_the_check(signed, monkeypatch):
-    # a weight that no map keeps or negates, with modes up to n/2, so no
-    # band: one block of order n, whose invariants come from its kernel rows
+    # a weight that no map keeps, with modes up to n/2, so no band: one
+    # block of order n, whose invariants come from its kernel rows
     # before the scaling or the fold, so one entry finished wrong fails the
     # check like a wrong eigenvalue
     mesh = make_smooth_curve(Circle(radius=1.0), 64)
@@ -699,7 +706,7 @@ def test_a_complex_pair_counts_its_eigenvalues_twice():
 
 
 # ---------------------------------------------------------------------------
-# a weight that its symmetry negates
+# a weight that a map negates and no map keeps: the trivial group's fold
 # ---------------------------------------------------------------------------
 
 def _odd_in(offsets: np.ndarray, coefficients) -> np.ndarray:
@@ -717,8 +724,8 @@ def _negated_supports(draw):
     on equispaced circles (odd harmonics, cos(t - phi) among them) and on
     rectangles, x -> 1 - x on the Cantor set.  The circles' weights carry
     modes past ``assemble._BAND_MODES`` on 16 nodes or more, so that they
-    reach the coupling block rather than the band: the harmonics through an
-    odd square wave.  On 8 to 14 nodes they may take the band."""
+    reach the fold rather than the band: the harmonics through an odd
+    square wave.  On 8 to 14 nodes they may take the band."""
     kind = draw(st.sampled_from(["harmonics", "table", "rectangle",
                                  "cantor"]))
     coefficient = st.floats(min_value=-2.0, max_value=2.0)
@@ -760,35 +767,50 @@ def _negated_supports(draw):
     return [(measure, WeightFn.tabulated(0.5 * (values - values[::-1])))]
 
 
+def _full_product_fold(kernel_matrix: np.ndarray, v_vals: np.ndarray,
+                       weights: np.ndarray) -> np.ndarray:
+    """``oracles.cholesky_fold_full`` with the fold's refusal of a kernel
+    matrix that is not positive definite: the dense oracle's fold, in
+    place of the package's blocked one, for the tests of the fold."""
+    try:
+        return cholesky_fold_full(kernel_matrix, v_vals, weights)
+    except np.linalg.LinAlgError:
+        raise assemble._not_positive_definite(weights) from None
+
+
 @settings(max_examples=40, deadline=None)
 @given(supports=_negated_supports())
-def test_a_negated_weight_is_solved_as_singular_values(supports):
-    # the spectrum of the coupling block's singular values is the dense
-    # fold's within 64 n eps of the spectral radius; one value moved by
-    # 1e-9 of max |V|, or by one step where that rounds away (subnormal
-    # V), is no longer negated by any map
-    op = _assert_reduced_matches_dense(supports, reference_kernel())
-    assert _reduced(op)
-    (support, weight), = supports
-    values = weight.table.copy()
-    values[0] = max(values[0] + 1e-9 * np.max(np.abs(values)),
-                    np.nextafter(values[0], np.inf))
-    moved = [(support, WeightFn.tabulated(values))]
-    assert not assemble._symmetry_table(moved, *assemble._layout(moved))[1]
+def test_a_negated_weight_is_solved_by_the_fold(supports):
+    # no map keeps the weight: where it takes no band, its table is the
+    # trivial group's and its operator the one folded block of order n,
+    # whose spectrum is the dense oracle's, full-product fold and all,
+    # within 64 n eps of the spectral radius, or whose refusal is the
+    # oracle's
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracles, "_cholesky_fold", _full_product_fold)
+        op = _assert_reduced_matches_dense(supports, reference_kernel())
+    table, band = assemble._symmetry_table(supports,
+                                           *assemble._layout(supports))
+    if op is not None and table.shape[:2] == (1, 1) and band is None:
+        assert _kinds(op) == [(OperatorMatrix, op.n)] and op.signed_flag
 
 
 def test_a_subnormal_negated_weight_underflows_on_both_paths():
-    # +-5e-324 on an 8-node circle: the kernel rows times sqrt(V w)
-    # underflow to 0, and the operator's largest entry, subnormal on the
-    # oracle's dense fold, must be read as subnormal from the rows too, on
-    # the half turn's coupling block and on the trivial group's one block
+    # +-5e-324 on an 8-node circle, a square wave of the modes 1 and 3: the
+    # kernel rows times sqrt(V w) underflow to 0, and the operator's
+    # largest entry, subnormal on the oracle's dense fold, must be read as
+    # subnormal from the rows too, on the band and on the trivial group's
+    # one folded block
     mesh = make_smooth_curve(Circle(radius=1.0), 8)
     values = np.repeat([5e-324, -5e-324], 4)
     supports = [(mesh, WeightFn.tabulated(values))]
     assert assemble._symmetry_table(supports,
-                                    *assemble._layout(supports))[1]
-    for op in (assemble_mixed(supports, reference_kernel()),
-               assemble_dense(supports, reference_kernel())):
+                                    *assemble._layout(supports))[1][1] == 3
+    ops = (assemble_mixed(supports, reference_kernel()),
+           assemble_dense(supports, reference_kernel()))
+    assert [_kinds(op) for op in ops] == [[(BandMatrix, 8)],
+                                          [(OperatorMatrix, 8)]]
+    for op in ops:
         with pytest.raises(InvalidArgumentError, match="entries underflow"):
             eigensolve(op)
     _assert_reduced_matches_dense(supports, reference_kernel())
@@ -796,10 +818,9 @@ def test_a_subnormal_negated_weight_underflows_on_both_paths():
 
 def test_the_underflow_refusal_names_the_smallest_normal_double():
     # one threshold, the smallest normal double, whatever the exponent of
-    # the largest entry: on the half turn's coupling block, on the trivial
-    # group's one block of the same operator, and on hand-made blocks whose
-    # largest entry is the least subnormal double or lies just under the
-    # threshold
+    # the largest entry: on the band, on the trivial group's one block of
+    # the same operator, and on hand-made blocks whose largest entry is the
+    # least subnormal double or lies just under the threshold
     mesh = make_smooth_curve(Circle(radius=1.0), 8)
     supports = [(mesh, WeightFn.tabulated(np.repeat([5e-324, -5e-324], 4)))]
     ops = [assemble_mixed(supports, reference_kernel()),
@@ -832,7 +853,8 @@ def _square_wave(t: np.ndarray) -> np.ndarray:
 def _odd_circle(n: int = 128, radius=1.0):
     """An equispaced circle with the weight cos(t - 1.234) plus an odd
     square wave, which the half turn negates and no map keeps, and whose
-    modes reach n/2: it is solved as one coupling block, not a band."""
+    modes reach n/2: it is solved as the trivial group's one folded block,
+    not a band."""
     mesh = make_smooth_curve(Circle(radius=radius), n)
     t = mesh.param_values
     return [(mesh, WeightFn.tabulated(np.cos(t - 1.234)
@@ -856,24 +878,33 @@ def _half_turn_cantor():
 @pytest.mark.parametrize("supports", [
     _odd_circle(), _half_turn_rectangle(), _half_turn_cantor(),
 ], ids=["circle", "rectangle", "cantor"])
-def test_a_negated_weight_is_one_coupling_block(supports):
+def test_a_negated_weight_is_one_folded_block(supports, monkeypatch):
+    # no map keeps the weight and it takes no band: the trivial group's
+    # table, and one block of order n, folded once, whose spectrum is the
+    # dense oracle's with the full-product fold within 64 n eps of the
+    # spectral radius
+    table, band = assemble._symmetry_table(supports,
+                                           *assemble._layout(supports))
+    assert table.shape[:2] == (1, 1) and band is None
+    folds = []
+    true_fold = assemble._cholesky_fold
+
+    def counted(kernel_matrix, v_vals, weights):
+        folds.append(len(kernel_matrix))
+        return true_fold(kernel_matrix, v_vals, weights)
+
+    monkeypatch.setattr(assemble, "_cholesky_fold", counted)
+    monkeypatch.setattr(oracles, "_cholesky_fold", _full_product_fold)
     op = _assert_reduced_matches_dense(supports, reference_kernel())
-    assert _kinds(op) == [(CouplingMatrix, op.n // 2)]
-    assert len(op.singles) == 0
-    # one value moved by 1e-9 of max |V|: the group is trivial, and the
-    # operator one block of order n
-    (support, weight), = supports
-    values = weight.table.copy()
-    values[1] += 1e-9 * np.max(np.abs(values))
-    assert not _reduced(assemble_mixed([(support, WeightFn.tabulated(values))],
-                                       reference_kernel()))
+    assert _kinds(op) == [(OperatorMatrix, op.n)] and len(op.singles) == 0
+    assert op.signed_flag and folds == [op.n]
 
 
 def test_a_negating_map_that_fixes_an_atom_is_not_taken():
     # sin t + sin 2t: t -> -t negates it and fixes the nodes at 0 and pi,
-    # and no other map of the detector keeps or negates it, so its table is
-    # the trivial group's; it carries the modes |m| <= 2 of C_n, and is
-    # solved as one band.  Three atoms on a line, the middle one at the
+    # and no map of the detector keeps it, so its table is the trivial
+    # group's; it carries the modes |m| <= 2 of C_n, and is solved as one
+    # band.  Three atoms on a line, the middle one at the
     # centroid, with the values -1, 0, 1: the trivial group's one block
     mesh = make_smooth_curve(Circle(), 64)
     t = mesh.param_values
@@ -884,9 +915,9 @@ def test_a_negating_map_that_fixes_an_atom_is_not_taken():
     for supports, b in (
             ([(mesh, WeightFn.tabulated(np.sin(t) + np.sin(2 * t)))], 2),
             ([(line, WeightFn.tabulated([-1.0, 0.0, 1.0]))], None)):
-        table, negated, band = assemble._symmetry_table(
+        table, band = assemble._symmetry_table(
             supports, *assemble._layout(supports))
-        assert table.shape[:2] == (1, 1) and not negated
+        assert table.shape[:2] == (1, 1)
         assert (band and band[1]) == b
         op = assemble_mixed(supports, reference_kernel())
         assert [n for kind, n in _kinds(op) if kind is BandMatrix] == (
@@ -894,17 +925,18 @@ def test_a_negating_map_that_fixes_an_atom_is_not_taken():
         assert _reduced(op) == (b is not None)
 
 
-def test_a_perturbed_singular_value_fails_the_check(monkeypatch):
+def test_a_perturbed_fold_eigenvalue_fails_the_check(monkeypatch):
+    # the odd circle's one folded block, its largest eigenvalue solved wrong
     supports = _odd_circle()
     eigensolve(assemble_mixed(supports, reference_kernel()))
-    true_singular_values = spectra._singular_values
+    true_eigvalsh = spectra._eigvalsh_upper
 
-    def first_shifted(m):
-        vals = true_singular_values(m)
-        vals[0] *= 1.0 + 1e-6
+    def last_shifted(m):
+        vals = true_eigvalsh(m)
+        vals[-1] *= 1.0 + 1e-6
         return vals
 
-    monkeypatch.setattr(spectra, "_singular_values", first_shifted)
+    monkeypatch.setattr(spectra, "_eigvalsh_upper", last_shifted)
     op = assemble_mixed(supports, reference_kernel())
     with pytest.raises(InternalError, match="trace error .* Frobenius"):
         eigensolve(op)
@@ -935,16 +967,12 @@ _FAILED_SOLVES = {
     BandMatrix: (lambda: assemble_mixed(_half_turn_circle(),
                                         reference_kernel()),
                  "dsbevd", 13, "eigvalsh", "band eigensolve"),
-    # dgesdd's arguments: jobz, m, n, a, lda, s, u, ldu, vt, ldvt, work,
-    # lwork, iwork, info, and the character length
-    CouplingMatrix: (lambda: assemble_mixed(_odd_circle(), reference_kernel()),
-                     "dgesdd", 13, "svd", "singular value solve"),
 }
 
 
 @pytest.mark.parametrize("path", ["lapack", "fallback"])
 @pytest.mark.parametrize("kind", list(_FAILED_SOLVES),
-                         ids=["dense", "band", "coupling"])
+                         ids=["dense", "band"])
 def test_a_failed_block_solve_raises_internal_error(kind, path, monkeypatch):
     build, routine, position, fallback, solve = _FAILED_SOLVES[kind]
     op = build()
@@ -962,57 +990,35 @@ def test_a_failed_block_solve_raises_internal_error(kind, path, monkeypatch):
         eigensolve(op)
 
 
-def test_the_singular_value_fallback_gives_the_same_spectrum(monkeypatch):
-    supports = _odd_circle()
-    want = eigensolve(assemble_mixed(supports, reference_kernel()))
-    monkeypatch.setattr(spectra, "_lapack", lambda name: None)
-    got = eigensolve(assemble_mixed(supports, reference_kernel()))
-    rho = want.positives[0]
-    unit = spectra._tolerance_unit(128) * rho
-    assert np.max(np.abs(got.positives - want.positives)) <= unit
-    assert np.max(np.abs(got.negatives - want.negatives)) <= unit
-
-
-def test_a_second_solve_of_a_coupling_block_is_refused():
-    op = assemble_mixed(_odd_circle(), reference_kernel())
-    eigensolve(op)
-    with pytest.raises(InvalidArgumentError, match="already eigensolved"):
-        eigensolve(op)
-    with pytest.raises(InvalidArgumentError, match="already eigensolved"):
-        op.blocks[0].consume()
-
-
-@pytest.mark.parametrize("failing", [1, 2], ids=["even", "odd"])
-def test_a_coupled_block_not_positive_definite_is_the_folds_refusal(
-        failing, monkeypatch):
-    # either block's factorisation failing gives the fold's refusal, naming
-    # the node spacing; on a radius-5 circle of 64 nodes (spacing 0.49)
-    # the dense fold refuses the same operator, and so does the band's
-    # kernel, one of whose DFT modes is not positive: cos(t - 1.234) falls
-    # back to the coupling block and keeps the fold's refusal
+def test_a_fold_not_positive_definite_is_refused_naming_the_node_spacing(
+        monkeypatch):
+    # a factorisation that fails gives the fold's refusal, naming the node
+    # spacing, and the one block of order n is factored once; on a radius-5
+    # circle of 64 nodes (spacing 0.49) a DFT mode of the band's kernel row
+    # is not positive, so cos(t - 1.234) takes the fold, which refuses it
+    # as the dense oracle does, with either fold
     supports = _odd_circle(n=64)
-    true_cholesky = assemble._cholesky_in_place
     calls = []
 
     def failing_cholesky(m):
         calls.append(len(m))
-        if len(calls) == failing:
-            raise np.linalg.LinAlgError("not positive definite")
-        true_cholesky(m)
+        raise np.linalg.LinAlgError("not positive definite")
 
     monkeypatch.setattr(assemble, "_cholesky_in_place", failing_cholesky)
     with pytest.raises(InvalidArgumentError,
                        match="under-resolved mesh: .* node spacing 0.09817"):
         assemble_mixed(supports, reference_kernel())
-    assert calls == [32] * failing
+    assert calls == [64]
     monkeypatch.undo()
     wide = _half_turn_circle(n=64, radius=5.0)
-    assert assemble._symmetry_table(wide, *assemble._layout(wide))[2]
-    for solve in (assemble_mixed, assemble_mixed_pairs):
-        with pytest.raises(InvalidArgumentError,
-                           match="under-resolved mesh: .* node spacing "
-                                 "0.4909"):
-            solve(wide, reference_kernel())
+    assert assemble._symmetry_table(wide, *assemble._layout(wide))[1]
+    refused = "under-resolved mesh: .* node spacing 0.4909"
+    with pytest.raises(InvalidArgumentError, match=refused):
+        assemble_mixed(wide, reference_kernel())
+    for fold in (assemble._cholesky_fold, _full_product_fold):
+        monkeypatch.setattr(oracles, "_cholesky_fold", fold)
+        with pytest.raises(InvalidArgumentError, match=refused):
+            assemble_mixed_pairs(wide, reference_kernel())
 
 
 # ---------------------------------------------------------------------------
@@ -1077,7 +1083,7 @@ def test_a_band_limited_weight_is_one_band_of_the_dense_spectrum(case):
     # invariants, read from the kernel row, are the oracle's
     supports, b = case
     kern = reference_kernel()
-    table, negated, band = assemble._symmetry_table(
+    table, band = assemble._symmetry_table(
         supports, *assemble._layout(supports))
     assert (band and band[1]) == (b or None)
     op = assemble_mixed(supports, kern)
@@ -1125,9 +1131,9 @@ def test_a_wide_band_weight_keeps_the_trivial_group_bit_for_bit():
     mesh = make_smooth_curve(Circle(radius=0.93), 128)
     values = np.random.default_rng(7).uniform(-1.0, 1.0, 128)
     supports = [(mesh, WeightFn.tabulated(values))]
-    table, negated, band = assemble._symmetry_table(
+    table, band = assemble._symmetry_table(
         supports, *assemble._layout(supports))
-    assert table.shape == (1, 1, 128) and not negated and band is None
+    assert table.shape == (1, 1, 128) and band is None
     op = assemble_mixed(supports, reference_kernel())
     assert _kinds(op) == [(OperatorMatrix, 128)]
     got = eigensolve(op)
@@ -1151,9 +1157,9 @@ def test_a_weight_moved_by_1e_9_falls_back(n, gate):
     values[1] += 1e-9 * np.max(np.abs(values))
     moved = [(mesh, WeightFn.tabulated(values))]
     points, weights, values, offsets = assemble._layout(moved)
-    table, negated, band = assemble._symmetry_table(moved, points, weights,
-                                                    values, offsets)
-    assert table.shape[:2] == (1, 1) and not negated
+    table, band = assemble._symmetry_table(moved, points, weights, values,
+                                           offsets)
+    assert table.shape[:2] == (1, 1)
     if gate == "modes":
         assert band is None
     else:
@@ -1171,12 +1177,12 @@ def test_a_weight_moved_by_1e_9_falls_back(n, gate):
 
 def test_a_band_whose_kernel_is_not_positive_definite_falls_back():
     # a radius-5 circle of 64 nodes, spacing 0.49: a DFT mode of the kernel
-    # row is not positive, so cos(t - 1.234) takes the half turn's coupling
-    # block, whose factorisation keeps the fold's refusal and its exit 2
+    # row is not positive, so cos(t - 1.234) takes the trivial group's fold,
+    # whose factorisation keeps its refusal and its exit 2
     supports = _half_turn_circle(n=64, radius=5.0)
     points, weights, values, offsets = assemble._layout(supports)
     band = assemble._symmetry_table(supports, points, weights, values,
-                                    offsets)[2]
+                                    offsets)[1]
     assert band[1] == 1
     assert assemble._banded(supports[0][0], reference_kernel(),
                             values * weights, *band) is None
@@ -1482,27 +1488,27 @@ def _circles_off_the_axes():
 
 
 _ORBIT_SUPPORTS = {
-    "rectangle": (_rectangle, (2, 2), False),
-    "cos t circle": (lambda: _circle(WeightFn.angular()), (1, 2), False),
-    "half-turn circle": (lambda: _half_turn_circle(n=256), (1, 2), True),
+    "rectangle": (_rectangle, (2, 2)),
+    "cos t circle": (lambda: _circle(WeightFn.angular()), (1, 2)),
+    "half-turn circle": (lambda: _half_turn_circle(n=256), (1, 1)),
     "cantor": (lambda: [(make_cantor_measure(8), WeightFn.constant(0.7))],
-               (1, 2), False),
-    "grid and circle": (_grid_and_circle, (1, 2), False),
-    "C_n circle": (lambda: _circle(WeightFn.constant(1.0)), (1, 256), False),
-    "two circles off the axes": (_circles_off_the_axes, (1, 1), False),
+               (1, 2)),
+    "grid and circle": (_grid_and_circle, (1, 2)),
+    "C_n circle": (lambda: _circle(WeightFn.constant(1.0)), (1, 256)),
+    "two circles off the axes": (_circles_off_the_axes, (1, 1)),
 }
 
 
 def _orbit_inputs(name):
     """The supports of ``_ORBIT_SUPPORTS[name]`` and the arguments of
     ``assemble._orbit_rows`` after ``kernel``."""
-    make, group, negated = _ORBIT_SUPPORTS[name]
+    make, group = _ORBIT_SUPPORTS[name]
     supports = make()
     points, weights, values, offsets = assemble._layout(supports)
-    table, found_negated, _ = assemble._symmetry_table(
-        supports, points, weights, values, offsets)
-    assert table.shape[:2] == group and found_negated == negated
-    return supports, (points, offsets, table, values * weights, negated)
+    table, _ = assemble._symmetry_table(supports, points, weights, values,
+                                        offsets)
+    assert table.shape[:2] == group
+    return supports, (points, offsets, table, values * weights)
 
 
 class _CountingKernel:
@@ -1574,8 +1580,7 @@ def test_the_orbit_row_invariants_are_those_of_the_dense_operator(name):
     # the trace and the squared Frobenius norm from the upper orbit
     # triangle, before the transform, against the dense operator's: the
     # scaled kernel matrix, in the same unit, or for a signed weight the
-    # fold, whose largest entry is not the kernel's; the half turn's trace
-    # is 0, its orbits adding nothing to it
+    # fold, whose largest entry is not the kernel's
     supports, args = _orbit_inputs(name)
     _, (trace, frobenius_sq, unit) = assemble._orbit_rows(
         supports, reference_kernel(), *args)
@@ -1590,8 +1595,6 @@ def test_the_orbit_row_invariants_are_those_of_the_dense_operator(name):
     diagonal = np.ldexp(np.diagonal(dense), -want[2])
     assert abs(trace - want[0]) <= 2 * n * eps * np.sum(np.abs(diagonal))
     assert frobenius_sq == pytest.approx(want[1], rel=4 * n * eps)
-    if args[-1]:
-        assert trace == 0.0
 
 
 # ---------------------------------------------------------------------------
