@@ -99,16 +99,15 @@ nonzero spectrum.  The one fold factors the effective-kernel matrix by
 Cholesky, K = L L^T, read from K's upper triangle, and takes
 L^T diag(V w) L,  which shares the nonzero spectrum of K diag(V w) (Golub
 and Van Loan, Matrix Computations, 8.7); ``BlockOperator.signed_flag``
-records that the weight is signed.  Both steps run in K's own storage, one
-square tile of ``_FOLD_COLUMNS`` at a time: a blocked right-looking
-factorisation (ibid., 4.2) writes L into K's lower triangle, and the
-product, one column of tiles at a time, overwrites the upper one, so the
-fold allocates a few ``_FOLD_COLUMNS``^2 tiles beside K, whatever n is.
-Its BLAS work is NumPy's: SciPy's LAPACK would run on a second BLAS
-library whose buffers stay resident.  The kernel is positive definite and,
-with the windowed split of ``kernels``, so is K on every resolved support.
-A K that is not is an under-resolved mesh: the fold raises
-``InvalidArgumentError`` (exit 2) naming the largest node spacing.
+records that the weight is signed.  Both steps run in K's upper triangle
+alone: LAPACK's ``dpotrf`` (ibid., 4.2), from the OpenBLAS NumPy has
+loaded, leaves L^T there, and the product, one column of
+``_FOLD_COLUMNS`` square tiles at a time, overwrites it, so the fold
+allocates a few such tiles beside K, whatever n is.  The kernel is
+positive definite and, with the windowed split of ``kernels``, so is K on
+every resolved support.  A K that is not is an under-resolved mesh: the
+fold raises ``InvalidArgumentError`` (exit 2) naming the largest node
+spacing.
 """
 
 from __future__ import annotations
@@ -131,10 +130,10 @@ TWO_PI = 2.0 * np.pi
 # rows, split evenly over the workers: the kernel and panel-integral
 # temporaries of a block stay cache-resident
 _BLOCK_BYTES = 1 << 19
-# side of the square tiles of the Cholesky fold, in its factorisation and
-# its product alike, and so of every temporary it allocates: wide enough
-# for BLAS to run near its GEMM rate, narrow enough that the half of each
-# diagonal tile computed and then dropped stays a small share of the work
+# side of the square tiles of the Cholesky fold's product, and so of every
+# temporary it allocates: wide enough for BLAS to run near its GEMM rate,
+# narrow enough that the half of each diagonal tile computed and then
+# dropped stays a small share of the work
 _FOLD_COLUMNS = 256
 # the most Fourier modes b a weight may carry on one free orbit of C_n for
 # the operator to be solved as one band of half-width 2 b + 1 (``_banded``):
@@ -308,57 +307,64 @@ def _pairwise_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.sqrt(dx, out=dx)
 
 
-def _fold_tiles(n: int) -> list[tuple[int, int]]:
-    """Index ranges [t0, t1) of the fold's tiles along an n x n matrix:
-    ``_FOLD_COLUMNS`` wide, the last one what is left."""
-    return [(t0, min(t0 + _FOLD_COLUMNS, n))
-            for t0 in range(0, n, _FOLD_COLUMNS)]
-
-
 def _cholesky_fold(kernel_matrix: np.ndarray, v_vals: np.ndarray,
                    weights: np.ndarray) -> np.ndarray:
     """Upper triangle of L^T diag(V w) L for the Cholesky factor K = L L^T
-    of the kernel matrix, computed in K's own storage: K is read from its
-    upper triangle, L is left in the strict lower triangle and on the
-    diagonal, and the product overwrites the upper triangle, diagonal
-    included.  Every temporary is a ``_FOLD_COLUMNS`` square tile, a few
-    at a time, whatever n is.  A K that is not positive definite raises
-    ``InvalidArgumentError`` naming the node spacing (the largest weight).
+    of the C-contiguous kernel matrix, computed in K's upper triangle
+    alone, diagonal included: ``dpotrf`` with uplo 'L' reads K there (it is
+    LAPACK's lower triangle of the C storage) and leaves U = L^T there,
+    and the product overwrites U.  The strict lower triangle is neither
+    read nor written.  Every temporary is a ``_FOLD_COLUMNS`` square tile,
+    a few at a time, whatever n is.  A K that is not positive definite
+    raises ``InvalidArgumentError`` naming the node spacing (the largest
+    weight); another failure of ``dpotrf`` raises ``InternalError``.
+    Without the routine, NumPy's Cholesky factors a copy of K.
 
-    The product is computed one column tile c at a time: L is lower
-    triangular, so the tile (r, c) with r <= c sums L[k, r]^T (diag(V w)
-    L)[k, c] over the row tiles k >= c alone (indices here are tiles).
-    That is n^3 / 3 flops where the full product takes 2 n^3.  The loop
-    over k is the outer one, so each L[k, c] is scaled once and then read
-    by every tile (r, c) above the diagonal, which accumulates in place.
-    Only L's diagonal tile (c, c) is both read and overwritten, by the
-    diagonal tile of the result: it is copied first, its upper half
-    zeroed, and the result's diagonal tile is summed apart and written
-    last.
+    The product is computed one column tile c at a time, in ascending
+    order: L is lower triangular, so the tile (r, c) with r <= c sums
+    L[k, r]^T (diag(V w) L)[k, c] = U[r, k] diag(V w) U[c, k]^T over the
+    row tiles k >= c alone (indices here are tiles).  That is n^3 / 3
+    flops where the full product takes 2 n^3.  The term k = c comes first,
+    so the tile (r, c) overwrites U[r, c] before any other term is added;
+    no later term or column reads it.  The loop over k is the outer one,
+    so each U[c, k]^T is scaled once and then read by every tile (r, c)
+    above the diagonal, which accumulates in place.  U's diagonal tile
+    (c, c) is read by every tile of its column: it is copied first, its
+    lower half zeroed, and the result's diagonal tile is summed apart and
+    written last.
     """
-    try:
-        _cholesky_in_place(kernel_matrix)
-    except np.linalg.LinAlgError:
-        raise _not_positive_definite(weights) from None
+    # spectra imports this module, so its LAPACK call is imported here
+    from .spectra import _lapack_call, _lapack_failed
+    n = len(v_vals)
+    info = _lapack_call("dpotrf", (b"L", n, kernel_matrix, max(1, n)))
+    if info is None:
+        try:
+            factor = np.linalg.cholesky(kernel_matrix.T)
+        except np.linalg.LinAlgError:
+            raise _not_positive_definite(weights) from None
+        np.copyto(kernel_matrix, factor.T, where=_upper(n))
+    elif info > 0:
+        raise _not_positive_definite(weights)
+    elif info < 0:
+        raise _lapack_failed("Cholesky factorisation", "dpotrf", info)
     vw = v_vals * weights
-    n = len(vw)
     upper = _upper(min(n, _FOLD_COLUMNS))
-    tiles = _fold_tiles(n)
+    tiles = [(t0, min(t0 + _FOLD_COLUMNS, n))
+             for t0 in range(0, n, _FOLD_COLUMNS)]
     for c, (c0, c1) in enumerate(tiles):
         # the row tile k = c starts every sum, on the copy of L's diagonal tile
-        head = np.tril(kernel_matrix[c0:c1, c0:c1])
+        head = np.triu(kernel_matrix[c0:c1, c0:c1]).T
         scaled = vw[c0:c1, None] * head
         diagonal = head.T @ scaled
         for r0, r1 in tiles[:c]:
-            kernel_matrix[r0:r1, c0:c1] = (
-                kernel_matrix[c0:c1, r0:r1].T @ scaled)
+            kernel_matrix[r0:r1, c0:c1] = kernel_matrix[r0:r1, c0:c1] @ scaled
         for k0, k1 in tiles[c + 1:]:
-            below = kernel_matrix[k0:k1, c0:c1]
+            below = kernel_matrix[c0:c1, k0:k1].T
             scaled = vw[k0:k1, None] * below
             diagonal += below.T @ scaled
             for r0, r1 in tiles[:c]:
                 kernel_matrix[r0:r1, c0:c1] += (
-                    kernel_matrix[k0:k1, r0:r1].T @ scaled)
+                    kernel_matrix[r0:r1, k0:k1] @ scaled)
         np.copyto(kernel_matrix[c0:c1, c0:c1], diagonal,
                   where=upper[:c1 - c0, :c1 - c0])
     return kernel_matrix
@@ -381,49 +387,13 @@ def _not_positive_definite(weights: np.ndarray) -> InvalidArgumentError:
         "the mesh" % float(weights.max()))
 
 
-def _cholesky_in_place(m: np.ndarray) -> None:
-    """Right-looking blocked Cholesky factorisation M = L L^T (Golub and
-    Van Loan, Matrix Computations, 4.2) read from M's upper triangle, with
-    L written into the lower triangle, diagonal included.  The upper
-    triangle off the diagonal is left as scratch.  The matrix is cut into
-    ``_FOLD_COLUMNS`` square tiles, and every step reads and writes one
-    tile: NumPy's Cholesky factors each diagonal tile (the transposed
-    square, whose lower triangle is M's upper one), each tile of the panel
-    below it is the transposed tile above the diagonal times the factor's
-    inverse, and the trailing update subtracts one product of two panel
-    tiles from each tile of the trailing upper triangle, the diagonal tiles
-    through the upper mask.  NumPy exposes no in-place or triangular-solve
-    LAPACK call.  A diagonal tile that is not positive definite raises
-    ``np.linalg.LinAlgError``."""
-    n = len(m)
-    upper = _upper(min(n, _FOLD_COLUMNS))
-    tiles = _fold_tiles(n)
-    for k, (k0, k1) in enumerate(tiles):
-        square = m[k0:k1, k0:k1]
-        factor = np.linalg.cholesky(square.T)
-        np.copyto(square, factor, where=upper[:k1 - k0, :k1 - k0].T)
-        if k1 == n:
-            return
-        # L21 = A21 L11^-T, with A21 the transposed tiles right of the square
-        inverse = np.linalg.inv(factor).T
-        for r0, r1 in tiles[k + 1:]:
-            m[r0:r1, k0:k1] = m[k0:k1, r0:r1].T @ inverse
-        for c, (c0, c1) in enumerate(tiles[k + 1:], start=k + 1):
-            right = m[c0:c1, k0:k1].T
-            for r0, r1 in tiles[k + 1:c]:
-                m[r0:r1, c0:c1] -= m[r0:r1, k0:k1] @ right
-            diagonal = m[c0:c1, c0:c1]
-            np.subtract(diagonal, m[c0:c1, k0:k1] @ right, out=diagonal,
-                        where=upper[:c1 - c0, :c1 - c0])
-
-
 def _finalize(kernel_matrix: np.ndarray, v_vals: np.ndarray,
               weights: np.ndarray) -> OperatorMatrix:
     """The operator matrix for kernel matrix K, weight V and quadrature
     weights w: diag(s) K diag(s) with s = sqrt(V w) for V >= 0, the one
     fold of the module docstring otherwise.  K is read from its upper
     triangle and overwritten, and the operator is that triangle: below it
-    lies whatever K's storage held, or the fold's factor."""
+    lies whatever K's storage held."""
     if np.any(v_vals < 0.0):
         upper = _cholesky_fold(kernel_matrix, v_vals, weights)
     else:

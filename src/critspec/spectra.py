@@ -19,8 +19,10 @@ the solve consumes the operator, and a second one is refused.
   solve takes O(n^3).
 
 One resolver (``_lapack``) finds each routine by name, and one driver
-(``_lapack_solve``) runs its workspace query, its solve and the check of
-its info.
+runs it: ``_lapack_call`` calls a routine once and returns its info, and
+``_lapack_solve`` runs a solve's workspace query and the solve through it
+and checks the info.  The sign fold of ``assemble`` calls ``dpotrf``,
+which takes no workspace, through ``_lapack_call`` alone.
 
 The union of the eigenvalues is checked once against the two invariants of
 the whole operator, which the block operator carries from its kernel rows
@@ -176,9 +178,9 @@ def _checked_spectrum(vals: np.ndarray, invariants: tuple[float, float, int],
 def _lapack(name: str):
     """LAPACK's routine ``name`` from the scipy-openblas64 library NumPy
     has already loaded (64-bit integers, gfortran's hidden character
-    lengths), resolved once per name, on its first solve, or None where
+    lengths), resolved once per name, on its first call, or None where
     NumPy's build does not export it.  No second library is mapped.  No
-    argument types are set: ``_lapack_solve`` passes each argument as the
+    argument types are set: ``_lapack_call`` passes each argument as the
     routine reads it."""
     try:
         from numpy.linalg import _umath_linalg
@@ -201,34 +203,46 @@ def _argument(x):
     return x
 
 
+def _lapack_call(name: str, args: tuple) -> int | None:
+    """Run LAPACK's ``name`` once on ``args``, its arguments up to info, and
+    return the info it reports, or None where the routine is missing.
+    After ``args`` come info, then the length of each character
+    argument."""
+    routine = _lapack(name)
+    if routine is None:
+        return None
+    info = ctypes.c_int64(0)
+    routine(*map(_argument, args), ctypes.pointer(info),
+            *[ctypes.c_size_t(1) for x in args if isinstance(x, bytes)])
+    return info.value
+
+
+def _lapack_failed(what: str, name: str, info: int) -> InternalError:
+    """The error of a LAPACK call that reports ``info``: "<what> failed:
+    LAPACK <name> info = <info>"."""
+    return InternalError("%s failed: LAPACK %s info = %d" % (what, name, info))
+
+
 def _lapack_solve(name: str, what: str, args: tuple) -> bool:
     """Run LAPACK's ``name`` on ``args``, its arguments up to the
     workspace, and return True, or False where the routine is missing.
 
-    The routine runs twice: as a workspace query, then with the workspaces
-    the query asks for (the minimal ones run slower).  After ``args`` come
-    work, lwork, iwork, liwork and info, then the length of each character
-    argument.  An info other than 0 raises ``InternalError``: "<what>
-    failed: LAPACK <name> info = <info>"."""
-    routine = _lapack(name)
-    if routine is None:
-        return False
-    head = [_argument(x) for x in args]
-    lengths = [ctypes.c_size_t(1) for x in args if isinstance(x, bytes)]
-
-    def call(work: np.ndarray, lwork: int, iwork: np.ndarray, liwork: int):
-        info = ctypes.c_int64(0)
-        routine(*head, *map(_argument, (work, lwork, iwork, liwork)),
-                ctypes.pointer(info), *lengths)
-        if info.value != 0:
-            raise InternalError("%s failed: LAPACK %s info = %d"
-                                % (what, name, info.value))
+    The routine runs twice through ``_lapack_call``: as a workspace query,
+    then with the workspaces the query asks for (the minimal ones run
+    slower).  After ``args`` come work, lwork, iwork and liwork.  An info
+    other than 0 raises ``_lapack_failed(what, name, info)``."""
+    def call(*workspace) -> bool:
+        info = _lapack_call(name, args + workspace)
+        if info:
+            raise _lapack_failed(what, name, info)
+        return info is not None
 
     work, iwork = np.empty(1), np.empty(1, dtype=np.int64)
-    call(work, -1, iwork, -1)
+    if not call(work, -1, iwork, -1):
+        return False
     lwork, liwork = int(work[0]), int(iwork[0])
-    call(np.empty(lwork), lwork, np.empty(liwork, dtype=np.int64), liwork)
-    return True
+    return call(np.empty(lwork), lwork, np.empty(liwork, dtype=np.int64),
+                liwork)
 
 
 def _eigvalsh_upper(m: np.ndarray) -> np.ndarray:

@@ -333,16 +333,15 @@ def _synthetic_spd(n: int) -> np.ndarray:
 
 
 def test_fold_temporaries_are_bounded():
-    # every temporary of the fold is a _FOLD_COLUMNS square tile, a few at a
-    # time: fewer than 8 tiles (4.2 MB) at any n.  The fold on n x 256
-    # strips traced 12.7 MB at n = 2048, and on np.linalg.cholesky 1.25 n^2
-    # doubles
+    # every temporary of the whole fold, factorisation and product, is a
+    # _FOLD_COLUMNS square tile, a few at a time: fewer than 8 tiles
+    # (4.2 MB) at any n.  The fold on n x 256 strips traced 12.7 MB at
+    # n = 2048, and on np.linalg.cholesky 1.25 n^2 doubles
     bound = 8 * 8 * assemble._FOLD_COLUMNS ** 2
     for n in (2048, 3072):
         ktil = _synthetic_spd(n)
         v = np.cos(np.linspace(0.0, 2.0 * np.pi, n) - 1.0)
         w = np.full(n, 1.0 / n)
-        assert _traced_peak(assemble._cholesky_in_place, ktil.copy()) < bound
         assert _traced_peak(_cholesky_fold, ktil, v, w) < bound
 
 
@@ -355,45 +354,56 @@ def _edge_weights(kind: str, n: int) -> np.ndarray:
     return v
 
 
-@pytest.mark.parametrize("n", [1, 2, 255, 256, 257, 513])
+_EDGE_SIZES = [1, 2, 255, 256, 257, 513]
+_FALLBACK_SIZES = [1, 255, 256, 257, 513]
+
+
+@pytest.mark.parametrize(
+    "path,n", [("lapack", n) for n in _EDGE_SIZES]
+    + [("fallback", n) for n in _FALLBACK_SIZES],
+    ids=[str(n) for n in _EDGE_SIZES]
+    + ["fallback-%d" % n for n in _FALLBACK_SIZES])
 @pytest.mark.parametrize("columns", [256, 97])
 @pytest.mark.parametrize("weights", ["zeros", "negative"])
-def test_fold_edge_sizes_match_full_product_oracle(n, columns, weights,
+def test_fold_edge_sizes_match_full_product_oracle(path, n, columns, weights,
                                                    monkeypatch):
     # a single entry, fewer rows than a tile, a tile exactly, one row past
     # it and a partial last tile, on weights with exact zeros (a singular
-    # diag(V w)) and weights of one sign
+    # diag(V w)) and weights of one sign, factored by dpotrf or, without
+    # it, by NumPy's Cholesky; either reads and writes the upper triangle
+    # alone, so the NaN handed below it stays there
     monkeypatch.setattr(assemble, "_FOLD_COLUMNS", columns)
+    if path == "fallback":
+        monkeypatch.setattr(spectra, "_lapack", lambda name: None)
     ktil = _synthetic_spd(n)
     v = _edge_weights(weights, n)
     w = np.random.default_rng(2).uniform(0.5, 1.5, n) / n
-    got = _symmetric(_cholesky_fold(ktil.copy(), v, w))
+    lower = np.tri(n, k=-1, dtype=bool)
+    handed = ktil.copy()
+    handed[lower] = np.nan
+    got = _symmetric(_cholesky_fold(handed, v, w))
+    assert np.isnan(handed[lower]).all()
     want = cholesky_fold_full(ktil.copy(), v, w)
     rho = np.max(np.abs(np.linalg.eigvalsh(want)))
     assert np.max(np.abs(got - want)) <= 1e-13 * rho
+    # a K whose last pivot fails is refused, naming the node spacing
+    ktil[-1, -1] = -1.0
+    spacing = re.escape("node spacing %.4g" % float(w.max()))
+    with pytest.raises(InvalidArgumentError, match=spacing):
+        _cholesky_fold(ktil, v, w)
 
 
-def test_fold_refuses_a_kernel_matrix_that_fails_in_its_last_panel(
-        kernel, monkeypatch):
+def test_fold_refuses_a_kernel_matrix_that_fails_in_its_last_panel(kernel):
     ktil, w = _fold_kernel("circle", kernel)
     n = len(w)
     assert n > 2 * assemble._FOLD_COLUMNS
     assert np.linalg.eigvalsh(ktil)[0] > 0.0
-    # the leading block of the first two panels stays positive definite, so
-    # the first pivot to fail lies in the last panel
+    # the leading block of order n - 8 stays positive definite, so the first
+    # pivot to fail is one of the last 8, past the first two tiles
     ktil[np.arange(n - 8, n), np.arange(n - 8, n)] = -1.0
-    panels = []
-    cholesky = np.linalg.cholesky
-
-    def counted(a):
-        panels.append(len(a))
-        return cholesky(a)
-
-    monkeypatch.setattr(np.linalg, "cholesky", counted)
     spacing = re.escape("node spacing %.4g" % float(w.max()))
     with pytest.raises(InvalidArgumentError, match=spacing):
         _cholesky_fold(ktil, np.cos(np.arange(n)), w)
-    assert len(panels) == -(-n // assemble._FOLD_COLUMNS)
 
 
 def test_operator_freezes_a_view_not_the_callers_array():
@@ -829,12 +839,9 @@ def test_only_the_finished_operator_has_a_lower_triangle(
     assert not np.isnan(kernel_matrix[~lower]).any()
     assert op.signed_flag == signed
     # the finished operator is its upper triangle; below it lies what the
-    # pass left, or the fold's factor
+    # pass left, which neither the scaling nor the fold writes
     assert not np.isnan(entries[~lower]).any()
-    if signed:
-        assert not np.isnan(entries[lower]).any()
-    else:
-        assert np.array_equal(entries[lower], below, equal_nan=True)
+    assert np.array_equal(entries[lower], below, equal_nan=True)
     sp = spectra.eigensolve(op)
     assert np.isfinite(sp.positives).all() and np.isfinite(sp.negatives).all()
 
@@ -849,9 +856,11 @@ def test_fold_reads_only_the_upper_triangle(support, kernel):
     got = _cholesky_fold(nan_lower.copy(), v, w)
     want = _cholesky_fold(ktil.copy(), v, w)
     assert _same_upper(got, want)
-    # the fold keeps its factor in the lower triangle, below the operator
+    # nor does it write there: below the operator lies what it was handed
+    assert np.array_equal(want[lower], ktil[lower])
     op = assemble._finalize(nan_lower, v, w)
-    assert not np.isnan(op.entries).any()
+    assert not np.isnan(op.entries[~lower]).any()
+    assert np.isnan(op.entries[lower]).all()
     expected = assemble_mixed_pairs(
         [(_fold_case(support), WeightFn.tabulated(v))], kernel).entries
     rho = np.max(np.abs(np.linalg.eigvalsh(expected)))

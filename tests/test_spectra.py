@@ -942,11 +942,11 @@ def test_a_perturbed_fold_eigenvalue_fails_the_check(monkeypatch):
         eigensolve(op)
 
 
-def _reports_info_1(position: int):
-    """A LAPACK routine that reports info = 1 at ``position`` of its
+def _reports_info(position: int, info: int):
+    """A LAPACK routine that reports ``info`` at ``position`` of its
     arguments, in LAPACK's order."""
     def routine(*args):
-        args[position].contents.value = 1
+        args[position].contents.value = info
     return routine
 
 
@@ -954,40 +954,45 @@ def _does_not_converge(*args, **kwargs):
     raise np.linalg.LinAlgError("did not converge")
 
 
-# per block kind: an operator of one block of that kind, its LAPACK routine
-# and the position of info among the routine's arguments, its NumPy
-# fallback, and the solve a failure names
+# per case: a build of an operator of one block of the kind given, the
+# LAPACK routine that fails, the position of info among its arguments and
+# the info it reports, its NumPy fallback, and the step a failure names
 _FAILED_SOLVES = {
     # dsyevd's arguments: jobz, uplo, n, a, lda, w, work, lwork, iwork,
     # liwork, info, and the two character lengths
-    OperatorMatrix: (lambda: one_block(np.diag([2.0, 1.0, 0.5])),
-                     "dsyevd", 10, "eigvalsh", "symmetric eigensolve"),
+    "dense": (lambda: one_block(np.diag([2.0, 1.0, 0.5])), OperatorMatrix,
+              "dsyevd", 10, 1, "eigvalsh", "symmetric eigensolve"),
     # dsbevd's arguments: jobz, uplo, n, kd, ab, ldab, w, z, ldz, work,
     # lwork, iwork, liwork, info, and the two character lengths
-    BandMatrix: (lambda: assemble_mixed(_half_turn_circle(),
-                                        reference_kernel()),
-                 "dsbevd", 13, "eigvalsh", "band eigensolve"),
+    "band": (lambda: assemble_mixed(_half_turn_circle(), reference_kernel()),
+             BandMatrix, "dsbevd", 13, 1, "eigvalsh", "band eigensolve"),
+    # dpotrf's arguments: uplo, n, a, lda, info, and the character length.
+    # The fold fails in the assembly, and only an info below 0 (an illegal
+    # argument) is internal: an info above 0, or a failed NumPy fallback,
+    # is the refusal of an under-resolved mesh
+    "fold": (lambda: assemble_mixed(_odd_circle(n=64), reference_kernel()),
+             OperatorMatrix, "dpotrf", 4, -4, None, "Cholesky factorisation"),
 }
 
 
-@pytest.mark.parametrize("path", ["lapack", "fallback"])
-@pytest.mark.parametrize("kind", list(_FAILED_SOLVES),
-                         ids=["dense", "band"])
-def test_a_failed_block_solve_raises_internal_error(kind, path, monkeypatch):
-    build, routine, position, fallback, solve = _FAILED_SOLVES[kind]
-    op = build()
-    assert [type(b) for b in op.blocks] == [kind]
+@pytest.mark.parametrize("case,path", [
+    ("dense", "lapack"), ("dense", "fallback"), ("band", "lapack"),
+    ("band", "fallback"), ("fold", "lapack")])
+def test_a_failed_block_solve_raises_internal_error(case, path, monkeypatch):
+    build, kind, routine, position, info, fallback, step = (
+        _FAILED_SOLVES[case])
+    assert [type(b) for b in build().blocks] == [kind]
     if path == "lapack":
         monkeypatch.setattr(spectra, "_lapack", lambda name: (
-            _reports_info_1(position) if name == routine else None))
-        named = "LAPACK %s info = 1" % routine
+            _reports_info(position, info) if name == routine else None))
+        named = "LAPACK %s info = %d" % (routine, info)
     else:
         monkeypatch.setattr(spectra, "_lapack", lambda name: None)
         monkeypatch.setattr(np.linalg, fallback, _does_not_converge)
         named = "did not converge"
-    with pytest.raises(InternalError, match="%s failed: .*%s" % (solve,
+    with pytest.raises(InternalError, match="%s failed: .*%s" % (step,
                                                                  named)):
-        eigensolve(op)
+        eigensolve(build())
 
 
 def test_a_fold_not_positive_definite_is_refused_naming_the_node_spacing(
@@ -1000,11 +1005,13 @@ def test_a_fold_not_positive_definite_is_refused_naming_the_node_spacing(
     supports = _odd_circle(n=64)
     calls = []
 
-    def failing_cholesky(m):
-        calls.append(len(m))
-        raise np.linalg.LinAlgError("not positive definite")
+    def failing_dpotrf(uplo, n, a, lda, info, length):
+        calls.append(n.contents.value)
+        info.contents.value = 1
 
-    monkeypatch.setattr(assemble, "_cholesky_in_place", failing_cholesky)
+    true_lapack = spectra._lapack
+    monkeypatch.setattr(spectra, "_lapack", lambda name: (
+        failing_dpotrf if name == "dpotrf" else true_lapack(name)))
     with pytest.raises(InvalidArgumentError,
                        match="under-resolved mesh: .* node spacing 0.09817"):
         assemble_mixed(supports, reference_kernel())
