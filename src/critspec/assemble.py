@@ -39,16 +39,19 @@ constant weight is the case G = C_n, whose n blocks are 1 x 1, the real
 DFT of its first row.
 
 ``_symmetry_table`` is the one place that decides which group an operator
-is reduced by.  It asks two questions apart: which group keeps the atoms,
-their quadrature weights and the mesh, and which characters of that group
-the weight carries.  A signed weight that no map keeps takes the trivial
-group, and so the one fold below, whether or not some map negates it,
-unless it is a band (below).
+is reduced by, and it answers that alone: the largest group it tries that
+keeps the atoms, their quadrature weights, the mesh and the weight.  A
+signed weight that no map keeps takes the trivial group, and so the one
+fold below, whether or not some map negates it.  Each structured path
+asks its own question besides.  ``_circle_orbits`` asks the one both
+circle paths share, a question about geometry alone: whether each support
+is one free orbit of its own C_n, an equispaced circle, whatever its
+weight.
 
-On a support that is one free orbit of C_n, an equispaced circle, the
-kernel matrix is C_n-invariant whatever the weight, so in the Fourier basis
-it is diag(kappa), kappa the real DFT of one kernel row.  A weight that
-carries the modes |m| <= b alone, b from 1 to ``_BAND_MODES``, makes
+On one such circle whose weight varies, the kernel matrix is C_n-invariant
+whatever the weight, so in the Fourier basis it is diag(kappa), kappa the
+real DFT of one kernel row.  A weight that carries the modes |m| <= b
+alone, b read from its DFT and from 1 to ``_BAND_MODES``, makes
 K diag(V w) similar to diag(sqrt kappa) C(u^) diag(sqrt kappa), C(u^) the
 circulant of u^ = DFT(V w) / n, which is a real symmetric band of
 half-width 2 b + 1 in the basis (1, cos t, sin t, ..., cos (n/2) t)
@@ -58,11 +61,13 @@ n x n array and no fold: the benchmark's cos(t - phi) is b = 1.  Its
 invariants come from the row, and the band is taken only where every
 kappa_m is positive and the modes dropped below the truncation move no
 eigenvalue past the solve's tolerance unit; otherwise the operator takes
-the group of the table, as every other weight does.
+the group of ``_symmetry_table``, as every other weight does.  The band is
+asked before the table is built, and whatever n is, so a weight of few
+modes that one rotation step keeps within the tolerance takes it too.
 
 Circles that share no symmetry, each a free orbit of its own C_n_k with a
-constant weight >= 0, as two-surfaces at an angle off the axes, are the
-trivial group's case that needs no block of order n.  In each
+weight >= 0 constant on it, as two-surfaces at an angle off the axes, are
+the trivial group's case that needs no block of order n.  In each
 circle's real Fourier basis its own block is diagonal, V w kappa_k, and
 the cross blocks, taken there by two real FFT passes, decay geometrically
 between separated circles, since the kernel is analytic there.  The
@@ -154,8 +159,8 @@ def _tolerance_unit(n: int) -> float:
     defined once: the eigensolve checks its invariants in it (clean solves
     measured below 0.25 of it), a plane isometry counts as a symmetry
     within it (``_symmetry_table``), a weight's Fourier modes below it of
-    the largest are not carried (``_carried_modes``), and what a
-    structured block drops is bounded by it (``_truncation_bound``).  A
+    the largest are not carried (``_banded``), and what a structured
+    block drops is bounded by it (``_truncation_bound``).  A
     support that misses a symmetry by s of it moves its eigenvalues off
     the reduced ones by about s of the spectral radius, inside the
     solve's check."""
@@ -844,17 +849,14 @@ def _powers(perm: np.ndarray, count: int, start: np.ndarray) -> np.ndarray:
 
 
 def _symmetry_table(supports, points, weights, values, offsets):
-    """Which group reduces an operator, as two questions: which group of
-    plane isometries keeps the atoms, their quadrature weights and the
-    mesh, and which characters of that group the weight carries.  The
-    answer is (table, band).
-
-    ``table`` holds the orbits of the largest abelian group whose maps also
-    keep the weight, as an (N1, N2, r) table: entry [a, b, o] is the atom
-    that g1^a g2^b maps orbit o's representative to, the representatives
-    (the least index of each orbit) in row [0, 0].  Where no such group is
-    found, the group is the trivial one, {e}, whose table is every atom in
-    row [0, 0]: the operator is one block of order n.
+    """The group that reduces an operator: the orbits of the largest
+    abelian group of plane isometries that keeps the atoms, their
+    quadrature weights, the mesh and the weight, as an (N1, N2, r) table.
+    Entry [a, b, o] is the atom that g1^a g2^b maps orbit o's
+    representative to, the representatives (the least index of each
+    orbit) in row [0, 0].  Where no such group is found, the group is the
+    trivial one, {e}, whose table is every atom in row [0, 0]: the
+    operator is one block of order n.
 
     The maps tried are the rotations about the centroid of the atoms by
     2 pi / m, m dividing each support's count of atoms off the centroid (the
@@ -875,18 +877,14 @@ def _symmetry_table(supports, points, weights, values, offsets):
     its representative, so a near-symmetry cannot pass by small steps.  Any
     support kind and any weight is reduced when this holds.
 
-    ``band`` answers the second question for C_n: it is None, or (orbit,
-    b) where the supports are one free orbit of C_n, orbit[a] = g^a(i_0)
-    for the rotation g by 2 pi / n, and the weight carries the characters
-    (Fourier modes) |m| <= b of C_n alone, 1 <= b <= ``_BAND_MODES`` and
-    2 b + 1 < n: its real DFT along the orbit has no mode above b whose
-    magnitude exceeds ``_tolerance_unit(n)`` of the largest.  A weight
-    that the rotations keep carries the mode 0 alone, and has no band.
+    Under a constant weight the table answers a question about geometry
+    alone, which ``_circle_orbits`` asks: whether a support is one free
+    orbit of C_n, an equispaced circle.
     """
     n = len(points)
     trivial = np.arange(n)[None, None]
     if n < 2:
-        return trivial, None
+        return trivial
     unit = _tolerance_unit(n)
     center = points.mean(axis=0)
     rel = points - center
@@ -937,19 +935,11 @@ def _symmetry_table(supports, points, weights, values, offsets):
         return table
 
     @functools.cache
-    def rotation(m):
-        return match(_rotation(TWO_PI / m))
-
     def turn(m):
-        return keeps(rotation(m))
+        return keeps(match(_rotation(TWO_PI / m)))
 
     args = (rel, weights, reach, unit)
     off = np.linalg.norm(rel, axis=1) > reach
-    band = None
-    if (len(supports) == 1 and off.all() and rotation(n) is not None
-            and turn(n) is None):
-        band = _carried_modes(_orbit_table([(rotation(n), _rotation(
-            TWO_PI * np.arange(n) / n))], *args), values * weights)
     # every atom off the centroid has an orbit of m under C_m, and C_m
     # holds for each divisor of an m that holds: per prime p, a bisection
     # over the powers of p that divide every such count, p itself first
@@ -973,7 +963,7 @@ def _symmetry_table(supports, points, weights, values, offsets):
             TWO_PI * np.arange(m) / m))], *args))
         # no reflection group, of order 4 at most, beats it
         if rotations is not None and m > 4:
-            return rotations, band
+            return rotations
     mirrors = [(keeps(match(_reflection(a))),
                 np.stack([np.eye(2), _reflection(a)])) for a in _AXES]
     # the largest order first, and at a tie the reflections, whose blocks
@@ -985,38 +975,17 @@ def _symmetry_table(supports, points, weights, values, offsets):
     for generators in groups:
         table = kept(_orbit_table(generators, *args))
         if table is not None:
-            return table, band
+            return table
     if rotations is not None and m > 2:
-        return rotations, band
+        return rotations
     for mirror in mirrors:
         table = None if mirror[0] is None else kept(_orbit_table([mirror],
                                                                  *args))
         if table is not None:
-            return table, band
+            return table
     if rotations is not None:
-        return rotations, band
-    return trivial, band
-
-
-def _carried_modes(table, vw: np.ndarray):
-    """The band question of ``_symmetry_table`` on the C_n orbit table
-    ``table`` of one support (or None): (orbit, b) where the table is one
-    free orbit and V w carries the modes |m| <= b alone, b within
-    ``_BAND_MODES`` and 2 b + 1 < n; else None.  The quadrature weights
-    are constant on the orbit, so V w carries the characters V does, and
-    ``_banded`` reads the same numbers.  They are read in units of their
-    largest power of two, so no mode of a tiny weight underflows."""
-    if table is None or table.shape[2] != 1:
-        return None
-    orbit = table[0, :, 0]
-    n = len(orbit)
-    v = vw[orbit]
-    modes = np.abs(np.fft.rfft(np.ldexp(v, -np.frexp(np.max(np.abs(v)))[1])))
-    b = int(np.flatnonzero(modes > _tolerance_unit(n) * modes.max()
-                           ).max(initial=0))
-    if not 1 <= b <= _BAND_MODES or 2 * b + 1 >= n:
-        return None
-    return orbit, b
+        return rotations
+    return trivial
 
 
 def _keeps_mesh(mesh: SurfaceMesh, local: np.ndarray, isometry: np.ndarray,
@@ -1208,11 +1177,13 @@ def _row_invariants(values: np.ndarray, o0: int, p0: int,
 def assemble_mixed(supports, kernel: KernelModel) -> BlockOperator:
     """The operator over a list of (support, weight) pairs, each support a
     ``SurfaceMesh`` or a ``SingularMeasure``, reduced by its symmetry group
-    G (``_symmetry_table``) to one block per character of G, or, on one
-    free orbit of C_n whose weight carries few Fourier modes, to one band
-    (``_banded``).  Where G is the trivial group and every support is an
-    equispaced circle of a constant weight >= 0, a free orbit of its own
-    C_n_k (``_circle_orbits``), the operator is one coupled block of the
+    G (``_symmetry_table``) to one block per character of G.  One support
+    whose weight varies is asked first whether it is one free orbit of C_n
+    (``_circle_orbits``) whose weight carries few Fourier modes, and is
+    then one band (``_banded``), with no table built.  Where G is the
+    trivial group and every support is a smooth closed mesh of a weight
+    >= 0 constant on it and a free orbit of its own C_n_k, an equispaced
+    circle (``_circle_orbits``), the operator is one coupled block of the
     circles' low Fourier modes and a single per other mode
     (``_coupled``): the modes dropped from the coupling move no eigenvalue
     by more than the Frobenius norm of what they drop, ``weyl_bound``
@@ -1251,17 +1222,24 @@ def assemble_mixed(supports, kernel: KernelModel) -> BlockOperator:
     points, weights, values, offsets = _layout(supports)
     _check_separation(supports)
     _check_shared_atoms(points, offsets)
-    table, band = _symmetry_table(supports, points, weights, values,
-                                  offsets)
     vw = values * weights
     if np.any(values) and not np.any(vw):
         raise _underflow()
-    if band is not None:
-        op = _banded(supports[0][0], kernel, vw, *band)
+    if len(supports) == 1 and np.ptp(values) > 0.0:
+        orbits = _circle_orbits(supports, points, weights, offsets)
+        op = None if orbits is None else _banded(supports[0][0], kernel, vw,
+                                                 orbits[0])
         if op is not None:
             return op
-    if table.shape[:2] == (1, 1):
-        orbits = _circle_orbits(supports, points, weights, values, offsets)
+    table = _symmetry_table(supports, points, weights, values, offsets)
+    # separated circles: smooth closed meshes, each weight >= 0 and constant
+    # on its support within the tolerance of ``_symmetry_table``'s ``kept``
+    if table.shape[:2] == (1, 1) and all(
+            isinstance(s, SurfaceMesh) and s.kind == "smooth-closed"
+            and v.min() >= 0.0
+            and np.max(np.abs(v - v[0])) <= _tolerance_unit(len(v)) * v.max()
+            for (s, _), v in zip(supports, np.split(values, offsets[1:-1]))):
+        orbits = _circle_orbits(supports, points, weights, offsets)
         if orbits is not None:
             return _coupled(supports, kernel, points, vw, offsets, orbits)
     _, n2, r = table.shape
@@ -1307,11 +1285,11 @@ def assemble_mixed(supports, kernel: KernelModel) -> BlockOperator:
                          signed_flag=bool(np.any(values < 0.0)))
 
 
-def _banded(support, kernel: KernelModel, vw: np.ndarray, orbit: np.ndarray,
-            b: int) -> BlockOperator | None:
-    """The operator on a support that is one free orbit of C_n, whose
-    weight carries the modes |m| <= b (``_symmetry_table``), as one band
-    block, or None where the band is not taken.
+def _banded(support, kernel: KernelModel, vw: np.ndarray,
+            orbit: np.ndarray) -> BlockOperator | None:
+    """The operator on a support that is one free orbit ``orbit`` of C_n
+    (``_circle_orbits``), whose weight carries the Fourier modes |m| <= b
+    alone, as one band block, or None where the band is not taken.
 
     The kernel matrix is C_n-invariant whatever the weight, so one row,
     row[a] = K[i_0, g^a(i_0)], gives it in the DFT basis: diag(kappa), kappa
@@ -1322,25 +1300,33 @@ def _banded(support, kernel: KernelModel, vw: np.ndarray, orbit: np.ndarray,
     ``_band_storage`` writes it in the real basis, where it is a real
     symmetric band of half-width 2 b + 1.
 
-    The modes above b are dropped: by Weyl's inequality they move each
-    eigenvalue by at most max kappa sum |u^_dropped|.  The band is taken
-    only where that bound is within ``_tolerance_unit(n)`` of sqrt(F / n),
-    F the squared Frobenius norm, since the spectral radius is at least
-    ||A||_F / sqrt(n), and only where every kappa_m is positive: that is the
-    kernel matrix positive definite, which the fold needs.  Otherwise the
-    operator takes the group of ``_symmetry_table``'s table, and every
-    refusal keeps its message.
+    b is the last mode of u^ whose magnitude exceeds ``_tolerance_unit(n)``
+    of the largest, read from u in units of a power of two, so that no mode
+    of a tiny weight underflows.  The band is not taken where b is 0, a
+    weight the rotations keep, where b exceeds ``_BAND_MODES``, or where
+    2 b + 1 >= n.  The modes above b are dropped: by Weyl's inequality they
+    move each eigenvalue by at most max kappa sum |u^_dropped|.  The band is
+    taken only where that bound is within ``_truncation_bound``, and only
+    where every kappa_m is positive: that is the kernel matrix positive
+    definite, which the fold needs.  Otherwise the operator takes the group
+    of ``_symmetry_table``, and every refusal keeps its message.
 
     The invariants come from the row, not the band (``_circulant``), so the
     check covers the transform as well as the solve.  No n x n array
     exists: the row, the transforms and the band are O(n b)."""
     n = len(orbit)
     shift = int(np.frexp(np.sqrt(np.max(np.abs(vw))))[1])
-    kappa, spectrum, invariants = _circulant(
-        support, kernel, orbit, np.ldexp(vw[orbit], -2 * shift), shift)
+    u = np.ldexp(vw[orbit], -2 * shift)
+    spectrum = np.fft.rfft(u)
+    modes = np.abs(spectrum)
+    b = int(np.flatnonzero(modes > _tolerance_unit(n) * modes.max()
+                           ).max(initial=0))
+    if not 1 <= b <= _BAND_MODES or 2 * b + 1 >= n:
+        return None
+    kappa, invariants = _circulant(support, kernel, orbit, u, spectrum, shift)
     coefficients = spectrum[:b + 1] / n
     # each mode above b counts twice, for m and -m, but n / 2 once
-    dropped = np.abs(spectrum[b + 1:]) / n
+    dropped = modes[b + 1:] / n
     dropped = 2.0 * dropped.sum() - (dropped[-1] if n % 2 == 0 else 0.0)
     bound = _truncation_bound(invariants, n)
     if not (np.all(kappa > 0.0) and kappa.max() * dropped <= bound):
@@ -1355,26 +1341,26 @@ def _banded(support, kernel: KernelModel, vw: np.ndarray, orbit: np.ndarray,
 
 
 def _circulant(support, kernel: KernelModel, orbit: np.ndarray,
-               u: np.ndarray, shift: int):
+               u: np.ndarray, spectrum: np.ndarray, shift: int):
     """The kernel row of a support that is one free orbit of C_n, read
     along the orbit, row[a] = K[i_0, g^a(i_0)], for V w = u 2^(2 shift)
-    along it, u of order 1: (kappa, u^, invariants).  The invariants are
-    the trace and the squared Frobenius norm of diag(sqrt(V w)) K
-    diag(sqrt(V w)) in ``_row_invariants``' units of 2^e and 2^2e, e the
-    exponent of max|row| max|V w|: the trace K[0, 0] sum(u), and the
-    squared norm sum_d row[d]^2 c[d], c[d] = sum_a u_a u_(a + d) the
-    circular correlation of u, by FFT.  kappa = rfft(row) 2^(2 shift - e),
-    real, holds the eigenvalues of the C_n-invariant kernel matrix, each
-    mode m of 0 < m < n/2 twice (for cos m t and sin m t), so that
-    kappa_m u_a is in units of 2^e; u^ = rfft(u).  A subnormal weight
-    keeps its digits in u, and its largest entry is read as subnormal."""
+    along it, u of order 1 and u^ = ``spectrum`` = rfft(u):
+    (kappa, invariants).  The invariants are the trace and the squared
+    Frobenius norm of diag(sqrt(V w)) K diag(sqrt(V w)) in
+    ``_row_invariants``' units of 2^e and 2^2e, e the exponent of max|row|
+    max|V w|: the trace K[0, 0] sum(u), and the squared norm sum_d
+    row[d]^2 c[d], c[d] = sum_a u_a u_(a + d) the circular correlation of
+    u, by FFT.  kappa = rfft(row) 2^(2 shift - e), real, holds the
+    eigenvalues of the C_n-invariant kernel matrix, each mode m of
+    0 < m < n/2 twice (for cos m t and sin m t), so that kappa_m u_a is in
+    units of 2^e.  A subnormal weight keeps its digits in u, and its
+    largest entry is read as subnormal."""
     n = len(orbit)
     row = _support_rows(support, kernel)(orbit[:1], orbit)[0]
     exponent = int(np.frexp(np.max(np.abs(row)) * np.max(np.abs(u)))[1])
     row = np.ldexp(row, -exponent)
-    spectrum = np.fft.rfft(u)
     correlation = np.fft.irfft(np.abs(spectrum) ** 2, n)
-    return np.fft.rfft(row).real, spectrum, (
+    return np.fft.rfft(row).real, (
         float(row[0] * u.sum()), float(row ** 2 @ correlation),
         exponent + 2 * shift)
 
@@ -1428,26 +1414,21 @@ def _band_storage(kappa: np.ndarray, coefficients: np.ndarray,
     return out
 
 
-def _circle_orbits(supports, points, weights, values, offsets):
+def _circle_orbits(supports, points, weights, offsets):
     """Per support, its atoms in the order of the rotation g by 2 pi / n_k
     about its own centre, orbit[a] = g^a(orbit[0]), where every support is
-    a smooth closed mesh whose own group (``_symmetry_table`` of it alone)
-    is C_n_k with one free orbit, a C_n_k that keeps its weight, and every
-    weight is >= 0: an equispaced circle of a constant weight.  Else
-    None."""
-    if np.any(values < 0.0) or not all(
-            isinstance(s, SurfaceMesh) and s.kind == "smooth-closed"
-            for s, _ in supports):
-        return None
+    one free orbit of its own C_n_k, an equispaced circle; else None.  A
+    question about geometry alone, which both circle paths ask
+    (``_banded``, ``_coupled``): the table of ``_symmetry_table`` of each
+    support on its own under a constant weight, whatever its weight and
+    its kind."""
     orbits = []
-    for k, support in enumerate(supports):
-        own = slice(offsets[k], offsets[k + 1])
-        size = offsets[k + 1] - offsets[k]
-        table = _symmetry_table([support], points[own], weights[own],
-                                values[own], np.array([0, size]))[0]
-        if table.shape != (1, size, 1):
+    for support, lo, hi in zip(supports, offsets[:-1], offsets[1:]):
+        table = _symmetry_table([support], points[lo:hi], weights[lo:hi],
+                                np.ones(hi - lo), np.array([0, hi - lo]))
+        if table.shape != (1, hi - lo, 1):
             return None
-        orbits.append(offsets[k] + table[0, :, 0])
+        orbits.append(lo + table[0, :, 0])
     return orbits
 
 
@@ -1490,8 +1471,9 @@ def _coupled(supports, kernel: KernelModel, points: np.ndarray,
         # sqrt(V w) = root 2^shift, V w taken at the representative
         shift = int(np.frexp(np.sqrt(vw[orbit[0]]))[1])
         u = np.ldexp(vw[orbit[0]], -2 * shift)
-        kappa, _, part = _circulant(support, kernel, orbit - lo,
-                                    np.full(len(orbit), u), shift)
+        full = np.full(len(orbit), u)
+        kappa, part = _circulant(support, kernel, orbit - lo, full,
+                                 np.fft.rfft(full), shift)
         diagonals.append((kappa[(np.arange(len(orbit)) + 1) // 2] * u,
                           part[2]))
         roots.append(np.sqrt(u))

@@ -90,8 +90,8 @@ def two_circle_spectra(two_circle_meshes, unit_weight, kernel):
 
 def trivial_table(supports, points, *rest):
     """``_symmetry_table``'s answer for the trivial group {e}: every atom
-    its own orbit, and no band."""
-    return np.arange(len(points))[None, None], None
+    its own orbit."""
+    return np.arange(len(points))[None, None]
 
 
 def assemble_dense(supports, kernel) -> assemble.BlockOperator:

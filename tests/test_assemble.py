@@ -55,7 +55,7 @@ def _kernel_rows(supports, kernel) -> np.ndarray:
     without symmetry takes: its upper triangle, diagonal included, and
     scratch below."""
     points, weights, values, offsets = assemble._layout(supports)
-    table = trivial_table(supports, points)[0]
+    table = trivial_table(supports, points)
     rows, _ = assemble._orbit_rows(supports, kernel, points, offsets, table,
                                    values * weights)
     return rows[0, 0]
@@ -643,9 +643,8 @@ def test_mixed_matches_pairs_oracle(weight, workers, kernel, monkeypatch):
     second = WeightFn.angular() if weight == "signed" else WeightFn.constant(2.0)
     supports = [(grid, WeightFn.constant(1.0)),
                 (near, WeightFn.constant(1.0)), (far, second)]
-    table, band = assemble._symmetry_table(
-        supports, *assemble._layout(supports))
-    assert table.shape[:2] == (1, 1) and band is None
+    table = assemble._symmetry_table(supports, *assemble._layout(supports))
+    assert table.shape[:2] == (1, 1)
     monkeypatch.setattr(assemble, "_WORKERS", workers)
     op = assemble_mixed(supports, kernel)
     expected = assemble_mixed_pairs(supports, kernel)
@@ -774,14 +773,17 @@ def test_builders_leave_the_strict_lower_triangle_untouched(
 
 class _NanEmptyNumpy:
     """NumPy as ``assemble`` sees it, except that ``empty`` fills with NaN:
-    an entry that no step writes stays NaN."""
+    an entry that no step writes stays NaN.  An integer array, such as an
+    orbit table, takes its dtype's least value, which no index reaches."""
 
     def __getattr__(self, name):
         return getattr(np, name)
 
     @staticmethod
-    def empty(shape, *args, **kwargs):
-        return np.full(shape, np.nan)
+    def empty(shape, dtype=float, **kwargs):
+        dtype = np.dtype(dtype)
+        return np.full(shape, np.nan if dtype.kind in "fc"
+                       else np.iinfo(dtype).min, dtype)
 
 
 def _nan_lower_operator(case: str, signed: bool, monkeypatch):

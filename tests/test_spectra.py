@@ -395,6 +395,24 @@ def _kinds(op: BlockOperator) -> list:
     return [(type(b), b.n) for b in op.blocks]
 
 
+def _band_modes(supports):
+    """The b of the band that one support takes, asked as the assembler
+    asks it: ``_circle_orbits`` finds it one free orbit of C_n, and
+    ``_banded`` builds one ``BandMatrix``, whose storage has 2 b + 2
+    columns.  None where either refuses."""
+    points, weights, values, offsets = assemble._layout(supports)
+    orbits = assemble._circle_orbits(supports, points, weights, offsets)
+    if orbits is None:
+        return None
+    op = assemble._banded(supports[0][0], reference_kernel(),
+                          values * weights, orbits[0])
+    if op is None:
+        return None
+    (block,) = op.blocks
+    assert isinstance(block, BandMatrix)
+    return block.entries.shape[1] // 2 - 1
+
+
 def _oracle_solve(matrix: OperatorMatrix, signed: bool) -> Spectrum:
     """The spectrum of the all-pairs oracle's matrix (``assemble_mixed_pairs``)
     from NumPy's ``eigvalsh`` on its upper triangle, after the checks of
@@ -557,9 +575,10 @@ def test_a_near_symmetry_is_refused(support, group):
     # vertex or atom leaves the trivial group, and one block of order n
     supports = [(support, WeightFn.constant(1.0))]
     points, weights, values, offsets = assemble._layout(supports)
-    table, band = assemble._symmetry_table(supports, points, weights,
-                                           values, offsets)
-    assert table.shape[:2] == group and band is None
+    table = assemble._symmetry_table(supports, points, weights, values,
+                                     offsets)
+    assert table.shape[:2] == group
+    assert assemble._circle_orbits(supports, points, weights, offsets) is None
     op = _assert_reduced_matches_dense(supports, reference_kernel())
     assert _reduced(op) == (group != (1, 1))
 
@@ -579,14 +598,14 @@ def test_the_symmetry_table_is_never_none(supports):
     # 1.5 + cos(t - 0.3) on an equispaced circle, carries the modes |m| <= 1
     # of C_n and is solved as one band, the others as one block of order n
     points, weights, values, offsets = assemble._layout(supports)
-    table, band = assemble._symmetry_table(supports, points, weights,
-                                           values, offsets)
+    table = assemble._symmetry_table(supports, points, weights, values,
+                                     offsets)
     assert np.array_equal(table, np.arange(len(points))[None, None])
     op = _assert_reduced_matches_dense(supports, reference_kernel())
     if len(points) == 64:
-        assert band[1] == 1 and _kinds(op) == [(BandMatrix, 64)]
+        assert _band_modes(supports) == 1 and _kinds(op) == [(BandMatrix, 64)]
     else:
-        assert band is None and not _reduced(op)
+        assert _band_modes(supports) is None and not _reduced(op)
 
 
 @pytest.mark.parametrize("shape, inside", [
@@ -789,9 +808,9 @@ def test_a_negated_weight_is_solved_by_the_fold(supports):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(oracles, "_cholesky_fold", _full_product_fold)
         op = _assert_reduced_matches_dense(supports, reference_kernel())
-    table, band = assemble._symmetry_table(supports,
-                                           *assemble._layout(supports))
-    if op is not None and table.shape[:2] == (1, 1) and band is None:
+    table = assemble._symmetry_table(supports, *assemble._layout(supports))
+    if (op is not None and table.shape[:2] == (1, 1)
+            and _kinds(op) != [(BandMatrix, op.n)]):
         assert _kinds(op) == [(OperatorMatrix, op.n)] and op.signed_flag
 
 
@@ -804,8 +823,7 @@ def test_a_subnormal_negated_weight_underflows_on_both_paths():
     mesh = make_smooth_curve(Circle(radius=1.0), 8)
     values = np.repeat([5e-324, -5e-324], 4)
     supports = [(mesh, WeightFn.tabulated(values))]
-    assert assemble._symmetry_table(supports,
-                                    *assemble._layout(supports))[1][1] == 3
+    assert _band_modes(supports) == 3
     ops = (assemble_mixed(supports, reference_kernel()),
            assemble_dense(supports, reference_kernel()))
     assert [_kinds(op) for op in ops] == [[(BandMatrix, 8)],
@@ -883,9 +901,8 @@ def test_a_negated_weight_is_one_folded_block(supports, monkeypatch):
     # table, and one block of order n, folded once, whose spectrum is the
     # dense oracle's with the full-product fold within 64 n eps of the
     # spectral radius
-    table, band = assemble._symmetry_table(supports,
-                                           *assemble._layout(supports))
-    assert table.shape[:2] == (1, 1) and band is None
+    table = assemble._symmetry_table(supports, *assemble._layout(supports))
+    assert table.shape[:2] == (1, 1) and _band_modes(supports) is None
     folds = []
     true_fold = assemble._cholesky_fold
 
@@ -915,10 +932,10 @@ def test_a_negating_map_that_fixes_an_atom_is_not_taken():
     for supports, b in (
             ([(mesh, WeightFn.tabulated(np.sin(t) + np.sin(2 * t)))], 2),
             ([(line, WeightFn.tabulated([-1.0, 0.0, 1.0]))], None)):
-        table, band = assemble._symmetry_table(
-            supports, *assemble._layout(supports))
+        table = assemble._symmetry_table(supports,
+                                         *assemble._layout(supports))
         assert table.shape[:2] == (1, 1)
-        assert (band and band[1]) == b
+        assert _band_modes(supports) == b
         op = assemble_mixed(supports, reference_kernel())
         assert [n for kind, n in _kinds(op) if kind is BandMatrix] == (
             [] if b is None else [64])
@@ -1018,7 +1035,8 @@ def test_a_fold_not_positive_definite_is_refused_naming_the_node_spacing(
     assert calls == [64]
     monkeypatch.undo()
     wide = _half_turn_circle(n=64, radius=5.0)
-    assert assemble._symmetry_table(wide, *assemble._layout(wide))[1]
+    points, weights, _, offsets = assemble._layout(wide)
+    assert assemble._circle_orbits(wide, points, weights, offsets) is not None
     refused = "under-resolved mesh: .* node spacing 0.4909"
     with pytest.raises(InvalidArgumentError, match=refused):
         assemble_mixed(wide, reference_kernel())
@@ -1090,9 +1108,7 @@ def test_a_band_limited_weight_is_one_band_of_the_dense_spectrum(case):
     # invariants, read from the kernel row, are the oracle's
     supports, b = case
     kern = reference_kernel()
-    table, band = assemble._symmetry_table(
-        supports, *assemble._layout(supports))
-    assert (band and band[1]) == (b or None)
+    assert _band_modes(supports) == (b or None)
     op = assemble_mixed(supports, kern)
     n = op.n
     if b == 0:
@@ -1121,6 +1137,85 @@ def test_a_band_of_odd_order_has_no_nyquist_mode():
     _assert_reduced_matches_dense(supports, reference_kernel())
 
 
+@pytest.mark.parametrize("n", [512, 2048])
+def test_a_weight_one_rotation_step_keeps_is_one_band(n):
+    # 1 + 1e-9 cos t carries the modes |m| <= 1 above the truncation at
+    # every n, though at n = 2048 one rotation step moves it by less than
+    # the tolerance unit: one band of half-width 3, whose spectrum is the
+    # dense oracle's within 64 n eps of the spectral radius
+    mesh = make_smooth_curve(Circle(), n)
+    supports = [(mesh, WeightFn.tabulated(
+        1.0 + 1e-9 * np.cos(mesh.param_values)))]
+    op = _assert_reduced_matches_dense(supports, reference_kernel())
+    assert [(type(b), b.entries.shape) for b in op.blocks] == [
+        (BandMatrix, (n, 4))]
+
+
+def _orbit_cases():
+    """An equispaced smooth circle of 64 nodes and a ring of 129 atoms,
+    each under a constant, a cos and a random tabulated weight."""
+    ring, t = _atom_ring(129, radius=0.9, center=(0.4, -1.1))
+    circle = make_smooth_curve(Circle(center=(-2.0, 0.5), radius=1.3), 64)
+    rng = np.random.default_rng(5)
+    return {name: [[(support, WeightFn.constant(2.0))],
+                   [(support, WeightFn.tabulated(np.cos(angles - 0.7)))],
+                   [(support, WeightFn.tabulated(
+                       rng.uniform(-1.0, 1.0, len(angles))))]]
+            for name, support, angles in (
+                ("circle", circle, circle.param_values),
+                ("ring", ring, t))}
+
+
+@pytest.mark.parametrize("name", ["circle", "ring"])
+def test_circle_orbits_reads_the_geometry_alone(name):
+    # whatever the weight, one free orbit of C_n in the order of the
+    # rotation, as the atoms are laid out
+    for supports in _orbit_cases()[name]:
+        points, weights, _, offsets = assemble._layout(supports)
+        orbits = assemble._circle_orbits(supports, points, weights, offsets)
+        assert len(orbits) == 1
+        assert np.array_equal(orbits[0], np.arange(len(points)))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: [(make_smooth_curve(Ellipse(a=1.0, b=1.4), 64),
+              WeightFn.tabulated(np.linspace(-1.0, 1.0, 64)))],
+    lambda: [(make_polygon_curve([[0.0, 0.0], [1.3, 0.0], [1.3, 0.7],
+                                  [0.0, 0.7]], 16, 3.0),
+              WeightFn.constant(1.0))],
+    lambda: [(make_cantor_measure(6), WeightFn.constant(1.0))],
+    lambda: _grid_and_circle(),
+], ids=["ellipse", "rectangle", "cantor", "grid and circle"])
+def test_circle_orbits_refuses_what_is_not_an_equispaced_circle(make):
+    supports = make()
+    points, weights, _, offsets = assemble._layout(supports)
+    assert assemble._circle_orbits(supports, points, weights, offsets) is None
+
+
+def test_a_ring_of_four_atoms_takes_its_group():
+    # four atoms on a circle keep two perpendicular reflections, Z2 x Z2,
+    # which wins over C_4 at a tie, so they are no free orbit of C_4 and
+    # cos t takes the blocks of y -> -y, 3 x 3 and a single, not a band of
+    # order 4; its eigenvalues are those of that band, built along the
+    # orbit, and of the dense oracle
+    ring, t = _atom_ring(4)
+    supports = [(ring, WeightFn.tabulated(np.cos(t)))]
+    points, weights, values, offsets = assemble._layout(supports)
+    assert assemble._circle_orbits(supports, points, weights, offsets) is None
+    op = _assert_reduced_matches_dense(supports, reference_kernel())
+    assert _kinds(op) == [(OperatorMatrix, 3)] and len(op.singles) == 1
+    band = assemble._banded(ring, reference_kernel(), values * weights,
+                            np.arange(4))
+    assert _kinds(band) == [(BandMatrix, 4)]
+    got, want = (eigensolve(x) for x in (
+        assemble_mixed(supports, reference_kernel()), band))
+    for side in ("positives", "negatives"):
+        a, b = getattr(got, side), getattr(want, side)
+        assert len(a) == len(b)
+        assert np.max(np.abs(a - b), initial=0.0) <= (
+            spectra._tolerance_unit(4) * np.max(np.abs(want.positives)))
+
+
 def test_a_band_block_keeps_its_band_storage():
     # a band block takes (n, kd + 1) storage, at most n diagonals; every
     # other block stays square
@@ -1138,9 +1233,8 @@ def test_a_wide_band_weight_keeps_the_trivial_group_bit_for_bit():
     mesh = make_smooth_curve(Circle(radius=0.93), 128)
     values = np.random.default_rng(7).uniform(-1.0, 1.0, 128)
     supports = [(mesh, WeightFn.tabulated(values))]
-    table, band = assemble._symmetry_table(
-        supports, *assemble._layout(supports))
-    assert table.shape == (1, 1, 128) and band is None
+    table = assemble._symmetry_table(supports, *assemble._layout(supports))
+    assert table.shape == (1, 1, 128) and _band_modes(supports) is None
     op = assemble_mixed(supports, reference_kernel())
     assert _kinds(op) == [(OperatorMatrix, 128)]
     got = eigensolve(op)
@@ -1151,7 +1245,7 @@ def test_a_wide_band_weight_keeps_the_trivial_group_bit_for_bit():
 
 @pytest.mark.parametrize("n, gate", [(128, "modes"), (512, "bound"),
                                      (2048, "bound")])
-def test_a_weight_moved_by_1e_9_falls_back(n, gate):
+def test_a_weight_moved_by_1e_9_falls_back(n, gate, monkeypatch):
     # one value of cos(t - 1.234) moved by 1e-9 of max |V| moves the
     # eigenvalues by about 1e-9 of the spectral radius: at n = 128 each of
     # its modes lies above the truncation, 64 n eps of the largest; from
@@ -1164,35 +1258,55 @@ def test_a_weight_moved_by_1e_9_falls_back(n, gate):
     values[1] += 1e-9 * np.max(np.abs(values))
     moved = [(mesh, WeightFn.tabulated(values))]
     points, weights, values, offsets = assemble._layout(moved)
-    table, band = assemble._symmetry_table(moved, points, weights, values,
-                                           offsets)
+    table = assemble._symmetry_table(moved, points, weights, values, offsets)
     assert table.shape[:2] == (1, 1)
+    orbit, = assemble._circle_orbits(moved, points, weights, offsets)
+    kern = reference_kernel()
+    assert assemble._banded(mesh, kern, values * weights, orbit) is None
+    # with the Weyl bound lifted the modes alone decide: too many at
+    # n = 128, and the modes |m| <= 1 from n = 512
+    with monkeypatch.context() as patch:
+        patch.setattr(assemble, "_truncation_bound", lambda *args: np.inf)
+        lifted = assemble._banded(mesh, kern, values * weights, orbit)
     if gate == "modes":
-        assert band is None
+        assert lifted is None
     else:
-        assert band[1] == 1
-        assert assemble._banded(mesh, reference_kernel(), values * weights,
-                                *band) is None
+        assert lifted.blocks[0].entries.shape == (n, 4)
         # the weight as it was takes the band
         exact = assemble._layout(supports)
-        assert assemble._banded(mesh, reference_kernel(),
-                                exact[2] * exact[1], *band) is not None
+        assert assemble._banded(mesh, kern, exact[2] * exact[1],
+                                orbit) is not None
     if n <= 512:
         op = _assert_reduced_matches_dense(moved, reference_kernel())
         assert _kinds(op) == [(OperatorMatrix, n)]
 
 
-def test_a_band_whose_kernel_is_not_positive_definite_falls_back():
+def test_a_band_whose_kernel_is_not_positive_definite_falls_back(
+        monkeypatch):
     # a radius-5 circle of 64 nodes, spacing 0.49: a DFT mode of the kernel
     # row is not positive, so cos(t - 1.234) takes the trivial group's fold,
-    # whose factorisation keeps its refusal and its exit 2
+    # whose factorisation keeps its refusal and its exit 2; with every mode
+    # of the row made positive, the same weight is a band of b = 1
     supports = _half_turn_circle(n=64, radius=5.0)
     points, weights, values, offsets = assemble._layout(supports)
-    band = assemble._symmetry_table(supports, points, weights, values,
-                                    offsets)[1]
-    assert band[1] == 1
-    assert assemble._banded(supports[0][0], reference_kernel(),
-                            values * weights, *band) is None
+    orbit, = assemble._circle_orbits(supports, points, weights, offsets)
+    kappas = []
+    circulant = assemble._circulant
+
+    def recorded(*args):
+        kappa, invariants = circulant(*args)
+        kappas.append(kappa)
+        return kappa, invariants
+
+    with monkeypatch.context() as patch:
+        patch.setattr(assemble, "_circulant", recorded)
+        assert assemble._banded(supports[0][0], reference_kernel(),
+                                values * weights, orbit) is None
+    assert len(kappas) == 1 and kappas[0].min() <= 0.0
+    with monkeypatch.context() as patch:
+        patch.setattr(assemble, "_circulant", lambda *args: (
+            np.abs(kappas[0]) + kappas[0].max(), circulant(*args)[1]))
+        assert _band_modes(supports) == 1
     with pytest.raises(InvalidArgumentError,
                        match="under-resolved mesh: .* node spacing 0.4909"):
         assemble_mixed(supports, reference_kernel())
@@ -1321,8 +1435,7 @@ def test_circles_without_a_common_symmetry_are_one_coupled_block(supports):
     # the Weyl bound, and the spectrum, or the kind of refusal, is the
     # dense oracle's within 64 n eps of the spectral radius
     kern = reference_kernel()
-    table = assemble._symmetry_table(supports,
-                                     *assemble._layout(supports))[0]
+    table = assemble._symmetry_table(supports, *assemble._layout(supports))
     op = _assert_reduced_matches_dense(supports, kern)
     if op is None or table.shape[:2] != (1, 1):
         return
@@ -1512,8 +1625,8 @@ def _orbit_inputs(name):
     make, group = _ORBIT_SUPPORTS[name]
     supports = make()
     points, weights, values, offsets = assemble._layout(supports)
-    table, _ = assemble._symmetry_table(supports, points, weights, values,
-                                        offsets)
+    table = assemble._symmetry_table(supports, points, weights, values,
+                                     offsets)
     assert table.shape[:2] == group
     return supports, (points, offsets, table, values * weights)
 
