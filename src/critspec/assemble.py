@@ -57,7 +57,11 @@ circulant of u^ = DFT(V w) / n, which is a real symmetric band of
 half-width 2 b + 1 in the basis (1, cos t, sin t, ..., cos (n/2) t)
 (Fassler and Stiefel; ``_banded``).  Such an operator is one band block,
 built from the row in O(n b) straight into LAPACK's band storage, with no
-n x n array and no fold: the benchmark's cos(t - phi) is b = 1.  Its
+n x n array and no fold.  Where n is even and every mode carried is odd,
+a weight the half turn t -> t + pi negates, as the benchmark's
+cos(t - phi) (b = 1), the band with the even modes first is
+[[0, B], [B^T, 0]], and the block is B alone, of order n/2, whose
+singular values give the spectrum (``HalfTurnBand``).  Its
 invariants come from the row, and the band is taken only where every
 kappa_m is positive and the modes dropped below the truncation move no
 eigenvalue past the solve's tolerance unit; otherwise the operator takes
@@ -142,9 +146,9 @@ _BLOCK_BYTES = 1 << 19
 _FOLD_COLUMNS = 256
 # the most Fourier modes b a weight may carry on one free orbit of C_n for
 # the operator to be solved as one band of half-width 2 b + 1 (``_banded``):
-# in the table of BENCH_banded.json the band beat every weight's group up
-# to b = 5, at n = 1024 to 4096, and lost to the weights that C_8 keeps at
-# b = 8 by 1.5 to 2.5 times
+# in the table of BENCH_banded.json the band, solved by dsbevd, beat every
+# weight's group up to b = 5, at n = 1024 to 4096, and lost to the weights
+# that C_8 keeps at b = 8 by 1.5 to 2.5 times
 _BAND_MODES = 5
 # the smallest normal double: an operator whose largest entry lies below it
 # has lost digits in every entry (``_underflow``)
@@ -288,13 +292,37 @@ class BandMatrix(OperatorMatrix):
     kept as ``OperatorMatrix`` keeps a block but in LAPACK's lower band
     storage, and solved by ``dsbevd``: an (n, kd + 1) array whose entry
     [j, d] is the matrix entry (j, j + d); the entries past the last row of
-    a diagonal are scratch."""
+    a diagonal are scratch.  It is the band of a weight that carries an
+    even Fourier mode, or of an odd n; a weight the half turn negates
+    takes ``HalfTurnBand``."""
 
     @staticmethod
     def _shape_problem(m: np.ndarray) -> str | None:
         if m.ndim != 2 or m.shape[0] < m.shape[1]:
             return "entries must be a band of at most n diagonals"
         return None
+
+
+class HalfTurnBand(OperatorMatrix):
+    """The symmetric block [[0, B], [B^T, 0]] of order n = 2 h, kept as
+    the square band B of order h alone, whose kl = ku = k diagonals on
+    each side of the main one are in LAPACK's general band storage: an
+    (h, 2 k + 1) array whose entry [j, d] is B(j + d - k, j); the entries
+    outside B are scratch.  Its eigenvalues are +-sigma(B) (Golub and
+    Kahan 1965), which ``spectra.eigensolve`` reads off the bidiagonal
+    form of B (``dgbbrd``) by dqds (``dbdsqr``).  It is the band of a
+    weight whose every Fourier mode is odd on an equispaced circle of even
+    n, which the half turn t -> t + pi negates (``_banded``)."""
+
+    @staticmethod
+    def _shape_problem(m: np.ndarray) -> str | None:
+        if m.ndim != 2 or m.shape[1] % 2 == 0:
+            return "entries must be a general band of 2 k + 1 diagonals"
+        return None
+
+    @property
+    def n(self) -> int:
+        return 2 * self.entries.shape[0]
 
 
 def _upper(k: int) -> np.ndarray:
@@ -772,7 +800,7 @@ class BlockOperator:
     """The operator in a symmetry-adapted basis, as ``assemble_mixed``
     builds it.  Its eigenvalues are those of ``blocks`` together with
     ``singles``, the eigenvalues of the 1 x 1 blocks, each listed as often
-    as it counts.  Each of ``blocks`` is one of two kinds, and its kind
+    as it counts.  Each of ``blocks`` is one of three kinds, and its kind
     picks its solve in ``spectra.eigensolve``:
 
     * ``OperatorMatrix``, a real symmetric block of order 2 or more by its
@@ -783,7 +811,10 @@ class BlockOperator:
       of the low Fourier modes of separated circles, each a free orbit of
       its own C_n_i (``_coupled``);
     * ``BandMatrix``, in LAPACK's lower band storage, for a weight that
-      carries few Fourier modes on one free orbit of C_n (``_banded``).
+      carries few Fourier modes on one free orbit of C_n (``_banded``);
+    * ``HalfTurnBand``, the half-order band B of such a weight whose every
+      mode is odd at even n, which the half turn negates: the block is
+      [[0, B], [B^T, 0]] (``_banded``).
 
     ``invariants`` are the trace and the squared Frobenius norm of the
     whole operator in units of 2^e and 2^2e, and e, the binary exponent of
@@ -1297,19 +1328,29 @@ def _banded(support, kernel: KernelModel, vw: np.ndarray,
     n, K diag(V w) is similar to diag(sqrt kappa) C(u^) diag(sqrt kappa),
     C(u^) the circulant of u^, Hermitian, whose entry (m, m') is u^_(m - m')
     and which carries the modes |m - m'| <= b alone (Fassler and Stiefel).
-    ``_band_storage`` writes it in the real basis, where it is a real
-    symmetric band of half-width 2 b + 1.
+    In the real basis (``_real_entries``) it is a real symmetric band of
+    half-width 2 b + 1, written by ``_band_storage`` as a ``BandMatrix``.
 
-    b is the last mode of u^ whose magnitude exceeds ``_tolerance_unit(n)``
-    of the largest, read from u in units of a power of two, so that no mode
-    of a tiny weight underflows.  The band is not taken where b is 0, a
-    weight the rotations keep, where b exceeds ``_BAND_MODES``, or where
-    2 b + 1 >= n.  The modes above b are dropped: by Weyl's inequality they
-    move each eigenvalue by at most max kappa sum |u^_dropped|.  The band is
+    The modes carried are those of u^ whose magnitude exceeds
+    ``_tolerance_unit(n)`` of the largest, read from u in units of a power
+    of two, so that no mode of a tiny weight underflows, and b is the last
+    of them.  The band is not taken where b is 0, a weight the rotations
+    keep, where b exceeds ``_BAND_MODES``, or where 2 b + 1 >= n.  Every
+    other mode is dropped, above b or not: by Weyl's inequality they move
+    each eigenvalue by at most max kappa sum |u^_dropped|.  The band is
     taken only where that bound is within ``_truncation_bound``, and only
     where every kappa_m is positive: that is the kernel matrix positive
     definite, which the fold needs.  Otherwise the operator takes the group
     of ``_symmetry_table``, and every refusal keeps its message.
+
+    Where n is even and every mode carried is odd, the half turn t -> t +
+    pi negates the weight.  A mode m then couples to m +- an odd mode
+    alone, parity kept by the wrap mod n, so with the even modes of the
+    real basis first and the odd ones after it the band is
+    [[0, B], [B^T, 0]], B of order n/2 a general band of b + 1 diagonals
+    on each side.  ``_half_turn_storage`` writes B alone, as a
+    ``HalfTurnBand``, whose eigenvalues are +-sigma(B).  For cos(t - phi)
+    the modes 0 and 2 are rounding residue, dropped as above.
 
     The invariants come from the row, not the band (``_circulant``), so the
     check covers the transform as well as the solve.  No n x n array
@@ -1319,21 +1360,25 @@ def _banded(support, kernel: KernelModel, vw: np.ndarray,
     u = np.ldexp(vw[orbit], -2 * shift)
     spectrum = np.fft.rfft(u)
     modes = np.abs(spectrum)
-    b = int(np.flatnonzero(modes > _tolerance_unit(n) * modes.max()
-                           ).max(initial=0))
+    carried = modes > _tolerance_unit(n) * modes.max()
+    b = int(np.flatnonzero(carried).max(initial=0))
     if not 1 <= b <= _BAND_MODES or 2 * b + 1 >= n:
         return None
     kappa, invariants = _circulant(support, kernel, orbit, u, spectrum, shift)
-    coefficients = spectrum[:b + 1] / n
-    # each mode above b counts twice, for m and -m, but n / 2 once
-    dropped = modes[b + 1:] / n
-    dropped = 2.0 * dropped.sum() - (dropped[-1] if n % 2 == 0 else 0.0)
+    coefficients = np.where(carried[:b + 1], spectrum[:b + 1], 0.0) / n
+    # each mode dropped counts twice, for m and -m, but 0 and n / 2 once
+    dropped = np.where(carried, 0.0, modes) / n
+    dropped = (2.0 * dropped.sum() - dropped[0]
+               - (dropped[-1] if n % 2 == 0 else 0.0))
     bound = _truncation_bound(invariants, n)
     if not (np.all(kappa > 0.0) and kappa.max() * dropped <= bound):
         return None
-    band = _band_storage(kappa, coefficients, n)
+    if n % 2 == 0 and not np.any(carried[::2]):
+        kind, band = HalfTurnBand, _half_turn_storage(kappa, coefficients, n)
+    else:
+        kind, band = BandMatrix, _band_storage(kappa, coefficients, n)
     np.ldexp(band, invariants[2], out=band)
-    return BlockOperator(blocks=(BandMatrix(entries=band),),
+    return BlockOperator(blocks=(kind(entries=band),),
                          singles=np.empty(0), invariants=invariants, n=n,
                          signed_flag=bool(np.any(vw < 0.0)),
                          weyl_bound=float(np.ldexp(kappa.max() * dropped,
@@ -1373,23 +1418,24 @@ def _truncation_bound(invariants: tuple[float, float, int], n: int) -> float:
     return _tolerance_unit(n) * np.sqrt(max(invariants[1], 0.0) / n)
 
 
-def _band_storage(kappa: np.ndarray, coefficients: np.ndarray,
-                  n: int) -> np.ndarray:
-    """diag(sqrt kappa) C(u^) diag(sqrt kappa) of ``_banded`` in LAPACK's
-    lower band storage, an (n, 2 b + 2) array, for u^_m = ``coefficients``
-    [m], m = 0..b, and their conjugates at -m, zero elsewhere.
+def _real_entries(kappa: np.ndarray, coefficients: np.ndarray, n: int):
+    """The entries of diag(sqrt kappa) C(u^) diag(sqrt kappa) of
+    ``_banded`` in the real basis, for u^_m = ``coefficients``[m], m =
+    0..b, and their conjugates at -m, zero elsewhere: (mode, entry), mode
+    [p] the mode of basis position p and entry(p, q) the entries at the
+    positions p and q (arrays of one shape).
 
-    The basis is the real one, (1, cos t, sin t, cos 2t, sin 2t, ..., cos
-    (n/2) t), orthonormal over the orbit: position p holds the mode (p +
-    1) // 2, a sine where p is even and positive.  With a = Re u^ and
-    c = Im u^ (indices mod n), the entry of the modes m and m' is a_(m -
-    m') + a_(m + m') between cosines, a_(m - m') - a_(m + m') between
-    sines, c_(m - m') - c_(m + m') for a cosine m and a sine m', and
-    -c_(m - m') - c_(m + m') for a sine m and a cosine m'; the constant and
-    the Nyquist cosine cos (n/2) t are the cosines of the modes 0 and n/2
-    over sqrt 2.  The entries vanish past |p - q| = 2 b + 1, with no
-    wrap-around: the mode n/2 + k is the mode -(n/2 - k), and folds onto
-    the cosine and sine of n/2 - k.  Each diagonal is one O(n) pass."""
+    The basis is (1, cos t, sin t, cos 2t, sin 2t, ..., cos (n/2) t),
+    orthonormal over the orbit: position p holds the mode (p + 1) // 2, a
+    sine where p is even and positive.  With a = Re u^ and c = Im u^
+    (indices mod n), the entry of the modes m and m' is a_(m - m') +
+    a_(m + m') between cosines, a_(m - m') - a_(m + m') between sines,
+    c_(m - m') - c_(m + m') for a cosine m and a sine m', and -c_(m - m') -
+    c_(m + m') for a sine m and a cosine m'; the constant and the Nyquist
+    cosine cos (n/2) t are the cosines of the modes 0 and n/2 over
+    sqrt 2.  An entry vanishes unless |m - m'| <= b, with no wrap-around:
+    the mode n/2 + k is the mode -(n/2 - k), and folds onto the cosine and
+    sine of n/2 - k."""
     b = len(coefficients) - 1
     re, im = np.zeros(n), np.zeros(n)
     re[:b + 1], im[:b + 1] = coefficients.real, coefficients.imag
@@ -1401,16 +1447,52 @@ def _band_storage(kappa: np.ndarray, coefficients: np.ndarray,
     root[0] *= np.sqrt(0.5)
     if n % 2 == 0:
         root[-1] *= np.sqrt(0.5)
-    out = np.zeros((n, 2 * b + 2))
-    for d in range(2 * b + 2):
-        p, q = position[:n - d], position[d:]
+
+    def entry(p, q):
         difference = (mode[p] - mode[q]) % n
         total = (mode[p] + mode[q]) % n
-        out[:n - d, d] = np.where(
+        return np.where(
             sine[p] == sine[q],
             re[difference] + np.where(sine[p], -1.0, 1.0) * re[total],
             np.where(sine[q], 1.0, -1.0) * im[difference] - im[total]
         ) * root[p] * root[q]
+
+    return mode, entry
+
+
+def _band_storage(kappa: np.ndarray, coefficients: np.ndarray,
+                  n: int) -> np.ndarray:
+    """The band of ``_banded`` in LAPACK's lower band storage, an (n, 2 b +
+    2) array: entry [p, d] is the entry of the basis positions p and p + d
+    of ``_real_entries``, which vanish past |p - q| = 2 b + 1.  Each
+    diagonal is one O(n) pass."""
+    b = len(coefficients) - 1
+    _, entry = _real_entries(kappa, coefficients, n)
+    out = np.zeros((n, 2 * b + 2))
+    for d in range(2 * b + 2):
+        out[:n - d, d] = entry(np.arange(n - d), np.arange(d, n))
+    return out
+
+
+def _half_turn_storage(kappa: np.ndarray, coefficients: np.ndarray,
+                       n: int) -> np.ndarray:
+    """B of ``_banded``'s [[0, B], [B^T, 0]] for a weight of odd modes
+    alone at even n, in LAPACK's general band storage of ``HalfTurnBand``,
+    an (n/2, 2 b + 3) array, kl = ku = b + 1.  Row i of B is the i-th
+    basis position of ``_real_entries`` whose mode is even, column j the
+    j-th whose mode is odd, each in the basis order, so mode 2 ((i + 1) //
+    2) and mode 2 (j // 2) + 1: |m - m'| <= b holds only where |i - j| <=
+    b + 1.  Each diagonal is one O(n) pass."""
+    k = len(coefficients)
+    mode, entry = _real_entries(kappa, coefficients, n)
+    even = np.flatnonzero(mode % 2 == 0)
+    odd = np.flatnonzero(mode % 2 == 1)
+    half = n // 2
+    out = np.zeros((half, 2 * k + 1))
+    for d in range(2 * k + 1):
+        # the columns j whose row i = j + d - k lies in B
+        j = np.arange(max(0, k - d), min(half, half + k - d))
+        out[j, d] = entry(even[j + d - k], odd[j])
     return out
 
 
@@ -1421,10 +1503,19 @@ def _circle_orbits(supports, points, weights, offsets):
     question about geometry alone, which both circle paths ask
     (``_banded``, ``_coupled``): the table of ``_symmetry_table`` of each
     support on its own under a constant weight, whatever its weight and
-    its kind."""
+    its kind.  No table is built for a support whose atoms do not all lie
+    at one distance from their centroid within four of the table's own
+    ``reach``, 64 n eps of the largest |coordinate|: an O(n) test that
+    refuses nothing the table accepts, whose orbit lets the distances
+    spread by two reaches at most."""
     orbits = []
     for support, lo, hi in zip(supports, offsets[:-1], offsets[1:]):
-        table = _symmetry_table([support], points[lo:hi], weights[lo:hi],
+        atoms = points[lo:hi]
+        radii = np.linalg.norm(atoms - atoms.mean(axis=0), axis=1)
+        if np.ptp(radii) > 4.0 * _tolerance_unit(hi - lo) * np.max(
+                np.abs(atoms)):
+            return None
+        table = _symmetry_table([support], atoms, weights[lo:hi],
                                 np.ones(hi - lo), np.array([0, hi - lo]))
         if table.shape != (1, hi - lo, 1):
             return None
@@ -1439,7 +1530,7 @@ def _coupled(supports, kernel: KernelModel, points: np.ndarray,
     (``_circle_orbits``), as one coupled block of their low Fourier modes
     and the singles of all the others.
 
-    In the real basis of ``_band_storage`` along each orbit, C_k, circle
+    In the real basis of ``_real_entries`` along each orbit, C_k, circle
     k's own block is diag(V w kappa_k), kappa_k the real DFT of its kernel
     row (``_circulant``), and the cross block of circles i < j is B^ = s_i
     s_j C_i B C_j^T, B the kernel values between them in orbit order,
@@ -1560,7 +1651,7 @@ def _cross_block(kernel: KernelModel, rows: np.ndarray, cols: np.ndarray,
 
 def _real_fourier(x: np.ndarray, axis: int) -> np.ndarray:
     """C x along ``axis``, C the orthonormal real Fourier basis of
-    ``_band_storage`` over n = x.shape[axis] points, (1, cos t, sin t, ...,
+    ``_real_entries`` over n = x.shape[axis] points, (1, cos t, sin t, ...,
     cos (n/2) t) at t_a = 2 pi a / n, from one real FFT: position 2m - 1
     holds sqrt(2/n) Re x^_m, position 2m sqrt(2/n) (-Im x^_m), and the
     constant and the Nyquist cosine sqrt(1/n) times theirs."""

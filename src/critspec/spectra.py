@@ -17,12 +17,19 @@ the solve consumes the operator, and a second one is refused.
   modes on an equispaced circle, is in LAPACK's lower band storage:
   ``dsbevd`` reduces it to tridiagonal form in O(n^2 b) where the dense
   solve takes O(n^3).
+* A ``HalfTurnBand``, the band of such a weight that the half turn
+  negates, every mode odd at even n, is [[0, B], [B^T, 0]] kept as the
+  general band B of order n/2: its eigenvalues are +-sigma(B) (Golub and
+  Kahan 1965), ``dgbbrd`` reduces B to bidiagonal form and ``dbdsqr``
+  finds the sigma by dqds (Fernando and Parlett 1994), so the spectrum
+  is symmetric to the last bit, and no tridiagonal of order n is solved.
 
 One resolver (``_lapack``) finds each routine by name, and one driver
 runs it: ``_lapack_call`` calls a routine once and returns its info, and
 ``_lapack_solve`` runs a solve's workspace query and the solve through it
-and checks the info.  The sign fold of ``assemble`` calls ``dpotrf``,
-which takes no workspace, through ``_lapack_call`` alone.
+and checks the info.  The routines that take no workspace query, the
+sign fold's ``dpotrf`` in ``assemble`` and the half-turn band's
+``dgbbrd`` and ``dbdsqr``, run through ``_lapack_call`` alone.
 
 The union of the eigenvalues is checked once against the two invariants of
 the whole operator, which the block operator carries from its kernel rows
@@ -54,7 +61,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assemble import BandMatrix, BlockOperator, _tolerance_unit, _underflow
+from .assemble import (BandMatrix, BlockOperator, HalfTurnBand,
+                       _tolerance_unit, _underflow)
 from .errors import InsufficientDataError, InvalidArgumentError, InternalError
 
 # relative scale below which an eigenvalue counts as a numerical zero
@@ -124,22 +132,26 @@ def eigensolve(op: BlockOperator) -> Spectrum:
 
     No eigenvectors are computed.  One pass over ``op.blocks`` solves each
     block by its kind, with no check of its own: an ``OperatorMatrix`` by
-    its upper triangle (``_eigvalsh_upper``) and a ``BandMatrix`` by its
-    band storage (``_band_eigenvalues``).  The union of these eigenvalues
-    and the singles must reproduce the trace and the squared Frobenius
-    norm of the whole operator, which it carries, to within the tolerance
-    unit 64 n eps (``_tolerance_unit``) times the spectral radius and the
-    squared norm.  A violation raises ``InternalError`` naming both
-    errors, and so does a solve that LAPACK reports failed.  An unsigned
-    operator (nonnegative weight) is positive semidefinite on a resolved
-    mesh: a least eigenvalue below -64 n eps times the spectral radius
-    raises ``InvalidArgumentError`` (exit 2), and so does an operator
-    whose largest entry is subnormal.  Eigenvalues below 1e-14 of the spectral
-    radius are dropped as numerical zeros; the trusted index range is n/8.
+    its upper triangle (``_eigvalsh_upper``), a ``BandMatrix`` by its
+    band storage (``_band_eigenvalues``) and a ``HalfTurnBand`` by the
+    singular values of its half-order band (``_half_turn_eigenvalues``).
+    The union of these eigenvalues and the singles must reproduce the
+    trace and the squared Frobenius norm of the whole operator, which it
+    carries, to within the tolerance unit 64 n eps (``_tolerance_unit``)
+    times the spectral radius and the squared norm.  A violation raises
+    ``InternalError`` naming both errors, and so does a solve that LAPACK
+    reports failed.  An unsigned operator (nonnegative weight) is positive
+    semidefinite on a resolved mesh: a least eigenvalue below -64 n eps
+    times the spectral radius raises ``InvalidArgumentError`` (exit 2), and
+    so does an operator whose largest entry is subnormal.  Eigenvalues
+    below 1e-14 of the spectral radius are dropped as numerical zeros; the
+    trusted index range is n/8.
     """
     vals = [op.singles]
     for block in op.blocks:
-        if isinstance(block, BandMatrix):
+        if isinstance(block, HalfTurnBand):
+            vals.append(_half_turn_eigenvalues(block.consume()))
+        elif isinstance(block, BandMatrix):
             vals.append(_band_eigenvalues(block.consume()))
         else:
             vals.append(_eigvalsh_upper(block.consume()))
@@ -292,6 +304,48 @@ def _band_eigenvalues(ab: np.ndarray) -> np.ndarray:
         return np.linalg.eigvalsh(m, UPLO="U")
     except np.linalg.LinAlgError as exc:
         raise InternalError("band eigensolve failed: %s" % exc) from None
+
+
+def _half_turn_eigenvalues(ab: np.ndarray) -> np.ndarray:
+    """The eigenvalues +-sigma(B), sigma descending, of the symmetric
+    [[0, B], [B^T, 0]] (Golub and Kahan 1965) whose square band B of kl =
+    ku = k diagonals on each side is in LAPACK's general band storage
+    (``assemble.HalfTurnBand``), the C-contiguous float64 (h, 2 k + 1)
+    ``ab``: entry [j, d] is B(j + d - k, j).  ``ab`` is overwritten.
+
+    Fortran reads the C storage as the (2 k + 1, h) array whose column j is
+    row j here, LAPACK's general band storage with ldab = 2 k + 1:
+    ``dgbbrd`` reduces B in place to upper bidiagonal form, and ``dbdsqr``
+    with no vectors finds its sigma by dqds (Fernando and Parlett 1994), to
+    high relative accuracy.  Neither takes a workspace query, so each is
+    one ``_lapack_call``, and an info other than 0 raises
+    ``InternalError`` naming it.  Where NumPy's build does not export
+    both, NumPy's ``svd`` finds the sigma of B expanded to its h x h
+    matrix."""
+    half, width = ab.shape
+    k = width // 2
+    if _lapack("dgbbrd") is not None and _lapack("dbdsqr") is not None:
+        d, e = np.empty(half), np.empty(max(1, half - 1))
+        for name, args in (
+                ("dgbbrd", (b"N", half, half, 0, k, k, ab, width, d, e, None,
+                            1, None, 1, None, 1, np.empty(2 * half))),
+                ("dbdsqr", (b"U", half, 0, 0, 0, d, e, None, 1, None, 1,
+                            None, 1, np.empty(4 * half)))):
+            info = _lapack_call(name, args)
+            if info:
+                raise _lapack_failed("half-turn band singular values", name,
+                                     info)
+        return np.concatenate([d, -d])
+    m = np.zeros((half, half))
+    for diagonal in range(width):
+        j = np.arange(max(0, k - diagonal), min(half, half + k - diagonal))
+        m[j + diagonal - k, j] = ab[j, diagonal]
+    try:
+        sigma = np.linalg.svd(m, compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        raise InternalError(
+            "half-turn band singular values failed: %s" % exc) from None
+    return np.concatenate([sigma, -sigma])
 
 
 def _invariant_errors(invariants: tuple[float, float, int],

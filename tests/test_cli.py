@@ -534,19 +534,22 @@ def test_only_an_equispaced_circle_skips_the_dense_solve(monkeypatch):
 def test_a_weight_the_half_turn_negates_skips_the_dense_solve(monkeypatch):
     # the benchmark's signed-weight operation, cos(t - phi) at a random
     # phase, at its smoke size, and the default cos t, which keeps its
-    # reflection t -> -t: both carry the modes |m| <= 1 of C_n, and each is
-    # one band of order n, with no dsyevd and no fold.  An odd weight on a
-    # rectangle, which the half turn negates and no map keeps, does not
-    # skip it: the trivial group's one folded block, one dsyevd of order n
+    # reflection t -> -t: both carry the modes |m| = 1 of C_n alone, and
+    # each is one half-turn band of order n, B of order n/2 solved by its
+    # singular values, with no dsyevd, no dsbevd and no fold.  An odd
+    # weight on a rectangle, which the half turn negates and no map keeps,
+    # does not skip it: the trivial group's one folded block, one dsyevd of
+    # order n
     perfbench = Path(__file__).resolve().parent.parent / "perfbench"
     monkeypatch.syspath_prepend(str(perfbench))
     workloads = importlib.import_module("workloads")
     op, = [op for op in workloads.build("curve-weyl", 0, smoke=True)
            if op.name == "signed-weight"]
-    solves = {"dsyevd": [], "fold": [], "dsbevd": []}
+    solves = {"dsyevd": [], "fold": [], "dsbevd": [], "split": []}
     counted = [(spectra, "dsyevd", "_eigvalsh_upper"),
                (assemble, "fold", "_cholesky_fold"),
-               (spectra, "dsbevd", "_band_eigenvalues")]
+               (spectra, "dsbevd", "_band_eigenvalues"),
+               (spectra, "split", "_half_turn_eigenvalues")]
     for module, name, attr in counted:
         def solve(m, *rest, name=name, true=getattr(module, attr)):
             solves[name].append(len(m))
@@ -554,12 +557,13 @@ def test_a_weight_the_half_turn_negates_skips_the_dense_solve(monkeypatch):
 
         monkeypatch.setattr(module, attr, solve)
     assert op.run().passed
-    assert solves == {"dsyevd": [], "fold": [], "dsbevd": [op.config["n"]]}
-    solves["dsbevd"].clear()
+    assert solves == {"dsyevd": [], "fold": [], "dsbevd": [],
+                      "split": [op.config["n"] // 2]}
+    solves["split"].clear()
     assert run_experiment(ExperimentConfig.from_dict(
         {"experiment": "signed-weight", "n": 512})).passed
-    assert solves == {"dsyevd": [], "fold": [], "dsbevd": [512]}
-    solves["dsbevd"].clear()
+    assert solves == {"dsyevd": [], "fold": [], "dsbevd": [], "split": [256]}
+    solves["split"].clear()
     vertices = [[0.0, 0.0], [1.3, 0.0], [1.3, 0.7], [0.0, 0.7]]
     mesh = cli._polygon_mesh(vertices, 256, 3.0)
     x, y = (mesh.nodes - [0.65, 0.35]).T
@@ -571,15 +575,15 @@ def test_a_weight_the_half_turn_negates_skips_the_dense_solve(monkeypatch):
                                .tolist()}}}))
     assert report.passed and report.measured["n_nodes"] == mesh.n_nodes
     assert solves == {"dsyevd": [mesh.n_nodes], "fold": [mesh.n_nodes],
-                      "dsbevd": []}
+                      "dsbevd": [], "split": []}
 
 
 def test_the_benchmark_operations_take_the_structured_blocks(monkeypatch):
     # every operation of the benchmark at its smoke size and seed 0, and the
-    # blocks of each operator it solves: C_n's singles alone, one band, a
-    # symmetry group's blocks (Z2 x Z2 on the rectangle, Z2 on the Cantor
-    # set at two depths and on the grid and circle), or the two circles'
-    # one coupled block of low modes and a single per other mode.  No
+    # blocks of each operator it solves: C_n's singles alone, one half-turn
+    # band, a symmetry group's blocks (Z2 x Z2 on the rectangle, Z2 on the
+    # Cantor set at two depths and on the grid and circle), or the two
+    # circles' one coupled block of low modes and a single per other mode.  No
     # operator takes the trivial group's Cholesky fold, and the bound side
     # solves none
     perfbench = Path(__file__).resolve().parent.parent / "perfbench"
@@ -601,7 +605,7 @@ def test_the_benchmark_operations_take_the_structured_blocks(monkeypatch):
     monkeypatch.setattr(spectra, "eigensolve", recorded)
     monkeypatch.setattr(assemble, "_cholesky_fold", counted_fold)
     group = assemble.OperatorMatrix
-    want = {"circle-weyl": [[]], "signed-weight": [[assemble.BandMatrix]],
+    want = {"circle-weyl": [[]], "signed-weight": [[assemble.HalfTurnBand]],
             "polygon-weyl": [[group] * 4],
             "cantor-estimate": [[group] * 2, [group] * 2],
             "two-surfaces": [[group]], "mixed-ac-singular": [[group] * 2],
@@ -711,16 +715,16 @@ def test_supports_that_share_an_atom_exit_2_naming_it(tmp_path, capsys):
 
 def test_a_perturbed_band_eigenvalue_exits_4(tmp_path, capsys, monkeypatch):
     # the benchmark's kind of signed-weight config at n = 128, cos(t - phi):
-    # one band of order n, whose largest eigenvalue solved wrong fails the
-    # invariant check
-    true_band = spectra._band_eigenvalues
+    # one half-turn band of order n, whose largest eigenvalue solved wrong
+    # fails the invariant check
+    true_band = spectra._half_turn_eigenvalues
 
     def last_shifted(ab):
         vals = true_band(ab)
-        vals[-1] *= 1.0 + 1e-6
+        vals[0] *= 1.0 + 1e-6
         return vals
 
-    monkeypatch.setattr(spectra, "_band_eigenvalues", last_shifted)
+    monkeypatch.setattr(spectra, "_half_turn_eigenvalues", last_shifted)
     t = 2.0 * np.pi * np.arange(128) / 128
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({

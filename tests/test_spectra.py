@@ -12,9 +12,10 @@ from hypothesis import strategies as st
 
 import critspec
 from critspec import assemble, asymptotics, spectra
-from critspec.assemble import (BandMatrix, BlockOperator, OperatorMatrix,
-                               WeightFn, assemble_curve_operator,
-                               assemble_mixed, make_cell_grid)
+from critspec.assemble import (BandMatrix, BlockOperator, HalfTurnBand,
+                               OperatorMatrix, WeightFn,
+                               assemble_curve_operator, assemble_mixed,
+                               make_cell_grid)
 from critspec.errors import (InsufficientDataError, InternalError,
                              InvalidArgumentError)
 from critspec.geometry import (Circle, Ellipse, SingularMeasure, Star,
@@ -399,7 +400,8 @@ def _band_modes(supports):
     """The b of the band that one support takes, asked as the assembler
     asks it: ``_circle_orbits`` finds it one free orbit of C_n, and
     ``_banded`` builds one ``BandMatrix``, whose storage has 2 b + 2
-    columns.  None where either refuses."""
+    columns, or one ``HalfTurnBand``, whose storage has 2 b + 3.  None
+    where either refuses."""
     points, weights, values, offsets = assemble._layout(supports)
     orbits = assemble._circle_orbits(supports, points, weights, offsets)
     if orbits is None:
@@ -409,7 +411,7 @@ def _band_modes(supports):
     if op is None:
         return None
     (block,) = op.blocks
-    assert isinstance(block, BandMatrix)
+    assert isinstance(block, (BandMatrix, HalfTurnBand))
     return block.entries.shape[1] // 2 - 1
 
 
@@ -800,17 +802,18 @@ def _full_product_fold(kernel_matrix: np.ndarray, v_vals: np.ndarray,
 @settings(max_examples=40, deadline=None)
 @given(supports=_negated_supports())
 def test_a_negated_weight_is_solved_by_the_fold(supports):
-    # no map keeps the weight: where it takes no band, its table is the
-    # trivial group's and its operator the one folded block of order n,
-    # whose spectrum is the dense oracle's, full-product fold and all,
-    # within 64 n eps of the spectral radius, or whose refusal is the
+    # no map keeps the weight: where it takes no band of either kind, its
+    # table is the trivial group's and its operator the one folded block of
+    # order n, whose spectrum is the dense oracle's, full-product fold and
+    # all, within 64 n eps of the spectral radius, or whose refusal is the
     # oracle's
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(oracles, "_cholesky_fold", _full_product_fold)
         op = _assert_reduced_matches_dense(supports, reference_kernel())
     table = assemble._symmetry_table(supports, *assemble._layout(supports))
     if (op is not None and table.shape[:2] == (1, 1)
-            and _kinds(op) != [(BandMatrix, op.n)]):
+            and _kinds(op) not in ([(BandMatrix, op.n)],
+                                   [(HalfTurnBand, op.n)])):
         assert _kinds(op) == [(OperatorMatrix, op.n)] and op.signed_flag
 
 
@@ -818,15 +821,15 @@ def test_a_subnormal_negated_weight_underflows_on_both_paths():
     # +-5e-324 on an 8-node circle, a square wave of the modes 1 and 3: the
     # kernel rows times sqrt(V w) underflow to 0, and the operator's
     # largest entry, subnormal on the oracle's dense fold, must be read as
-    # subnormal from the rows too, on the band and on the trivial group's
-    # one folded block
+    # subnormal from the rows too, on the half-turn band (every mode odd)
+    # and on the trivial group's one folded block
     mesh = make_smooth_curve(Circle(radius=1.0), 8)
     values = np.repeat([5e-324, -5e-324], 4)
     supports = [(mesh, WeightFn.tabulated(values))]
     assert _band_modes(supports) == 3
     ops = (assemble_mixed(supports, reference_kernel()),
            assemble_dense(supports, reference_kernel()))
-    assert [_kinds(op) for op in ops] == [[(BandMatrix, 8)],
+    assert [_kinds(op) for op in ops] == [[(HalfTurnBand, 8)],
                                           [(OperatorMatrix, 8)]]
     for op in ops:
         with pytest.raises(InvalidArgumentError, match="entries underflow"):
@@ -857,9 +860,18 @@ def test_the_underflow_refusal_names_the_smallest_normal_double():
 def _half_turn_circle(n: int = 128, phase: float = 1.234, radius=1.0):
     """An equispaced circle with the weight cos(t - phase), which the half
     turn negates and, at this phase, no map keeps: it carries the modes
-    |m| <= 1 of C_n, and is solved as one band."""
+    |m| = 1 of C_n alone, and is solved as one half-turn band."""
     mesh = make_smooth_curve(Circle(radius=radius), n)
     return [(mesh, WeightFn.tabulated(np.cos(mesh.param_values - phase)))]
+
+
+def _even_mode_circle(n: int = 128):
+    """An equispaced circle with the weight cos t + 0.3 cos 2t: its mode 2
+    is even, so the half turn does not negate it, and it is solved as one
+    band of order n."""
+    mesh = make_smooth_curve(Circle(), n)
+    t = mesh.param_values
+    return [(mesh, WeightFn.tabulated(np.cos(t) + 0.3 * np.cos(2.0 * t)))]
 
 
 def _square_wave(t: np.ndarray) -> np.ndarray:
@@ -980,9 +992,22 @@ _FAILED_SOLVES = {
     "dense": (lambda: one_block(np.diag([2.0, 1.0, 0.5])), OperatorMatrix,
               "dsyevd", 10, 1, "eigvalsh", "symmetric eigensolve"),
     # dsbevd's arguments: jobz, uplo, n, kd, ab, ldab, w, z, ldz, work,
-    # lwork, iwork, liwork, info, and the two character lengths
-    "band": (lambda: assemble_mixed(_half_turn_circle(), reference_kernel()),
+    # lwork, iwork, liwork, info, and the two character lengths.  The
+    # weight carries an even mode, so the half turn does not negate it
+    "band": (lambda: assemble_mixed(_even_mode_circle(), reference_kernel()),
              BandMatrix, "dsbevd", 13, 1, "eigvalsh", "band eigensolve"),
+    # dgbbrd's arguments: vect, m, n, ncc, kl, ku, ab, ldab, d, e, q, ldq,
+    # pt, ldpt, c, ldc, work, info, and the character length
+    "half-turn-reduction": (
+        lambda: assemble_mixed(_half_turn_circle(), reference_kernel()),
+        HalfTurnBand, "dgbbrd", 17, -7, "svd",
+        "half-turn band singular values"),
+    # dbdsqr's arguments: uplo, n, ncvt, nru, ncc, d, e, vt, ldvt, u, ldu,
+    # c, ldc, work, info, and the character length
+    "half-turn-values": (
+        lambda: assemble_mixed(_half_turn_circle(), reference_kernel()),
+        HalfTurnBand, "dbdsqr", 14, 3, "svd",
+        "half-turn band singular values"),
     # dpotrf's arguments: uplo, n, a, lda, info, and the character length.
     # The fold fails in the assembly, and only an info below 0 (an illegal
     # argument) is internal: an info above 0, or a failed NumPy fallback,
@@ -994,14 +1019,20 @@ _FAILED_SOLVES = {
 
 @pytest.mark.parametrize("case,path", [
     ("dense", "lapack"), ("dense", "fallback"), ("band", "lapack"),
-    ("band", "fallback"), ("fold", "lapack")])
+    ("band", "fallback"), ("fold", "lapack"),
+    ("half-turn-reduction", "lapack"), ("half-turn-values", "lapack"),
+    ("half-turn-values", "fallback")])
 def test_a_failed_block_solve_raises_internal_error(case, path, monkeypatch):
+    # the routine that fails reports its info, and every other routine is
+    # LAPACK's own, so a failure after a step that ran is reached too
     build, kind, routine, position, info, fallback, step = (
         _FAILED_SOLVES[case])
     assert [type(b) for b in build().blocks] == [kind]
     if path == "lapack":
+        true_lapack = spectra._lapack
         monkeypatch.setattr(spectra, "_lapack", lambda name: (
-            _reports_info(position, info) if name == routine else None))
+            _reports_info(position, info) if name == routine
+            else true_lapack(name)))
         named = "LAPACK %s info = %d" % (routine, info)
     else:
         monkeypatch.setattr(spectra, "_lapack", lambda name: None)
@@ -1105,7 +1136,11 @@ def test_a_band_limited_weight_is_one_band_of_the_dense_spectrum(case):
     # b = 0 is a weight the rotations keep, C_n's 1 x 1 blocks; every b from
     # 1 to the cutoff is one band of half-width 2 b + 1, whose spectrum is
     # the dense oracle's within 64 n eps of the spectral radius, and whose
-    # invariants, read from the kernel row, are the oracle's
+    # invariants, read from the kernel row, are the oracle's.  Where n is
+    # even and every even mode of V w lies at or below the truncation, 64 n
+    # eps of its largest mode, the half turn negates the weight, and the
+    # band is B of [[0, B], [B^T, 0]] alone, of order n/2 and b + 1
+    # diagonals each side
     supports, b = case
     kern = reference_kernel()
     assert _band_modes(supports) == (b or None)
@@ -1114,9 +1149,14 @@ def test_a_band_limited_weight_is_one_band_of_the_dense_spectrum(case):
     if b == 0:
         assert op.blocks == () and len(op.singles) == n
     else:
+        _, weights, values, _ = assemble._layout(supports)
+        modes = np.abs(np.fft.rfft(values * weights))
+        odd = n % 2 == 0 and not np.any(
+            modes[::2] > spectra._tolerance_unit(n) * modes.max())
         assert len(op.singles) == 0
         assert [(type(bd), bd.entries.shape) for bd in op.blocks] == [
-            (BandMatrix, (n, 2 * b + 2))]
+            (HalfTurnBand, (n // 2, 2 * b + 3)) if odd
+            else (BandMatrix, (n, 2 * b + 2))]
         _assert_invariants_match_the_oracle(op, supports, kern)
     _assert_reduced_matches_dense(supports, kern)
 
@@ -1149,6 +1189,61 @@ def test_a_weight_one_rotation_step_keeps_is_one_band(n):
     op = _assert_reduced_matches_dense(supports, reference_kernel())
     assert [(type(b), b.entries.shape) for b in op.blocks] == [
         (BandMatrix, (n, 4))]
+
+
+@pytest.mark.parametrize("n", [512, 2048])
+@pytest.mark.parametrize("b", [1, 3, 5])
+def test_a_weight_the_half_turn_negates_is_one_half_turn_band(b, n):
+    # the odd modes m <= b at phases off the axes, on an even n: one block
+    # [[0, B], [B^T, 0]] kept as B alone, of order n/2 and b + 1 diagonals
+    # each side, whose spectrum +-sigma(B) is symmetric to the last bit and
+    # the dense oracle's within 64 n eps of the spectral radius
+    mesh = make_smooth_curve(Circle(radius=0.9), n)
+    t = mesh.param_values
+    values = sum(np.cos(m * (t - 0.4)) / m for m in range(1, b + 1, 2))
+    supports = [(mesh, WeightFn.tabulated(values))]
+    op = _assert_reduced_matches_dense(supports, reference_kernel())
+    assert [(type(bd), bd.n, bd.entries.shape) for bd in op.blocks] == [
+        (HalfTurnBand, n, (n // 2, 2 * b + 3))]
+    got = eigensolve(assemble_mixed(supports, reference_kernel()))
+    assert len(got.positives) > n // 4
+    assert np.array_equal(got.positives, -got.negatives)
+
+
+@pytest.mark.parametrize("case", ["even mode", "odd n", "mean"])
+def test_a_weight_the_half_turn_does_not_negate_keeps_the_band(case):
+    # cos t + 0.3 cos 2t carries an even mode; on 129 nodes no half turn
+    # maps a node to a node; cos(t - 1.234) + 1e-6 carries the mode 0
+    # above the truncation.  Each is one band of order n in symmetric band
+    # storage, the dense oracle's spectrum
+    n = 129 if case == "odd n" else 128
+    ring, t = _atom_ring(n, radius=0.9)
+    values = {"even mode": np.cos(t) + 0.3 * np.cos(2.0 * t),
+              "odd n": np.cos(t - 1.234),
+              "mean": np.cos(t - 1.234) + 1e-6}[case]
+    supports = [(ring, WeightFn.tabulated(values))]
+    op = _assert_reduced_matches_dense(supports, reference_kernel())
+    b = 2 if case == "even mode" else 1
+    assert [(type(bd), bd.entries.shape) for bd in op.blocks] == [
+        (BandMatrix, (n, 2 * b + 2))]
+
+
+def test_a_mean_below_the_truncation_is_dropped_into_the_weyl_bound():
+    # cos(t - 1.234) + c with c 1e-14 of the largest value: its mode 0
+    # lies below the truncation, 64 n eps of the largest mode, so it is
+    # dropped, the half turn's band is taken, and the Weyl bound grows by
+    # c times the spectral radius of the operator of V = 1
+    ring, t = _atom_ring(128, radius=0.9)
+    kern = reference_kernel()
+    c = 1e-14
+    ops = [assemble_mixed([(ring, WeightFn.tabulated(np.cos(t - 1.234)
+                                                     + shift))], kern)
+           for shift in (0.0, c)]
+    assert [_kinds(op) for op in ops] == [[(HalfTurnBand, 128)]] * 2
+    radius = eigensolve(assemble_mixed([(ring, WeightFn.constant(1.0))],
+                                       kern)).positives[0]
+    assert ops[1].weyl_bound - ops[0].weyl_bound == pytest.approx(
+        c * radius, rel=1e-3)
 
 
 def _orbit_cases():
@@ -1192,12 +1287,85 @@ def test_circle_orbits_refuses_what_is_not_an_equispaced_circle(make):
     assert assemble._circle_orbits(supports, points, weights, offsets) is None
 
 
+def _circle_orbits_by_table(supports, points, weights, offsets):
+    """``_circle_orbits`` answered by the symmetry table alone: each
+    support's table under a constant weight is one orbit of all its
+    atoms, or None."""
+    orbits = []
+    for support, lo, hi in zip(supports, offsets[:-1], offsets[1:]):
+        table = assemble._symmetry_table(
+            [support], points[lo:hi], weights[lo:hi], np.ones(hi - lo),
+            np.array([0, hi - lo]))
+        if table.shape != (1, hi - lo, 1):
+            return None
+        orbits.append(lo + table[0, :, 0])
+    return orbits
+
+
+def _one_atom():
+    return [(SingularMeasure(atoms=np.array([[0.3, -0.2]]),
+                             masses=np.ones(1), cell_size=0.1,
+                             alpha_nominal=1.0), WeightFn.constant(1.0))]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _orbit_cases()["circle"][1],
+    lambda: _orbit_cases()["ring"][2],
+    lambda: [(_atom_ring(4)[0], WeightFn.constant(1.0))],
+    lambda: [(_atom_ring(2, center=(3.0, 1.0))[0], WeightFn.constant(1.0))],
+    _one_atom,
+    lambda: [(make_smooth_curve(Circle(center=(3e5, -1e5)), 64),
+              WeightFn.constant(1.0))],
+    lambda: [(make_smooth_curve(Ellipse(a=1.0, b=1.0 + 4e-12), 64),
+              WeightFn.constant(1.0))],
+    lambda: [(make_smooth_curve(Ellipse(a=1.0, b=1.0 + 1e-15), 64),
+              WeightFn.constant(1.0))],
+    lambda: [(make_smooth_curve(Star(amplitude=1e-9), 64),
+              WeightFn.constant(1.0))],
+    lambda: [(make_smooth_curve(Ellipse(a=1.0, b=1.4), 64),
+              WeightFn.constant(1.0))],
+    lambda: _two_circles(0.5, n1=64, n2=32),
+    lambda: _grid_and_circle(),
+    lambda: [(make_cantor_measure(6), WeightFn.constant(1.0))],
+], ids=["circle", "ring", "ring of four", "two atoms", "one atom",
+        "far circle", "ellipse 4e-12", "ellipse 1e-15", "star 1e-9",
+        "ellipse", "two circles", "grid and circle", "cantor"])
+def test_circle_orbits_answers_as_the_table_does(make):
+    # the O(n) test of one distance from the centroid refuses only what
+    # the table refuses, and where it passes the table answers
+    supports = make()
+    points, weights, _, offsets = assemble._layout(supports)
+    got = assemble._circle_orbits(supports, points, weights, offsets)
+    want = _circle_orbits_by_table(supports, points, weights, offsets)
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        assert len(got) == len(want)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: make_polygon_curve([[0.0, 0.0], [1.3, 0.0], [1.3, 0.7],
+                                [0.0, 0.7]], 512, 3.0),
+    lambda: make_cantor_measure(8),
+], ids=["rectangle", "cantor"])
+def test_circle_orbits_builds_no_table_for_what_is_no_circle(make,
+                                                             monkeypatch):
+    supports = [(make(), WeightFn.constant(1.0))]
+    points, weights, _, offsets = assemble._layout(supports)
+    tables = []
+    monkeypatch.setattr(assemble, "_symmetry_table",
+                        lambda *args: tables.append(args))
+    assert assemble._circle_orbits(supports, points, weights,
+                                   offsets) is None
+    assert tables == []
+
+
 def test_a_ring_of_four_atoms_takes_its_group():
     # four atoms on a circle keep two perpendicular reflections, Z2 x Z2,
     # which wins over C_4 at a tie, so they are no free orbit of C_4 and
     # cos t takes the blocks of y -> -y, 3 x 3 and a single, not a band of
     # order 4; its eigenvalues are those of that band, built along the
-    # orbit, and of the dense oracle
+    # orbit, where the half turn negates cos t, and of the dense oracle
     ring, t = _atom_ring(4)
     supports = [(ring, WeightFn.tabulated(np.cos(t)))]
     points, weights, values, offsets = assemble._layout(supports)
@@ -1206,7 +1374,7 @@ def test_a_ring_of_four_atoms_takes_its_group():
     assert _kinds(op) == [(OperatorMatrix, 3)] and len(op.singles) == 1
     band = assemble._banded(ring, reference_kernel(), values * weights,
                             np.arange(4))
-    assert _kinds(band) == [(BandMatrix, 4)]
+    assert _kinds(band) == [(HalfTurnBand, 4)]
     got, want = (eigensolve(x) for x in (
         assemble_mixed(supports, reference_kernel()), band))
     for side in ("positives", "negatives"):
@@ -1217,11 +1385,15 @@ def test_a_ring_of_four_atoms_takes_its_group():
 
 
 def test_a_band_block_keeps_its_band_storage():
-    # a band block takes (n, kd + 1) storage, at most n diagonals; every
-    # other block stays square
+    # a band block takes (n, kd + 1) storage, at most n diagonals, and a
+    # half-turn band (n/2, 2 k + 1), an odd width, and stands for order n;
+    # every other block stays square
     assemble.BandMatrix(entries=np.zeros((8, 4)))
     with pytest.raises(InvalidArgumentError, match="at most n diagonals"):
         assemble.BandMatrix(entries=np.zeros((3, 4)))
+    assert HalfTurnBand(entries=np.zeros((8, 5))).n == 16
+    with pytest.raises(InvalidArgumentError, match="2 k \\+ 1 diagonals"):
+        HalfTurnBand(entries=np.zeros((8, 4)))
     with pytest.raises(InvalidArgumentError, match="must be square"):
         OperatorMatrix(entries=np.zeros((8, 4)))
 
@@ -1251,7 +1423,8 @@ def test_a_weight_moved_by_1e_9_falls_back(n, gate, monkeypatch):
     # its modes lies above the truncation, 64 n eps of the largest; from
     # n = 512 they lie below it, and the dropped modes' Weyl bound, above
     # the tolerance unit, refuses the band.  Either way the operator takes
-    # the trivial group, as before the band existed
+    # the trivial group, as before the band existed.  With the bound lifted
+    # the even modes dropped leave the modes |m| = 1, the half turn's band
     supports = _half_turn_circle(n=n)
     (mesh, weight), = supports
     values = weight.table.copy()
@@ -1271,7 +1444,8 @@ def test_a_weight_moved_by_1e_9_falls_back(n, gate, monkeypatch):
     if gate == "modes":
         assert lifted is None
     else:
-        assert lifted.blocks[0].entries.shape == (n, 4)
+        assert [(type(b), b.entries.shape) for b in lifted.blocks] == [
+            (HalfTurnBand, (n // 2, 5))]
         # the weight as it was takes the band
         exact = assemble._layout(supports)
         assert assemble._banded(mesh, kern, exact[2] * exact[1],
@@ -1332,20 +1506,35 @@ def test_a_subnormal_band_limited_weight_underflows():
             "(below 2.23e-308); scale the weight up")
 
 
+@pytest.mark.parametrize("name", ["dsyevd", "dsbevd", "dpotrf", "dgbbrd",
+                                  "dbdsqr"])
+def test_every_lapack_routine_resolves(name):
+    # each routine the solves and the fold call is found in the OpenBLAS
+    # NumPy has loaded, so no solve of the benchmark runs a NumPy fallback
+    source = "".join(Path(module.__file__).read_text()
+                     for module in (spectra, assemble))
+    assert '"%s"' % name in source
+    assert spectra._lapack(name) is not None
+
+
 def test_a_perturbed_band_eigenvalue_fails_the_check(monkeypatch):
-    supports = _half_turn_circle()
-    eigensolve(assemble_mixed(supports, reference_kernel()))
-    true_band = spectra._band_eigenvalues
+    # either kind of band, its eigenvalue of largest magnitude solved wrong
+    for supports, solve in ((_even_mode_circle(), "_band_eigenvalues"),
+                            (_half_turn_circle(), "_half_turn_eigenvalues")):
+        eigensolve(assemble_mixed(supports, reference_kernel()))
+        true_band = getattr(spectra, solve)
 
-    def last_shifted(ab):
-        vals = true_band(ab)
-        vals[-1] *= 1.0 + 1e-6
-        return vals
+        def last_shifted(ab, true_band=true_band):
+            vals = true_band(ab)
+            vals[np.argmax(np.abs(vals))] *= 1.0 + 1e-6
+            return vals
 
-    monkeypatch.setattr(spectra, "_band_eigenvalues", last_shifted)
-    op = assemble_mixed(supports, reference_kernel())
-    with pytest.raises(InternalError, match="trace error .* Frobenius"):
-        eigensolve(op)
+        with monkeypatch.context() as patch:
+            patch.setattr(spectra, solve, last_shifted)
+            op = assemble_mixed(supports, reference_kernel())
+            with pytest.raises(InternalError,
+                               match="trace error .* Frobenius"):
+                eigensolve(op)
 
 
 def test_the_band_fallback_gives_the_same_spectrum(monkeypatch):
