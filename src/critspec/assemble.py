@@ -1503,19 +1503,10 @@ def _circle_orbits(supports, points, weights, offsets):
     question about geometry alone, which both circle paths ask
     (``_banded``, ``_coupled``): the table of ``_symmetry_table`` of each
     support on its own under a constant weight, whatever its weight and
-    its kind.  No table is built for a support whose atoms do not all lie
-    at one distance from their centroid within four of the table's own
-    ``reach``, 64 n eps of the largest |coordinate|: an O(n) test that
-    refuses nothing the table accepts, whose orbit lets the distances
-    spread by two reaches at most."""
+    its kind."""
     orbits = []
     for support, lo, hi in zip(supports, offsets[:-1], offsets[1:]):
-        atoms = points[lo:hi]
-        radii = np.linalg.norm(atoms - atoms.mean(axis=0), axis=1)
-        if np.ptp(radii) > 4.0 * _tolerance_unit(hi - lo) * np.max(
-                np.abs(atoms)):
-            return None
-        table = _symmetry_table([support], atoms, weights[lo:hi],
+        table = _symmetry_table([support], points[lo:hi], weights[lo:hi],
                                 np.ones(hi - lo), np.array([0, hi - lo]))
         if table.shape != (1, hi - lo, 1):
             return None

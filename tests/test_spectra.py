@@ -1191,10 +1191,11 @@ def test_a_weight_one_rotation_step_keeps_is_one_band(n):
         (BandMatrix, (n, 4))]
 
 
-@pytest.mark.parametrize("n", [512, 2048])
+@pytest.mark.parametrize("n", [510, 512, 2048])
 @pytest.mark.parametrize("b", [1, 3, 5])
 def test_a_weight_the_half_turn_negates_is_one_half_turn_band(b, n):
-    # the odd modes m <= b at phases off the axes, on an even n: one block
+    # the odd modes m <= b at phases off the axes, on an even n, n/2 odd
+    # (the Nyquist cosine among B's columns) or even: one block
     # [[0, B], [B^T, 0]] kept as B alone, of order n/2 and b + 1 diagonals
     # each side, whose spectrum +-sigma(B) is symmetric to the last bit and
     # the dense oracle's within 64 n eps of the spectral radius
@@ -1285,79 +1286,6 @@ def test_circle_orbits_refuses_what_is_not_an_equispaced_circle(make):
     supports = make()
     points, weights, _, offsets = assemble._layout(supports)
     assert assemble._circle_orbits(supports, points, weights, offsets) is None
-
-
-def _circle_orbits_by_table(supports, points, weights, offsets):
-    """``_circle_orbits`` answered by the symmetry table alone: each
-    support's table under a constant weight is one orbit of all its
-    atoms, or None."""
-    orbits = []
-    for support, lo, hi in zip(supports, offsets[:-1], offsets[1:]):
-        table = assemble._symmetry_table(
-            [support], points[lo:hi], weights[lo:hi], np.ones(hi - lo),
-            np.array([0, hi - lo]))
-        if table.shape != (1, hi - lo, 1):
-            return None
-        orbits.append(lo + table[0, :, 0])
-    return orbits
-
-
-def _one_atom():
-    return [(SingularMeasure(atoms=np.array([[0.3, -0.2]]),
-                             masses=np.ones(1), cell_size=0.1,
-                             alpha_nominal=1.0), WeightFn.constant(1.0))]
-
-
-@pytest.mark.parametrize("make", [
-    lambda: _orbit_cases()["circle"][1],
-    lambda: _orbit_cases()["ring"][2],
-    lambda: [(_atom_ring(4)[0], WeightFn.constant(1.0))],
-    lambda: [(_atom_ring(2, center=(3.0, 1.0))[0], WeightFn.constant(1.0))],
-    _one_atom,
-    lambda: [(make_smooth_curve(Circle(center=(3e5, -1e5)), 64),
-              WeightFn.constant(1.0))],
-    lambda: [(make_smooth_curve(Ellipse(a=1.0, b=1.0 + 4e-12), 64),
-              WeightFn.constant(1.0))],
-    lambda: [(make_smooth_curve(Ellipse(a=1.0, b=1.0 + 1e-15), 64),
-              WeightFn.constant(1.0))],
-    lambda: [(make_smooth_curve(Star(amplitude=1e-9), 64),
-              WeightFn.constant(1.0))],
-    lambda: [(make_smooth_curve(Ellipse(a=1.0, b=1.4), 64),
-              WeightFn.constant(1.0))],
-    lambda: _two_circles(0.5, n1=64, n2=32),
-    lambda: _grid_and_circle(),
-    lambda: [(make_cantor_measure(6), WeightFn.constant(1.0))],
-], ids=["circle", "ring", "ring of four", "two atoms", "one atom",
-        "far circle", "ellipse 4e-12", "ellipse 1e-15", "star 1e-9",
-        "ellipse", "two circles", "grid and circle", "cantor"])
-def test_circle_orbits_answers_as_the_table_does(make):
-    # the O(n) test of one distance from the centroid refuses only what
-    # the table refuses, and where it passes the table answers
-    supports = make()
-    points, weights, _, offsets = assemble._layout(supports)
-    got = assemble._circle_orbits(supports, points, weights, offsets)
-    want = _circle_orbits_by_table(supports, points, weights, offsets)
-    assert (got is None) == (want is None)
-    if want is not None:
-        assert all(np.array_equal(a, b) for a, b in zip(got, want))
-        assert len(got) == len(want)
-
-
-@pytest.mark.parametrize("make", [
-    lambda: make_polygon_curve([[0.0, 0.0], [1.3, 0.0], [1.3, 0.7],
-                                [0.0, 0.7]], 512, 3.0),
-    lambda: make_cantor_measure(8),
-], ids=["rectangle", "cantor"])
-def test_circle_orbits_builds_no_table_for_what_is_no_circle(make,
-                                                             monkeypatch):
-    supports = [(make(), WeightFn.constant(1.0))]
-    points, weights, _, offsets = assemble._layout(supports)
-    tables = []
-    monkeypatch.setattr(assemble, "_symmetry_table",
-                        lambda *args: tables.append(args))
-    assert assemble._circle_orbits(supports, points, weights,
-                                   offsets) is None
-    assert tables == []
 
 
 def test_a_ring_of_four_atoms_takes_its_group():
@@ -1537,22 +1465,34 @@ def test_a_perturbed_band_eigenvalue_fails_the_check(monkeypatch):
                 eigensolve(op)
 
 
+def _assert_fallback_matches(supports, blocks, monkeypatch):
+    """The spectrum of ``supports`` solved with no LAPACK routine, from
+    ``blocks`` (kind, storage shape), is LAPACK's within 64 n eps of the
+    spectral radius."""
+    want = eigensolve(assemble_mixed(supports, reference_kernel()))
+    monkeypatch.setattr(spectra, "_lapack", lambda name: None)
+    op = assemble_mixed(supports, reference_kernel())
+    assert [(type(b), b.entries.shape) for b in op.blocks] == blocks
+    got = eigensolve(op)
+    unit = spectra._tolerance_unit(op.n) * want.positives[0]
+    assert len(got.positives) == len(want.positives)
+    assert len(got.negatives) == len(want.negatives)
+    assert np.max(np.abs(got.positives - want.positives)) <= unit
+    assert np.max(np.abs(got.negatives - want.negatives)) <= unit
+
+
 def test_the_band_fallback_gives_the_same_spectrum(monkeypatch):
     # NumPy's eigvalsh on the band expanded to its n x n matrix
     supports = [(make_smooth_curve(Circle(radius=0.8), 256),
                  WeightFn.tabulated(np.cos(5.0 * np.arange(256) * np.pi / 128)
                                     - 0.3))]
-    want = eigensolve(assemble_mixed(supports, reference_kernel()))
-    monkeypatch.setattr(spectra, "_lapack", lambda name: None)
-    op = assemble_mixed(supports, reference_kernel())
-    assert [(type(b), b.entries.shape) for b in op.blocks] == [
-        (BandMatrix, (256, 12))]
-    got = eigensolve(op)
-    unit = spectra._tolerance_unit(256) * want.positives[0]
-    assert len(got.positives) == len(want.positives)
-    assert len(got.negatives) == len(want.negatives)
-    assert np.max(np.abs(got.positives - want.positives)) <= unit
-    assert np.max(np.abs(got.negatives - want.negatives)) <= unit
+    _assert_fallback_matches(supports, [(BandMatrix, (256, 12))], monkeypatch)
+
+
+def test_the_half_turn_fallback_gives_the_same_spectrum(monkeypatch):
+    # NumPy's svd on B expanded to its n/2 x n/2 matrix
+    _assert_fallback_matches(_half_turn_circle(256),
+                             [(HalfTurnBand, (128, 5))], monkeypatch)
 
 
 def test_a_second_solve_of_a_band_is_refused():
