@@ -24,29 +24,31 @@ plain kernel values in the cross blocks between supports.  The curve and
 measure operators are its one-block calls.
 
 ``assemble_mixed`` is the one assembler, and it builds every operator in a
-symmetry-adapted basis.  Where a group G of plane isometries maps the
-atoms, their quadrature weights and their weight values onto themselves
-(C_m rotations, or one or two reflections), the operator commutes with G
-and splits into one block per character of G, each about n/|G| (Fassler
-and Stiefel, Group Theoretical Methods and Their Applications, 1992;
-Allgower, Georg and Miranda, SIAM J. Numer. Anal. 29, 1992).  Where none
-is found, G is the trivial group {e}: its one block is the whole n x n
-matrix, built by the same code.  The rows of one representative per orbit
-are assembled against the orbits from their own on alone, about
-n^2/(2|G|) entries, and the blocks come from one DFT over the group axes,
-each Hermitian by its upper orbit triangle; an equispaced circle of a
-constant weight is the case G = C_n, whose n blocks are 1 x 1, the real
-DFT of its first row.
+symmetry-adapted basis.  Where a group G of plane isometries, one or two
+reflections, maps the atoms, their quadrature weights and their weight
+values onto themselves, the operator commutes with G and splits into one
+real block per character of G, each about n/|G| (Fassler and Stiefel,
+Group Theoretical Methods and Their Applications, 1992; Allgower, Georg
+and Miranda, SIAM J. Numer. Anal. 29, 1992).  Where none is found, G is
+the trivial group {e}: its one block is the whole n x n matrix, built by
+the same code.  The rows of one representative per orbit are assembled
+against the orbits from their own on alone, about n^2/(2|G|) entries, and
+the blocks come from butterflies over the group axes, each symmetric by
+its upper orbit triangle.
 
 ``_symmetry_table`` is the one place that decides which group an operator
-is reduced by, and it answers that alone: the largest group it tries that
-keeps the atoms, their quadrature weights, the mesh and the weight.  A
-signed weight that no map keeps takes the trivial group, and so the one
-fold below, whether or not some map negates it.  Each structured path
-asks its own question besides.  ``_circle_orbits`` asks the one both
-circle paths share, a question about geometry alone: whether each support
-is one free orbit of its own C_n, an equispaced circle, whatever its
-weight.
+is reduced by, and it answers that alone: the largest group of the
+reflections it tries that keeps the atoms, their quadrature weights, the
+mesh and the weight, Z2 x Z2, Z2 or {e}.  Every character is +-1, so
+every block is real.  A signed weight that no reflection keeps takes the
+trivial group, and so the one fold below, whether or not some map negates
+it.
+
+The one rotation the module asks about is the circle question,
+``_circle_orbits``, asked once of every input before any table is built
+and about geometry alone: whether each support is one free orbit of its
+own C_n, an equispaced circle, whatever its weight.  Where it is, two
+exact Fourier paths take the operator in place of a group.
 
 On one such circle whose weight varies, the kernel matrix is C_n-invariant
 whatever the weight, so in the Fourier basis it is diag(kappa), kappa the
@@ -66,19 +68,19 @@ invariants come from the row, and the band is taken only where every
 kappa_m is positive and the modes dropped below the truncation move no
 eigenvalue past the solve's tolerance unit; otherwise the operator takes
 the group of ``_symmetry_table``, as every other weight does.  The band is
-asked before the table is built, and whatever n is, so a weight of few
-modes that one rotation step keeps within the tolerance takes it too.
+taken whatever n is, so a weight of few modes that one rotation step
+keeps within the tolerance takes it too.
 
-Circles that share no symmetry, each a free orbit of its own C_n_k with a
-weight >= 0 constant on it, as two-surfaces at an angle off the axes, are
-the trivial group's case that needs no block of order n.  In each
-circle's real Fourier basis its own block is diagonal, V w kappa_k, and
-the cross blocks, taken there by two real FFT passes, decay geometrically
-between separated circles, since the kernel is analytic there.  The
-modes of least coupling are dropped while the Frobenius norm of the
-dropped coupling, which bounds how far any eigenvalue moves (Weyl), stays
-within the tolerance unit times sqrt(F / n); the kept ones are one dense
-coupled block, every other mode a single (``_coupled``).
+Circles whose weights are each constant and all >= 0 or all < 0, as the
+one circle of circle-weyl and the two of two-surfaces, whatever their
+symmetry, need no block of order n.  In each circle's real Fourier basis
+its own block is diagonal, V w kappa_k, and the cross blocks, taken there
+by two real FFT passes, decay geometrically between separated circles,
+since the kernel is analytic there.  The modes of least coupling are
+dropped while the Frobenius norm of the dropped coupling, which bounds how
+far any eigenvalue moves (Weyl), stays within the tolerance unit times
+sqrt(F / n); the kept ones are one dense coupled block, every other mode a
+single (``_coupled``).  One circle alone is all singles.
 
 The orbit rows are built in one blocked pass.  A block is a slice of
 representatives [o0, o1) against the columns of the orbits from o0 on: its
@@ -121,7 +123,6 @@ spacing.
 
 from __future__ import annotations
 
-import functools
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -147,8 +148,10 @@ _FOLD_COLUMNS = 256
 # the most Fourier modes b a weight may carry on one free orbit of C_n for
 # the operator to be solved as one band of half-width 2 b + 1 (``_banded``):
 # in the table of BENCH_banded.json the band, solved by dsbevd, beat every
-# weight's group up to b = 5, at n = 1024 to 4096, and lost to the weights
-# that C_8 keeps at b = 8 by 1.5 to 2.5 times
+# weight's rotation group up to b = 5, at n = 1024 to 4096, and lost to the
+# weights that C_8 keeps at b = 8.  The rotation groups are gone, and no
+# measurement against the reflection groups or the trivial group that take
+# those weights now has been made: the value is kept as it was
 _BAND_MODES = 5
 # the smallest normal double: an operator whose largest entry lies below it
 # has lost digits in every entry (``_underflow``)
@@ -162,7 +165,7 @@ def _tolerance_unit(n: int) -> float:
     """64 n eps, the relative tolerance unit of an operator of order n,
     defined once: the eigensolve checks its invariants in it (clean solves
     measured below 0.25 of it), a plane isometry counts as a symmetry
-    within it (``_symmetry_table``), a weight's Fourier modes below it of
+    within it (``_matcher``), a weight's Fourier modes below it of
     the largest are not carried (``_banded``), and what a structured
     block drops is bounded by it (``_truncation_bound``).  A
     support that misses a symmetry by s of it moves its eigenvalues off
@@ -799,17 +802,15 @@ def _layout(supports):
 class BlockOperator:
     """The operator in a symmetry-adapted basis, as ``assemble_mixed``
     builds it.  Its eigenvalues are those of ``blocks`` together with
-    ``singles``, the eigenvalues of the 1 x 1 blocks, each listed as often
-    as it counts.  Each of ``blocks`` is one of three kinds, and its kind
-    picks its solve in ``spectra.eigensolve``:
+    ``singles``, the eigenvalues of the 1 x 1 blocks.  Each of ``blocks``
+    is one of three kinds, and its kind picks its solve in
+    ``spectra.eigensolve``:
 
     * ``OperatorMatrix``, a real symmetric block of order 2 or more by its
-      upper triangle: one per character of the symmetry group, scaled or,
-      for a signed weight, folded (``_finalize``), the one of order n for
-      the trivial group, a complex conjugate pair as the real form of one
-      of its pair (whose eigenvalues come out twice), or the coupled block
-      of the low Fourier modes of separated circles, each a free orbit of
-      its own C_n_i (``_coupled``);
+      upper triangle: one per character of the reflection group, scaled
+      or, for a signed weight, folded (``_finalize``), the one of order n
+      for the trivial group, or the coupled block of the low Fourier modes
+      of circles, each a free orbit of its own C_n_i (``_coupled``);
     * ``BandMatrix``, in LAPACK's lower band storage, for a weight that
       carries few Fourier modes on one free orbit of C_n (``_banded``);
     * ``HalfTurnBand``, the half-order band B of such a weight whose every
@@ -818,12 +819,12 @@ class BlockOperator:
 
     ``invariants`` are the trace and the squared Frobenius norm of the
     whole operator in units of 2^e and 2^2e, and e, the binary exponent of
-    its largest |entry|, as ``spectra`` checks them; ``n`` is its order, and
-    ``signed_flag`` that its weight is signed.  ``weyl_bound`` is the most
-    the band's or the coupled block's dropped modes move any eigenvalue,
-    by Weyl's inequality: the Frobenius norm of the coupling dropped, or its
-    bound; 0 where nothing is dropped.  ``spectra.eigensolve`` consumes the
-    blocks."""
+    its largest |entry|, as ``spectra`` checks them; ``n`` is its order,
+    and ``signed_flag`` that its weight takes a negative value.
+    ``weyl_bound`` is the most the band's or the coupled block's dropped
+    modes move any eigenvalue, by Weyl's inequality: the Frobenius norm of
+    the coupling dropped, or its bound; 0 where nothing is dropped.
+    ``spectra.eigensolve`` consumes the blocks."""
 
     blocks: tuple
     singles: np.ndarray
@@ -853,18 +854,6 @@ def _reflection(angle: float) -> np.ndarray:
     return np.array([[c, s], [s, -c]])
 
 
-def _primes(k: int) -> list[int]:
-    """The prime factors of k, each once, ascending."""
-    out, p = [], 2
-    while p * p <= k:
-        if k % p == 0:
-            out.append(p)
-            while k % p == 0:
-                k //= p
-        p += 1
-    return out + ([k] if k > 1 else [])
-
-
 def _powers(perm: np.ndarray, count: int, start: np.ndarray) -> np.ndarray:
     """perm^a(start) for a in [0, count), shape (count, len(start)), by
     doubling: log2(count) gathers."""
@@ -879,48 +868,27 @@ def _powers(perm: np.ndarray, count: int, start: np.ndarray) -> np.ndarray:
     return out
 
 
-def _symmetry_table(supports, points, weights, values, offsets):
-    """The group that reduces an operator: the orbits of the largest
-    abelian group of plane isometries that keeps the atoms, their
-    quadrature weights, the mesh and the weight, as an (N1, N2, r) table.
-    Entry [a, b, o] is the atom that g1^a g2^b maps orbit o's
-    representative to, the representatives (the least index of each
-    orbit) in row [0, 0].  Where no such group is found, the group is the
-    trivial one, {e}, whose table is every atom in row [0, 0]: the
-    operator is one block of order n.
+def _matcher(supports, points, weights, offsets):
+    """The frame in which maps of the plane are matched to the atoms laid
+    out over ``supports``: ``match``, and the arguments of
+    ``_orbit_table`` after the generators, (rel, weights, reach, unit).
 
-    The maps tried are the rotations about the centroid of the atoms by
-    2 pi / m, m dividing each support's count of atoms off the centroid (the
-    largest m, found one prime power at a time), and the reflections across
-    the lines through the centroid parallel to the axes and to the
-    diagonals.  The group is C_m, two perpendicular reflections (Z2 x Z2),
-    or one reflection (Z2): the largest order wins, reflections at a tie,
-    whose blocks are real.  A map keeps the supports (``match``) when it
-    maps every support onto itself, each atom within ``_tolerance_unit(n)``
-    of the largest |coordinate| of an atom, with its quadrature weight
-    within that unit of itself; on a smooth closed mesh it must also
-    shift or reverse the node indices and the parameters with them (the
-    Kress weights read index offsets), and on a polygon carry each panel's
-    tangent to one of the image panel's.  It keeps the weight (``keeps``)
-    when it also takes each weight value within that unit of the largest
-    |value| to itself.  The whole group is then checked the same
-    way: every atom of an orbit must lie at the exact isometry's image of
-    its representative, so a near-symmetry cannot pass by small steps.  Any
-    support kind and any weight is reduced when this holds.
-
-    Under a constant weight the table answers a question about geometry
-    alone, which ``_circle_orbits`` asks: whether a support is one free
-    orbit of C_n, an equispaced circle.
-    """
+    The maps act about the centroid of the atoms, and rel are the atoms'
+    offsets from it.  ``match(isometry)`` is the permutation of the atoms
+    that the map induces, or None where it does not keep the supports: it
+    must map every support onto itself, each atom within ``reach``,
+    ``unit`` = ``_tolerance_unit(n)`` of the largest |coordinate| of an
+    atom, with its quadrature weight within that unit of itself; on a
+    smooth closed mesh it must also shift or reverse the node indices and
+    the parameters with them (the Kress weights read index offsets), and
+    on a polygon carry each panel's tangent to one of the image panel's
+    (``_keeps_mesh``).  The identity is no match.  The atoms are matched
+    to the images by their projections on one generic direction, sorted
+    once."""
     n = len(points)
-    trivial = np.arange(n)[None, None]
-    if n < 2:
-        return trivial
     unit = _tolerance_unit(n)
-    center = points.mean(axis=0)
-    rel = points - center
+    rel = points - points.mean(axis=0)
     reach = unit * np.max(np.abs(points))
-    v_reach = unit * np.max(np.abs(values))
     owner = np.repeat(np.arange(len(supports)), np.diff(offsets))
     key = rel @ _KEY
     order = np.argsort(key)
@@ -928,9 +896,6 @@ def _symmetry_table(supports, points, weights, values, offsets):
     everyone = np.arange(n)
 
     def match(isometry):
-        """The permutation of the atoms that ``isometry`` (about the
-        centroid) induces, or None where it does not keep the atoms, their
-        quadrature weights and the mesh."""
         image = rel @ isometry.T
         j = np.clip(np.searchsorted(sorted_key, image @ _KEY), 1, n - 1)
         near = order[np.stack([j - 1, j])]
@@ -950,6 +915,38 @@ def _symmetry_table(supports, points, weights, values, offsets):
                 return None
         return perm
 
+    return match, (rel, weights, reach, unit)
+
+
+def _symmetry_table(supports, points, weights, values, offsets):
+    """The group that reduces an operator: the orbits of the largest group
+    of reflections that keeps the atoms, their quadrature weights, the mesh
+    and the weight, as an (N1, N2, r) table.  Entry [a, b, o] is the atom
+    that g1^a g2^b maps orbit o's representative to, the representatives
+    (the least index of each orbit) in row [0, 0].  Where no such group is
+    found, the group is the trivial one, {e}, whose table is every atom in
+    row [0, 0]: the operator is one block of order n.
+
+    The maps tried are the reflections across the lines through the
+    centroid of the atoms parallel to the axes and to the diagonals
+    (``_AXES``).  The group is two perpendicular reflections (Z2 x Z2),
+    (2, 2, r), or one reflection (Z2), (1, 2, r): the larger order wins.
+    Every axis is 1 or 2 long, so every character is +-1 and every block
+    real.  A reflection keeps the supports where ``_matcher``'s ``match``
+    finds it, and the weight (``keeps``) where it also takes each weight
+    value within ``_tolerance_unit(n)`` of the largest |value| to itself.
+    The whole group is then checked the same way (``_orbit_table``):
+    every atom of an orbit must lie at the exact isometry's image of its
+    representative.  Any support kind and any weight is reduced when this
+    holds.
+    """
+    n = len(points)
+    trivial = np.arange(n)[None, None]
+    if n < 2:
+        return trivial
+    match, args = _matcher(supports, points, weights, offsets)
+    v_reach = args[3] * np.max(np.abs(values))
+
     def keeps(perm):
         """``perm`` where it takes each weight value to itself, else
         None."""
@@ -957,65 +954,19 @@ def _symmetry_table(supports, points, weights, values, offsets):
             return None
         return perm
 
-    def kept(table):
-        """``table`` where the weight is constant on each of its orbits,
-        else None."""
-        if table is None or np.any(
-                np.abs(values[table] - values[table[0, 0]]) > v_reach):
-            return None
-        return table
-
-    @functools.cache
-    def turn(m):
-        return keeps(match(_rotation(TWO_PI / m)))
-
-    args = (rel, weights, reach, unit)
-    off = np.linalg.norm(rel, axis=1) > reach
-    # every atom off the centroid has an orbit of m under C_m, and C_m
-    # holds for each divisor of an m that holds: per prime p, a bisection
-    # over the powers of p that divide every such count, p itself first
-    common = int(np.gcd.reduce(np.bincount(owner[off],
-                                           minlength=len(supports))))
-    m = 1
-    for p in _primes(common):
-        low, high = 0, 0
-        while common % p ** (high + 1) == 0:
-            high += 1
-        while low < high:
-            mid = 1 if low == 0 else (low + high + 1) // 2
-            if turn(p ** mid) is None:
-                high = mid - 1
-            else:
-                low = mid
-        m *= p ** low
-    rotations = None
-    if m > 1 and turn(m) is not None:
-        rotations = kept(_orbit_table([(turn(m), _rotation(
-            TWO_PI * np.arange(m) / m))], *args))
-        # no reflection group, of order 4 at most, beats it
-        if rotations is not None and m > 4:
-            return rotations
     mirrors = [(keeps(match(_reflection(a))),
                 np.stack([np.eye(2), _reflection(a)])) for a in _AXES]
-    # the largest order first, and at a tie the reflections, whose blocks
-    # are real: two of them before C_4 and C_3, C_3 before one, one before
-    # C_2
+    # the two perpendicular pairs first, then each reflection alone
     groups = [[first, second] for first, second in (mirrors[:2], mirrors[2:])
               if first[0] is not None and second[0] is not None
               and not np.array_equal(first[0], second[0])]
+    groups += [[mirror] for mirror in mirrors if mirror[0] is not None]
     for generators in groups:
-        table = kept(_orbit_table(generators, *args))
-        if table is not None:
+        table = _orbit_table(generators, *args)
+        # the weight constant on each orbit
+        if table is not None and not np.any(
+                np.abs(values[table] - values[table[0, 0]]) > v_reach):
             return table
-    if rotations is not None and m > 2:
-        return rotations
-    for mirror in mirrors:
-        table = None if mirror[0] is None else kept(_orbit_table([mirror],
-                                                                 *args))
-        if table is not None:
-            return table
-    if rotations is not None:
-        return rotations
     return trivial
 
 
@@ -1207,19 +1158,18 @@ def _row_invariants(values: np.ndarray, o0: int, p0: int,
 
 def assemble_mixed(supports, kernel: KernelModel) -> BlockOperator:
     """The operator over a list of (support, weight) pairs, each support a
-    ``SurfaceMesh`` or a ``SingularMeasure``, reduced by its symmetry group
-    G (``_symmetry_table``) to one block per character of G.  One support
-    whose weight varies is asked first whether it is one free orbit of C_n
-    (``_circle_orbits``) whose weight carries few Fourier modes, and is
-    then one band (``_banded``), with no table built.  Where G is the
-    trivial group and every support is a smooth closed mesh of a weight
-    >= 0 constant on it and a free orbit of its own C_n_k, an equispaced
-    circle (``_circle_orbits``), the operator is one coupled block of the
-    circles' low Fourier modes and a single per other mode
-    (``_coupled``): the modes dropped from the coupling move no eigenvalue
-    by more than the Frobenius norm of what they drop, ``weyl_bound``
-    (Weyl's inequality), which is kept within the solve's tolerance unit
-    times sqrt(F / n).
+    ``SurfaceMesh`` or a ``SingularMeasure``, reduced by its reflection
+    group G (``_symmetry_table``) to one real block per character of G.
+    Every input is asked first whether each support is one free orbit of
+    its own C_n, an equispaced circle (``_circle_orbits``), and where it
+    is, two cases take an exact Fourier path with no table built.  One
+    support whose weight varies and carries few Fourier modes is one band
+    (``_banded``).  Supports whose weights are each constant and all >= 0
+    or all < 0 are one coupled block of the circles' low Fourier modes and
+    a single per other mode (``_coupled``): the modes dropped from the
+    coupling move no eigenvalue by more than the Frobenius norm of what
+    they drop, ``weyl_bound`` (Weyl's inequality), which is kept within
+    the solve's tolerance unit times sqrt(F / n).
 
     A curve's diagonal block takes the curve quadrature of
     ``_support_rows``; a measure's takes pointwise kernel values closed by
@@ -1235,19 +1185,15 @@ def assemble_mixed(supports, kernel: KernelModel) -> BlockOperator:
     those only the orbit pairs p >= o, about n^2/(2|G|) entries
     (``_orbit_rows``).  With R[g, o, p] = K[i_o, g(i_p)] those rows
     gathered in group order, the block of the character chi is
-        B[o, p] = sqrt(|O_o| |O_p|) / |G| sum_g conj(chi(g)) R[g, o, p],
-    the DFT over the group axes (``_character_sums``), over the orbits
-    whose stabiliser chi is trivial on.  R[g, p, o] = R[g^-1, o, p] makes
-    B[p, o] = conj(B[o, p]), so each block is Hermitian by its upper orbit
-    triangle, its diagonal taken real (``_hermitian_upper``; on a circle,
-    C_n, the real part of the DFT of its first row).  V w is constant on
-    an orbit, so each block is scaled, or folded, by ``_finalize``, in the
-    storage of the transform where it has every orbit.  A real
-    character's block is real; a complex one stands for its conjugate pair
-    as the real form [[Re B, -Im B], [Im B, Re B]], whose eigenvalues are
-    B's, each twice.  For the trivial group the transform is the identity:
-    R is the kernel matrix, and its one block is the whole operator,
-    scaled or folded in R's storage.
+        B[o, p] = sqrt(|O_o| |O_p|) / |G| sum_g chi(g) R[g, o, p],
+    chi(g) = +-1, the butterflies over the group axes
+    (``_character_sums``), over the orbits whose stabiliser chi is trivial
+    on.  R[g, p, o] = R[g^-1, o, p] makes B symmetric, so each block is
+    its upper orbit triangle.  V w is constant on an orbit, so each block
+    is scaled, or folded, by ``_finalize``, in the storage of the
+    transform where it has every orbit.  For the trivial group the
+    transform is the identity: R is the kernel matrix, and its one block
+    is the whole operator, scaled or folded in R's storage.
     """
     supports = list(supports)
     points, weights, values, offsets = _layout(supports)
@@ -1256,60 +1202,54 @@ def assemble_mixed(supports, kernel: KernelModel) -> BlockOperator:
     vw = values * weights
     if np.any(values) and not np.any(vw):
         raise _underflow()
-    if len(supports) == 1 and np.ptp(values) > 0.0:
-        orbits = _circle_orbits(supports, points, weights, offsets)
-        op = None if orbits is None else _banded(supports[0][0], kernel, vw,
-                                                 orbits[0])
-        if op is not None:
-            return op
+    orbits = _circle_orbits(supports, points, weights, offsets)
+    if orbits is not None:
+        if len(supports) == 1 and np.ptp(values) > 0.0:
+            op = _banded(supports[0][0], kernel, vw, orbits[0])
+            if op is not None:
+                return op
+        # each weight constant on its circle within the tolerance of
+        # ``_symmetry_table``, and all >= 0 or all < 0: a circle of weight
+        # 0 beside negative ones is left to the fold, which factors its
+        # kernel rows too
+        if (values.min() >= 0.0 or values.max() < 0.0) and all(
+                np.max(np.abs(v - v[0]))
+                <= _tolerance_unit(len(v)) * np.max(np.abs(v))
+                for v in np.split(values, offsets[1:-1])):
+            return _coupled(supports, kernel, points, weights, vw, offsets,
+                            orbits)
     table = _symmetry_table(supports, points, weights, values, offsets)
-    # separated circles: smooth closed meshes, each weight >= 0 and constant
-    # on its support within the tolerance of ``_symmetry_table``'s ``kept``
-    if table.shape[:2] == (1, 1) and all(
-            isinstance(s, SurfaceMesh) and s.kind == "smooth-closed"
-            and v.min() >= 0.0
-            and np.max(np.abs(v - v[0])) <= _tolerance_unit(len(v)) * v.max()
-            for (s, _), v in zip(supports, np.split(values, offsets[1:-1]))):
-        orbits = _circle_orbits(supports, points, weights, offsets)
-        if orbits is not None:
-            return _coupled(supports, kernel, points, vw, offsets, orbits)
-    _, n2, r = table.shape
+    r = table.shape[2]
     reps = table[0, 0]
     fixed = (table == reps).astype(float)
     norm = np.sqrt(1.0 / fixed.sum(axis=(0, 1)))
     gathered, invariants = _orbit_rows(supports, kernel, points, offsets,
                                        table, vw)
-    characters = _character_sums(gathered)
+    characters = _character_sums(gathered).reshape(-1, r, r)
     del gathered
-    n_last = characters.shape[1]
-    characters = characters.reshape(-1, r, r)
     v_reps, w_reps = values[reps], weights[reps]
     # the orbits in each character's block: those whose stabiliser it is
     # trivial on; the characters that share them are taken together
-    member = np.abs(_character_sums(fixed)).reshape(-1, r) > 0.5
+    member = _character_sums(fixed).reshape(-1, r) > 0.5
     patterns, which = np.unique(member, axis=0, return_inverse=True)
     blocks, singles = [], []
     for pattern, mask in enumerate(patterns):
         keep = np.flatnonzero(mask)
         chars = np.flatnonzero(which.ravel() == pattern)
-        # a character off the real axis of the halved last FFT axis stands
-        # for its conjugate pair
-        pairs = 2 * (chars % n_last) % n2 != 0
         v, w = v_reps[keep], w_reps[keep]
         if len(keep) == 1:
-            singles.append(np.repeat(_single_eigenvalues(
-                characters[chars, keep[0], keep[0]].real * norm[keep[0]] ** 2,
-                v, w), 1 + pairs))
+            singles.append(_single_eigenvalues(
+                characters[chars, keep[0], keep[0]] * norm[keep[0]] ** 2,
+                v, w))
             continue
-        for c, pair in zip(chars, pairs):
+        for c in chars:
             b = _compacted(characters[c], keep)
-            _hermitian_upper(b, norm[keep])
-            if pair:
-                b = np.where(_upper(len(b)), b, b.conj().T)
-                b = np.block([[b.real, -b.imag], [b.imag, b.real]])
-                blocks.append(_finalize(b, np.tile(v, 2), np.tile(w, 2)))
-            else:
-                blocks.append(_finalize(np.ascontiguousarray(b.real), v, w))
+            if np.any(norm[keep] != 1.0):
+                # free orbits have the norm 1, and a block of them only is
+                # not scaled
+                b *= norm[keep, None]
+                b *= norm[None, keep]
+            blocks.append(_finalize(b, v, w))
     return BlockOperator(blocks=tuple(blocks),
                          singles=np.concatenate(singles or [np.empty(0)]),
                          invariants=invariants, n=len(points),
@@ -1334,14 +1274,15 @@ def _banded(support, kernel: KernelModel, vw: np.ndarray,
     The modes carried are those of u^ whose magnitude exceeds
     ``_tolerance_unit(n)`` of the largest, read from u in units of a power
     of two, so that no mode of a tiny weight underflows, and b is the last
-    of them.  The band is not taken where b is 0, a weight the rotations
-    keep, where b exceeds ``_BAND_MODES``, or where 2 b + 1 >= n.  Every
-    other mode is dropped, above b or not: by Weyl's inequality they move
-    each eigenvalue by at most max kappa sum |u^_dropped|.  The band is
-    taken only where that bound is within ``_truncation_bound``, and only
-    where every kappa_m is positive: that is the kernel matrix positive
-    definite, which the fold needs.  Otherwise the operator takes the group
-    of ``_symmetry_table``, and every refusal keeps its message.
+    of them.  The band is not taken where b is 0, a constant weight
+    (``_coupled``), where b exceeds ``_BAND_MODES``, or where 2 b + 1 >=
+    n.  Every other mode is dropped, above b or not: by Weyl's inequality
+    they move each eigenvalue by at most max kappa sum |u^_dropped|.  The
+    band is taken only where that bound is within ``_truncation_bound``,
+    and only where every kappa_m is positive: that is the kernel matrix
+    positive definite, which the fold needs.  Otherwise the operator takes
+    the reflection group of ``_symmetry_table``, and every refusal keeps
+    its message.
 
     Where n is even and every mode carried is odd, the half turn t -> t +
     pi negates the weight.  A mode m then couples to m +- an odd mode
@@ -1498,28 +1439,37 @@ def _half_turn_storage(kappa: np.ndarray, coefficients: np.ndarray,
 
 def _circle_orbits(supports, points, weights, offsets):
     """Per support, its atoms in the order of the rotation g by 2 pi / n_k
-    about its own centre, orbit[a] = g^a(orbit[0]), where every support is
+    about its own centroid, orbit[a] = g^a(orbit[0]), where every support is
     one free orbit of its own C_n_k, an equispaced circle; else None.  A
-    question about geometry alone, which both circle paths ask
-    (``_banded``, ``_coupled``): the table of ``_symmetry_table`` of each
-    support on its own under a constant weight, whatever its weight and
-    its kind."""
+    question about geometry alone, whatever the weight and the support's
+    kind, asked once of every input by ``assemble_mixed`` and read by both
+    circle paths (``_banded``, ``_coupled``): g must keep the support as
+    ``_matcher`` keeps one, and its powers must carry one atom through
+    every other, each within the tolerance of the exact rotation
+    (``_orbit_table``), so a near-circle cannot pass by small steps."""
     orbits = []
     for support, lo, hi in zip(supports, offsets[:-1], offsets[1:]):
-        table = _symmetry_table([support], points[lo:hi], weights[lo:hi],
-                                np.ones(hi - lo), np.array([0, hi - lo]))
-        if table.shape != (1, hi - lo, 1):
+        n = hi - lo
+        if n < 2:
+            return None
+        match, args = _matcher([support], points[lo:hi], weights[lo:hi],
+                               np.array([0, n]))
+        step = match(_rotation(TWO_PI / n))
+        table = None if step is None else _orbit_table(
+            [(step, _rotation(TWO_PI * np.arange(n) / n))], *args)
+        if table is None or table.shape != (1, n, 1):
             return None
         orbits.append(lo + table[0, :, 0])
     return orbits
 
 
 def _coupled(supports, kernel: KernelModel, points: np.ndarray,
-             vw: np.ndarray, offsets: np.ndarray, orbits) -> BlockOperator:
-    """The operator on circles that share no symmetry, each one free orbit
-    ``orbits[k]`` of its own C_n_k whose V w is constant on it
-    (``_circle_orbits``), as one coupled block of their low Fourier modes
-    and the singles of all the others.
+             weights: np.ndarray, vw: np.ndarray, offsets: np.ndarray,
+             orbits) -> BlockOperator:
+    """The operator on circles, each one free orbit ``orbits[k]`` of its
+    own C_n_k whose V w is constant on it (``_circle_orbits``), all >= 0
+    or all < 0, as one coupled block of their low Fourier modes and the
+    singles of all the others.
 
     In the real basis of ``_real_entries`` along each orbit, C_k, circle
     k's own block is diag(V w kappa_k), kappa_k the real DFT of its kernel
@@ -1529,7 +1479,15 @@ def _coupled(supports, kernel: KernelModel, points: np.ndarray,
     two real FFT passes (``_real_fourier``).  The operator Q A Q^T, Q =
     diag(C_k), is orthogonally similar to A.  Between separated circles
     the kernel is analytic and B^ decays geometrically in both mode
-    numbers, so only a few low modes couple.
+    numbers, so only a few low modes couple.  Where every V w is < 0,
+    the operator is that of |V w| negated: s = sqrt(|V w|), and the
+    singles, the cross blocks and the trace change sign.  The fold's
+    refusal of a kernel matrix that is not positive definite
+    (``_not_positive_definite``) is kept there: some kappa_k <= 0, or a
+    kept block of |V w| that Cholesky cannot factor, refuses the operator
+    as the fold would: with every V w < 0, the kept block and the singles
+    are positive definite where the kernel matrix is, to within the
+    dropped coupling.
 
     The modes are dropped from the coupling in the order of their coupling
     norms, the squared norms of their rows of the cross blocks, the least
@@ -1541,26 +1499,31 @@ def _coupled(supports, kernel: KernelModel, points: np.ndarray,
     dropped mode is a single, its own diagonal entry; the kept ones are one
     dense real block.  Where every mode is kept, E = 0 and the block is the
     whole operator in the Fourier bases: circles that nearly touch or cross
-    need no other path.
+    need no other path.  One circle alone couples to nothing: every mode
+    is a single.
 
     The invariants are taken from the rows and from the raw cross blocks,
     before the FFT, in ``_row_invariants``' units, so the check covers the
     transforms as well as the solve.  No n x n array exists: the largest
     is one cross block."""
     n = len(points)
+    negative = bool(np.any(vw < 0.0))
+    sign = -1.0 if negative else 1.0
     roots, shifts, diagonals, parts = [], [], [], []
     for (support, _), orbit, lo in zip(supports, orbits, offsets):
-        # sqrt(V w) = root 2^shift, V w taken at the representative
-        shift = int(np.frexp(np.sqrt(vw[orbit[0]]))[1])
-        u = np.ldexp(vw[orbit[0]], -2 * shift)
+        # sqrt|V w| = root 2^shift, V w taken at the representative
+        shift = int(np.frexp(np.sqrt(abs(vw[orbit[0]])))[1])
+        u = np.ldexp(abs(vw[orbit[0]]), -2 * shift)
         full = np.full(len(orbit), u)
-        kappa, part = _circulant(support, kernel, orbit - lo, full,
-                                 np.fft.rfft(full), shift)
-        diagonals.append((kappa[(np.arange(len(orbit)) + 1) // 2] * u,
-                          part[2]))
+        kappa, (trace, frobenius_sq, exponent) = _circulant(
+            support, kernel, orbit - lo, full, np.fft.rfft(full), shift)
+        if negative and not np.all(kappa > 0.0):
+            raise _not_positive_definite(weights)
+        diagonals.append((sign * u * kappa[(np.arange(len(orbit)) + 1) // 2],
+                          exponent))
         roots.append(np.sqrt(u))
         shifts.append(shift)
-        parts.append(part)
+        parts.append((sign * trace, frobenius_sq, exponent))
     crosses = []
     for i in range(len(orbits)):
         for j in range(i + 1, len(orbits)):
@@ -1577,7 +1540,7 @@ def _coupled(supports, kernel: KernelModel, points: np.ndarray,
     coupling = np.zeros(n)
     for c, (i, j, block) in enumerate(crosses):
         block = _real_fourier(_real_fourier(block, 1), 0)
-        block *= np.ldexp(roots[i] * roots[j],
+        block *= np.ldexp(sign * roots[i] * roots[j],
                           shifts[i] + shifts[j] - exponent)
         rows = np.einsum("ij,ij->i", block, block)
         coupling[offsets[i]:offsets[i + 1]] += rows
@@ -1607,12 +1570,19 @@ def _coupled(supports, kernel: KernelModel, points: np.ndarray,
         square[np.ix_(position[offsets[i]:offsets[i + 1]][rows],
                       position[offsets[j]:offsets[j + 1]][cols])] = (
                           inner[:, cols])
+    if negative and len(square):
+        # the fold's refusal where the coupling makes the kernel matrix
+        # indefinite, read off the kept block of |V w| by its upper triangle
+        try:
+            np.linalg.cholesky(-square.T)
+        except np.linalg.LinAlgError:
+            raise _not_positive_definite(weights) from None
     blocks = (OperatorMatrix(entries=np.ldexp(square, exponent,
                                               out=square)),) if len(
         square) else ()
     return BlockOperator(blocks=blocks,
                          singles=np.ldexp(diagonal[~kept], exponent),
-                         invariants=invariants, n=n, signed_flag=False,
+                         invariants=invariants, n=n, signed_flag=negative,
                          weyl_bound=float(np.ldexp(np.sqrt(2.0 * error),
                                                    exponent)))
 
@@ -1673,20 +1643,6 @@ def _compacted(square: np.ndarray, keep: np.ndarray) -> np.ndarray:
     return flat[:k * k].reshape(k, k)
 
 
-def _hermitian_upper(b: np.ndarray, norm: np.ndarray) -> None:
-    """Scale the character sums ``b`` to the block, b_op norm_o norm_p, in
-    place, and make it Hermitian by its upper triangle: the real rows of a
-    symmetric, G-invariant kernel give B[p, o] = conj(B[o, p]), so the
-    triangle on and above the diagonal is the block once the diagonal is
-    made real.  The strict lower triangle is left as scratch.  Free
-    orbits have the norm 1, and a block of them only is not scaled."""
-    if np.any(norm != 1.0):
-        b *= norm[:, None]
-        b *= norm[None, :]
-    if np.iscomplexobj(b):
-        np.fill_diagonal(b.imag, 0.0)
-
-
 def _butterfly(first: np.ndarray, second: np.ndarray) -> None:
     """first, second <- first + second, first - second, in place, on two
     C-contiguous arrays, a ``_BLOCK_BYTES`` slice at a time."""
@@ -1700,16 +1656,15 @@ def _butterfly(first: np.ndarray, second: np.ndarray) -> None:
 
 
 def _character_sums(x: np.ndarray) -> np.ndarray:
-    """The DFT of the real, C-contiguous ``x`` over its axes 0 and 1, the
-    group axes, the second one halved as a real FFT halves it: a butterfly
-    in place on an axis of 2, whose characters are real, and one real FFT
-    on a longer cyclic axis."""
+    """The character sums of the real, C-contiguous ``x`` over its axes 0
+    and 1, the group axes, each 1 or 2 long: a butterfly in place on an
+    axis of 2, whose characters are +-1.  Returns ``x``."""
     if x.shape[0] == 2:
         _butterfly(x[0], x[1])
     if x.shape[1] == 2:
         for half in x:
             _butterfly(half[0], half[1])
-    return np.fft.rfft(x, axis=1) if x.shape[1] > 2 else x
+    return x
 
 
 def _single_eigenvalues(k: np.ndarray, v: np.ndarray,

@@ -273,6 +273,10 @@ def make_polygon_curve(vertices, panels_per_edge: int,
     k = np.arange(m // 2 + 1, dtype=float)
     half = 0.5 * (2.0 * k / m) ** grading_exponent
     brk = np.concatenate([half, (1.0 - half[::-1])[1:]])
+    # the widths of the second half mirror the first's exactly: 1 - half
+    # would lose the relative digits of the small corner panels
+    widths = np.diff(half)
+    widths = np.concatenate([widths, widths[::-1]])
 
     nodes, weights, tangents, params = [], [], [], []
     offset = 0.0
@@ -284,7 +288,7 @@ def make_polygon_curve(vertices, panels_per_edge: int,
         s0, s1 = brk[:-1], brk[1:]
         mids = (s0 + s1) / 2.0
         nodes.append(a[None, :] + edge[None, :] * mids[:, None])
-        weights.append((s1 - s0) * length)
+        weights.append(widths * length)
         tangents.append(np.tile(tan, (m, 1)))
         params.append(offset + mids * length)
         offset += length

@@ -11,8 +11,8 @@ the solve consumes the operator, and a second one is refused.
 * An ``OperatorMatrix`` is a symmetric block by its upper triangle,
   diagonal included: the strict lower triangle is scratch and is never
   read, so no symmetry test runs here.  The divide-and-conquer ``dsyevd``
-  reduces it.  A complex conjugate pair is one real block whose eigenvalues
-  come out twice.
+  reduces it.  Every block is real: one per character of a reflection
+  group, each character +-1.
 * A ``BandMatrix``, the operator of a weight that carries few Fourier
   modes on an equispaced circle, is in LAPACK's lower band storage:
   ``dsbevd`` reduces it to tridiagonal form in O(n^2 b) where the dense

@@ -96,11 +96,13 @@ def trivial_table(supports, points, *rest):
 
 def assemble_dense(supports, kernel) -> assemble.BlockOperator:
     """``assemble_mixed`` over ``supports`` with the trivial group {e} in
-    place of the one ``_symmetry_table`` finds: however symmetric the
-    supports, the operator is one block of order n (n >= 2), the dense
-    matrix given by its upper triangle."""
+    place of the one ``_symmetry_table`` finds and no circle path
+    (``_circle_orbits`` answers None): however symmetric the supports, the
+    operator is one block of order n (n >= 2), the dense matrix given by
+    its upper triangle."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(assemble, "_symmetry_table", trivial_table)
+        patch.setattr(assemble, "_circle_orbits", lambda *args: None)
         return assemble_mixed(supports, kernel)
 
 

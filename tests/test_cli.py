@@ -351,15 +351,16 @@ def test_failed_internal_check_exits_4(tmp_path, capsys, monkeypatch):
 
 
 def test_failed_circulant_check_exits_4(tmp_path, capsys, monkeypatch):
-    # the circle's character sums, one real FFT over its group axis
-    true_rfft = np.fft.rfft
+    # the circle's singles, the real DFT of its kernel row, one mode off;
+    # the invariants come from the row before the transform
+    true_circulant = assemble._circulant
 
-    def one_shifted(*args, **kwargs):
-        half = true_rfft(*args, **kwargs)
-        half[:, 1] += 1e-6 * np.max(np.abs(half))
-        return half
+    def one_shifted(*args):
+        kappa, invariants = true_circulant(*args)
+        kappa[1] += 1e-6 * np.max(np.abs(kappa))
+        return kappa, invariants
 
-    monkeypatch.setattr(np.fft, "rfft", one_shifted)
+    monkeypatch.setattr(assemble, "_circulant", one_shifted)
     code = main(["spectrum", "--shape", "circle", "--n", "64",
                  "--out", str(tmp_path)])
     assert code == 4
@@ -449,10 +450,11 @@ def _benchmark_two_surfaces(n: int = 2048):
 
 def test_only_an_equispaced_circle_skips_the_dense_solve(monkeypatch):
     # which path runs: the orders of the dsyevd solves, none for the 1 x 1
-    # blocks of an equispaced circle of a constant weight (the group C_n),
-    # one per real block of a reflection group, one of order n for a dense
-    # operator; and the orders of the dsbevd solves, one of order n for a
-    # circle whose weight carries a few Fourier modes, whatever map keeps it
+    # blocks of an equispaced circle of a constant weight (its Fourier
+    # modes), one per real block of a reflection group, one of order n for
+    # a dense operator; and the orders of the dsbevd solves, one of order n
+    # for a circle whose weight carries a few Fourier modes, whatever map
+    # keeps it
     solves, bands = [], []
     true_eigvalsh = spectra._eigvalsh_upper
     true_band = spectra._band_eigenvalues
@@ -494,8 +496,6 @@ def test_only_an_equispaced_circle_skips_the_dense_solve(monkeypatch):
             [(circle, WeightFn.tabulated(1.5 + np.cos(t)))], [], [64]),
         "wide-band tabulated weight": (
             [(circle, WeightFn.tabulated(wide_even))], [31, 33]),
-        "two circles": ([(circle, one), (make_smooth_curve(
-            Circle(center=(4.0, 0.0)), 64), one)], [62, 66]),
         "cell grid and circle": ([(assemble.make_cell_grid(
             (0.0, 0.0), 1.0, 0.2, exclude_meshes=[small]), one),
             (small, one)], [44, 46]),
@@ -513,10 +513,12 @@ def test_only_an_equispaced_circle_skips_the_dense_solve(monkeypatch):
         cli._spectrum_of(supports, reference_kernel(), 4200)
         assert sorted(solves) == want[0], name
         assert bands == (want[1] if len(want) > 1 else []), name
-    # circles that share no symmetry, of constant weights: one coupled
+    # circles of constant weights, on an axis or off it: one coupled
     # block of their low Fourier modes, no solve of order n; the
     # benchmark's two-surfaces at a random angle keeps under n / 16
     for supports, order in (
+            ([(circle, one), (make_smooth_curve(Circle(center=(4.0, 0.0)),
+                                                64), one)], 128),
             ([(circle, one), (make_smooth_curve(Circle(center=(3.0, 2.0)),
                                                 64), one)], 128),
             (_benchmark_two_surfaces(), 2048)):
@@ -580,12 +582,12 @@ def test_a_weight_the_half_turn_negates_skips_the_dense_solve(monkeypatch):
 
 def test_the_benchmark_operations_take_the_structured_blocks(monkeypatch):
     # every operation of the benchmark at its smoke size and seed 0, and the
-    # blocks of each operator it solves: C_n's singles alone, one half-turn
-    # band, a symmetry group's blocks (Z2 x Z2 on the rectangle, Z2 on the
-    # Cantor set at two depths and on the grid and circle), or the two
-    # circles' one coupled block of low modes and a single per other mode.  No
-    # operator takes the trivial group's Cholesky fold, and the bound side
-    # solves none
+    # blocks of each operator it solves: the circle's singles alone, one
+    # half-turn band, a symmetry group's blocks (Z2 x Z2 on the rectangle,
+    # Z2 on the Cantor set at two depths and on the grid and circle), or
+    # the two circles' one coupled block of low modes and a single per
+    # other mode.  No operator takes the trivial group's Cholesky fold, and
+    # the bound side solves none
     perfbench = Path(__file__).resolve().parent.parent / "perfbench"
     monkeypatch.syspath_prepend(str(perfbench))
     workloads = importlib.import_module("workloads")
@@ -628,6 +630,58 @@ def test_the_benchmark_operations_take_the_structured_blocks(monkeypatch):
                 else all(singles == 0 for _, singles, _ in solved)), op.name
             names.append(op.name)
     assert sorted(names) == sorted(want) and folds == []
+
+
+def test_the_default_experiments_take_the_benchmark_paths(monkeypatch):
+    # every default experiment and the blocks of each operator it solves,
+    # each a path the benchmark times: the equispaced circle's singles
+    # alone, one half-turn band, Z2 x Z2 on the square, Z2 on the Cantor
+    # set at two depths and on the grid and circle, and the two circles on
+    # the x axis one coupled block and a single per other mode; the
+    # coefficient table and the covering count solve none
+    solved = []
+    true_eigensolve = spectra.eigensolve
+
+    def recorded(op):
+        solved.append(([type(b) for b in op.blocks], len(op.singles) > 0))
+        return true_eigensolve(op)
+
+    monkeypatch.setattr(spectra, "eigensolve", recorded)
+    group = assemble.OperatorMatrix
+    want = {"circle-weyl": [([], True)],
+            "lower-order-decay": [([], True)],
+            "signed-weight": [([assemble.HalfTurnBand], False)],
+            "polygon-weyl": [([group] * 4, False)],
+            "cantor-estimate": [([group] * 2, False)] * 2,
+            "mixed-ac-singular": [([group] * 2, False)],
+            "two-surfaces": [([group], True)],
+            "coefficient-table": [], "covering-count": []}
+    assert sorted(want) == sorted(EXPERIMENTS)
+    for name in EXPERIMENTS:
+        solved.clear()
+        assert run_experiment(ExperimentConfig(experiment=name)).passed
+        assert solved == want[name], name
+
+
+@pytest.mark.parametrize("n, spacing", [(8, "3.927"), (16, "1.963"),
+                                        (32, "0.9817")])
+def test_a_negative_constant_on_an_under_resolved_circle_exits_2(
+        n, spacing, tmp_path, capsys):
+    # a Fourier eigenvalue of the radius-5 circle's kernel row is not
+    # positive at these spacings: the weight -1 keeps the fold's refusal,
+    # naming the node spacing, through the assembler and through the CLI
+    message = ("under-resolved mesh: the kernel matrix of this "
+               "sign-changing weight is not positive definite at node "
+               "spacing %s; refine the mesh" % spacing)
+    supports = [(make_smooth_curve(Circle(radius=5.0), n),
+                 WeightFn.constant(-1.0))]
+    with pytest.raises(InvalidArgumentError) as info:
+        assemble.assemble_mixed(supports, reference_kernel())
+    assert str(info.value) == message
+    assert main(["spectrum", "--shape", "circle", "--radius", "5", "--n",
+                 str(n), "--value", "-1", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "error: %s\n" % message
+    assert not list(tmp_path.iterdir())
 
 
 def _reports_info_1(*args):

@@ -474,8 +474,8 @@ def _assert_reduced_matches_dense(supports, kern):
        lower_order=st.booleans())
 def test_circulant_solve_matches_the_dense_solve(radius, center, half_n,
                                                  value, lower_order):
-    # an equispaced circle of a constant weight: the group C_n, whose n
-    # blocks are 1 x 1, the real DFT of the first row
+    # an equispaced circle of a constant weight: its n Fourier modes are
+    # 1 x 1 blocks, the real DFT of its kernel row
     n = 2 * half_n
     kern = lower_order_kernel() if lower_order else reference_kernel()
     mesh = make_smooth_curve(Circle(center=center, radius=radius), n)
@@ -585,6 +585,31 @@ def test_a_near_symmetry_is_refused(support, group):
     assert _reduced(op) == (group != (1, 1))
 
 
+_HEXAGON = [[np.cos(a), np.sin(a)] for a in np.arange(6) * np.pi / 3]
+
+
+@pytest.mark.parametrize("vertices, panels, oracle", [
+    (UNIT_SQUARE, 80, True), (UNIT_SQUARE, 250, False),
+    (_HEXAGON, 342, False),
+], ids=["square of 80", "square of 250", "hexagon of 342"])
+def test_a_graded_polygon_keeps_its_reflections_at_any_panel_count(
+        vertices, panels, oracle):
+    # each edge's second half mirrors the first's panel widths to the last
+    # bit, so the two reflections on the axes keep the polygon whatever
+    # its panel count: widths taken from 1 - half lost the relative digits
+    # of the small corner panels, past the tolerance unit, and these
+    # polygons kept no reflection at all
+    mesh = make_polygon_curve(vertices, panels, 3.0)
+    widths = mesh.weights[:panels]
+    assert np.array_equal(widths, widths[::-1])
+    supports = [(mesh, WeightFn.constant(1.0))]
+    table = assemble._symmetry_table(supports, *assemble._layout(supports))
+    assert table.shape[:2] == (2, 2)
+    if oracle:
+        op = _assert_reduced_matches_dense(supports, reference_kernel())
+        assert _kinds(op) == [(OperatorMatrix, mesh.n_nodes // 4)] * 4
+
+
 @pytest.mark.parametrize("supports", [
     [(SingularMeasure(atoms=[[0.3, -0.2]], masses=[0.5], cell_size=0.1,
                       alpha_nominal=1.0), WeightFn.constant(2.0))],
@@ -641,19 +666,20 @@ def test_the_circulant_tolerance_is_the_solve_tolerance():
 
 
 def test_a_perturbed_circulant_eigenvalue_fails_the_check(monkeypatch):
-    # the invariants come from the kernel rows before the transform, so a
-    # wrong character sum fails the check like a wrong eigenvalue
+    # the invariants come from the kernel row before the transform, so a
+    # wrong Fourier mode of the circle's singles fails the check like a
+    # wrong eigenvalue
     mesh = make_smooth_curve(Circle(radius=1.0), 512)
     supports = [(mesh, WeightFn.constant(1.0))]
     eigensolve(assemble_mixed(supports, reference_kernel()))
-    true_rfft = np.fft.rfft
+    true_circulant = assemble._circulant
 
-    def one_shifted(*args, **kwargs):
-        half = true_rfft(*args, **kwargs)
-        half[:, 7] += 1e-6 * np.max(np.abs(half))
-        return half
+    def one_shifted(*args):
+        kappa, invariants = true_circulant(*args)
+        kappa[7] += 1e-6 * np.max(np.abs(kappa))
+        return kappa, invariants
 
-    monkeypatch.setattr(np.fft, "rfft", one_shifted)
+    monkeypatch.setattr(assemble, "_circulant", one_shifted)
     op = assemble_mixed(supports, reference_kernel())
     with pytest.raises(InternalError, match="trace error .* Frobenius"):
         eigensolve(op)
@@ -716,14 +742,16 @@ def test_a_second_solve_of_a_block_operator_is_refused():
         eigensolve(op)
 
 
-def test_a_complex_pair_counts_its_eigenvalues_twice():
-    # a regular hexagon: C_6, the characters 1 and 2 complex, each block
-    # the real form of one of its conjugate pair
-    vertices = [[np.cos(a), np.sin(a)] for a in np.arange(6) * np.pi / 3]
-    mesh = make_polygon_curve(vertices, 8, 3.0)
-    op = _assert_reduced_matches_dense([(mesh, WeightFn.constant(1.0))],
-                                       reference_kernel())
-    assert [b.n for b in op.blocks] == [8, 16, 16, 8]
+def test_a_regular_hexagon_takes_its_two_reflections():
+    # a regular hexagon with a vertex on the x axis keeps the reflections
+    # across both axes, Z2 x Z2, and no rotation is tried: four real
+    # blocks of n/4, whose spectrum is the dense oracle's
+    mesh = make_polygon_curve(_HEXAGON, 8, 3.0)
+    supports = [(mesh, WeightFn.constant(1.0))]
+    table = assemble._symmetry_table(supports, *assemble._layout(supports))
+    assert table.shape == (2, 2, 12)
+    op = _assert_reduced_matches_dense(supports, reference_kernel())
+    assert _kinds(op) == [(OperatorMatrix, 12)] * 4 and len(op.singles) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -1133,7 +1161,7 @@ def _band_limited_circles(draw):
 @settings(max_examples=60, deadline=None)
 @given(case=_band_limited_circles())
 def test_a_band_limited_weight_is_one_band_of_the_dense_spectrum(case):
-    # b = 0 is a weight the rotations keep, C_n's 1 x 1 blocks; every b from
+    # b = 0 is a constant weight, the circle's 1 x 1 blocks; every b from
     # 1 to the cutoff is one band of half-width 2 b + 1, whose spectrum is
     # the dense oracle's within 64 n eps of the spectral radius, and whose
     # invariants, read from the kernel row, are the oracle's.  Where n is
@@ -1289,27 +1317,17 @@ def test_circle_orbits_refuses_what_is_not_an_equispaced_circle(make):
 
 
 def test_a_ring_of_four_atoms_takes_its_group():
-    # four atoms on a circle keep two perpendicular reflections, Z2 x Z2,
-    # which wins over C_4 at a tie, so they are no free orbit of C_4 and
-    # cos t takes the blocks of y -> -y, 3 x 3 and a single, not a band of
-    # order 4; its eigenvalues are those of that band, built along the
-    # orbit, where the half turn negates cos t, and of the dense oracle
+    # four atoms on a circle are one free orbit of C_4, the group the
+    # circle question asks about, though two perpendicular reflections
+    # keep them too: cos t, which the half turn negates, is one half-turn
+    # band of order 4, whose spectrum is the dense oracle's
     ring, t = _atom_ring(4)
     supports = [(ring, WeightFn.tabulated(np.cos(t)))]
     points, weights, values, offsets = assemble._layout(supports)
-    assert assemble._circle_orbits(supports, points, weights, offsets) is None
+    orbit, = assemble._circle_orbits(supports, points, weights, offsets)
+    assert np.array_equal(orbit, np.arange(4))
     op = _assert_reduced_matches_dense(supports, reference_kernel())
-    assert _kinds(op) == [(OperatorMatrix, 3)] and len(op.singles) == 1
-    band = assemble._banded(ring, reference_kernel(), values * weights,
-                            np.arange(4))
-    assert _kinds(band) == [(HalfTurnBand, 4)]
-    got, want = (eigensolve(x) for x in (
-        assemble_mixed(supports, reference_kernel()), band))
-    for side in ("positives", "negatives"):
-        a, b = getattr(got, side), getattr(want, side)
-        assert len(a) == len(b)
-        assert np.max(np.abs(a - b), initial=0.0) <= (
-            spectra._tolerance_unit(4) * np.max(np.abs(want.positives)))
+    assert _kinds(op) == [(HalfTurnBand, 4)] and len(op.singles) == 0
 
 
 def test_a_band_block_keeps_its_band_storage():
@@ -1628,13 +1646,54 @@ def test_subnormal_weights_on_circles_underflow():
     _assert_reduced_matches_dense(supports, reference_kernel())
 
 
+@pytest.mark.parametrize("gap, n, weights", [
+    (2.0, 128, (1.0, 2.0)), (2.0, 128, (-1.0, -2.0)),
+    (2.0, 128, (-1.0, 0.0)), (0.0, 8, (1.0, 2.0)), (0.0, 8, (-1.0, -2.0)),
+    (0.0, 8, (0.0, -1.0)),
+], ids=["apart", "apart, negative", "apart, negative and zero", "tangent",
+        "tangent, negative", "tangent, zero and negative"])
+def test_two_circles_of_constant_weights_match_the_dense_oracle(
+        gap, n, weights):
+    # constant weights all >= 0 or all < 0 on two circles on the x axis,
+    # which the reflection y -> -y keeps apart: one coupled block and a
+    # single per other mode, the operator of |V| negated where V < 0, whose
+    # spectrum and invariants are the dense oracle's.  A weight 0 beside a
+    # negative one takes the fold of the reflection's two blocks, which
+    # factors the kernel rows of the circle of weight 0 too.  Tangent
+    # circles of 8 nodes nearly share a node, and the coupling makes the
+    # kernel matrix indefinite though each circle's Fourier eigenvalues
+    # are positive: V < 0 keeps the fold's refusal of the dense oracle,
+    # and V >= 0 the semidefinite check's
+    kern = reference_kernel()
+    supports = _two_circles(gap, n1=n, n2=n, angle=0.0, weights=weights,
+                            r2=1.0)
+    op = _assert_reduced_matches_dense(supports, kern)
+    if gap == 0.0:
+        with pytest.raises(InvalidArgumentError, match="under-resolved"):
+            eigensolve(assemble_mixed(supports, kern))
+        return
+    table = assemble._symmetry_table(supports, *assemble._layout(supports))
+    assert table.shape[:2] == (1, 2)
+    assert op.signed_flag == (min(weights) < 0.0)
+    if 0.0 in weights:
+        assert [kind for kind, _ in _kinds(op)] == [OperatorMatrix] * 2
+        assert sum(b.n for b in op.blocks) == op.n
+        return
+    assert _kinds(op) == [(OperatorMatrix, op.blocks[0].n)]
+    assert op.blocks[0].n + len(op.singles) == op.n
+    _assert_invariants_match_the_oracle(op, supports, kern)
+
+
 @pytest.mark.parametrize("case", ["signed", "non-constant", "on the axis",
                                   "one polygon"])
 def test_other_unions_keep_their_path_bit_for_bit(case, monkeypatch):
-    # a signed weight, a weight that varies on a circle, the default
-    # two-surfaces layout on the x axis (the reflection Z2) and a polygon
-    # beside a circle do not take the coupled block: their eigenvalues are
-    # those of the path without it, to the last bit
+    # a weight of both signs, a weight that varies on a circle and a
+    # polygon beside a circle do not take the coupled block: their
+    # eigenvalues are those of the path without it, to the last bit.  The
+    # default two-surfaces layout on the x axis, which the reflection
+    # y -> -y keeps, takes the coupled block all the same: one block of
+    # its low modes and a single per other mode, the dense oracle's
+    # spectrum
     if case == "signed":
         supports = _two_circles(2.0, weights=(1.0, -0.5))
     elif case == "non-constant":
@@ -1649,6 +1708,11 @@ def test_other_unions_keep_their_path_bit_for_bit(case, monkeypatch):
                                            [0.0, 0.7]], 24, 3.0),
                        WeightFn.constant(1.0))
     kern = reference_kernel()
+    if case == "on the axis":
+        op = _assert_reduced_matches_dense(supports, kern)
+        assert _kinds(op) == [(OperatorMatrix, op.blocks[0].n)]
+        assert 0 < len(op.singles) == op.n - op.blocks[0].n
+        return
     op = assemble_mixed(supports, kern)
     assert op.weyl_bound == 0.0
     got = eigensolve(op)
@@ -1743,7 +1807,7 @@ _ORBIT_SUPPORTS = {
     "cantor": (lambda: [(make_cantor_measure(8), WeightFn.constant(0.7))],
                (1, 2)),
     "grid and circle": (_grid_and_circle, (1, 2)),
-    "C_n circle": (lambda: _circle(WeightFn.constant(1.0)), (1, 256)),
+    "constant circle": (lambda: _circle(WeightFn.constant(1.0)), (2, 2)),
     "two circles off the axes": (_circles_off_the_axes, (1, 1)),
 }
 
@@ -1818,7 +1882,8 @@ def test_the_orbit_rows_evaluate_the_upper_orbit_triangle_once(name,
     # |G| r columns of a full row, n of them where no symmetry fixes an atom
     columns = order * r
     n = len(args[0])
-    assert (columns > n) == (name in ("cos t circle", "grid and circle"))
+    assert (columns > n) == (name in ("cos t circle", "constant circle",
+                                      "grid and circle"))
     assert kern.entries <= columns ** 2 / (2 * order) + order * np.sum(
         rows ** 2)
     assert sum(panels) == (2 * kern.entries if name == "rectangle" else 0)
