@@ -17,6 +17,10 @@ singularity:
 * atomized measures (Cantor dust, uniform grids, the area cells of an
   absolutely continuous density): pointwise kernel values off the
   diagonal, with the cell-averaged self coefficient closing the diagonal.
+  Where the atoms lie on few distinct coordinates per axis, as a cell
+  grid's do, the kernel is evaluated once per distinct offset
+  (|dx|, |dy|) and the rows gather it, bit for bit the values of the
+  pairs' own distances (``_offset_table``).
 
 Every operator is laid out by ``assemble_mixed`` as a list of (support,
 weight) blocks: each support's effective kernel on its diagonal block and
@@ -630,22 +634,71 @@ def _polygon_rows(mesh: SurfaceMesh, kernel: KernelModel):
 def _point_rows(points: np.ndarray, kernel: KernelModel, cell_kind: str,
                 cell_size):
     """The effective-kernel rows of an atomized measure: pointwise kernel
-    values, the self pairs closed by the cell average."""
+    values, the self pairs closed by the cell average.  Where the atoms
+    lie on few distinct coordinates, as a cell grid's do, the values come
+    from the table of ``_offset_table``, taken once; otherwise each block
+    evaluates the kernel on its own pairs."""
     if kernel.log_coefficient != 0.0:
         closure = self_cell_coefficient(cell_kind, float(cell_size))
     else:
         closure = kernel.remainder_at_zero
+    lookup = _offset_table(points, kernel)
 
     def block(rows, cols):
         pairs = _self_pairs(rows, cols)
-        r = _pairwise_dist(points[rows], points[cols])
-        # a placeholder distance on the self pairs, closed below
-        r[pairs] = 1.0
-        out = kernel.profile(r)
+        if lookup is not None:
+            out = lookup(rows, cols)
+        else:
+            r = _pairwise_dist(points[rows], points[cols])
+            # a placeholder distance on the self pairs, closed below
+            r[pairs] = 1.0
+            out = kernel.profile(r)
         out[pairs] = closure
         return out
 
     return block
+
+
+def _offset_table(points: np.ndarray, kernel: KernelModel):
+    """The kernel between the distinct atoms ``points`` as a lookup
+    ``(rows, cols) -> values``, or None where it would not pay.
+
+    Per axis, the atoms' distinct coordinates, the table of |differences|
+    between them, and that table's distinct values and codes; the kernel is
+    evaluated once on sqrt(dx^2 + dy^2) over the product of the distinct
+    |dx| and |dy|, and a block gathers its entries through its atoms'
+    codes.  (-d)^2 = d^2 exactly, and the sum and the root run in the order
+    of ``_pairwise_dist``, so each entry is bit for bit the value of the
+    pair's own distance.  The offset (0, 0) is a self pair's alone, the
+    atoms being distinct, and takes the placeholder distance.  Taken only
+    where the two difference tables and the kernel table hold fewer entries
+    than the n (n - 1) / 2 upper pairs, as counted before any kernel call."""
+    pairs = len(points) * (len(points) - 1) // 2
+    (ux, ax), (uy, ay) = axes = [
+        np.unique(points[:, k], return_inverse=True) for k in (0, 1)]
+    size = len(ux) ** 2 + len(uy) ** 2
+    if size >= pairs:
+        return None
+    (dx, cx), (dy, cy) = (
+        np.unique(np.abs(values[:, None] - values[None, :]),
+                  return_inverse=True) for values, _ in axes)
+    if size + len(dx) * len(dy) >= pairs:
+        return None
+    r = (dx * dx)[:, None] + (dy * dy)[None, :]
+    np.sqrt(r, out=r)
+    # the placeholder distance of the self pairs, closed by the caller
+    r[0, 0] = 1.0
+    table = kernel.profile(r).ravel()
+    # per pair of distinct coordinates, its offset's place in the table
+    x_codes = cx.reshape(len(ux), len(ux)) * len(dy)
+    y_codes = cy.reshape(len(uy), len(uy))
+
+    def lookup(rows, cols):
+        index = x_codes[ax[rows]].take(ax[cols], axis=1)
+        index += y_codes[ay[rows]].take(ay[cols], axis=1)
+        return table.take(index)
+
+    return lookup
 
 
 def _support_rows(support, kernel: KernelModel):

@@ -21,6 +21,15 @@ that the critical-order kernel can be split into its log factor and smooth
 remainder in one pass.  The fixed-grid quadrature of the cosh-integral band
 goes through ``grid_sum``, which bounds its temporaries.
 
+The log series stops at the first step k where
+term_k (h_k + 1) <= 1e-18 I_0 holds at every point.  It cannot hold before
+it holds at the largest x^2/4, so that step is read once, by the same
+recurrence on one float, and the steps before it run in place with no
+test; from it on the test runs on every point, so the series stops where a
+test on every step would, with the same sums.  Past a point's own stop
+each term lies below 1e-18 of its sums and changes no bit of them, so a
+point's value does not depend on the other points.
+
 On the band, the point x keeps the grid nodes t_j before the first one with
 x (cosh t_j - 1) - n t_j >= 48 and drops the rest.  The terms are positive
 and their sum is at least the first one, (h/2) e^{-x}, so each dropped term
@@ -101,29 +110,55 @@ def k0_log_series(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     K_0(x) = -(log(x/2) + gamma) I_0(x) + s_0(x).  Every term is positive,
     so both sums are accurate for 0 <= x <= 30; only the log form of K_0
-    cancels, and ``bessel_k`` uses it for x < 2.2 alone.
+    cancels, and ``bessel_k`` uses it for x < 2.2 alone.  The steps stop
+    at the first one where term (h_k + 1) <= 1e-18 I_0 holds for every x
+    (module docstring); ``x`` is a float64 array.
     """
     q = x * x / 4.0
     term = np.ones_like(x)
     i0 = np.ones_like(x)
     s0 = np.zeros_like(x)
+    scratch = np.empty_like(x)
     hk = 0.0
+    first = _series_steps(float(q.max(initial=0.0)))
     for k in range(1, 80):
         term *= q
         term /= k * k
         hk += 1.0 / k
         i0 += term
-        s0 += term * hk
-        if np.all(term * (hk + 1.0) <= 1e-18 * i0):
+        np.multiply(term, hk, out=scratch)
+        s0 += scratch
+        if k >= first and np.all(term * (hk + 1.0) <= 1e-18 * i0):
             break
     return i0, s0
+
+
+def _series_steps(q: float) -> int:
+    """The first step of ``k0_log_series`` at which the largest q = x^2/4
+    passes the stop test, by the same recurrence on one float (79 where it
+    never does, as for a NaN)."""
+    term, i0, hk = 1.0, 1.0, 0.0
+    for k in range(1, 80):
+        term *= q
+        term /= k * k
+        hk += 1.0 / k
+        i0 += term
+        if term * (hk + 1.0) <= 1e-18 * i0:
+            return k
+    return 79
 
 
 def _k0_series(x: np.ndarray) -> np.ndarray:
     """K_0 by the classical log series; accurate for x <= 2.2."""
     i0, s0 = k0_log_series(x)
-    lg = -(np.log(x / 2.0) + EULER_GAMMA)
-    return lg * i0 + s0
+    # -(log(x/2) + gamma) I_0 + s_0, in place
+    out = np.divide(x, 2.0)
+    np.log(out, out=out)
+    out += EULER_GAMMA
+    np.negative(out, out=out)
+    out *= i0
+    out += s0
+    return out
 
 
 def _k1_series(x: np.ndarray) -> np.ndarray:
@@ -259,6 +294,10 @@ def bessel_k(n: int, x) -> np.ndarray | float:
     for mask, k0_fn, k1_fn in regions:
         if not mask.any():
             continue
+        if n == 0 and mask.all():
+            # one branch holds every argument: no gather and no scatter
+            out = k0_fn(xa.ravel()).reshape(xa.shape)
+            break
         xx = xa[mask]
         if n == 0:
             out[mask] = k0_fn(xx)

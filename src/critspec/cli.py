@@ -171,6 +171,10 @@ def _checked(value, kind, what: str):
     if kind == "numbers":
         if not isinstance(value, list):
             raise InvalidArgumentError("%s must be a list of numbers" % what)
+        # JSON numbers, ints and floats alone, in one pass; any other type
+        # value by value, which names the first value refused
+        if set(map(type, value)) <= {float, int}:
+            return list(map(float, value))
         return [_as_number(v, what) for v in value]
     # a weight
     if not isinstance(value, dict):

@@ -88,6 +88,10 @@ class _ReferenceKernel(KernelModel):
         # accurate split needs; both halves come from one series pass.  In
         # the window, chi * (series split) + (1 - chi) * (0, profile)
         r = _distances(r)
+        if not np.any(r > _WINDOW_START):
+            # every distance before the window: no gather and no scatter
+            i0, s0 = k0_log_series(r)
+            return -i0 / TWO_PI, REFERENCE_DIAGONAL_LIMIT * i0 + s0 / TWO_PI
         log_factor = np.empty_like(r)
         smooth = np.empty_like(r)
         near = r < _WINDOW_END

@@ -1,4 +1,5 @@
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -86,6 +87,30 @@ def two_circle_spectra(two_circle_meshes, unit_weight, kernel):
     sp1 = spectra.eigensolve(assemble_curve_operator(m1, unit_weight, kernel))
     sp2 = spectra.eigensolve(assemble_curve_operator(m2, unit_weight, kernel))
     return spectra.eigensolve(combined), sp1, sp2
+
+
+class CountingKernel:
+    """``kernel``, counting in ``entries`` the arguments its ``profile``
+    and ``split`` are called on, from any worker thread."""
+
+    def __init__(self, kernel):
+        self.kernel = kernel
+        self.log_coefficient = kernel.log_coefficient
+        self.remainder_at_zero = kernel.remainder_at_zero
+        self.entries = 0
+        self._lock = threading.Lock()
+
+    def _count(self, r) -> None:
+        with self._lock:
+            self.entries += np.size(r)
+
+    def split(self, r):
+        self._count(r)
+        return self.kernel.split(r)
+
+    def profile(self, r):
+        self._count(r)
+        return self.kernel.profile(r)
 
 
 def trivial_table(supports, points, *rest):

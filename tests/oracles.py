@@ -529,6 +529,28 @@ def _k0_log_series(x: np.ndarray) -> np.ndarray:
     return lg * i0 + s0
 
 
+def k0_log_series_tested_per_step(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """I_0(x) and s_0(x) = sum_k h_k (x^2/4)^k / (k!)^2, h_k = 1 + ... + 1/k.
+
+    The log series with its stop test run on every step: the reference
+    ``bessel.k0_log_series`` must match bit for bit.
+    """
+    q = x * x / 4.0
+    term = np.ones_like(x)
+    i0 = np.ones_like(x)
+    s0 = np.zeros_like(x)
+    hk = 0.0
+    for k in range(1, 80):
+        term *= q
+        term /= k * k
+        hk += 1.0 / k
+        i0 += term
+        s0 += term * hk
+        if np.all(term * (hk + 1.0) <= 1e-18 * i0):
+            break
+    return i0, s0
+
+
 def _k_band_matvec(n: int, x: np.ndarray) -> np.ndarray:
     """Trapezoid on the cosh-integral representation; for the middle band."""
     t = np.arange(0.0, 7.6 + 0.18 / 2, 0.18)

@@ -25,8 +25,8 @@ from critspec.geometry import (Circle, Ellipse, SingularMeasure, Star,
 from critspec.kernels import (lower_order_kernel, reference_kernel,
                               self_cell_coefficient)
 
-from conftest import (UNIT_SQUARE, assemble_dense, circle_exact_eigenvalues,
-                      trivial_table)
+from conftest import (UNIT_SQUARE, CountingKernel, assemble_dense,
+                      circle_exact_eigenvalues, trivial_table)
 from oracles import (assemble_mixed_pairs, cholesky_fold_full,
                      curve_kernel_pairs, kress_weight_vector_table, one_block,
                      point_effective_kernel_pairs,
@@ -466,24 +466,46 @@ def test_blocked_polygon_kernel_matches_pairs_oracle(vertices, grading,
 
 
 def _point_cases():
+    """(id, atoms, kernel, cell kind, cell size, whether the rows take the
+    kernel table of distinct offsets)."""
     kern = reference_kernel()
     for depth in range(2, 11):
         measure = make_cantor_measure(depth)
         yield ("cantor-%d" % depth, measure.atoms, kern, "segment",
-               measure.cell_size)
+               measure.cell_size, False)
     grid = make_cell_grid((0.0, 0.0), 1.0, 0.035)
-    yield "cell-grid", grid.atoms, kern, "square", grid.cell_size
+    yield "cell-grid", grid.atoms, kern, "square", grid.cell_size, True
     yield ("lower-order", make_smooth_curve(Circle(), 300).nodes,
-           lower_order_kernel(), "segment", 0.02)
+           lower_order_kernel(), "segment", 0.02, False)
+    # the default mixed-ac-singular grid, its circle excluded
+    mixed = make_cell_grid((0.0, 0.0), 1.0, 0.035, exclude_meshes=[
+        make_smooth_curve(Circle(radius=0.5), 192)])
+    yield "mixed-grid", mixed.atoms, kern, "square", mixed.cell_size, True
+    square = make_uniform_square_measure(16)
+    yield ("uniform-square", square.atoms, kern, "square",
+           square.cell_size, True)
+    yield ("lower-order-grid", grid.atoms, lower_order_kernel(), "square",
+           grid.cell_size, True)
+    # one coordinate off the lattice by one ulp: a distinct x of its own
+    moved = grid.atoms.copy()
+    moved[100, 0] = np.nextafter(moved[100, 0], np.inf)
+    yield "grid-one-ulp", moved, kern, "square", grid.cell_size, True
+    cloud = np.random.default_rng(3).uniform(-1.0, 1.0, (400, 2))
+    yield "point-cloud", cloud, kern, "square", 0.05, False
 
 
 @pytest.mark.parametrize("case", list(_point_cases()),
                          ids=lambda case: case[0])
 def test_blocked_point_kernel_matches_pairs_oracle(case):
-    _, points, kern, cell_kind, cell_size = case
+    _, points, kern, cell_kind, cell_size, tabled = case
+    counted = CountingKernel(kern)
+    got = _kernel_matrix(_points(points, cell_kind, cell_size), counted)
     assert _same_upper(
-        _kernel_matrix(_points(points, cell_kind, cell_size), kern),
-        point_effective_kernel_pairs(points, kern, cell_kind, cell_size))
+        got, point_effective_kernel_pairs(points, kern, cell_kind, cell_size))
+    # the table takes fewer kernel values than the upper pairs; the direct
+    # rows take each of them
+    pairs = len(points) * (len(points) - 1) // 2
+    assert (counted.entries < pairs) == tabled
 
 
 @pytest.mark.parametrize("kern", [reference_kernel(), lower_order_kernel()],

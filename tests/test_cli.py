@@ -83,6 +83,12 @@ def test_spectrum_command_applies_the_matrix_cap(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+def _tabulated_config(values: str) -> str:
+    """A signed-weight config whose tabulated weight has ``values``."""
+    return ('{"experiment": "signed-weight", "n": 64, "params": {"weight":'
+            ' {"kind": "tabulated", "values": %s}}}' % values)
+
+
 @pytest.mark.parametrize("text", [
     '{"n": 128}',
     '{"experiment": "circle-weyl", "tolerance": {"coefficient": 0.5}}',
@@ -99,14 +105,28 @@ def test_spectrum_command_applies_the_matrix_cap(tmp_path, capsys):
     '{"experiment": "two-surfaces", "n": 64, "params": {"center_2": [1, "x"]}}',
     '{"experiment": "two-surfaces", "n": 64, "params": {"center_2": 5}}',
     '{"experiment": "lower-order-decay", "params": {"n": 32}}',
+    _tabulated_config("[1.0, 2, true]"),
+    _tabulated_config('[1.0, "2", 3]'),
 ], ids=["no-experiment", "unknown-key", "malformed-json", "not-an-object",
         "n-not-a-number", "tabulated-without-values", "vertices-not-a-list",
         "vertices-too-few", "vertex-not-a-number", "center-not-a-number",
-        "center-not-a-pair", "lower-order-below-40-eigenvalues"])
+        "center-not-a-pair", "lower-order-below-40-eigenvalues",
+        "tabulated-value-bool", "tabulated-value-string"])
 def test_bad_config_is_usage_error(tmp_path, text):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(text)
     assert main(["run", "--config", str(cfg)]) == 2
+
+
+@pytest.mark.parametrize("values, shown", [("[1.0, 2, true]", "True"),
+                                           ('[1.0, "2", 3]', "'2'")])
+def test_tabulated_weight_names_the_value_refused(tmp_path, capsys, values,
+                                                  shown):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(_tabulated_config(values))
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == (
+        'error: "values" must be a number, got %s\n' % shown)
 
 
 def test_signed_weight_with_one_signed_weight_checks_c_plus_only():

@@ -17,7 +17,8 @@ from critspec.kernels import (lower_order_kernel, reference_kernel,
                               self_cell_coefficient)
 
 from _frozen_bessel import FROZEN_BESSEL
-from oracles import (_k_band_matvec, bessel_k0_matvec, log_energy_segment,
+from oracles import (_k0_log_series, _k_band_matvec, bessel_k0_matvec,
+                     k0_log_series_tested_per_step, log_energy_segment,
                      log_energy_square, lower_order_kernel_subordination,
                      unit_square_log_energy_dblquad)
 
@@ -95,6 +96,43 @@ def test_bessel_k0_unchanged_on_all_branches():
     got = bessel_k(0, x)
     want = bessel_k0_matvec(x)
     assert np.max(np.abs(got - want) / np.spacing(want)) <= 4.0
+
+
+# arguments of the K_0 log series: the ends of its branch in bessel_k,
+# anywhere on it, and on to the end of the split window
+_SERIES_ARGS = st.one_of(st.sampled_from([1e-6, 2.19]),
+                         st.floats(1e-6, 2.19), st.floats(1e-6, WINDOW_END))
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(_SERIES_ARGS, max_size=40), data=st.data())
+@example(values=[], data=None)
+@example(values=[1.0], data=None)
+@example(values=[0.7] * 9, data=None)
+@example(values=[1e-6, 2.19] * 8, data=None)
+def test_k0_series_matches_the_series_tested_per_step_bit_for_bit(values,
+                                                                  data):
+    x = np.array(values, dtype=float)
+    if data is not None:
+        x = np.array(data.draw(st.permutations(values)), dtype=float)
+    i0, s0 = bessel_module.k0_log_series(x)
+    want_i0, want_s0 = k0_log_series_tested_per_step(x)
+    assert np.array_equal(i0, want_i0) and np.array_equal(s0, want_s0)
+    want = _k0_log_series(x)
+    assert np.array_equal(want, -(np.log(x / 2.0) + EULER_GAMMA) * want_i0
+                          + want_s0)
+    assert np.array_equal(bessel_module._k0_series(x), want)
+    # bessel_k takes the series below 2.2, gathered or, where every
+    # argument is there, whole
+    series = x < 2.2
+    assert np.array_equal(bessel_k(0, x)[series], want[series])
+    assert np.array_equal(bessel_k(0, x[series]), want[series])
+    # the split takes the series whole where no distance passes the window
+    # start, and gathers it otherwise
+    near = x[x <= WINDOW_START]
+    whole = reference_kernel().split(near)
+    gathered = reference_kernel().split(np.append(near, WINDOW_END))
+    assert all(np.array_equal(a, b[:-1]) for a, b in zip(whole, gathered))
 
 
 def test_fixed_grid_temporaries_are_bounded(monkeypatch):

@@ -24,7 +24,8 @@ from critspec.geometry import (Circle, Ellipse, SingularMeasure, Star,
 from critspec.kernels import lower_order_kernel, reference_kernel
 from critspec.spectra import Spectrum, counting, eigensolve, weyl_fit
 
-from conftest import UNIT_SQUARE, assemble_dense, circle_exact_eigenvalues
+from conftest import (UNIT_SQUARE, CountingKernel, assemble_dense,
+                      circle_exact_eigenvalues)
 import oracles
 from oracles import (assemble_mixed_pairs, cholesky_fold_full, one_block,
                      upper_invariants, upper_invariants_rows)
@@ -1824,31 +1825,16 @@ def _orbit_inputs(name):
     return supports, (points, offsets, table, values * weights)
 
 
-class _CountingKernel:
-    """The reference kernel, counting the entries it evaluates."""
-
-    def __init__(self):
-        self.inner = reference_kernel()
-        self.log_coefficient = self.inner.log_coefficient
-        self.remainder_at_zero = self.inner.remainder_at_zero
-        self.entries = 0
-
-    def split(self, r):
-        self.entries += np.size(r)
-        return self.inner.split(r)
-
-    def profile(self, r):
-        self.entries += np.size(r)
-        return self.inner.profile(r)
-
-
 @pytest.mark.parametrize("name", list(_ORBIT_SUPPORTS))
 def test_the_orbit_rows_evaluate_the_upper_orbit_triangle_once(name,
                                                                monkeypatch):
     # a block of rows [o0, o1) is evaluated against the orbits p >= o0
     # alone, each column atom once per group element: about n^2/(2|G|)
     # kernel entries, and the part of its leading square below the orbit
-    # diagonal; small blocks make the leading squares a small share
+    # diagonal; small blocks make the leading squares a small share.  A
+    # grid's rows gather their entries from its table of distinct offsets,
+    # whose kernel calls are not per pair: such a block counts the entries
+    # it returns
     supports, args = _orbit_inputs(name)
     table = args[2]
     order, r = table.shape[0] * table.shape[1], table.shape[2]
@@ -1859,11 +1845,17 @@ def test_the_orbit_rows_evaluate_the_upper_orbit_triangle_once(name,
     true_panels = assemble._panel_log_integrals
 
     def recorded_rows(support, kern):
+        before = kern.entries
         block = true_rows(support, kern)
+        kern.entries = before
 
         def counted(block_rows, cols):
             rows.append(len(block_rows))
-            return block(block_rows, cols)
+            before = kern.entries
+            values = block(block_rows, cols)
+            if kern.entries == before:
+                kern.entries += values.size
+            return values
 
         return counted
 
@@ -1873,7 +1865,7 @@ def test_the_orbit_rows_evaluate_the_upper_orbit_triangle_once(name,
 
     monkeypatch.setattr(assemble, "_support_rows", recorded_rows)
     monkeypatch.setattr(assemble, "_panel_log_integrals", counted_panels)
-    kern = _CountingKernel()
+    kern = CountingKernel(reference_kernel())
     assemble._orbit_rows(supports, kern, *args)
     rows = np.array(rows)
     # exactly the orbit pairs p >= o and the rest of the leading squares
