@@ -78,13 +78,21 @@ keeps within the tolerance takes it too.
 Circles whose weights are each constant and all >= 0 or all < 0, as the
 one circle of circle-weyl and the two of two-surfaces, whatever their
 symmetry, need no block of order n.  In each circle's real Fourier basis
-its own block is diagonal, V w kappa_k, and the cross blocks, taken there
-by two real FFT passes, decay geometrically between separated circles,
-since the kernel is analytic there.  The modes of least coupling are
-dropped while the Frobenius norm of the dropped coupling, which bounds how
-far any eigenvalue moves (Weyl), stays within the tolerance unit times
-sqrt(F / n); the kept ones are one dense coupled block, every other mode a
-single (``_coupled``).  One circle alone is all singles.
+its own block is diagonal, V w kappa_k.  Between two separated circles
+the kernel has a closed-form double Fourier series, Graf's addition
+theorem for K_0 at both centers (DLMF 10.44.ii; the screened
+multipole-to-local translation of Greengard and Rokhlin, J. Comput. Phys.
+73, 1987), whose coefficients decay geometrically: the cross blocks are
+written in the Fourier bases from its modes |p|, |q| <= M, with M the
+least order whose tail bound is within half the tolerance, and no n_i x
+n_j block is evaluated, but one row and one column that check the table
+(``_cross_modes``).  The modes of least coupling are dropped while the
+Frobenius norm of the dropped coupling and the tails, which bounds how far
+any eigenvalue moves (Weyl), stays within the tolerance unit times sqrt(F
+/ n); the kept ones are one dense coupled block, every other mode a single
+(``_coupled``).  One circle alone is all singles.  Circles that cross,
+touch or nearly touch, where no tail bound closes, and a kernel with no
+table take the group of ``_symmetry_table``, as every other support does.
 
 The orbit rows are built in one blocked pass.  A block is a slice of
 representatives [o0, o1) against the columns of the orbits from o0 on: its
@@ -133,7 +141,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .errors import InternalError, InvalidArgumentError
 from .geometry import (SingularMeasure, SurfaceMesh, _check_atom_count,
                        support_atoms)
 from .kernels import KernelModel, self_cell_coefficient
@@ -1217,12 +1225,13 @@ def assemble_mixed(supports, kernel: KernelModel) -> BlockOperator:
     its own C_n, an equispaced circle (``_circle_orbits``), and where it
     is, two cases take an exact Fourier path with no table built.  One
     support whose weight varies and carries few Fourier modes is one band
-    (``_banded``).  Supports whose weights are each constant and all >= 0
-    or all < 0 are one coupled block of the circles' low Fourier modes and
-    a single per other mode (``_coupled``): the modes dropped from the
-    coupling move no eigenvalue by more than the Frobenius norm of what
-    they drop, ``weyl_bound`` (Weyl's inequality), which is kept within
-    the solve's tolerance unit times sqrt(F / n).
+    (``_banded``).  Separated circles whose weights are each constant and
+    all >= 0 or all < 0 are one coupled block of the circles' low Fourier
+    modes and a single per other mode (``_coupled``): the modes dropped
+    from the coupling, and those the kernel's table of the circles leaves
+    out, move no eigenvalue by more than ``weyl_bound`` (Weyl's
+    inequality), which is kept within the solve's tolerance unit times
+    sqrt(F / n).  Circles the table cannot separate take the group.
 
     A curve's diagonal block takes the curve quadrature of
     ``_support_rows``; a measure's takes pointwise kernel values closed by
@@ -1269,8 +1278,10 @@ def assemble_mixed(supports, kernel: KernelModel) -> BlockOperator:
                 np.max(np.abs(v - v[0]))
                 <= _tolerance_unit(len(v)) * np.max(np.abs(v))
                 for v in np.split(values, offsets[1:-1])):
-            return _coupled(supports, kernel, points, weights, vw, offsets,
-                            orbits)
+            op = _coupled(supports, kernel, points, weights, vw, offsets,
+                          orbits)
+            if op is not None:
+                return op
     table = _symmetry_table(supports, points, weights, values, offsets)
     r = table.shape[2]
     reps = table[0, 0]
@@ -1518,47 +1529,50 @@ def _circle_orbits(supports, points, weights, offsets):
 
 def _coupled(supports, kernel: KernelModel, points: np.ndarray,
              weights: np.ndarray, vw: np.ndarray, offsets: np.ndarray,
-             orbits) -> BlockOperator:
+             orbits) -> BlockOperator | None:
     """The operator on circles, each one free orbit ``orbits[k]`` of its
     own C_n_k whose V w is constant on it (``_circle_orbits``), all >= 0
     or all < 0, as one coupled block of their low Fourier modes and the
-    singles of all the others.
+    singles of all the others; None where two circles are not separated
+    far enough for the kernel's table (``_cross_modes``).
 
     In the real basis of ``_real_entries`` along each orbit, C_k, circle
     k's own block is diag(V w kappa_k), kappa_k the real DFT of its kernel
     row (``_circulant``), and the cross block of circles i < j is B^ = s_i
-    s_j C_i B C_j^T, B the kernel values between them in orbit order,
-    evaluated in full in the pass of ``_each_block`` and carried to B^ by
-    two real FFT passes (``_real_fourier``).  The operator Q A Q^T, Q =
-    diag(C_k), is orthogonally similar to A.  Between separated circles
-    the kernel is analytic and B^ decays geometrically in both mode
-    numbers, so only a few low modes couple.  Where every V w is < 0,
-    the operator is that of |V w| negated: s = sqrt(|V w|), and the
-    singles, the cross blocks and the trace change sign.  The fold's
-    refusal of a kernel matrix that is not positive definite
-    (``_not_positive_definite``) is kept there: some kappa_k <= 0, or a
-    kept block of |V w| that Cholesky cannot factor, refuses the operator
-    as the fold would: with every V w < 0, the kept block and the singles
-    are positive definite where the kernel matrix is, to within the
-    dropped coupling.
+    s_j C_i B C_j^T, B the kernel values between them in orbit order.  B^
+    is written from the kernel's double Fourier series of the two circles
+    (``KernelModel.separated_circles``, Graf's addition theorem for K_0),
+    whose modes |p|, |q| <= M alone carry it to within a tail bound: no
+    entry of B is evaluated but one row and one column, which check the
+    table.  The operator Q A Q^T, Q = diag(C_k), is orthogonally similar to
+    A.  Where every V w is < 0, the operator is that of |V w| negated: s =
+    sqrt(|V w|), and the singles, the cross blocks and the trace change
+    sign.  The fold's refusal of a kernel matrix that is not positive
+    definite (``_not_positive_definite``) is kept there: some kappa_k <= 0,
+    or a kept block of |V w| that Cholesky cannot factor, refuses the
+    operator as the fold would: with every V w < 0, the kept block and the
+    singles are positive definite where the kernel matrix is, to within
+    the dropped coupling.
 
-    The modes are dropped from the coupling in the order of their coupling
-    norms, the squared norms of their rows of the cross blocks, the least
-    first, while twice the sum of those dropped stays within the square of
-    ``_truncation_bound``: the dropped coupling E, the entries of the rows
-    and columns of the dropped modes, then has ||E||_F within the bound,
-    and by Weyl's inequality no eigenvalue moves further.  ||E||_F is
-    summed from the entries themselves and kept as ``weyl_bound``.  A
+    Each pair's M is the least whose tail bound, the Frobenius norm of what
+    the modes outside the table add to B^, keeps the tails of all pairs,
+    counted for each block and its transpose, within half of
+    ``_truncation_bound`` of the circles' own blocks.  The modes are then
+    dropped from the coupling in the order of their coupling norms, the
+    squared norms of their rows of the cross blocks, the least first,
+    while twice the sum of those dropped stays within the square of what
+    the tails leave of ``_truncation_bound``: the dropped coupling E, the
+    entries of the rows and columns of the dropped modes, then has ||E||_F
+    within it, and by Weyl's inequality no eigenvalue moves further than
+    ||E||_F and the tails together, which are kept as ``weyl_bound``.  A
     dropped mode is a single, its own diagonal entry; the kept ones are one
-    dense real block.  Where every mode is kept, E = 0 and the block is the
-    whole operator in the Fourier bases: circles that nearly touch or cross
-    need no other path.  One circle alone couples to nothing: every mode
-    is a single.
+    dense real block.  One circle alone couples to nothing: every mode is a
+    single.
 
-    The invariants are taken from the rows and from the raw cross blocks,
-    before the FFT, in ``_row_invariants``' units, so the check covers the
-    transforms as well as the solve.  No n x n array exists: the largest
-    is one cross block."""
+    The invariants of the own blocks are taken from their rows, in
+    ``_row_invariants``' units, and those of the cross blocks from the
+    table by Parseval, within its tail.  No n x n array, and no n_i x n_j
+    one, exists: each cross block is at most (2M + 1) x (2M + 1)."""
     n = len(points)
     negative = bool(np.any(vw < 0.0))
     sign = -1.0 if negative else 1.0
@@ -1577,13 +1591,29 @@ def _coupled(supports, kernel: KernelModel, points: np.ndarray,
         roots.append(np.sqrt(u))
         shifts.append(shift)
         parts.append((sign * trace, frobenius_sq, exponent))
-    crosses = []
-    for i in range(len(orbits)):
-        for j in range(i + 1, len(orbits)):
-            crosses.append((i, j, _cross_block(
-                kernel, points[orbits[i]], points[orbits[j]],
-                roots[i] * roots[j], shifts[i] + shifts[j], parts)))
     # a part of a zero weight holds no entry, and its exponent says nothing
+    own = _summed_invariants([p for p in parts if p[1] > 0.0])
+    pairs = [(i, j) for i in range(len(orbits))
+             for j in range(i + 1, len(orbits)) if roots[i] * roots[j] > 0.0]
+    budget = 0.5 * _truncation_bound(own, n) / np.sqrt(2.0 * max(len(pairs),
+                                                                  1))
+    crosses = []
+    for i, j in pairs:
+        scale = np.sqrt(len(orbits[i]) * len(orbits[j])) * roots[i] * roots[j]
+        with np.errstate(over="ignore"):
+            tail = np.ldexp(budget / scale, own[2] - shifts[i] - shifts[j])
+        found = _cross_modes(kernel, points[orbits[i]], points[orbits[j]],
+                             tail, n)
+        if found is None:
+            return None
+        block, error, largest = found
+        # the part of the invariants: the block and its transpose, in units
+        # of its largest entry seen
+        e = int(np.frexp(largest * roots[i] * roots[j])[1])
+        units = np.ldexp(block * (roots[i] * roots[j]), -e)
+        parts.append((0.0, 2.0 * float(np.sum(units * units)),
+                      e + shifts[i] + shifts[j]))
+        crosses.append((i, j, block, error * scale))
     invariants = _summed_invariants([p for p in parts if p[1] > 0.0])
     exponent = invariants[2]
     diagonal = np.concatenate([np.ldexp(d, e - exponent)
@@ -1591,19 +1621,23 @@ def _coupled(supports, kernel: KernelModel, points: np.ndarray,
     # the cross blocks in the Fourier bases and in units of 2^exponent, and
     # each mode's coupling norm
     coupling = np.zeros(n)
-    for c, (i, j, block) in enumerate(crosses):
-        block = _real_fourier(_real_fourier(block, 1), 0)
-        block *= np.ldexp(sign * roots[i] * roots[j],
-                          shifts[i] + shifts[j] - exponent)
+    tails = 0.0
+    for c, (i, j, block, tail) in enumerate(crosses):
+        units = shifts[i] + shifts[j] - exponent
+        block *= np.ldexp(sign * roots[i] * roots[j], units)
+        tails += np.ldexp(tail, units) ** 2
         rows = np.einsum("ij,ij->i", block, block)
-        coupling[offsets[i]:offsets[i + 1]] += rows
-        coupling[offsets[j]:offsets[j + 1]] += np.einsum("ij,ij->j", block,
-                                                         block)
+        coupling[offsets[i]:offsets[i] + len(rows)] += rows
+        columns = np.einsum("ij,ij->j", block, block)
+        coupling[offsets[j]:offsets[j] + len(columns)] += columns
         crosses[c] = i, j, block, rows
+    # the tails of every block and its transpose
+    tails = np.sqrt(2.0 * tails)
     order = np.argsort(coupling, kind="stable")
-    dropped = np.searchsorted(2.0 * np.cumsum(coupling[order]),
-                              _truncation_bound(invariants, n) ** 2,
-                              side="right")
+    dropped = np.searchsorted(
+        2.0 * np.cumsum(coupling[order]),
+        max(_truncation_bound(invariants, n) - tails, 0.0) ** 2,
+        side="right")
     kept = np.zeros(n, dtype=bool)
     kept[order[dropped:]] = True
     if kept.sum() < 2:
@@ -1613,16 +1647,17 @@ def _coupled(supports, kernel: KernelModel, points: np.ndarray,
     square[np.diag_indices(len(square))] = diagonal[kept]
     error = 0.0
     for i, j, block, row_norms in crosses:
-        rows = kept[offsets[i]:offsets[i + 1]]
-        cols = kept[offsets[j]:offsets[j + 1]]
+        # the block's positions, the first of each circle's basis
+        at_i = slice(offsets[i], offsets[i] + block.shape[0])
+        at_j = slice(offsets[j], offsets[j] + block.shape[1])
+        rows, cols = kept[at_i], kept[at_j]
         inner = block[rows]
         outer = inner[:, ~cols]
         # E's entries above the diagonal: the dropped rows whole, and the
         # dropped columns of the kept rows
         error += row_norms[~rows].sum() + np.einsum("ij,ij->", outer, outer)
-        square[np.ix_(position[offsets[i]:offsets[i + 1]][rows],
-                      position[offsets[j]:offsets[j + 1]][cols])] = (
-                          inner[:, cols])
+        square[np.ix_(position[at_i][rows], position[at_j][cols])] = (
+            inner[:, cols])
     if negative and len(square):
         # the fold's refusal where the coupling makes the kernel matrix
         # indefinite, read off the kept block of |V w| by its upper triangle
@@ -1636,49 +1671,119 @@ def _coupled(supports, kernel: KernelModel, points: np.ndarray,
     return BlockOperator(blocks=blocks,
                          singles=np.ldexp(diagonal[~kept], exponent),
                          invariants=invariants, n=n, signed_flag=negative,
-                         weyl_bound=float(np.ldexp(np.sqrt(2.0 * error),
-                                                   exponent)))
+                         weyl_bound=float(np.ldexp(np.sqrt(2.0 * error)
+                                                   + tails, exponent)))
 
 
-def _cross_block(kernel: KernelModel, rows: np.ndarray, cols: np.ndarray,
-                 scale: float, shift: int, parts: list) -> np.ndarray:
-    """The kernel values between the atoms ``rows`` and ``cols`` of two
-    supports, over row blocks in the pass of ``_each_block``, as a
-    (len(rows), len(cols)) array; each row block appends to ``parts`` its
-    share of the operator's invariants, (0, its squared norm counted twice,
-    for the block and its transpose, e), for entries of scale 2^shift times
-    the kernel values."""
-    out = np.empty((len(rows), len(cols)))
+def _cross_modes(kernel: KernelModel, rows: np.ndarray, cols: np.ndarray,
+                 tail: float, n: int):
+    """C_i B C_j^T, B the kernel values between two circles, the atoms
+    ``rows`` and ``cols`` each in orbit order, as (block, error, largest),
+    or None where the kernel gives no table within ``tail``
+    (``KernelModel.separated_circles``: circles that cross, touch or nearly
+    touch, or a kernel with no addition theorem).  ``block`` holds the
+    positions of the real basis of ``_real_entries`` up to the table's
+    order M on each circle, min(n_k, 2M + 1) of them, every other entry of
+    C_i B C_j^T lying in the tail; ``error`` bounds |B - the table's sum|
+    entrywise, and ``largest`` is the largest |entry| of B seen.
 
-    def fill(i0, i1):
-        out[i0:i1] = kernel.profile(_pairwise_dist(rows[i0:i1], cols))
-        m = out[i0:i1] * scale
-        exponent = int(np.frexp(max(m.max(initial=0.0),
-                                    -m.min(initial=0.0)))[1])
-        np.ldexp(m, -exponent, out=m)
-        m *= m
-        parts.append((0.0, 2.0 * float(m.sum()), exponent + shift))
+    Each circle's center, radius, start angle and turn are read from its
+    atoms (``_circle_frame``), so atom a of circle i sits at angle
+    theta_a = theta_0 + s 2 pi a / n_i from the direction alpha of the
+    other circle's center.  B[a, b] is then sum_pq c_pq e^(i p (theta_0 -
+    alpha)) e^(i q (phi_0 - alpha)) e^(2 pi i (s p a / n_i + s' q b /
+    n_j)), a 2-D inverse DFT of the table whose modes p and q alias mod
+    n_i and n_j (``_real_basis``).
 
-    _each_block(len(rows), len(cols), fill)
-    return out
+    The block is checked against the kernel itself: one row and one column
+    of B, n_i + n_j kernel values, must match those of C_i^T B^ C_j
+    (``_real_synthesis``) within the table's error and
+    ``_tolerance_unit(n)`` of their largest |value|, else
+    ``InternalError``."""
+    (center_1, radius_1, start_1, turn_1) = _circle_frame(rows)
+    (center_2, radius_2, start_2, turn_2) = _circle_frame(cols)
+    offset = center_2 - center_1
+    found = kernel.separated_circles(radius_1, radius_2, abs(offset), tail)
+    if found is None:
+        return None
+    table, error = found
+    m = (len(table) - 1) // 2
+    p = np.arange(-m, m + 1)
+    alpha = np.angle(offset)
+    coefficients = table * np.outer(np.exp(1j * p * (start_1 - alpha)),
+                                    np.exp(1j * p * (start_2 - alpha)))
+    block = _real_basis(_real_basis(coefficients[::turn_1, ::turn_2],
+                                    len(cols), 1), len(rows), 0).real
+    # B = C_i^T B^ C_j, read back at the first atom of each circle
+    direct = np.concatenate([
+        kernel.profile(_pairwise_dist(rows[:1], cols))[0],
+        kernel.profile(_pairwise_dist(rows, cols[:1]))[:, 0]])
+    synthesis = np.concatenate([
+        _real_synthesis(_real_synthesis(block, len(rows), 0)[0], len(cols)),
+        _real_synthesis(_real_synthesis(block, len(cols), 1)[:, 0],
+                        len(rows))])
+    largest = float(np.max(np.abs(direct)))
+    mismatch = float(np.max(np.abs(direct - synthesis)))
+    tolerance = error + _tolerance_unit(n) * max(largest, _TINY)
+    if not mismatch <= tolerance:
+        raise InternalError(
+            "the kernel's table of two separated circles misses the kernel "
+            "by %.3g, against a tolerance of %.3g" % (mismatch, tolerance))
+    return block, error, largest
 
 
-def _real_fourier(x: np.ndarray, axis: int) -> np.ndarray:
+def _circle_frame(nodes: np.ndarray):
+    """(center as a complex number, radius, the angle of the first node
+    about the center, the turn +-1 from it to the next) of the nodes of an
+    equispaced circle."""
+    z = nodes[:, 0] + 1j * nodes[:, 1]
+    center = z.mean()
+    w = z - center
+    return (center, float(np.abs(w).mean()), float(np.angle(w[0])),
+            1 if (w[1] * w[0].conjugate()).imag > 0.0 else -1)
+
+
+def _real_basis(coefficients: np.ndarray, n: int, axis: int) -> np.ndarray:
     """C x along ``axis``, C the orthonormal real Fourier basis of
-    ``_real_entries`` over n = x.shape[axis] points, (1, cos t, sin t, ...,
-    cos (n/2) t) at t_a = 2 pi a / n, from one real FFT: position 2m - 1
-    holds sqrt(2/n) Re x^_m, position 2m sqrt(2/n) (-Im x^_m), and the
-    constant and the Nyquist cosine sqrt(1/n) times theirs."""
-    n = x.shape[axis]
-    spectrum = np.moveaxis(np.fft.rfft(x, axis=axis), axis, 0)
-    out = np.empty((n,) + spectrum.shape[1:])
-    out[0] = spectrum[0].real
-    out[1::2] = spectrum[1:n // 2 + 1].real
-    out[2::2] = -spectrum[1:(n + 1) // 2].imag
-    out *= np.sqrt(2.0 / n)
+    ``_real_entries`` over n points, for the x whose entry a is sum_f
+    c_f e^(2 pi i f a / n), c = ``coefficients`` over f = -M..M along
+    ``axis``: the positions up to the mode M, min(n, 2M + 1) of them.  The
+    modes are aliased mod n first, where 2M + 1 > n; then the cosine of
+    mode m is sqrt(n/2) (c_m + c_-m), its sine sqrt(n/2) i (c_m - c_-m),
+    and the constant and the Nyquist cosine sqrt(1/2) times their
+    cosines."""
+    x = np.moveaxis(coefficients, axis, 0)
+    m = (len(x) - 1) // 2
+    size = min(n, len(x))
+    if size < len(x):
+        x = np.concatenate([x, np.zeros((-len(x) % size,) + x.shape[1:])])
+        x = x.reshape((-1, size) + x.shape[1:]).sum(axis=0)
+    position = np.arange(size)
+    mode = (position + 1) // 2
+    up, down = x[(m + mode) % size], x[(m - mode) % size]
+    sine = ((position % 2 == 0) & (position > 0)).reshape(
+        (-1,) + (1,) * (x.ndim - 1))
+    out = np.where(sine, 1j * (up - down), up + down) * np.sqrt(0.5 * n)
     out[0] *= np.sqrt(0.5)
-    if n % 2 == 0:
+    if n % 2 == 0 and size == n:
         out[-1] *= np.sqrt(0.5)
+    return np.moveaxis(out, 0, axis)
+
+
+def _real_synthesis(x: np.ndarray, n: int, axis: int = 0) -> np.ndarray:
+    """C^T x along ``axis``, C the orthonormal real Fourier basis of
+    ``_real_entries`` over n points and x its first x.shape[axis] <= n
+    positions, every later one 0: the values at the n points, by one
+    inverse real FFT, the inverse of ``_real_basis``."""
+    x = np.moveaxis(x, axis, 0)
+    spectrum = np.zeros((n // 2 + 1,) + x.shape[1:], dtype=complex)
+    spectrum[0] = np.sqrt(2.0) * x[0]
+    cosines, sines = x[1::2], x[2::2]
+    spectrum[1:len(cosines) + 1] += cosines
+    spectrum[1:len(sines) + 1] -= 1j * sines
+    if n % 2 == 0 and len(x) == n:
+        spectrum[-1] *= np.sqrt(2.0)
+    out = np.fft.irfft(spectrum, n, axis=0) * np.sqrt(0.5 * n)
     return np.moveaxis(out, 0, axis)
 
 

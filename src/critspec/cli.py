@@ -46,6 +46,8 @@ from .kernels import lower_order_kernel, reference_kernel
 DEFAULT_WINDOW = (20, 60)
 DEFAULT_MAX_MATRIX = 4200
 _UNIT_SQUARE = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
+# two-surfaces' center_2 in units of radius_2, at most, on each axis
+_CENTER_REACH = 2.0 ** 26
 
 
 @dataclass(frozen=True)
@@ -366,6 +368,14 @@ def _exp_two_surfaces(config: ExperimentConfig, params, tols):
     n1 = max(8, (config.n // 3) & ~1)
     n2 = max(8, (config.n - n1) & ~1)
     mesh1 = make_smooth_curve(Circle(radius=params["radius_1"]), n1)
+    reach = _CENTER_REACH * params["radius_2"]
+    if reach > 0.0 and not max(map(abs, params["center_2"])) <= reach:
+        # farther out, the nodes of the second circle round to fewer
+        # digits about its center, and to one point at 2^52 radius_2
+        raise InvalidArgumentError(
+            '"center_2" must lie within 2^26 radius_2 = %.4g of the origin '
+            "on each axis, where the second circle's nodes keep half their "
+            "digits, got %r" % (reach, list(params["center_2"])))
     mesh2 = make_smooth_curve(Circle(center=params["center_2"],
                                      radius=params["radius_2"]), n2)
     weight = params["weight"]

@@ -69,6 +69,11 @@ product, whose rounding grew with k d: it was off the exact weights by up
 to 4.8e-14 of max |R_d| at n = 2048, where the FFT and this table both
 stay within 1e-15.
 
+``real_fourier`` is the real Fourier transform the package took of the
+cross blocks between equispaced circles, evaluated in full, before it wrote
+their kept modes from the kernel's addition theorem: one real FFT along an
+axis, into the orthonormal real basis (1, cos t, sin t, ..., cos (n/2) t).
+
 ``unit_square_log_energy_dblquad`` and ``r_symbol_quadrature_quad`` are the
 SciPy quadratures the package used before it took the closed form of the
 square's log energy and the Gauss-Legendre rule of the ``r_symbol``
@@ -743,3 +748,22 @@ def one_block(m: np.ndarray, signed: bool = False) -> BlockOperator:
     return BlockOperator(blocks=(block,), singles=np.empty(0),
                          invariants=upper_invariants(block.entries),
                          n=block.n, signed_flag=signed)
+
+
+def real_fourier(x: np.ndarray, axis: int) -> np.ndarray:
+    """C x along ``axis``, C the orthonormal real Fourier basis of
+    ``assemble._real_entries`` over n = x.shape[axis] points, (1, cos t,
+    sin t, ..., cos (n/2) t) at t_a = 2 pi a / n, from one real FFT:
+    position 2m - 1 holds sqrt(2/n) Re x^_m, position 2m sqrt(2/n) (-Im
+    x^_m), and the constant and the Nyquist cosine sqrt(1/n) times theirs."""
+    n = x.shape[axis]
+    spectrum = np.moveaxis(np.fft.rfft(x, axis=axis), axis, 0)
+    out = np.empty((n,) + spectrum.shape[1:])
+    out[0] = spectrum[0].real
+    out[1::2] = spectrum[1:n // 2 + 1].real
+    out[2::2] = -spectrum[1:(n + 1) // 2].imag
+    out *= np.sqrt(2.0 / n)
+    out[0] *= np.sqrt(0.5)
+    if n % 2 == 0:
+        out[-1] *= np.sqrt(0.5)
+    return np.moveaxis(out, 0, axis)

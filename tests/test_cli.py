@@ -652,6 +652,30 @@ def test_the_benchmark_operations_take_the_structured_blocks(monkeypatch):
     assert sorted(names) == sorted(want) and folds == []
 
 
+def test_two_surfaces_evaluates_no_cross_block(monkeypatch):
+    # the benchmark's two-surfaces operation at its smoke size and seed 0:
+    # the kernel values the run evaluates are one row and one column of the
+    # cross block, n1 + n2 of them, where the whole block would be n1 n2
+    perfbench = Path(__file__).resolve().parent.parent / "perfbench"
+    monkeypatch.syspath_prepend(str(perfbench))
+    workloads = importlib.import_module("workloads")
+    op, = [op for op in workloads.build("measure-mixed", 0, smoke=True)
+           if op.name == "two-surfaces"]
+    kernel_class = type(reference_kernel())
+    true_profile = vars(kernel_class)["profile"]
+    arguments = []
+
+    def counted(self, r):
+        arguments.append(np.size(r))
+        return true_profile(self, r)
+
+    monkeypatch.setattr(kernel_class, "profile", counted)
+    assert op.check(op.run(), None) == []
+    n1 = (op.config["n"] // 3) & ~1
+    n2 = op.config["n"] - n1
+    assert 0 < sum(arguments) <= 2 * (n1 + n2) < n1 * n2 // 64
+
+
 def test_the_default_experiments_take_the_benchmark_paths(monkeypatch):
     # every default experiment and the blocks of each operator it solves,
     # each a path the benchmark times: the equispaced circle's singles
@@ -838,6 +862,46 @@ def test_a_perturbed_coupled_eigenvalue_exits_4(tmp_path, capsys,
     assert err.startswith("error: internal check failed: eigenvalues "
                           "violate the matrix invariants: trace error ")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_a_table_that_misses_the_kernel_exits_4(tmp_path, capsys,
+                                                monkeypatch):
+    # the default two-surfaces with the kernel's table of its circles off
+    # by 1e-6 of itself: the row and the column checked against the kernel
+    # refuse it as an internal error, on one line
+    kernel_class = type(reference_kernel())
+    true_table = kernel_class.separated_circles
+
+    def off(self, *args):
+        table, error = true_table(self, *args)
+        return table * (1.0 + 1e-6), error
+
+    monkeypatch.setattr(kernel_class, "separated_circles", off)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": "two-surfaces", "n": 256,
+                               "window": [2, 14]}))
+    assert main(["run", "--config", str(cfg)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: internal check failed: the kernel's table "
+                          "of two separated circles misses the kernel by ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("center", [[1e300, 0.0], [0.0, -2.0 ** 28]])
+def test_a_center_2_past_its_range_exits_2_naming_it(tmp_path, capsys,
+                                                     center):
+    # the second circle's nodes would round to one point about a center at
+    # 1e300: refused by the name of the parameter and its range, on one
+    # line, not as repeated nodes of the curve
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": "two-surfaces", "n": 64,
+                               "params": {"center_2": center}}))
+    assert main(["run", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err == ('error: "center_2" must lie within 2^26 radius_2 = '
+                   "1.342e+08 of the origin on each axis, where the second "
+                   "circle's nodes keep half their digits, got %r\n"
+                   % (center,))
 
 
 def test_cli_usage_without_command(capsys):

@@ -6,9 +6,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from critspec import assemble, kernels
 from critspec import bessel as bessel_module
+from critspec.assemble import WeightFn
 from critspec.bessel import EULER_GAMMA, bessel, bessel_i, bessel_k
 from critspec.errors import InvalidArgumentError
+from critspec.geometry import Circle, make_smooth_curve
 from critspec.kernels import _WINDOW_END as WINDOW_END
 from critspec.kernels import _WINDOW_START as WINDOW_START
 from critspec.kernels import (
@@ -384,3 +387,108 @@ def test_lower_order_kernel_split_has_no_log_part():
     assert np.all(log_factor == 0.0)
     assert np.array_equal(smooth, kern.profile(r))
     assert smooth[0] == pytest.approx(kern.remainder_at_zero, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the reference kernel between two separated circles (Graf's addition theorem)
+# ---------------------------------------------------------------------------
+
+# the ends of the benchmark's two-surfaces geometry, radii and gap, and the
+# experiment's default: radii 1 and 2 with centers 5 apart
+SEPARATED_CIRCLES = [(r1, r2, r1 + r2 + gap) for r1 in (0.85, 1.05)
+                     for r2 in (1.95, 2.05) for gap in (2.5, 3.5)] + [
+                         (1.0, 2.0, 5.0)]
+
+
+def _two_surfaces_orders(monkeypatch, r1, r2, distance):
+    """The (x, top) of every K_m and I_m recurrence the table takes when
+    the operator of two-surfaces at the benchmark's n = 2048 is assembled
+    on these circles, at a random angle."""
+    calls = {"K": [], "I": []}
+    for kind, name in (("K", "_k_orders"), ("I", "_i_orders")):
+        true = getattr(kernels, name)
+
+        def recorded(x, top, *rest, true=true, kind=kind):
+            calls[kind].append((x, top))
+            return true(x, top, *rest)
+
+        monkeypatch.setattr(kernels, name, recorded)
+    n1 = (2048 // 3) & ~1
+    one = WeightFn.constant(1.0)
+    assemble.assemble_mixed(
+        [(make_smooth_curve(Circle(radius=r1), n1), one),
+         (make_smooth_curve(Circle(center=(distance * np.cos(4.1),
+                                           distance * np.sin(4.1)),
+                                   radius=r2), 2048 - n1), one)],
+        reference_kernel())
+    return calls
+
+
+@pytest.mark.parametrize("r1, r2, distance", SEPARATED_CIRCLES)
+def test_the_table_recurrences_match_mpmath_at_every_order(
+        monkeypatch, r1, r2, distance):
+    # K_m(D) upward from K_0 and K_1, and I_m(r) by Miller's backward
+    # recurrence, at every order the table of the benchmark's two circles
+    # takes, against mpmath's K_m and I_m in 30 digits
+    calls = _two_surfaces_orders(monkeypatch, r1, r2, distance)
+    assert [x for x, _ in calls["K"]] == [pytest.approx(distance)]
+    assert [x for x, _ in calls["I"]] == [pytest.approx(r1),
+                                          pytest.approx(r2)]
+    top = calls["K"][0][1]
+    assert 40 <= top <= 120 and all(t == top // 2 for _, t in calls["I"])
+    mp.mp.dps = 30
+    for kind, (x, top) in [("K", calls["K"][0])] + [("I", c)
+                                                    for c in calls["I"]]:
+        if kind == "K":
+            mantissa, exponent = kernels._k_orders(
+                x, top, bessel_k(0, x), bessel_k(1, x))
+            want = [mp.besselk(m, x) for m in range(top + 1)]
+        else:
+            mantissa, exponent = kernels._i_orders(x, top, bessel_i(0, x))
+            want = [mp.besseli(m, x) for m in range(top + 1)]
+        got = [mp.ldexp(mp.mpf(float(a)), int(e))
+               for a, e in zip(mantissa, exponent)]
+        worst = max(abs(g / w - 1) for g, w in zip(got, want))
+        assert worst <= 1e-13, (kind, x, float(worst))
+
+
+@pytest.mark.parametrize("r1, r2, distance", SEPARATED_CIRCLES)
+def test_the_table_sums_to_the_kernel_within_its_error(r1, r2, distance):
+    # sum_pq c_pq e^(i p theta) e^(i q phi), both angles from the line of
+    # centers, is K_0(|x - y|) / (2 pi) at random points of the two circles,
+    # to within the error the table states and the rounding of the sum
+    table, error = reference_kernel().separated_circles(r1, r2, distance,
+                                                        1e-16)
+    assert error <= 1e-16 and table.shape[0] % 2 == 1
+    m = (len(table) - 1) // 2
+    p = np.arange(-m, m + 1)
+    theta, phi = np.random.default_rng(7).uniform(0.0, TWO_PI, (2, 200))
+    got = np.einsum("pq,pk,qk->k", table, np.exp(1j * np.outer(p, theta)),
+                    np.exp(1j * np.outer(p, phi))).real
+    gap = np.abs(distance + r2 * np.exp(1j * phi) - r1 * np.exp(1j * theta))
+    want = reference_kernel().profile(gap)
+    assert np.max(np.abs(got - want)) <= error + 1e-14 * np.max(want)
+
+
+def test_circles_that_touch_cross_or_nearly_touch_have_no_table():
+    # no tail bound closes for crossing or tangent circles, nor, within
+    # the largest order, at a gap of 1e-3; the lower-order kernel has no
+    # addition theorem in the package at all
+    kern = reference_kernel()
+    assert kern.separated_circles(1.0, 2.0, 1.5, 1e-16) is None
+    assert kern.separated_circles(1.0, 2.0, 3.0, 1e-16) is None
+    assert kern.separated_circles(1.0, 2.0, 3.001, 1e-16) is None
+    assert kern.separated_circles(1.0, 2.0, 3.3, 1e-16) is not None
+    assert lower_order_kernel().separated_circles(1.0, 2.0, 5.0, 1.0) is None
+
+
+def test_circles_whose_kernel_underflows_have_a_zero_table():
+    # at centers 800 apart K_0(D) underflows, with bessel_k's warning: the
+    # table is zero, and its error the kernel at the closest approach, 0
+    # too; where it would not be within the tail, there is no table
+    kern = reference_kernel()
+    with pytest.warns(RuntimeWarning, match="K_n underflows"):
+        table, error = kern.separated_circles(1.0, 2.0, 800.0, 1e-300)
+    assert np.array_equal(table, np.zeros((1, 1))) and error == 0.0
+    with pytest.warns(RuntimeWarning, match="K_n underflows"):
+        assert kern.separated_circles(300.0, 300.0, 720.0, 1e-300) is None

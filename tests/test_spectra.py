@@ -1615,13 +1615,104 @@ def test_the_benchmark_layout_keeps_few_modes():
 
 
 def test_nearly_touching_circles_keep_every_mode():
-    # at a gap of 0.01 every mode couples above the bound: the block is the
-    # whole operator in the Fourier bases, nothing is dropped, and its
-    # spectrum is the dense oracle's
+    # at a gap of 0.01 no tail bound of the kernel's table closes: the
+    # circles take the trivial group's one block of order n, nothing is
+    # dropped, and its spectrum is the dense oracle's
     supports = _two_circles(0.01)
     op = _assert_reduced_matches_dense(supports, reference_kernel())
     assert [b.n for b in op.blocks] == [256] and len(op.singles) == 0
     assert op.weyl_bound == 0.0
+
+
+def _coupled_outcomes(monkeypatch) -> list:
+    """What each ``assemble._coupled`` call returns, an operator or None
+    where it leaves the circles to the group path, as the calls come."""
+    outcomes = []
+    true_coupled = assemble._coupled
+
+    def recorded(*args):
+        outcomes.append(true_coupled(*args))
+        return outcomes[-1]
+
+    monkeypatch.setattr(assemble, "_coupled", recorded)
+    return outcomes
+
+
+@pytest.mark.parametrize("center, weights", [
+    ((2.0, 0.0), (-1.0, -5.8e-77)), ((1.5, 0.0), (1.0, 1.0)),
+    ((1.5, 0.0), (-1.0, -2.0))],
+    ids=["tangent, disparate negative", "crossing", "crossing, negative"])
+def test_circles_with_no_table_take_the_group_path(monkeypatch, center,
+                                                   weights):
+    # no tail bound closes for tangent or crossing circles, so the coupled
+    # path declines them before any block is built, and they take the
+    # group path and its fold.  Two tangent 8-node unit circles of weights
+    # -1 and -5.8e-77 then get the dense oracle's refusal: the coupled path
+    # dropped the second circle's coupling below the Weyl bound and gave
+    # them a spectrum, though their kernel matrix is indefinite.  Circles
+    # of radii 1 and 2 crossing at center_2 (1.5, 0) get its spectrum
+    outcomes = _coupled_outcomes(monkeypatch)
+    r2 = 1.0 if center == (2.0, 0.0) else 2.0
+    n1, n2 = (8, 8) if r2 == 1.0 else (32, 64)
+    supports = _two_circles(center[0] - 1.0 - r2, n1=n1, n2=n2, angle=0.0,
+                            weights=weights, r2=r2)
+    op = _assert_reduced_matches_dense(supports, reference_kernel())
+    assert outcomes == [None]
+    assert (op is None) == (weights[0] < 0.0 and r2 == 1.0)
+
+
+def test_circles_whose_kernel_underflows_are_all_singles():
+    # centers 800 apart: K_0 between the circles underflows, with its
+    # warning, the table is zero, and every mode is a single
+    supports = _two_circles(797.0, n1=32, n2=64, r2=2.0)
+    with pytest.warns(RuntimeWarning, match="K_n underflows"):
+        op = _assert_reduced_matches_dense(supports, reference_kernel())
+    assert op.blocks == () and len(op.singles) == 96
+    assert op.weyl_bound == 0.0
+
+
+# the ends of the benchmark's two-surfaces geometry, radii and gap, and the
+# experiment's default: radii 1 and 2 with centers 5 apart
+@pytest.mark.parametrize("r1, r2, gap", [
+    (r1, r2, gap) for r1 in (0.85, 1.05) for r2 in (1.95, 2.05)
+    for gap in (2.5, 3.5)] + [(1.0, 2.0, 2.0)])
+def test_the_table_gives_the_direct_cross_block(r1, r2, gap):
+    # the cross block in the circles' real Fourier bases, written from the
+    # kernel's table, against the real FFT of the kernel values evaluated
+    # in full, at the two-surfaces split of the smoke size, n = 768: every
+    # entry within the table's error over the block and the tolerance unit
+    kern = reference_kernel()
+    supports = _two_circles(gap, n1=256, n2=512, angle=4.1, r2=r2)
+    supports[0] = (make_smooth_curve(Circle(radius=r1), 256),
+                   supports[0][1])
+    points, weights, _, offsets = assemble._layout(supports)
+    rows, cols = (points[orbit] for orbit in assemble._circle_orbits(
+        supports, points, weights, offsets))
+    block, error, largest = assemble._cross_modes(kern, rows, cols, 1e-15,
+                                                  768)
+    direct = kern.profile(assemble._pairwise_dist(rows, cols))
+    want = oracles.real_fourier(oracles.real_fourier(direct, 1), 0)
+    assert error <= 1e-15 and largest <= np.max(direct)
+    got = np.zeros_like(want)
+    got[:block.shape[0], :block.shape[1]] = block
+    assert block.shape[0] < 256 // 2 and block.shape[1] < 512 // 4
+    assert np.max(np.abs(got - want)) <= (
+        np.sqrt(256 * 512) * error
+        + spectra._tolerance_unit(768) * np.max(np.abs(want)))
+
+
+def test_a_table_that_misses_the_kernel_is_an_internal_error(monkeypatch):
+    # the one row and one column evaluated directly catch a table that is
+    # off by 1e-6 of itself
+    true_table = type(reference_kernel()).separated_circles
+
+    def off(self, *args):
+        table, error = true_table(self, *args)
+        return table * (1.0 + 1e-6), error
+
+    monkeypatch.setattr(type(reference_kernel()), "separated_circles", off)
+    with pytest.raises(InternalError, match="misses the kernel"):
+        assemble_mixed(_two_circles(2.0), reference_kernel())
 
 
 def test_a_circle_of_zero_weight_is_all_singles():
@@ -1727,16 +1818,35 @@ def test_the_real_fourier_basis_diagonalises_a_circulant():
     # C is orthogonal, and C K C^T is diagonal for a symmetric circulant K,
     # cos and sin of each mode sharing its eigenvalue, on even and odd n
     for n in (7, 8):
-        basis = assemble._real_fourier(np.eye(n), 0)
+        basis = oracles.real_fourier(np.eye(n), 0)
         assert np.allclose(basis @ basis.T, np.eye(n), atol=1e-14)
         row = np.random.default_rng(n).uniform(size=n)
         row = row + np.roll(row[::-1], 1)
         circulant = np.array([np.roll(row, k) for k in range(n)])
-        diagonal = assemble._real_fourier(
-            assemble._real_fourier(circulant, 1), 0)
+        diagonal = oracles.real_fourier(
+            oracles.real_fourier(circulant, 1), 0)
         kappa = np.fft.rfft(row).real
         assert np.allclose(diagonal, np.diag(kappa[(np.arange(n) + 1) // 2]),
                            atol=1e-13)
+
+
+@pytest.mark.parametrize("n, m", [(7, 2), (8, 3), (7, 9), (8, 9), (8, 4)])
+def test_the_real_basis_of_fourier_coefficients_is_the_real_fft(n, m):
+    # x_a = sum_f c_f e^(2 pi i f a / n), |f| <= m, real: its real basis
+    # from the coefficients, their modes aliased mod n where 2m + 1 > n,
+    # is the real FFT of x at the first min(n, 2m + 1) positions, and the
+    # synthesis from those positions gives x back
+    rng = np.random.default_rng(n + m)
+    c = rng.normal(size=2 * m + 1) + 1j * rng.normal(size=2 * m + 1)
+    c = c + c[::-1].conj()
+    f = np.arange(-m, m + 1)
+    x = (np.exp(2j * np.pi * np.outer(np.arange(n), f) / n) @ c).real
+    want = oracles.real_fourier(x, 0)
+    got = assemble._real_basis(c, n, 0)
+    assert len(got) == min(n, 2 * m + 1)
+    assert np.allclose(got, want[:len(got)], atol=1e-12)
+    assert np.allclose(want[len(got):], 0.0, atol=1e-12)
+    assert np.allclose(assemble._real_synthesis(got.real, n), x, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
