@@ -208,6 +208,9 @@ class Star:
 
 # the size fields of each smooth shape
 _SHAPE_SIZES = {Circle: ("radius",), Ellipse: ("a", "b"), Star: ("radius",)}
+# the exponent e of the sizes in [2^-e, 2^e]: their squares, and the
+# squared speeds of np.linalg.norm, are normal doubles
+_SIZE_EXPONENT = 511
 
 
 def make_smooth_curve(shape, n_nodes: int) -> SurfaceMesh:
@@ -215,21 +218,41 @@ def make_smooth_curve(shape, n_nodes: int) -> SurfaceMesh:
 
     ``n_nodes`` must be even and at least 8, which ``SurfaceMesh`` enforces;
     above ``DEFAULT_ATOM_CAP`` it is refused unbuilt.  The shape's sizes
-    (circle and star radius, ellipse axes) must be positive and finite.
+    (circle and star radius, ellipse axes) must be positive and finite, and
+    lie in [2^-511, 2^511], where their squares are normal doubles; a
+    shape whose squared speed still leaves that range (a star's arms
+    multiply it) is refused too.
     """
     _check_atom_count(n_nodes, "%d nodes exceed the cap of" % n_nodes)
     if isinstance(shape, Star) and not (0.0 <= shape.amplitude < 1.0):
         raise InvalidArgumentError("star amplitude must lie in [0, 1)")
-    for name in _SHAPE_SIZES.get(type(shape), ()):
+    kind = type(shape).__name__.lower()
+    sizes = _SHAPE_SIZES.get(type(shape), ())
+    for name in sizes:
         size = getattr(shape, name)
         if not 0.0 < size < np.inf:
             raise InvalidArgumentError(
                 "%s %s must be positive and finite, got %r"
-                % (type(shape).__name__.lower(), name, size))
+                % (kind, name, size))
+        if not 2.0 ** -_SIZE_EXPONENT <= size <= 2.0 ** _SIZE_EXPONENT:
+            raise InvalidArgumentError(
+                "%s %s must lie in [2^-%d, 2^%d] = [%.3g, %.3g], where its "
+                "square is a normal double, got %r"
+                % (kind, name, _SIZE_EXPONENT, _SIZE_EXPONENT,
+                   2.0 ** -_SIZE_EXPONENT, 2.0 ** _SIZE_EXPONENT, size))
     t = TWO_PI * np.arange(n_nodes) / n_nodes
     nodes = shape.point(t)
     vel = shape.velocity(t)
-    speed = np.linalg.norm(vel, axis=1)
+    with np.errstate(over="ignore"):
+        speed = np.linalg.norm(vel, axis=1)
+    # the squared speed is a normal double exactly where the speed lies in
+    # [2^-511, inf)
+    if not np.all((speed >= 2.0 ** -_SIZE_EXPONENT) & (speed < np.inf)):
+        raise InvalidArgumentError(
+            "the squared speed of the %s with %s leaves the normal double "
+            "range; bring its sizes nearer to 1"
+            % (kind, ", ".join("%s %r" % (name, getattr(shape, name))
+                               for name in sizes)))
     return SurfaceMesh(
         nodes=nodes,
         # max: n_nodes = 0 must reach SurfaceMesh's refusal, not divide by 0

@@ -31,6 +31,16 @@ and checks the info.  The routines that take no workspace query, the
 sign fold's ``dpotrf`` in ``assemble`` and the half-turn band's
 ``dgbbrd`` and ``dbdsqr``, run through ``_lapack_call`` alone.
 
+OpenBLAS's server threads spin for about 0.1 s after a threaded call
+before they sleep, and on a 2-core machine they take a core from the
+assembly pool that runs next.  So ``eigensolve`` ends by stopping them
+(``_release_blas_threads``), through the ``blas_thread_shutdown_`` that
+NumPy's OpenBLAS exports: this acts on the whole process, and it runs only
+where the calling thread is the one Python thread alive, as it is once the
+assembly pool has joined, so no other thread can be inside BLAS.  The next threaded BLAS call, in the package or
+anywhere else in the process, starts the threads again.  No arithmetic
+changes, so every eigenvalue is the same bit for bit.
+
 The union of the eigenvalues is checked once against the two invariants of
 the whole operator, which the block operator carries from its kernel rows
 before they are transformed, scaled or folded: the sum of the eigenvalues
@@ -57,6 +67,7 @@ from __future__ import annotations
 import csv
 import ctypes
 import functools
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,15 +157,22 @@ def eigensolve(op: BlockOperator) -> Spectrum:
     so does an operator whose largest entry is subnormal.  Eigenvalues
     below 1e-14 of the spectral radius are dropped as numerical zeros; the
     trusted index range is n/8.
+
+    The solves end by stopping OpenBLAS's idle server threads for the
+    whole process (``_release_blas_threads``), where no other Python
+    thread is alive; the next threaded BLAS call starts them again.
     """
     vals = [op.singles]
-    for block in op.blocks:
-        if isinstance(block, HalfTurnBand):
-            vals.append(_half_turn_eigenvalues(block.consume()))
-        elif isinstance(block, BandMatrix):
-            vals.append(_band_eigenvalues(block.consume()))
-        else:
-            vals.append(_eigvalsh_upper(block.consume()))
+    try:
+        for block in op.blocks:
+            if isinstance(block, HalfTurnBand):
+                vals.append(_half_turn_eigenvalues(block.consume()))
+            elif isinstance(block, BandMatrix):
+                vals.append(_band_eigenvalues(block.consume()))
+            else:
+                vals.append(_eigvalsh_upper(block.consume()))
+    finally:
+        _release_blas_threads()
     return _checked_spectrum(np.sort(np.concatenate(vals)), op.invariants,
                              op.signed_flag)
 
@@ -187,21 +205,35 @@ def _checked_spectrum(vals: np.ndarray, invariants: tuple[float, float, int],
 
 
 @functools.cache
-def _lapack(name: str):
-    """LAPACK's routine ``name`` from the scipy-openblas64 library NumPy
-    has already loaded (64-bit integers, gfortran's hidden character
-    lengths), resolved once per name, on its first call, or None where
-    NumPy's build does not export it.  No second library is mapped.  No
-    argument types are set: ``_lapack_call`` passes each argument as the
-    routine reads it."""
+def _exported(symbol: str):
+    """The function ``symbol`` of the scipy-openblas64 library NumPy has
+    already loaded, resolved once per symbol, on its first call, or None
+    where NumPy's build does not export it.  No second library is mapped.
+    Its result is discarded, and no argument types are set."""
     try:
         from numpy.linalg import _umath_linalg
-        routine = getattr(ctypes.CDLL(_umath_linalg.__file__),
-                          "scipy_%s_64_" % name)
+        routine = getattr(ctypes.CDLL(_umath_linalg.__file__), symbol)
     except (ImportError, OSError, AttributeError):
         return None
     routine.restype = None
     return routine
+
+
+def _lapack(name: str):
+    """LAPACK's routine ``name`` from NumPy's OpenBLAS (64-bit integers,
+    gfortran's hidden character lengths), or None where NumPy's build does
+    not export it (``_exported``): ``_lapack_call`` passes each argument as
+    the routine reads it."""
+    return _exported("scipy_%s_64_" % name)
+
+
+def _release_blas_threads() -> None:
+    """Stop the server threads of NumPy's OpenBLAS, for the whole process,
+    through its unprefixed ``blas_thread_shutdown_``, unless the symbol is
+    missing or another Python thread is alive and might be inside BLAS."""
+    shutdown = _exported("blas_thread_shutdown_")
+    if shutdown is not None and threading.active_count() == 1:
+        shutdown()
 
 
 def _argument(x):

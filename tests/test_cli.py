@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -903,6 +904,45 @@ def test_a_center_2_past_its_range_exits_2_naming_it(tmp_path, capsys,
                    "circle's nodes keep half their digits, got %r\n"
                    % (center,))
 
+
+
+_SIZE_RANGE = ("must lie in [2^-511, 2^511] = [1.49e-154, 6.7e+153], where "
+               "its square is a normal double, got ")
+
+
+def _one_line_refusal(argv, capsys) -> str:
+    """The stderr of ``main(argv)``, which must exit 2 on one line and
+    raise no warning."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 2
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Warning" not in err
+    assert "Traceback" not in err
+    return err
+
+
+@pytest.mark.parametrize("radius", ["1e-300", "1e300"])
+def test_a_spectrum_radius_past_its_range_exits_2_naming_it(tmp_path, capsys,
+                                                            radius):
+    # the squared speeds underflowed to 0 ("all quadrature weights must be
+    # positive") or overflowed ("tangents must be unit vectors"), each after
+    # NumPy's RuntimeWarnings
+    err = _one_line_refusal(["spectrum", "--shape", "circle", "--radius",
+                             radius, "--n", "64", "--out", str(tmp_path)],
+                            capsys)
+    assert err == "error: circle radius %s%r\n" % (_SIZE_RANGE, float(radius))
+    assert not list(tmp_path.iterdir())
+
+
+def test_a_two_surfaces_radius_past_its_range_exits_2_naming_it(tmp_path,
+                                                                capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": "two-surfaces", "n": 64,
+                               "params": {"radius_1": 1e-300}}))
+    err = _one_line_refusal(["run", "--config", str(cfg)], capsys)
+    assert err == "error: circle radius %s1e-300\n" % _SIZE_RANGE
 
 def test_cli_usage_without_command(capsys):
     assert main([]) == 2

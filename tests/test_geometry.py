@@ -67,6 +67,34 @@ def test_smooth_curve_rejects_bad_node_counts():
             make_smooth_curve(Circle(), n)
 
 
+
+@pytest.mark.parametrize("shape, name", [
+    (Circle(radius=2.0 ** -512), "circle radius"),
+    (Circle(radius=2.0 ** 512), "circle radius"),
+    (Ellipse(a=1.0, b=1e-300), "ellipse b"),
+    (Star(radius=1e300), "star radius")])
+def test_a_size_whose_square_is_not_normal_is_refused(shape, name):
+    with pytest.raises(InvalidArgumentError,
+                       match=r"^%s must lie in \[2\^-511, 2\^511\]" % name):
+        make_smooth_curve(shape, 16)
+
+
+def test_the_ends_of_the_size_range_keep_unit_tangents():
+    for radius in (2.0 ** -511, 2.0 ** 511):
+        mesh = make_smooth_curve(Circle(radius=radius), 16)
+        assert np.allclose(np.linalg.norm(mesh.tangents, axis=1), 1.0)
+        assert np.allclose(mesh.weights, radius * 2.0 * np.pi / 16)
+
+
+def test_a_star_whose_squared_speed_leaves_the_range_is_refused():
+    # each radius is in range; the least radius of the first star, 1e-3 of
+    # it, is not, nor is the radial speed of the second, 12 times it
+    for shape in (Star(radius=2.0 ** -510, amplitude=0.999, arms=4),
+                  Star(radius=2.0 ** 510, arms=41)):
+        with pytest.raises(InvalidArgumentError,
+                           match="squared speed of the star with radius"):
+            make_smooth_curve(shape, 16)
+
 @pytest.mark.parametrize("n", [6, 9])
 def test_smooth_closed_mesh_needs_an_even_count_of_at_least_8(n):
     # the type refuses it, however the nodes were made

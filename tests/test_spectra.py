@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -1463,6 +1464,92 @@ def test_every_lapack_routine_resolves(name):
     assert '"%s"' % name in source
     assert spectra._lapack(name) is not None
 
+
+
+# ---------------------------------------------------------------------------
+# the release of OpenBLAS's server threads after each solve
+# ---------------------------------------------------------------------------
+
+_SHUTDOWN = "blas_thread_shutdown_"
+
+
+def _task_count() -> int:
+    """The threads of this process, Python's and OpenBLAS's alike."""
+    return len(os.listdir("/proc/self/task"))
+
+
+def _random_symmetric(n: int) -> np.ndarray:
+    a = np.random.default_rng(n).standard_normal((n, n))
+    return a + a.T
+
+
+@pytest.mark.skipif(spectra._lapack("dsyevd") is None,
+                    reason="NumPy's LAPACK exports no dsyevd")
+def test_numpy_openblas_exports_the_thread_shutdown():
+    # without it every solve leaves the server threads spinning against the
+    # next assembly, which costs about a tenth of the benchmark's time
+    assert spectra._exported(_SHUTDOWN) is not None
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir()
+                    or spectra._exported(_SHUTDOWN) is None,
+                    reason="needs /proc/self/task and OpenBLAS's "
+                           "blas_thread_shutdown_")
+def test_eigensolve_stops_the_blas_server_threads(monkeypatch):
+    assert threading.active_count() == 1
+    spectra._exported(_SHUTDOWN)()
+    before, during = _task_count(), []
+    true_solve = spectra._eigvalsh_upper
+
+    def solve(m):
+        vals = true_solve(m)
+        during.append(_task_count())
+        return vals
+
+    monkeypatch.setattr(spectra, "_eigvalsh_upper", solve)
+    eigensolve(_signed(_random_symmetric(512)))
+    if during[0] == before:
+        pytest.skip("NumPy's OpenBLAS runs one thread here")
+    assert _task_count() == before
+
+
+@pytest.mark.skipif(spectra._lapack("dsyevd") is None,
+                    reason="NumPy's LAPACK exports no dsyevd")
+def test_a_solve_after_the_release_matches_numpy_bit_for_bit():
+    # the threads OpenBLAS starts again compute what they did before
+    m = _random_symmetric(512)
+    want = np.linalg.eigvalsh(m)
+    for _ in range(2):
+        sp = eigensolve(_signed(m.copy()))
+        assert np.array_equal(np.concatenate([sp.negatives,
+                                              sp.positives[::-1]]), want)
+
+
+def test_no_release_while_another_python_thread_is_alive(monkeypatch):
+    calls, true_exported = [], spectra._exported
+    monkeypatch.setattr(spectra, "_exported", lambda symbol: (
+        (lambda: calls.append(symbol)) if symbol == _SHUTDOWN
+        else true_exported(symbol)))
+    stop = threading.Event()
+    helper = threading.Thread(target=stop.wait)
+    helper.start()
+    try:
+        eigensolve(_signed(np.diag([3.0, -1.0])))
+    finally:
+        stop.set()
+        helper.join()
+    assert calls == []
+    eigensolve(_signed(np.diag([3.0, -1.0])))
+    assert calls == [_SHUTDOWN]
+
+
+def test_a_missing_thread_shutdown_changes_nothing(monkeypatch):
+    true_exported = spectra._exported
+    monkeypatch.setattr(spectra, "_exported", lambda symbol: (
+        None if symbol == _SHUTDOWN else true_exported(symbol)))
+    sp = eigensolve(_signed(np.diag([3.0, -1.0])))
+    assert np.array_equal(sp.positives, [3.0])
+    assert np.array_equal(sp.negatives, [-1.0])
 
 def test_a_perturbed_band_eigenvalue_fails_the_check(monkeypatch):
     # either kind of band, its eigenvalue of largest magnitude solved wrong
