@@ -1465,7 +1465,6 @@ def test_every_lapack_routine_resolves(name):
     assert spectra._lapack(name) is not None
 
 
-
 # ---------------------------------------------------------------------------
 # the release of OpenBLAS's server threads after each solve
 # ---------------------------------------------------------------------------
@@ -1537,7 +1536,8 @@ def test_no_release_while_another_python_thread_is_alive(monkeypatch):
         eigensolve(_signed(np.diag([3.0, -1.0])))
     finally:
         stop.set()
-        helper.join()
+        helper.join(timeout=10.0)
+    assert not helper.is_alive()
     assert calls == []
     eigensolve(_signed(np.diag([3.0, -1.0])))
     assert calls == [_SHUTDOWN]
@@ -1550,6 +1550,7 @@ def test_a_missing_thread_shutdown_changes_nothing(monkeypatch):
     sp = eigensolve(_signed(np.diag([3.0, -1.0])))
     assert np.array_equal(sp.positives, [3.0])
     assert np.array_equal(sp.negatives, [-1.0])
+
 
 def test_a_perturbed_band_eigenvalue_fails_the_check(monkeypatch):
     # either kind of band, its eigenvalue of largest magnitude solved wrong
