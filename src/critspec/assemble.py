@@ -13,7 +13,8 @@ singularity:
   trigonometric-interpolation weights, and a smooth remainder integrated
   with the trapezoid rule;
 * polygon curves: panel midpoint collocation with the log part integrated
-  exactly over flat panels;
+  exactly over flat panels, its antiderivative taken once per node and
+  panel end that the panels along a straight line share (``_panel_ends``);
 * atomized measures (Cantor dust, uniform grids, the area cells of an
   absolutely continuous density): pointwise kernel values off the
   diagonal, with the cell-averaged self coefficient closing the diagonal.
@@ -576,62 +577,115 @@ def _smooth_curve_rows(mesh: SurfaceMesh, kernel: KernelModel):
     return block
 
 
-def _panel_log_integrals(targets: np.ndarray, centers: np.ndarray,
-                         tangents: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Exact integral of log|x - y| over flat panels, all target/panel pairs."""
-    px = targets[:, 0, None] - centers[None, :, 0]
-    py = targets[:, 1, None] - centers[None, :, 1]
-    tx, ty = tangents[None, :, 0], tangents[None, :, 1]
-    along = px * tx + py * ty
-    # the offsets turn into the perpendicular distance in place
-    px -= along * tx
-    py -= along * ty
-    px *= px
-    py *= py
-    px += py
-    perp = np.sqrt(px, out=px)
-    del py
-    v1 = -lengths[None, :] / 2.0 - along
-    v2 = lengths[None, :] / 2.0 - along
-    del along
-    # the pieces both panel ends share
-    flat = perp <= 1e-14
-    safe_b = np.where(flat, 1.0, perp)
-    b2 = perp * perp
+def _panel_ends(mesh: SurfaceMesh):
+    """A polygon's panel ends, chained along its straight lines: per panel,
+    its lower end (the next is its upper); per end, its frame and its s on
+    the frame's axis; per frame, its origin and axis; per lower end, delta
+    (its panel's own upper end less the shared one), 1 / (2 w) and delta /
+    w - 1.  Panels are chained where their tangents are bit-equal and their
+    own ends c -+ w t / 2 meet within a few ulps.  A line of two panels or
+    more is two frames, from its first end and its last, so the ends by a
+    corner keep the relative digits of the small corner panels."""
+    c, t, w = mesh.nodes, mesh.tangents, mesh.weights
+    lo, hi = c - 0.5 * w[:, None] * t, c + 0.5 * w[:, None] * t
+    reach = 8.0 * np.finfo(float).eps * np.abs([lo, hi]).max()
+    lines = np.flatnonzero(np.concatenate(([True], np.any(
+        (t[1:] != t[:-1]) | (np.abs(hi[:-1] - lo[1:]) > reach), axis=1))))
+    count = np.diff(np.append(lines, len(c)))
+    starts = np.union1d(lines, lines[count > 1] + count[count > 1] // 2)
+    origins = np.where(np.isin(starts, lines)[:, None], lo[starts], hi[
+        (lines + count - 1)[np.searchsorted(lines, starts, "right") - 1]])
+    size = np.diff(np.append(starts, len(c)))
+    frame = np.repeat(np.arange(len(starts)), size)
+    first = np.arange(len(c)) + frame
+    o = origins[frame]
+    along = (c[:, 0] - o[:, 0]) * t[:, 0] + (c[:, 1] - o[:, 1]) * t[:, 1]
+    s = np.empty(len(c) + len(starts))
+    s[first] = along - 0.5 * w
+    s[starts + np.arange(len(starts)) + size] = (along + 0.5 * w)[
+        starts + size - 1]
+    closing = np.zeros((3, len(s)))
+    delta = along + 0.5 * w - s[first + 1]
+    closing[:, first] = delta, 0.5 / w, delta / w - 1.0
+    return (first, s, np.repeat(np.arange(len(starts)), size + 1), origins,
+            t[starts], closing)
 
-    def antiderivative(v):
-        general = (v * np.log(v * v + b2) - 2.0 * v
-                   + 2.0 * perp * np.arctan(v / safe_b))
-        vabs = np.maximum(np.abs(v), 1e-300)
-        online = 2.0 * (v * np.log(vabs) - v)
-        return np.where(flat, online, general)
 
-    return 0.5 * (antiderivative(v2) - antiderivative(v1))
+def _at_ends(points: np.ndarray, at: np.ndarray, ends):
+    """v log q, 2 b (atan(v / b) - atan(v0 / b)) and log q, q = v^2 + b^2,
+    per point and end of ``at``: v is the end's s less the point's along
+    its frame's axis, v0 the origin's, b the distance from the axis (0
+    within 1e-14).  The angle is atan2(b s, b^2 + v v0): digits kept where
+    it is small, by a corner."""
+    _, s, frame, origins, axes, _ = ends
+    f = frame[at]
+    new = np.concatenate(([True], f[1:] != f[:-1]))
+    dx = points[:, 0, None] - origins[f[new], 0]
+    dy = points[:, 1, None] - origins[f[new], 1]
+    ax, ay = axes[f[new]].T
+    along = dx * ax + dy * ay
+    perp = np.abs(dy * ax - dx * ay)
+    perp[perp <= 1e-14] = 0.0
+    col = np.cumsum(new) - 1
+    s = s[at]
+    along = along.take(col, axis=1)
+    v = s - along
+    b = perp.take(col, axis=1)
+    dot = b * b
+    log_q = v * v
+    log_q += dot
+    np.log(np.maximum(log_q, _TINY, out=log_q), out=log_q)
+    along *= v
+    dot -= along
+    angle = np.arctan2(np.multiply(b, s, out=along), dot, out=along)
+    angle *= b
+    angle *= 2.0
+    v *= log_q
+    return v, angle, log_q
+
+
+def _panel_means(points: np.ndarray, panels: np.ndarray,
+                 ends) -> np.ndarray:
+    """The mean of log|x - y| over panel ``panels[j]``, x = ``points[i]``,
+    from the antiderivative v log q - 2 v + 2 b atan(v / b) taken once per
+    point and distinct end (``_at_ends``), its terms differenced apart and
+    each panel closed for its own upper end and the -2 v term."""
+    first, s, _, _, _, closing = ends
+    lo = first[panels]
+    need = np.zeros(len(s), dtype=bool)
+    need[lo] = need[lo + 1] = True
+    at = np.flatnonzero(need)
+    vlog, angle, log_q = _at_ends(points, at, ends)
+    delta, scale, shift = closing[:, at[:-1]]
+    out = vlog[:, 1:] - vlog[:, :-1]
+    out += np.subtract(angle[:, 1:], angle[:, :-1], out=angle[:, :-1])
+    out += np.multiply(log_q[:, 1:], delta, out=log_q[:, 1:])
+    out *= scale
+    out += shift
+    # a panel's two ends are consecutive in ``at``
+    return out.take((np.cumsum(need) - 1)[lo], axis=1)
 
 
 def _polygon_rows(mesh: SurfaceMesh, kernel: KernelModel):
     """The effective-kernel rows of a polygon: panel collocation
     symmetrized, (K + K^T) / 2, each entry combining its row node
     collocated on the column panel with the column node collocated on the
-    row panel; the self panel takes its log integral exactly."""
-    w = mesh.weights
-    nodes, tangents = mesh.nodes, mesh.tangents
+    row panel, their log integrals exact over the flat panels, from the
+    shared panel ends of ``_panel_ends``; the self panel's too."""
+    w, nodes = mesh.weights, mesh.nodes
     intlog_self = w * (np.log(w / 2.0) - 1.0)
     closure = (kernel.log_coefficient * intlog_self
                + kernel.remainder_at_zero * w) / w
+    ends = _panel_ends(mesh)
 
     def block(rows, cols):
         log_factor, smooth = kernel.split(
             _pairwise_dist(nodes[rows], nodes[cols]))
-        intlog = _panel_log_integrals(nodes[rows], nodes[cols],
-                                      tangents[cols], w[cols])
-        ktil = (log_factor * intlog + smooth * w[None, cols]) / w[None, cols]
-        del intlog
-        intlog_t = _panel_log_integrals(nodes[cols], nodes[rows],
-                                        tangents[rows], w[rows]).T
-        ktil_t = ((log_factor * intlog_t + smooth * w[rows, None])
-                  / w[rows, None])
-        out = 0.5 * (ktil + ktil_t)
+        out = _panel_means(nodes[rows], cols, ends)
+        out += _panel_means(nodes[cols], rows, ends).T
+        out *= 0.5
+        out *= log_factor
+        out += smooth
         pairs = _self_pairs(rows, cols)
         out[pairs] = closure[rows[pairs[0]]]
         return out
@@ -1294,12 +1348,13 @@ def assemble_mixed(supports, kernel: KernelModel) -> BlockOperator:
     v_reps, w_reps = values[reps], weights[reps]
     # the orbits in each character's block: those whose stabiliser it is
     # trivial on; the characters that share them are taken together
-    member = _character_sums(fixed).reshape(-1, r) > 0.5
-    patterns, which = np.unique(member, axis=0, return_inverse=True)
+    member = [row.tobytes()
+              for row in _character_sums(fixed).reshape(-1, r) > 0.5]
     blocks, singles = [], []
-    for pattern, mask in enumerate(patterns):
-        keep = np.flatnonzero(mask)
-        chars = np.flatnonzero(which.ravel() == pattern)
+    # byte order is np.unique's order of boolean rows
+    for pattern in sorted(set(member)):
+        keep = np.flatnonzero(np.frombuffer(pattern, dtype=bool))
+        chars = [c for c, row in enumerate(member) if row == pattern]
         v, w = v_reps[keep], w_reps[keep]
         if len(keep) == 1:
             singles.append(_single_eigenvalues(

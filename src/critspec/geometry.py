@@ -29,6 +29,13 @@ def _check_atom_count(n_atoms, text: str) -> None:
         raise ResourceLimitError("%s %d" % (text, DEFAULT_ATOM_CAP))
 
 
+def _repeats(points: np.ndarray) -> bool:
+    """Whether two rows of ``points`` are equal, -0.0 equal to 0.0 and NaN
+    to nothing: the rows sorted by one lexsort, each against the next."""
+    rows = points[np.lexsort(points.T[::-1])]
+    return bool(np.any(np.all(rows[1:] == rows[:-1], axis=1)))
+
+
 def _frozen(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a)
     a.flags.writeable = False
@@ -79,7 +86,7 @@ class SurfaceMesh:
         if np.any(np.abs(norms - 1.0) > 1e-12):
             raise InvalidArgumentError("tangents must be unit vectors")
         # cyclic node sequence must not repeat points (-0.0 equals 0.0)
-        if len(np.unique(nodes, axis=0)) != len(nodes):
+        if _repeats(nodes):
             raise InvalidArgumentError("repeated nodes on the curve")
 
     @property
@@ -112,7 +119,7 @@ class SingularMeasure:
             raise InvalidArgumentError(
                 "cell_size must be positive and finite, got %r"
                 % (self.cell_size,))
-        if len(np.unique(atoms, axis=0)) != len(atoms):
+        if _repeats(atoms):
             raise InvalidArgumentError("atoms must be pairwise distinct")
 
     @property
@@ -276,7 +283,7 @@ def make_polygon_curve(vertices, panels_per_edge: int,
     verts = np.asarray(vertices, dtype=float)
     if verts.ndim != 2 or verts.shape[1] != 2 or len(verts) < 3:
         raise InvalidArgumentError("need at least 3 plane vertices")
-    if len(np.unique(verts, axis=0)) != len(verts):
+    if _repeats(verts):
         raise InvalidArgumentError("repeated vertices")
     if grading_exponent < 1.0:
         raise InvalidArgumentError("grading exponent must be >= 1")

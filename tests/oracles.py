@@ -91,7 +91,7 @@ from scipy.integrate import dblquad, quad
 
 from critspec.assemble import (BlockOperator, OperatorMatrix, _cholesky_fold,
                                _kress_weight_vector, _pairwise_dist,
-                               _panel_log_integrals)
+                               _panel_ends)
 from critspec.asymptotics import sphere_surface
 from critspec.bessel import EULER_GAMMA
 from critspec.kernels import self_cell_coefficient
@@ -307,9 +307,65 @@ def smooth_curve_effective_kernel_two_calls(mesh, kernel) -> np.ndarray:
     return (half_log_factor * rw + (TWO_PI / n) * smooth) * (n / TWO_PI)
 
 
-def polygon_effective_kernel_two_calls(mesh, kernel) -> np.ndarray:
+def _panel_log_integrals(targets: np.ndarray, centers: np.ndarray,
+                         tangents: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Exact integral of log|x - y| over flat panels, all target/panel pairs."""
+    px = targets[:, 0, None] - centers[None, :, 0]
+    py = targets[:, 1, None] - centers[None, :, 1]
+    tx, ty = tangents[None, :, 0], tangents[None, :, 1]
+    along = px * tx + py * ty
+    # the offsets turn into the perpendicular distance in place
+    px -= along * tx
+    py -= along * ty
+    px *= px
+    py *= py
+    px += py
+    perp = np.sqrt(px, out=px)
+    del py
+    v1 = -lengths[None, :] / 2.0 - along
+    v2 = lengths[None, :] / 2.0 - along
+    del along
+    # the pieces both panel ends share
+    flat = perp <= 1e-14
+    safe_b = np.where(flat, 1.0, perp)
+    b2 = perp * perp
+
+    def antiderivative(v):
+        general = (v * np.log(v * v + b2) - 2.0 * v
+                   + 2.0 * perp * np.arctan(v / safe_b))
+        vabs = np.maximum(np.abs(v), 1e-300)
+        online = 2.0 * (v * np.log(vabs) - v)
+        return np.where(flat, online, general)
+
+    return 0.5 * (antiderivative(v2) - antiderivative(v1))
+
+
+def panel_log_mean_mp(x, center, tangent, width) -> mp.mpf:
+    """The mean of log|x - y| over the flat panel of ``center``,
+    ``tangent`` and ``width``, its ends center -+ width tangent / 2 taken
+    from the doubles exactly, at 30 digits: the antiderivative
+    v log(v^2 + b^2) - 2 v + 2 b atan(v / b) of log(v^2 + b^2) at both
+    ends, halved."""
+    x, c, t = ([mp.mpf(float(a)) for a in p] for p in (x, center, tangent))
+    w = mp.mpf(float(width))
+    a = (x[0] - c[0]) * t[0] + (x[1] - c[1]) * t[1]
+    b = abs((x[0] - c[0]) * t[1] - (x[1] - c[1]) * t[0])
+
+    def antiderivative(v):
+        if b == 0:
+            return v * mp.log(v * v) - 2 * v
+        return v * mp.log(v * v + b * b) - 2 * v + 2 * b * mp.atan(v / b)
+
+    return (antiderivative(w / 2 - a) - antiderivative(-w / 2 - a)) / (2 * w)
+
+
+def polygon_effective_kernel_two_calls(mesh, kernel,
+                                      per_panel: bool = False) -> np.ndarray:
     """Panel collocation on a polygon, the kernel split by
-    ``profile - log_factor * log r`` on every off-diagonal pair."""
+    ``profile - log_factor * log r`` on every off-diagonal pair.  The log
+    integrals are the assembler's, from the chained panel ends, or, with
+    ``per_panel``, each panel's own from its centre and width
+    (``_panel_log_integrals``)."""
     n = mesh.n_nodes
     w = mesh.weights
     r = _pairwise_dist(mesh.nodes, mesh.nodes)
@@ -322,7 +378,11 @@ def polygon_effective_kernel_two_calls(mesh, kernel) -> np.ndarray:
     smooth[off] = kernel.profile(r[off]) - log_factor[off] * np.log(r[off])
     smooth[~off] = kernel.remainder_at_zero
 
-    intlog = _panel_log_integrals(mesh.nodes, mesh.nodes, mesh.tangents, w)
+    if per_panel:
+        intlog = _panel_log_integrals(mesh.nodes, mesh.nodes, mesh.tangents,
+                                      w)
+    else:
+        intlog = _panel_means_pairs(mesh) * w[None, :]
     # self panel: integral of log|x_i - y| over the own panel, exactly
     np.fill_diagonal(intlog, w * (np.log(w / 2.0) - 1.0))
     entries = log_factor * intlog + smooth * w[None, :]
@@ -368,26 +428,29 @@ def smooth_curve_effective_kernel_pairs(mesh, kernel) -> np.ndarray:
     return _symmetric(n, iu, ju, upper, diagonal)
 
 
-def _panel_log_integrals_pairs(targets: np.ndarray, centers: np.ndarray,
-                               tangents: np.ndarray,
-                               lengths: np.ndarray) -> np.ndarray:
-    """Exact integral of log|x - y| over flat panels, all target/panel pairs."""
-    p = targets[:, None, :] - centers[None, :, :]
-    along = np.einsum("ijk,jk->ij", p, tangents)
-    perp = np.linalg.norm(p - along[:, :, None] * tangents[None, :, :], axis=2)
-    v1 = -lengths[None, :] / 2.0 - along
-    v2 = lengths[None, :] / 2.0 - along
-
-    def antiderivative(v, b):
-        flat = b <= 1e-14
-        safe_b = np.where(flat, 1.0, b)
-        general = (v * np.log(v * v + b * b) - 2.0 * v
-                   + 2.0 * b * np.arctan(v / safe_b))
-        vabs = np.maximum(np.abs(v), 1e-300)
-        online = 2.0 * (v * np.log(vabs) - v)
-        return np.where(flat, online, general)
-
-    return 0.5 * (antiderivative(v2, perp) - antiderivative(v1, perp))
+def _panel_means_pairs(mesh) -> np.ndarray:
+    """The mean of log|x_i - y| over panel j, all node/panel pairs: the
+    antiderivative v log q - 2 v + 2 b atan(v / b), q = v^2 + b^2, at
+    every node and chained panel end of ``_panel_ends``, differenced per
+    panel, its -2 v term and each panel's own upper end closed per
+    panel."""
+    first, s, frame, origins, axes, closing = _panel_ends(mesh)
+    delta, scale, shift = closing[:, first]
+    dx = mesh.nodes[:, 0, None] - origins[None, :, 0]
+    dy = mesh.nodes[:, 1, None] - origins[None, :, 1]
+    along = dx * axes[:, 0] + dy * axes[:, 1]
+    perp = np.abs(dy * axes[:, 0] - dx * axes[:, 1])
+    perp[perp <= 1e-14] = 0.0
+    v = s[None, :] - along[:, frame]
+    b = perp[:, frame]
+    log_q = np.log(np.maximum(v * v + b * b, np.finfo(float).tiny))
+    vlog = v * log_q
+    # the angle the end and its frame's origin subtend, v0 = -along
+    angle = 2.0 * b * np.arctan2(b * s[None, :],
+                                 b * b - along[:, frame] * v)
+    lo, hi = first, first + 1
+    return (((vlog[:, hi] - vlog[:, lo]) + (angle[:, hi] - angle[:, lo])
+             + delta * log_q[:, hi]) * scale + shift)
 
 
 def polygon_effective_kernel_pairs(mesh, kernel) -> np.ndarray:
@@ -401,13 +464,13 @@ def polygon_effective_kernel_pairs(mesh, kernel) -> np.ndarray:
     # temporaries set the peak memory of the assembly
     del iu, ju, r, upper_log, upper_smooth
 
-    intlog = _panel_log_integrals_pairs(mesh.nodes, mesh.nodes,
-                                        mesh.tangents, w)
+    means = _panel_means_pairs(mesh)
+    out = smooth + log_factor * ((means + means.T) * 0.5)
     # self panel: integral of log|x_i - y| over the own panel, exactly
-    np.fill_diagonal(intlog, w * (np.log(w / 2.0) - 1.0))
-    entries = log_factor * intlog + smooth * w[None, :]
-    ktil = entries / w[None, :]
-    return 0.5 * (ktil + ktil.T)
+    intlog = w * (np.log(w / 2.0) - 1.0)
+    np.fill_diagonal(out, (kernel.log_coefficient * intlog
+                           + kernel.remainder_at_zero * w) / w)
+    return out
 
 
 def point_effective_kernel_pairs(points, kernel, cell_kind: str,

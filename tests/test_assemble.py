@@ -4,6 +4,7 @@ import threading
 import time
 import tracemalloc
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -27,8 +28,10 @@ from critspec.kernels import (lower_order_kernel, reference_kernel,
 
 from conftest import (UNIT_SQUARE, CountingKernel, assemble_dense,
                       circle_exact_eigenvalues, trivial_table)
-from oracles import (assemble_mixed_pairs, cholesky_fold_full,
-                     curve_kernel_pairs, kress_weight_vector_table, one_block,
+from oracles import (_panel_log_integrals, assemble_mixed_pairs,
+                     cholesky_fold_full, curve_kernel_pairs,
+                     kress_weight_vector_table, one_block,
+                     panel_log_mean_mp,
                      point_effective_kernel_pairs,
                      polygon_effective_kernel_pairs,
                      polygon_effective_kernel_two_calls,
@@ -267,12 +270,12 @@ _CURVES = {
 }
 
 
-def _agrees_with_two_call_oracle(mesh, kern) -> bool:
-    oracle = (smooth_curve_effective_kernel_two_calls
-              if mesh.kind == "smooth-closed"
-              else polygon_effective_kernel_two_calls)
+def _agrees_with_two_call_oracle(mesh, kern, per_panel: bool = False) -> bool:
+    if mesh.kind == "smooth-closed":
+        want = smooth_curve_effective_kernel_two_calls(mesh, kern)
+    else:
+        want = polygon_effective_kernel_two_calls(mesh, kern, per_panel)
     got = _symmetric(_kernel_matrix(mesh, kern))
-    want = oracle(mesh, kern)
     return np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
@@ -286,6 +289,79 @@ def test_fused_split_matches_two_call_oracle(curve, n, kernel):
 def test_lower_order_split_matches_two_call_oracle(curve):
     assert _agrees_with_two_call_oracle(_CURVES[curve](128),
                                         lower_order_kernel())
+
+
+def _hand_made_polygon() -> SurfaceMesh:
+    """A square of 20 panels, 5 a side, whose panels share a tangent
+    along each side but meet end to end along the top alone: gaps between
+    the panels of the bottom and the left, and the right's panels on two
+    parallel lines 1e-3 apart."""
+    k = np.arange(5.0)
+    up = 0.1 + 0.2 * k
+    sides = [
+        (np.stack([up, 0.0 * k], 1), 0.15, (1.0, 0.0)),
+        (np.stack([1.0 + 1e-3 * (k % 2), up], 1), 0.2, (0.0, 1.0)),
+        (np.stack([1.0 - up, 1.0 + 0.0 * k], 1), 0.2, (-1.0, 0.0)),
+        (np.stack([0.0 * k, 1.0 - up], 1), 0.1, (0.0, -1.0)),
+    ]
+    return SurfaceMesh(
+        nodes=np.concatenate([nodes for nodes, _, _ in sides]),
+        weights=np.concatenate([np.full(5, width) for _, width, _ in sides]),
+        tangents=np.concatenate([np.tile(t, (5, 1)) for _, _, t in sides]),
+        param_values=np.arange(20.0), kind="polygon")
+
+
+def test_panels_chain_only_where_they_share_their_ends(kernel):
+    # the top's 5 panels are one line, two frames of 2 and 3 panels with
+    # 3 and 4 ends; every other panel is a line of its own, with 2.  A
+    # rotated and shifted graded polygon is chained along each of its 4
+    # sides all the same, and both meshes agree with each panel's own
+    # integral from its centre and width
+    hand = _hand_made_polygon()
+    assert len(assemble._panel_ends(hand)[1]) == 15 * 2 + 7
+    moved = transform(make_polygon_curve(_QUAD, 16, 2.0),
+                      rotation_matrix(1.1), shift=(0.3, -2.0))
+    assert len(assemble._panel_ends(moved)[1]) == moved.n_nodes + 8
+    for mesh in (hand, moved):
+        assert _agrees_with_two_call_oracle(mesh, kernel, per_panel=True)
+
+
+def test_shared_panel_ends_are_as_accurate_as_the_per_panel_integrals():
+    # the mean of log|x_i - y| over panel j against 30 digits, on a square
+    # graded to its corners at 64 panels a side: the 8 corner panels seen
+    # from nodes more than 1/2 away, whose antiderivatives cancel to the
+    # panel's 1.5e-5 width; each side's 3 panels at either corner from
+    # every 4th node of that side, on their line; and the 4 nodes of a
+    # side by each corner against the 4 panels of the next side by it,
+    # both ways.  No pair may be further off than the worst of the
+    # per-panel form on the same pairs
+    m = 64
+    mesh = make_polygon_curve(UNIT_SQUARE, m, 3.0)
+    n, nodes, w = mesh.n_nodes, mesh.nodes, mesh.weights
+    corners = np.arange(0, n, m)
+    far = [(i, j) for j in np.concatenate([corners, corners - 1 + m])
+           for i in range(0, n, 4)
+           if np.hypot(*(nodes[i] - nodes[j])) > 0.5]
+    flat = [(i, j) for side in corners for i in side + np.arange(0, m, 4)
+            for j in side + np.array([0, 1, 2, m - 3, m - 2, m - 1])
+            if i != j]
+    near = [pair for side in corners
+            for i in side + m - 1 - np.arange(4)
+            for j in (side + m + np.arange(4)) % n
+            for pair in ((i, j), (j, i))]
+    i, j = np.array(far + flat + near).T
+    shared = assemble._panel_means(nodes, np.arange(n),
+                                   assemble._panel_ends(mesh))[i, j]
+    per_panel = (_panel_log_integrals(nodes, nodes, mesh.tangents, w)
+                 / w[None, :])[i, j]
+    exact = [panel_log_mean_mp(nodes[a], nodes[b], mesh.tangents[b], w[b])
+             for a, b in zip(i, j)]
+
+    def errors(values):
+        return np.array([float(abs(mp.mpf(float(v)) - e))
+                         for v, e in zip(values, exact)])
+
+    assert np.max(errors(shared)) <= np.max(errors(per_panel))
 
 
 # ---------------------------------------------------------------------------

@@ -2032,15 +2032,25 @@ def test_the_orbit_rows_evaluate_the_upper_orbit_triangle_once(name,
     # diagonal; small blocks make the leading squares a small share.  A
     # grid's rows gather their entries from its table of distinct offsets,
     # whose kernel calls are not per pair: such a block counts the entries
-    # it returns
+    # it returns.  A polygon's block takes the log antiderivative once per
+    # row node and distinct end of the column panels, and once per column
+    # node and distinct end of the row panels: one end per panel, and one
+    # more where a run of them starts: at a corner, at the middle of a
+    # side, where its second frame starts, or after a gap
     supports, args = _orbit_inputs(name)
     table = args[2]
     order, r = table.shape[0] * table.shape[1], table.shape[2]
     monkeypatch.setattr(assemble, "_WORKERS", 1)
     monkeypatch.setattr(assemble, "_BLOCK_BYTES", 1 << 13)
-    rows, panels = [], []
+    rows, evaluated, ends = [], [], []
     true_rows = assemble._support_rows
-    true_panels = assemble._panel_log_integrals
+    true_ends = assemble._at_ends
+
+    def distinct_ends(panel_set):
+        # the rectangle's 48 panels per side share their ends along each
+        # half of a side
+        p = np.unique(panel_set)
+        return len(p) + np.count_nonzero((p % 24 == 0) | ~np.isin(p - 1, p))
 
     def recorded_rows(support, kern):
         before = kern.entries
@@ -2049,6 +2059,9 @@ def test_the_orbit_rows_evaluate_the_upper_orbit_triangle_once(name,
 
         def counted(block_rows, cols):
             rows.append(len(block_rows))
+            if name == "rectangle":
+                ends.append(len(block_rows) * distinct_ends(cols)
+                            + len(cols) * distinct_ends(block_rows))
             before = kern.entries
             values = block(block_rows, cols)
             if kern.entries == before:
@@ -2057,12 +2070,12 @@ def test_the_orbit_rows_evaluate_the_upper_orbit_triangle_once(name,
 
         return counted
 
-    def counted_panels(targets, centers, tangents, lengths):
-        panels.append(len(targets) * len(centers))
-        return true_panels(targets, centers, tangents, lengths)
+    def counted_ends(points, at, chains):
+        evaluated.append(len(points) * len(at))
+        return true_ends(points, at, chains)
 
     monkeypatch.setattr(assemble, "_support_rows", recorded_rows)
-    monkeypatch.setattr(assemble, "_panel_log_integrals", counted_panels)
+    monkeypatch.setattr(assemble, "_at_ends", counted_ends)
     kern = CountingKernel(reference_kernel())
     assemble._orbit_rows(supports, kern, *args)
     rows = np.array(rows)
@@ -2076,7 +2089,11 @@ def test_the_orbit_rows_evaluate_the_upper_orbit_triangle_once(name,
                                       "grid and circle"))
     assert kern.entries <= columns ** 2 / (2 * order) + order * np.sum(
         rows ** 2)
-    assert sum(panels) == (2 * kern.entries if name == "rectangle" else 0)
+    assert sum(evaluated) == sum(ends)
+    # about half the per-panel form's four, both ends of the panel for both
+    # halves of (K + K^T) / 2, per entry
+    if name == "rectangle":
+        assert 2 * kern.entries < sum(evaluated) < 0.55 * 4 * kern.entries
 
 
 @pytest.mark.parametrize("name", list(_ORBIT_SUPPORTS))
