@@ -7,19 +7,18 @@ representation
 .. math::
     K_n(x) = \\int_0^\\infty e^{-x\\cosh t}\\cosh(nt)\\,dt
 
-on a fixed grid for moderate arguments (each point summing only the nodes that
-can reach its last bit), large-argument asymptotic expansions,
-and the (stable, upward) three-term recurrence in the order for
+on a fixed 43-node grid for moderate arguments, large-argument asymptotic
+expansions, and the (stable, upward) three-term recurrence in the order for
 :math:`K_n, n\\ge 2`.  Order 0 never evaluates :math:`K_1`.  The test suite
 validates every branch against an independent high-precision oracle
 (arbitrary-precision series plus adaptive quadrature); the target is relative
-error below 1e-12 for orders up to 10 on x in [1e-6, 30].
+error below 1e-12 for orders up to 10 on x in [1e-6, 30], and for
+:math:`I_n` up to order 60 on (30, 700].
 
 ``k0_log_series`` exposes the two halves of the small-argument series,
 :math:`K_0(x) = -(\\log(x/2) + \\gamma) I_0(x) + s_0(x)` (DLMF 10.31.2), so
 that the critical-order kernel can be split into its log factor and smooth
-remainder in one pass.  The fixed-grid quadrature of the cosh-integral band
-goes through ``grid_sum``, which bounds its temporaries.
+remainder in one pass.
 
 The log series stops at the first step k where
 term_k (h_k + 1) <= 1e-18 I_0 holds at every point.  It cannot hold before
@@ -30,14 +29,11 @@ test on every step would, with the same sums.  Past a point's own stop
 each term lies below 1e-18 of its sums and changes no bit of them, so a
 point's value does not depend on the other points.
 
-On the band, the point x keeps the grid nodes t_j before the first one with
-x (cosh t_j - 1) - n t_j >= 48 and drops the rest.  The terms are positive
-and their sum is at least the first one, (h/2) e^{-x}, so each dropped term
-is below 2 e^{-48} of the kept sum; as that exponent is convex in t, it keeps
-growing past the cut, and the at most 42 dropped terms add less than
-84 e^{-48} < 2^{-60} of it.  The kept terms are added from the last node back
-to t = 0, so the count, and with it the result, is a function of (n, x)
-alone: it does not depend on the other points, their order or the chunking.
+On the band, every point sums all 43 grid terms: e^{-x cosh t_j}, times
+cosh(n t_j) for n > 0 only, then times the weight w_j, added one after
+another from the last node back to t = 0.  The result is a function of
+(n, x) alone: it does not depend on the other points, their order or the
+chunking.
 
 All functions accept scalars or numpy arrays in ``x`` and broadcast.
 """
@@ -63,29 +59,27 @@ _BAND_T = np.arange(0.0, _BAND_TMAX + _BAND_STEP / 2, _BAND_STEP)
 _BAND_COSH_T = np.cosh(_BAND_T)
 _BAND_W = np.full_like(_BAND_T, _BAND_STEP)
 _BAND_W[0] = _BAND_STEP / 2.0
-# a band point drops its nodes from the first t_j with
-# x (cosh t_j - 1) - n t_j >= _BAND_REACH on; their sum is then below 2^{-60}
-# of the kept one (module docstring)
-_BAND_REACH = 48.0
-# byte size of the (grid nodes, points) temporary of one grid_sum chunk:
-# cache-resident, and small, since every assembly worker runs chunks of its
-# own at the same time
+# byte size of the (grid nodes, points) temporary of one band chunk,
+# 1524 points: cache-resident, and small, since every assembly worker runs
+# chunks of its own at the same time
 _GRID_CHUNK_BYTES = 1 << 19
-# I_n switches to the asymptotic expansion late; the series is stable
+# I_0 and I_1 switch to the asymptotic expansion late; the series is stable
 # (all terms positive) but slow for very large arguments
 _I_SERIES_MAX = 30.0
-# e^{-x} underflows near 745; K_n silently underflows to zero there
-_K_UNDERFLOW_X = 700.0
+# e^{-x} underflows near 745, so K_n silently underflows to zero past this;
+# and the I_n series' terms overflow near 709, so it is I_n's limit for n >= 2
+_EXP_RANGE_X = 700.0
 
 
 def _i_series(n: int, x: np.ndarray) -> np.ndarray:
-    """Ascending series for I_n; no cancellation, valid for all x >= 0."""
+    """Ascending series for I_n; no cancellation, valid for 0 <= x <= 700
+    (about 470 terms there)."""
     q = x * x / 4.0
     term = np.ones_like(x)
     for m in range(1, n + 1):
         term = term * (x / 2.0) / m
     total = term.copy()
-    for k in range(1, 400):
+    for k in range(1, 600):
         term = term * q / (k * (k + n))
         total = total + term
         if np.all(term <= 1e-18 * total):
@@ -180,24 +174,27 @@ def _k1_series(x: np.ndarray) -> np.ndarray:
     return (np.log(x / 2.0) + EULER_GAMMA) * i1 + 1.0 / x - (x / 4.0) * s1
 
 
-def grid_sum(x, integrand, weights: np.ndarray) -> np.ndarray:
-    """Sums  sum_k integrand(x)[k] * weights[k]  for every entry of x.
+def _k_band(n: int, x: np.ndarray) -> np.ndarray:
+    """Trapezoid on the cosh-integral representation; for the middle band.
 
-    ``integrand`` maps a (1, m) row of arguments to a new (len(weights), m)
-    array of its values on a fixed quadrature grid.  The points are
-    evaluated in chunks whose temporary stays near ``_GRID_CHUNK_BYTES``,
-    and the terms of each point are added one after another in the order of
-    ``weights``, so its sum depends on its own argument alone, not on the
-    chunking or on the other points.  No BLAS call is made: this runs inside
-    the assembly's worker threads.
+    The integrand is analytic and decays double-exponentially, so the
+    trapezoid rule with step 0.18 resolves it to ~1e-15 relative for
+    x >= 2.2 and n <= 1, the orders ``bessel_k`` asks for (at n = 10 the
+    step leaves 9e-13).  The points of the 1-D ``x`` are evaluated in
+    chunks of one (nodes, points) temporary near ``_GRID_CHUNK_BYTES``;
+    each point sums all 43 nodes from the last one back to t = 0 (module
+    docstring).  No BLAS call is made: this runs inside the assembly's
+    worker threads.
     """
-    x = np.asarray(x, dtype=float)
-    flat = x.reshape(-1)
-    out = np.empty_like(flat)
-    cols = max(1, _GRID_CHUNK_BYTES // (8 * len(weights)))
-    weights = weights[:, None]
-    for start in range(0, len(flat), cols):
-        terms = integrand(flat[None, start:start + cols])
+    out = np.empty_like(x)
+    cols = max(1, _GRID_CHUNK_BYTES // (8 * len(_BAND_T)))
+    cosh_t = _BAND_COSH_T[::-1, None]
+    cosh_nt = np.cosh(n * _BAND_T[::-1, None]) if n else None
+    weights = _BAND_W[::-1, None]
+    for start in range(0, len(x), cols):
+        terms = np.exp(-x[None, start:start + cols] * cosh_t)
+        if n:
+            terms *= cosh_nt
         terms *= weights
         # row after row: NumPy's sum over axis 0 adds the terms of a lone
         # point pairwise, so a point's value would depend on its chunk
@@ -205,48 +202,6 @@ def grid_sum(x, integrand, weights: np.ndarray) -> np.ndarray:
         for row in terms[1:]:
             total += row
         out[start:start + cols] = total
-    return out.reshape(x.shape)
-
-
-def _band_nodes(n: int, x: np.ndarray) -> np.ndarray:
-    """How many grid nodes, from t = 0 on, the band keeps for K_n at each x.
-
-    Node t_j is dropped, with every later one, once
-    x (cosh t_j - 1) - n t_j >= ``_BAND_REACH``, that is once x reaches
-    (``_BAND_REACH`` + n t_j) / (cosh t_j - 1).  These thresholds fall with
-    j, so the count is the number of them above x, plus the node t = 0.
-    """
-    reach = (_BAND_REACH + n * _BAND_T[1:]) / (_BAND_COSH_T[1:] - 1.0)
-    return len(_BAND_T) - np.searchsorted(reach[::-1], x, side="right")
-
-
-def _band_terms(cosh_t: np.ndarray, cosh_nt, x_row: np.ndarray):
-    terms = np.exp(-x_row * cosh_t)
-    if cosh_nt is not None:
-        terms *= cosh_nt
-    return terms
-
-
-def _k_band(n: int, x: np.ndarray) -> np.ndarray:
-    """Trapezoid on the cosh-integral representation; for the middle band.
-
-    The integrand is analytic and decays double-exponentially, so the
-    trapezoid rule with step 0.18 resolves it to ~1e-15 relative for
-    x >= 2.2 and n <= 1, the orders ``bessel_k`` asks for (at n = 10 the
-    step leaves 9e-13).  Each point of the 1-D ``x`` sums only the
-    ``_band_nodes`` it keeps (about 17 of 43 on [2.5, 10)), the last node
-    first; the dropped tail is below 2^{-60} of the kept sum (module
-    docstring).  The points of each count are summed in one ``grid_sum``.
-    """
-    counts = _band_nodes(n, x).astype(np.uint8)
-    out = np.empty_like(x)
-    for count in np.flatnonzero(np.bincount(counts)):
-        group = np.flatnonzero(counts == count)
-        nodes = slice(count - 1, None, -1)
-        cosh_nt = np.cosh(n * _BAND_T[nodes, None]) if n else None
-        out[group] = grid_sum(
-            x[group], partial(_band_terms, _BAND_COSH_T[nodes, None], cosh_nt),
-            _BAND_W[nodes])
     return out
 
 
@@ -263,11 +218,22 @@ def _k_asym(n: int, x: np.ndarray) -> np.ndarray:
 
 
 def bessel_i(n: int, x) -> np.ndarray | float:
-    """Modified Bessel function I_n(x) for integer n >= 0, x > 0."""
+    """Modified Bessel function I_n(x) for integer n >= 0, x > 0.
+
+    Orders 0 and 1 take the ascending series up to x = 30 and the
+    asymptotic expansion past it.  Higher orders take the series up to
+    x = 700 and refuse larger arguments with ``InvalidArgumentError``: the
+    expansion's terms alternate at sizes up to about (n^2 / 8x)^k, so it
+    cancels unless n^2 is small against x, and the series' terms overflow
+    near x = 709.
+    """
     _check_order_arg(n, x)
     xa = np.atleast_1d(np.asarray(x, dtype=float))
+    if n >= 2 and np.any(xa > _EXP_RANGE_X):
+        raise InvalidArgumentError(
+            "I_n for n >= 2 is evaluated for x <= %g only" % _EXP_RANGE_X)
     out = np.empty_like(xa)
-    small = xa <= _I_SERIES_MAX
+    small = xa <= (_I_SERIES_MAX if n < 2 else _EXP_RANGE_X)
     if small.any():
         out[small] = _i_series(n, xa[small])
     if (~small).any():
@@ -306,9 +272,9 @@ def bessel_k(n: int, x) -> np.ndarray | float:
         for m in range(1, n):
             km, kc = kc, km + (2.0 * m / xx) * kc
         out[mask] = kc
-    if np.any(xa > _K_UNDERFLOW_X):
+    if np.any(xa > _EXP_RANGE_X):
         warnings.warn(
-            "K_n underflows to 0 for x > %g" % _K_UNDERFLOW_X, RuntimeWarning
+            "K_n underflows to 0 for x > %g" % _EXP_RANGE_X, RuntimeWarning
         )
     return out if np.ndim(x) else float(out[0])
 

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -21,7 +22,8 @@ from critspec.kernels import (lower_order_kernel, reference_kernel,
 
 from _frozen_bessel import FROZEN_BESSEL
 from oracles import (_k0_log_series, _k_band_matvec, bessel_k0_matvec,
-                     k0_log_series_tested_per_step, log_energy_segment,
+                     k0_log_series_tested_per_step, k_band_row_by_row,
+                     log_energy_segment,
                      log_energy_square, lower_order_kernel_subordination,
                      unit_square_log_energy_dblquad)
 
@@ -84,6 +86,24 @@ def test_bessel_refuses_nan(fn):
         fn(3, np.array([1.0, np.nan, 20.0]))
 
 
+def test_bessel_i_past_the_series_switch_matches_mpmath():
+    # the asymptotic expansion cancels unless n^2 is small against x
+    # (I_40(31) came out 1.9e8 times too large), so orders 2 and up take
+    # the series up to x = 700, where no term overflows
+    xs = np.geomspace(np.nextafter(30.0, 31.0), 700.0, 13)
+    for n in range(0, 61):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = bessel_i(n, xs)
+        want = np.array([float(mp.besseli(n, x)) for x in xs])
+        assert np.max(np.abs(got - want) / want) <= 1e-12, n
+    # orders 2 and up refuse where their series would overflow
+    assert bessel_i(2, 700.0) > 0.0
+    for n in (2, 40):
+        with pytest.raises(InvalidArgumentError):
+            bessel_i(n, np.array([1.0, np.nextafter(700.0, 701.0)]))
+
+
 def test_bessel_k_underflow_returns_zero_with_flag():
     with pytest.warns(RuntimeWarning):
         val = bessel_k(0, 800.0)
@@ -139,11 +159,13 @@ def test_k0_series_matches_the_series_tested_per_step_bit_for_bit(values,
 
 
 def test_fixed_grid_temporaries_are_bounded(monkeypatch):
-    # about 1M points: an unchunked band would hold a 344 MB (m, 43)
-    # temporary; the closed-form lower-order kernel holds none
+    # about 1M points: an unchunked band would hold a 344 MB (43, m)
+    # temporary; order 1 also multiplies it by cosh(t); the closed-form
+    # lower-order kernel holds none
     rng = np.random.default_rng(7)
     m = 1 << 20
     cases = ((lambda a: bessel_k(0, a), rng.uniform(2.2, 15.0, m)),
+             (lambda a: bessel_k(1, a), rng.uniform(2.2, 15.0, m)),
              (lower_order_kernel().profile, rng.uniform(0.0, 4.0, m)))
     cap = 64 << 20
     head = 20011
@@ -162,7 +184,7 @@ def test_fixed_grid_temporaries_are_bounded(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the nodes each band point keeps
+# the band trapezoid
 # ---------------------------------------------------------------------------
 
 _BAND_X = np.linspace(2.2, 15.0, 20000, endpoint=False)
@@ -183,24 +205,15 @@ def test_bessel_kn_on_the_band_matches_the_full_grid():
         assert rel <= (4 + 3 * (n - 1)) * eps
 
 
-@pytest.mark.parametrize("n", [0, 1, 10])
-def test_the_dropped_band_tail_stays_under_its_bound(n):
-    x = _BAND_X[:, None]
-    t, cosh_t = bessel_module._BAND_T, bessel_module._BAND_COSH_T
-    terms = bessel_module._BAND_W * np.exp(-x * cosh_t) * np.cosh(n * t)
-    kept = bessel_module._band_nodes(n, _BAND_X)[:, None]
-    dropped = np.arange(len(t)) >= kept
-    assert not dropped[:, 0].any()
-    kept_sum = np.where(dropped, 0.0, terms).sum(axis=1, keepdims=True)
-    tail = np.where(dropped, terms, 0.0)
-    reach = bessel_module._BAND_REACH
-    assert np.all(tail <= 2.0 * np.exp(-reach) * kept_sum)
-    assert np.all(tail.sum(axis=1, keepdims=True) <= 2.0 ** -60 * kept_sum)
-    # the cut is the first node whose exponent reaches the bound
-    exponent = x * (cosh_t - 1.0) - n * t
-    slack = 1e-12 * reach
-    assert np.all(np.where(dropped, exponent >= reach - slack,
-                           exponent < reach + slack))
+@pytest.mark.parametrize("n", [0, 1])
+def test_the_band_sums_every_node_in_its_documented_order(n, monkeypatch):
+    x = np.concatenate([[2.2], _BAND_X[1:], [np.nextafter(15.0, 0.0)]])
+    want = k_band_row_by_row(n, x)
+    # the default chunks, and chunks of 7 points that split the band
+    # at other places
+    assert np.array_equal(bessel_k(n, x), want)
+    monkeypatch.setattr(bessel_module, "_GRID_CHUNK_BYTES", 8 * 43 * 7)
+    assert np.array_equal(bessel_k(n, x), want)
 
 
 def test_band_values_depend_on_the_point_alone(monkeypatch):
@@ -214,24 +227,6 @@ def test_band_values_depend_on_the_point_alone(monkeypatch):
         with monkeypatch.context() as mctx:
             mctx.setattr(bessel_module, "_GRID_CHUNK_BYTES", 8 * 43 * 7)
             assert np.array_equal(bessel_k(n, x), want)
-
-
-def test_the_band_sums_few_nodes_per_point(monkeypatch):
-    # the full grid has 43 nodes; on [2.5, 10) a point keeps 14 to 21
-    summed = []
-    grid_sum = bessel_module.grid_sum
-
-    def counted(x, integrand, weights):
-        summed.append(np.size(x) * len(weights))
-        return grid_sum(x, integrand, weights)
-
-    monkeypatch.setattr(bessel_module, "grid_sum", counted)
-    x = np.linspace(2.5, 10.0, 10000, endpoint=False)
-    for n in (0, 1):
-        summed.clear()
-        bessel_k(n, x)
-        # order 1 sums the bands of K_0 and K_1
-        assert sum(summed) <= 18 * (n + 1) * len(x)
 
 
 # ---------------------------------------------------------------------------
