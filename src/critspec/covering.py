@@ -12,12 +12,19 @@ exactly by binary search over the sorted Chebyshev distances.  A point's
 candidate cubes are prefixes of its atoms sorted by distance, so each point
 sorts once and gathers |V| and the masses into its own order.  All support
 points are searched together: the binary searches run in lockstep, and each
-of their steps evaluates J on every point's candidate prefix in one
-row-batched duality solve (``orlicz._norms_on_sets`` with per-row masses),
-as wide as the longest prefix probed, in serial blocks of points each of
-whose (points, atoms) arrays holds about _BLOCK_BYTES.  About ten such
-arrays are live at once, so a search peaks near ten _BLOCK_BYTES: 0.65 MB
-at 64 KB for 64 centres on 4096 atoms.  The largest candidate
+of their steps settles J >= target on every point's candidate prefix in one
+row-batched duality solve (``orlicz._norms_reach``), as wide as the longest
+prefix probed, in serial blocks of points each of whose (points, atoms)
+arrays holds about _BLOCK_BYTES.  A row of that solve stops as soon as its
+two duality bounds put J on one side of the target.  A sorted block keeps
+four such arrays (|V| and the masses in each point's order, and the
+distance and prefix length of each run of tied distances, small where many
+atoms tie), and a probe adds its own |V| and masses and two Newton buffers,
+each as wide as the probe, and the working copies of the rows still
+iterating.  Measured peaks: 628 KB at 128 KB for 64 centres on 4096 atoms of
+a grid (340 KB at 64 KB), and 880 KB for the benchmark's coverings of 256
+centres on the 256 atoms of a Cantor measure, whose distances never tie;
+256 KB blocks would pass 1 MB.  The largest candidate
 of every point is the whole support, checked once per search.  The report's
 largest cube functional comes from one masked full-width solve over all
 cubes.
@@ -36,13 +43,14 @@ from .geometry import support_atoms
 # j_functional is not called here; perfbench/tracer.py counts the calls made
 # through this module's name for it
 from .orlicz import (Cube, averaged_norm, j_functional, _norms_on_sets,
-                     _weight_values)
+                     _norms_reach, _weight_values)
 
 # relative slack when comparing J against the target: the crossing may land
 # on the target exactly up to root-finding rounding
 _CROSSING_RTOL = 1e-12
-# budget of one (centers, atoms) float temporary of the batched search
-_BLOCK_BYTES = 64 * 1024
+# budget of one (centers, atoms) float temporary of the batched search; the
+# largest whose measured peaks stay below 1 MB
+_BLOCK_BYTES = 128 * 1024
 # observed covering multiplicity above which a warning is raised: the
 # geometric expectation for cube coverings in the plane
 _MULTIPLICITY_CAP = 16
@@ -97,43 +105,59 @@ def _chebyshev(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return dist
 
 
+def _sorted_runs(points, absv, masses, centers):
+    """Each row's atoms sorted by Chebyshev distance from its center, and
+    the runs of tied distances in that order.
+
+    The sort is stable, so tied atoms keep their order.  Returns the
+    distance that ends each run and the prefix length it ends at, every
+    row's runs one row after another, the run count of each row, and |V|
+    and the masses gathered into each row's own order.
+    """
+    dist = _chebyshev(points, centers)
+    order = np.argsort(dist, axis=1, kind="stable")
+    dist = np.take_along_axis(dist, order, axis=1)
+    absv, masses = absv[order], masses[order]
+    del order
+    ends = np.ones(dist.shape, dtype=bool)
+    ends[:, :-1] = dist[:, 1:] != dist[:, :-1]
+    uniq = dist[ends]
+    del dist
+    length = np.flatnonzero(ends)
+    length %= ends.shape[1]
+    length += 1
+    return uniq, length, ends.sum(axis=1), absv, masses
+
+
 def _crossing_sides(points, absv, masses, centers, target):
     """First-crossing sides of the rows ``centers``, found in lockstep.
 
-    Each row sorts its atoms by Chebyshev distance (a stable sort, so tied
-    atoms keep their order) and gathers |V| and the masses into that
-    order.  A candidate cube ends at the last atom of a run of tied
-    distances, so the candidates of row r are the prefixes of its sorted
-    atoms that end a run, at distances d_r[0] < d_r[1] < ...  Every row
-    runs the same binary search over its candidate index: its nearest run
-    first, then halving [lo, hi] until the crossing is pinned; the whole
-    support, every row's last candidate, reaches the target (``solve_t``
-    and ``build_covering`` check it once for all rows).  One
-    ``_norms_on_sets`` call evaluates J for all rows still searching at
-    each halving, on the first ``width`` sorted atoms of each, ``width``
-    the longest probed prefix, with the atoms past a row's own prefix
-    masked out.
+    A candidate cube ends at the last atom of a run of tied distances
+    (``_sorted_runs``), so the candidates of row r are the prefixes of its
+    sorted atoms that end a run, at distances d_r[0] < d_r[1] < ...  Every
+    row runs the same binary search over its candidate index: its nearest
+    run first, then halving [lo, hi] until the crossing is pinned; the
+    whole support, every row's last candidate, reaches the target
+    (``solve_t`` and ``build_covering`` check it once for all rows).  One
+    ``_norms_reach`` call settles J >= slack for all rows still searching
+    at each halving, on the first ``width`` sorted atoms of each, ``width``
+    the longest probed prefix: the probe's own copies of |V| and the
+    masses are zeroed past each row's prefix, and a row stops as soon as
+    its duality bounds settle the answer.
     """
     slack = target * (1.0 - _CROSSING_RTOL)
-    dist = _chebyshev(points, centers)
-    order = np.argsort(dist, axis=1, kind="stable")
-    ordered = np.take_along_axis(dist, order, axis=1)
-    ends = np.ones(ordered.shape, dtype=bool)
-    ends[:, :-1] = ordered[:, 1:] != ordered[:, :-1]
-    # every row's runs, row after row: distance and prefix length
-    uniq = ordered[ends]
-    length = np.flatnonzero(ends) % ordered.shape[1] + 1
-    count = ends.sum(axis=1)
+    uniq, length, count, absv, masses = _sorted_runs(points, absv, masses,
+                                                     centers)
     start = np.cumsum(count) - count
-    # from here on, row r's atoms in its own sorted order
-    absv, masses = absv[order], masses[order]
 
     def reaches(rows, index):
         prefix = length[start[rows] + index]
         width = prefix.max()
-        inside = np.arange(width) < prefix[:, None]
-        return _norms_on_sets(absv[rows, :width], masses[rows, :width],
-                              inside) >= slack
+        v, w = absv[rows, :width], masses[rows, :width]
+        past = np.arange(width) >= prefix[:, None]
+        v[past] = 0.0
+        w[past] = 0.0
+        return _norms_reach(v, w, slack)
 
     everyone = np.arange(len(centers))
     lo = np.full(len(centers), -1)
@@ -159,8 +183,8 @@ def solve_t(measure, V, center, target: float):
     the last atom to enter.  ``center`` is one point, for which the side is
     returned as a float, or an (m, N) array of points, for which the m
     sides are returned as an array; the rows are searched in lockstep, in
-    serial blocks of rows, each (rows, atoms) array about _BLOCK_BYTES and
-    about ten of them live at once.
+    serial blocks of rows (``_first_crossings``), and each probe of a row
+    stops once the duality bounds of its J settle it against the target.
     Every center's largest cube holds the whole support, so the range
     check (the target is reached at all) is one averaged norm per call.
     """
@@ -187,9 +211,11 @@ def solve_t(measure, V, center, target: float):
 
 def _first_crossings(points, vals, masses, centers, target):
     """First-crossing sides of every row of ``centers``, searched in
-    serial blocks of rows, each (rows, atoms) array about _BLOCK_BYTES and
-    about ten of them live at once.  The caller has checked that the whole
-    support reaches the target."""
+    serial blocks of rows, each (rows, atoms) array about _BLOCK_BYTES:
+    four such arrays per sorted block, and four at most as wide as its
+    widest probe, plus the rows' working copies, are live at once (the
+    module notes give the measured peaks).  The caller has checked that
+    the whole support reaches the target."""
     absv = np.abs(vals)
     sides = np.empty(len(centers))
     for block in _row_blocks(len(centers), len(points)):

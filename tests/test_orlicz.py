@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from critspec.errors import InvalidArgumentError, OutOfRangeError
 from critspec.geometry import make_uniform_square_measure
 from critspec.orlicz import (Cube, OrliczNormResult, _norms_on_sets,
-                             averaged_norm, j_functional, phi, psi,
-                             surface_norm)
+                             _norms_reach, averaged_norm, j_functional, phi,
+                             psi, surface_norm)
 
 from oracles import averaged_norm_bisection, phi_inverse, t_star
 
@@ -199,6 +199,101 @@ def test_per_row_masses_on_sorted_prefixes(data, atoms):
         want = averaged_norm(absv[sel], w[sel], float(w[sel].sum())).value
         assert abs(got[r] - want) <= 1e-13 * want
         assert abs(shared[r] - want) <= 1e-13 * want
+
+
+def _reach_matches_norms(rows_v, rows_w, floor):
+    """``_norms_reach`` on copies of the rows gives
+    ``_norms_on_sets(...) >= floor`` row for row; returns the answers."""
+    inside = rows_w > 0.0
+    want = _norms_on_sets(rows_v, rows_w, inside) >= floor
+    got = _norms_reach(rows_v.copy(), rows_w.copy(), floor)
+    assert got.tolist() == want.tolist(), floor
+    return got
+
+
+# relative offsets of a floor from a row's J: inside the settling margin,
+# at it, and well clear of it
+_FLOOR_SHIFTS = [0.0, 1e-15, -1e-15, 1e-13, -1e-13, 1e-12, -1e-12, 1e-3,
+                 -1e-3, 0.5, -0.5]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), atoms=st.lists(_PREFIX_ATOM, min_size=1, max_size=40),
+       shift=st.sampled_from(_FLOOR_SHIFTS))
+def test_bound_settled_answers_match_the_converged_norms(data, atoms, shift):
+    # the crossing search's probes: every row's atoms sorted by distance,
+    # cut to the longest prefix and zeroed past its own (|V| and masses
+    # both), one row with |V| = 0 throughout; the floor sits at one row's
+    # J times (1 + shift), so some rows settle from their duality bounds
+    # and the rows near the floor compare J at the converged root
+    absv = np.array([s * 10.0 ** e for s, e, _ in atoms])
+    w = np.array([m for _, _, m in atoms])
+    n = len(atoms)
+    m = data.draw(st.integers(1, 6))
+    dist = np.array(data.draw(st.lists(
+        st.lists(st.integers(0, 4), min_size=n, max_size=n),
+        min_size=m, max_size=m)), dtype=float)
+    reach = np.array(data.draw(st.lists(st.integers(0, 4), min_size=m,
+                                        max_size=m)))
+    order = np.argsort(dist, axis=1, kind="stable")
+    prefix = np.append((dist <= reach[:, None]).sum(axis=1), 1)
+    order = np.vstack([order, np.arange(n)])
+    width = prefix.max()
+    past = np.arange(width) >= prefix[:, None]
+    rows_v = np.where(past, 0.0, absv[order][:, :width])
+    rows_v[-1] = 0.0
+    rows_w = np.where(past, 0.0, w[order][:, :width])
+    norms = _norms_on_sets(rows_v, rows_w, ~past)
+    assert norms[-1] == 0.0
+    pick = data.draw(st.integers(0, m - 1))
+    floor = norms[pick] * (1.0 + shift) if norms[pick] > 0.0 else 1.0
+    got = _reach_matches_norms(rows_v, rows_w, floor)
+    assert not got[-1]
+
+
+def test_settled_answers_at_exact_crossings_and_extreme_scales():
+    # constant weight on the 16^2 grid: every set of 64 atoms, a dyadic
+    # quarter among them, has J equal to the covering-dyadic target
+    # (a quarter of the whole support's norm) up to rounding; prefixes of
+    # 63, 64 and 65 atoms, quarter first, and one whose |V| is 0; the
+    # floors are the crossing search's slack and the quarter's J itself,
+    # exactly and one ulp either side, inside the settling margin
+    measure = make_uniform_square_measure(16)
+    n = measure.n_atoms
+    quarter = np.all(measure.atoms < 0.5, axis=1)
+    order = np.argsort(~quarter, kind="stable")
+    prefix = np.array([63, 64, 65, 64])
+    past = np.arange(65) >= prefix[:, None]
+    rows_v = np.where(past, 0.0, 1.0)
+    rows_v[-1] = 0.0
+    rows_w = np.where(past, 0.0, measure.masses[order][:65])
+    target = surface_norm(np.ones(n), measure) / 4.0
+    j = _norms_on_sets(rows_v, rows_w, ~past)[1]
+    assert j == pytest.approx(target, rel=1e-14)
+    floors = [target * (1.0 - 1e-12), j, np.nextafter(j, 0.0),
+              np.nextafter(j, 2.0)]
+    for scale in (1.0, 2.0 ** 900, 2.0 ** -900):
+        answers = [_reach_matches_norms(scale * rows_v, rows_w,
+                                        scale * floor).tolist()
+                   for floor in floors]
+        assert answers == [[False, True, True, False],
+                           [False, True, True, False],
+                           [False, True, True, False],
+                           [False, False, True, False]]
+
+
+def test_settled_answers_keep_the_bracket_refusal():
+    # the light atom carries the largest |V| and the heavy one 1e-30 of it:
+    # the multiplier leaves its bracket before any bound is formed
+    rows_v = np.array([[1.0, 1e-30], [1.0, 1.0]])
+    rows_w = np.array([[1e-20, 1.0], [1.0, 1.0]])
+    message = ("duality multiplier outside bracket: degenerate scaling "
+               "of V/mass")
+    with pytest.raises(OutOfRangeError, match=message):
+        _norms_on_sets(rows_v, rows_w, rows_w > 0.0)
+    with pytest.raises(OutOfRangeError, match=message):
+        _norms_reach(rows_v, rows_w, 0.5)
 
 
 def test_monotone_in_the_set():
