@@ -13,7 +13,7 @@ candidate cubes are prefixes of its atoms sorted by distance, so each point
 sorts once and gathers |V| and the masses into its own order.  All support
 points are searched together: the binary searches run in lockstep, and each
 of their steps settles J >= target on every point's candidate prefix in one
-row-batched duality solve (``orlicz._norms_reach``), as wide as the longest
+row-batched duality solve (``orlicz._norms``), as wide as the longest
 prefix probed, in serial blocks of points each of whose (points, atoms)
 arrays holds about _BLOCK_BYTES.  A row of that solve stops as soon as its
 two duality bounds put J on one side of the target.  A sorted block keeps
@@ -26,8 +26,9 @@ a grid (340 KB at 64 KB), and 880 KB for the benchmark's coverings of 256
 centres on the 256 atoms of a Cantor measure, whose distances never tie;
 256 KB blocks would pass 1 MB.  The largest candidate
 of every point is the whole support, checked once per search.  The report's
-largest cube functional comes from one masked full-width solve over all
-cubes.
+largest cube functional comes from the same solve, in the same row blocks,
+over full-width rows of the cubes' |V| and masses zeroed outside each cube;
+every row is summed on its own, so the blocks do not round it.
 """
 
 from __future__ import annotations
@@ -42,8 +43,7 @@ from .errors import InvalidArgumentError, OutOfRangeError
 from .geometry import support_atoms
 # j_functional is not called here; perfbench/tracer.py counts the calls made
 # through this module's name for it
-from .orlicz import (Cube, averaged_norm, j_functional, _norms_on_sets,
-                     _norms_reach, _weight_values)
+from .orlicz import Cube, averaged_norm, j_functional, _norms, _weight_values
 
 # relative slack when comparing J against the target: the crossing may land
 # on the target exactly up to root-finding rounding
@@ -139,7 +139,7 @@ def _crossing_sides(points, absv, masses, centers, target):
     run first, then halving [lo, hi] until the crossing is pinned; the
     whole support, every row's last candidate, reaches the target
     (``solve_t`` and ``build_covering`` check it once for all rows).  One
-    ``_norms_reach`` call settles J >= slack for all rows still searching
+    ``_norms`` call settles J >= slack for all rows still searching
     at each halving, on the first ``width`` sorted atoms of each, ``width``
     the longest probed prefix: the probe's own copies of |V| and the
     masses are zeroed past each row's prefix, and a row stops as soon as
@@ -157,7 +157,7 @@ def _crossing_sides(points, absv, masses, centers, target):
         past = np.arange(width) >= prefix[:, None]
         v[past] = 0.0
         w[past] = 0.0
-        return _norms_reach(v, w, slack)
+        return _norms(v, w, slack) >= slack
 
     everyone = np.arange(len(centers))
     lo = np.full(len(centers), -1)
@@ -254,7 +254,8 @@ def build_covering(measure, V, lam: float,
 
     if target >= rho_inf * (1.0 - _CROSSING_RTOL):
         cube = Cube(center_global, side_global)
-        return _report(measure, V, lam, kappa_config, target, [cube], [n])
+        return _report(points, masses, vals, lam, kappa_config, target,
+                       [cube], [n])
 
     # the whole support reaches the target, which is solve_t's range check
     sides = _first_crossings(points, vals, masses, points, target)
@@ -275,14 +276,13 @@ def build_covering(measure, V, lam: float,
         cubes.append(cube)
         covered_per_cube.append(int(inside.sum()))
         covered |= inside
-    return _report(measure, V, lam, kappa_config, target, cubes,
+    return _report(points, masses, vals, lam, kappa_config, target, cubes,
                    covered_per_cube)
 
 
-def _report(measure, V, lam, kappa_config, target, cubes,
+def _report(points, masses, vals, lam, kappa_config, target, cubes,
             covered_per_cube) -> CoveringReport:
-    points, masses = support_atoms(measure)
-    absv = np.abs(_weight_values(V, measure, points))
+    absv = np.abs(vals)
     centers = np.array([cube.center for cube in cubes])
     half = np.array([cube.side for cube in cubes]) / 2.0
     membership = np.zeros(len(points), dtype=int)
@@ -290,7 +290,8 @@ def _report(measure, V, lam, kappa_config, target, cubes,
     for block in _row_blocks(len(cubes), len(points)):
         inside = _chebyshev(points, centers[block]) <= half[block, None]
         membership += inside.sum(axis=0)
-        js[block] = _norms_on_sets(absv, masses, inside)
+        js[block] = _norms(np.where(inside, absv, 0.0),
+                           np.where(inside, masses, 0.0))
     if membership.max() > _MULTIPLICITY_CAP:
         warnings.warn(
             "observed covering multiplicity %d exceeds the cap %d"

@@ -291,13 +291,14 @@ def make_polygon_curve(vertices, panels_per_edge: int,
         raise InvalidArgumentError("panels_per_edge must be even and >= 2")
     _check_atom_count(panels_per_edge * len(verts), "%d x %d panels exceed "
                       "the cap of" % (len(verts), panels_per_edge))
-    # reject collinear consecutive triples: corners must be genuine
-    nv = len(verts)
-    for i in range(nv):
-        a, b, c = verts[i - 1], verts[i], verts[(i + 1) % nv]
-        cross = (b[0] - a[0]) * (c[1] - b[1]) - (b[1] - a[1]) * (c[0] - b[0])
-        if abs(cross) < 1e-14:
-            raise InvalidArgumentError("three consecutive vertices are collinear")
+    # reject collinear consecutive triples: corners must be genuine; the
+    # cross product of unit edge directions makes the test scale-free
+    edges = np.roll(verts, -1, axis=0) - verts
+    units = edges / np.hypot(edges[:, 0], edges[:, 1])[:, None]
+    prev = np.roll(units, 1, axis=0)
+    cross = prev[:, 0] * units[:, 1] - prev[:, 1] * units[:, 0]
+    if np.any(np.abs(cross) < 1e-14):
+        raise InvalidArgumentError("three consecutive vertices are collinear")
 
     m = panels_per_edge
     k = np.arange(m // 2 + 1, dtype=float)
@@ -310,6 +311,7 @@ def make_polygon_curve(vertices, panels_per_edge: int,
 
     nodes, weights, tangents, params = [], [], [], []
     offset = 0.0
+    nv = len(verts)
     for i in range(nv):
         a, b = verts[i], verts[(i + 1) % nv]
         edge = b - a

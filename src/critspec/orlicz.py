@@ -12,8 +12,10 @@ constraint.  Since phi(log1p x) = x - log1p x, the constraint is a closed
 form in x_i = |V_i| / tau, convex and decreasing in s = log tau; its root is
 found by a safeguarded Newton iteration in s, run on many sets in lockstep
 when the cube coverings need them; the crossing search stops each set as
-soon as two duality bounds settle whether its norm reaches a level.  Signs
-of V are absorbed into g, so only |V| enters the root-finding.
+soon as two duality bounds settle whether its norm reaches a level.  Every
+solve takes one layout: a row of |V| and a row of masses per set, zeroed
+off it, each row summed on its own; a single norm is the one-row case.
+Signs of V are absorbed into g, so only |V| enters the root-finding.
 """
 
 from __future__ import annotations
@@ -62,17 +64,6 @@ class OrliczNormResult:
     constraint_residual: float
 
 
-def _weighted_sums(a: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """sum_j w_j a[r, j] for every row r, with w shared (n,) or per row."""
-    return a @ w if w.ndim == 1 else np.vecdot(a, w)
-
-
-def _weighted_products(a: np.ndarray, b: np.ndarray,
-                       w: np.ndarray) -> np.ndarray:
-    """sum_j w_j a[r, j] b[r, j] for every row r, with no temporary."""
-    return np.einsum("ij,ij,ij->i" if w.ndim == 2 else "ij,ij,j->i", a, b, w)
-
-
 def _dual_rows(u: np.ndarray, w: np.ndarray, mass: np.ndarray, floor=None):
     """Duality multipliers of many averaged norms at once, one per row.
 
@@ -109,11 +100,11 @@ def _dual_rows(u: np.ndarray, w: np.ndarray, mass: np.ndarray, floor=None):
         largest; a zero entry is an atom outside the row's set (it adds
         nothing to either sum).  The scaling is exact by homogeneity, and
         it keeps the bracket finite at any scale of V.
-    w : ndarray, shape (n,) or (m, n)
-        Positive atom masses: one vector shared by the rows, or one row of
-        masses per row of ``u`` when each row holds its own atoms (the
-        crossing search gathers every row's atoms in its own order).  The
-        shared vector enters the sums as matrix-vector products.
+    w : ndarray, shape (m, n)
+        Nonnegative atom masses, one row per row of ``u`` in that row's own
+        order (the crossing search gathers every row's atoms by distance);
+        each row is summed on its own, so a row's result does not depend
+        on the rows beside it.
     mass : ndarray, shape (m,)
         Positive budget of each row.
     floor : ndarray, shape (m,), optional
@@ -137,12 +128,12 @@ def _dual_rows(u: np.ndarray, w: np.ndarray, mass: np.ndarray, floor=None):
         x, t = x_buf[:len(s)], t_buf[:len(s)]
         np.multiply(u, np.exp(-s)[:, None], out=x)
         np.log1p(x, out=t)
-        products = _weighted_products(x, t, w) if bounds else None
-        f = _weighted_sums(np.subtract(x, t, out=t), w) - mass
+        products = np.einsum("ij,ij,ij->i", x, t, w) if bounds else None
+        f = np.vecdot(np.subtract(x, t, out=t), w) - mass
         # x^2 / (1 + x), in the order of the plain expression
         np.add(x, 1.0, out=t)
         np.multiply(x, x, out=x)
-        return f, -_weighted_sums(np.divide(x, t, out=x), w), products
+        return f, -np.vecdot(np.divide(x, t, out=x), w), products
 
     lo = np.full(m, np.log(_TAU_BRACKET[0]))
     hi = np.full(m, np.log(_TAU_BRACKET[1]))
@@ -151,7 +142,7 @@ def _dual_rows(u: np.ndarray, w: np.ndarray, mass: np.ndarray, floor=None):
         raise OutOfRangeError(
             "duality multiplier outside bracket: degenerate scaling of V/mass")
     # x - log1p x < x: the constraint at sum(w u) / mass is below budget
-    s = np.minimum(np.maximum(np.log(_weighted_sums(u, w) / mass), lo), hi)
+    s = np.minimum(np.maximum(np.log(np.vecdot(u, w) / mass), lo), hi)
     out = s.copy()
     verdict = np.zeros(m, dtype=np.int8)
     bounds = floor is not None
@@ -183,8 +174,8 @@ def _dual_rows(u: np.ndarray, w: np.ndarray, mass: np.ndarray, floor=None):
             rows, s, lo, hi, u_live, mass = (
                 rows[live], s[live], lo[live], hi[live], u_live[live],
                 mass[live])
-            if w.ndim == 2:
-                w_live = w_live[live]
+            # after the old u_live is freed: one working copy less at peak
+            w_live = w_live[live]
             if bounds:
                 floor = floor[live]
     return out, verdict
@@ -228,7 +219,7 @@ def averaged_norm(V, weights, mass_E: float) -> OrliczNormResult:
         return OrliczNormResult(0.0, None, np.zeros_like(V), 0.0)
 
     u = absV[None, :] / vmax
-    s, _ = _dual_rows(u, w, np.array([mass_E], dtype=float))
+    s, _ = _dual_rows(u, w[None], np.array([mass_E], dtype=float))
     scaled_tau = float(np.exp(s[0]))
     gain = np.log1p(u[0] / scaled_tau)
     g = np.sign(V) * gain
@@ -239,65 +230,39 @@ def averaged_norm(V, weights, mass_E: float) -> OrliczNormResult:
     return OrliczNormResult(value, vmax * scaled_tau, g, residual)
 
 
-def _norms_on_sets(absv: np.ndarray, w: np.ndarray,
-                   inside: np.ndarray) -> np.ndarray:
-    """Averaged norms of V on many atom sets at once.
-
-    Row r of the boolean ``inside`` (m, n) selects a set E_r; the result
-    is ``averaged_norm(V[E_r], w[E_r], w[E_r].sum()).value`` for every row,
-    up to the order of the floating-point sums.  ``absv`` = |V| and the
-    masses ``w`` are either one (n,) vector of the atoms, shared by the
-    rows, or (m, n) with row r holding the atoms that ``inside[r]`` refers
-    to, in that row's own order (as the crossing search's probes hold
-    each row's atoms, sorted by distance, for ``_norms_reach``).
-    A row whose set is empty or carries V = 0 gives 0.
-    """
-    rows = np.where(inside, absv, 0.0)
-    out = np.zeros(len(rows))
-    vmax = rows.max(axis=1, initial=0.0)
-    live = vmax > 0.0
-    if live.any():
-        rows = rows[live]
-        if w.ndim == 2:
-            w = w[live]
-        mass = np.where(inside[live], w, 0.0).sum(axis=1)
-        u = rows / vmax[live, None]
-        s, _ = _dual_rows(u, w, mass)
-        # in the units of u, as in averaged_norm
-        out[live] = vmax[live] * _weighted_sums(
-            u * np.log1p(u / np.exp(s)[:, None]), w)
-    return out
-
-
-def _norms_reach(absv: np.ndarray, w: np.ndarray, floor: float) -> np.ndarray:
-    """Whether the averaged norm of V on each row's set reaches ``floor``.
+def _norms(absv: np.ndarray, w: np.ndarray, floor=None) -> np.ndarray:
+    """Averaged norms of V on many atom sets at once, one per row.
 
     Row r of ``absv`` = |V| and of the masses ``w``, both (m, n), holds
-    the atoms of its set E_r with every entry past them zeroed (the
-    crossing search's sorted prefixes).  The answer is, row for row,
-    ``_norms_on_sets(absv, w, inside) >= floor`` with ``inside`` the
-    unzeroed entries, for a positive ``floor``: a row that ``_dual_rows``
-    settles from its two bounds takes their answer, and any other compares
-    J at its converged root, computed as ``_norms_on_sets`` computes it.
-    A row with V = 0 gives False.  ``absv`` is overwritten.
+    the atoms of its set E_r with every other entry zeroed (the crossing
+    search's sorted prefixes, or a cube's atoms in the support's order).
+    The result is ``averaged_norm(V[E_r], w[E_r], w[E_r].sum()).value``
+    for every row, up to the order of the floating-point sums; a row with
+    V = 0 gives 0.  Given a positive ``floor``, a row that ``_dual_rows``
+    settles from its two bounds reads ``floor`` when its norm is above and
+    0 when below, and any other row its norm at the converged root, so
+    ``_norms(absv, w, floor) >= floor`` is, row for row, whether the norm
+    reaches ``floor``.  ``absv`` is overwritten.
     """
-    vmax = absv.max(axis=1)
-    reach = np.zeros(len(absv), dtype=bool)
-    live = vmax > 0.0
-    if not live.any():
-        return reach
-    if not live.all():
-        absv, w, vmax = absv[live], w[live], vmax[live]
+    vmax = absv.max(axis=1, initial=0.0)
+    out = np.zeros(len(absv))
+    rows = np.flatnonzero(vmax > 0.0)
+    if not rows.size:
+        return out
+    if rows.size < len(absv):
+        absv, w, vmax = absv[rows], w[rows], vmax[rows]
     u = np.divide(absv, vmax[:, None], out=absv)
-    s, verdict = _dual_rows(u, w, w.sum(axis=1), floor / vmax)
+    s, verdict = _dual_rows(u, w, w.sum(axis=1),
+                            None if floor is None else floor / vmax)
+    # without a floor no row is settled
+    out[rows[verdict > 0]] = floor
     open_rows = np.flatnonzero(verdict == 0)
-    if open_rows.size:
+    if open_rows.size < len(u):
         u, w, s = u[open_rows], w[open_rows], s[open_rows]
-        j = vmax[open_rows] * _weighted_sums(
-            u * np.log1p(u / np.exp(s)[:, None]), w)
-        verdict[open_rows] = np.where(j >= floor, 1, -1)
-    reach[live] = verdict > 0
-    return reach
+    # in the units of u, as in averaged_norm
+    out[rows[open_rows]] = vmax[open_rows] * np.vecdot(
+        u * np.log1p(u / np.exp(s)[:, None]), w)
+    return out
 
 
 @dataclass(frozen=True)

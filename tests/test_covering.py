@@ -148,7 +148,7 @@ def test_solve_t_checks_the_whole_support_once(uniform16, monkeypatch):
     target = 0.1 * surface_norm(V, uniform16)
     calls, probe_rows, whole_rows = [], [], []
     averaged_norm = covering.averaged_norm
-    norms_reach = covering._norms_reach
+    norms = covering._norms
 
     def counted_norm(*args):
         calls.append(len(args[0]))
@@ -158,10 +158,10 @@ def test_solve_t_checks_the_whole_support_once(uniform16, monkeypatch):
         probe_rows.append(len(w))
         whole_rows.append(int(
             ((w > 0.0).sum(axis=1) == uniform16.n_atoms).sum()))
-        return norms_reach(absv, w, floor)
+        return norms(absv, w, floor)
 
     monkeypatch.setattr(covering, "averaged_norm", counted_norm)
-    monkeypatch.setattr(covering, "_norms_reach", counted_probe)
+    monkeypatch.setattr(covering, "_norms", counted_probe)
     sides = solve_t(uniform16, V, uniform16.atoms, target)
     assert calls == [uniform16.n_atoms]
     assert len(probe_rows) > 4 and sum(probe_rows) > uniform16.n_atoms
@@ -434,6 +434,20 @@ def test_report_max_j_is_the_largest_cube_functional(measure):
         rep = build_covering(measure, V, float(lam))
         js = [j_functional(V, measure, cube) for cube in rep.cubes]
         assert rep.max_j == pytest.approx(max(js), rel=1e-13)
+
+
+def test_report_max_j_does_not_depend_on_the_row_blocks(monkeypatch):
+    # each cube's J is summed within its own row, so the row-block budget
+    # that groups the cubes cannot round it; a matrix-vector product over
+    # masses shared by the rows read 0.28440187957085944 at 64 KB and
+    # 0.2844018795708595 at 128 KB here
+    measure = make_uniform_square_measure(24)
+    V = np.random.default_rng(0).lognormal(0.0, 1.0, measure.n_atoms)
+    max_j = []
+    for budget in (64 * 1024, 128 * 1024):
+        monkeypatch.setattr(covering, "_BLOCK_BYTES", budget)
+        max_j.append(build_covering(measure, V, 0.7459662161024367).max_j)
+    assert max_j[0] == max_j[1]
 
 
 def test_multiplicity_above_cap_is_reported(uniform16, ones16,

@@ -175,6 +175,18 @@ def test_polygon_rejects_degenerate_input():
         make_polygon_curve(UNIT_SQUARE, 8, 0.5)
 
 
+@pytest.mark.parametrize("scale", [1e-7, 1e8])
+def test_polygon_collinearity_refusal_is_scale_free(scale):
+    # a square of side 1e-7 has an edge cross product of 1e-14: the
+    # directions, not the lengths, decide whether a corner is genuine
+    square = scale * np.array(UNIT_SQUARE, dtype=float)
+    mesh = make_polygon_curve(square, 8, 3.0)
+    assert mesh.weights.sum() == pytest.approx(4.0 * scale, rel=1e-12)
+    with pytest.raises(InvalidArgumentError, match="collinear"):
+        make_polygon_curve(scale * np.array([(0, 0), (0.5, 0), (1, 0),
+                                             (0, 1)]), 8, 3.0)
+
+
 # ---------------------------------------------------------------------------
 # singular measures
 # ---------------------------------------------------------------------------

@@ -5,9 +5,8 @@ from hypothesis import strategies as st
 
 from critspec.errors import InvalidArgumentError, OutOfRangeError
 from critspec.geometry import make_uniform_square_measure
-from critspec.orlicz import (Cube, OrliczNormResult, _norms_on_sets,
-                             _norms_reach, averaged_norm, j_functional, phi,
-                             psi, surface_norm)
+from critspec.orlicz import (Cube, OrliczNormResult, _norms, averaged_norm,
+                             j_functional, phi, psi, surface_norm)
 
 from oracles import averaged_norm_bisection, phi_inverse, t_star
 
@@ -174,7 +173,7 @@ _PREFIX_ATOM = st.tuples(st.sampled_from([0.0, 1.0]),
 def test_per_row_masses_on_sorted_prefixes(data, atoms):
     # the crossing search's call: every row's atoms sorted by distance (few
     # distinct distances, so many ties), |V| and masses gathered into that
-    # order, cut to the longest prefix and masked past each row's own; one
+    # order, cut to the longest prefix and zeroed past each row's own; one
     # more row carries |V| = 0 throughout
     absv = np.array([s * 10.0 ** e for s, e, _ in atoms])
     w = np.array([m for _, _, m in atoms])
@@ -191,24 +190,27 @@ def test_per_row_masses_on_sorted_prefixes(data, atoms):
     inside = np.arange(width) < np.append(prefix, width)[:, None]
     rows_v = np.vstack([absv[order][:, :width], np.zeros(width)])
     rows_w = np.vstack([w[order][:, :width], w[:width]])
-    got = _norms_on_sets(rows_v, rows_w, inside)
-    shared = _norms_on_sets(absv, w, dist <= reach[:, None])
+    got = _norms(np.where(inside, rows_v, 0.0), np.where(inside, rows_w, 0.0))
     assert got[-1] == 0.0
     for r in range(m):
         sel = order[r, :prefix[r]]
         want = averaged_norm(absv[sel], w[sel], float(w[sel].sum())).value
         assert abs(got[r] - want) <= 1e-13 * want
-        assert abs(shared[r] - want) <= 1e-13 * want
 
 
 def _reach_matches_norms(rows_v, rows_w, floor):
-    """``_norms_reach`` on copies of the rows gives
-    ``_norms_on_sets(...) >= floor`` row for row; returns the answers."""
-    inside = rows_w > 0.0
-    want = _norms_on_sets(rows_v, rows_w, inside) >= floor
-    got = _norms_reach(rows_v.copy(), rows_w.copy(), floor)
-    assert got.tolist() == want.tolist(), floor
-    return got
+    """``_norms`` with ``floor``, on copies of the rows, reads ``floor``
+    where its bounds settle a row above it, 0 where below, and the plain
+    form's norm bit for bit elsewhere; returns whether each row reaches
+    ``floor``, which matches the plain norm's answer."""
+    norms = _norms(rows_v.copy(), rows_w)
+    got = _norms(rows_v.copy(), rows_w, floor)
+    for g, j in zip(got.tolist(), norms.tolist()):
+        assert g == j or (g == floor and j >= floor) or (
+            g == 0.0 and j < floor), (floor, g, j)
+    reach = got >= floor
+    assert reach.tolist() == (norms >= floor).tolist(), floor
+    return reach
 
 
 # relative offsets of a floor from a row's J: inside the settling margin,
@@ -244,7 +246,7 @@ def test_bound_settled_answers_match_the_converged_norms(data, atoms, shift):
     rows_v = np.where(past, 0.0, absv[order][:, :width])
     rows_v[-1] = 0.0
     rows_w = np.where(past, 0.0, w[order][:, :width])
-    norms = _norms_on_sets(rows_v, rows_w, ~past)
+    norms = _norms(rows_v.copy(), rows_w)
     assert norms[-1] == 0.0
     pick = data.draw(st.integers(0, m - 1))
     floor = norms[pick] * (1.0 + shift) if norms[pick] > 0.0 else 1.0
@@ -269,7 +271,7 @@ def test_settled_answers_at_exact_crossings_and_extreme_scales():
     rows_v[-1] = 0.0
     rows_w = np.where(past, 0.0, measure.masses[order][:65])
     target = surface_norm(np.ones(n), measure) / 4.0
-    j = _norms_on_sets(rows_v, rows_w, ~past)[1]
+    j = _norms(rows_v.copy(), rows_w)[1]
     assert j == pytest.approx(target, rel=1e-14)
     floors = [target * (1.0 - 1e-12), j, np.nextafter(j, 0.0),
               np.nextafter(j, 2.0)]
@@ -291,9 +293,9 @@ def test_settled_answers_keep_the_bracket_refusal():
     message = ("duality multiplier outside bracket: degenerate scaling "
                "of V/mass")
     with pytest.raises(OutOfRangeError, match=message):
-        _norms_on_sets(rows_v, rows_w, rows_w > 0.0)
+        _norms(rows_v.copy(), rows_w)
     with pytest.raises(OutOfRangeError, match=message):
-        _norms_reach(rows_v, rows_w, 0.5)
+        _norms(rows_v, rows_w, 0.5)
 
 
 def test_monotone_in_the_set():
